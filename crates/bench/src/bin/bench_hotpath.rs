@@ -4,15 +4,19 @@
 //! Each benchmark times the retained pre-optimization reference against the
 //! shipping implementation on the same ≥16M-element buffers, so the reported
 //! speedups are algorithmic (bulk memcpy codec, slicing-by-8 CRC, chunked
-//! reduce-scatter, sharded selection) and reproducible on any host — they do
-//! not depend on core count, though the parallel kernels additionally scale
-//! with threads where cores exist.
+//! reduce-scatter, radix-threshold selection) and reproducible on any host —
+//! they do not depend on core count, though the parallel kernels additionally
+//! scale with threads where cores exist.
 //!
 //! Usage: `bench_hotpath [--elems N] [--ranks R] [--reps K] [--out PATH]
 //! [--smoke]` (defaults: 16 Mi elements, 4 ranks, 3 reps,
 //! BENCH_hotpath.json). `--smoke` runs a tiny single-rep configuration for
 //! CI sanity and skips the JSON unless `--out` is given explicitly.
 //! `scripts/bench.sh` builds release and refreshes the JSON at the repo root.
+//!
+//! Built with `--features count-allocs` (as `scripts/bench.sh` and the CI
+//! smoke run do), the run ends by asserting that a steady-state Top-K +
+//! error-feedback `compress` makes no allocation of Ψ·4 bytes or more.
 //!
 //! Every optimized kernel is additionally re-timed with the worker pool
 //! forced to 1, 2 and 4 threads (`pool_sweep` per row in the JSON), so the
@@ -30,6 +34,37 @@ use lowdiff_util::crc::{crc32, crc32_bytewise};
 use lowdiff_util::DetRng;
 use std::time::Instant;
 
+#[cfg(feature = "count-allocs")]
+#[global_allocator]
+static ALLOC: lowdiff_bench::alloc::CountingAlloc = lowdiff_bench::alloc::CountingAlloc;
+
+/// The compress path's allocation contract: once warm, `compress` reuses
+/// its histogram scratch and residual buffer, and allocates only the
+/// k-sized handle it returns — nothing as large as the gradient.
+#[cfg(feature = "count-allocs")]
+fn assert_compress_allocates_nothing_psi_sized(grad: &[f32]) {
+    use lowdiff_bench::alloc;
+    use lowdiff_compress::ErrorFeedback;
+    alloc::set_large_threshold(grad.len() * 4);
+    alloc::track_current_thread();
+    let mut ef = ErrorFeedback::new(TopK::new(0.01), grad.len());
+    ef.compress(grad); // warm-up: sizes the scratch
+    let (_, before) = alloc::counts();
+    for _ in 0..3 {
+        std::hint::black_box(ef.compress(grad));
+    }
+    let (_, after) = alloc::counts();
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state compress made gradient-sized allocations"
+    );
+    eprintln!(
+        "compress: 0 allocations >= {} B in steady state",
+        grad.len() * 4
+    );
+}
+
 /// Pool widths every optimized kernel is re-timed at.
 const POOL_SWEEP: [usize; 3] = [1, 2, 4];
 
@@ -46,6 +81,23 @@ impl BenchResult {
     fn speedup(&self) -> f64 {
         self.baseline_secs / self.optimized_secs
     }
+}
+
+/// The Top-K baseline: the comparator quick-select over an index array
+/// that `TopK::select` used to be (random access through `grad[idx]`, a
+/// Ψ-long `Vec<u32>` of scratch per call). Defined for NaN-free inputs.
+fn topk_index_quickselect(grad: &[f32], k: usize) -> Vec<u32> {
+    let mut idx: Vec<u32> = (0..grad.len() as u32).collect();
+    let cmp = |&a: &u32, &b: &u32| {
+        let (va, vb) = (grad[a as usize].abs(), grad[b as usize].abs());
+        vb.partial_cmp(&va)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.cmp(&b))
+    };
+    idx.select_nth_unstable_by(k - 1, cmp);
+    idx.truncate(k);
+    idx.sort_unstable();
+    idx
 }
 
 /// Best-of-`reps` wall time of `f` (min filters scheduler noise).
@@ -187,10 +239,15 @@ fn main() {
         });
     }
 
-    // --- Top-K selection (sharded vs single-pass) --------------------------
+    // --- Top-K selection (radix threshold vs index quick-select) -----------
     {
         let k = (elems / 100).max(1); // the paper's rho = 0.01
-        let base = time_best(reps, || TopK::select_serial(&grad, k));
+        assert_eq!(
+            TopK::select(&grad, k),
+            topk_index_quickselect(&grad, k),
+            "selection kernels disagree"
+        );
+        let base = time_best(reps, || topk_index_quickselect(&grad, k));
         let opt = time_best(reps, || TopK::select(&grad, k));
         results.push(BenchResult {
             name: "topk",
@@ -272,6 +329,9 @@ fn main() {
         ],
         &rows,
     );
+
+    #[cfg(feature = "count-allocs")]
+    assert_compress_allocates_nothing_psi_sized(&grad);
 
     if smoke && !out_explicit {
         eprintln!("smoke mode: skipping json");

@@ -39,8 +39,7 @@ use lowdiff_util::crc32;
 use lowdiff_util::DetRng;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -270,12 +269,11 @@ pub fn run_worker(cfg: WorkerConfig) -> io::Result<WorkerReport> {
 
     // Heartbeats ride a dedicated connection so a long barrier wait on
     // the main channel never starves liveness.
-    let stop = Arc::new(AtomicBool::new(false));
+    let (stop, stopped) = mpsc::channel::<()>();
     let hb = {
-        let stop = Arc::clone(&stop);
         let coord = cfg.coord.clone();
         let every = cfg.heartbeat_every;
-        thread::spawn(move || heartbeat_loop(&coord, rank, every, &stop))
+        thread::spawn(move || heartbeat_loop(&coord, rank, every, &stopped))
     };
 
     let result = train_loop(
@@ -289,7 +287,9 @@ pub fn run_worker(cfg: WorkerConfig) -> io::Result<WorkerReport> {
         &mut client,
     );
 
-    stop.store(true, Ordering::Relaxed);
+    // Hanging up wakes the heartbeat thread mid-wait: the worker returns
+    // when training ends, not up to `heartbeat_every` later.
+    drop(stop);
     let _ = hb.join();
     result
 }
@@ -315,15 +315,18 @@ fn wait_for_full_world(client: &mut CoordClient, world_size: u32) -> io::Result<
     }
 }
 
-fn heartbeat_loop(coord: &str, rank: u32, every: Duration, stop: &AtomicBool) {
+/// One heartbeat per `every` until the worker hangs up `stopped`.
+fn heartbeat_loop(coord: &str, rank: u32, every: Duration, stopped: &mpsc::Receiver<()>) {
     let Ok(mut client) = CoordClient::connect(coord, CONNECT_TIMEOUT) else {
         return;
     };
-    while !stop.load(Ordering::Relaxed) {
+    loop {
         if client.rpc(&Msg::Heartbeat { rank }).is_err() {
             return; // coordinator gone; the main channel will notice too
         }
-        thread::sleep(every);
+        if stopped.recv_timeout(every) != Err(mpsc::RecvTimeoutError::Timeout) {
+            return;
+        }
     }
 }
 

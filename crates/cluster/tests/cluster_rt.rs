@@ -279,3 +279,47 @@ fn wire_shutdown_stops_the_coordinator() {
     std::thread::sleep(Duration::from_millis(100));
     assert!(CoordClient::connect(addr, Duration::from_millis(300)).is_err());
 }
+
+#[test]
+fn worker_returns_when_training_ends_not_when_the_heartbeat_wakes() {
+    use lowdiff_cluster::rt::{run_worker, WorkerConfig};
+    // A heartbeat period far longer than the run: a worker that joined a
+    // sleeping heartbeat thread on exit would take all of it to return.
+    let heartbeat_every = Duration::from_secs(20);
+    let dir = std::env::temp_dir().join(format!("lowdiff-hb-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let coord = Coordinator::start(
+        "127.0.0.1:0",
+        CoordConfig {
+            // Longer than the run (the first beat goes out at once), short
+            // enough that stopping the liveness monitor is quick.
+            heartbeat_timeout: Duration::from_secs(2),
+            ..cfg(1)
+        },
+    )
+    .unwrap();
+    let t0 = Instant::now();
+    let report = run_worker(WorkerConfig {
+        coord: coord.addr().to_string(),
+        dir: dir.clone(),
+        name: "solo".into(),
+        rank_hint: None,
+        dims: vec![8, 16, 8],
+        seed: 1,
+        data_seed: 2,
+        compress_ratio: Some(0.1),
+        iters: 4,
+        epoch_iters: 2,
+        resume: false,
+        heartbeat_every,
+        barrier_timeout: T,
+        step_delay: Duration::ZERO,
+    })
+    .unwrap();
+    let took = t0.elapsed();
+    coord.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(report.final_iteration, 4);
+    assert_eq!(report.degraded, None);
+    assert!(took < heartbeat_every / 2, "run_worker took {took:?}");
+}

@@ -11,6 +11,10 @@
 //!
 //! Conservation (`sent + residual == acc` exactly, elementwise) is the
 //! invariant the property tests check.
+//!
+//! The three lines run in place on the one residual buffer: it becomes
+//! `acc_t` by adding the gradient, is compressed where it lies, and becomes
+//! `residual_t` by subtracting what was sent, where it was sent.
 
 use crate::grad::CompressedGrad;
 use crate::Compressor;
@@ -20,9 +24,6 @@ use lowdiff_tensor::ops;
 pub struct ErrorFeedback<C: Compressor> {
     inner: C,
     residual: Vec<f32>,
-    /// Scratch for `acc = grad + residual`, reused across iterations so the
-    /// steady-state hot loop performs no Ψ-sized allocations.
-    acc: Vec<f32>,
 }
 
 impl<C: Compressor> ErrorFeedback<C> {
@@ -31,23 +32,20 @@ impl<C: Compressor> ErrorFeedback<C> {
         Self {
             inner,
             residual: vec![0.0; n],
-            acc: vec![0.0; n],
         }
     }
 
     /// Compensate, compress, and update the residual.
     pub fn compress(&mut self, grad: &[f32]) -> CompressedGrad {
         assert_eq!(grad.len(), self.residual.len(), "gradient length changed");
-        // acc = grad + residual, into the reused scratch.
-        self.acc.copy_from_slice(grad);
-        ops::add_assign(&mut self.acc, &self.residual);
-        let sent = self.inner.compress(&self.acc);
-        // residual = acc − decompress(sent). A sparse handle decompresses to
-        // acc's own values at the sent coordinates and 0.0 elsewhere, and
-        // `x − 0.0 == x` exactly for every f32 (including −0.0) — so start
-        // from acc and subtract only at the sent indices instead of
-        // materializing a Ψ-sized dense copy.
-        std::mem::swap(&mut self.residual, &mut self.acc);
+        // residual → acc (f32 addition commutes bit-for-bit).
+        ops::add_assign(&mut self.residual, grad);
+        let sent = self.inner.compress(&self.residual);
+        // acc → residual = acc − decompress(sent). A sparse handle
+        // decompresses to 0.0 away from the sent coordinates, and
+        // `x − 0.0 == x` exactly for every f32 (including −0.0) — so
+        // subtract at the sent indices only. Top-K sends acc's own values,
+        // which leaves +0.0 there (`x − x` for finite x).
         match &sent {
             CompressedGrad::Sparse(s) => {
                 for (&i, &v) in s.indices.iter().zip(&s.values) {

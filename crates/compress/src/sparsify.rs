@@ -1,12 +1,40 @@
 //! Sparsification compressors: Top-K, Random-K, Threshold.
 //!
-//! Top-K with ρ = 0.01 is the paper's default (§6.1). Selection uses
-//! `select_nth_unstable` on |value| — O(n) expected, no full sort — and
-//! deterministic tie-breaking by index so runs are replayable.
+//! Top-K with ρ = 0.01 is the paper's default (§6.1), and because LowDiff
+//! reuses the compressed gradient as the differential checkpoint, the
+//! selection sits on every iteration's critical path. It is an exact
+//! **radix-threshold select**: nothing is sorted, permuted or indexed
+//! through; the input is only streamed.
+//!
+//! * **Key.** Every element is ranked by `key = |v|.to_bits()` — the f32
+//!   bit pattern with the sign cleared, a 31-bit integer. For IEEE-754
+//!   values integer order on that pattern *is* magnitude order:
+//!   `±0 < denormals < normals < +inf < NaN`. It is a total order on every
+//!   input (the float comparison it replaces is not: NaN is incomparable),
+//!   so NaNs rank above `+inf` and are selected first.
+//! * **Threshold.** The k-th largest key `T` is found digit by digit
+//!   ([`LEVELS`]: 12 + 12 + 7 bits). Each level is one streaming pass that
+//!   histograms the next digit of every key still matching the digits
+//!   resolved so far; scanning the histogram from the top gives the digit
+//!   of `T` and how many elements are still to be taken below it. After
+//!   the last level `T` is exact, together with the *tie budget* `r`: how
+//!   many of the elements with `key == T` belong to the top k.
+//! * **Emit.** One in-order pass writes `{i : key > T}` plus the first `r`
+//!   indices with `key == T` — ascending, ties to the lower index.
+//!
+//! Memory is `O(chunks · 4096)` counters whatever the input (an all-equal
+//! gradient refines through the same three histograms; there is no
+//! candidate list to overflow).
+//!
+//! **Determinism.** The selected set is a function of the input alone: it
+//! is defined by `(T, r)` and index order, not by how the work was split.
+//! Chunk boundaries depend only on the input length; per-chunk histograms
+//! are integer counts, summed exactly; each chunk's output window is the
+//! prefix sum of those counts. Any thread count, including one, runs the
+//! same chunks and produces the same bytes.
 
 use crate::grad::{CompressedGrad, SparseGrad};
 use crate::Compressor;
-use lowdiff_util::par::chunk_ranges;
 use lowdiff_util::DetRng;
 use rayon::prelude::*;
 
@@ -18,6 +46,159 @@ pub fn k_for_ratio(dense_len: usize, ratio: f64) -> usize {
         return 0;
     }
     ((dense_len as f64 * ratio).round() as usize).clamp(1, dense_len)
+}
+
+/// Magnitude rank of `v`: the bit pattern of `|v|`. See the module doc.
+#[inline(always)]
+fn key(v: f32) -> u32 {
+    v.to_bits() & 0x7FFF_FFFF
+}
+
+/// Width of [`key`] in bits.
+const KEY_BITS: u32 = 31;
+/// The digits of the key, most significant first, as `(shift, bits)`.
+const LEVELS: [(u32, u32); 3] = [(19, 12), (7, 12), (0, 7)];
+/// Counters per histogram: `2^bits` of the widest level.
+const HIST: usize = 1 << 12;
+/// Elements per chunk below which splitting further costs more in
+/// histogram upkeep than it can win in parallelism.
+const MIN_CHUNK: usize = 1 << 15;
+
+/// Elements per block of [`for_each_match`].
+const BLOCK: usize = 16;
+
+/// Call `hit(i, chunk[i])`, in index order, for every element whose key
+/// satisfies `pred`. Matches are rare on every pass that uses this (a
+/// boundary bucket, the selected 1%), so the chunk is tested a block at a
+/// time — a branch-free loop the compiler vectorizes — and only blocks
+/// holding a match are walked element by element.
+#[inline(always)]
+fn for_each_match(chunk: &[f32], pred: impl Fn(u32) -> bool, mut hit: impl FnMut(usize, f32)) {
+    let mut blocks = chunk.chunks_exact(BLOCK);
+    let mut base = 0;
+    for block in &mut blocks {
+        let block: &[f32; BLOCK] = block.try_into().expect("exact chunks");
+        let mut any = 0u32;
+        for &v in block {
+            any |= pred(key(v)) as u32;
+        }
+        if any != 0 {
+            for (i, &v) in block.iter().enumerate() {
+                if pred(key(v)) {
+                    hit(base + i, v);
+                }
+            }
+        }
+        base += BLOCK;
+    }
+    for (i, &v) in blocks.remainder().iter().enumerate() {
+        if pred(key(v)) {
+            hit(base + i, v);
+        }
+    }
+}
+
+/// The radix-threshold select (module doc): the `k` largest-magnitude
+/// elements of `data` as ascending indices plus their values, ties to the
+/// lower index. `hists` is the counter scratch, grown once and reused.
+fn radix_select(data: &[f32], k: usize, hists: &mut Vec<u32>) -> (Vec<u32>, Vec<f32>) {
+    let n = data.len();
+    assert!(0 < k && k < n, "radix_select wants 0 < k < n");
+    assert!(n <= u32::MAX as usize + 1, "indices are u32");
+    let chunk_len = n.div_ceil((n / MIN_CHUNK).clamp(1, rayon::MAX_CHUNKS));
+    let nchunks = n.div_ceil(chunk_len);
+    hists.resize(nchunks * HIST, 0);
+
+    // Digits of the threshold key resolved so far (`key >> unresolved`),
+    // how many elements are still to be taken among the keys sharing
+    // them, and per chunk how many keys are already known to be above.
+    let (mut prefix, mut unresolved, mut need) = (0u32, KEY_BITS, k);
+    let mut above = [0usize; rayon::MAX_CHUNKS];
+    let mut digit = 0; // of T, at the level resolved last
+    for (shift, bits) in LEVELS {
+        let mask = (1u32 << bits) - 1;
+        hists.fill(0);
+        hists
+            .par_chunks_mut(HIST)
+            .zip(data.par_chunks(chunk_len))
+            .with_min_len(1)
+            .for_each(|(hist, chunk)| {
+                let hist: &mut [u32; HIST] = hist.try_into().expect("HIST-sized rows");
+                // (`% HIST` changes nothing — the mask is narrower — but
+                // shows the compiler that the index is in bounds.)
+                let bucket = |key: u32| ((key >> shift) & mask) as usize % HIST;
+                if unresolved == KEY_BITS {
+                    // First level: every key is in the class.
+                    for &v in chunk {
+                        hist[bucket(key(v))] += 1;
+                    }
+                } else {
+                    for_each_match(
+                        chunk,
+                        |key| key >> unresolved == prefix,
+                        |_, v| hist[bucket(key(v))] += 1,
+                    );
+                }
+            });
+        let mut total = [0usize; HIST];
+        for hist in hists.chunks(HIST) {
+            for (t, &c) in total.iter_mut().zip(hist) {
+                *t += c as usize;
+            }
+        }
+        // The digit of T: highest bucket at which the count from the top
+        // reaches `need`. It exists because `need` never exceeds the
+        // population being histogrammed.
+        digit = mask as usize;
+        while total[digit] < need {
+            need -= total[digit];
+            digit -= 1;
+        }
+        for (a, hist) in above.iter_mut().zip(hists.chunks(HIST)) {
+            *a += hist[digit + 1..].iter().map(|&c| c as usize).sum::<usize>();
+        }
+        prefix = (prefix << bits) | digit as u32;
+        unresolved = shift;
+    }
+    // `prefix` is now T itself, `need` the tie budget, and the last
+    // level's bucket `digit` holds each chunk's count of `key == T`.
+    let threshold = prefix;
+
+    let mut indices = vec![0u32; k];
+    let mut values = vec![0f32; k];
+    let mut windows = Vec::with_capacity(nchunks);
+    let (mut rest_i, mut rest_v) = (&mut indices[..], &mut values[..]);
+    for (c, chunk) in data.chunks(chunk_len).enumerate() {
+        let ties = need.min(hists[c * HIST + digit] as usize);
+        need -= ties;
+        let (out_i, tail_i) = rest_i.split_at_mut(above[c] + ties);
+        let (out_v, tail_v) = rest_v.split_at_mut(above[c] + ties);
+        (rest_i, rest_v) = (tail_i, tail_v);
+        windows.push((c * chunk_len, chunk, ties, out_i, out_v));
+    }
+    debug_assert!(rest_i.is_empty() && need == 0);
+    windows
+        .into_par_iter()
+        .with_min_len(1)
+        .for_each(|(base, chunk, mut ties, out_i, out_v)| {
+            let mut j = 0;
+            for_each_match(
+                chunk,
+                // Keys are 31 bits wide: the signed compare is the same
+                // and, unlike the unsigned one, vectorizes on baseline x86.
+                |key| key as i32 >= threshold as i32,
+                |i, v| {
+                    if key(v) > threshold || ties > 0 {
+                        ties -= usize::from(key(v) == threshold);
+                        out_i[j] = (base + i) as u32;
+                        out_v[j] = v;
+                        j += 1;
+                    }
+                },
+            );
+            debug_assert_eq!(j, out_i.len());
+        });
+    (indices, values)
 }
 
 /// Keep the k elements of largest magnitude.
@@ -34,108 +215,47 @@ pub fn k_for_ratio(dense_len: usize, ratio: f64) -> usize {
 #[derive(Clone, Debug)]
 pub struct TopK {
     pub ratio: f64,
+    /// Histogram scratch of the selection, reused across `compress` calls
+    /// so the steady state allocates only the k-sized output.
+    hists: Vec<u32>,
 }
 
 impl TopK {
     pub fn new(ratio: f64) -> Self {
         assert!(ratio > 0.0 && ratio <= 1.0, "TopK ratio {ratio}");
-        Self { ratio }
+        Self {
+            ratio,
+            hists: Vec::new(),
+        }
     }
 
-    /// Core selection, exposed for tests: returns sorted indices of the k
-    /// largest-|v| entries, ties broken toward lower index.
+    /// Core selection: ascending indices of the `k` largest-|v| entries,
+    /// ties broken toward the lower index; identical at any thread count.
     ///
-    /// Large inputs are selected in parallel over fixed shards: each shard
-    /// keeps its local top-`min(k, shard_len)` candidates, and the exact
-    /// top-k is selected from the candidate pool. Because the comparison is
-    /// a strict total order — bigger |v| first, then smaller index — every
-    /// global top-k element is necessarily in its shard's local top-k, so
-    /// the sharded result **equals** the serial one for any shard layout;
-    /// shard boundaries are fixed by the input length alone, never by the
-    /// thread count.
+    /// Magnitudes are ranked by the bit pattern of `|v|` (module doc), a
+    /// total order that agrees with `<` on every non-NaN float and places
+    /// **NaN above `+inf`**: a NaN gradient entry is always selected (and
+    /// so shows up in the sparse handle instead of hiding in a residual).
     pub fn select(grad: &[f32], k: usize) -> Vec<u32> {
-        let n = grad.len();
-        let k = k.min(n);
-        if k == 0 {
-            return Vec::new();
-        }
-        if k == n {
-            return (0..n as u32).collect();
-        }
-        // Partial selection on (|v|, index) pairs; order: bigger |v| first,
-        // then smaller index first (deterministic).
-        let cmp = |&a: &u32, &b: &u32| {
-            let (va, vb) = (grad[a as usize].abs(), grad[b as usize].abs());
-            vb.partial_cmp(&va)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        };
-
-        /// Below this length the per-shard pass isn't worth the fan-out.
-        const PAR_MIN: usize = 1 << 16;
-        // The shard pass does extra candidate work to buy parallelism; on a
-        // single-thread pool it's pure overhead. Either path returns the
-        // SAME indices (see above), so gating on the pool width cannot
-        // affect results — only speed.
-        let par = n >= PAR_MIN && rayon::pool::current_num_threads() > 1;
-        let mut idx: Vec<u32> = if par {
-            let shards = chunk_ranges(n, rayon::MAX_CHUNKS);
-            shards
-                .par_iter()
-                .with_min_len(1)
-                .map(|r| {
-                    let mut local: Vec<u32> = (r.start as u32..r.end as u32).collect();
-                    let kk = k.min(local.len());
-                    if kk < local.len() {
-                        local.select_nth_unstable_by(kk - 1, cmp);
-                        local.truncate(kk);
-                    }
-                    local
-                })
-                .collect::<Vec<Vec<u32>>>()
-                .concat()
-        } else {
-            (0..n as u32).collect()
-        };
-        if k < idx.len() {
-            idx.select_nth_unstable_by(k - 1, cmp);
-            idx.truncate(k);
-        }
-        idx.sort_unstable();
-        idx
+        Self::select_with(grad, k, &mut Vec::new()).0
     }
 
-    /// Single-pass serial selection — the pre-sharding implementation, kept
-    /// as the equivalence oracle for tests and the `bench_hotpath` baseline.
-    #[doc(hidden)]
-    pub fn select_serial(grad: &[f32], k: usize) -> Vec<u32> {
+    fn select_with(grad: &[f32], k: usize, hists: &mut Vec<u32>) -> (Vec<u32>, Vec<f32>) {
         let n = grad.len();
-        let k = k.min(n);
         if k == 0 {
-            return Vec::new();
+            return (Vec::new(), Vec::new());
         }
-        if k == n {
-            return (0..n as u32).collect();
+        if k >= n {
+            return ((0..n as u32).collect(), grad.to_vec());
         }
-        let mut idx: Vec<u32> = (0..n as u32).collect();
-        let cmp = |&a: &u32, &b: &u32| {
-            let (va, vb) = (grad[a as usize].abs(), grad[b as usize].abs());
-            vb.partial_cmp(&va)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        };
-        idx.select_nth_unstable_by(k - 1, cmp);
-        let mut kept = idx[..k].to_vec();
-        kept.sort_unstable();
-        kept
+        radix_select(grad, k, hists)
     }
 }
 
 impl Compressor for TopK {
     fn compress(&mut self, grad: &[f32]) -> CompressedGrad {
         let k = k_for_ratio(grad.len(), self.ratio);
-        let indices = Self::select(grad, k);
-        let values = indices.iter().map(|&i| grad[i as usize]).collect();
+        let (indices, values) = Self::select_with(grad, k, &mut self.hists);
         CompressedGrad::Sparse(SparseGrad::new(grad.len(), indices, values))
     }
 
@@ -308,21 +428,107 @@ mod tests {
         assert_eq!(a1.as_sparse().unwrap().nnz(), 50);
     }
 
+    /// The definition of the result, by full sort: the first k under
+    /// (key descending, index ascending).
+    fn by_sort(g: &[f32], k: usize) -> Vec<u32> {
+        let mut idx: Vec<u32> = (0..g.len() as u32).collect();
+        idx.sort_by_key(|&i| (std::cmp::Reverse(key(g[i as usize])), i));
+        idx.truncate(k);
+        idx.sort_unstable();
+        idx
+    }
+
     #[test]
-    fn sharded_select_equals_serial_on_large_input() {
-        // Force the parallel path (n ≥ PAR_MIN) under a multi-thread pool
-        // and compare against the single-pass serial oracle.
+    fn select_matches_definition_at_any_thread_count() {
+        // Sizes on both sides of every chunk-count step (1 chunk, 2, the
+        // 64-chunk cap) and not divisible by the chunk count.
         let mut rng = DetRng::new(31);
-        let n = 1 << 17;
-        let mut g: Vec<f32> = (0..n).map(|_| rng.normal() as f32).collect();
-        // Inject ties so the index tie-break is exercised across shards.
-        for i in (0..n).step_by(97) {
-            g[i] = 0.5;
+        for n in [
+            1000,
+            2 * MIN_CHUNK - 1,
+            2 * MIN_CHUNK,
+            3 * MIN_CHUNK + 17,
+            64 * MIN_CHUNK + 5,
+        ] {
+            let mut g: Vec<f32> = (0..n).map(|_| rng.normal() as f32).collect();
+            // Ties across chunk boundaries, both signs.
+            for i in (0..n).step_by(97) {
+                g[i] = if i % 2 == 0 { 0.5 } else { -0.5 };
+            }
+            // (The largest size checks two cuts only: debug-build time.)
+            let all = [1, 2, n / 100, n / 2, n - 1, n];
+            let ks = if n > 4 * MIN_CHUNK {
+                &all[2..4]
+            } else {
+                &all[..]
+            };
+            for &k in ks {
+                let want = by_sort(&g, k);
+                for t in [1, 2, 4] {
+                    let got = rayon::pool::with_num_threads(t, || TopK::select(&g, k));
+                    assert_eq!(got, want, "n={n} k={k} threads={t}");
+                }
+            }
         }
-        for k in [1usize, 100, n / 100, n / 2, n - 1] {
-            let par = rayon::pool::with_num_threads(4, || TopK::select(&g, k));
-            let ser = TopK::select_serial(&g, k);
-            assert_eq!(par, ser, "k={k}");
+    }
+
+    #[test]
+    fn select_on_degenerate_inputs() {
+        let n = 3 * MIN_CHUNK + 1;
+        // All equal: the whole input is one tie run; lowest indices win.
+        assert_eq!(
+            TopK::select(&vec![-2.5f32; n], 70_000),
+            (0..70_000).collect::<Vec<u32>>()
+        );
+        // Zeros of both signs are one magnitude.
+        let zeros: Vec<f32> = (0..n)
+            .map(|i| if i % 3 == 0 { -0.0 } else { 0.0 })
+            .collect();
+        assert_eq!(TopK::select(&zeros, 5), vec![0, 1, 2, 3, 4]);
+        // Denormals order by magnitude; infinities beat every finite.
+        let mut g = vec![0.0f32; n];
+        g[7] = f32::from_bits(1); // smallest denormal
+        g[n - 1] = -f32::from_bits(2);
+        g[40_000] = f32::NEG_INFINITY;
+        g[90_000] = f32::MAX;
+        assert_eq!(TopK::select(&g, 1), vec![40_000]);
+        assert_eq!(TopK::select(&g, 2), vec![40_000, 90_000]);
+        assert_eq!(TopK::select(&g, 3), vec![40_000, 90_000, n as u32 - 1]);
+        assert_eq!(
+            TopK::select(&g, 5),
+            vec![0, 7, 40_000, 90_000, n as u32 - 1]
+        );
+    }
+
+    #[test]
+    fn nan_ranks_above_infinity() {
+        let mut g = vec![1.0f32; 1000];
+        g[10] = f32::INFINITY;
+        g[500] = f32::NAN;
+        g[900] = -f32::NAN;
+        assert_eq!(TopK::select(&g, 2), vec![500, 900]);
+        assert_eq!(TopK::select(&g, 3), vec![10, 500, 900]);
+        assert_eq!(TopK::select(&g, 4), vec![0, 10, 500, 900]);
+        let mut c = TopK::new(0.002);
+        let s = c.compress(&g);
+        assert!(s.as_sparse().unwrap().values.iter().all(|v| v.is_nan()));
+    }
+
+    #[test]
+    fn compress_reuses_its_scratch_and_matches_select() {
+        let mut rng = DetRng::new(9);
+        let n = 2 * MIN_CHUNK + 3;
+        let mut c = TopK::new(0.01);
+        for _ in 0..3 {
+            let g: Vec<f32> = (0..n).map(|_| rng.normal() as f32).collect();
+            let out = c.compress(&g);
+            let s = out.as_sparse().unwrap();
+            assert_eq!(s.indices, TopK::select(&g, k_for_ratio(n, 0.01)));
+            assert!(s
+                .indices
+                .iter()
+                .zip(&s.values)
+                .all(|(&i, &v)| g[i as usize].to_bits() == v.to_bits()));
         }
     }
 

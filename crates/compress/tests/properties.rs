@@ -1,5 +1,7 @@
 //! Property-based tests for the compression substrate.
 
+mod oracle;
+
 use lowdiff_compress::{Compressor, ErrorFeedback, RandomK, SparseGrad, TopK, UniformQuant};
 use proptest::prelude::*;
 
@@ -109,25 +111,28 @@ proptest! {
         }
     }
 
-    /// The sharded parallel Top-K selection returns exactly the serial
-    /// single-pass result — for any values (including ties) and any k —
-    /// under a forced multi-thread pool.
+    /// The radix-threshold selection returns exactly what the comparator
+    /// quick-select it replaced did — for any finite values (including
+    /// ties) and any k — at 1, 2 and 4 pool threads.
     #[test]
-    fn sharded_select_equals_serial(
+    fn select_equals_oracle(
         seed in 0u64..1000,
         dup_every in 2usize..50,
         k_frac in 0.0f64..1.0,
     ) {
-        // Large enough to cross the parallel threshold (1<<16).
-        let n = (1 << 16) + 123;
+        // Three chunks, the last one short.
+        let n = (3 << 15) + 123;
         let mut rng = lowdiff_util::DetRng::new(seed);
         let mut g: Vec<f32> = (0..n).map(|_| rng.normal() as f32).collect();
         for i in (0..n).step_by(dup_every) {
-            g[i] = 1.25; // ties spanning shard boundaries
+            g[i] = 1.25; // ties spanning chunk boundaries
         }
         let k = ((n as f64 * k_frac) as usize).clamp(1, n);
-        let par = rayon::pool::with_num_threads(4, || TopK::select(&g, k));
-        prop_assert_eq!(par, TopK::select_serial(&g, k));
+        let want = oracle::select_oracle(&g, k);
+        for t in [1, 2, 4] {
+            let got = rayon::pool::with_num_threads(t, || TopK::select(&g, k));
+            prop_assert_eq!(&got, &want);
+        }
     }
 
     /// ThresholdK::ratio reports the observed density of the latest call.

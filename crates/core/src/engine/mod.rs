@@ -62,10 +62,10 @@ use lowdiff_storage::codec::ValueCodec;
 use lowdiff_storage::{CheckpointStore, RetryPolicy, StripeCfg};
 use lowdiff_util::units::Secs;
 use lowdiff_util::BufferPool;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Recycled snapshot slots: the engine's answer to
 /// `Job::Full(Box::new(state.clone()))`. [`CheckpointEngine::submit_full`]
@@ -80,16 +80,27 @@ use std::time::Instant;
 /// with slots pre-sized to the model (residual buffer included), so the
 /// trainer never allocates a full-state buffer again even while earlier
 /// fulls are still in flight — recycling only has to keep up on average,
-/// not per-anchor. Pipelines deeper than the pool fall back to allocating
-/// (and the excess is dropped on recycle).
+/// not per-anchor. The pool's depth is also the bound on in-flight fulls:
+/// when the store falls that many fulls behind (a job queue deeper than
+/// the pool holds them all), [`Self::get`] waits for the worker to hand a
+/// slot back instead of growing the footprint by another full state.
 pub(crate) struct SnapshotSlots {
+    pool: Mutex<SlotPool>,
+    returned: Condvar,
+    depth: usize,
+}
+
+struct SlotPool {
     // Slots stay boxed: `Job::Full` carries `Box<FullSnapshot>`, so
     // pooling the box keeps get/put free of a >3Ψ move in and out of the
     // Vec.
     #[allow(clippy::vec_box)]
-    slots: Mutex<Vec<Box<FullSnapshot>>>,
-    depth: usize,
-    primed: AtomicBool,
+    free: Vec<Box<FullSnapshot>>,
+    primed: bool,
+    /// A worker thread is alive and will return the slots in flight.
+    /// False for inline engines and once the worker has exited: a dry
+    /// pool can then never refill, and nobody must wait on it.
+    worker_alive: bool,
 }
 
 impl SnapshotSlots {
@@ -97,40 +108,71 @@ impl SnapshotSlots {
     /// pool must stay shallow even behind a deep job queue.
     const MAX_DEPTH: usize = 4;
 
-    fn new(pipeline_depth: usize) -> Self {
+    fn new(pipeline_depth: usize, has_worker: bool) -> Self {
         Self {
-            slots: Mutex::new(Vec::new()),
+            pool: Mutex::new(SlotPool {
+                free: Vec::new(),
+                primed: false,
+                worker_alive: has_worker,
+            }),
+            returned: Condvar::new(),
             depth: pipeline_depth.clamp(1, Self::MAX_DEPTH),
-            primed: AtomicBool::new(false),
         }
     }
 
-    /// Pop a slot, priming the pool with `depth` pre-sized slots first if
-    /// this is the first anchor (the one-time cost lands in warmup, not
-    /// steady state). The residual buffer is pre-sized from the first
-    /// anchor's aux view, so error-feedback runs stay allocation-free too.
-    fn get_primed(&self, like: &ModelState, aux: &AuxView<'_>) -> Box<FullSnapshot> {
-        if !self.primed.swap(true, Ordering::Relaxed) {
+    /// Pop a slot if one is free, priming the pool with `depth` pre-sized
+    /// slots first if this is the first anchor (the one-time cost lands in
+    /// warmup, not steady state). The residual buffer is pre-sized from
+    /// the first anchor's aux view, so error-feedback runs stay
+    /// allocation-free too.
+    fn try_get(&self, like: &ModelState, aux: &AuxView<'_>) -> Option<Box<FullSnapshot>> {
+        self.primed(like, aux).free.pop()
+    }
+
+    /// Pop a slot, waiting for the worker to recycle one while all are in
+    /// flight; also returns how long that wait was (zero if a slot was
+    /// free). `None` when the pool is dry and no live worker is left to
+    /// refill it.
+    fn get(&self, like: &ModelState, aux: &AuxView<'_>) -> (Option<Box<FullSnapshot>>, Duration) {
+        let mut pool = self.primed(like, aux);
+        let mut waited = Duration::ZERO;
+        if pool.free.is_empty() && pool.worker_alive {
+            let t0 = Instant::now();
+            while pool.free.is_empty() && pool.worker_alive {
+                self.returned.wait(&mut pool);
+            }
+            waited = t0.elapsed();
+        }
+        (pool.free.pop(), waited)
+    }
+
+    fn primed(&self, like: &ModelState, aux: &AuxView<'_>) -> MutexGuard<'_, SlotPool> {
+        let mut pool = self.pool.lock();
+        if !pool.primed {
+            pool.primed = true;
             let res_len = aux.residual.map_or(0, <[f32]>::len);
-            let mut slots = self.slots.lock();
-            while slots.len() < self.depth {
+            while pool.free.len() < self.depth {
                 let mut s = Box::new(FullSnapshot::empty());
                 s.state.copy_from(like);
                 s.residual = vec![0.0; res_len];
-                slots.push(s);
+                pool.free.push(s);
             }
         }
-        self.slots
-            .lock()
-            .pop()
-            .unwrap_or_else(|| Box::new(FullSnapshot::empty()))
+        pool
     }
 
     pub(crate) fn put(&self, snap: Box<FullSnapshot>) {
-        let mut slots = self.slots.lock();
-        if slots.len() < self.depth {
-            slots.push(snap);
+        let mut pool = self.pool.lock();
+        if pool.free.len() < self.depth {
+            pool.free.push(snap);
         }
+        self.returned.notify_one();
+    }
+
+    /// The worker thread is gone (shutdown or panic): release any waiter.
+    fn worker_exited(&self) {
+        self.pool.lock().worker_alive = false;
+        self.returned.notify_all();
     }
 }
 
@@ -256,7 +298,7 @@ impl CheckpointEngine {
         let force_full = Arc::new(AtomicBool::new(false));
         let buffers = Arc::new(BufferPool::default());
         // Worker slot + queued slots + the one the trainer is refilling.
-        let snaps = Arc::new(SnapshotSlots::new(cfg.queue_capacity + 2));
+        let snaps = Arc::new(SnapshotSlots::new(cfg.queue_capacity + 2, true));
         // COW tickets need one slot more than the snapshot pool: the
         // worker frees its queue slot (unblocking the next submit) before
         // the persist completes and releases its ticket, and the trainer's
@@ -342,7 +384,7 @@ impl CheckpointEngine {
             buffers: Arc::new(BufferPool::default()),
             // Inline engines recycle the slot before submit returns: a
             // single slot double-buffers against nothing and suffices.
-            snaps: Arc::new(SnapshotSlots::new(1)),
+            snaps: Arc::new(SnapshotSlots::new(1, false)),
             // COW tickets need one extra slot: the trainer's capture guard
             // pins the previous ticket until the next full replaces it, so
             // two tickets alternate even though persists are inline.
@@ -410,9 +452,19 @@ impl CheckpointEngine {
         }
         match self.snapshot_mode {
             SnapshotMode::Blocking => {
-                let mut slot = self.snaps.get_primed(state, aux);
+                // Every slot in flight means the store is a pool's depth
+                // of fulls behind: wait one out. Like the queue-full wait
+                // in `submit`, that is backpressure, not snapshot work.
+                let (slot, waited) = self.snaps.get(state, aux);
+                if !waited.is_zero() {
+                    self.backpressure += 1;
+                }
+                let Some(mut slot) = slot else {
+                    // Dry pool and no worker left to refill it.
+                    return self.undelivered(since);
+                };
                 slot.capture(state, aux);
-                self.submit(since, Job::Full(slot))
+                self.submit_after(since, waited, Job::Full(slot))
             }
             SnapshotMode::Incremental => {
                 let mut ticket = self.cow.get_primed(state, aux);
@@ -430,6 +482,18 @@ impl CheckpointEngine {
         }
     }
 
+    /// The worker is gone: checkpointing stops advancing; training
+    /// continues.
+    fn undelivered(&mut self, since: Instant) -> Submitted {
+        self.shared.lock().degraded = true;
+        let stall = Secs(since.elapsed().as_secs_f64());
+        self.stall += stall;
+        Submitted {
+            stall,
+            delivered: false,
+        }
+    }
+
     /// Hand the newest in-flight incremental capture to the adapter so the
     /// training loop can drive its copy-on-write hooks (and complete it
     /// before any unhooked mutation). `None` in blocking mode or when no
@@ -442,6 +506,13 @@ impl CheckpointEngine {
     /// elapsed time — capture + enqueue, or the whole inline persist — is
     /// the snapshot-stage latency and the training-thread stall.
     pub fn submit(&mut self, since: Instant, job: Job) -> Submitted {
+        self.submit_after(since, Duration::ZERO, job)
+    }
+
+    /// [`Self::submit`] for a job whose capture already spent `waited` of
+    /// the time since `since` on backpressure: part of the stall, not of
+    /// the snapshot stage.
+    fn submit_after(&mut self, since: Instant, waited: Duration, job: Job) -> Submitted {
         if let Some(c) = &self.crash {
             // A PreSnapshot crash kills the training process before the
             // job enters the pipeline; once crashed, nothing else lands.
@@ -458,7 +529,9 @@ impl CheckpointEngine {
             // still part of the returned stall), not snapshot work —
             // folding it in would mask the capture-cost signal this stage
             // exists to expose.
-            self.metrics.snapshot.record(since.elapsed());
+            self.metrics
+                .snapshot
+                .record(since.elapsed().saturating_sub(waited));
             match tx.try_send(job) {
                 Ok(()) => true,
                 Err(TrySendError::Full(job)) => {
@@ -498,13 +571,14 @@ impl CheckpointEngine {
             self.metrics.note_depth(tx.len() as u64);
         }
         if !delivered {
-            // Worker gone: checkpointing stops advancing; training
-            // continues.
-            self.shared.lock().degraded = true;
+            return self.undelivered(since);
         }
         let stall = Secs(since.elapsed().as_secs_f64());
         self.stall += stall;
-        Submitted { stall, delivered }
+        Submitted {
+            stall,
+            delivered: true,
+        }
     }
 
     /// Account training-thread time spent capturing state outside
@@ -704,6 +778,15 @@ fn worker_loop(
     cow: Arc<cow::CowTickets>,
     crash: Option<Arc<CrashInjector>>,
 ) {
+    // However this thread ends, a trainer waiting on the slot pool must
+    // not wait for slots that will never come back.
+    struct WorkerExit<'a>(&'a SnapshotSlots);
+    impl Drop for WorkerExit<'_> {
+        fn drop(&mut self) {
+            self.0.worker_exited();
+        }
+    }
+    let _exit = WorkerExit(&snaps);
     let mut cx = EngineCtx {
         retry: &retry,
         stripe: &stripe,
@@ -769,4 +852,98 @@ fn worker_loop(
     }
     policy.flush(&mut cx);
     metrics.note_depth(0);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lowdiff_storage::MemoryBackend;
+
+    fn engine(policy: impl CheckpointPolicy) -> CheckpointEngine {
+        let store = Arc::new(CheckpointStore::new(Arc::new(MemoryBackend::new())));
+        // Default queue (64) is far deeper than the slot pool (4).
+        CheckpointEngine::spawn(store, policy, EngineConfig::default())
+    }
+
+    fn submit_full(eng: &mut CheckpointEngine) -> Submitted {
+        let state = ModelState::new(vec![1.0; 64]);
+        eng.submit_full(Instant::now(), &state, &AuxView::default())
+    }
+
+    /// Holds every full until the gate yields a token (or is dropped).
+    struct Gated(Receiver<()>);
+
+    impl CheckpointPolicy for Gated {
+        fn name(&self) -> &'static str {
+            "gated"
+        }
+        fn process(&mut self, job: Job, cx: &mut EngineCtx<'_>) {
+            if let Job::Full(snap) = job {
+                let _ = self.0.recv();
+                cx.recycle_state(snap);
+            }
+        }
+    }
+
+    #[test]
+    fn dry_slot_pool_waits_for_a_recycle_instead_of_allocating() {
+        const HOLD: Duration = Duration::from_millis(50);
+        let (open, gate) = unbounded();
+        let mut eng = engine(Gated(gate));
+        // One full on the (gated) worker, the rest of the pool queued.
+        for _ in 0..SnapshotSlots::MAX_DEPTH {
+            assert!(submit_full(&mut eng).delivered);
+        }
+        assert_eq!(eng.backpressure_events(), 0);
+        let released = Arc::new(AtomicBool::new(false));
+        let releaser = std::thread::spawn({
+            let released = Arc::clone(&released);
+            move || {
+                // Long enough that a submit which did not wait has
+                // returned (and failed the assert below) by now.
+                std::thread::sleep(HOLD);
+                released.store(true, Ordering::SeqCst);
+                open.send(()).expect("worker holds the gate");
+                open // keep the gate shut for the other fulls until joined
+            }
+        });
+        let sub = submit_full(&mut eng);
+        assert!(
+            released.load(Ordering::SeqCst),
+            "submit returned while every slot was still in flight"
+        );
+        assert!(sub.delivered);
+        assert_eq!(eng.backpressure_events(), 1, "the wait is backpressure");
+        assert!(
+            eng.stats().engine.snapshot.max.as_f64() < HOLD.as_secs_f64(),
+            "the wait must stay out of the snapshot-stage latency"
+        );
+        drop(releaser.join().expect("releaser"));
+        eng.flush();
+        assert!(!eng.stats().degraded);
+    }
+
+    /// A worker that dies with fulls in flight takes their slots with it.
+    struct Dies;
+
+    impl CheckpointPolicy for Dies {
+        fn name(&self) -> &'static str {
+            "dies"
+        }
+        fn process(&mut self, _job: Job, _cx: &mut EngineCtx<'_>) {
+            panic!("injected worker death");
+        }
+    }
+
+    #[test]
+    fn dead_worker_never_hangs_the_trainer_on_the_slot_pool() {
+        let mut eng = engine(Dies);
+        // Twice the pool: the trainer must run dry and still come back.
+        let last = (0..2 * SnapshotSlots::MAX_DEPTH)
+            .map(|_| submit_full(&mut eng))
+            .last()
+            .expect("submitted");
+        assert!(!last.delivered);
+        assert!(eng.stats().degraded);
+    }
 }

@@ -438,7 +438,12 @@ impl EngineCtx<'_> {
         }
         let fc = codec::decode_full_checkpoint(ticket.sealed_bytes()).ok()?;
         let view = fc.aux.view();
-        let mut snap = self.snaps.get_primed(&fc.state, &view);
+        // On the worker itself: nobody else could refill a dry pool, so
+        // never wait here.
+        let mut snap = self
+            .snaps
+            .try_get(&fc.state, &view)
+            .unwrap_or_else(|| Box::new(FullSnapshot::empty()));
         snap.capture(&fc.state, &view);
         Some(snap)
     }
@@ -735,7 +740,7 @@ mod tests {
         let force_full = AtomicBool::new(false);
         let metrics = EngineMetrics::default();
         let buffers = BufferPool::default();
-        let snaps = SnapshotSlots::new(1);
+        let snaps = SnapshotSlots::new(1, false);
         let cow = CowTickets::new(1);
         let mut cx = EngineCtx {
             retry: &retry,

@@ -7,6 +7,10 @@
 # 2. cargo clippy          — every lint is an error across the workspace,
 #                            all targets (libs, bins, tests, benches)
 # 3. cargo test -q         — the full workspace test suite
+# 3b. compress @1/@4 threads — the compress suite again with the worker
+#                            pool pinned to 1 and to 4 threads: the Top-K
+#                            select must equal its oracle whatever the
+#                            pool width the host happens to default to
 # 4. crash-torture smoke   — the fast subset of the crash/resume matrix,
 #                            including whole-rank-loss cells recovered
 #                            from peer replicas alone
@@ -24,7 +28,10 @@
 #                            Hard-capped by `timeout` so a protocol hang
 #                            can never wedge the gate.
 # 8. bench --smoke         — both benchmark binaries complete on a tiny
-#                            configuration (no JSON written); the e2e
+#                            configuration (no JSON written);
+#                            bench_hotpath also asserts that steady-state
+#                            Top-K + error-feedback compress makes no
+#                            gradient-sized allocation; the e2e
 #                            bench runs four times — 1 and 4 persist
 #                            stripes (blocking snapshots), then with
 #                            incremental COW snapshots on, then with
@@ -46,6 +53,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== test =="
 cargo test -q --workspace
+
+echo "== compress @1/@4 threads =="
+LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff-compress
+LOWDIFF_NUM_THREADS=4 cargo test -q -p lowdiff-compress
 
 echo "== crash-torture smoke =="
 # Fast subset of the crash-point torture matrix (tests/crash_torture.rs):
