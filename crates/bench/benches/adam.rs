@@ -30,7 +30,8 @@ fn bench_adam(c: &mut Criterion) {
             let mut t = 0u64;
             b.iter(|| {
                 t += 1;
-                adam.step_range(&mut st, &mut p, &g[..n / 2], 0..n / 2, t);
+                let h = n / 2;
+                adam.step_range(&mut p[..h], &mut st.m[..h], &mut st.v[..h], &g[..h], t);
                 black_box(p[0])
             });
         });

@@ -19,9 +19,11 @@
 //! `resume: true` anchors on the newest [`GlobalManifest`]: every rank's
 //! shard checkpoint at the sealed iteration is loaded from its store,
 //! digest-verified against the manifest, stitched back into the global
-//! state, and handed to [`Trainer::resume_from_parts`]. With error
-//! feedback on, the anchor resume is bit-exact — the relaunched run
-//! re-produces the killed run's bytes.
+//! state, and handed to [`Trainer::resume_from_parts`]. The ranks' diff
+//! chains are read, trimmed to their common prefix and stitched only when
+//! the resume will replay them ([`ResumeOpts::replays_chain`]); with error
+//! feedback on it anchors at the full instead, bit-exact — the relaunched
+//! run re-produces the killed run's bytes.
 
 use lowdiff::{
     LowDiffConfig, LowDiffStrategy, ResumeOpts, ShardedStrategy, Trainer, TrainerConfig,
@@ -184,10 +186,13 @@ pub fn reference_state(
 }
 
 /// Load + verify + stitch the cluster state the newest global manifest
-/// seals. Returns `None` when no global checkpoint exists yet.
+/// seals: the shard fulls always, the ragged diff chains only when
+/// [`ResumeOpts::replays_chain`] says resuming `tcfg` will replay them.
+/// Returns `None` when no global checkpoint exists yet.
 fn load_global(
     dir: &Path,
     psi: usize,
+    tcfg: &TrainerConfig,
 ) -> io::Result<Option<(u64, FullCheckpoint, Vec<DiffEntry>)>> {
     let global = store_at(&dir.join("global"))?;
     let Some(manifest) = global.latest_global_manifest()? else {
@@ -200,7 +205,7 @@ fn load_global(
         )));
     }
     let mut parts_full = Vec::new();
-    let mut parts_chain: Vec<(ShardSpec, Vec<DiffEntry>)> = Vec::new();
+    let mut stores = Vec::new();
     for seal in &manifest.shards {
         let spec = manifest.spec_of(seal.rank)?;
         let store = store_at(&dir.join(format!("rank-{}", seal.rank)))?;
@@ -213,9 +218,16 @@ fn load_global(
                 seal.rank, manifest.iteration, seal.len, seal.crc
             )));
         }
-        let chain = store.diff_chain_from(manifest.iteration)?;
         parts_full.push((spec.clone(), fc));
-        parts_chain.push((spec, chain));
+        stores.push((spec, store));
+    }
+    let fc = stitch_fulls(psi, &parts_full)?;
+    if !ResumeOpts::default().replays_chain(tcfg, &fc) {
+        return Ok(Some((manifest.iteration, fc, Vec::new())));
+    }
+    let mut parts_chain = Vec::with_capacity(stores.len());
+    for (spec, store) in stores {
+        parts_chain.push((spec, store.diff_chain_from(manifest.iteration)?));
     }
     // Post-crash chains are ragged (the dead rank stopped first); only
     // the prefix every rank covers is a consistent global differential.
@@ -227,7 +239,6 @@ fn load_global(
     for (_, chain) in &mut parts_chain {
         chain.retain(|e| e.iteration <= common_last);
     }
-    let fc = stitch_fulls(psi, &parts_full)?;
     let chain = stitch_diff_chains(psi, &parts_chain)?;
     Ok(Some((manifest.iteration, fc, chain)))
 }
@@ -351,7 +362,7 @@ fn train_loop(
 
     let mut resumed_from = None;
     let mut trainer = if cfg.resume {
-        match load_global(&cfg.dir, psi)? {
+        match load_global(&cfg.dir, psi, &tcfg)? {
             Some((anchor, fc, chain)) => {
                 resumed_from = Some(anchor);
                 let (tr, _report) = Trainer::resume_from_parts(

@@ -21,6 +21,7 @@ use lowdiff_storage::{codec, CheckpointStore, DiskBackend};
 use std::io::Write;
 use std::process::exit;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// `println!` that survives a closed downstream pipe: `lowdiff-ctl list |
 /// head` must exit cleanly, not panic on EPIPE.
@@ -201,20 +202,23 @@ fn cmd_validate(dir: &str) {
 fn cmd_recover(dir: &str, shards: usize, out: Option<&str>) {
     let store = open(dir);
     let adam = Adam::default();
-    let result = if shards <= 1 {
-        recover_serial(&store, &adam)
+    let start = Instant::now();
+    let (result, mode) = if shards <= 1 {
+        (recover_serial(&store, &adam), "serial".to_string())
     } else {
-        recover_sharded(&store, &adam, shards)
+        (
+            recover_sharded(&store, &adam, shards),
+            format!("sharded x{shards}"),
+        )
     };
+    let elapsed = start.elapsed();
     match result {
         Ok(Some((state, report))) => {
             out!(
-                "recovered to iteration {} (full@{} + {} differentials, {} mode, {:?})",
+                "recovered to iteration {} (full@{} + {} differentials, {mode} mode, {elapsed:?})",
                 state.iteration,
                 report.full_iteration,
                 report.replayed,
-                report.mode,
-                report.elapsed
             );
             if let Some(path) = out {
                 let bytes = codec::encode_model_state(&state);

@@ -181,6 +181,15 @@ impl SnapshotSlots {
 pub const HEALTH_KEY: &str = "meta-engine-health.json";
 
 /// How `submit_full` captures the model state.
+///
+/// Blocking stays the default because Incremental alone would make the
+/// safe `CheckpointStrategy::after_update(&ModelState)` unsound for
+/// callers that drive the hooks by hand and mutate the state before the
+/// capture completes (`after_update` → `on_synced_gradient` →
+/// `apply_gradient`, never `take_pending_capture` — the benchmark's
+/// `recover-chain` write phase and many unit tests). Making Incremental
+/// the only mode first needs a completion point the engine controls, or
+/// those callers moved onto the trainer's COW-hooked update.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SnapshotMode {
     /// Capture the whole state into a snapshot slot before submit returns

@@ -6,7 +6,7 @@
 //!
 //! | Paper | Module |
 //! |---|---|
-//! | Reusing Queue + zero-copy IPC (§4.1) | [`queue::ReusingQueue`] |
+//! | Reusing Queue + zero-copy IPC (§4.1) | [`CheckpointEngine::submit`]'s bounded job queue carrying `Arc<CompressedGrad>` handles ([`Job::Diff`]) |
 //! | Algorithm 1 (training/checkpointing/recovery) | [`strategy`], [`lowdiff::LowDiffStrategy`], [`recovery`] |
 //! | Batched gradient writing, steps ①②③ (§4.2) | [`batched::BatchedWriter`] |
 //! | Optimal configuration, Eq. (3)–(5) (§4.3) | [`config`] |
@@ -25,7 +25,6 @@ pub mod lowdiff;
 pub mod lowdiff_plus;
 pub mod peer;
 pub mod pipeline;
-pub mod queue;
 pub mod recovery;
 pub mod shard;
 pub mod strategy;
@@ -43,8 +42,7 @@ pub use lowdiff::{LowDiffConfig, LowDiffStrategy};
 pub use lowdiff_compress::{AuxState, AuxView, CompressorCfg, CompressorKind};
 pub use lowdiff_plus::{LowDiffPlusConfig, LowDiffPlusStrategy};
 pub use peer::PeerReplicateStrategy;
-pub use queue::ReusingQueue;
-pub use recovery::{recover_serial, recover_sharded, RecoveryReport};
+pub use recovery::{recover_serial, recover_sharded};
 pub use shard::ShardedStrategy;
 pub use strategy::{CheckpointStrategy, NoCheckpoint, StrategyStats, TierStats};
 pub use trainer::{

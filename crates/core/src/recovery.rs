@@ -1,186 +1,183 @@
-//! Recovery: Algorithm 1's recovery process, plus the *parallel recovery
-//! module* of §6.
+//! Recovery: Algorithm 1's recovery process (lines 16–24) with the
+//! *parallel recovery module* of §6 — one source walk, one replay kernel.
 //!
-//! Three paths:
+//! * `walk` — per recovery source, in priority order: newest valid full
+//!   checkpoint, then the differential chain past it, fetched only when
+//!   the caller's gate says the chain will be replayed. An I/O error on a
+//!   source falls through to the next one.
+//! * [`replay_chain`] — the only chain-replay kernel. Adam is elementwise,
+//!   so Ψ is cut into `width` contiguous shards and every shard replays the
+//!   whole chain over its own disjoint windows of params/m/v. The result is
+//!   bit-identical to a serial diff-by-diff replay at any width.
 //!
-//! * [`recover_serial`] — the paper's Algorithm 1 lines 16–24: load the
-//!   latest valid full checkpoint, then replay each differential (reused
-//!   compressed gradient) through Adam in iteration order. **Exact.**
-//! * [`recover_sharded`] — parallel exact recovery. Adam is elementwise, so
-//!   the parameter vector is partitioned across threads and every thread
-//!   replays the full gradient sequence for its own slice. Same result as
-//!   serial, wall-time divided by the thread count (Exp. 5).
-//! * [`merge_deltas_parallel`] — the paper's pairwise tree merge (Fig.
-//!   "Parallel Fast Recovery"): for *additive delta* differentials the
-//!   merge is associative, so n merges collapse to ⌈log₂ n⌉ parallel depth.
-//!   Used by the Naïve-DC baseline and by LowDiff's accumulate mode.
+//! Every recovery entry point is these two pieces: [`recover_serial`]
+//! (width 1, the paper's serial baseline for Exp. 5), [`recover_sharded`]
+//! (width n), and `Trainer::resume` / `resume_tiered` / `resume_from_parts`
+//! (width = pool threads; see [`crate::trainer`]).
+//!
+//! [`merge_deltas_parallel`] is the paper's pairwise tree merge for
+//! *additive delta* differentials (Naïve DC) — a different semantics,
+//! not a chain replay.
 
-use lowdiff_compress::SparseGrad;
+use crate::trainer::ResumeReport;
+use lowdiff_compress::{CompressedGrad, SparseGrad};
 use lowdiff_optim::{Adam, ModelState};
-
+use lowdiff_storage::codec::{DiffEntry, FullCheckpoint};
 use lowdiff_storage::CheckpointStore;
 use lowdiff_util::par::chunk_ranges;
 use rayon::prelude::*;
 use std::io;
-use std::time::Instant;
+use std::ops::Range;
 
-/// What a recovery did, for reports and experiments.
-#[derive(Clone, Debug)]
-pub struct RecoveryReport {
-    /// Iteration of the full checkpoint recovery started from.
-    pub full_iteration: u64,
-    /// Differentials replayed on top of it.
-    pub replayed: usize,
-    /// Final restored iteration.
-    pub restored_iteration: u64,
-    /// Wall time of the restore.
-    pub elapsed: std::time::Duration,
-    /// Which path ran.
-    pub mode: &'static str,
-}
-
-/// Serial exact recovery (Algorithm 1, recovery process).
+/// Serial exact recovery (Algorithm 1, recovery process): the newest
+/// valid full checkpoint plus its differential chain replayed through
+/// Adam on one shard. Model state only — use `Trainer::resume` to restore
+/// the whole training state.
 pub fn recover_serial(
     store: &CheckpointStore,
     adam: &Adam,
-) -> io::Result<Option<(ModelState, RecoveryReport)>> {
-    let start = Instant::now();
-    let Some(mut state) = store.latest_valid_full()? else {
-        return Ok(None);
-    };
-    let full_iter = state.iteration;
-    let chain = store.diff_chain_from(full_iter)?;
-    let replayed = chain.len();
-    for entry in &chain {
-        let dense = entry.grad.to_dense(); // Comp⁻¹ (line 21)
-        state.apply_gradient(adam, &dense); // M_{j+1} = M_j + Adam(G_j)
-    }
-    let report = RecoveryReport {
-        full_iteration: full_iter,
-        replayed,
-        restored_iteration: state.iteration,
-        elapsed: start.elapsed(),
-        mode: "serial",
-    };
-    Ok(Some((state, report)))
+) -> io::Result<Option<(ModelState, ResumeReport)>> {
+    recover_sharded(store, adam, 1)
 }
 
-/// Sharded exact parallel recovery: partition the parameter space into
-/// `shards`, replay the whole differential chain per shard concurrently.
-///
-/// Exactness relies on Adam being elementwise (see `lowdiff-optim`); the
-/// unit tests assert bit-equality with [`recover_serial`].
+/// [`recover_serial`] with the replay partitioned into `shards` parameter
+/// shards run concurrently (Exp. 5's parallel recovery). Bit-identical to
+/// the serial result.
 pub fn recover_sharded(
     store: &CheckpointStore,
     adam: &Adam,
     shards: usize,
-) -> io::Result<Option<(ModelState, RecoveryReport)>> {
+) -> io::Result<Option<(ModelState, ResumeReport)>> {
     assert!(shards >= 1);
-    let start = Instant::now();
-    let Some(mut state) = store.latest_valid_full()? else {
+    let Some((_, fc, chain)) = walk(&[store], false, |_| Ok(true))? else {
         return Ok(None);
     };
-    let full_iter = state.iteration;
-    let chain = store.diff_chain_from(full_iter)?;
-    let replayed = chain.len();
-    let psi = state.params.len();
-    let base_t = state.opt.t;
-
-    if !chain.is_empty() && psi > 0 {
-        let ranges = chunk_ranges(psi, shards);
-        // Split the mutable state into disjoint per-shard views.
-        let mut param_parts = split_into_ranges(&mut state.params, &ranges);
-        let mut m_parts = split_into_ranges(&mut state.opt.m, &ranges);
-        let mut v_parts = split_into_ranges(&mut state.opt.v, &ranges);
-
-        let jobs: Vec<_> = ranges
-            .iter()
-            .zip(param_parts.iter_mut())
-            .zip(m_parts.iter_mut())
-            .zip(v_parts.iter_mut())
-            .map(|(((r, p), m), v)| (r.clone(), p, m, v))
-            .collect();
-
-        // Few, coarse items: force chunked execution (one shard per item)
-        // past the element-count heuristic.
-        jobs.into_par_iter()
-            .with_min_len(1)
-            .for_each(|(range, params, m, v)| {
-                // Per-shard scratch gradient buffer, reused across the chain.
-                let mut grad = vec![0.0f32; range.len()];
-                // A shard-local Adam state view over this range.
-                let mut local = lowdiff_optim::AdamState {
-                    m: std::mem::take(m),
-                    v: std::mem::take(v),
-                    t: 0, // unused by step_range; bias correction uses step_t
-                };
-                for (k, entry) in chain.iter().enumerate() {
-                    grad.iter_mut().for_each(|g| *g = 0.0);
-                    fill_range_dense(&entry.grad, &range, &mut grad);
-                    adam.step_range(
-                        &mut local,
-                        params,
-                        &grad,
-                        0..range.len(),
-                        base_t + k as u64 + 1,
-                    );
-                }
-                *m = std::mem::take(&mut local.m);
-                *v = std::mem::take(&mut local.v);
-            });
-
-        // Reassemble.
-        join_from_ranges(&mut state.params, param_parts, &ranges);
-        join_from_ranges(&mut state.opt.m, m_parts, &ranges);
-        join_from_ranges(&mut state.opt.v, v_parts, &ranges);
-        state.opt.t = base_t + replayed as u64;
-        state.iteration += replayed as u64;
-    }
-
-    let report = RecoveryReport {
-        full_iteration: full_iter,
-        replayed,
-        restored_iteration: state.iteration,
-        elapsed: start.elapsed(),
-        mode: "sharded",
+    let mut state = fc.state;
+    let full_iteration = state.iteration;
+    replay_chain(&mut state, adam, &chain, shards);
+    let report = ResumeReport {
+        resumed_iteration: state.iteration,
+        full_iteration,
+        replayed: chain.len(),
+        lossy: false,
+        source: None,
     };
     Ok(Some((state, report)))
 }
 
-/// Extract each range of `buf` into an owned Vec (so shards own disjoint
-/// data with no unsafe aliasing).
-fn split_into_ranges(buf: &mut [f32], ranges: &[std::ops::Range<usize>]) -> Vec<Vec<f32>> {
-    ranges.iter().map(|r| buf[r.clone()].to_vec()).collect()
-}
-
-fn join_from_ranges(buf: &mut [f32], parts: Vec<Vec<f32>>, ranges: &[std::ops::Range<usize>]) {
-    for (r, p) in ranges.iter().zip(parts) {
-        buf[r.clone()].copy_from_slice(&p);
+/// The recovery walk: the first of `stores` holding a valid full
+/// checkpoint anchors the recovery. Returns that store's index, its newest
+/// valid full, and the chain past it — fetched only when `plan(&full)`
+/// returns `true`, empty otherwise. With `sweep`, unsealed striped
+/// leftovers are swept from each store first.
+///
+/// An I/O error while sweeping, loading the anchor or loading the chain
+/// skips that store; only when no store anchors is the first such error
+/// returned (all empty = `Ok(None)`, a cold start). An error from `plan`
+/// itself is returned at once.
+pub(crate) fn walk(
+    stores: &[&CheckpointStore],
+    sweep: bool,
+    mut plan: impl FnMut(&FullCheckpoint) -> io::Result<bool>,
+) -> io::Result<Option<(usize, FullCheckpoint, Vec<DiffEntry>)>> {
+    let mut first_err = None;
+    for (i, store) in stores.iter().enumerate() {
+        let anchor = if sweep {
+            store
+                .sweep_unsealed()
+                .and_then(|_| store.latest_valid_full_checkpoint())
+        } else {
+            store.latest_valid_full_checkpoint()
+        };
+        let fc = match anchor {
+            Ok(Some(fc)) => fc,
+            Ok(None) => continue,
+            Err(e) => {
+                first_err.get_or_insert(e);
+                continue;
+            }
+        };
+        let chain = if plan(&fc)? {
+            match store.diff_chain_from(fc.state.iteration) {
+                Ok(chain) => chain,
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                    continue;
+                }
+            }
+        } else {
+            Vec::new()
+        };
+        return Ok(Some((i, fc, chain)));
     }
+    first_err.map_or(Ok(None), Err)
 }
 
-/// Write the slice of `grad` covered by `range` into `out`
-/// (`out.len() == range.len()`, pre-zeroed by the caller).
-fn fill_range_dense(
-    grad: &lowdiff_compress::CompressedGrad,
-    range: &std::ops::Range<usize>,
-    out: &mut [f32],
-) {
-    use lowdiff_compress::CompressedGrad as G;
+/// Replay `chain` (the differentials after `state`'s iteration, in order)
+/// through Adam: `M_{j+1} = M_j + Adam(Comp⁻¹(G_j))` for every entry.
+///
+/// Ψ is partitioned with [`chunk_ranges`]`(Ψ, width)`; each shard owns
+/// disjoint `&mut` windows of params, m and v plus one shard-sized
+/// gradient scratch, and replays every entry with the global step number
+/// `base_t + k + 1` for bias correction. Adam is elementwise, so any
+/// width gives the same bits as replaying the whole vector entry by entry.
+pub(crate) fn replay_chain(state: &mut ModelState, adam: &Adam, chain: &[DiffEntry], width: usize) {
+    let base_t = state.opt.t;
+    if !chain.is_empty() {
+        let (mut params, mut m, mut v) = (
+            &mut state.params[..],
+            &mut state.opt.m[..],
+            &mut state.opt.v[..],
+        );
+        let shards: Vec<_> = chunk_ranges(params.len(), width)
+            .into_iter()
+            .map(|r| {
+                let (p, rest) = std::mem::take(&mut params).split_at_mut(r.len());
+                params = rest;
+                let (mm, rest) = std::mem::take(&mut m).split_at_mut(r.len());
+                m = rest;
+                let (vv, rest) = std::mem::take(&mut v).split_at_mut(r.len());
+                v = rest;
+                (r, p, mm, vv)
+            })
+            .collect();
+        // Few, coarse items: one shard per chunk, past the element-count
+        // heuristic.
+        shards
+            .into_par_iter()
+            .with_min_len(1)
+            .for_each(|(range, p, m, v)| {
+                let mut grad = vec![0.0f32; range.len()];
+                for (k, entry) in chain.iter().enumerate() {
+                    fill_range_dense(&entry.grad, &range, &mut grad);
+                    adam.step_range(p, m, v, &grad, base_t + k as u64 + 1);
+                }
+            });
+    }
+    state.opt.t = base_t + chain.len() as u64;
+    state.iteration += chain.len() as u64;
+}
+
+/// Write the window `range` of `grad`'s dense form into `out`
+/// (`out.len() == range.len()`), bit for bit what `grad.to_dense()[range]`
+/// holds.
+fn fill_range_dense(grad: &CompressedGrad, range: &Range<usize>, out: &mut [f32]) {
     match grad {
-        G::Sparse(s) => {
-            // Indices are sorted: binary-search the window.
+        CompressedGrad::Sparse(s) => {
+            // `to_dense` accumulates into zeros: same here. Indices are
+            // sorted, so binary-search the window.
+            out.fill(0.0);
             let lo = s.indices.partition_point(|&i| (i as usize) < range.start);
             let hi = s.indices.partition_point(|&i| (i as usize) < range.end);
             for k in lo..hi {
                 out[s.indices[k] as usize - range.start] += s.values[k];
             }
         }
-        G::Dense(d) => out.copy_from_slice(&d[range.clone()]),
-        G::Quant(q) => {
-            // Windowed dequantize: each shard decodes only its own slice
-            // instead of expanding the full Ψ-sized gradient per entry.
-            lowdiff_compress::quant::dequantize_range(q, range.clone(), out);
+        CompressedGrad::Dense(d) => out.copy_from_slice(&d[range.clone()]),
+        // Windowed dequantize: each shard decodes only its own slice
+        // instead of expanding the full Ψ-sized gradient per entry.
+        CompressedGrad::Quant(q) => {
+            lowdiff_compress::quant::dequantize_range(q, range.clone(), out)
         }
     }
 }
@@ -203,129 +200,205 @@ pub fn merge_deltas_parallel(deltas: &[SparseGrad]) -> Option<SparseGrad> {
     )
 }
 
-/// Delta-style recovery: apply the tree-merged combined delta to the full
-/// checkpoint's parameters in one shot (Equation (2) with additive C^D).
-/// Optimizer moments are untouched — matching the Naïve-DC baseline's
-/// params-only differentials.
-pub fn recover_with_deltas(full: &ModelState, deltas: &[SparseGrad]) -> ModelState {
-    let mut state = full.clone();
-    if let Some(merged) = merge_deltas_parallel(deltas) {
-        merged.add_into(&mut state.params);
-        state.iteration += deltas.len() as u64;
-    }
-    state
-}
-
-/// Count pairwise-merge *depth* for n differentials: the paper's claim that
-/// parallel recovery reduces the merge chain from n to ⌈log₂(n+1)⌉ levels.
-pub fn parallel_merge_depth(n: usize) -> u32 {
-    (n as u64 + 1).next_power_of_two().trailing_zeros()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lowdiff_compress::{Compressor, TopK};
-    use lowdiff_storage::codec::DiffEntry as DE;
+    use crate::strategy::NoCheckpoint;
+    use crate::trainer::{Trainer, TrainerConfig};
+    use lowdiff_compress::quant::UniformQuant;
+    use lowdiff_compress::{Compressor, QuantGrad, TopK};
+    use lowdiff_model::builders::mlp;
     use lowdiff_storage::MemoryBackend;
     use lowdiff_util::DetRng;
     use std::sync::Arc;
 
-    /// Build a store containing a full checkpoint at iteration `t0` and a
-    /// chain of `n` compressed-gradient differentials, and return the
-    /// "live" state that results from applying those gradients directly
-    /// (what an uninterrupted training run would hold).
-    fn setup(psi: usize, t0: u64, n: usize) -> (CheckpointStore, Adam, ModelState) {
+    /// The oracle: expand each entry to a Ψ-sized dense gradient and take
+    /// one whole-vector Adam step, entry by entry.
+    fn oracle_replay(state: &mut ModelState, adam: &Adam, chain: &[DiffEntry]) {
+        for entry in chain {
+            state.apply_gradient(adam, &entry.grad.to_dense());
+        }
+    }
+
+    fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        if let Some(i) = (0..got.len()).find(|&i| got[i].to_bits() != want[i].to_bits()) {
+            panic!("{what}: element {i} is {:e}, oracle {:e}", got[i], want[i]);
+        }
+    }
+
+    fn assert_bit_identical(got: &ModelState, want: &ModelState, what: &str) {
+        assert_bits_eq(&got.params, &want.params, &format!("{what}: params"));
+        assert_bits_eq(&got.opt.m, &want.opt.m, &format!("{what}: Adam m"));
+        assert_bits_eq(&got.opt.v, &want.opt.v, &format!("{what}: Adam v"));
+        assert_eq!(got.opt.t, want.opt.t, "{what}: Adam t");
+        assert_eq!(got.iteration, want.iteration, "{what}: iteration");
+    }
+
+    /// Floats that stress bit-exactness: signed zeros, denormals of both
+    /// signs, and ordinary values.
+    fn awkward(rng: &mut DetRng) -> f32 {
+        match rng.below(6) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::from_bits(1 + rng.below(0x7f_ffff) as u32),
+            3 => -f32::from_bits(1 + rng.below(0x7f_ffff) as u32),
+            _ => rng.normal() as f32 * 0.1,
+        }
+    }
+
+    /// A state a few real steps in, with awkward values sprinkled into
+    /// params and both moments.
+    fn start_state(psi: usize, rng: &mut DetRng) -> ModelState {
         let adam = Adam::default();
-        let mut rng = DetRng::new(42);
-        let mut state = ModelState::new((0..psi).map(|_| rng.normal() as f32).collect());
-        // Advance to t0 with dense gradients.
-        for _ in 0..t0 {
-            let g: Vec<f32> = (0..psi).map(|_| rng.normal() as f32 * 0.1).collect();
-            state.apply_gradient(&adam, &g);
+        let mut st = ModelState::new((0..psi).map(|_| awkward(rng)).collect());
+        for _ in 0..2 {
+            let g: Vec<f32> = (0..psi).map(|_| awkward(rng)).collect();
+            st.apply_gradient(&adam, &g);
         }
-        let store = CheckpointStore::new(Arc::new(MemoryBackend::new()));
-        store.save_full(&state).unwrap();
+        for i in (0..psi).step_by(5) {
+            st.opt.m[i] = awkward(rng);
+            st.opt.v[i] = awkward(rng).abs();
+        }
+        st
+    }
 
-        // Continue training with compressed gradients, checkpointing each.
-        let mut comp = TopK::new(0.2);
-        let mut entries = Vec::new();
-        for k in 0..n {
-            let g: Vec<f32> = (0..psi).map(|_| rng.normal() as f32 * 0.1).collect();
-            let cg = comp.compress(&g);
-            let dense = cg.to_dense(); // training updates from decompressed grad
-            entries.push(DE {
-                iteration: t0 + k as u64,
-                grad: cg,
-            });
-            state.apply_gradient(&adam, &dense);
-        }
-        for chunk in entries.chunks(3) {
-            store.save_diff_batch(chunk).unwrap();
-        }
-        (store, adam, state)
+    /// A chain cycling through every entry kind: dense and sparse (awkward
+    /// values; sparse entries follow dense ones, so a shard scratch left
+    /// stale would show), quantized at 8/4/16 bits, a hand-built quantized
+    /// entry whose dequantized values are denormals, and a QSGD plane
+    /// whose zero levels dequantize to `-0.0`.
+    fn mixed_chain(psi: usize, n: usize, rng: &mut DetRng) -> Vec<DiffEntry> {
+        (0..n)
+            .map(|k| {
+                let dense: Vec<f32> = (0..psi).map(|_| awkward(rng)).collect();
+                let grad = match k % 8 {
+                    0 => CompressedGrad::Dense(dense),
+                    1 | 3 => {
+                        let idx = rng.sample_indices(psi, psi.div_ceil(3));
+                        let vals = idx.iter().map(|_| awkward(rng)).collect();
+                        CompressedGrad::Sparse(SparseGrad::new(psi, idx, vals))
+                    }
+                    2 => UniformQuant::new(8).compress(&dense),
+                    4 => UniformQuant::new(16).compress(&dense),
+                    5 => UniformQuant::new(4).compress(&dense),
+                    6 => CompressedGrad::Quant(QuantGrad {
+                        dense_len: psi,
+                        bits: 8,
+                        codes: (0..psi).map(|_| rng.below(256) as u8).collect(),
+                        scale: f32::from_bits(1),
+                        zero: -f32::from_bits(0x40),
+                    }),
+                    _ => CompressedGrad::Quant(QuantGrad {
+                        dense_len: psi,
+                        bits: 8,
+                        codes: (0..psi).map(|_| (rng.below(3) as u8) << 7).collect(),
+                        scale: 1e-3,
+                        zero: f32::MAX,
+                    }),
+                };
+                DiffEntry {
+                    iteration: k as u64,
+                    grad,
+                }
+            })
+            .collect()
     }
 
     #[test]
-    fn serial_recovery_is_bit_exact() {
-        let (store, adam, live) = setup(500, 5, 9);
-        let (recovered, report) = recover_serial(&store, &adam).unwrap().unwrap();
-        assert_eq!(report.full_iteration, 5);
-        assert_eq!(report.replayed, 9);
-        assert_eq!(recovered.iteration, live.iteration);
-        assert_eq!(recovered.params, live.params, "params diverged");
-        assert_eq!(recovered.opt.m, live.opt.m, "adam m diverged");
-        assert_eq!(recovered.opt.v, live.opt.v, "adam v diverged");
-        assert_eq!(recovered.opt.t, live.opt.t);
-    }
-
-    #[test]
-    fn sharded_recovery_equals_serial() {
-        let (store, adam, live) = setup(1003, 3, 12);
-        for shards in [1usize, 2, 4, 7] {
-            let (rec, report) = recover_sharded(&store, &adam, shards).unwrap().unwrap();
-            assert_eq!(rec.params, live.params, "{shards} shards: params diverged");
-            assert_eq!(rec.opt.m, live.opt.m, "{shards} shards: m diverged");
-            assert_eq!(rec.opt.v, live.opt.v, "{shards} shards: v diverged");
-            assert_eq!(rec.iteration, live.iteration);
-            assert_eq!(report.mode, "sharded");
-        }
-    }
-
-    #[test]
-    fn sharded_recovery_equals_serial_on_quantized_chain() {
-        // The Quant arm of `fill_range_dense` windows into the quantized
-        // payload; a chain of quantized differentials must shard exactly.
+    fn replay_chain_equals_oracle_at_every_width() {
         let adam = Adam::default();
-        let mut rng = DetRng::new(77);
-        let psi = 601;
-        let mut state = ModelState::new((0..psi).map(|_| rng.normal() as f32).collect());
-        let store = CheckpointStore::new(Arc::new(MemoryBackend::new()));
-        store.save_full(&state).unwrap();
-        for bits in [8u8, 4, 16] {
-            let mut q = lowdiff_compress::quant::UniformQuant::new(bits);
-            let mut entries = Vec::new();
-            for _ in 0..5 {
-                let g: Vec<f32> = (0..psi).map(|_| rng.normal() as f32 * 0.1).collect();
-                let cg = q.compress(&g);
-                let dense = cg.to_dense();
-                entries.push(DE {
-                    iteration: state.iteration,
-                    grad: cg,
-                });
-                state.apply_gradient(&adam, &dense);
+        let mut rng = DetRng::new(0x0a11);
+        // Ψ not divisible by the widths, Ψ below the widest width, a
+        // single element, and one Ψ past Adam's parallel block size.
+        for (psi, n) in [(403usize, 13usize), (5, 12), (1, 6), ((1 << 15) + 5, 6)] {
+            let start = start_state(psi, &mut rng);
+            let chain = mixed_chain(psi, n, &mut rng);
+            for len in [0, 1, n] {
+                let mut want = start.clone();
+                oracle_replay(&mut want, &adam, &chain[..len]);
+                for threads in [1usize, 4] {
+                    for width in [1usize, 2, 3, 4, 7] {
+                        let mut got = start.clone();
+                        rayon::pool::with_num_threads(threads, || {
+                            replay_chain(&mut got, &adam, &chain[..len], width)
+                        });
+                        let what = format!("psi={psi} len={len} threads={threads} width={width}");
+                        assert_bit_identical(&got, &want, &what);
+                    }
+                }
             }
-            store.save_diff_batch(&entries).unwrap();
         }
-        let (serial, _) = recover_serial(&store, &adam).unwrap().unwrap();
-        for shards in [2usize, 3, 5] {
-            let (sharded, _) = recover_sharded(&store, &adam, shards).unwrap().unwrap();
-            assert_eq!(sharded.params, serial.params, "{shards} shards: params");
-            assert_eq!(sharded.opt.m, serial.opt.m, "{shards} shards: m");
-            assert_eq!(sharded.opt.v, serial.opt.v, "{shards} shards: v");
-            assert_eq!(sharded.iteration, serial.iteration);
+    }
+
+    /// Stores holding one full plus a chain in batches of three — Top-K
+    /// gradients (what LowDiff writes), quantized entries at 8, 4 and 16
+    /// bits, and the mixed chain — each with the state the oracle reaches.
+    fn stores(psi: usize) -> Vec<(&'static str, CheckpointStore, ModelState)> {
+        let mut rng = DetRng::new(42);
+        let start = start_state(psi, &mut rng);
+        let mut dense = || -> Vec<f32> { (0..psi).map(|_| rng.normal() as f32 * 0.1).collect() };
+        let mut topk = TopK::new(0.2);
+        let topk: Vec<_> = (0..12).map(|_| topk.compress(&dense())).collect();
+        let quant: Vec<_> = [8u8, 4, 16]
+            .iter()
+            .flat_map(|&b| [b; 5])
+            .map(|b| UniformQuant::new(b).compress(&dense()))
+            .collect();
+        let mixed = mixed_chain(psi, 13, &mut rng)
+            .into_iter()
+            .map(|e| e.grad)
+            .collect();
+        [("topk", topk), ("quant", quant), ("mixed", mixed)]
+            .into_iter()
+            .map(|(name, grads)| {
+                let store = CheckpointStore::new(Arc::new(MemoryBackend::new()));
+                store.save_full(&start).unwrap();
+                let chain: Vec<DiffEntry> = (start.iteration..)
+                    .zip(grads)
+                    .map(|(iteration, grad)| DiffEntry { iteration, grad })
+                    .collect();
+                for batch in chain.chunks(3) {
+                    store.save_diff_batch(batch).unwrap();
+                }
+                let mut live = start.clone();
+                oracle_replay(&mut live, &Adam::default(), &chain);
+                (name, store, live)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn resume_equals_serial_and_sharded_recovery() {
+        let dims = [6, 40, 3];
+        let psi = mlp(&dims, 1).num_params();
+        let adam = Adam::default();
+        let cfg = TrainerConfig {
+            error_feedback: false,
+            ..TrainerConfig::default()
+        };
+        for (name, store, live) in stores(psi) {
+            let (serial, report) = recover_serial(&store, &adam).unwrap().unwrap();
+            assert_bit_identical(&serial, &live, &format!("{name}: serial"));
+            assert_eq!(report.full_iteration, 2);
+            assert_eq!(report.resumed_iteration, live.iteration);
+            for width in [2usize, 3, 4, 7] {
+                let (sharded, rep) = recover_sharded(&store, &adam, width).unwrap().unwrap();
+                assert_bit_identical(&sharded, &live, &format!("{name}: sharded({width})"));
+                assert_eq!(rep.replayed, report.replayed);
+            }
+            let (tr, rep) = Trainer::resume(
+                mlp(&dims, 1),
+                adam,
+                NoCheckpoint::new(),
+                cfg.clone(),
+                &store,
+            )
+            .unwrap()
+            .unwrap();
+            assert_bit_identical(tr.state(), &live, &format!("{name}: Trainer::resume"));
+            assert_eq!(rep.replayed, report.replayed);
         }
-        assert_eq!(serial.params, state.params, "serial replay not bit-exact");
     }
 
     #[test]
@@ -340,14 +413,13 @@ mod tests {
     #[test]
     fn recovery_survives_torn_tail() {
         // Corrupting the *last* diff batch loses only that batch.
-        let (store, adam, _) = setup(200, 2, 9);
+        let (_, store, _) = stores(200).remove(0);
         let keys = store.diff_keys().unwrap();
         let last = keys.last().unwrap().key.clone();
-        // Replace with garbage through the backend.
         store.backend().put(&last, b"garbage").unwrap();
-        let (rec, report) = recover_serial(&store, &adam).unwrap().unwrap();
-        assert_eq!(report.replayed, 6, "only the intact prefix replays");
-        assert_eq!(rec.iteration, 2 + 6);
+        let (rec, report) = recover_serial(&store, &Adam::default()).unwrap().unwrap();
+        assert_eq!(report.replayed, 9, "only the intact prefix replays");
+        assert_eq!(rec.iteration, 2 + 9);
     }
 
     #[test]
@@ -372,29 +444,6 @@ mod tests {
                 "index {i}: tree {a} vs seq {b}"
             );
         }
-    }
-
-    #[test]
-    fn delta_recovery_applies_sum() {
-        let full = ModelState::new(vec![1.0; 10]);
-        let deltas = vec![
-            SparseGrad::new(10, vec![0, 5], vec![1.0, 2.0]),
-            SparseGrad::new(10, vec![5, 9], vec![3.0, -1.0]),
-        ];
-        let rec = recover_with_deltas(&full, &deltas);
-        assert_eq!(rec.params[0], 2.0);
-        assert_eq!(rec.params[5], 6.0);
-        assert_eq!(rec.params[9], 0.0);
-        assert_eq!(rec.iteration, 2);
-        assert_eq!(rec.opt, full.opt, "delta recovery must not touch moments");
-    }
-
-    #[test]
-    fn merge_depth_is_logarithmic() {
-        assert_eq!(parallel_merge_depth(1), 1);
-        assert_eq!(parallel_merge_depth(5), 3); // paper's example: 5 diffs → depth ~log
-        assert_eq!(parallel_merge_depth(15), 4);
-        assert!(parallel_merge_depth(1000) <= 10);
     }
 
     #[test]

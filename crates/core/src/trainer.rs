@@ -32,6 +32,7 @@
 //!   zeroes the residual, which is exactly the divergence `resume` fixes.
 
 use crate::engine::{CowRegion, CowTicket};
+use crate::recovery;
 use crate::strategy::{CheckpointStrategy, StrategyStats};
 use lowdiff_compress::{
     AdaptiveQuant, AuxView, CompressedGrad, Compressor, CompressorCfg, ErrorFeedback, TopK,
@@ -102,9 +103,27 @@ impl TrainerConfig {
         }
     }
 
-    /// True when some gradient compressor is configured (Top-K or quant).
-    fn compresses(&self) -> bool {
-        self.compress_ratio.is_some() || self.quant_bits.is_some()
+    /// True when error feedback is actually in play: some gradient
+    /// compressor (Top-K or quant) is configured and EF is on.
+    fn ef_on(&self) -> bool {
+        self.error_feedback && (self.compress_ratio.is_some() || self.quant_bits.is_some())
+    }
+
+    /// Refuse a checkpoint written under another compressor: its residual
+    /// and differential chain would not compose with this config.
+    fn check_compressor(&self, fc: &FullCheckpoint) -> io::Result<()> {
+        let expected = self.compressor_cfg();
+        match fc.aux.compressor {
+            Some(stored) if stored != expected => Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "checkpoint compressor {stored:?} does not match \
+                     configured {expected:?}: the stored residual and \
+                     differential chain would not compose"
+                ),
+            )),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -146,7 +165,21 @@ impl Default for ResumeOpts {
     }
 }
 
-/// What a [`Trainer::resume`] restored.
+impl ResumeOpts {
+    /// The replay gate: will resuming `cfg` from `fc` replay the
+    /// differential chain? Not when fast-forward is off, and not under
+    /// error feedback with a stored residual — the residual belongs to the
+    /// full's iteration boundary, and replaying diffs would advance the
+    /// parameters past it; anchoring at the full is the bit-exact point.
+    /// Loaders consult it before fetching a chain at all.
+    pub fn replays_chain(&self, cfg: &TrainerConfig, fc: &FullCheckpoint) -> bool {
+        self.fast_forward && !(cfg.ef_on() && fc.aux.residual.is_some())
+    }
+}
+
+/// What a resume ([`Trainer::resume`] and friends) or a model-state
+/// recovery ([`crate::recovery::recover_serial`] / `recover_sharded`,
+/// which never report `lossy`) restored.
 #[derive(Clone, Debug)]
 pub struct ResumeReport {
     /// Iteration training resumes from.
@@ -160,7 +193,8 @@ pub struct ResumeReport {
     /// training continues but may diverge from the uninterrupted run.
     pub lossy: bool,
     /// Which recovery source anchored the resume (`"peer:2"`,
-    /// `"durable"`, …). `None` for the single-store entry points.
+    /// `"durable"`, …) under [`Trainer::resume_tiered`]; `None` for the
+    /// single-store entry points.
     pub source: Option<String>,
 }
 
@@ -300,60 +334,72 @@ impl<S: CheckpointStrategy> Trainer<S> {
         cfg: TrainerConfig,
         store: &CheckpointStore,
     ) -> io::Result<Option<(Self, ResumeReport)>> {
-        Self::resume_with_opts(net, adam, strategy, cfg, store, ResumeOpts::default())
+        let found = Self::resume_walk(net, adam, strategy, cfg, &[store], ResumeOpts::default())?;
+        Ok(found.map(|(tr, report, _)| (tr, report)))
     }
 
-    /// [`Trainer::resume`] with explicit [`ResumeOpts`].
-    pub fn resume_with_opts(
+    /// Tier-priority resume: walk `sources` front-to-back and anchor on
+    /// the **first** tier holding a valid full checkpoint — peers' replica
+    /// stores before durable storage rebuild a lost rank with no storage
+    /// round-trip (Checkmate), Gemini's memory store before durable skips
+    /// the slow tier when the machine survived. The differential chain is
+    /// replayed from the same source that held the full, so a resume never
+    /// mixes tiers.
+    ///
+    /// A source that errors — while its full loads or while its chain
+    /// does (dead peer mid-walk, unreadable backend) — is skipped, and
+    /// recovery keeps falling down the stack. Only when *no* source yields
+    /// a checkpoint is the first error returned; all-empty sources are a
+    /// cold start (`Ok(None)`). A compressor mismatch is returned, not
+    /// skipped.
+    pub fn resume_tiered(
         net: Network,
         adam: Adam,
         strategy: S,
         cfg: TrainerConfig,
-        store: &CheckpointStore,
+        sources: &[RecoverySource],
         opts: ResumeOpts,
     ) -> io::Result<Option<(Self, ResumeReport)>> {
-        // A crash between the striped data fan-out and the manifest seal
-        // leaves an unsealed data object behind: invisible to recovery,
-        // but garbage — sweep it like the backend sweeps `.tmp-` files.
-        store.sweep_unsealed()?;
-        let Some(fc) = store.latest_valid_full_checkpoint()? else {
-            return Ok(None);
-        };
-        Self::resume_from(net, adam, strategy, cfg, fc, store, opts).map(Some)
+        let stores: Vec<&CheckpointStore> = sources.iter().map(|s| &*s.store).collect();
+        let found = Self::resume_walk(net, adam, strategy, cfg, &stores, opts)?;
+        Ok(found.map(|(tr, mut report, i)| {
+            report.source = Some(sources[i].tier.clone());
+            (tr, report)
+        }))
     }
 
-    /// Resume from an already-decoded [`FullCheckpoint`] (the store is
-    /// still needed for the differential chain).
-    pub fn resume_from(
+    /// The one store-backed resume: [`crate::recovery`]'s walk over
+    /// `stores` (sweeping unsealed striped leftovers — a crash between the
+    /// stripe fan-out and the manifest seal leaves garbage invisible to
+    /// recovery), then [`Trainer::resume_from_parts`]. Also returns the
+    /// index of the store that anchored.
+    fn resume_walk(
         net: Network,
         adam: Adam,
         strategy: S,
         cfg: TrainerConfig,
-        fc: FullCheckpoint,
-        store: &CheckpointStore,
+        stores: &[&CheckpointStore],
         opts: ResumeOpts,
-    ) -> io::Result<(Self, ResumeReport)> {
-        // Fetch the chain only when the replay path below will consume it
-        // (same gate as `resume_from_parts`), so anchor-only resumes never
-        // touch the differential objects.
-        let ef_on = cfg.error_feedback && cfg.compresses();
-        let will_replay = opts.fast_forward && !(ef_on && fc.aux.residual.is_some());
-        let chain = if will_replay {
-            store.diff_chain_from(fc.state.iteration)?
-        } else {
-            Vec::new()
+    ) -> io::Result<Option<(Self, ResumeReport, usize)>> {
+        let found = recovery::walk(stores, true, |fc| {
+            cfg.check_compressor(fc)?;
+            Ok(opts.replays_chain(&cfg, fc))
+        })?;
+        let Some((i, fc, chain)) = found else {
+            return Ok(None);
         };
-        Self::resume_from_parts(net, adam, strategy, cfg, fc, chain, opts)
+        let (tr, report) = Self::resume_from_parts(net, adam, strategy, cfg, fc, chain, opts)?;
+        Ok(Some((tr, report, i)))
     }
 
     /// Resume from an already-decoded [`FullCheckpoint`] plus an
-    /// already-fetched differential chain — the store-free core of
-    /// [`Trainer::resume_from`]. Cluster workers use this directly: they
-    /// stitch the per-rank shard checkpoints and diff chains into global
-    /// parts first ([`lowdiff_storage::shard`]) and hand the result here.
-    /// `chain` must be the diffs *after* `fc`'s iteration, in order; it is
-    /// ignored whenever the replay gate (fast-forward off, or an
-    /// error-feedback residual anchoring the resume) disables replay.
+    /// already-fetched differential chain — the store-free core of every
+    /// resume. Cluster workers use this directly: they stitch the per-rank
+    /// shard checkpoints and diff chains into global parts first
+    /// ([`lowdiff_storage::shard`]) and hand the result here. `chain` must
+    /// be the diffs *after* `fc`'s iteration, in order; it is ignored
+    /// whenever [`ResumeOpts::replays_chain`] says no, so a loader should
+    /// ask that gate before fetching it.
     pub fn resume_from_parts(
         net: Network,
         adam: Adam,
@@ -363,48 +409,40 @@ impl<S: CheckpointStrategy> Trainer<S> {
         chain: Vec<DiffEntry>,
         opts: ResumeOpts,
     ) -> io::Result<(Self, ResumeReport)> {
-        let expected = cfg.compressor_cfg();
-        if let Some(stored) = fc.aux.compressor {
-            if stored != expected {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!(
-                        "checkpoint compressor {stored:?} does not match \
-                         configured {expected:?}: the stored residual and \
-                         differential chain would not compose"
-                    ),
-                ));
-            }
-        }
+        cfg.check_compressor(&fc)?;
+        let chain = if opts.replays_chain(&cfg, &fc) {
+            chain
+        } else {
+            Vec::new()
+        };
         let FullCheckpoint {
             state: mut model,
             aux,
             lossy: blob_lossy,
             ..
         } = fc;
-        let ef_on = cfg.error_feedback && cfg.compresses();
+        let ef_on = cfg.ef_on();
         let has_residual = aux.residual.is_some();
         let full_iteration = model.iteration;
 
-        // Fast-forward by gradient replay — except under error feedback
-        // with a stored residual: the residual belongs to the full's
-        // iteration boundary, and replaying diffs would advance the
-        // parameters past it. Anchoring at the full is the bit-exact point.
-        // Quantized entries also yield their emitted `(scale, bits)` pairs,
-        // which fast-forward the adaptive precision policy through exactly
-        // the transitions the crashed run took.
-        let mut replayed = 0usize;
-        let mut observed: Vec<(f32, u8)> = Vec::new();
-        if opts.fast_forward && !(ef_on && has_residual) {
-            replayed = chain.len();
-            for entry in &chain {
-                if let CompressedGrad::Quant(q) = &entry.grad {
-                    observed.push((q.scale, q.bits));
-                }
-                let dense = entry.grad.to_dense();
-                model.apply_gradient(&adam, &dense);
-            }
-        }
+        // Fast-forward by gradient replay. Quantized entries also yield
+        // their emitted `(scale, bits)` pairs, which fast-forward the
+        // adaptive precision policy through exactly the transitions the
+        // crashed run took.
+        let replayed = chain.len();
+        let observed: Vec<(f32, u8)> = chain
+            .iter()
+            .filter_map(|e| match &e.grad {
+                CompressedGrad::Quant(q) => Some((q.scale, q.bits)),
+                _ => None,
+            })
+            .collect();
+        recovery::replay_chain(
+            &mut model,
+            &adam,
+            &chain,
+            rayon::pool::current_num_threads(),
+        );
 
         let quant_policy_lossy =
             cfg.quant_bits.is_some() && cfg.adaptive_quant && aux.quant.is_none();
@@ -460,62 +498,6 @@ impl<S: CheckpointStrategy> Trainer<S> {
             source: None,
         };
         Ok((tr, report))
-    }
-
-    /// Tier-priority resume: walk `sources` front-to-back and anchor on
-    /// the **first** tier holding a valid full checkpoint — peers' replica
-    /// stores before durable storage rebuild a lost rank with no storage
-    /// round-trip (Checkmate), Gemini's memory store before durable skips
-    /// the slow tier when the machine survived. The differential chain is
-    /// replayed from the same source that held the full, so a resume never
-    /// mixes tiers.
-    ///
-    /// A source that errors (dead peer mid-walk, unreadable backend) is
-    /// skipped — recovery keeps falling down the stack. Only when *no*
-    /// source yields a checkpoint is the first error returned; all-empty
-    /// sources are a cold start (`Ok(None)`).
-    pub fn resume_tiered(
-        net: Network,
-        adam: Adam,
-        strategy: S,
-        cfg: TrainerConfig,
-        sources: &[RecoverySource],
-        opts: ResumeOpts,
-    ) -> io::Result<Option<(Self, ResumeReport)>> {
-        let mut net = Some(net);
-        let mut strategy = Some(strategy);
-        let mut first_err: Option<io::Error> = None;
-        for src in sources {
-            let fc = src
-                .store
-                .sweep_unsealed()
-                .and_then(|_| src.store.latest_valid_full_checkpoint());
-            match fc {
-                Ok(Some(fc)) => {
-                    let (tr, mut report) = Self::resume_from(
-                        net.take().expect("sources walked once"),
-                        adam,
-                        strategy.take().expect("sources walked once"),
-                        cfg.clone(),
-                        fc,
-                        &src.store,
-                        opts,
-                    )?;
-                    report.source = Some(src.tier.clone());
-                    return Ok(Some((tr, report)));
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(None),
-        }
     }
 
     pub fn state(&self) -> &ModelState {

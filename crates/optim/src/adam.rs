@@ -1,10 +1,11 @@
 //! Adam optimizer (Kingma & Ba, 2014) with bias correction.
 //!
-//! The implementation is deliberately *elementwise and range-addressable*:
-//! [`Adam::step_range`] updates only `params[range]` given `grad[range]`,
-//! which is the primitive behind LowDiff's sharded parallel recovery — each
-//! recovery thread replays the full gradient sequence for its own slice of
-//! the parameter vector and the result is bit-identical to a serial replay.
+//! The implementation is deliberately *elementwise and window-addressable*:
+//! [`Adam::step_range`] updates one window of params/m/v given the same
+//! window of the gradient, which is the primitive behind LowDiff's sharded
+//! parallel recovery — each recovery thread replays the full gradient
+//! sequence over its own disjoint windows of the state and the result is
+//! bit-identical to a serial replay.
 
 use rayon::prelude::*;
 use std::ops::Range;
@@ -97,66 +98,58 @@ impl Adam {
         grad: &[f32],
         hook: F,
     ) {
-        assert_eq!(params.len(), state.len(), "state/param length mismatch");
-        assert_eq!(params.len(), grad.len(), "grad/param length mismatch");
-        state.t += 1;
-        let t = state.t;
-        self.apply_range(state, params, grad, 0..params.len(), t, 0, &hook);
+        let t = state.t + 1;
+        self.apply(params, &mut state.m, &mut state.v, grad, t, &hook);
+        state.t = t;
     }
 
-    /// Range-restricted step used by sharded recovery.
+    /// One global step applied to a *window* of the state: `params`, `m`,
+    /// `v` and `grad` are the same window (equal lengths) of the parameter
+    /// vector, the two moments and the gradient. Sharded recovery hands
+    /// each shard disjoint windows of one [`AdamState`].
     ///
-    /// * `range` — the slice of the parameter vector this call owns;
-    /// * `grad` — gradient values for exactly that range
-    ///   (`grad.len() == range.len()`);
-    /// * `step_t` — the global Adam step number this update corresponds to
-    ///   (bias correction must use the *global* t, not a per-shard counter).
-    ///
-    /// The caller is responsible for bumping `state.t` once per global step;
-    /// this function does not touch it.
+    /// `step_t` is the global Adam step number this update corresponds to
+    /// (bias correction must use the *global* t, not a per-shard counter).
+    /// The caller owns the step counter; this function does not touch it.
     pub fn step_range(
         &self,
-        state: &mut AdamState,
         params: &mut [f32],
+        m: &mut [f32],
+        v: &mut [f32],
         grad: &[f32],
-        range: Range<usize>,
         step_t: u64,
     ) {
-        assert!(range.end <= params.len(), "range out of bounds");
-        assert_eq!(grad.len(), range.len(), "grad length != range length");
         assert!(step_t >= 1, "Adam step numbers start at 1");
-        let off = range.start;
-        self.apply_range(state, params, grad, range, step_t, off, &|_| {});
+        self.apply(params, m, v, grad, step_t, &|_| {});
     }
 
-    /// Shared kernel: update `params[range]` from `grad[i - grad_off]`.
+    /// Shared kernel: update `params`/`m`/`v` in place from `grad` (all
+    /// the same length). `hook(r)` fires per block with `r` relative to
+    /// the window.
     ///
     /// The update is purely elementwise, so it runs in parallel over fixed
-    /// chunks of the range — no cross-element data flow means any chunking
+    /// chunks of the window — no cross-element data flow means any chunking
     /// is bit-identical to the serial loop.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_range<F: Fn(Range<usize>) + Sync>(
+    fn apply<F: Fn(Range<usize>) + Sync>(
         &self,
-        state: &mut AdamState,
-        params: &mut [f32],
-        grad: &[f32],
-        range: Range<usize>,
+        pr: &mut [f32],
+        mr: &mut [f32],
+        vr: &mut [f32],
+        gr: &[f32],
         step_t: u64,
-        grad_off: usize,
         hook: &F,
     ) {
+        assert!(
+            mr.len() == pr.len() && vr.len() == pr.len(),
+            "state/param length mismatch"
+        );
+        assert_eq!(gr.len(), pr.len(), "grad/param length mismatch");
         // Bias corrections depend only on the global step number.
         let bc1 = 1.0 - (self.beta1 as f64).powi(step_t as i32);
         let bc2 = 1.0 - (self.beta2 as f64).powi(step_t as i32);
         let bc1 = bc1 as f32;
         let bc2 = bc2 as f32;
         let (b1, b2) = (self.beta1, self.beta2);
-
-        let base = range.start;
-        let pr = &mut params[range.clone()];
-        let mr = &mut state.m[range.clone()];
-        let vr = &mut state.v[range.clone()];
-        let gr = &grad[range.start - grad_off..range.end - grad_off];
 
         // The update is elementwise, so any chunking is bit-identical to
         // the serial loop — including no chunking at all.
@@ -187,7 +180,7 @@ impl Adam {
             let mut off = 0;
             while off < pr.len() {
                 let end = (off + CHUNK).min(pr.len());
-                hook(base + off..base + end);
+                hook(off..end);
                 kernel(
                     &mut pr[off..end],
                     &mut mr[off..end],
@@ -205,7 +198,7 @@ impl Adam {
             .zip(gr.par_chunks(CHUNK))
             .enumerate()
             .for_each(|(i, (((pc, mc), vc), gc))| {
-                let lo = base + i * CHUNK;
+                let lo = i * CHUNK;
                 hook(lo..lo + pc.len());
                 kernel(pc, mc, vc, gc);
             });
@@ -300,13 +293,19 @@ mod tests {
             adam.step(&mut st_ref, &mut p_ref, &demo_grad(n, t));
         }
 
-        // Sharded: three ranges, each replays all steps independently.
+        // Sharded: three windows, each replays all steps independently.
         let mut st = AdamState::new(n);
         let mut p = vec![0.1f32; n];
         let grads: Vec<Vec<f32>> = (0..steps).map(|t| demo_grad(n, t)).collect();
         for r in lowdiff_util::par::chunk_ranges(n, 3) {
             for (k, g) in grads.iter().enumerate() {
-                adam.step_range(&mut st, &mut p, &g[r.clone()], r.clone(), k as u64 + 1);
+                adam.step_range(
+                    &mut p[r.clone()],
+                    &mut st.m[r.clone()],
+                    &mut st.v[r.clone()],
+                    &g[r.clone()],
+                    k as u64 + 1,
+                );
             }
         }
         st.t = steps;

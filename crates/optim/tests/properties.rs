@@ -44,11 +44,16 @@ proptest! {
         // Two shards replayed independently.
         let mut st2 = AdamState::new(53);
         let mut p2 = vec![0.1f32; 53];
-        for (k, g) in grads.iter().enumerate() {
-            adam.step_range(&mut st2, &mut p2, &g[..split], 0..split, k as u64 + 1);
-        }
-        for (k, g) in grads.iter().enumerate() {
-            adam.step_range(&mut st2, &mut p2, &g[split..], split..53, k as u64 + 1);
+        for r in [0..split, split..53] {
+            for (k, g) in grads.iter().enumerate() {
+                adam.step_range(
+                    &mut p2[r.clone()],
+                    &mut st2.m[r.clone()],
+                    &mut st2.v[r.clone()],
+                    &g[r.clone()],
+                    k as u64 + 1,
+                );
+            }
         }
         prop_assert_eq!(p, p2);
         prop_assert_eq!(st.m, st2.m);

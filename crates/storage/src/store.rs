@@ -424,9 +424,7 @@ impl CheckpointStore {
         for iter in self.full_iterations()?.into_iter().rev() {
             match self.load_full_checkpoint(iter) {
                 Ok(fc) => return Ok(Some(fc)),
-                Err(e) if e.kind() == io::ErrorKind::InvalidData => continue,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) if unreadable_blob(&e) => continue,
                 Err(e) => return Err(e),
             }
         }
@@ -434,8 +432,12 @@ impl CheckpointStore {
     }
 
     /// Load every valid differential entry with `iteration >= from`,
-    /// in iteration order, stopping at the first gap (a missing or corrupt
-    /// batch breaks the replay chain — later diffs are unusable).
+    /// in iteration order, stopping at the first gap (a missing, corrupt or
+    /// persistently interrupted batch breaks the replay chain — later diffs
+    /// are unusable). Any other read error is returned, as
+    /// [`latest_valid_full_checkpoint`](Self::latest_valid_full_checkpoint)
+    /// does: the store itself is failing, and a tiered resume moves on to
+    /// its next source rather than replaying a silently shortened chain.
     pub fn diff_chain_from(&self, from: u64) -> io::Result<Vec<DiffEntry>> {
         let mut chain: Vec<DiffEntry> = Vec::new();
         let mut next = from;
@@ -451,8 +453,10 @@ impl CheckpointStore {
             } else {
                 self.get_retried(&dk.key)
             };
-            let Ok(bytes) = read else {
-                break;
+            let bytes = match read {
+                Ok(bytes) => bytes,
+                Err(e) if unreadable_blob(&e) => break,
+                Err(e) => return Err(e),
             };
             let Ok(entries) = codec::decode_diff_batch(&bytes) else {
                 break; // torn batch: chain ends here
@@ -517,6 +521,16 @@ impl CheckpointStore {
         }
         Ok(total)
     }
+}
+
+/// A read error that condemns only the blob, not the store: corrupt or
+/// torn bytes, a missing object, or a transient fault that outlived its
+/// retries. Recovery skips such a full and ends a chain at such a batch.
+fn unreadable_blob(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::InvalidData | io::ErrorKind::NotFound | io::ErrorKind::Interrupted
+    )
 }
 
 #[cfg(test)]

@@ -84,6 +84,7 @@ fn main() {
     // 6. Recover: latest full checkpoint + replay of the reused gradients.
     //    Replay MUST use the same optimizer hyperparameters as training —
     //    the differentials are gradients, and Adam's lr scales the update.
+    let t0 = std::time::Instant::now();
     let (recovered, rep) = recover_serial(&store, &adam)
         .expect("storage readable")
         .expect("a checkpoint exists");
@@ -92,7 +93,7 @@ fn main() {
         rep.full_iteration,
         rep.replayed,
         recovered.restored_iteration_display(),
-        rep.elapsed
+        t0.elapsed()
     );
 
     // 7. The recovered state is IDENTICAL to the live state at the crash.

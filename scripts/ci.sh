@@ -11,6 +11,11 @@
 #                            pool pinned to 1 and to 4 threads: the Top-K
 #                            select must equal its oracle whatever the
 #                            pool width the host happens to default to
+# 3c. recovery @1/@4 threads — the recovery tests of the core crate with
+#                            the pool pinned to 1 and to 4 threads: the
+#                            replay kernel must equal its diff-by-diff
+#                            oracle, and every resume entry point each
+#                            other, at any pool width
 # 4. crash-torture smoke   — the fast subset of the crash/resume matrix,
 #                            including whole-rank-loss cells recovered
 #                            from peer replicas alone
@@ -39,6 +44,11 @@
 #                            striped, incremental-capture, quantized, and
 #                            peer-replicated write paths are all
 #                            exercised end-to-end
+# 9. benchmark --smoke     — builds the repo benchmark (benchmark/, a
+#                            separate package using the public API) and
+#                            runs every workload on a tiny configuration,
+#                            including its bit-exact resume checks; any
+#                            failed check is a non-zero exit
 #
 # Fails fast: the first failing step fails the gate.
 
@@ -57,6 +67,10 @@ cargo test -q --workspace
 echo "== compress @1/@4 threads =="
 LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff-compress
 LOWDIFF_NUM_THREADS=4 cargo test -q -p lowdiff-compress
+
+echo "== recovery @1/@4 threads =="
+LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff recovery
+LOWDIFF_NUM_THREADS=4 cargo test -q -p lowdiff recovery
 
 echo "== crash-torture smoke =="
 # Fast subset of the crash-point torture matrix (tests/crash_torture.rs):
@@ -98,5 +112,8 @@ MALLOC_MMAP_THRESHOLD_=134217728 MALLOC_TRIM_THRESHOLD_=134217728 \
   target/release/bench_ckpt_e2e --smoke --snapshot-mode incremental
 MALLOC_MMAP_THRESHOLD_=134217728 MALLOC_TRIM_THRESHOLD_=134217728 \
   target/release/bench_ckpt_e2e --smoke --quant-bits 8 --adaptive --max-quant-err 2e-3 --peers 2
+
+echo "== benchmark smoke =="
+bash benchmark/run.sh --smoke
 
 echo "CI gate passed."

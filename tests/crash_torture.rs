@@ -208,12 +208,16 @@ fn torture_cell(scheme: Scheme, point: CrashPoint, error_feedback: bool, cell_se
         // Naïve DC's diffs are parameter deltas — not replayable gradients.
         fast_forward: !matches!(scheme, Scheme::NaiveDc),
     };
-    let mut resumed = match Trainer::resume_with_opts(
+    let durable = RecoverySource {
+        tier: "durable".into(),
+        store: Arc::clone(&store),
+    };
+    let mut resumed = match Trainer::resume_tiered(
         net(),
         Adam::default(),
         NoCheckpoint::new(),
         cfg.clone(),
-        &store,
+        &[durable],
         opts,
     )
     .unwrap()

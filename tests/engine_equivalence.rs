@@ -17,8 +17,8 @@ use lowdiff::lowdiff_plus::{LowDiffPlusConfig, LowDiffPlusStrategy};
 use lowdiff::recovery::recover_serial;
 use lowdiff::strategy::CheckpointStrategy;
 use lowdiff::{
-    AuxView, EngineConfig, NoCheckpoint, PeerReplicateStrategy, ResumeOpts, SnapshotMode, Trainer,
-    TrainerConfig,
+    AuxView, EngineConfig, NoCheckpoint, PeerReplicateStrategy, RecoverySource, ResumeOpts,
+    SnapshotMode, Trainer, TrainerConfig,
 };
 use lowdiff_baselines::{CheckFreqStrategy, GeminiStrategy, NaiveDcStrategy, TorchSaveStrategy};
 use lowdiff_comm::ReplicaNet;
@@ -617,8 +617,8 @@ fn check_striped_equivalence(scheme: usize, stripes: usize, seed: u64) {
 /// Resume both stores through the real resume path and require identical
 /// recovered state (or identical unrecoverability).
 fn assert_resume_equal(
-    store_a: &CheckpointStore,
-    store_b: &CheckpointStore,
+    store_a: &Arc<CheckpointStore>,
+    store_b: &Arc<CheckpointStore>,
     scheme: usize,
     ef: bool,
     seed: u64,
@@ -634,13 +634,17 @@ fn assert_resume_equal(
     let opts = ResumeOpts {
         fast_forward: scheme != 5, // naive-dc deltas are not replayable
     };
-    let resume = |store: &CheckpointStore| {
-        Trainer::resume_with_opts(
+    let resume = |store: &Arc<CheckpointStore>| {
+        let durable = RecoverySource {
+            tier: "durable".into(),
+            store: Arc::clone(store),
+        };
+        Trainer::resume_tiered(
             mlp(&[4, 10, 2], 8),
             Adam::default(),
             NoCheckpoint::new(),
             cfg.clone(),
-            store,
+            &[durable],
             opts,
         )
         .unwrap()

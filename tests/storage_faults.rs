@@ -6,8 +6,8 @@
 use lowdiff::lowdiff::{LowDiffConfig, LowDiffStrategy};
 use lowdiff::recovery::recover_serial;
 use lowdiff::strategy::{CheckpointStrategy, StrategyStats};
-use lowdiff::trainer::{Trainer, TrainerConfig};
-use lowdiff::AuxView;
+use lowdiff::trainer::{RecoverySource, ResumeOpts, Trainer, TrainerConfig};
+use lowdiff::{AuxView, NoCheckpoint};
 use lowdiff_model::builders::mlp;
 use lowdiff_model::data::Regression;
 use lowdiff_model::loss::mse;
@@ -18,6 +18,7 @@ use lowdiff_storage::{
 };
 use lowdiff_tensor::Tensor;
 use lowdiff_util::DetRng;
+use std::io;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -343,4 +344,88 @@ fn retry_exhaustion_counts_one_dropped_batch_exactly_once() {
         .expect("re-anchored chain must recover");
     assert_eq!(rec.iteration, state.iteration);
     assert_eq!(rec.params, state.params, "recovery lands on the live state");
+}
+
+/// A recovery source whose fulls read fine but whose differential objects
+/// fail with a hard I/O error — a flaky or dying tier, caught after its
+/// anchor loaded.
+struct DiffReadsFail(Arc<dyn StorageBackend>);
+
+impl StorageBackend for DiffReadsFail {
+    fn put(&self, key: &str, data: &[u8]) -> io::Result<()> {
+        self.0.put(key, data)
+    }
+    fn get(&self, key: &str) -> io::Result<Vec<u8>> {
+        if key.starts_with("diff-") {
+            return Err(io::Error::new(
+                io::ErrorKind::ConnectionReset,
+                "source died",
+            ));
+        }
+        self.0.get(key)
+    }
+    fn list(&self) -> io::Result<Vec<String>> {
+        self.0.list()
+    }
+    fn delete(&self, key: &str) -> io::Result<()> {
+        self.0.delete(key)
+    }
+    fn bytes_written(&self) -> u64 {
+        self.0.bytes_written()
+    }
+}
+
+#[test]
+fn tiered_recovery_falls_through_on_late_source_errors() {
+    // Error feedback off: the resume replays the chain, so the first
+    // source fails *after* its full loaded. The walk must fall through to
+    // durable storage — neither abort nor replay a shortened chain.
+    let cfg = TrainerConfig {
+        compress_ratio: Some(0.2),
+        error_feedback: false,
+        ..TrainerConfig::default()
+    };
+    let backend: Arc<dyn StorageBackend> = Arc::new(MemoryBackend::new());
+    let durable = Arc::new(CheckpointStore::new(Arc::clone(&backend)));
+    let strat = LowDiffStrategy::new(
+        Arc::clone(&durable),
+        LowDiffConfig {
+            full_every: 5,
+            batch_size: 2,
+            ..LowDiffConfig::default()
+        },
+    );
+    let mut tr = Trainer::new(mlp(&DIMS, 8), Adam::default(), strat, cfg.clone());
+    tr.run(17, step_fn());
+    let live = tr.state().clone();
+    drop(tr); // crash
+
+    let sources = [
+        RecoverySource {
+            tier: "peer:1".into(),
+            store: Arc::new(CheckpointStore::new(Arc::new(DiffReadsFail(backend)))),
+        },
+        RecoverySource {
+            tier: "durable".into(),
+            store: durable,
+        },
+    ];
+    let (tr, report) = Trainer::resume_tiered(
+        mlp(&DIMS, 8),
+        Adam::default(),
+        NoCheckpoint::new(),
+        cfg,
+        &sources,
+        ResumeOpts::default(),
+    )
+    .unwrap()
+    .expect("durable storage holds a valid checkpoint");
+    assert_eq!(report.source.as_deref(), Some("durable"));
+    assert_eq!(report.replayed, 2, "diffs at 15, 16 replay from durable");
+    let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let got = tr.state();
+    assert_eq!((got.iteration, got.opt.t), (live.iteration, live.opt.t));
+    assert_eq!(bits(&got.params), bits(&live.params));
+    assert_eq!(bits(&got.opt.m), bits(&live.opt.m));
+    assert_eq!(bits(&got.opt.v), bits(&live.opt.v));
 }
