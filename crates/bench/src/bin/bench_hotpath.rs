@@ -30,7 +30,8 @@ use lowdiff_comm::WorkerGroup;
 use lowdiff_compress::TopK;
 use lowdiff_optim::{Adam, AdamState, ModelState};
 use lowdiff_storage::codec;
-use lowdiff_util::crc::{crc32, crc32_bytewise};
+use lowdiff_testkit::reference;
+use lowdiff_util::crc::crc32;
 use lowdiff_util::DetRng;
 use std::time::Instant;
 
@@ -172,7 +173,7 @@ fn main() {
         rng.fill_normal_f32(&mut st.opt.m, 0.1);
         rng.fill_normal_f32(&mut st.opt.v, 0.01);
 
-        let base = time_best(reps, || codec::reference::encode_model_state(&st));
+        let base = time_best(reps, || reference::encode_model_state(&st));
         let opt = time_best(reps, || codec::encode_model_state(&st));
         results.push(BenchResult {
             name: "codec_encode",
@@ -184,10 +185,8 @@ fn main() {
 
         // The reference decoder predates the v2 full format, so the decode
         // comparison runs on a v1 blob both decoders accept.
-        let bytes = codec::encode_model_state_v1(&st);
-        let base = time_best(reps, || {
-            codec::reference::decode_model_state(&bytes).unwrap()
-        });
+        let bytes = reference::encode_model_state(&st);
+        let base = time_best(reps, || reference::decode_model_state(&bytes).unwrap());
         let opt = time_best(reps, || codec::decode_model_state(&bytes).unwrap());
         results.push(BenchResult {
             name: "codec_decode",
@@ -197,7 +196,7 @@ fn main() {
             pool_sweep: sweep_pool(reps, || codec::decode_model_state(&bytes).unwrap()),
         });
 
-        let base = time_best(reps, || crc32_bytewise(&bytes));
+        let base = time_best(reps, || reference::crc32_bytewise(&bytes));
         let opt = time_best(reps, || crc32(&bytes));
         results.push(BenchResult {
             name: "crc32",

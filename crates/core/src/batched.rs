@@ -11,8 +11,9 @@
 //!   measurable.
 //! * **② Batch in buffer** — entries accumulate until `batch_size`.
 //! * **③ Single write** — the batch is flushed as one storage I/O,
-//!   serialized straight from the shared handles
-//!   (`codec::encode_diff_batch_refs_into`): the payload is only ever
+//!   serialized straight from the shared handles by the one diff-batch
+//!   encoder (`codec::encode_diff_batch_into`, which takes borrowed
+//!   `(iteration, &gradient)` pairs): the payload is only ever
 //!   materialized as wire bytes, never as an intermediate owned clone.
 //!
 //! Two batching modes:
@@ -220,12 +221,13 @@ impl BatchedWriter {
         let (start, end) = match &merged {
             Some(entries) => {
                 check_consecutive(&mut entries.iter().map(|e| e.iteration));
-                codec::encode_diff_batch_cfg_into(entries, &self.value_codec, &mut bytes);
+                let refs = entries.iter().map(|e| (e.iteration, &e.grad));
+                codec::encode_diff_batch_into(refs, &self.value_codec, &mut bytes);
                 (entries[0].iteration, entries.last().unwrap().iteration)
             }
             None => {
                 check_consecutive(&mut self.buffer.iter().map(|e| e.iteration));
-                codec::encode_diff_batch_refs_cfg_into(
+                codec::encode_diff_batch_into(
                     self.buffer.iter().map(|e| (e.iteration, &*e.grad)),
                     &self.value_codec,
                     &mut bytes,

@@ -498,7 +498,8 @@ fn cmd_inspect(path: &str) {
             }
             // Ratio of the blob against the same blob with a raw-f32 value
             // plane — what the v3 quantized codec saves end to end.
-            let raw_equiv = info.encoded_len - info.value_bytes + info.raw_value_bytes;
+            let raw_equiv =
+                (info.encoded_len - info.value_bytes).saturating_add(info.raw_value_bytes);
             out!(
                 "value plane: {} stored, {} as raw f32  (blob is {:.2}x raw)",
                 fmt_bytes(info.value_bytes),

@@ -140,15 +140,15 @@ impl CowTicket {
     /// sizes, so the ticket's *first* `reset` is as allocation-free (and
     /// memset-free) as every later one (pool rotation means first-resets
     /// can land well past warmup). The buffer is fully *framed*, not just
-    /// reserved: that faults its pages in at priming time and stamps the
-    /// flags byte, so even the first `reset` takes
+    /// reserved: framing the empty buffer (room for the CRC seal included)
+    /// faults its pages in at priming time and stamps the flags byte, so
+    /// even the first `reset` takes
     /// [`codec::reframe_full_frame_into`]'s in-place fast path instead of
     /// the multi-MB placeholder zeroing.
     fn primed(state: &ModelState, aux: &AuxView<'_>) -> Self {
         let psi = state.params.len();
         let mut t = Self::empty();
-        codec::encode_full_frame_into(0, 0, psi, aux, t.buf.get_mut());
-        t.buf.get_mut().reserve(4); // the CRC seal must not reallocate
+        codec::reframe_full_frame_into(0, 0, psi, aux, t.buf.get_mut());
         t.setup.regions.reserve(4);
         let regions = 3 + usize::from(aux.residual.is_some());
         let chunks = ChunkMap::new(psi, COW_CHUNK_ELEMS).num_chunks();
@@ -321,9 +321,9 @@ impl CowTicket {
             !self.sealed.swap(true, Ordering::AcqRel),
             "double seal of a COW ticket"
         );
-        // Safety: capture complete and the seal flag makes this the only
-        // len-mutating access; `encode_full_frame_into` reserved the CRC
-        // bytes so no reallocation happens here.
+        // SAFETY: capture complete and the seal flag makes this the only
+        // len-mutating access; framing reserved the CRC bytes so no
+        // reallocation happens here.
         codec::seal_frame(unsafe { &mut *self.buf.get() });
     }
 

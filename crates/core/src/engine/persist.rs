@@ -570,7 +570,8 @@ impl EngineCtx<'_> {
         }
         let t0 = Instant::now();
         let mut bytes = self.buffers.get();
-        codec::encode_diff_batch_cfg_into(entries, self.value_codec, &mut bytes);
+        let refs = entries.iter().map(|e| (e.iteration, &e.grad));
+        codec::encode_diff_batch_into(refs, self.value_codec, &mut bytes);
         self.metrics.encode.record(t0.elapsed());
         let (start, end) = (entries[0].iteration, entries.last().unwrap().iteration);
         if self.crash_hit(CrashPoint::PostEncode) {

@@ -905,7 +905,7 @@ mod tests {
         let psi = net.num_params();
         let mut state = ModelState::new(vec![0.5; psi]);
         state.iteration = 3;
-        let bytes = lowdiff_storage::codec::encode_model_state_v1(&state);
+        let bytes = lowdiff_testkit::reference::encode_model_state(&state);
         let store = CheckpointStore::new(Arc::new(MemoryBackend::new()));
         store.put_full(3, &bytes).unwrap();
 

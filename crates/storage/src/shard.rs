@@ -23,10 +23,11 @@
 //!   manifest exists, and the manifest is written iff *every* rank
 //!   reported its shard full at `t` sealed.
 
-use crate::codec::{DiffEntry, FullCheckpoint};
+use crate::codec::{
+    put_u16, put_u32, put_u64, seal, CodecError, Cursor, DiffEntry, FullCheckpoint,
+};
 use lowdiff_compress::{AuxState, AuxView, CompressedGrad, SparseGrad};
 use lowdiff_optim::{AdamState, ModelState};
-use lowdiff_util::crc32;
 use std::collections::BTreeMap;
 use std::io;
 use std::ops::Range;
@@ -445,90 +446,55 @@ impl GlobalManifest {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.shards.len() * 32);
         out.extend_from_slice(MAGIC_GLOBAL);
-        out.extend_from_slice(&GLOBAL_MANIFEST_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.iteration.to_le_bytes());
-        out.extend_from_slice(&self.psi.to_le_bytes());
-        out.extend_from_slice(&self.num_chunks.to_le_bytes());
-        out.extend_from_slice(&(self.shards.len() as u32).to_le_bytes());
+        put_u16(&mut out, GLOBAL_MANIFEST_VERSION);
+        put_u64(&mut out, self.iteration);
+        put_u64(&mut out, self.psi);
+        put_u32(&mut out, self.num_chunks);
+        put_u32(&mut out, self.shards.len() as u32);
         for s in &self.shards {
-            out.extend_from_slice(&s.rank.to_le_bytes());
-            out.extend_from_slice(&(s.chunks.len() as u32).to_le_bytes());
-            for c in &s.chunks {
-                out.extend_from_slice(&c.to_le_bytes());
+            put_u32(&mut out, s.rank);
+            put_u32(&mut out, s.chunks.len() as u32);
+            for &c in &s.chunks {
+                put_u32(&mut out, c);
             }
-            out.extend_from_slice(&s.len.to_le_bytes());
-            out.extend_from_slice(&s.crc.to_le_bytes());
+            put_u64(&mut out, s.len);
+            put_u32(&mut out, s.crc);
         }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
+        seal(&mut out);
         out
     }
 
-    /// Strict decode — wrong magic/version, truncation, trailing bytes or
-    /// a CRC mismatch all fail (an unreadable manifest means the global
-    /// checkpoint never became visible).
+    /// Strict decode — wrong magic/version, truncation, trailing bytes, a
+    /// length field the blob cannot back, or a CRC mismatch all fail with
+    /// `InvalidData` (an unreadable manifest means the global checkpoint
+    /// never became visible).
     pub fn decode(data: &[u8]) -> io::Result<GlobalManifest> {
-        if data.len() < 8 {
-            return Err(err("global manifest truncated"));
-        }
-        let (body, trailer) = data.split_at(data.len() - 4);
-        let stored = u32::from_le_bytes(trailer.try_into().unwrap());
-        if crc32(body) != stored {
-            return Err(err("global manifest CRC mismatch"));
-        }
-        let mut buf = body;
-        let take = |buf: &mut &[u8], n: usize| -> io::Result<Vec<u8>> {
-            if buf.len() < n {
-                return Err(err("global manifest truncated"));
-            }
-            let (head, tail) = buf.split_at(n);
-            *buf = tail;
-            Ok(head.to_vec())
-        };
-        let get_u16 = |buf: &mut &[u8]| -> io::Result<u16> {
-            Ok(u16::from_le_bytes(take(buf, 2)?.try_into().unwrap()))
-        };
-        let get_u32 = |buf: &mut &[u8]| -> io::Result<u32> {
-            Ok(u32::from_le_bytes(take(buf, 4)?.try_into().unwrap()))
-        };
-        let get_u64 = |buf: &mut &[u8]| -> io::Result<u64> {
-            Ok(u64::from_le_bytes(take(buf, 8)?.try_into().unwrap()))
-        };
-        if take(&mut buf, 4)? != MAGIC_GLOBAL {
-            return Err(err("not a global manifest (bad magic)"));
-        }
-        let version = get_u16(&mut buf)?;
+        Self::parse(data).map_err(|e| err(format!("global manifest: {e}")))
+    }
+
+    fn parse(data: &[u8]) -> Result<GlobalManifest, CodecError> {
+        let mut cur = Cursor::open(data, MAGIC_GLOBAL)?;
+        let version = cur.get_u16("truncated header")?;
         if version != GLOBAL_MANIFEST_VERSION {
-            return Err(err(format!("unsupported global manifest v{version}")));
+            return Err(CodecError::UnsupportedVersion(version));
         }
-        let iteration = get_u64(&mut buf)?;
-        let psi = get_u64(&mut buf)?;
-        let num_chunks = get_u32(&mut buf)?;
-        let n = get_u32(&mut buf)? as usize;
-        if n > (1 << 20) {
-            return Err(err("implausible shard count"));
-        }
+        let iteration = cur.get_u64("truncated header")?;
+        let psi = cur.get_u64("truncated header")?;
+        let num_chunks = cur.get_u32("truncated header")?;
+        // rank u32 + chunk count u32 + len u64 + crc u32 per shard
+        let n = cur.get_len_u32(20, "truncated shard table")?;
         let mut shards = Vec::with_capacity(n);
         for _ in 0..n {
-            let rank = get_u32(&mut buf)?;
-            let nc = get_u32(&mut buf)? as usize;
-            if nc > (1 << 24) {
-                return Err(err("implausible chunk count"));
-            }
-            let mut chunks = Vec::with_capacity(nc);
-            for _ in 0..nc {
-                chunks.push(get_u32(&mut buf)?);
-            }
+            let rank = cur.get_u32("truncated shard table")?;
+            let nc = cur.get_u32("truncated shard table")?;
             shards.push(ShardSeal {
                 rank,
-                chunks,
-                len: get_u64(&mut buf)?,
-                crc: get_u32(&mut buf)?,
+                chunks: cur.get_u32s(nc.into(), "truncated shard table")?,
+                len: cur.get_u64("truncated shard table")?,
+                crc: cur.get_u32("truncated shard table")?,
             });
         }
-        if !buf.is_empty() {
-            return Err(err("global manifest has trailing bytes"));
-        }
+        cur.finish()?;
         Ok(GlobalManifest {
             iteration,
             psi,

@@ -36,7 +36,7 @@
 //! retry count).
 
 use crate::backend::StorageBackend;
-use crate::codec::CodecError;
+use crate::codec::{put_u16, put_u32, put_u64, seal, CodecError, Cursor};
 use crate::retry::{with_retry, RetryPolicy};
 use lowdiff_util::crc::crc32;
 use lowdiff_util::par::chunk_ranges;
@@ -122,60 +122,39 @@ impl StripeManifest {
 pub fn encode_manifest(m: &StripeManifest) -> Vec<u8> {
     let mut buf = Vec::with_capacity(4 + 2 + 8 + 4 + 4 + m.stripes.len() * 20 + 4);
     buf.extend_from_slice(MAGIC_MANIFEST);
-    buf.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-    buf.extend_from_slice(&m.total_len.to_le_bytes());
-    buf.extend_from_slice(&m.whole_crc.to_le_bytes());
-    buf.extend_from_slice(&(m.stripes.len() as u32).to_le_bytes());
+    put_u16(&mut buf, MANIFEST_VERSION);
+    put_u64(&mut buf, m.total_len);
+    put_u32(&mut buf, m.whole_crc);
+    put_u32(&mut buf, m.stripes.len() as u32);
     for s in &m.stripes {
-        buf.extend_from_slice(&s.offset.to_le_bytes());
-        buf.extend_from_slice(&s.len.to_le_bytes());
-        buf.extend_from_slice(&s.crc.to_le_bytes());
+        put_u64(&mut buf, s.offset);
+        put_u64(&mut buf, s.len);
+        put_u32(&mut buf, s.crc);
     }
-    let crc = crc32(&buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
+    seal(&mut buf);
     buf
-}
-
-fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], CodecError> {
-    if buf.len() < n {
-        return Err(CodecError::Corrupt("manifest truncated"));
-    }
-    let (head, tail) = buf.split_at(n);
-    *buf = tail;
-    Ok(head)
 }
 
 /// Decode and CRC-validate a manifest blob.
 pub fn decode_manifest(bytes: &[u8]) -> Result<StripeManifest, CodecError> {
-    if bytes.len() < 4 + 2 + 8 + 4 + 4 + 4 {
-        return Err(CodecError::Corrupt("manifest too short"));
-    }
-    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    let want = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-    if crc32(body) != want {
-        return Err(CodecError::CrcMismatch);
-    }
-    let mut cur = body;
-    if take(&mut cur, 4)? != MAGIC_MANIFEST {
-        return Err(CodecError::BadMagic);
-    }
-    let version = u16::from_le_bytes(take(&mut cur, 2)?.try_into().unwrap());
+    let mut cur = Cursor::open(bytes, MAGIC_MANIFEST)?;
+    let version = cur.get_u16("manifest truncated")?;
     if version != MANIFEST_VERSION {
         return Err(CodecError::UnsupportedVersion(version));
     }
-    let total_len = u64::from_le_bytes(take(&mut cur, 8)?.try_into().unwrap());
-    let whole_crc = u32::from_le_bytes(take(&mut cur, 4)?.try_into().unwrap());
-    let count = u32::from_le_bytes(take(&mut cur, 4)?.try_into().unwrap());
-    let mut stripes = Vec::with_capacity(count as usize);
+    let total_len = cur.get_u64("manifest truncated")?;
+    let whole_crc = cur.get_u32("manifest truncated")?;
+    // offset u64 + len u64 + crc u32 per stripe
+    let count = cur.get_len_u32(20, "manifest truncated")?;
+    let mut stripes = Vec::with_capacity(count);
     for _ in 0..count {
-        let offset = u64::from_le_bytes(take(&mut cur, 8)?.try_into().unwrap());
-        let len = u64::from_le_bytes(take(&mut cur, 8)?.try_into().unwrap());
-        let crc = u32::from_le_bytes(take(&mut cur, 4)?.try_into().unwrap());
-        stripes.push(StripeInfo { offset, len, crc });
+        stripes.push(StripeInfo {
+            offset: cur.get_u64("manifest truncated")?,
+            len: cur.get_u64("manifest truncated")?,
+            crc: cur.get_u32("manifest truncated")?,
+        });
     }
-    if !cur.is_empty() {
-        return Err(CodecError::Corrupt("manifest has trailing bytes"));
-    }
+    cur.finish()?;
     Ok(StripeManifest {
         total_len,
         whole_crc,
@@ -195,7 +174,9 @@ pub fn validate(data: &[u8], m: &StripeManifest) -> Result<(), CodecError> {
         if s.offset != next {
             return Err(CodecError::Corrupt("stripes not contiguous"));
         }
-        next = s.offset + s.len;
+        next = next
+            .checked_add(s.len)
+            .ok_or(CodecError::Corrupt("stripe extent overflows"))?;
     }
     if next != m.total_len {
         return Err(CodecError::Corrupt("stripes do not cover data object"));
@@ -337,6 +318,30 @@ mod tests {
         data[600] ^= 0xFF;
         data.truncate(999);
         assert!(validate(&data, &m).is_err());
+    }
+
+    #[test]
+    fn validate_rejects_overflowing_stripe_extents() {
+        // Contiguous by `offset == previous end`, but the second end wraps
+        // u64 back to 0 == total_len: an error, never a panic or a bogus
+        // slice.
+        let m = StripeManifest {
+            total_len: 0,
+            whole_crc: crc32(&[]),
+            stripes: vec![
+                StripeInfo {
+                    offset: 0,
+                    len: u64::MAX,
+                    crc: 0,
+                },
+                StripeInfo {
+                    offset: u64::MAX,
+                    len: 1,
+                    crc: 0,
+                },
+            ],
+        };
+        assert!(validate(&[], &m).is_err());
     }
 
     #[test]

@@ -1,11 +1,27 @@
 //! Property-based tests for the checkpoint codec and store.
 
-use lowdiff_compress::{CompressedGrad, QuantGrad, SparseGrad};
+use lowdiff_compress::{AuxView, CompressedGrad, QuantGrad, SparseGrad};
 use lowdiff_optim::{AdamState, ModelState};
-use lowdiff_storage::codec::{self, DiffEntry};
+use lowdiff_storage::codec::{self, DiffEntry, ValueCodec};
 use lowdiff_storage::{CheckpointStore, MemoryBackend, StorageBackend};
+use lowdiff_testkit::reference;
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// [`codec::encode_diff_batch_into`] over owned entries, into a fresh buffer.
+fn encode_with(entries: &[DiffEntry], value_codec: &ValueCodec) -> Vec<u8> {
+    let mut buf = Vec::new();
+    encode_into(entries, value_codec, &mut buf);
+    buf
+}
+
+fn encode_into(entries: &[DiffEntry], value_codec: &ValueCodec, buf: &mut Vec<u8>) {
+    codec::encode_diff_batch_into(
+        entries.iter().map(|e| (e.iteration, &e.grad)),
+        value_codec,
+        buf,
+    );
+}
 
 fn arb_state() -> impl Strategy<Value = ModelState> {
     (
@@ -94,13 +110,16 @@ proptest! {
             .enumerate()
             .map(|(i, grad)| DiffEntry { iteration: start + i as u64, grad })
             .collect();
-        let v1 = codec::encode_diff_batch_v1(&entries);
+        let v1 = reference::encode_diff_batch(&entries);
         prop_assert_eq!(codec::decode_diff_batch(&v1).unwrap(), entries.clone());
         let v2 = codec::encode_diff_batch(&entries);
         prop_assert_eq!(
             codec::decode_diff_batch(&v1).unwrap(),
             codec::decode_diff_batch(&v2).unwrap()
         );
+        let info = codec::inspect_diff_batch(&v1).unwrap();
+        prop_assert_eq!(info.version, codec::VERSION);
+        prop_assert_eq!(info.entries.len(), entries.len());
     }
 
     /// `encode_*_into` with a dirty reused buffer is byte-identical to a
@@ -117,10 +136,10 @@ proptest! {
             .map(|(i, grad)| DiffEntry { iteration: i as u64, grad })
             .collect();
         let mut buf = junk.clone();
-        codec::encode_diff_batch_into(&entries, &mut buf);
+        encode_into(&entries, &ValueCodec::F32, &mut buf);
         prop_assert_eq!(&buf, &codec::encode_diff_batch(&entries));
         let mut buf = junk;
-        codec::encode_model_state_into(&st, &mut buf);
+        codec::encode_full_checkpoint_into(&st, &AuxView::NONE, &mut buf);
         prop_assert_eq!(&buf, &codec::encode_model_state(&st));
     }
 
@@ -139,28 +158,20 @@ proptest! {
     }
 
     /// The bulk (memcpy) encoder must be byte-identical to the retained
-    /// per-element reference encoder — for v1 full checkpoints and for v1
-    /// diff batches of every representation mix (the reference module
-    /// predates the v2 layouts). This is what let the bulk rewrite ship
-    /// without a format version bump.
+    /// per-element reference encoder: the v2 blob's params / m / v regions
+    /// (at the offsets `full_frame_layout` names) hold exactly the bytes
+    /// the per-element v1 writer puts at the same offsets — v1 and v2
+    /// share the 30-byte header shape. This is what let the bulk rewrite
+    /// ship without a format version bump.
     #[test]
-    fn bulk_encoding_byte_identical_to_reference(
-        st in arb_state(),
-        grads in prop::collection::vec(arb_grad(80), 0..5),
-    ) {
-        prop_assert_eq!(
-            codec::encode_model_state_v1(&st),
-            codec::reference::encode_model_state(&st)
-        );
-        let entries: Vec<DiffEntry> = grads
-            .into_iter()
-            .enumerate()
-            .map(|(i, grad)| DiffEntry { iteration: i as u64, grad })
-            .collect();
-        prop_assert_eq!(
-            codec::encode_diff_batch_v1(&entries),
-            codec::reference::encode_diff_batch(&entries)
-        );
+    fn bulk_encoding_byte_identical_to_reference(st in arb_state()) {
+        let bulk = codec::encode_model_state(&st);
+        let per_element = reference::encode_model_state(&st);
+        let layout = codec::full_frame_layout(st.params.len(), &AuxView::NONE);
+        let regions = layout.params_off..layout.v_off + st.params.len() * 4;
+        prop_assert_eq!(&bulk[regions.clone()], &per_element[regions]);
+        prop_assert_eq!(&bulk[..4], &per_element[..4]);
+        prop_assert_eq!(&bulk[6..layout.params_off], &per_element[6..layout.params_off]);
     }
 
     /// Legacy v1 full-checkpoint blobs keep decoding, flagged lossy; v2
@@ -172,11 +183,14 @@ proptest! {
         ratio in 0.001f64..1.0,
     ) {
         let rng_words = [rng_seed, rng_seed ^ 0xABCD, rng_seed.rotate_left(17), !rng_seed];
-        let v1 = codec::encode_model_state_v1(&st);
+        let v1 = reference::encode_model_state(&st);
         let fc = codec::decode_full_checkpoint(&v1).unwrap();
         prop_assert_eq!(&fc.state, &st);
         prop_assert!(fc.lossy, "v1 must be flagged lossy");
         prop_assert!(fc.aux.is_empty());
+        prop_assert_eq!(fc.version, codec::VERSION);
+        prop_assert_eq!(&codec::decode_model_state(&v1).unwrap(), &st);
+        prop_assert_eq!(&reference::decode_model_state(&v1).unwrap(), &st);
 
         let aux = lowdiff_compress::AuxState {
             residual: Some(st.params.iter().map(|p| p * 0.5).collect()),
@@ -259,9 +273,7 @@ proptest! {
             adaptive: false,
             floor_bits: bits,
         });
-        let mut buf = Vec::new();
-        codec::encode_diff_batch_cfg_into(&entries, &q, &mut buf);
-        let back = codec::decode_diff_batch(&buf).unwrap();
+        let back = codec::decode_diff_batch(&encode_with(&entries, &q)).unwrap();
         let got = &back[0].grad.as_sparse().unwrap().values;
 
         let mut expect = Vec::with_capacity(n);
@@ -293,13 +305,12 @@ proptest! {
             .enumerate()
             .map(|(i, grad)| DiffEntry { iteration: start + i as u64, grad })
             .collect();
-        let v1 = codec::encode_diff_batch_v1(&entries);
+        let v1 = reference::encode_diff_batch(&entries);
         let v2 = codec::encode_diff_batch(&entries);
         let q = codec::ValueCodec::Quantized(codec::QuantizedValues {
             bits: 8, max_err: 0.0, adaptive: false, floor_bits: 8,
         });
-        let mut v3 = Vec::new();
-        codec::encode_diff_batch_cfg_into(&entries, &q, &mut v3);
+        let v3 = encode_with(&entries, &q);
         prop_assert_eq!(codec::decode_diff_batch(&v1).unwrap(), entries.clone());
         prop_assert_eq!(codec::decode_diff_batch(&v2).unwrap(), entries.clone());
         let d3 = codec::decode_diff_batch(&v3).unwrap();
@@ -321,7 +332,7 @@ proptest! {
         }
     }
 
-    /// The v3 cfg encoder with a dirty reused buffer is byte-identical to a
+    /// The v3 encoder with a dirty reused buffer is byte-identical to a
     /// fresh encode — pooled-buffer reuse never leaks a stale suffix.
     #[test]
     fn v3_encode_into_never_leaks_stale_bytes(
@@ -339,10 +350,8 @@ proptest! {
             bits, max_err: 0.0, adaptive: false, floor_bits: bits,
         });
         let mut buf = junk;
-        codec::encode_diff_batch_cfg_into(&entries, &q, &mut buf);
-        let mut fresh = Vec::new();
-        codec::encode_diff_batch_cfg_into(&entries, &q, &mut fresh);
-        prop_assert_eq!(buf, fresh);
+        encode_into(&entries, &q, &mut buf);
+        prop_assert_eq!(buf, encode_with(&entries, &q));
     }
 
     /// Store discovery: the latest valid full checkpoint is always the one
@@ -369,4 +378,30 @@ proptest! {
         let got = store.latest_valid_full().unwrap().map(|s| s.iteration);
         prop_assert_eq!(got, expected);
     }
+}
+
+/// 1% density over 100k elements: gaps ≈ 100 fit one varint byte, so the
+/// v2 delta encoding is well under the v1 raw-index layout.
+#[test]
+fn v2_sparse_smaller_than_v1() {
+    let mut rng = lowdiff_util::DetRng::new(77);
+    let n = 100_000usize;
+    let indices: Vec<u32> = (0..n as u32)
+        .filter(|_| rng.next_u64().is_multiple_of(100))
+        .collect();
+    let values: Vec<f32> = indices.iter().map(|&i| i as f32 * 0.5).collect();
+    let entries = vec![DiffEntry {
+        iteration: 42,
+        grad: CompressedGrad::Sparse(SparseGrad::new(n, indices, values)),
+    }];
+    let v2 = codec::encode_diff_batch(&entries);
+    let v1 = reference::encode_diff_batch(&entries);
+    assert_eq!(codec::decode_diff_batch(&v2).unwrap(), entries);
+    assert_eq!(codec::decode_diff_batch(&v1).unwrap(), entries);
+    assert!(
+        (v2.len() as f64) < 0.7 * v1.len() as f64,
+        "v2 ({}) should be well under v1 ({})",
+        v2.len(),
+        v1.len()
+    );
 }

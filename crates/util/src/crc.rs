@@ -8,8 +8,9 @@
 //! tables let the hasher consume 8 input bytes per iteration instead of 1,
 //! which matters now that the bulk codec hands it whole multi-hundred-MB
 //! checkpoint buffers in one call. Output is identical to the classic
-//! byte-at-a-time table walk ([`crc32_bytewise`], kept as the reference
-//! implementation for equivalence tests and benchmarks).
+//! byte-at-a-time table walk (`crc32_bytewise` in the dev-only
+//! `lowdiff-testkit` crate, the oracle for equivalence tests and
+//! benchmarks).
 
 /// Lazily-built slicing-by-8 tables (reflected polynomial 0xEDB88320).
 /// `tables()[0]` is the classic single-byte table.
@@ -44,18 +45,6 @@ pub fn crc32(data: &[u8]) -> u32 {
     let mut h = Hasher::new();
     h.update(data);
     h.finalize()
-}
-
-/// Reference byte-at-a-time implementation. Slower; exists so tests can
-/// assert the slicing-by-8 path is a pure speedup, and so `bench_hotpath`
-/// has a baseline to time against.
-pub fn crc32_bytewise(data: &[u8]) -> u32 {
-    let t = &tables()[0];
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = t[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
 }
 
 /// Streaming CRC32 hasher for data produced in chunks (the checkpoint codec
@@ -129,25 +118,6 @@ mod tests {
             h.update(chunk);
         }
         assert_eq!(h.finalize(), crc32(&data));
-    }
-
-    #[test]
-    fn sliced_matches_bytewise_all_alignments() {
-        // Slicing-by-8 must agree with the byte-at-a-time reference for
-        // every length mod 8 and every starting offset.
-        let data: Vec<u8> = (0..4096u32)
-            .map(|x| (x.wrapping_mul(2654435761) >> 24) as u8)
-            .collect();
-        for start in 0..8 {
-            for len in [0usize, 1, 7, 8, 9, 63, 64, 65, 1000, 4000] {
-                let slice = &data[start..(start + len).min(data.len())];
-                assert_eq!(
-                    crc32(slice),
-                    crc32_bytewise(slice),
-                    "start={start} len={len}"
-                );
-            }
-        }
     }
 
     #[test]

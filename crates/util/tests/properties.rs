@@ -1,8 +1,28 @@
 //! Property-based tests for utility invariants.
 
+use lowdiff_testkit::reference::crc32_bytewise;
 use lowdiff_util::par::chunk_ranges;
 use lowdiff_util::{crc32, DetRng};
 use proptest::prelude::*;
+
+/// Slicing-by-8 must agree with the byte-at-a-time reference for every
+/// length mod 8 and every starting offset.
+#[test]
+fn crc_sliced_matches_bytewise_all_alignments() {
+    let data: Vec<u8> = (0..4096u32)
+        .map(|x| (x.wrapping_mul(2654435761) >> 24) as u8)
+        .collect();
+    for start in 0..8 {
+        for len in [0usize, 1, 7, 8, 9, 63, 64, 65, 1000, 4000] {
+            let slice = &data[start..(start + len).min(data.len())];
+            assert_eq!(
+                crc32(slice),
+                crc32_bytewise(slice),
+                "start={start} len={len}"
+            );
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]

@@ -16,6 +16,10 @@
 #                            replay kernel must equal its diff-by-diff
 #                            oracle, and every resume entry point each
 #                            other, at any pool width
+# 3d. storage decoders (release) — the hostile-blob regressions and the
+#                            decoder mutation suite again in release,
+#                            where unchecked length arithmetic would wrap
+#                            silently instead of panicking as in debug
 # 4. crash-torture smoke   — the fast subset of the crash/resume matrix,
 #                            including whole-rank-loss cells recovered
 #                            from peer replicas alone
@@ -71,6 +75,10 @@ LOWDIFF_NUM_THREADS=4 cargo test -q -p lowdiff-compress
 echo "== recovery @1/@4 threads =="
 LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff recovery
 LOWDIFF_NUM_THREADS=4 cargo test -q -p lowdiff recovery
+
+echo "== storage decoders (release) =="
+cargo test --release -q -p lowdiff-storage --test hostile_blobs
+cargo test --release -q -p lowdiff-storage --test decoder_mutations
 
 echo "== crash-torture smoke =="
 # Fast subset of the crash-point torture matrix (tests/crash_torture.rs):

@@ -27,7 +27,7 @@ use lowdiff_model::builders::mlp;
 use lowdiff_model::data::Regression;
 use lowdiff_model::loss::mse;
 use lowdiff_optim::{Adam, ModelState};
-use lowdiff_storage::codec::{self, DiffEntry};
+use lowdiff_storage::codec::DiffEntry;
 use lowdiff_storage::{stripe, CheckpointStore, MemoryBackend, StripeCfg};
 use lowdiff_util::DetRng;
 use proptest::prelude::*;
@@ -436,7 +436,7 @@ fn check_mixed_version_chain(seed: u64, psi: usize, iters: u64, batch: usize) {
     for (k, chunk) in entries.chunks(batch.max(1)).enumerate() {
         if k % 2 == 0 {
             // Legacy writer: raw little-endian u32 index lists (v1).
-            let bytes = codec::encode_diff_batch_v1(chunk);
+            let bytes = lowdiff_testkit::reference::encode_diff_batch(chunk);
             store
                 .put_diff_batch_bytes(chunk[0].iteration, chunk.last().unwrap().iteration, &bytes)
                 .unwrap();
