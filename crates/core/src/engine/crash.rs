@@ -92,6 +92,11 @@ pub struct CrashInjector {
     /// Remaining occurrences of `point` before the crash fires.
     countdown: AtomicU64,
     crashed: AtomicBool,
+    /// Times execution reached each point (indexed by `CrashPoint as
+    /// usize`), armed or not: the torture matrix addresses cells by
+    /// occurrence number, so tests pin these counts per persist path.
+    #[cfg(test)]
+    reached: [AtomicU64; ALL_CRASH_POINTS.len()],
 }
 
 impl CrashInjector {
@@ -102,7 +107,15 @@ impl CrashInjector {
             point,
             countdown: AtomicU64::new(nth),
             crashed: AtomicBool::new(false),
+            #[cfg(test)]
+            reached: Default::default(),
         })
+    }
+
+    /// How many times execution has reached `point` so far.
+    #[cfg(test)]
+    pub(crate) fn reached(&self, point: CrashPoint) -> u64 {
+        self.reached[point as usize].load(Ordering::SeqCst)
     }
 
     /// Has the crash fired yet?
@@ -119,6 +132,8 @@ impl CrashInjector {
     /// is the armed point's n-th occurrence — the caller must then die
     /// (stop doing work) at its stage boundary.
     pub fn hit(&self, point: CrashPoint) -> bool {
+        #[cfg(test)]
+        self.reached[point as usize].fetch_add(1, Ordering::SeqCst);
         if point != self.point || self.crashed() {
             return false;
         }
@@ -147,6 +162,9 @@ mod tests {
         assert!(c.hit(CrashPoint::PostEncode), "3rd occurrence fires");
         assert!(c.crashed());
         assert!(!c.hit(CrashPoint::PostEncode), "dead stays dead");
+        assert_eq!(c.reached(CrashPoint::PostEncode), 4, "every visit counts");
+        assert_eq!(c.reached(CrashPoint::MidPersist), 1);
+        assert_eq!(c.reached(CrashPoint::MidStripe), 0);
     }
 
     #[test]
