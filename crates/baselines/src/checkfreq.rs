@@ -22,7 +22,7 @@ use lowdiff::engine::{
 use lowdiff::strategy::{CheckpointStrategy, StrategyStats};
 use lowdiff_compress::AuxView;
 use lowdiff_optim::ModelState;
-use lowdiff_storage::{CheckpointStore, RetryPolicy};
+use lowdiff_storage::CheckpointStore;
 use lowdiff_util::units::Secs;
 use std::sync::Arc;
 use std::time::Instant;
@@ -70,18 +70,7 @@ pub struct CheckFreqStrategy {
 
 impl CheckFreqStrategy {
     pub fn new(store: Arc<CheckpointStore>, every: u64) -> Self {
-        Self::with_retry_policy(store, every, RetryPolicy::default())
-    }
-
-    pub fn with_retry_policy(store: Arc<CheckpointStore>, every: u64, retry: RetryPolicy) -> Self {
-        Self::with_engine_config(
-            store,
-            every,
-            EngineConfig {
-                retry,
-                ..EngineConfig::default()
-            },
-        )
+        Self::with_engine_config(store, every, EngineConfig::default())
     }
 
     /// Full-control constructor (crash injection, health export, …). The
@@ -213,13 +202,16 @@ mod tests {
         let st = Arc::new(CheckpointStore::new(
             Arc::clone(&faulty) as Arc<dyn StorageBackend>
         ));
-        let mut s = CheckFreqStrategy::with_retry_policy(
+        let mut s = CheckFreqStrategy::with_engine_config(
             Arc::clone(&st),
             1,
-            lowdiff_storage::RetryPolicy {
-                max_retries: 1,
-                base_delay: std::time::Duration::from_micros(100),
-                max_delay: std::time::Duration::from_micros(500),
+            EngineConfig {
+                retry: lowdiff_storage::RetryPolicy {
+                    max_retries: 1,
+                    base_delay: std::time::Duration::from_micros(100),
+                    max_delay: std::time::Duration::from_micros(500),
+                },
+                ..EngineConfig::default()
             },
         );
         let mut state = ModelState::new(vec![0.0; 16]);

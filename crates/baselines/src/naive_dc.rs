@@ -28,7 +28,7 @@ use lowdiff_compress::sparsify::TopK;
 use lowdiff_compress::{AuxView, Compressor};
 use lowdiff_optim::ModelState;
 use lowdiff_storage::codec::DiffEntry;
-use lowdiff_storage::{CheckpointStore, RetryPolicy};
+use lowdiff_storage::CheckpointStore;
 use lowdiff_util::units::Secs;
 use std::sync::Arc;
 use std::time::Instant;
@@ -169,26 +169,7 @@ pub struct NaiveDcStrategy {
 
 impl NaiveDcStrategy {
     pub fn new(store: Arc<CheckpointStore>, diff_every: u64, full_every: u64, rho: f64) -> Self {
-        Self::with_retry_policy(store, diff_every, full_every, rho, RetryPolicy::default())
-    }
-
-    pub fn with_retry_policy(
-        store: Arc<CheckpointStore>,
-        diff_every: u64,
-        full_every: u64,
-        rho: f64,
-        retry: RetryPolicy,
-    ) -> Self {
-        Self::with_engine_config(
-            store,
-            diff_every,
-            full_every,
-            rho,
-            EngineConfig {
-                retry,
-                ..EngineConfig::default()
-            },
-        )
+        Self::with_engine_config(store, diff_every, full_every, rho, EngineConfig::default())
     }
 
     /// Full-control constructor (crash injection, retry tuning, …). The
@@ -417,15 +398,18 @@ mod tests {
         ));
         let adam = Adam::default();
         let mut state = ModelState::new(vec![0.5; 64]);
-        let mut s = NaiveDcStrategy::with_retry_policy(
+        let mut s = NaiveDcStrategy::with_engine_config(
             Arc::clone(&st),
             1,
             1000,
             0.5,
-            lowdiff_storage::RetryPolicy {
-                max_retries: 1,
-                base_delay: std::time::Duration::from_micros(100),
-                max_delay: std::time::Duration::from_micros(500),
+            EngineConfig {
+                retry: lowdiff_storage::RetryPolicy {
+                    max_retries: 1,
+                    base_delay: std::time::Duration::from_micros(100),
+                    max_delay: std::time::Duration::from_micros(500),
+                },
+                ..EngineConfig::default()
             },
         );
         s.after_update(&state, &AuxView::NONE); // iteration 0: base full

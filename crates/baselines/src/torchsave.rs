@@ -7,7 +7,7 @@ use lowdiff::engine::{
 use lowdiff::strategy::{CheckpointStrategy, StrategyStats};
 use lowdiff_compress::AuxView;
 use lowdiff_optim::ModelState;
-use lowdiff_storage::{CheckpointStore, RetryPolicy};
+use lowdiff_storage::CheckpointStore;
 use lowdiff_util::units::Secs;
 use std::sync::Arc;
 use std::time::Instant;
@@ -62,14 +62,7 @@ pub struct TorchSaveStrategy {
 
 impl TorchSaveStrategy {
     pub fn new(store: Arc<CheckpointStore>, every: u64) -> Self {
-        Self::with_engine_config(
-            store,
-            every,
-            EngineConfig {
-                retry: RetryPolicy::default(),
-                ..EngineConfig::default()
-            },
-        )
+        Self::with_engine_config(store, every, EngineConfig::default())
     }
 
     /// Full-control constructor (crash injection, retry tuning, …). The

@@ -400,8 +400,11 @@ fn main() {
             LowDiffConfig {
                 full_every: 10,
                 batch_size: 4,
-                stripe,
-                snapshot: row_mode,
+                engine: EngineConfig {
+                    stripe,
+                    snapshot: row_mode,
+                    ..EngineConfig::default()
+                },
                 ..LowDiffConfig::default()
             },
         );
@@ -433,8 +436,7 @@ fn main() {
             LowDiffConfig {
                 full_every: 10,
                 batch_size: 4,
-                stripe,
-                snapshot,
+                engine: ecfg(),
                 ..LowDiffConfig::default()
             },
             net,
@@ -472,9 +474,8 @@ fn main() {
             LowDiffConfig {
                 full_every: 10,
                 batch_size: 4,
-                stripe,
-                snapshot,
                 value_codec: ValueCodec::Quantized(quant_cfg),
+                engine: ecfg(),
                 ..LowDiffConfig::default()
             },
         );
@@ -506,7 +507,10 @@ fn main() {
             LowDiffPlusConfig {
                 persist_every: 10,
                 snapshot_threads: 2,
-                stripe,
+                engine: EngineConfig {
+                    stripe,
+                    ..EngineConfig::default()
+                },
                 ..LowDiffPlusConfig::default()
             },
             initial.clone(),

@@ -4,7 +4,7 @@
 
 use lowdiff::lowdiff::{LowDiffConfig, LowDiffStrategy};
 use lowdiff::trainer::{Trainer, TrainerConfig};
-use lowdiff::SnapshotMode;
+use lowdiff::{EngineConfig, SnapshotMode};
 use lowdiff_model::builders::mlp;
 use lowdiff_model::data::Regression;
 use lowdiff_model::loss::mse;
@@ -28,7 +28,10 @@ fn main() {
             // Incremental COW capture: the demo directory's health blob
             // shows the capture stage + chunk accounting in `lowdiff-ctl
             // health`.
-            snapshot: SnapshotMode::Incremental,
+            engine: EngineConfig {
+                snapshot: SnapshotMode::Incremental,
+                ..EngineConfig::default()
+            },
             ..LowDiffConfig::default()
         },
     );

@@ -11,6 +11,7 @@ use lowdiff_cluster::rt::worker::{reference_state, shard_digest};
 use lowdiff_storage::shard::stitch_fulls;
 use lowdiff_storage::{CheckpointStore, DiskBackend};
 use std::io::{BufRead, BufReader};
+use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
@@ -31,8 +32,40 @@ fn store_at(dir: &Path) -> Arc<CheckpointStore> {
     )))
 }
 
-fn spawn_coordinator(dir: &Path) -> (Child, String) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_lowdiff-coordinator"))
+/// A spawned coordinator or worker that is killed and reaped when the
+/// guard drops, so a failing assertion never leaves the process running.
+struct Reaped(Option<Child>);
+
+impl Reaped {
+    fn into_child(mut self) -> Child {
+        self.0.take().expect("child present until taken")
+    }
+}
+
+impl Deref for Reaped {
+    type Target = Child;
+    fn deref(&self) -> &Child {
+        self.0.as_ref().expect("child present until taken")
+    }
+}
+
+impl DerefMut for Reaped {
+    fn deref_mut(&mut self) -> &mut Child {
+        self.0.as_mut().expect("child present until taken")
+    }
+}
+
+impl Drop for Reaped {
+    fn drop(&mut self) {
+        if let Some(child) = &mut self.0 {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+fn spawn_coordinator(dir: &Path) -> (Reaped, String) {
+    let spawned = Command::new(env!("CARGO_BIN_EXE_lowdiff-coordinator"))
         .args([
             "--listen",
             "127.0.0.1:0",
@@ -48,8 +81,8 @@ fn spawn_coordinator(dir: &Path) -> (Child, String) {
             "20000",
         ])
         .stdout(Stdio::piped())
-        .spawn()
-        .expect("spawn coordinator");
+        .spawn();
+    let mut child = Reaped(Some(spawned.expect("spawn coordinator")));
     let stdout = child.stdout.take().unwrap();
     let mut line = String::new();
     BufReader::new(stdout).read_line(&mut line).unwrap();
@@ -61,7 +94,7 @@ fn spawn_coordinator(dir: &Path) -> (Child, String) {
     (child, addr)
 }
 
-fn spawn_worker(coord: &str, dir: &Path, rank: u32, resume: bool, step_delay_ms: u64) -> Child {
+fn spawn_worker(coord: &str, dir: &Path, rank: u32, resume: bool, step_delay_ms: u64) -> Reaped {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_lowdiff-worker"));
     cmd.args([
         "--coord",
@@ -96,7 +129,7 @@ fn spawn_worker(coord: &str, dir: &Path, rank: u32, resume: bool, step_delay_ms:
     if resume {
         cmd.arg("--resume");
     }
-    cmd.spawn().expect("spawn worker")
+    Reaped(Some(cmd.spawn().expect("spawn worker")))
 }
 
 /// Poll until the global store holds a sealed manifest (any iteration),
@@ -115,8 +148,8 @@ fn wait_for_global_seal(global: &CheckpointStore, deadline: Duration) -> u64 {
     }
 }
 
-fn finished_report(child: Child, who: &str) -> (i32, String) {
-    let out = child.wait_with_output().expect("worker exit");
+fn finished_report(child: Reaped, who: &str) -> (i32, String) {
+    let out = child.into_child().wait_with_output().expect("worker exit");
     let code = out.status.code().unwrap_or(-1);
     let stdout = String::from_utf8_lossy(&out.stdout).to_string();
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -159,7 +192,7 @@ fn kill_one_rank_then_resume_is_bit_identical_to_the_unkilled_run() {
     }
 
     // Phase 2: relaunch all three ranks in resume mode (full speed).
-    let resumed: Vec<Child> = (0..WORLD)
+    let resumed: Vec<Reaped> = (0..WORLD)
         .map(|r| spawn_worker(&addr, &dir, r, true, 0))
         .collect();
     for (r, child) in resumed.into_iter().enumerate() {

@@ -58,7 +58,6 @@ use crossbeam::channel::{
 };
 use lowdiff_compress::AuxView;
 use lowdiff_optim::ModelState;
-use lowdiff_storage::codec::ValueCodec;
 use lowdiff_storage::{CheckpointStore, RetryPolicy, StripeCfg};
 use lowdiff_util::units::Secs;
 use lowdiff_util::BufferPool;
@@ -224,11 +223,6 @@ pub struct EngineConfig {
     /// Deterministic crash-point injection (torture tests). `None` in
     /// production: every check is a no-op.
     pub crash: Option<Arc<CrashInjector>>,
-    /// Value-plane encoding for differential batches written through
-    /// [`EngineCtx::persist_diff_entries`]: raw f32 (v2, bit-exact) or
-    /// per-chunk quantized (v3, bounded-lossy). The default keeps every
-    /// existing path byte-identical.
-    pub value_codec: ValueCodec,
     /// Full-state capture mode for `submit_full` (blocking copy vs
     /// incremental copy-on-write). See [`SnapshotMode`].
     pub snapshot: SnapshotMode,
@@ -242,7 +236,6 @@ impl Default for EngineConfig {
             export_health: true,
             stripe: StripeCfg::default(),
             crash: None,
-            value_codec: ValueCodec::F32,
             snapshot: SnapshotMode::default(),
         }
     }
@@ -262,27 +255,56 @@ enum WorkerMsg {
     Ctl(PolicyCtl),
 }
 
+/// What the training-side engine handle and its checkpointing thread
+/// share: the stats ledger, the stage metrics, the re-anchor flag and the
+/// recycle pools. [`Self::ctx`] is the one place an [`EngineCtx`] is built.
+struct EngineShared {
+    stats: Mutex<StrategyStats>,
+    metrics: EngineMetrics,
+    force_full: AtomicBool,
+    buffers: BufferPool<u8>,
+    snaps: SnapshotSlots,
+    cow: cow::CowTickets,
+}
+
+impl EngineShared {
+    fn new(snaps: SnapshotSlots, cow: cow::CowTickets) -> Arc<Self> {
+        Arc::new(Self {
+            stats: Mutex::new(StrategyStats::default()),
+            metrics: EngineMetrics::default(),
+            force_full: AtomicBool::new(false),
+            buffers: BufferPool::default(),
+            snaps,
+            cow,
+        })
+    }
+
+    fn ctx<'a>(&'a self, cfg: &'a EngineConfig) -> EngineCtx<'a> {
+        EngineCtx {
+            retry: &cfg.retry,
+            stripe: &cfg.stripe,
+            shared: &self.stats,
+            force_full: &self.force_full,
+            metrics: &self.metrics,
+            buffers: &self.buffers,
+            snaps: &self.snaps,
+            cow: &self.cow,
+            crash: cfg.crash.as_deref(),
+        }
+    }
+}
+
 /// The staged checkpoint pipeline. One per strategy instance.
 pub struct CheckpointEngine {
     name: &'static str,
     store: Arc<CheckpointStore>,
-    retry: RetryPolicy,
-    stripe: StripeCfg,
-    shared: Arc<Mutex<StrategyStats>>,
-    metrics: Arc<EngineMetrics>,
-    force_full: Arc<AtomicBool>,
-    buffers: Arc<BufferPool<u8>>,
-    snaps: Arc<SnapshotSlots>,
-    cow: Arc<cow::CowTickets>,
-    snapshot_mode: SnapshotMode,
+    cfg: EngineConfig,
+    shared: Arc<EngineShared>,
     /// The newest in-flight incremental capture, until the adapter picks
     /// it up via [`Self::take_pending_capture`] to drive the COW hooks.
     pending: Option<Arc<CowTicket>>,
-    crash: Option<Arc<CrashInjector>>,
-    value_codec: ValueCodec,
     stall: Secs,
     backpressure: u64,
-    export_health: bool,
     // Async mode:
     job_tx: Option<Sender<Job>>,
     ctl_tx: Option<Sender<WorkerMsg>>,
@@ -301,73 +323,37 @@ impl CheckpointEngine {
     ) -> Self {
         assert!(cfg.queue_capacity >= 1, "queue capacity must be >= 1");
         let name = policy.name();
-        let shared = Arc::new(Mutex::new(StrategyStats::default()));
-        let metrics = Arc::new(EngineMetrics::default());
-        metrics.set_capacity(cfg.queue_capacity as u64);
-        let force_full = Arc::new(AtomicBool::new(false));
-        let buffers = Arc::new(BufferPool::default());
-        // Worker slot + queued slots + the one the trainer is refilling.
-        let snaps = Arc::new(SnapshotSlots::new(cfg.queue_capacity + 2, true));
-        // COW tickets need one slot more than the snapshot pool: the
-        // worker frees its queue slot (unblocking the next submit) before
-        // the persist completes and releases its ticket, and the trainer's
-        // capture guard pins the newest ticket besides — at saturation
-        // `queue_capacity + 2` tickets are simultaneously in flight, so
-        // one extra keeps the pool from running dry (a dry pool means a
-        // cold Ψ-sized allocation on the training thread).
-        let cow = Arc::new(cow::CowTickets::new(cfg.queue_capacity + 3));
+        let shared = EngineShared::new(
+            // Worker slot + queued slots + the one the trainer is refilling.
+            SnapshotSlots::new(cfg.queue_capacity + 2, true),
+            // COW tickets need one slot more than the snapshot pool: the
+            // worker frees its queue slot (unblocking the next submit)
+            // before the persist completes and releases its ticket, and
+            // the trainer's capture guard pins the newest ticket besides —
+            // at saturation `queue_capacity + 2` tickets are
+            // simultaneously in flight, so one extra keeps the pool from
+            // running dry (a dry pool means a cold Ψ-sized allocation on
+            // the training thread).
+            cow::CowTickets::new(cfg.queue_capacity + 3),
+        );
+        shared.metrics.set_capacity(cfg.queue_capacity as u64);
         let (job_tx, job_rx) = bounded(cfg.queue_capacity);
         let (ctl_tx, ctl_rx) = unbounded();
         let worker = {
-            let shared = Arc::clone(&shared);
-            let metrics = Arc::clone(&metrics);
-            let force_full = Arc::clone(&force_full);
-            let buffers = Arc::clone(&buffers);
-            let snaps = Arc::clone(&snaps);
-            let cow = Arc::clone(&cow);
-            let crash = cfg.crash.clone();
-            let retry = cfg.retry;
-            let stripe = cfg.stripe;
-            let value_codec = cfg.value_codec;
+            let (cfg, shared) = (cfg.clone(), Arc::clone(&shared));
             std::thread::Builder::new()
                 .name(format!("ckpt-engine-{name}"))
-                .spawn(move || {
-                    worker_loop(
-                        Box::new(policy),
-                        job_rx,
-                        ctl_rx,
-                        retry,
-                        stripe,
-                        value_codec,
-                        shared,
-                        force_full,
-                        metrics,
-                        buffers,
-                        snaps,
-                        cow,
-                        crash,
-                    )
-                })
+                .spawn(move || worker_loop(Box::new(policy), job_rx, ctl_rx, cfg, shared))
                 .expect("spawn checkpointing thread")
         };
         Self {
             name,
             store,
-            retry: cfg.retry,
-            stripe: cfg.stripe,
+            cfg,
             shared,
-            metrics,
-            force_full,
-            buffers,
-            snaps,
-            cow,
-            snapshot_mode: cfg.snapshot,
             pending: None,
-            crash: cfg.crash,
-            value_codec: cfg.value_codec,
             stall: Secs::ZERO,
             backpressure: 0,
-            export_health: cfg.export_health,
             job_tx: Some(job_tx),
             ctl_tx: Some(ctl_tx),
             worker: Some(worker),
@@ -385,26 +371,20 @@ impl CheckpointEngine {
         Self {
             name: policy.name(),
             store,
-            retry: cfg.retry,
-            stripe: cfg.stripe,
-            shared: Arc::new(Mutex::new(StrategyStats::default())),
-            metrics: Arc::new(EngineMetrics::default()),
-            force_full: Arc::new(AtomicBool::new(false)),
-            buffers: Arc::new(BufferPool::default()),
-            // Inline engines recycle the slot before submit returns: a
-            // single slot double-buffers against nothing and suffices.
-            snaps: Arc::new(SnapshotSlots::new(1, false)),
-            // COW tickets need one extra slot: the trainer's capture guard
-            // pins the previous ticket until the next full replaces it, so
-            // two tickets alternate even though persists are inline.
-            cow: Arc::new(cow::CowTickets::new(2)),
-            snapshot_mode: cfg.snapshot,
+            cfg,
+            shared: EngineShared::new(
+                // Inline engines recycle the slot before submit returns: a
+                // single slot double-buffers against nothing and suffices.
+                SnapshotSlots::new(1, false),
+                // COW tickets need one extra slot: the trainer's capture
+                // guard pins the previous ticket until the next full
+                // replaces it, so two tickets alternate even though
+                // persists are inline.
+                cow::CowTickets::new(2),
+            ),
             pending: None,
-            crash: cfg.crash,
-            value_codec: cfg.value_codec,
             stall: Secs::ZERO,
             backpressure: 0,
-            export_health: cfg.export_health,
             job_tx: None,
             ctl_tx: None,
             worker: None,
@@ -422,8 +402,8 @@ impl CheckpointEngine {
     /// anchors don't pay the pool's allocation and page-fault cost on the
     /// training thread. Idempotent; a no-op in blocking mode.
     pub fn prime_capture(&self, state: &ModelState, aux: &AuxView<'_>) {
-        if self.snapshot_mode == SnapshotMode::Incremental {
-            self.cow.prime(state, aux);
+        if self.cfg.snapshot == SnapshotMode::Incremental {
+            self.shared.cow.prime(state, aux);
         }
     }
 
@@ -437,7 +417,7 @@ impl CheckpointEngine {
     /// Has an armed crash injector fired? A crashed engine is a dead
     /// process: every subsequent operation is a no-op.
     fn crash_dead(&self) -> bool {
-        self.crash.as_ref().is_some_and(|c| c.crashed())
+        self.cfg.crash.as_ref().is_some_and(|c| c.crashed())
     }
 
     /// Submit a full snapshot of `state` + auxiliary training state (EF
@@ -459,12 +439,12 @@ impl CheckpointEngine {
                 delivered: false,
             };
         }
-        match self.snapshot_mode {
+        match self.cfg.snapshot {
             SnapshotMode::Blocking => {
                 // Every slot in flight means the store is a pool's depth
                 // of fulls behind: wait one out. Like the queue-full wait
                 // in `submit`, that is backpressure, not snapshot work.
-                let (slot, waited) = self.snaps.get(state, aux);
+                let (slot, waited) = self.shared.snaps.get(state, aux);
                 if !waited.is_zero() {
                     self.backpressure += 1;
                 }
@@ -476,7 +456,7 @@ impl CheckpointEngine {
                 self.submit_after(since, waited, Job::Full(slot))
             }
             SnapshotMode::Incremental => {
-                let mut ticket = self.cow.get_primed(state, aux);
+                let mut ticket = self.shared.cow.get_primed(state, aux);
                 Arc::get_mut(&mut ticket)
                     .expect("pooled COW ticket must be exclusive")
                     .reset(state, aux);
@@ -494,7 +474,7 @@ impl CheckpointEngine {
     /// The worker is gone: checkpointing stops advancing; training
     /// continues.
     fn undelivered(&mut self, since: Instant) -> Submitted {
-        self.shared.lock().degraded = true;
+        self.shared.stats.lock().degraded = true;
         let stall = Secs(since.elapsed().as_secs_f64());
         self.stall += stall;
         Submitted {
@@ -522,7 +502,7 @@ impl CheckpointEngine {
     /// the time since `since` on backpressure: part of the stall, not of
     /// the snapshot stage.
     fn submit_after(&mut self, since: Instant, waited: Duration, job: Job) -> Submitted {
-        if let Some(c) = &self.crash {
+        if let Some(c) = &self.cfg.crash {
             // A PreSnapshot crash kills the training process before the
             // job enters the pipeline; once crashed, nothing else lands.
             if c.crashed() || c.hit(CrashPoint::PreSnapshot) {
@@ -538,7 +518,8 @@ impl CheckpointEngine {
             // still part of the returned stall), not snapshot work —
             // folding it in would mask the capture-cost signal this stage
             // exists to expose.
-            self.metrics
+            self.shared
+                .metrics
                 .snapshot
                 .record(since.elapsed().saturating_sub(waited));
             match tx.try_send(job) {
@@ -553,20 +534,8 @@ impl CheckpointEngine {
                 Err(TrySendError::Disconnected(_)) => false,
             }
         } else if let Some(policy) = &mut self.policy {
-            self.metrics.snapshot.record(since.elapsed());
-            let mut cx = EngineCtx {
-                retry: &self.retry,
-                stripe: &self.stripe,
-                shared: &self.shared,
-                force_full: &self.force_full,
-                metrics: &self.metrics,
-                buffers: &self.buffers,
-                snaps: &self.snaps,
-                cow: &self.cow,
-                crash: self.crash.as_deref(),
-                value_codec: &self.value_codec,
-            };
-            policy.process(job, &mut cx);
+            self.shared.metrics.snapshot.record(since.elapsed());
+            policy.process(job, &mut self.shared.ctx(&self.cfg));
             let stall = Secs(since.elapsed().as_secs_f64());
             self.stall += stall;
             return Submitted {
@@ -577,7 +546,7 @@ impl CheckpointEngine {
             false
         };
         if let Some(tx) = &self.job_tx {
-            self.metrics.note_depth(tx.len() as u64);
+            self.shared.metrics.note_depth(tx.len() as u64);
         }
         if !delivered {
             return self.undelivered(since);
@@ -594,7 +563,7 @@ impl CheckpointEngine {
     /// `submit` (LowDiff+'s layer-wise staging).
     pub fn note_stall(&mut self, since: Instant) -> Secs {
         let d = since.elapsed();
-        self.metrics.snapshot.record(d);
+        self.shared.metrics.snapshot.record(d);
         let stall = Secs(d.as_secs_f64());
         self.stall += stall;
         stall
@@ -612,22 +581,10 @@ impl CheckpointEngine {
             let (ack_tx, ack_rx) = unbounded();
             let delivered = tx.send(WorkerMsg::Flush(ack_tx)).is_ok();
             if !delivered || ack_rx.recv().is_err() {
-                self.shared.lock().degraded = true;
+                self.shared.stats.lock().degraded = true;
             }
         } else if let Some(policy) = &mut self.policy {
-            let mut cx = EngineCtx {
-                retry: &self.retry,
-                stripe: &self.stripe,
-                shared: &self.shared,
-                force_full: &self.force_full,
-                metrics: &self.metrics,
-                buffers: &self.buffers,
-                snaps: &self.snaps,
-                cow: &self.cow,
-                crash: self.crash.as_deref(),
-                value_codec: &self.value_codec,
-            };
-            policy.flush(&mut cx);
+            policy.flush(&mut self.shared.ctx(&self.cfg));
         }
         self.export_health();
         let stall = Secs(t0.elapsed().as_secs_f64());
@@ -639,39 +596,27 @@ impl CheckpointEngine {
     pub fn control(&mut self, ctl: PolicyCtl) {
         if let Some(tx) = &self.ctl_tx {
             if tx.send(WorkerMsg::Ctl(ctl)).is_err() {
-                self.shared.lock().degraded = true;
+                self.shared.stats.lock().degraded = true;
             }
         } else if let Some(policy) = &mut self.policy {
-            let mut cx = EngineCtx {
-                retry: &self.retry,
-                stripe: &self.stripe,
-                shared: &self.shared,
-                force_full: &self.force_full,
-                metrics: &self.metrics,
-                buffers: &self.buffers,
-                snaps: &self.snaps,
-                cow: &self.cow,
-                crash: self.crash.as_deref(),
-                value_codec: &self.value_codec,
-            };
-            policy.control(ctl, &mut cx);
+            policy.control(ctl, &mut self.shared.ctx(&self.cfg));
         }
     }
 
     /// Consume a pending forced-full request (set by the persist stage
     /// after it dropped a batch).
     pub fn take_reanchor(&self) -> bool {
-        self.force_full.swap(false, Ordering::SeqCst)
+        self.shared.force_full.swap(false, Ordering::SeqCst)
     }
 
     /// Re-arm the forced-full request (the adapter failed to act on it).
     pub fn request_reanchor(&self) {
-        self.force_full.store(true, Ordering::SeqCst)
+        self.shared.force_full.store(true, Ordering::SeqCst)
     }
 
     /// Mutate the shared stats from the adapter (e.g. `forced_fulls`).
     pub fn with_stats<R>(&self, f: impl FnOnce(&mut StrategyStats) -> R) -> R {
-        f(&mut self.shared.lock())
+        f(&mut self.shared.stats.lock())
     }
 
     /// Times the training thread hit a full pipeline on submit.
@@ -681,9 +626,9 @@ impl CheckpointEngine {
 
     /// Current stats snapshot, engine counters included.
     pub fn stats(&self) -> StrategyStats {
-        let mut s = self.shared.lock().clone();
+        let mut s = self.shared.stats.lock().clone();
         s.stall = self.stall;
-        let mut eng = self.metrics.counters();
+        let mut eng = self.shared.metrics.counters();
         if let Some(tx) = &self.job_tx {
             eng.queue_depth = tx.len() as u64;
         }
@@ -697,7 +642,7 @@ impl CheckpointEngine {
     fn export_health(&self) {
         // A dead process exports nothing — the health blob would be a
         // post-crash write the torture harness must never observe.
-        if !self.export_health || self.crash_dead() {
+        if !self.cfg.export_health || self.crash_dead() {
             return;
         }
         let s = self.stats();
@@ -771,21 +716,12 @@ impl Drop for CheckpointEngine {
 /// The checkpointing thread: a blocking two-way `Select` over the job
 /// queue and the control channel — no polling. Jobs flow strictly FIFO, so
 /// a full submitted before a diff is persisted before it.
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
     mut policy: Box<dyn CheckpointPolicy>,
     job_rx: Receiver<Job>,
     ctl_rx: Receiver<WorkerMsg>,
-    retry: RetryPolicy,
-    stripe: StripeCfg,
-    value_codec: ValueCodec,
-    shared: Arc<Mutex<StrategyStats>>,
-    force_full: Arc<AtomicBool>,
-    metrics: Arc<EngineMetrics>,
-    buffers: Arc<BufferPool<u8>>,
-    snaps: Arc<SnapshotSlots>,
-    cow: Arc<cow::CowTickets>,
-    crash: Option<Arc<CrashInjector>>,
+    cfg: EngineConfig,
+    shared: Arc<EngineShared>,
 ) {
     // However this thread ends, a trainer waiting on the slot pool must
     // not wait for slots that will never come back.
@@ -795,23 +731,12 @@ fn worker_loop(
             self.0.worker_exited();
         }
     }
-    let _exit = WorkerExit(&snaps);
-    let mut cx = EngineCtx {
-        retry: &retry,
-        stripe: &stripe,
-        shared: &shared,
-        force_full: &force_full,
-        metrics: &metrics,
-        buffers: &buffers,
-        snaps: &snaps,
-        cow: &cow,
-        crash: crash.as_deref(),
-        value_codec: &value_codec,
-    };
+    let _exit = WorkerExit(&shared.snaps);
+    let mut cx = shared.ctx(&cfg);
     let mut job_open = true;
     let mut ctl_open = true;
     while job_open || ctl_open {
-        metrics.note_depth(job_rx.len() as u64);
+        shared.metrics.note_depth(job_rx.len() as u64);
         // Block until a job or a control message is ready (or a side
         // disconnects). Readiness means try-receive won't block; an empty
         // grab just re-enters the select.
@@ -860,7 +785,7 @@ fn worker_loop(
         policy.process(job, &mut cx);
     }
     policy.flush(&mut cx);
-    metrics.note_depth(0);
+    shared.metrics.note_depth(0);
 }
 
 #[cfg(test)]

@@ -22,14 +22,14 @@
 
 use crate::batched::{BatchMode, BatchedWriter};
 use crate::engine::{
-    CheckpointEngine, CheckpointPolicy, CowTicket, CrashInjector, EngineConfig, EngineCtx,
-    FullOpts, Job, PolicyCtl, SnapshotMode, TierStack,
+    CheckpointEngine, CheckpointPolicy, CowTicket, EngineConfig, EngineCtx, FullOpts, Job,
+    PolicyCtl, TierStack,
 };
 use crate::strategy::{CheckpointStrategy, StrategyStats};
 use lowdiff_compress::{AuxView, CompressedGrad};
 use lowdiff_optim::ModelState;
 use lowdiff_storage::codec::ValueCodec;
-use lowdiff_storage::{CheckpointStore, RetryPolicy, StripeCfg};
+use lowdiff_storage::CheckpointStore;
 use lowdiff_util::units::Secs;
 use std::sync::Arc;
 use std::time::Instant;
@@ -44,29 +44,21 @@ pub struct LowDiffConfig {
     pub batch_size: usize,
     /// Concat (exact) vs Accumulate (merged) batching.
     pub mode: BatchMode,
-    /// Job-queue capacity before backpressure.
-    pub queue_capacity: usize,
     /// If set, keep only the newest `k` full checkpoints (older fulls and
     /// their differential chains are garbage-collected).
     pub keep_fulls: Option<u64>,
-    /// Retry/backoff applied to every storage write on the checkpointing
-    /// thread. After the policy is exhausted the batch is dropped and an
-    /// early full checkpoint is forced — training is never aborted.
-    pub retry: RetryPolicy,
-    /// Striped parallel persist ([`StripeCfg`]): blobs above the stripe
-    /// threshold fan out into concurrent ranged writes sealed by a
-    /// manifest. The default single stripe keeps the legacy blob layout.
-    pub stripe: StripeCfg,
-    /// Deterministic crash-point injection (torture tests only).
-    pub crash: Option<Arc<CrashInjector>>,
     /// Value-plane wire format for differential batches: raw f32 (v2,
     /// bit-exact recovery) or per-chunk quantized (v3, bounded-lossy,
     /// ~2–3× smaller diff writes at 8 bits).
     pub value_codec: ValueCodec,
-    /// Full-state capture mode: blocking copy (default) or incremental
-    /// copy-on-write ([`SnapshotMode::Incremental`] — requires the caller
-    /// to drive the COW hooks, as [`crate::trainer::Trainer`] does).
-    pub snapshot: SnapshotMode,
+    /// The checkpoint engine underneath: job-queue capacity before
+    /// backpressure, the retry/backoff every storage write goes through
+    /// (once exhausted the batch is dropped and an early full forced —
+    /// training is never aborted), striped persist, crash injection, and
+    /// the snapshot mode ([`crate::engine::SnapshotMode::Incremental`]
+    /// requires the caller to drive the COW hooks, as
+    /// [`crate::trainer::Trainer`] does).
+    pub engine: EngineConfig,
 }
 
 impl Default for LowDiffConfig {
@@ -75,13 +67,9 @@ impl Default for LowDiffConfig {
             full_every: 20,
             batch_size: 2,
             mode: BatchMode::Concat,
-            queue_capacity: 64,
             keep_fulls: None,
-            retry: RetryPolicy::default(),
-            stripe: StripeCfg::default(),
-            crash: None,
             value_codec: ValueCodec::F32,
-            snapshot: SnapshotMode::Blocking,
+            engine: EngineConfig::default(),
         }
     }
 }
@@ -195,19 +183,7 @@ impl LowDiffStrategy {
             keep_fulls: cfg.keep_fulls,
             label,
         };
-        let engine = CheckpointEngine::spawn(
-            store,
-            policy,
-            EngineConfig {
-                queue_capacity: cfg.queue_capacity,
-                retry: cfg.retry,
-                stripe: cfg.stripe,
-                crash: cfg.crash.clone(),
-                value_codec: cfg.value_codec,
-                snapshot: cfg.snapshot,
-                ..EngineConfig::default()
-            },
-        );
+        let engine = CheckpointEngine::spawn(store, policy, cfg.engine.clone());
         Self {
             cfg,
             optimizer: None,
@@ -577,10 +553,13 @@ mod tests {
             LowDiffConfig {
                 full_every: 1000, // no scheduled fulls besides the anchor
                 batch_size: 2,
-                retry: lowdiff_storage::RetryPolicy {
-                    max_retries: 1,
-                    base_delay: std::time::Duration::from_micros(100),
-                    max_delay: std::time::Duration::from_micros(500),
+                engine: EngineConfig {
+                    retry: lowdiff_storage::RetryPolicy {
+                        max_retries: 1,
+                        base_delay: std::time::Duration::from_micros(100),
+                        max_delay: std::time::Duration::from_micros(500),
+                    },
+                    ..EngineConfig::default()
                 },
                 ..LowDiffConfig::default()
             },

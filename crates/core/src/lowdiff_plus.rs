@@ -29,14 +29,13 @@
 //! ([`LowDiffPlusStrategy::recover_hardware`]).
 
 use crate::engine::{
-    CheckpointEngine, CheckpointPolicy, CrashInjector, EngineConfig, EngineCtx, FullOpts, Job,
-    TierStack,
+    CheckpointEngine, CheckpointPolicy, EngineConfig, EngineCtx, FullOpts, Job, TierStack,
 };
 use crate::strategy::{CheckpointStrategy, StrategyStats};
 use lowdiff_comm::SyncPool;
 use lowdiff_compress::{AuxView, CompressorCfg};
 use lowdiff_optim::{Adam, ModelState};
-use lowdiff_storage::{CheckpointStore, RetryPolicy, StripeCfg};
+use lowdiff_storage::CheckpointStore;
 use lowdiff_util::units::Secs;
 use lowdiff_util::BufferPool;
 use parking_lot::Mutex;
@@ -57,20 +56,15 @@ pub struct LowDiffPlusConfig {
     /// allocating on the training thread; deeper bursts fall back to
     /// allocation. Memory cost: `staging_depth × 4Ψ` bytes.
     pub staging_depth: usize,
-    /// Retry/backoff for persisting the replica. A persist that fails even
-    /// after retries is skipped — the replica itself stays correct and the
-    /// next persist interval re-anchors durable recovery.
-    pub retry: RetryPolicy,
     /// Optimizer the replica loop applies the reused gradients with. MUST
     /// match the trainer's Adam hyperparameters or the replica drifts from
     /// the live model (the update `M^C ← Adam(M^C, g)` replays training).
     pub adam: Adam,
-    /// Striped parallel persist ([`StripeCfg`]): blobs above the stripe
-    /// threshold fan out into concurrent ranged writes sealed by a
-    /// manifest. The default single stripe keeps the legacy blob layout.
-    pub stripe: StripeCfg,
-    /// Deterministic crash-point injection (torture tests only).
-    pub crash: Option<Arc<CrashInjector>>,
+    /// The checkpoint engine underneath. Its retry policy covers
+    /// persisting the replica: a persist that fails even after retries is
+    /// skipped — the replica itself stays correct and the next persist
+    /// interval re-anchors durable recovery.
+    pub engine: EngineConfig,
 }
 
 impl Default for LowDiffPlusConfig {
@@ -79,10 +73,8 @@ impl Default for LowDiffPlusConfig {
             persist_every: 10,
             snapshot_threads: 4,
             staging_depth: 24,
-            retry: RetryPolicy::default(),
             adam: Adam::default(),
-            stripe: StripeCfg::default(),
-            crash: None,
+            engine: EngineConfig::default(),
         }
     }
 }
@@ -205,16 +197,7 @@ impl LowDiffPlusStrategy {
             snap_compressor: None,
             staging_pool: Arc::clone(&staging_pool),
         };
-        let engine = CheckpointEngine::spawn(
-            store,
-            policy,
-            EngineConfig {
-                retry: cfg.retry,
-                stripe: cfg.stripe,
-                crash: cfg.crash.clone(),
-                ..EngineConfig::default()
-            },
-        );
+        let engine = CheckpointEngine::spawn(store, policy, cfg.engine.clone());
         Self {
             pool: SyncPool::new(cfg.snapshot_threads),
             cfg,
@@ -466,10 +449,13 @@ mod tests {
             LowDiffPlusConfig {
                 persist_every: 4,
                 snapshot_threads: 2,
-                retry: RetryPolicy {
-                    max_retries: 1,
-                    base_delay: std::time::Duration::from_micros(100),
-                    max_delay: std::time::Duration::from_micros(500),
+                engine: EngineConfig {
+                    retry: lowdiff_storage::RetryPolicy {
+                        max_retries: 1,
+                        base_delay: std::time::Duration::from_micros(100),
+                        max_delay: std::time::Duration::from_micros(500),
+                    },
+                    ..EngineConfig::default()
                 },
                 ..LowDiffPlusConfig::default()
             },

@@ -147,9 +147,7 @@ fn torture_cell(scheme: Scheme, point: CrashPoint, error_feedback: bool, cell_se
             LowDiffConfig {
                 full_every: 6,
                 batch_size: 2,
-                stripe,
-                snapshot,
-                crash: Some(Arc::clone(&injector)),
+                engine: ecfg(),
                 ..LowDiffConfig::default()
             },
         )),
@@ -157,8 +155,7 @@ fn torture_cell(scheme: Scheme, point: CrashPoint, error_feedback: bool, cell_se
             Arc::clone(&store),
             LowDiffPlusConfig {
                 persist_every: 3,
-                stripe,
-                crash: Some(Arc::clone(&injector)),
+                engine: ecfg(),
                 ..LowDiffPlusConfig::default()
             },
             ModelState::new(network.params_flat()),
@@ -290,9 +287,12 @@ fn quant_torture_cell(point: CrashPoint, error_feedback: bool, cell_seed: u64) {
         LowDiffConfig {
             full_every: 6,
             batch_size: 2,
-            stripe,
-            snapshot: snapshot_mode(point),
-            crash: Some(Arc::clone(&injector)),
+            engine: EngineConfig {
+                stripe,
+                snapshot: snapshot_mode(point),
+                crash: Some(Arc::clone(&injector)),
+                ..EngineConfig::default()
+            },
             value_codec: ValueCodec::Quantized(QuantizedValues {
                 bits: 8,
                 max_err: 0.05,
@@ -391,9 +391,12 @@ fn rank_loss_cell(point: CrashPoint, error_feedback: bool, cell_seed: u64) {
         LowDiffConfig {
             full_every: 6,
             batch_size: 2,
-            stripe,
-            snapshot: snapshot_mode(point),
-            crash: Some(Arc::clone(&injector)),
+            engine: EngineConfig {
+                stripe,
+                snapshot: snapshot_mode(point),
+                crash: Some(Arc::clone(&injector)),
+                ..EngineConfig::default()
+            },
             ..LowDiffConfig::default()
         },
         Arc::clone(&replica_net),

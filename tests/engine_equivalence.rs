@@ -485,8 +485,7 @@ fn run_scheme(
             LowDiffConfig {
                 full_every: 6,
                 batch_size: 2,
-                stripe,
-                snapshot,
+                engine: ecfg,
                 ..LowDiffConfig::default()
             },
         )),
@@ -494,7 +493,10 @@ fn run_scheme(
             Arc::clone(&store),
             LowDiffPlusConfig {
                 persist_every: 3,
-                stripe,
+                engine: EngineConfig {
+                    stripe,
+                    ..EngineConfig::default()
+                },
                 ..LowDiffPlusConfig::default()
             },
             ModelState::new(network.params_flat()),

@@ -5,7 +5,7 @@ use lowdiff::lowdiff::{LowDiffConfig, LowDiffStrategy};
 use lowdiff::recovery::{recover_serial, recover_sharded};
 use lowdiff::strategy::CheckpointStrategy;
 use lowdiff::trainer::{Trainer, TrainerConfig};
-use lowdiff::AuxView;
+use lowdiff::{AuxView, EngineConfig};
 use lowdiff_model::builders::tiny_gpt;
 use lowdiff_model::data::MarkovText;
 use lowdiff_model::loss::softmax_cross_entropy;
@@ -176,10 +176,13 @@ fn transient_storage_faults_plus_torn_blob_still_recover() {
         LowDiffConfig {
             full_every: 6,
             batch_size: 2,
-            retry: RetryPolicy {
-                max_retries: 4,
-                base_delay: std::time::Duration::from_micros(100),
-                max_delay: std::time::Duration::from_micros(800),
+            engine: EngineConfig {
+                retry: RetryPolicy {
+                    max_retries: 4,
+                    base_delay: std::time::Duration::from_micros(100),
+                    max_delay: std::time::Duration::from_micros(800),
+                },
+                ..EngineConfig::default()
             },
             ..LowDiffConfig::default()
         },

@@ -7,7 +7,7 @@ use lowdiff::lowdiff::{LowDiffConfig, LowDiffStrategy};
 use lowdiff::recovery::recover_serial;
 use lowdiff::strategy::{CheckpointStrategy, StrategyStats};
 use lowdiff::trainer::{RecoverySource, ResumeOpts, Trainer, TrainerConfig};
-use lowdiff::{AuxView, NoCheckpoint};
+use lowdiff::{AuxView, EngineConfig, NoCheckpoint};
 use lowdiff_model::builders::mlp;
 use lowdiff_model::data::Regression;
 use lowdiff_model::loss::mse;
@@ -94,7 +94,10 @@ fn acceptance_500_iters_survive_20pct_transient_put_faults() {
         LowDiffConfig {
             full_every: 25,
             batch_size: 4,
-            retry: fast_retry(),
+            engine: EngineConfig {
+                retry: fast_retry(),
+                ..EngineConfig::default()
+            },
             ..LowDiffConfig::default()
         },
     );
@@ -136,7 +139,10 @@ fn torn_writes_recovery_falls_back_to_intact_blobs() {
         LowDiffConfig {
             full_every: 10,
             batch_size: 2,
-            retry: fast_retry(),
+            engine: EngineConfig {
+                retry: fast_retry(),
+                ..EngineConfig::default()
+            },
             ..LowDiffConfig::default()
         },
     );
@@ -164,7 +170,10 @@ fn latency_spikes_slow_but_never_corrupt() {
         LowDiffConfig {
             full_every: 10,
             batch_size: 2,
-            retry: fast_retry(),
+            engine: EngineConfig {
+                retry: fast_retry(),
+                ..EngineConfig::default()
+            },
             ..LowDiffConfig::default()
         },
     );
@@ -183,10 +192,13 @@ fn persistent_outage_degrades_then_reanchors_after_heal() {
         LowDiffConfig {
             full_every: 20,
             batch_size: 2,
-            retry: RetryPolicy {
-                max_retries: 1,
-                base_delay: Duration::from_micros(100),
-                max_delay: Duration::from_micros(500),
+            engine: EngineConfig {
+                retry: RetryPolicy {
+                    max_retries: 1,
+                    base_delay: Duration::from_micros(100),
+                    max_delay: Duration::from_micros(500),
+                },
+                ..EngineConfig::default()
             },
             ..LowDiffConfig::default()
         },
@@ -246,7 +258,10 @@ fn transient_read_faults_leave_recovery_usable() {
         LowDiffConfig {
             full_every: 5,
             batch_size: 2,
-            retry: fast_retry(),
+            engine: EngineConfig {
+                retry: fast_retry(),
+                ..EngineConfig::default()
+            },
             ..LowDiffConfig::default()
         },
     );
@@ -288,10 +303,13 @@ fn retry_exhaustion_counts_one_dropped_batch_exactly_once() {
         LowDiffConfig {
             full_every: 1000, // no scheduled fulls besides the anchor
             batch_size: 2,
-            retry: RetryPolicy {
-                max_retries: 1,
-                base_delay: Duration::from_micros(100),
-                max_delay: Duration::from_micros(500),
+            engine: EngineConfig {
+                retry: RetryPolicy {
+                    max_retries: 1,
+                    base_delay: Duration::from_micros(100),
+                    max_delay: Duration::from_micros(500),
+                },
+                ..EngineConfig::default()
             },
             ..LowDiffConfig::default()
         },
