@@ -17,7 +17,7 @@
 
 use lowdiff::engine::{
     CheckpointEngine, CheckpointPolicy, CowTicket, EngineConfig, EngineCtx, FullOpts, Job,
-    TierStack,
+    Submitted, TierStack,
 };
 use lowdiff::strategy::{CheckpointStrategy, StrategyStats};
 use lowdiff_compress::AuxView;
@@ -40,22 +40,8 @@ impl CheckpointPolicy for CheckFreqPolicy {
 
     fn process(&mut self, job: Job, cx: &mut EngineCtx<'_>) {
         match job {
-            Job::Full(snap) => {
-                cx.persist_full(&self.tiers, &snap.state, &snap.aux(), &FullOpts::durable());
-                cx.recycle_state(snap);
-            }
-            Job::IncrementalFull(ticket) => {
-                // Incremental capture: sweep cold chunks, seal, persist the
-                // finished frame (byte-identical to the blocking path).
-                if cx.finish_capture(&ticket) {
-                    cx.persist_full_encoded(
-                        &self.tiers,
-                        ticket.iteration(),
-                        ticket.sealed_bytes(),
-                        &FullOpts::durable(),
-                    );
-                }
-                cx.release_ticket(ticket);
+            Job::Full(ticket) => {
+                cx.persist_capture(&self.tiers, &ticket, &FullOpts::durable());
             }
             _ => debug_assert!(false, "checkfreq submits full snapshots"),
         }
@@ -98,6 +84,21 @@ impl CheckFreqStrategy {
     pub fn store(&self) -> &Arc<CheckpointStore> {
         self.engine.store()
     }
+
+    /// Snapshot (the GPU→CPU `snapshot()` op, through `submit`) on
+    /// schedule, then enqueue for persist; blocks when the pipeline is
+    /// full — the CheckFreq stall at high frequency. A dead persist thread
+    /// degrades the run instead of aborting training.
+    fn snapshot(
+        &mut self,
+        state: &ModelState,
+        submit: impl FnOnce(&mut CheckpointEngine, Instant) -> Submitted,
+    ) -> Secs {
+        if !state.iteration.is_multiple_of(self.every) {
+            return Secs::ZERO;
+        }
+        submit(&mut self.engine, Instant::now()).stall
+    }
 }
 
 impl CheckpointStrategy for CheckFreqStrategy {
@@ -110,15 +111,14 @@ impl CheckpointStrategy for CheckFreqStrategy {
     }
 
     fn after_update(&mut self, state: &ModelState, aux: &AuxView<'_>) -> Secs {
-        if !state.iteration.is_multiple_of(self.every) {
-            return Secs::ZERO;
-        }
-        let t0 = Instant::now();
-        // Snapshot: blocking copy (the GPU→CPU `snapshot()` op) into a
-        // recycled engine slot, then enqueue for persist; blocks when the
-        // pipeline is full — the CheckFreq stall at high frequency. A dead
-        // persist thread degrades the run instead of aborting training.
-        self.engine.submit_full(t0, state, aux).stall
+        self.snapshot(state, |engine, t0| engine.submit_full(t0, state, aux))
+    }
+
+    unsafe fn after_update_deferred(&mut self, state: &ModelState, aux: &AuxView<'_>) -> Secs {
+        self.snapshot(state, |engine, t0| {
+            // SAFETY: this hook's contract is the deferred submit's.
+            unsafe { engine.submit_full_deferred(t0, state, aux) }
+        })
     }
 
     fn take_pending_capture(&mut self) -> Option<Arc<CowTicket>> {

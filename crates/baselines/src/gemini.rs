@@ -17,7 +17,7 @@
 
 use lowdiff::engine::{
     AckMode, CheckpointEngine, CheckpointPolicy, CowTicket, DurableTier, EngineConfig, EngineCtx,
-    FullOpts, Job, MemoryTier, RecoveryTier, TierStack,
+    FullOpts, Job, MemoryTier, RecoveryTier, Submitted, TierStack,
 };
 use lowdiff::strategy::{CheckpointStrategy, StrategyStats};
 use lowdiff_compress::AuxView;
@@ -44,33 +44,16 @@ impl CheckpointPolicy for GeminiPolicy {
 
     fn process(&mut self, job: Job, cx: &mut EngineCtx<'_>) {
         match job {
-            Job::Full(snap) => {
+            Job::Full(ticket) => {
                 // Memory-tier copy (peer CPU RAM over the network in the
                 // real system); aligned iterations also ride the durable
-                // tier, written from the same encode.
-                let tiers = if snap.state.iteration.is_multiple_of(self.persist_every) {
-                    &self.both
-                } else {
-                    &self.mem_only
-                };
-                cx.persist_full(tiers, &snap.state, &snap.aux(), &FullOpts::durable());
-                cx.recycle_state(snap);
-            }
-            Job::IncrementalFull(ticket) => {
+                // tier, written from the same sealed frame.
                 let tiers = if ticket.iteration().is_multiple_of(self.persist_every) {
                     &self.both
                 } else {
                     &self.mem_only
                 };
-                if cx.finish_capture(&ticket) {
-                    cx.persist_full_encoded(
-                        tiers,
-                        ticket.iteration(),
-                        ticket.sealed_bytes(),
-                        &FullOpts::durable(),
-                    );
-                }
-                cx.release_ticket(ticket);
+                cx.persist_capture(tiers, &ticket, &FullOpts::durable());
             }
             _ => debug_assert!(false, "gemini submits full snapshots"),
         }
@@ -179,6 +162,19 @@ impl GeminiStrategy {
     pub fn recover_durable(&self) -> std::io::Result<Option<ModelState>> {
         self.engine.store().latest_valid_full()
     }
+
+    /// Hand the engine a full of `state` through `submit` every
+    /// `mem_every` iterations.
+    fn snapshot(
+        &mut self,
+        state: &ModelState,
+        submit: impl FnOnce(&mut CheckpointEngine, Instant) -> Submitted,
+    ) -> Secs {
+        if !state.iteration.is_multiple_of(self.mem_every) {
+            return Secs::ZERO;
+        }
+        submit(&mut self.engine, Instant::now()).stall
+    }
 }
 
 impl CheckpointStrategy for GeminiStrategy {
@@ -191,11 +187,14 @@ impl CheckpointStrategy for GeminiStrategy {
     }
 
     fn after_update(&mut self, state: &ModelState, aux: &AuxView<'_>) -> Secs {
-        if !state.iteration.is_multiple_of(self.mem_every) {
-            return Secs::ZERO;
-        }
-        let t0 = Instant::now();
-        self.engine.submit_full(t0, state, aux).stall
+        self.snapshot(state, |engine, t0| engine.submit_full(t0, state, aux))
+    }
+
+    unsafe fn after_update_deferred(&mut self, state: &ModelState, aux: &AuxView<'_>) -> Secs {
+        self.snapshot(state, |engine, t0| {
+            // SAFETY: this hook's contract is the deferred submit's.
+            unsafe { engine.submit_full_deferred(t0, state, aux) }
+        })
     }
 
     fn take_pending_capture(&mut self) -> Option<Arc<CowTicket>> {

@@ -20,14 +20,13 @@
 //! restores the moments from the newest blob (exact).
 
 use lowdiff::engine::{
-    CheckpointEngine, CheckpointPolicy, CowTicket, EngineConfig, EngineCtx, FullOpts, Job,
-    TierStack,
+    CheckpointEngine, CheckpointPolicy, EngineConfig, EngineCtx, FullOpts, Job, TierStack,
 };
 use lowdiff::strategy::{CheckpointStrategy, StrategyStats};
 use lowdiff_compress::sparsify::TopK;
 use lowdiff_compress::{AuxView, Compressor};
 use lowdiff_optim::ModelState;
-use lowdiff_storage::codec::DiffEntry;
+use lowdiff_storage::codec::{self, DiffEntry};
 use lowdiff_storage::CheckpointStore;
 use lowdiff_util::units::Secs;
 use std::sync::Arc;
@@ -42,11 +41,22 @@ struct NaiveDcPolicy {
     /// Full-checkpoint interval (iterations).
     full_every: u64,
     rho: f64,
-    prev_params: Option<Vec<f32>>,
+    /// Parameters of the last checkpoint — the next delta's parent — read
+    /// out of its sealed frame (the §3.4 memory cost of retaining state).
+    prev_params: Vec<f32>,
+    /// The dense moments blob, rebuilt in place every interval.
+    moments: Vec<u8>,
     has_base: bool,
     /// Set when a write failure invalidated the differential chain; the
     /// next full checkpoint that lands is a forced re-anchor.
     reanchor_pending: bool,
+}
+
+/// The f32 values of a little-endian wire region.
+fn f32s(bytes: &[u8]) -> impl Iterator<Item = f32> + '_ {
+    bytes
+        .chunks_exact(4)
+        .map(|b| f32::from_le_bytes(b.try_into().expect("4-byte chunk")))
 }
 
 impl CheckpointPolicy for NaiveDcPolicy {
@@ -61,33 +71,24 @@ impl CheckpointPolicy for NaiveDcPolicy {
     }
 
     fn process(&mut self, job: Job, cx: &mut EngineCtx<'_>) {
-        let snap = match job {
-            Job::Full(snap) => snap,
-            Job::IncrementalFull(ticket) => {
-                // Naïve DC needs the materialized state (delta computation
-                // reads `snap.state`), so complete the capture and decode
-                // the sealed frame back into a pooled snapshot — the frame
-                // is byte-identical to the blocking encode, so the decode
-                // round-trips exactly.
-                let snap = cx.complete_capture_into_snapshot(&ticket);
-                cx.release_ticket(ticket);
-                match snap {
-                    Some(snap) => snap,
-                    None => return,
-                }
-            }
-            _ => {
-                debug_assert!(false, "naive-dc submits full snapshots");
-                return;
-            }
+        let Job::Full(ticket) = job else {
+            debug_assert!(false, "naive-dc submits full snapshots");
+            return;
         };
-        let state = &snap.state;
-        if !self.has_base || state.iteration.is_multiple_of(self.full_every) {
+        // Every interval needs the sealed frame: fulls persist it as is,
+        // deltas and moments are read out of it.
+        if !cx.finish_capture(&ticket) {
+            return; // the simulated process died mid-capture
+        }
+        let (iteration, psi) = (ticket.iteration(), ticket.psi());
+        let frame = ticket.sealed_bytes();
+        let layout = codec::full_frame_layout(psi, &AuxView::NONE);
+        let params = &frame[layout.params_off..layout.m_off];
+        if !self.has_base || iteration.is_multiple_of(self.full_every) {
             // The first checkpoint is always a full base (Equation (2)
-            // needs a C^F to anchor the differential chain).
-            // Synchronous full checkpoint (Check-N-Run persists the base
-            // synchronously too).
-            if cx.persist_full(&self.tiers, state, &snap.aux(), &FullOpts::durable()) {
+            // needs a C^F to anchor the differential chain), persisted
+            // synchronously as Check-N-Run does.
+            if cx.persist_full_encoded(&self.tiers, iteration, frame, &FullOpts::durable()) {
                 self.has_base = true;
                 if self.reanchor_pending {
                     self.reanchor_pending = false;
@@ -98,67 +99,46 @@ impl CheckpointPolicy for NaiveDcPolicy {
                 // re-attempts the full — the chain must stay anchored.
                 self.has_base = false;
             }
-            self.retain_params(state);
-        } else if state.iteration.is_multiple_of(self.diff_every) {
-            if let Some(prev) = &self.prev_params {
-                // 1. delta computation (training thread).
-                let delta: Vec<f32> = state
-                    .params
-                    .iter()
-                    .zip(prev)
-                    .map(|(&new, &old)| new - old)
-                    .collect();
-                // 2. compression stall (Challenge 1).
-                let mut topk = TopK::new(self.rho);
-                let compressed = topk.compress(&delta);
-                // 3. synchronous write of delta + dense moments
-                //    (Challenge 2 + Exp. 7).
-                let entry = DiffEntry {
-                    iteration: state.iteration - 1,
-                    grad: compressed,
-                };
-                // NB: iteration−1 because the delta advances M_{t-1} → M_t.
-                if cx.persist_diff_entries(&self.tiers, std::slice::from_ref(&entry)) {
-                    let mut moments = Vec::with_capacity(8 + state.params.len() * 8);
-                    moments.extend_from_slice(&state.opt.t.to_le_bytes());
-                    for &m in &state.opt.m {
-                        moments.extend_from_slice(&m.to_le_bytes());
-                    }
-                    for &v in &state.opt.v {
-                        moments.extend_from_slice(&v.to_le_bytes());
-                    }
-                    // Recovery tolerates a missing moments blob (params
-                    // still replayable); a failed put only degrades.
-                    cx.persist_blob(
-                        &self.tiers,
-                        &NaiveDcStrategy::moments_key(state.iteration - 1),
-                        &moments,
-                    );
-                } else {
-                    // Dropped delta: the chain past the last full is now
-                    // broken, so force a fresh base next interval.
-                    self.has_base = false;
-                    self.reanchor_pending = true;
-                }
-                self.retain_params(state);
+        } else {
+            debug_assert_eq!(self.prev_params.len(), psi, "a delta needs its parent");
+            // 1. delta computation (training thread).
+            let delta: Vec<f32> = f32s(params)
+                .zip(&self.prev_params)
+                .map(|(new, &old)| new - old)
+                .collect();
+            // 2. compression stall (Challenge 1).
+            let mut topk = TopK::new(self.rho);
+            // 3. synchronous write of delta + dense moments
+            //    (Challenge 2 + Exp. 7). iteration−1 because the delta
+            //    advances M_{t-1} → M_t.
+            let entry = DiffEntry {
+                iteration: iteration - 1,
+                grad: topk.compress(&delta),
+            };
+            if cx.persist_diff_entries(&self.tiers, std::slice::from_ref(&entry)) {
+                // The Adam step, then m and v back to back — exactly
+                // their wire bytes in the frame.
+                self.moments.clear();
+                self.moments
+                    .extend_from_slice(&ticket.adam_t().to_le_bytes());
+                self.moments
+                    .extend_from_slice(&frame[layout.m_off..layout.v_off + 4 * psi]);
+                // Recovery tolerates a missing moments blob (params
+                // still replayable); a failed put only degrades.
+                cx.persist_blob(
+                    &self.tiers,
+                    &NaiveDcStrategy::moments_key(iteration - 1),
+                    &self.moments,
+                );
             } else {
-                // No base yet: retain state so the first diff has a parent.
-                self.retain_params(state);
+                // Dropped delta: the chain past the last full is now
+                // broken, so force a fresh base next interval.
+                self.has_base = false;
+                self.reanchor_pending = true;
             }
         }
-        cx.recycle_state(snap);
-    }
-}
-
-impl NaiveDcPolicy {
-    /// Retain the parameters as the next delta's parent, reusing the
-    /// previous retained allocation (`clone_from` truncates + extends in
-    /// place) instead of allocating a fresh Ψ-sized vector per interval.
-    fn retain_params(&mut self, state: &ModelState) {
-        match &mut self.prev_params {
-            Some(prev) => prev.clone_from(&state.params),
-            None => self.prev_params = Some(state.params.clone()),
-        }
+        self.prev_params.clear();
+        self.prev_params.extend(f32s(params));
     }
 }
 
@@ -187,7 +167,8 @@ impl NaiveDcStrategy {
             diff_every,
             full_every,
             rho,
-            prev_params: None,
+            prev_params: Vec::new(),
+            moments: Vec::new(),
             has_base: false,
             reanchor_pending: false,
         };
@@ -263,10 +244,6 @@ impl CheckpointStrategy for NaiveDcStrategy {
         }
         let t0 = Instant::now();
         self.engine.submit_full(t0, state, aux).stall
-    }
-
-    fn take_pending_capture(&mut self) -> Option<Arc<CowTicket>> {
-        self.engine.take_pending_capture()
     }
 
     fn flush(&mut self) -> Secs {

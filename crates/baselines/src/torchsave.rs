@@ -1,8 +1,7 @@
 //! `torch.save` baseline: blocking full checkpoints.
 
 use lowdiff::engine::{
-    CheckpointEngine, CheckpointPolicy, CowTicket, EngineConfig, EngineCtx, FullOpts, Job,
-    TierStack,
+    CheckpointEngine, CheckpointPolicy, EngineConfig, EngineCtx, FullOpts, Job, TierStack,
 };
 use lowdiff::strategy::{CheckpointStrategy, StrategyStats};
 use lowdiff_compress::AuxView;
@@ -30,22 +29,8 @@ impl CheckpointPolicy for TorchSavePolicy {
 
     fn process(&mut self, job: Job, cx: &mut EngineCtx<'_>) {
         match job {
-            Job::Full(snap) => {
-                cx.persist_full(&self.tiers, &snap.state, &snap.aux(), &FullOpts::durable());
-                cx.recycle_state(snap);
-            }
-            Job::IncrementalFull(ticket) => {
-                // Inline engine, so the capture degenerates to a synchronous
-                // sweep+seal — still byte-identical to the blocking encode.
-                if cx.finish_capture(&ticket) {
-                    cx.persist_full_encoded(
-                        &self.tiers,
-                        ticket.iteration(),
-                        ticket.sealed_bytes(),
-                        &FullOpts::durable(),
-                    );
-                }
-                cx.release_ticket(ticket);
+            Job::Full(ticket) => {
+                cx.persist_capture(&self.tiers, &ticket, &FullOpts::durable());
             }
             _ => debug_assert!(false, "torch-save submits full snapshots"),
         }
@@ -97,10 +82,6 @@ impl CheckpointStrategy for TorchSaveStrategy {
         }
         let t0 = Instant::now();
         self.engine.submit_full(t0, state, aux).stall
-    }
-
-    fn take_pending_capture(&mut self) -> Option<Arc<CowTicket>> {
-        self.engine.take_pending_capture()
     }
 
     fn flush(&mut self) -> Secs {

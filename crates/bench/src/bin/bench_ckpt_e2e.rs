@@ -13,7 +13,7 @@
 //!
 //! Usage: `bench_ckpt_e2e [--psi N] [--iters K] [--mbps B] [--stripes S]
 //! [--peers P] [--quant-bits Q] [--adaptive] [--max-quant-err E]
-//! [--snapshot-mode blocking|incremental] [--out PATH] [--smoke]`
+//! [--out PATH] [--smoke]`
 //! (defaults: 262144 params, 40 iterations, 300 MB/s, 1 stripe, 1 peer,
 //! 8-bit quantized row, BENCH_ckpt_e2e.json). `--stripes S` fans every
 //! checkpoint blob out into S concurrent ranged writes sealed by a
@@ -23,12 +23,12 @@
 //! `--peers P` sizes the `lowdiff-peer` row — LowDiff over a
 //! `[PeerTier(P), DurableTier(async)]` recovery stack, every checkpoint
 //! object streamed to P ring peers with the durable write trailing
-//! asynchronously (0 drops the row). `--snapshot-mode` selects how full
-//! checkpoints leave the training thread — `blocking` (one-shot copy, the
-//! default) or `incremental` (chunked copy-on-write capture swept off the
-//! training thread); an always-present `lowdiff-cow` row runs LowDiff with
-//! incremental capture regardless, so every recorded JSON carries the
-//! blocking-vs-COW `snapshot_peak_ms` comparison. `--quant-bits Q` adds a
+//! asynchronously (0 drops the row). Every row captures its fulls through
+//! the safe hooks, which finish the capture before returning; the
+//! `lowdiff-cow` row drives LowDiff through `after_update_deferred`
+//! instead, leaving each capture to the worker's sweep, so every recorded
+//! JSON carries the eager-vs-deferred `snapshot_peak_ms` comparison.
+//! `--quant-bits Q` adds a
 //! `lowdiff-qQ` row persisting differentials
 //! through the v3 quantized codec (0 disables it); `--adaptive` +
 //! `--max-quant-err E` let the per-chunk width chooser move on the
@@ -50,7 +50,7 @@
 use lowdiff::lowdiff::{LowDiffConfig, LowDiffStrategy};
 use lowdiff::lowdiff_plus::{LowDiffPlusConfig, LowDiffPlusStrategy};
 use lowdiff::strategy::CheckpointStrategy;
-use lowdiff::{EngineConfig, PeerReplicateStrategy, SnapshotMode};
+use lowdiff::{EngineConfig, PeerReplicateStrategy};
 use lowdiff_baselines::{CheckFreqStrategy, GeminiStrategy, NaiveDcStrategy, TorchSaveStrategy};
 use lowdiff_bench::print_table;
 use lowdiff_comm::ReplicaNet;
@@ -98,8 +98,8 @@ struct E2eResult {
     writes: u64,
     /// Largest single snapshot-stage sample (capture + enqueue).
     snapshot_peak_ms: f64,
-    /// Largest copy-on-write capture span (framing → seal, overlapped
-    /// with compute). Zero in blocking mode.
+    /// Largest capture span (framing → seal; overlapped with compute
+    /// only when deferred).
     capture_peak_ms: f64,
     /// Chunks copied by the update-path COW hook vs the worker sweeper.
     cow_chunks: u64,
@@ -190,8 +190,10 @@ fn run_strategy<S: CheckpointStrategy>(
     // same contract real training runs get.
     strat.prime(&state, &AuxView::NONE);
     // Allocation accounting ignores a warmup prefix: pools fill during the
-    // first few checkpoints, steady state is what the tentpole claims.
-    let warmup = (iters / 4).clamp(1, 10).min(iters.saturating_sub(1));
+    // first few checkpoints (the ticket pool grows one full frame at a
+    // time, up to 4, while the store falls behind), steady state is what
+    // the tentpole claims.
+    let warmup = (iters / 4).clamp(5, 10).min(iters.saturating_sub(1));
     let wall = Instant::now();
     let mut total_stall = 0.0f64;
     let mut samples = Vec::with_capacity(iters as usize);
@@ -298,7 +300,6 @@ fn main() {
     let mut quant_bits: u8 = 8;
     let mut adaptive = false;
     let mut max_quant_err: f32 = 0.0;
-    let mut snapshot = SnapshotMode::Blocking;
     let mut out_path = String::from("BENCH_ckpt_e2e.json");
     let mut out_explicit = false;
     let mut smoke = false;
@@ -318,13 +319,6 @@ fn main() {
             "--adaptive" => adaptive = true,
             "--max-quant-err" => {
                 max_quant_err = val("--max-quant-err").parse().expect("bad --max-quant-err")
-            }
-            "--snapshot-mode" => {
-                snapshot = match val("--snapshot-mode").as_str() {
-                    "blocking" => SnapshotMode::Blocking,
-                    "incremental" => SnapshotMode::Incremental,
-                    other => panic!("--snapshot-mode must be blocking|incremental, got {other}"),
-                }
             }
             "--out" => {
                 out_path = val("--out");
@@ -360,12 +354,11 @@ fn main() {
     };
     let ecfg = move || EngineConfig {
         stripe,
-        snapshot,
         ..EngineConfig::default()
     };
     eprintln!(
         "bench_ckpt_e2e: {psi} params, {iters} iterations, {mbps} MB/s storage, \
-         {stripes} stripe(s), {peers} replica peer(s), {snapshot:?} snapshots"
+         {stripes} stripe(s), {peers} replica peer(s)"
     );
 
     // One recorded gradient, reused every iteration: the stall numbers are
@@ -387,24 +380,17 @@ fn main() {
     let mut results: Vec<E2eResult> = Vec::new();
 
     // LowDiff (Algorithm 1): per-iteration compressed differentials,
-    // batched writes, full every 10. Runs twice: once at the requested
-    // snapshot mode and once with incremental COW capture, so the
-    // `snapshot_peak_ms` delta (the full-checkpoint stall spike this
-    // bench exists to kill) is always in the recorded JSON.
-    for (row, row_mode) in [
-        ("lowdiff", snapshot),
-        ("lowdiff-cow", SnapshotMode::Incremental),
-    ] {
+    // batched writes, full every 10. Runs twice: once through the safe
+    // hook, whose capture completes before it returns, and once deferred,
+    // so the `snapshot_peak_ms` delta (the full-checkpoint stall spike
+    // the deferred capture exists to kill) is always in the recorded JSON.
+    for (row, deferred) in [("lowdiff", false), ("lowdiff-cow", true)] {
         let strat = LowDiffStrategy::new(
             throttled_store(mbps),
             LowDiffConfig {
                 full_every: 10,
                 batch_size: 4,
-                engine: EngineConfig {
-                    stripe,
-                    snapshot: row_mode,
-                    ..EngineConfig::default()
-                },
+                engine: ecfg(),
                 ..LowDiffConfig::default()
             },
         );
@@ -418,7 +404,17 @@ fn main() {
                     .on_synced_gradient(st.iteration, &cg, &AuxView::NONE)
                     .as_f64();
                 st.iteration += 1;
-                a + s.after_update(st, &AuxView::NONE).as_f64()
+                let b = if deferred {
+                    // SAFETY: this loop mutates only `iteration`, which
+                    // the frame captured at reset; params, moments and the
+                    // (absent) residual never change, and `run_strategy`
+                    // flushes — completing the last capture — before it
+                    // drops the state.
+                    unsafe { s.after_update_deferred(st, &AuxView::NONE) }
+                } else {
+                    s.after_update(st, &AuxView::NONE)
+                };
+                a + b.as_f64()
             },
             &initial,
         ));
@@ -719,13 +715,6 @@ fn main() {
     json.push_str(&format!("  \"storage_mbps\": {mbps},\n"));
     json.push_str(&format!("  \"persist_stripes\": {stripes},\n"));
     json.push_str(&format!("  \"replica_peers\": {peers},\n"));
-    json.push_str(&format!(
-        "  \"snapshot_mode\": \"{}\",\n",
-        match snapshot {
-            SnapshotMode::Blocking => "blocking",
-            SnapshotMode::Incremental => "incremental",
-        }
-    ));
     json.push_str(&format!("  \"alloc_counting\": {counting},\n"));
     json.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {

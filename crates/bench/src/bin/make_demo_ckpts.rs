@@ -4,7 +4,6 @@
 
 use lowdiff::lowdiff::{LowDiffConfig, LowDiffStrategy};
 use lowdiff::trainer::{Trainer, TrainerConfig};
-use lowdiff::{EngineConfig, SnapshotMode};
 use lowdiff_model::builders::mlp;
 use lowdiff_model::data::Regression;
 use lowdiff_model::loss::mse;
@@ -25,13 +24,6 @@ fn main() {
         LowDiffConfig {
             full_every: 10,
             batch_size: 3,
-            // Incremental COW capture: the demo directory's health blob
-            // shows the capture stage + chunk accounting in `lowdiff-ctl
-            // health`.
-            engine: EngineConfig {
-                snapshot: SnapshotMode::Incremental,
-                ..EngineConfig::default()
-            },
             ..LowDiffConfig::default()
         },
     );

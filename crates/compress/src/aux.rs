@@ -118,8 +118,7 @@ impl<'a> AuxView<'a> {
     }
 }
 
-/// Owned auxiliary state, as decoded from a full checkpoint (or captured
-/// into an engine snapshot slot).
+/// Owned auxiliary state, as decoded from a full checkpoint.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct AuxState {
     pub residual: Option<Vec<f32>>,

@@ -1,54 +1,56 @@
-//! Incremental copy-on-write snapshot capture.
+//! Full-checkpoint capture: every full is a [`CowTicket`].
 //!
-//! The blocking full-snapshot path ([`super::SnapshotSlots`]) stops the
-//! training thread for a ~3Ψ `copy_from` every anchor — the dominant
-//! residual stall now that encode is zero-copy and persist is striped. A
-//! [`CowTicket`] removes that spike: [`CowTicket::reset`] only *frames*
-//! the checkpoint (writes the v2 header and the small aux sections into
-//! the final wire buffer, microseconds), and the 12Ψ bytes of params /
-//! moments / residual are captured **chunk by chunk** afterwards, raced
-//! between two parties:
+//! [`CowTicket::reset`] only *frames* the checkpoint — it writes the v2
+//! header and the small aux sections into the final wire buffer, in
+//! microseconds. The 12Ψ bytes of params / moments / residual are then
+//! captured **chunk by chunk**, each chunk exactly once, by whichever party
+//! reaches it first:
 //!
 //! * the **copy-on-write hook** — the optimizer update copies each
 //!   still-uncaptured chunk into the frame immediately before overwriting
 //!   it ([`CowTicket::cow_range`]), so the snapshot always reflects the
 //!   submit-instant values;
-//! * the **sweeper** — the engine worker captures every cold chunk
-//!   ([`CowTicket::sweep`]) while the training thread is off computing.
+//! * the **sweeper** ([`CowTicket::sweep`]) — every cold chunk.
+//!
+//! When the capture completes is decided by the call that started it. The
+//! safe `CheckpointStrategy::after_update` sweeps on the training thread
+//! before it returns (`CheckpointEngine::submit_full`), so the caller may
+//! mutate the state the moment the hook is back. Only the trainer's
+//! `after_update_deferred` leaves the capture in flight: its update hooks
+//! and the engine worker's sweep complete it while training continues.
 //!
 //! Chunks land *directly at their wire offsets* (the frame layout is
 //! fixed — [`lowdiff_storage::codec::full_frame_layout`]), so capture
 //! **is** the streamed encode: once the last chunk lands the worker seals
 //! the CRC and hands the finished blob to the striped/tiered persist
-//! fan-out. By construction the sealed blob is **byte-identical** to what
-//! `encode_full_checkpoint_into` would have produced from a blocking copy
-//! at the submit instant — the `engine_equivalence` proptests pin that.
+//! fan-out. The sealed blob is **byte-identical** to what
+//! `encode_full_checkpoint_into` produces from the submit-instant state —
+//! the `engine_equivalence` proptests pin that.
 //!
 //! ### Safety contract
 //!
 //! A ticket holds raw pointers into the live `ModelState` (and EF
-//! residual). The submitter guarantees, until the capture completes
-//! (`remaining() == 0`) or the ticket is re-`reset`:
+//! residual). Until the capture completes (`remaining() == 0`) or the
+//! ticket is re-`reset`:
 //!
 //! * the source buffers are neither freed nor reallocated;
 //! * every mutation of a source region goes through
 //!   [`CowTicket::cow_range`] first (or [`CowTicket::cow_all`] completes
-//!   the capture before unhooked mutation).
+//!   the capture before an unhooked mutation).
 //!
 //! The trainer enforces this with a capture guard dropped *before* the
-//! model state; direct engine users must keep the state alive across
-//! engine drop (which joins the sweeping worker).
+//! model state; the safe hooks never leave a capture in flight.
 
 use lowdiff_compress::AuxView;
 use lowdiff_optim::ModelState;
 use lowdiff_storage::codec::{self, FullFrameLayout};
 use lowdiff_tensor::chunked::{copy_f32_chunk_le, ChunkMap, ChunkStates};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::cell::UnsafeCell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Elements per capture chunk: matches the Adam kernel's parallel block
 /// size (1 << 15 elements = 128 KiB), so a COW hook never straddles more
@@ -82,6 +84,7 @@ struct Region {
 
 struct Setup {
     iteration: u64,
+    adam_t: u64,
     regions: Vec<Region>,
     /// Index into `regions` per [`CowRegion`] discriminant; `None` when
     /// the region is absent from this capture (no EF residual).
@@ -89,22 +92,10 @@ struct Setup {
     start: Instant,
 }
 
-impl Default for Setup {
-    fn default() -> Self {
-        Self {
-            iteration: 0,
-            regions: Vec::new(),
-            by_region: [None; 4],
-            start: Instant::now(),
-        }
-    }
-}
-
-/// An in-flight incremental full-checkpoint capture: the framed wire
-/// buffer plus the per-chunk capture state machine. Shared `Arc`-style
-/// between the training thread (COW hooks) and the engine worker
-/// (sweeper + seal); all cross-thread mutation is chunk-disjoint,
-/// mediated by the [`ChunkStates`] CAS.
+/// A full-checkpoint capture: the framed wire buffer plus the per-chunk
+/// capture state machine. Shared `Arc`-style between the training thread
+/// (COW hooks) and the engine worker (sweeper + seal); all cross-thread
+/// mutation is chunk-disjoint, mediated by the [`ChunkStates`] CAS.
 pub struct CowTicket {
     buf: UnsafeCell<Vec<u8>>,
     setup: Setup,
@@ -114,20 +105,33 @@ pub struct CowTicket {
     sweep_chunks: AtomicU64,
 }
 
-// Safety: the raw source pointers are only dereferenced under the
-// chunk-CAS protocol above (each chunk read by exactly one thread, and
-// never concurrently with a mutation of the same chunk — the COW hook
-// orders capture before overwrite); the frame buffer is written at
-// chunk-disjoint offsets and only len-mutated (seal) after `remaining()`
-// reaches 0.
+// SAFETY: the only non-`Send` fields are the raw source pointers and the
+// `UnsafeCell` frame. The sources are owned by the submitter, who keeps
+// them alive until the capture completes (module contract), so reading
+// them from the worker thread is no different from reading them on the
+// training thread.
 unsafe impl Send for CowTicket {}
+// SAFETY: through `&self`, `setup` is read-only and the counters and
+// flags are atomics; the rest is partitioned by the chunk CAS:
+// `ChunkStates::try_begin` hands each chunk to exactly one thread, which
+// alone reads that chunk's source (never while the owner mutates it — the
+// COW hook captures before the overwrite) and writes that chunk's
+// disjoint byte range of the frame. The frame's length changes only in
+// `seal`, after `remaining()` reached 0, at most once per capture;
+// `&mut self` (`reset`) excludes everyone.
 unsafe impl Sync for CowTicket {}
 
 impl CowTicket {
     fn empty() -> Self {
         Self {
             buf: UnsafeCell::new(Vec::new()),
-            setup: Setup::default(),
+            setup: Setup {
+                iteration: 0,
+                adam_t: 0,
+                regions: Vec::new(),
+                by_region: [None; 4],
+                start: Instant::now(),
+            },
             states: ChunkStates::new(0),
             sealed: AtomicBool::new(false),
             cow_chunks: AtomicU64::new(0),
@@ -135,34 +139,23 @@ impl CowTicket {
         }
     }
 
-    /// A ticket pre-sized for captures of `state` + `aux`: frame buffer,
-    /// region list, and chunk state machine are all built at their final
-    /// sizes, so the ticket's *first* `reset` is as allocation-free (and
-    /// memset-free) as every later one (pool rotation means first-resets
-    /// can land well past warmup). The buffer is fully *framed*, not just
-    /// reserved: framing the empty buffer (room for the CRC seal included)
-    /// faults its pages in at priming time and stamps the flags byte, so
-    /// even the first `reset` takes
-    /// [`codec::reframe_full_frame_into`]'s in-place fast path instead of
-    /// the multi-MB placeholder zeroing.
-    fn primed(state: &ModelState, aux: &AuxView<'_>) -> Self {
-        let psi = state.params.len();
+    /// A new ticket framing a capture of `state` + `aux`. The frame buffer
+    /// is allocated and zero-filled (its pages faulted in) at its final
+    /// size here, once; every later [`Self::reset`] of a same-shaped
+    /// capture takes [`codec::reframe_full_frame_into`]'s in-place path.
+    fn framed(state: &ModelState, aux: &AuxView<'_>) -> Self {
         let mut t = Self::empty();
-        codec::reframe_full_frame_into(0, 0, psi, aux, t.buf.get_mut());
-        t.setup.regions.reserve(4);
-        let regions = 3 + usize::from(aux.residual.is_some());
-        let chunks = ChunkMap::new(psi, COW_CHUNK_ELEMS).num_chunks();
-        t.states = ChunkStates::new(regions * chunks);
+        t.reset(state, aux);
         t
     }
 
     /// Frame a new capture of `state` + `aux` into this (exclusively
     /// held) ticket: write the v2 header and small aux sections at their
     /// final wire offsets, arm the chunk state machine, and remember
-    /// where to read each region from. On a recycled (or [`primed`])
-    /// ticket this is O(header) — the previous frame's region bytes stay
-    /// in place and are overwritten chunk by chunk, so not even a memset
-    /// of the Ψ-sized regions lands on the training thread.
+    /// where to read each region from. On a recycled ticket this is
+    /// O(header) — the previous frame's region bytes stay in place and
+    /// are overwritten chunk by chunk, so not even a memset of the
+    /// Ψ-sized regions lands on the training thread.
     pub(crate) fn reset(&mut self, state: &ModelState, aux: &AuxView<'_>) {
         let psi = state.params.len();
         let buf = self.buf.get_mut();
@@ -173,6 +166,7 @@ impl CowTicket {
         // The region list is rebuilt in place (≤ 4 entries, capacity kept
         // across resets): a recycled ticket's reset stays allocation-free.
         self.setup.iteration = state.iteration;
+        self.setup.adam_t = state.opt.t;
         self.setup.by_region = [None; 4];
         self.setup.regions.clear();
         let residual = match (aux.residual, layout.residual_off) {
@@ -212,6 +206,16 @@ impl CowTicket {
         self.setup.iteration
     }
 
+    /// The Adam step count of the captured state.
+    pub fn adam_t(&self) -> u64 {
+        self.setup.adam_t
+    }
+
+    /// Parameter count of the captured state.
+    pub fn psi(&self) -> usize {
+        self.setup.regions.first().map_or(0, |r| r.map.len)
+    }
+
     /// Chunks not yet captured. 0 means the frame is fully assembled.
     pub fn remaining(&self) -> usize {
         self.states.remaining()
@@ -230,16 +234,24 @@ impl CowTicket {
         )
     }
 
-    /// Copy global chunk `idx` of region `r` into the frame. Caller must
-    /// have won the CAS for `idx`.
-    fn capture_chunk(&self, r: &Region, idx: usize) {
-        let local = idx - r.chunk_base;
-        let elems = r.map.range(local);
-        // Safety (source): the submit contract keeps the source alive and
-        // unmutated-for-this-chunk until `finish` below publishes it.
+    /// Capture global chunk `idx` of `r`, unless another party has it —
+    /// then wait until its copy landed. True when this call copied it.
+    fn claim(&self, r: &Region, idx: usize) -> bool {
+        if !self.states.try_begin(idx) {
+            self.states.wait_captured(idx);
+            return false;
+        }
+        let elems = r.map.range(idx - r.chunk_base);
+        // SAFETY: `r.src` points at a live region of `r.map.len` elements
+        // (module contract) and `elems` lies inside it. Winning the CAS
+        // makes this the only capturer of the chunk, and its owner does
+        // not write it until the capture below lands (COW hook) or the
+        // capture completes.
         let src = unsafe { std::slice::from_raw_parts(r.src.add(elems.start), elems.len()) };
-        // Safety (destination): chunk byte ranges are disjoint per idx and
-        // the buffer is never reallocated between reset and seal.
+        // SAFETY: the frame was sized for every region at `reset` and is
+        // not reallocated before `seal`, which waits for this chunk; chunk
+        // byte ranges are disjoint, and winning the CAS makes this the
+        // only writer of this one.
         let dst = unsafe {
             let buf = &mut *self.buf.get();
             std::slice::from_raw_parts_mut(
@@ -249,6 +261,19 @@ impl CowTicket {
         };
         copy_f32_chunk_le(src, dst);
         self.states.finish(idx);
+        true
+    }
+
+    /// Claim every chunk still uncaptured; returns how many this call
+    /// copied. After it returns the capture is complete.
+    fn capture_rest(&self) -> u64 {
+        let mut copied = 0;
+        for r in &self.setup.regions {
+            for idx in 0..r.map.num_chunks() {
+                copied += u64::from(self.claim(r, r.chunk_base + idx));
+            }
+        }
+        copied
     }
 
     /// Copy-on-write hook: ensure every chunk of `region` overlapping the
@@ -266,51 +291,25 @@ impl CowTicket {
         };
         let r = &self.setup.regions[ri];
         for idx in r.map.chunks_overlapping(elems) {
-            let idx = r.chunk_base + idx;
-            if self.states.try_begin(idx) {
-                self.capture_chunk(r, idx);
+            if self.claim(r, r.chunk_base + idx) {
                 self.cow_chunks.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.states.wait_captured(idx);
             }
         }
     }
 
-    /// Complete the capture from the submitter's side (guard teardown /
-    /// stale-ticket replacement): claim and copy every remaining chunk.
-    /// After this returns the sources may be mutated or freed.
+    /// Complete the capture ahead of an unhooked mutation (the trainer's
+    /// guard teardown, a superseded deferred capture). After this returns
+    /// the sources may be mutated or freed.
     pub fn cow_all(&self) {
-        for r in &self.setup.regions {
-            for idx in 0..r.map.num_chunks() {
-                let idx = r.chunk_base + idx;
-                if self.states.try_begin(idx) {
-                    self.capture_chunk(r, idx);
-                    self.cow_chunks.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.states.wait_captured(idx);
-                }
-            }
-        }
+        self.cow_chunks
+            .fetch_add(self.capture_rest(), Ordering::Relaxed);
     }
 
-    /// Sweeper pass (engine worker): capture every still-cold chunk.
-    /// Returns the number of chunks swept. After this returns the capture
-    /// is complete (`remaining() == 0`).
-    pub fn sweep(&self) -> u64 {
-        let mut swept = 0;
-        for r in &self.setup.regions {
-            for idx in 0..r.map.num_chunks() {
-                let idx = r.chunk_base + idx;
-                if self.states.try_begin(idx) {
-                    self.capture_chunk(r, idx);
-                    swept += 1;
-                } else {
-                    self.states.wait_captured(idx);
-                }
-            }
-        }
-        self.sweep_chunks.fetch_add(swept, Ordering::Relaxed);
-        swept
+    /// Capture every still-cold chunk — the chunks nobody was about to
+    /// overwrite. After this returns the capture is complete.
+    pub fn sweep(&self) {
+        self.sweep_chunks
+            .fetch_add(self.capture_rest(), Ordering::Relaxed);
     }
 
     /// Seal the completed frame with its CRC. Must only be called once
@@ -321,9 +320,9 @@ impl CowTicket {
             !self.sealed.swap(true, Ordering::AcqRel),
             "double seal of a COW ticket"
         );
-        // SAFETY: capture complete and the seal flag makes this the only
-        // len-mutating access; framing reserved the CRC bytes so no
-        // reallocation happens here.
+        // SAFETY: capture complete (no chunk writer is left) and the seal
+        // flag makes this the only len-mutating access; framing reserved
+        // the CRC bytes so no reallocation happens here.
         codec::seal_frame(unsafe { &mut *self.buf.get() });
     }
 
@@ -334,69 +333,116 @@ impl CowTicket {
             self.sealed.load(Ordering::Acquire),
             "sealed_bytes before seal"
         );
-        // Safety: sealed tickets are read-only until the next reset.
+        // SAFETY: a sealed frame is read-only until the next `reset`,
+        // which takes `&mut self` and so cannot overlap this borrow.
         unsafe { &*self.buf.get() }
     }
 }
 
-/// Recycled COW tickets, mirroring [`super::SnapshotSlots`]: primed to
-/// the pipeline depth on the first anchor (the frame buffer is reserved
-/// to its final size once), then reused round-robin. A ticket is only
-/// reusable when the pool holds its sole reference — both the submitter's
-/// pending handle and the worker's job handle have been dropped.
+/// The engine's ticket pool. It grows on demand, one framed ticket at a
+/// time, up to its depth; at that bound [`Self::frame`] waits for the
+/// worker to release a ticket instead of growing the footprint by another
+/// full frame. The pool keeps a handle on every ticket it built: a ticket
+/// is free again once the pool holds its only reference — the job, the
+/// engine's pending handle and the trainer's capture guard all let go.
 pub(crate) struct CowTickets {
-    slots: Mutex<Vec<Arc<CowTicket>>>,
+    pool: Mutex<TicketPool>,
+    released: Condvar,
     depth: usize,
-    primed: AtomicBool,
+}
+
+struct TicketPool {
+    tickets: Vec<Arc<CowTicket>>,
+    /// A worker thread is alive and will release the tickets in flight.
+    /// False for inline engines and once the worker has exited: a dry
+    /// pool can then never refill, and nobody must wait on it.
+    worker_alive: bool,
 }
 
 impl CowTickets {
-    /// Shallow bound like the snapshot-slot pool's (each ticket holds a
-    /// full wire frame, ~12Ψ bytes), one deeper to cover the saturation
-    /// head-start described at the spawn site.
-    const MAX_DEPTH: usize = 5;
+    /// Upper bound on pooled tickets: each holds a full wire frame
+    /// (~12Ψ bytes), so the pool must stay shallow even behind a deep job
+    /// queue.
+    pub(crate) const MAX_DEPTH: usize = 4;
 
-    pub(crate) fn new(pipeline_depth: usize) -> Self {
+    pub(crate) fn new(pipeline_depth: usize, has_worker: bool) -> Self {
         Self {
-            slots: Mutex::new(Vec::new()),
+            pool: Mutex::new(TicketPool {
+                tickets: Vec::new(),
+                worker_alive: has_worker,
+            }),
+            released: Condvar::new(),
             depth: pipeline_depth.clamp(1, Self::MAX_DEPTH),
-            primed: AtomicBool::new(false),
         }
     }
 
-    /// Fill the pool with `depth` tickets pre-sized (and page-touched)
-    /// for captures shaped like `state` + `aux`. Idempotent; called
-    /// eagerly before the first training iteration so no anchor pays the
-    /// one-time allocation + page-fault cost, and again defensively from
-    /// [`CowTickets::get_primed`].
+    /// Build the first ticket, framed for captures shaped like `state` +
+    /// `aux`, so the first anchor does not pay the frame's allocation and
+    /// page faults. Idempotent.
     pub(crate) fn prime(&self, state: &ModelState, aux: &AuxView<'_>) {
-        let mut slots = self.slots.lock();
-        if !self.primed.swap(true, Ordering::Relaxed) {
-            while slots.len() < self.depth {
-                slots.push(Arc::new(CowTicket::primed(state, aux)));
+        let mut pool = self.pool.lock();
+        if pool.tickets.is_empty() {
+            pool.tickets.push(Arc::new(CowTicket::framed(state, aux)));
+        }
+    }
+
+    /// Frame a capture of `state` + `aux` in a free ticket, building one
+    /// if the pool is below its depth, else waiting for a release. Also
+    /// returns how long it waited (zero when it did not). `None` when
+    /// every ticket is in flight and no live worker is left to release
+    /// one.
+    pub(crate) fn frame(
+        &self,
+        state: &ModelState,
+        aux: &AuxView<'_>,
+    ) -> (Option<Arc<CowTicket>>, Duration) {
+        let mut pool = self.pool.lock();
+        let mut wait_start = None;
+        loop {
+            let waited = wait_start.map_or(Duration::ZERO, |t: Instant| t.elapsed());
+            if let Some(t) = pool.tickets.iter_mut().find_map(|t| {
+                Arc::get_mut(t)?.reset(state, aux);
+                Some(Arc::clone(t))
+            }) {
+                return (Some(t), waited);
             }
+            if pool.tickets.len() < self.depth {
+                // Only the submitting thread builds tickets, so the slot
+                // stays ours while the lock is released for the frame's
+                // Ψ-sized allocation.
+                drop(pool);
+                let t = Arc::new(CowTicket::framed(state, aux));
+                self.pool.lock().tickets.push(Arc::clone(&t));
+                return (Some(t), waited);
+            }
+            if !pool.worker_alive {
+                return (None, waited);
+            }
+            wait_start.get_or_insert_with(Instant::now);
+            self.released.wait(&mut pool);
         }
     }
 
-    /// Pop an exclusively-held ticket, priming the pool first in case no
-    /// eager [`CowTickets::prime`] ran.
-    pub(crate) fn get_primed(&self, state: &ModelState, aux: &AuxView<'_>) -> Arc<CowTicket> {
-        self.prime(state, aux);
-        let mut slots = self.slots.lock();
-        // Exclusive = the pool's Arc is the only one left; in-flight
-        // tickets (worker still persisting) are skipped.
-        if let Some(pos) = slots.iter().position(|t| Arc::strong_count(t) == 1) {
-            slots.swap_remove(pos)
-        } else {
-            Arc::new(CowTicket::empty())
-        }
+    /// The worker finished a job and dropped its ticket handle: wake a
+    /// submitter waiting for a free ticket.
+    pub(crate) fn released(&self) {
+        // Taking the lock orders the handle's drop before the waiter's
+        // next look at the pool: a wakeup cannot fall between its check
+        // and its wait.
+        let _pool = self.pool.lock();
+        self.released.notify_one();
     }
 
-    pub(crate) fn put(&self, t: Arc<CowTicket>) {
-        let mut slots = self.slots.lock();
-        if slots.len() < self.depth {
-            slots.push(t);
-        }
+    /// The worker thread is gone (shutdown or panic): release any waiter.
+    pub(crate) fn worker_exited(&self) {
+        self.pool.lock().worker_alive = false;
+        self.released.notify_all();
+    }
+
+    /// Tickets built so far.
+    #[cfg(test)]
+    pub(crate) fn built(&self) -> usize {
+        self.pool.lock().tickets.len()
     }
 }
 
@@ -427,10 +473,11 @@ mod tests {
         };
         let view = aux.view();
         let blocking = codec::encode_full_checkpoint(&st, &view);
-        let mut t = CowTicket::empty();
-        t.reset(&st, &view);
+        let t = CowTicket::framed(&st, &view);
         assert!(t.remaining() > 0);
         assert_eq!(t.iteration(), 42);
+        assert_eq!(t.adam_t(), 42);
+        assert_eq!(t.psi(), COW_CHUNK_ELEMS + 100);
         t.sweep();
         assert_eq!(t.remaining(), 0);
         t.seal();
@@ -445,8 +492,7 @@ mod tests {
         let mut st = demo_state(3 * COW_CHUNK_ELEMS, 6);
         let view = AuxView::NONE;
         let blocking = codec::encode_full_checkpoint(&st, &view);
-        let mut t = CowTicket::empty();
-        t.reset(&st, &view);
+        let t = CowTicket::framed(&st, &view);
         // Mutate params chunk 1 and m chunk 0, hooked: the hook captures
         // the pre-mutation bytes first.
         let r = COW_CHUNK_ELEMS..2 * COW_CHUNK_ELEMS;
@@ -474,45 +520,41 @@ mod tests {
 
     #[test]
     fn racing_hook_and_sweeper_still_byte_identical() {
-        let st = demo_state(16 * COW_CHUNK_ELEMS / 16, 7); // 1 chunk/region
-        let st = {
-            let mut s = st;
-            s.iteration = 9;
-            s
-        };
+        let mut st = demo_state(COW_CHUNK_ELEMS, 7); // 1 chunk/region
+        st.iteration = 9;
         let view = AuxView::NONE;
         let blocking = codec::encode_full_checkpoint(&st, &view);
-        let mut t = CowTicket::empty();
-        t.reset(&st, &view);
-        let t = Arc::new(t);
+        let t = Arc::new(CowTicket::framed(&st, &view));
         std::thread::scope(|scope| {
             let ts = Arc::clone(&t);
             scope.spawn(move || ts.sweep());
             t.cow_all();
         });
         assert_eq!(t.remaining(), 0);
+        let (cow, swept) = t.chunk_counts();
+        assert_eq!(cow + swept, 3, "every chunk captured exactly once");
         t.seal();
         assert_eq!(t.sealed_bytes(), &blocking[..]);
     }
 
     #[test]
     fn ticket_reuse_reframes_cleanly() {
-        let pool = CowTickets::new(2);
+        let pool = CowTickets::new(2, false);
         let st = demo_state(100, 8);
         let view = AuxView::NONE;
-        let mut t = pool.get_primed(&st, &view);
-        Arc::get_mut(&mut t).unwrap().reset(&st, &view);
+        pool.prime(&st, &view);
+        let (t, waited) = pool.frame(&st, &view);
+        let t = t.expect("primed ticket is free");
+        assert!(waited.is_zero());
         t.sweep();
         t.seal();
         let first = t.sealed_bytes().to_vec();
-        pool.put(t);
-        // Second capture of a different state through the same pool.
+        drop(t);
+        // Second capture of a different state through the same ticket.
         let mut st2 = demo_state(100, 9);
         st2.iteration = 77;
-        let mut t = pool.get_primed(&st2, &view);
-        Arc::get_mut(&mut t)
-            .expect("pooled ticket must be exclusive")
-            .reset(&st2, &view);
+        let t = pool.frame(&st2, &view).0.expect("released ticket is free");
+        assert_eq!(pool.built(), 1, "a released ticket is reused, not rebuilt");
         t.sweep();
         t.seal();
         assert_eq!(
@@ -520,5 +562,17 @@ mod tests {
             &codec::encode_full_checkpoint(&st2, &view)[..]
         );
         assert_ne!(t.sealed_bytes(), &first[..]);
+    }
+
+    #[test]
+    fn dry_pool_without_a_worker_returns_none_instead_of_waiting() {
+        let pool = CowTickets::new(2, false);
+        let st = demo_state(100, 10);
+        let view = AuxView::NONE;
+        let held: Vec<_> = (0..2).map(|_| pool.frame(&st, &view).0.unwrap()).collect();
+        assert_eq!(pool.built(), 2);
+        assert!(pool.frame(&st, &view).0.is_none(), "depth bounds the pool");
+        drop(held);
+        assert!(pool.frame(&st, &view).0.is_some());
     }
 }

@@ -18,9 +18,9 @@
 //! What each point simulates:
 //!
 //! * [`CrashPoint::PreSnapshot`] — death on the training thread before the
-//!   state is even captured: the job never enters the pipeline.
-//! * [`CrashPoint::MidCapture`] — incremental snapshots: death while the
-//!   copy-on-write capture is still assembling the full frame in memory.
+//!   snapshot job enters the pipeline.
+//! * [`CrashPoint::MidCapture`] — death while a full-checkpoint capture
+//!   is still assembling its frame in memory.
 //!   Some chunks have been copied into the (unsealed) snapshot buffer, but
 //!   nothing has been encoded or written — the partially captured frame
 //!   dies with the process and recovery sees only earlier checkpoints. For
@@ -52,10 +52,10 @@ use std::sync::Arc;
 /// A named stage boundary in the snapshot → encode → persist pipeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CrashPoint {
-    /// Training thread, before the snapshot is captured into a slot.
+    /// Training thread, before the snapshot job enters the pipeline.
     PreSnapshot,
-    /// Incremental capture, after some chunks have been copied into the
-    /// unsealed snapshot frame, before it is sealed or persisted.
+    /// Full-checkpoint capture, after chunks have been copied into the
+    /// unsealed frame, before it is sealed or persisted.
     MidCapture,
     /// Worker thread, after encode, before any byte is written.
     PostEncode,

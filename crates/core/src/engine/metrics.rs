@@ -135,9 +135,8 @@ pub struct EngineCounters {
     pub queue_capacity: u64,
     /// Snapshot stage: state capture + enqueue on the training thread.
     pub snapshot: StageLatency,
-    /// Incremental capture: framing → last chunk sealed (wall-clock span
-    /// of a copy-on-write capture; overlapped with compute, so *not*
-    /// training-thread stall). Zero in blocking mode.
+    /// Full capture: framing → sealed (wall-clock span; overlapped with
+    /// compute when deferred, so *not* training-thread stall).
     pub capture: StageLatency,
     /// Encode stage: codec + CRC (off the training thread for async
     /// engines).

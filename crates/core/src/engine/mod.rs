@@ -4,7 +4,8 @@
 //! ```text
 //! training thread                 │ checkpointing thread (async engines)
 //! ───────────────                 │ ────────────────────
-//! SNAPSHOT: capture state /       │
+//! SNAPSHOT: capture the state     │
+//!   into a framed ticket /        │
 //!   clone the gradient handle     │
 //!   → submit(Job) ──bounded queue──▶ policy.process(job, ctx)
 //!                                 │   ├─ ENCODE: codec + CRC
@@ -46,7 +47,7 @@ pub use cow::{CowRegion, CowTicket, COW_CHUNK_ELEMS};
 pub use crash::{CrashInjector, CrashPoint, ALL_CRASH_POINTS};
 pub use metrics::{EngineCounters, EngineMetrics, LatencyHist, StageLatency};
 pub use persist::{EngineCtx, FullOpts, Tier};
-pub use policy::{CheckpointPolicy, FullSnapshot, Job, PolicyCtl};
+pub use policy::{CheckpointPolicy, Job, PolicyCtl};
 pub use tier::{
     peer_recovery_stores, AckMode, DurabilityClass, DurableTier, MemoryTier, ObjectSink,
     PeerReplicaBackend, PeerTier, RecoveryTier, SinkReport, TierBacking, TierStack,
@@ -61,149 +62,14 @@ use lowdiff_optim::ModelState;
 use lowdiff_storage::{CheckpointStore, RetryPolicy, StripeCfg};
 use lowdiff_util::units::Secs;
 use lowdiff_util::BufferPool;
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Recycled snapshot slots: the engine's answer to
-/// `Job::Full(Box::new(state.clone()))`. [`CheckpointEngine::submit_full`]
-/// pops a slot and `copy_from`s the live state — and the error-feedback
-/// residual, when present — into its existing allocations; the policy
-/// returns the box via [`EngineCtx::recycle_state`] once the bytes are
-/// durable.
-///
-/// The pool is sized to the pipeline depth (up to [`Self::MAX_DEPTH`]):
-/// one slot on the worker, up to `queue_capacity` queued, one being
-/// refilled by the trainer. On the *first* anchor the whole pool is primed
-/// with slots pre-sized to the model (residual buffer included), so the
-/// trainer never allocates a full-state buffer again even while earlier
-/// fulls are still in flight — recycling only has to keep up on average,
-/// not per-anchor. The pool's depth is also the bound on in-flight fulls:
-/// when the store falls that many fulls behind (a job queue deeper than
-/// the pool holds them all), [`Self::get`] waits for the worker to hand a
-/// slot back instead of growing the footprint by another full state.
-pub(crate) struct SnapshotSlots {
-    pool: Mutex<SlotPool>,
-    returned: Condvar,
-    depth: usize,
-}
-
-struct SlotPool {
-    // Slots stay boxed: `Job::Full` carries `Box<FullSnapshot>`, so
-    // pooling the box keeps get/put free of a >3Ψ move in and out of the
-    // Vec.
-    #[allow(clippy::vec_box)]
-    free: Vec<Box<FullSnapshot>>,
-    primed: bool,
-    /// A worker thread is alive and will return the slots in flight.
-    /// False for inline engines and once the worker has exited: a dry
-    /// pool can then never refill, and nobody must wait on it.
-    worker_alive: bool,
-}
-
-impl SnapshotSlots {
-    /// Upper bound on pooled slots: each is a full model state, so the
-    /// pool must stay shallow even behind a deep job queue.
-    const MAX_DEPTH: usize = 4;
-
-    fn new(pipeline_depth: usize, has_worker: bool) -> Self {
-        Self {
-            pool: Mutex::new(SlotPool {
-                free: Vec::new(),
-                primed: false,
-                worker_alive: has_worker,
-            }),
-            returned: Condvar::new(),
-            depth: pipeline_depth.clamp(1, Self::MAX_DEPTH),
-        }
-    }
-
-    /// Pop a slot if one is free, priming the pool with `depth` pre-sized
-    /// slots first if this is the first anchor (the one-time cost lands in
-    /// warmup, not steady state). The residual buffer is pre-sized from
-    /// the first anchor's aux view, so error-feedback runs stay
-    /// allocation-free too.
-    fn try_get(&self, like: &ModelState, aux: &AuxView<'_>) -> Option<Box<FullSnapshot>> {
-        self.primed(like, aux).free.pop()
-    }
-
-    /// Pop a slot, waiting for the worker to recycle one while all are in
-    /// flight; also returns how long that wait was (zero if a slot was
-    /// free). `None` when the pool is dry and no live worker is left to
-    /// refill it.
-    fn get(&self, like: &ModelState, aux: &AuxView<'_>) -> (Option<Box<FullSnapshot>>, Duration) {
-        let mut pool = self.primed(like, aux);
-        let mut waited = Duration::ZERO;
-        if pool.free.is_empty() && pool.worker_alive {
-            let t0 = Instant::now();
-            while pool.free.is_empty() && pool.worker_alive {
-                self.returned.wait(&mut pool);
-            }
-            waited = t0.elapsed();
-        }
-        (pool.free.pop(), waited)
-    }
-
-    fn primed(&self, like: &ModelState, aux: &AuxView<'_>) -> MutexGuard<'_, SlotPool> {
-        let mut pool = self.pool.lock();
-        if !pool.primed {
-            pool.primed = true;
-            let res_len = aux.residual.map_or(0, <[f32]>::len);
-            while pool.free.len() < self.depth {
-                let mut s = Box::new(FullSnapshot::empty());
-                s.state.copy_from(like);
-                s.residual = vec![0.0; res_len];
-                pool.free.push(s);
-            }
-        }
-        pool
-    }
-
-    pub(crate) fn put(&self, snap: Box<FullSnapshot>) {
-        let mut pool = self.pool.lock();
-        if pool.free.len() < self.depth {
-            pool.free.push(snap);
-        }
-        self.returned.notify_one();
-    }
-
-    /// The worker thread is gone (shutdown or panic): release any waiter.
-    fn worker_exited(&self) {
-        self.pool.lock().worker_alive = false;
-        self.returned.notify_all();
-    }
-}
-
 /// Storage key of the engine's exported health blob (deliberately outside
 /// the `full-`/`diff-` key spaces so checkpoint discovery ignores it).
 pub const HEALTH_KEY: &str = "meta-engine-health.json";
-
-/// How `submit_full` captures the model state.
-///
-/// Blocking stays the default because Incremental alone would make the
-/// safe `CheckpointStrategy::after_update(&ModelState)` unsound for
-/// callers that drive the hooks by hand and mutate the state before the
-/// capture completes (`after_update` → `on_synced_gradient` →
-/// `apply_gradient`, never `take_pending_capture` — the benchmark's
-/// `recover-chain` write phase and many unit tests). Making Incremental
-/// the only mode first needs a completion point the engine controls, or
-/// those callers moved onto the trainer's COW-hooked update.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SnapshotMode {
-    /// Capture the whole state into a snapshot slot before submit returns
-    /// (one blocking ~3Ψ copy on the training thread). The historical
-    /// path, byte-identical wire output, safe for any caller.
-    #[default]
-    Blocking,
-    /// Frame the checkpoint at submit (microseconds) and capture the
-    /// state chunk-by-chunk afterwards: copy-on-write hooks in the update
-    /// path plus a worker-side sweeper ([`cow::CowTicket`]). Produces
-    /// byte-identical blobs, but the caller **must** route every mutation
-    /// of params/moments/residual through the pending ticket's hooks
-    /// (the trainer does; opt in only when driving the hooks).
-    Incremental,
-}
 
 /// Engine construction parameters.
 #[derive(Clone, Debug)]
@@ -223,9 +89,6 @@ pub struct EngineConfig {
     /// Deterministic crash-point injection (torture tests). `None` in
     /// production: every check is a no-op.
     pub crash: Option<Arc<CrashInjector>>,
-    /// Full-state capture mode for `submit_full` (blocking copy vs
-    /// incremental copy-on-write). See [`SnapshotMode`].
-    pub snapshot: SnapshotMode,
 }
 
 impl Default for EngineConfig {
@@ -236,7 +99,6 @@ impl Default for EngineConfig {
             export_health: true,
             stripe: StripeCfg::default(),
             crash: None,
-            snapshot: SnapshotMode::default(),
         }
     }
 }
@@ -256,25 +118,24 @@ enum WorkerMsg {
 }
 
 /// What the training-side engine handle and its checkpointing thread
-/// share: the stats ledger, the stage metrics, the re-anchor flag and the
-/// recycle pools. [`Self::ctx`] is the one place an [`EngineCtx`] is built.
+/// share: the stats ledger, the stage metrics, the re-anchor flag, the
+/// encode buffers and the ticket pool. [`Self::ctx`] is the one place an
+/// [`EngineCtx`] is built.
 struct EngineShared {
     stats: Mutex<StrategyStats>,
     metrics: EngineMetrics,
     force_full: AtomicBool,
     buffers: BufferPool<u8>,
-    snaps: SnapshotSlots,
     cow: cow::CowTickets,
 }
 
 impl EngineShared {
-    fn new(snaps: SnapshotSlots, cow: cow::CowTickets) -> Arc<Self> {
+    fn new(cow: cow::CowTickets) -> Arc<Self> {
         Arc::new(Self {
             stats: Mutex::new(StrategyStats::default()),
             metrics: EngineMetrics::default(),
             force_full: AtomicBool::new(false),
             buffers: BufferPool::default(),
-            snaps,
             cow,
         })
     }
@@ -287,8 +148,6 @@ impl EngineShared {
             force_full: &self.force_full,
             metrics: &self.metrics,
             buffers: &self.buffers,
-            snaps: &self.snaps,
-            cow: &self.cow,
             crash: cfg.crash.as_deref(),
         }
     }
@@ -300,8 +159,8 @@ pub struct CheckpointEngine {
     store: Arc<CheckpointStore>,
     cfg: EngineConfig,
     shared: Arc<EngineShared>,
-    /// The newest in-flight incremental capture, until the adapter picks
-    /// it up via [`Self::take_pending_capture`] to drive the COW hooks.
+    /// The newest deferred capture, until the adapter hands it to the
+    /// trainer via [`Self::take_pending_capture`] to drive the COW hooks.
     pending: Option<Arc<CowTicket>>,
     stall: Secs,
     backpressure: u64,
@@ -323,19 +182,8 @@ impl CheckpointEngine {
     ) -> Self {
         assert!(cfg.queue_capacity >= 1, "queue capacity must be >= 1");
         let name = policy.name();
-        let shared = EngineShared::new(
-            // Worker slot + queued slots + the one the trainer is refilling.
-            SnapshotSlots::new(cfg.queue_capacity + 2, true),
-            // COW tickets need one slot more than the snapshot pool: the
-            // worker frees its queue slot (unblocking the next submit)
-            // before the persist completes and releases its ticket, and
-            // the trainer's capture guard pins the newest ticket besides —
-            // at saturation `queue_capacity + 2` tickets are
-            // simultaneously in flight, so one extra keeps the pool from
-            // running dry (a dry pool means a cold Ψ-sized allocation on
-            // the training thread).
-            cow::CowTickets::new(cfg.queue_capacity + 3),
-        );
+        // The worker's ticket + the queued ones + the one being framed.
+        let shared = EngineShared::new(cow::CowTickets::new(cfg.queue_capacity + 2, true));
         shared.metrics.set_capacity(cfg.queue_capacity as u64);
         let (job_tx, job_rx) = bounded(cfg.queue_capacity);
         let (ctl_tx, ctl_rx) = unbounded();
@@ -372,16 +220,9 @@ impl CheckpointEngine {
             name: policy.name(),
             store,
             cfg,
-            shared: EngineShared::new(
-                // Inline engines recycle the slot before submit returns: a
-                // single slot double-buffers against nothing and suffices.
-                SnapshotSlots::new(1, false),
-                // COW tickets need one extra slot: the trainer's capture
-                // guard pins the previous ticket until the next full
-                // replaces it, so two tickets alternate even though
-                // persists are inline.
-                cow::CowTickets::new(2),
-            ),
+            // Persists finish before submit returns; the second ticket is
+            // for the one a trainer's capture guard may still pin.
+            shared: EngineShared::new(cow::CowTickets::new(2, false)),
             pending: None,
             stall: Secs::ZERO,
             backpressure: 0,
@@ -396,15 +237,12 @@ impl CheckpointEngine {
         &self.store
     }
 
-    /// One-time warm-up before the first training iteration: in
-    /// incremental snapshot mode, pre-size (and page-touch) the COW
-    /// ticket pool for captures shaped like `state` + `aux`, so the first
-    /// anchors don't pay the pool's allocation and page-fault cost on the
-    /// training thread. Idempotent; a no-op in blocking mode.
+    /// One-time warm-up before the first training iteration: build (and
+    /// page-touch) the first capture ticket, framed for captures shaped
+    /// like `state` + `aux`, so the first anchor doesn't pay its
+    /// allocation and page faults on the training thread. Idempotent.
     pub fn prime_capture(&self, state: &ModelState, aux: &AuxView<'_>) {
-        if self.cfg.snapshot == SnapshotMode::Incremental {
-            self.shared.cow.prime(state, aux);
-        }
+        self.shared.cow.prime(state, aux);
     }
 
     /// Ask the policy's training-side gate (synchronous engines).
@@ -420,18 +258,49 @@ impl CheckpointEngine {
         self.cfg.crash.as_ref().is_some_and(|c| c.crashed())
     }
 
-    /// Submit a full snapshot of `state` + auxiliary training state (EF
-    /// residual, compressor identity, data-RNG cursor) without cloning:
-    /// everything is copied into a recycled, pre-sized snapshot slot (pure
-    /// `copy_from_slice` traffic in steady state — zero heap allocation
-    /// once the pool is primed on the first anchor), which the policy
-    /// returns to the engine after persisting via
-    /// [`EngineCtx::recycle_state`].
+    /// Submit a full checkpoint of `state` + auxiliary training state (EF
+    /// residual, compressor identity, data-RNG cursor): frame it in a
+    /// pooled [`CowTicket`] and capture every chunk straight to its wire
+    /// offset on the calling thread, then enqueue it. The capture is
+    /// complete when this returns, so the caller may mutate `state` at
+    /// once; the worker only seals and persists.
     pub fn submit_full(
         &mut self,
         since: Instant,
         state: &ModelState,
         aux: &AuxView<'_>,
+    ) -> Submitted {
+        self.submit_capture(since, state, aux, false)
+    }
+
+    /// [`Self::submit_full`] that leaves the capture in flight: only the
+    /// frame is written here (microseconds), and the capture completes
+    /// through the copy-on-write hooks of the ticket
+    /// [`Self::take_pending_capture`] hands out next, racing the worker's
+    /// sweep.
+    ///
+    /// # Safety
+    ///
+    /// Until the capture completes, `state` and `aux.residual` must stay
+    /// alive at their current addresses, and every mutation of params, m,
+    /// v and the residual must first go through the ticket the next
+    /// `take_pending_capture` returns ([`CowTicket::cow_range`], or
+    /// [`CowTicket::cow_all`] before an unhooked write).
+    pub unsafe fn submit_full_deferred(
+        &mut self,
+        since: Instant,
+        state: &ModelState,
+        aux: &AuxView<'_>,
+    ) -> Submitted {
+        self.submit_capture(since, state, aux, true)
+    }
+
+    fn submit_capture(
+        &mut self,
+        since: Instant,
+        state: &ModelState,
+        aux: &AuxView<'_>,
+        defer: bool,
     ) -> Submitted {
         if self.crash_dead() {
             return Submitted {
@@ -439,36 +308,25 @@ impl CheckpointEngine {
                 delivered: false,
             };
         }
-        match self.cfg.snapshot {
-            SnapshotMode::Blocking => {
-                // Every slot in flight means the store is a pool's depth
-                // of fulls behind: wait one out. Like the queue-full wait
-                // in `submit`, that is backpressure, not snapshot work.
-                let (slot, waited) = self.shared.snaps.get(state, aux);
-                if !waited.is_zero() {
-                    self.backpressure += 1;
-                }
-                let Some(mut slot) = slot else {
-                    // Dry pool and no worker left to refill it.
-                    return self.undelivered(since);
-                };
-                slot.capture(state, aux);
-                self.submit_after(since, waited, Job::Full(slot))
-            }
-            SnapshotMode::Incremental => {
-                let mut ticket = self.shared.cow.get_primed(state, aux);
-                Arc::get_mut(&mut ticket)
-                    .expect("pooled COW ticket must be exclusive")
-                    .reset(state, aux);
-                // A prior capture nobody picked up is completed from the
-                // live state before it is superseded (the caller contract
-                // says unhooked mutation hasn't happened yet).
-                if let Some(stale) = self.pending.replace(Arc::clone(&ticket)) {
-                    stale.cow_all();
-                }
-                self.submit(since, Job::IncrementalFull(ticket))
-            }
+        // Every ticket in flight means the store is a pool's depth of
+        // fulls behind: wait one out. Like the queue-full wait in
+        // `submit`, that is backpressure, not snapshot work.
+        let (ticket, waited) = self.shared.cow.frame(state, aux);
+        if !waited.is_zero() {
+            self.backpressure += 1;
         }
+        let Some(ticket) = ticket else {
+            // Dry pool and no worker left to release a ticket.
+            return self.undelivered(since);
+        };
+        if !defer {
+            ticket.sweep();
+        } else if let Some(stale) = self.pending.replace(Arc::clone(&ticket)) {
+            // Nobody took the previous deferred capture to hook it:
+            // complete it before the caller can mutate its sources.
+            stale.cow_all();
+        }
+        self.submit_after(since, waited, Job::Full(ticket))
     }
 
     /// The worker is gone: checkpointing stops advancing; training
@@ -483,10 +341,10 @@ impl CheckpointEngine {
         }
     }
 
-    /// Hand the newest in-flight incremental capture to the adapter so the
-    /// training loop can drive its copy-on-write hooks (and complete it
-    /// before any unhooked mutation). `None` in blocking mode or when no
-    /// capture is pending.
+    /// Hand the capture [`Self::submit_full_deferred`] left in flight to
+    /// the adapter so the training loop can drive its copy-on-write hooks
+    /// (and complete it before any unhooked mutation). `None` when no
+    /// deferred capture is pending.
     pub fn take_pending_capture(&mut self) -> Option<Arc<CowTicket>> {
         self.pending.take()
     }
@@ -723,16 +581,22 @@ fn worker_loop(
     cfg: EngineConfig,
     shared: Arc<EngineShared>,
 ) {
-    // However this thread ends, a trainer waiting on the slot pool must
-    // not wait for slots that will never come back.
-    struct WorkerExit<'a>(&'a SnapshotSlots);
+    // However this thread ends, a trainer waiting on the ticket pool must
+    // not wait for tickets that will never come back.
+    struct WorkerExit<'a>(&'a cow::CowTickets);
     impl Drop for WorkerExit<'_> {
         fn drop(&mut self) {
             self.0.worker_exited();
         }
     }
-    let _exit = WorkerExit(&shared.snaps);
+    let _exit = WorkerExit(&shared.cow);
     let mut cx = shared.ctx(&cfg);
+    // A processed job has dropped its ticket handle: the ticket may be
+    // free for the next full.
+    let process = |policy: &mut dyn CheckpointPolicy, job, cx: &mut EngineCtx<'_>| {
+        policy.process(job, cx);
+        shared.cow.released();
+    };
     let mut job_open = true;
     let mut ctl_open = true;
     while job_open || ctl_open {
@@ -756,7 +620,7 @@ fn worker_loop(
 
         if ready == job_idx {
             match job_rx.try_recv() {
-                Ok(job) => policy.process(job, &mut cx),
+                Ok(job) => process(&mut *policy, job, &mut cx),
                 Err(TryRecvError::Empty) => {} // raced; re-select
                 Err(TryRecvError::Disconnected) => job_open = false,
             }
@@ -770,7 +634,7 @@ fn worker_loop(
                 // Drain queued jobs first so the flush covers everything
                 // submitted before it, then flush the policy's buffers.
                 while let Ok(job) = job_rx.try_recv() {
-                    policy.process(job, &mut cx);
+                    process(&mut *policy, job, &mut cx);
                 }
                 policy.flush(&mut cx);
                 let _ = ack.send(());
@@ -782,7 +646,7 @@ fn worker_loop(
     }
     // Shutdown: both channels closed. Drain what's left, then flush.
     while let Ok(job) = job_rx.try_recv() {
-        policy.process(job, &mut cx);
+        process(&mut *policy, job, &mut cx);
     }
     policy.flush(&mut cx);
     shared.metrics.note_depth(0);
@@ -791,11 +655,14 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lowdiff_storage::codec;
     use lowdiff_storage::MemoryBackend;
+
+    const DEPTH: usize = cow::CowTickets::MAX_DEPTH;
 
     fn engine(policy: impl CheckpointPolicy) -> CheckpointEngine {
         let store = Arc::new(CheckpointStore::new(Arc::new(MemoryBackend::new())));
-        // Default queue (64) is far deeper than the slot pool (4).
+        // Default queue (64) is far deeper than the ticket pool (4).
         CheckpointEngine::spawn(store, policy, EngineConfig::default())
     }
 
@@ -804,7 +671,8 @@ mod tests {
         eng.submit_full(Instant::now(), &state, &AuxView::default())
     }
 
-    /// Holds every full until the gate yields a token (or is dropped).
+    /// Holds every full until the gate yields a token (or is dropped),
+    /// then completes and seals its capture.
     struct Gated(Receiver<()>);
 
     impl CheckpointPolicy for Gated {
@@ -812,42 +680,61 @@ mod tests {
             "gated"
         }
         fn process(&mut self, job: Job, cx: &mut EngineCtx<'_>) {
-            if let Job::Full(snap) = job {
+            if let Job::Full(ticket) = job {
                 let _ = self.0.recv();
-                cx.recycle_state(snap);
+                cx.finish_capture(&ticket);
             }
         }
     }
 
+    /// Opens the gate `tokens` times, `every` apart, on its own thread,
+    /// raising the returned flag before the first token. Joining the
+    /// thread hands back the gate (keep it shut, or drop it to open it
+    /// for good).
+    fn release(
+        open: Sender<()>,
+        tokens: usize,
+        every: Duration,
+    ) -> (std::thread::JoinHandle<Sender<()>>, Arc<AtomicBool>) {
+        let released = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&released);
+        let releaser = std::thread::spawn(move || {
+            for _ in 0..tokens {
+                std::thread::sleep(every);
+                flag.store(true, Ordering::SeqCst);
+                open.send(()).expect("worker holds the gate");
+            }
+            open
+        });
+        (releaser, released)
+    }
+
     #[test]
-    fn dry_slot_pool_waits_for_a_recycle_instead_of_allocating() {
+    fn dry_ticket_pool_waits_for_a_release_instead_of_allocating() {
         const HOLD: Duration = Duration::from_millis(50);
         let (open, gate) = unbounded();
         let mut eng = engine(Gated(gate));
         // One full on the (gated) worker, the rest of the pool queued.
-        for _ in 0..SnapshotSlots::MAX_DEPTH {
+        for _ in 0..DEPTH {
             assert!(submit_full(&mut eng).delivered);
         }
         assert_eq!(eng.backpressure_events(), 0);
-        let released = Arc::new(AtomicBool::new(false));
-        let releaser = std::thread::spawn({
-            let released = Arc::clone(&released);
-            move || {
-                // Long enough that a submit which did not wait has
-                // returned (and failed the assert below) by now.
-                std::thread::sleep(HOLD);
-                released.store(true, Ordering::SeqCst);
-                open.send(()).expect("worker holds the gate");
-                open // keep the gate shut for the other fulls until joined
-            }
-        });
+        assert_eq!(eng.shared.cow.built(), DEPTH);
+        // Long enough that a submit which did not wait has returned (and
+        // failed the assert below) by now.
+        let (releaser, released) = release(open, 1, HOLD);
         let sub = submit_full(&mut eng);
         assert!(
             released.load(Ordering::SeqCst),
-            "submit returned while every slot was still in flight"
+            "submit returned while every ticket was still in flight"
         );
         assert!(sub.delivered);
         assert_eq!(eng.backpressure_events(), 1, "the wait is backpressure");
+        assert_eq!(
+            eng.shared.cow.built(),
+            DEPTH,
+            "the released ticket is reused"
+        );
         assert!(
             eng.stats().engine.snapshot.max.as_f64() < HOLD.as_secs_f64(),
             "the wait must stay out of the snapshot-stage latency"
@@ -857,7 +744,53 @@ mod tests {
         assert!(!eng.stats().degraded);
     }
 
-    /// A worker that dies with fulls in flight takes their slots with it.
+    #[test]
+    fn gated_worker_never_grows_the_pool_past_its_depth() {
+        let (open, gate) = unbounded();
+        let mut eng = engine(Gated(gate));
+        let fulls = 3 * DEPTH;
+        let (releaser, _) = release(open, fulls, Duration::from_millis(2));
+        for _ in 0..fulls {
+            assert!(submit_full(&mut eng).delivered);
+            assert!(eng.shared.cow.built() <= DEPTH);
+        }
+        assert!(eng.backpressure_events() > 0, "the pool ran dry");
+        drop(releaser.join().expect("releaser"));
+        eng.flush();
+        assert_eq!(eng.shared.cow.built(), DEPTH);
+        assert!(!eng.stats().degraded);
+    }
+
+    /// The trainer pins the newest deferred capture, possibly before any
+    /// hook touched it. A dry pool must still refill: the worker sweeps
+    /// the pinned ticket like any other, and releases the rest.
+    #[test]
+    fn pinned_mid_capture_ticket_never_deadlocks_a_dry_pool() {
+        let state = ModelState::new((0..3 * COW_CHUNK_ELEMS).map(|i| i as f32).collect());
+        let (open, gate) = unbounded();
+        let mut eng = engine(Gated(gate));
+        // SAFETY: `state` is never mutated and outlives the engine, whose
+        // flush below completes the capture.
+        let sub = unsafe { eng.submit_full_deferred(Instant::now(), &state, &AuxView::NONE) };
+        assert!(sub.delivered);
+        let pinned = eng.take_pending_capture().expect("deferred capture");
+        assert!(pinned.remaining() > 0, "nothing captured it yet");
+        for _ in 1..DEPTH {
+            assert!(submit_full(&mut eng).delivered);
+        }
+        let (releaser, _) = release(open, 2, Duration::from_millis(5));
+        assert!(submit_full(&mut eng).delivered);
+        assert_eq!(eng.backpressure_events(), 1);
+        drop(releaser.join().expect("releaser"));
+        eng.flush();
+        assert_eq!(pinned.chunk_counts(), (0, 9), "the worker swept it all");
+        assert_eq!(
+            pinned.sealed_bytes(),
+            &codec::encode_full_checkpoint(&state, &AuxView::NONE)[..]
+        );
+    }
+
+    /// A worker that dies with fulls in flight takes their tickets with it.
     struct Dies;
 
     impl CheckpointPolicy for Dies {
@@ -870,10 +803,10 @@ mod tests {
     }
 
     #[test]
-    fn dead_worker_never_hangs_the_trainer_on_the_slot_pool() {
+    fn dead_worker_never_hangs_the_trainer_on_the_ticket_pool() {
         let mut eng = engine(Dies);
         // Twice the pool: the trainer must run dry and still come back.
-        let last = (0..2 * SnapshotSlots::MAX_DEPTH)
+        let last = (0..2 * DEPTH)
             .map(|_| submit_full(&mut eng))
             .last()
             .expect("submitted");

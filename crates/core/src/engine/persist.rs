@@ -29,12 +29,10 @@
 //! the write sequence is byte-identical to the pre-tier engine — the
 //! `engine_equivalence` proptests pin that.
 
-use super::cow::{CowTicket, CowTickets};
+use super::cow::CowTicket;
 use super::crash::{CrashInjector, CrashPoint};
 use super::metrics::EngineMetrics;
-use super::policy::FullSnapshot;
 use super::tier::{AckMode, SinkReport, TierBacking, TierStack};
-use super::SnapshotSlots;
 use crate::batched::BatchedWriter;
 use crate::strategy::StrategyStats;
 use lowdiff_compress::AuxView;
@@ -46,7 +44,6 @@ use lowdiff_util::BufferPool;
 use parking_lot::Mutex;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// How a landed full checkpoint is accounted (Gemini's memory-tier fulls
@@ -185,8 +182,6 @@ pub struct EngineCtx<'a> {
     pub(super) force_full: &'a AtomicBool,
     pub(super) metrics: &'a EngineMetrics,
     pub(super) buffers: &'a BufferPool<u8>,
-    pub(super) snaps: &'a SnapshotSlots,
-    pub(super) cow: &'a CowTickets,
     pub(super) crash: Option<&'a CrashInjector>,
 }
 
@@ -209,14 +204,6 @@ impl EngineCtx<'_> {
     /// Ask the training side to schedule an early full checkpoint.
     pub fn request_reanchor(&self) {
         self.force_full.store(true, Ordering::SeqCst);
-    }
-
-    /// Return a processed snapshot slot to the engine's recycle pool so
-    /// the next [`super::CheckpointEngine::submit_full`] reuses its
-    /// allocations instead of cloning. Policies call this once they no
-    /// longer need the state of a [`super::Job::Full`].
-    pub fn recycle_state(&self, snap: Box<FullSnapshot>) {
-        self.snaps.put(snap);
     }
 
     /// Write `obj` to every tier of the stack, front to back, and account
@@ -360,8 +347,8 @@ impl EngineCtx<'_> {
     }
 
     /// Fan an already-encoded full-checkpoint blob across the tier stack
-    /// (the post-encode half of [`Self::persist_full`], shared with the
-    /// incremental-capture path whose sealed ticket *is* the encoded
+    /// (the post-encode half of [`Self::persist_full`], shared with
+    /// [`Self::persist_capture`], whose sealed ticket *is* the encoded
     /// blob). On failure, requests a re-anchor if `opts` says so.
     pub fn persist_full_encoded(
         &mut self,
@@ -381,8 +368,22 @@ impl EngineCtx<'_> {
         landed == Some(true)
     }
 
-    /// Complete an incremental capture on the worker: sweep every chunk
-    /// the training thread's COW hooks haven't captured yet, fold the
+    /// Complete a full capture, then fan it across the tier stack: the
+    /// one full-checkpoint path of every ticket-capturing policy. The
+    /// ticket returns to the engine's pool when the job drops `ticket`.
+    /// Returns whether every synchronous tier landed it.
+    pub fn persist_capture(
+        &mut self,
+        tiers: &TierStack,
+        ticket: &CowTicket,
+        opts: &FullOpts,
+    ) -> bool {
+        self.finish_capture(ticket)
+            && self.persist_full_encoded(tiers, ticket.iteration(), ticket.sealed_bytes(), opts)
+    }
+
+    /// Complete a full capture on the engine: sweep every chunk nobody
+    /// has captured yet (none, unless the capture was deferred), fold the
     /// capture telemetry into the engine metrics, then seal the frame's
     /// CRC. Returns `false` — the ticket stays unsealed and nothing may
     /// land — when the engine is dead or the armed
@@ -408,39 +409,8 @@ impl EngineCtx<'_> {
         true
     }
 
-    /// Complete an incremental capture and materialize it as a pooled
-    /// [`FullSnapshot`] — for policies that need the decoded model state
-    /// (Naïve DC's differential path), at the cost of losing the
-    /// streaming. Decode→re-encode of the v2 format is bit-exact, so the
-    /// byte-identity invariant survives the round trip.
-    pub fn complete_capture_into_snapshot(
-        &mut self,
-        ticket: &CowTicket,
-    ) -> Option<Box<FullSnapshot>> {
-        if !self.finish_capture(ticket) {
-            return None;
-        }
-        let fc = codec::decode_full_checkpoint(ticket.sealed_bytes()).ok()?;
-        let view = fc.aux.view();
-        // On the worker itself: nobody else could refill a dry pool, so
-        // never wait here.
-        let mut snap = self
-            .snaps
-            .try_get(&fc.state, &view)
-            .unwrap_or_else(|| Box::new(FullSnapshot::empty()));
-        snap.capture(&fc.state, &view);
-        Some(snap)
-    }
-
-    /// Return a processed COW ticket to the engine's pool so the next
-    /// incremental anchor reuses its frame buffer. The ticket becomes
-    /// reusable once the submitter's pending handle is dropped too.
-    pub fn release_ticket(&self, ticket: Arc<CowTicket>) {
-        self.cow.put(ticket);
-    }
-
     /// [`CrashPoint::MidCapture`] check for strategies that capture their
-    /// fulls outside the ticket machinery (LowDiff+'s replica-side
+    /// fulls outside a ticket (LowDiff+'s replica-side
     /// snapshot copy): fires in the equivalent window between capture and
     /// persist. `true` means the simulated process just died.
     pub fn capture_interrupted(&self) -> bool {
@@ -557,6 +527,7 @@ impl EngineCtx<'_> {
 mod tests {
     use super::*;
     use crate::batched::BatchMode;
+    use crate::engine::cow::CowTickets;
     use crate::engine::tier::{DurableTier, MemoryTier, PeerReplicaBackend, PeerTier};
     use crate::engine::{EngineConfig, EngineShared};
     use lowdiff_comm::ReplicaNet;
@@ -578,7 +549,7 @@ mod tests {
             crash,
             ..EngineConfig::default()
         };
-        let shared = EngineShared::new(SnapshotSlots::new(1, false), CowTickets::new(1));
+        let shared = EngineShared::new(CowTickets::new(1, false));
         f(&mut shared.ctx(&cfg));
         let stats = shared.stats.lock().clone();
         stats

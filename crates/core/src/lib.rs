@@ -18,6 +18,8 @@
 //! CheckFreq/Gemini/Naïve-DC against the same trait so every comparison in
 //! the experiments is apples-to-apples.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod batched;
 pub mod config;
 pub mod engine;
@@ -34,9 +36,8 @@ pub use batched::{BatchMode, BatchedWriter};
 pub use config::{ConfigOptimizer, WastedTimeModel};
 pub use engine::{
     CheckpointEngine, CheckpointPolicy, CowRegion, CowTicket, CrashInjector, CrashPoint,
-    DurableTier, EngineConfig, EngineCounters, EngineCtx, FullOpts, FullSnapshot, Job, MemoryTier,
-    PeerTier, PolicyCtl, RecoveryTier, SnapshotMode, StageLatency, Tier, TierStack,
-    ALL_CRASH_POINTS, COW_CHUNK_ELEMS,
+    DurableTier, EngineConfig, EngineCounters, EngineCtx, FullOpts, Job, MemoryTier, PeerTier,
+    PolicyCtl, RecoveryTier, StageLatency, Tier, TierStack, ALL_CRASH_POINTS, COW_CHUNK_ELEMS,
 };
 pub use lowdiff::{LowDiffConfig, LowDiffStrategy};
 pub use lowdiff_compress::{AuxState, AuxView, CompressorCfg, CompressorKind};

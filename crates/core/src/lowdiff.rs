@@ -7,7 +7,7 @@
 //! training thread                      checkpointing thread (CheckpointEngine)
 //! ───────────────                      ───────────────────────────────────────
 //! sync'd Ĝ_t ──Job::Diff(zero-copy)──▶ offload → BatchedWriter → C^B → store
-//! M_t (every FCF iters) ──Job::Full──▶ persist_full → C^F → store (+ GC)
+//! M_t (every FCF iters) ──Job::Full──▶ persist_capture → C^F → store (+ GC)
 //! ```
 //!
 //! The strategy is a thin adapter over [`crate::engine::CheckpointEngine`]:
@@ -23,7 +23,7 @@
 use crate::batched::{BatchMode, BatchedWriter};
 use crate::engine::{
     CheckpointEngine, CheckpointPolicy, CowTicket, EngineConfig, EngineCtx, FullOpts, Job,
-    PolicyCtl, TierStack,
+    PolicyCtl, Submitted, TierStack,
 };
 use crate::strategy::{CheckpointStrategy, StrategyStats};
 use lowdiff_compress::{AuxView, CompressedGrad};
@@ -54,10 +54,7 @@ pub struct LowDiffConfig {
     /// The checkpoint engine underneath: job-queue capacity before
     /// backpressure, the retry/backoff every storage write goes through
     /// (once exhausted the batch is dropped and an early full forced —
-    /// training is never aborted), striped persist, crash injection, and
-    /// the snapshot mode ([`crate::engine::SnapshotMode::Incremental`]
-    /// requires the caller to drive the COW hooks, as
-    /// [`crate::trainer::Trainer`] does).
+    /// training is never aborted), striped persist and crash injection.
     pub engine: EngineConfig,
 }
 
@@ -102,7 +99,7 @@ impl CheckpointPolicy for LowDiffPolicy {
                     cx.persist_batch(&self.tiers, &mut self.writer);
                 }
             }
-            Job::Full(snap) => {
+            Job::Full(ticket) => {
                 let opts = FullOpts {
                     // A full that never lands must be re-attempted soon:
                     // without it, a previously dropped batch would leave
@@ -110,27 +107,7 @@ impl CheckpointPolicy for LowDiffPolicy {
                     reanchor_on_failure: true,
                     keep_fulls: self.keep_fulls,
                 };
-                cx.persist_full(&self.tiers, &snap.state, &snap.aux(), &opts);
-                cx.recycle_state(snap);
-            }
-            Job::IncrementalFull(ticket) => {
-                let opts = FullOpts {
-                    reanchor_on_failure: true,
-                    keep_fulls: self.keep_fulls,
-                };
-                // Sweep the cold chunks (racing the trainer's COW hooks),
-                // seal, and stream the finished frame straight into the
-                // striped/tiered fan-out — same bytes the blocking path
-                // would have written.
-                if cx.finish_capture(&ticket) {
-                    cx.persist_full_encoded(
-                        &self.tiers,
-                        ticket.iteration(),
-                        ticket.sealed_bytes(),
-                        &opts,
-                    );
-                }
-                cx.release_ticket(ticket);
+                cx.persist_capture(&self.tiers, &ticket, &opts);
             }
             Job::Dense { .. } => debug_assert!(false, "lowdiff submits compressed gradients"),
         }
@@ -243,6 +220,37 @@ impl LowDiffStrategy {
     pub fn backpressure_events(&self) -> u64 {
         self.engine.backpressure_events()
     }
+
+    /// The anchor decision both `after_update` flavours share: when this
+    /// iteration is scheduled, or a dropped batch forced a re-anchor,
+    /// `submit` hands the engine a full of `state`.
+    fn anchor(
+        &mut self,
+        state: &ModelState,
+        submit: impl FnOnce(&mut CheckpointEngine, Instant) -> Submitted,
+    ) -> Secs {
+        let scheduled = state.iteration.is_multiple_of(self.cfg.full_every);
+        // A dropped differential batch forces an early full checkpoint:
+        // the full re-anchors the chain past the gap.
+        let forced = self.engine.take_reanchor();
+        if !scheduled && !forced {
+            return Secs::ZERO;
+        }
+        // Snapshot: the state + aux (EF residual, compressor, RNG cursor)
+        // framed in a pooled ticket — no allocation in steady state — so
+        // the full is resume-exact, not just parameter-exact; the write
+        // happens on the checkpointing thread.
+        let sub = submit(&mut self.engine, Instant::now());
+        if sub.delivered {
+            if forced {
+                self.engine.with_stats(|s| s.forced_fulls += 1);
+            }
+        } else if forced {
+            // Nobody will write the re-anchor; keep the request alive.
+            self.engine.request_reanchor();
+        }
+        sub.stall
+    }
 }
 
 impl CheckpointStrategy for LowDiffStrategy {
@@ -275,29 +283,14 @@ impl CheckpointStrategy for LowDiffStrategy {
     }
 
     fn after_update(&mut self, state: &ModelState, aux: &AuxView<'_>) -> Secs {
-        let scheduled = state.iteration.is_multiple_of(self.cfg.full_every);
-        // A dropped differential batch forces an early full checkpoint:
-        // the full re-anchors the chain past the gap.
-        let forced = self.engine.take_reanchor();
-        if !scheduled && !forced {
-            return Secs::ZERO;
-        }
-        let t0 = Instant::now();
-        // Snapshot: an in-memory copy into a recycled, pre-sized engine
-        // slot is the only blocking cost (no allocation in steady state);
-        // the write happens on the checkpointing thread. The aux state
-        // (EF residual, compressor, RNG cursor) rides along so the full
-        // is resume-exact, not just parameter-exact.
-        let sub = self.engine.submit_full(t0, state, aux);
-        if sub.delivered {
-            if forced {
-                self.engine.with_stats(|s| s.forced_fulls += 1);
-            }
-        } else if forced {
-            // Nobody will write the re-anchor; keep the request alive.
-            self.engine.request_reanchor();
-        }
-        sub.stall
+        self.anchor(state, |engine, t0| engine.submit_full(t0, state, aux))
+    }
+
+    unsafe fn after_update_deferred(&mut self, state: &ModelState, aux: &AuxView<'_>) -> Secs {
+        self.anchor(state, |engine, t0| {
+            // SAFETY: this hook's contract is the deferred submit's.
+            unsafe { engine.submit_full_deferred(t0, state, aux) }
+        })
     }
 
     fn take_pending_capture(&mut self) -> Option<Arc<CowTicket>> {
@@ -605,6 +598,58 @@ mod tests {
         let (rec, report) = recover_serial(&st, &Adam::default()).unwrap().unwrap();
         assert_eq!(report.full_iteration, state.iteration);
         assert_eq!(rec.params, state.params, "re-anchored recovery is exact");
+    }
+
+    /// The safe hook's capture is complete when it returns: a hand-driven
+    /// caller may overwrite the state at once, even while the worker is
+    /// still in an earlier write and could not have swept the frame yet.
+    #[test]
+    fn after_update_completes_its_capture_before_returning() {
+        use crate::engine::COW_CHUNK_ELEMS;
+        use lowdiff_storage::codec::encode_full_checkpoint;
+        use lowdiff_storage::{FaultConfig, FaultyBackend};
+
+        // Every put stalls, so the full queues behind the differential's.
+        let slow = FaultyBackend::new(
+            MemoryBackend::new(),
+            FaultConfig {
+                latency_spike_rate: 1.0,
+                latency_spike: std::time::Duration::from_millis(100),
+                ..FaultConfig::default()
+            },
+        );
+        let st = Arc::new(CheckpointStore::new(Arc::new(slow)));
+        let psi = 2 * COW_CHUNK_ELEMS + 5;
+        let mut rng = DetRng::new(9);
+        let mut state = ModelState::new((0..psi).map(|_| rng.normal() as f32).collect());
+        rng.fill_normal_f32(&mut state.opt.m, 0.1);
+        rng.fill_normal_f32(&mut state.opt.v, 0.01);
+        (state.iteration, state.opt.t) = (1, 1);
+        let mut residual: Vec<f32> = (0..psi).map(|i| i as f32).collect();
+        let mut strat = LowDiffStrategy::new(
+            Arc::clone(&st),
+            LowDiffConfig {
+                full_every: 1,
+                batch_size: 1,
+                ..LowDiffConfig::default()
+            },
+        );
+        let grad = Arc::new(TopK::new(0.1).compress(&vec![0.5; psi]));
+        strat.on_synced_gradient(0, &grad, &AuxView::NONE);
+        let aux = AuxView {
+            residual: Some(&residual),
+            ..AuxView::NONE
+        };
+        let want = encode_full_checkpoint(&state, &aux);
+        strat.after_update(&state, &aux);
+        state.params.fill(-1.0);
+        state.opt.m.fill(f32::NAN);
+        state.opt.v.fill(7.0);
+        residual.fill(3.0);
+        strat.flush();
+        let got = st.backend().get(&CheckpointStore::full_key(1)).unwrap();
+        assert!(got == want, "the stored full holds post-return mutations");
+        assert_eq!(strat.stats().engine.cow_chunks, 0, "nothing was deferred");
     }
 
     #[test]

@@ -133,8 +133,8 @@ impl CheckpointPolicy for LowDiffPlusPolicy {
         if persist && cx.capture_interrupted() {
             // Torture hook: LowDiff+ fulls never go through `submit_full`,
             // so the MidCapture crash point fires here — between the
-            // replica snapshot and its persist, the same window the
-            // incremental path dies in.
+            // replica snapshot and its persist, the same window a ticket
+            // capture dies in.
             return;
         }
         if persist {
@@ -245,10 +245,6 @@ impl LowDiffPlusStrategy {
 impl CheckpointStrategy for LowDiffPlusStrategy {
     fn name(&self) -> &'static str {
         "lowdiff+"
-    }
-
-    fn prime(&mut self, state: &ModelState, aux: &AuxView<'_>) {
-        self.engine.prime_capture(state, aux);
     }
 
     fn on_layer_gradient(

@@ -95,6 +95,11 @@ impl CheckpointStrategy for PeerReplicateStrategy {
         self.inner.after_update(state, aux)
     }
 
+    unsafe fn after_update_deferred(&mut self, state: &ModelState, aux: &AuxView<'_>) -> Secs {
+        // SAFETY: forwarded; our caller upholds the same contract.
+        unsafe { self.inner.after_update_deferred(state, aux) }
+    }
+
     fn take_pending_capture(&mut self) -> Option<Arc<CowTicket>> {
         self.inner.take_pending_capture()
     }

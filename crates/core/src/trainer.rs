@@ -12,7 +12,9 @@
 //! 5. decompress and update the model state (`M_{t+1} = M_t + Adam(G_t)`) —
 //!    note training updates from the *decompressed* gradient, which is what
 //!    makes gradient-replay recovery bit-exact,
-//! 6. `after_update` (full checkpoints, state-diff baselines).
+//! 6. `after_update_deferred` (full checkpoints, state-diff baselines): a
+//!    full it starts is finished by the next updates' copy-on-write hooks
+//!    and the engine's sweeper, not on the training thread.
 //!
 //! ## Resume = never crashed
 //!
@@ -209,8 +211,8 @@ pub struct RecoverySource {
     pub store: Arc<CheckpointStore>,
 }
 
-/// The trainer's handle on an in-flight incremental (copy-on-write)
-/// snapshot capture. Completing the capture (`cow_all`) before the ticket's
+/// The trainer's handle on an in-flight deferred (copy-on-write) full
+/// capture. Completing the capture (`cow_all`) before the ticket's
 /// source buffers can be freed or replaced is a safety obligation, so the
 /// completion lives in `Drop` and the field is declared **first** in
 /// [`Trainer`]: it drops before `state`/`comp`/`strategy`, guaranteeing
@@ -540,9 +542,9 @@ impl<S: CheckpointStrategy> Trainer<S> {
     {
         // Warm the capture machinery before the first measured iteration:
         // the aux view here has the exact shape every later capture will
-        // have (contents don't matter for pool sizing), so incremental
-        // engines can pre-size and page-touch their ticket pools without
-        // any anchor paying that one-time cost.
+        // have (contents don't matter for sizing), so engines can build
+        // and page-touch their first ticket without any anchor paying
+        // that one-time cost.
         let aux = AuxView {
             residual: match &self.comp {
                 Comp::Ef(c) => Some(c.residual()),
@@ -647,10 +649,16 @@ impl<S: CheckpointStrategy> Trainer<S> {
                 }
                 None => self.state.apply_gradient(&self.adam, dense),
             }
-            self.strategy.after_update(&self.state, &aux);
-            // An incremental full checkpoint may have just started: hold
-            // its ticket so the COW hooks above protect it from the next
-            // iterations' mutations while the engine sweeps cold chunks.
+            // SAFETY: a full this starts is handed to the capture guard
+            // right below. From then on `state` and the residual change
+            // only through its hooks — the update above routes every
+            // params/m/v block through `cow_range`, and the residual is
+            // captured whole before the compressor rewrites it — and the
+            // guard completes the capture before either is dropped.
+            unsafe { self.strategy.after_update_deferred(&self.state, &aux) };
+            // Hold the deferred capture's ticket so the COW hooks above
+            // protect it from the next iterations' mutations while the
+            // engine sweeps cold chunks.
             if let Some(t) = self.strategy.take_pending_capture() {
                 self.capture.replace(t);
             }
@@ -754,6 +762,60 @@ mod tests {
         assert_eq!(rep.full_iteration, 20);
         assert_eq!(rec.iteration, 27);
         assert_eq!(rec.params, live.params, "recovered params differ");
+        assert_eq!(rec.opt.m, live.opt.m);
+        assert_eq!(rec.opt.v, live.opt.v);
+    }
+
+    /// Only the trainer defers full captures: its update hooks capture the
+    /// chunks a busy worker has not swept yet, a full every iteration runs
+    /// the ticket pool dry while the newest ticket is pinned, and the run
+    /// neither deadlocks nor loses a byte.
+    #[test]
+    fn deferred_captures_ride_the_update_hooks_through_a_dry_pool() {
+        use lowdiff_storage::{FaultConfig, FaultyBackend};
+
+        // Every put stalls: the worker falls behind from the first write.
+        let slow = FaultyBackend::new(
+            MemoryBackend::new(),
+            FaultConfig {
+                latency_spike_rate: 1.0,
+                latency_spike: std::time::Duration::from_millis(20),
+                ..FaultConfig::default()
+            },
+        );
+        let store = Arc::new(CheckpointStore::new(Arc::new(slow)));
+        let strat = LowDiffStrategy::new(
+            Arc::clone(&store),
+            LowDiffConfig {
+                full_every: 1,
+                batch_size: 1,
+                ..LowDiffConfig::default()
+            },
+        );
+        let mut tr = Trainer::new(
+            mlp(&[5, 16, 2], 4),
+            Adam::default(),
+            strat,
+            TrainerConfig {
+                compress_ratio: Some(0.1),
+                error_feedback: true,
+                ..TrainerConfig::default()
+            },
+        );
+        let report = tr.run(8, regression_step(Regression::new(5, 2, 5), 6));
+        assert!(
+            report.stats.engine.cow_chunks > 0,
+            "no capture was deferred"
+        );
+        assert!(
+            tr.strategy().backpressure_events() > 0,
+            "the ticket pool never ran dry"
+        );
+        let live = tr.state().clone();
+        drop(tr);
+        let (rec, rep) = recover_serial(&store, &Adam::default()).unwrap().unwrap();
+        assert_eq!(rep.full_iteration, 8);
+        assert_eq!(rec.params, live.params);
         assert_eq!(rec.opt.m, live.opt.m);
         assert_eq!(rec.opt.v, live.opt.v);
     }

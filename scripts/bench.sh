@@ -16,13 +16,13 @@
 #                          (lowdiff-q8 row's diff_bytes_written reduction
 #                          against the f32 lowdiff row + the recovery-
 #                          fidelity probe's max/mean parameter error) and
-#                          the lowdiff-cow row (incremental copy-on-write
-#                          snapshots — its snapshot_peak_ms against the
-#                          blocking lowdiff row is the full-checkpoint
-#                          stall-spike reduction); run bench_ckpt_e2e
-#                          directly to vary its
+#                          the lowdiff-cow row (full captures deferred to
+#                          the worker's sweep — its snapshot_peak_ms
+#                          against the eager lowdiff row is the
+#                          full-checkpoint stall-spike reduction); run
+#                          bench_ckpt_e2e directly to vary its
 #                          --psi/--iters/--mbps/--stripes/--quant-bits/
-#                          --adaptive/--max-quant-err/--snapshot-mode
+#                          --adaptive/--max-quant-err
 #
 # LOWDIFF_NUM_THREADS caps the thread pool if set.
 

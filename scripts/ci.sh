@@ -47,13 +47,12 @@
 #                            bench_hotpath also asserts that steady-state
 #                            Top-K + error-feedback compress makes no
 #                            gradient-sized allocation; the e2e
-#                            bench runs four times — 1 and 4 persist
-#                            stripes (blocking snapshots), then with
-#                            incremental COW snapshots on, then with
-#                            adaptive quantization on — so the legacy,
-#                            striped, incremental-capture, quantized, and
-#                            peer-replicated write paths are all
-#                            exercised end-to-end
+#                            bench runs three times — 1 and 4 persist
+#                            stripes, then with adaptive quantization
+#                            on — so the single-blob, striped, quantized
+#                            and peer-replicated write paths, and both
+#                            eager and deferred (lowdiff-cow row) full
+#                            captures, are all exercised end-to-end
 # 9. benchmark --smoke     — builds the repo benchmark (benchmark/, a
 #                            separate package using the public API) and
 #                            runs every workload on a tiny configuration,
@@ -126,10 +125,6 @@ MALLOC_MMAP_THRESHOLD_=134217728 MALLOC_TRIM_THRESHOLD_=134217728 \
   target/release/bench_ckpt_e2e --smoke --stripes 1
 MALLOC_MMAP_THRESHOLD_=134217728 MALLOC_TRIM_THRESHOLD_=134217728 \
   target/release/bench_ckpt_e2e --smoke --stripes 4
-# Incremental copy-on-write snapshots end-to-end (the blocking runs above
-# are the "off" leg; every strategy does fulls through the COW ticket here).
-MALLOC_MMAP_THRESHOLD_=134217728 MALLOC_TRIM_THRESHOLD_=134217728 \
-  target/release/bench_ckpt_e2e --smoke --snapshot-mode incremental
 MALLOC_MMAP_THRESHOLD_=134217728 MALLOC_TRIM_THRESHOLD_=134217728 \
   target/release/bench_ckpt_e2e --smoke --quant-bits 8 --adaptive --max-quant-err 2e-3 --peers 2
 

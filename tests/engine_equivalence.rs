@@ -17,8 +17,8 @@ use lowdiff::lowdiff_plus::{LowDiffPlusConfig, LowDiffPlusStrategy};
 use lowdiff::recovery::recover_serial;
 use lowdiff::strategy::CheckpointStrategy;
 use lowdiff::{
-    AuxView, EngineConfig, NoCheckpoint, PeerReplicateStrategy, RecoverySource, ResumeOpts,
-    SnapshotMode, Trainer, TrainerConfig,
+    AuxView, CowTicket, EngineConfig, NoCheckpoint, PeerReplicateStrategy, RecoverySource,
+    ResumeOpts, StrategyStats, Trainer, TrainerConfig,
 };
 use lowdiff_baselines::{CheckFreqStrategy, GeminiStrategy, NaiveDcStrategy, TorchSaveStrategy};
 use lowdiff_comm::ReplicaNet;
@@ -29,6 +29,7 @@ use lowdiff_model::loss::mse;
 use lowdiff_optim::{Adam, ModelState};
 use lowdiff_storage::codec::DiffEntry;
 use lowdiff_storage::{stripe, CheckpointStore, MemoryBackend, StripeCfg};
+use lowdiff_util::units::Secs;
 use lowdiff_util::DetRng;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -455,13 +456,59 @@ fn check_mixed_version_chain(seed: u64, psi: usize, iters: u64, batch: usize) {
 
 // ------------------------------------------- striped persist equivalence
 
+/// Forwards every hook except `after_update_deferred`, so the trainer's
+/// deferred call lands on the safe `after_update`: every capture of the
+/// wrapped strategy completes before the hook returns.
+struct Eager(Box<dyn CheckpointStrategy>);
+
+impl CheckpointStrategy for Eager {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn prime(&mut self, state: &ModelState, aux: &AuxView<'_>) {
+        self.0.prime(state, aux)
+    }
+    fn on_layer_gradient(
+        &mut self,
+        iteration: u64,
+        layer: usize,
+        range: std::ops::Range<usize>,
+        grad: &[f32],
+    ) -> Secs {
+        self.0.on_layer_gradient(iteration, layer, range, grad)
+    }
+    fn on_synced_gradient(
+        &mut self,
+        iteration: u64,
+        grad: &Arc<CompressedGrad>,
+        aux: &AuxView<'_>,
+    ) -> Secs {
+        self.0.on_synced_gradient(iteration, grad, aux)
+    }
+    fn after_update(&mut self, state: &ModelState, aux: &AuxView<'_>) -> Secs {
+        self.0.after_update(state, aux)
+    }
+    fn take_pending_capture(&mut self) -> Option<Arc<CowTicket>> {
+        self.0.take_pending_capture()
+    }
+    fn flush(&mut self) -> Secs {
+        self.0.flush()
+    }
+    fn stats(&self) -> StrategyStats {
+        self.0.stats()
+    }
+}
+
 /// Drive one strategy through a real [`Trainer`] run at the given stripe
-/// configuration and snapshot mode, returning the store it wrote. `scheme`
-/// indexes the same six schemes the torture matrix exercises.
+/// configuration, returning the store it wrote. The trainer defers full
+/// captures to its update hooks and the worker's sweep; `eager` wraps the
+/// strategy in [`Eager`] so every capture completes on the training
+/// thread instead. `scheme` indexes the same six schemes the torture
+/// matrix exercises.
 fn run_scheme(
     scheme: usize,
     stripe: StripeCfg,
-    snapshot: SnapshotMode,
+    eager: bool,
     ef: bool,
     seed: u64,
 ) -> Arc<CheckpointStore> {
@@ -476,7 +523,6 @@ fn run_scheme(
     let network = mlp(&[4, 10, 2], 8);
     let ecfg = EngineConfig {
         stripe,
-        snapshot,
         ..EngineConfig::default()
     };
     let strat: Box<dyn CheckpointStrategy> = match scheme {
@@ -493,10 +539,7 @@ fn run_scheme(
             Arc::clone(&store),
             LowDiffPlusConfig {
                 persist_every: 3,
-                engine: EngineConfig {
-                    stripe,
-                    ..EngineConfig::default()
-                },
+                engine: ecfg,
                 ..LowDiffPlusConfig::default()
             },
             ModelState::new(network.params_flat()),
@@ -525,6 +568,7 @@ fn run_scheme(
             ecfg,
         )),
     };
+    let strat = if eager { Box::new(Eager(strat)) } else { strat };
     let task = Regression::new(4, 2, 7);
     let mut tr = Trainer::new(network, Adam::default(), strat, cfg);
     tr.run_with_data(18, move |net, _t, rng| {
@@ -593,20 +637,14 @@ fn check_striped_equivalence(scheme: usize, stripes: usize, seed: u64) {
         "naive-dc",
     ];
     let what = names[scheme];
-    let legacy = run_scheme(
-        scheme,
-        StripeCfg::default(),
-        SnapshotMode::Blocking,
-        false,
-        seed,
-    );
+    let legacy = run_scheme(scheme, StripeCfg::default(), false, false, seed);
     let striped = run_scheme(
         scheme,
         StripeCfg {
             stripes,
             min_stripe_bytes: 1, // toy model: stripe even tiny blobs
         },
-        SnapshotMode::Blocking,
+        false,
         false,
         seed,
     );
@@ -668,13 +706,14 @@ fn assert_resume_equal(
     }
 }
 
-// --------------------------------------- incremental snapshot equivalence
+// --------------------------------------------- deferred capture equivalence
 
-/// The sacred invariant of the COW capture path: a full checkpoint captured
-/// incrementally (chunks copied by the update hook mid-step + swept by the
-/// worker) must be **byte-identical** to the blocking copy's encoded frame
-/// — same keys, same bytes, same resume — for every strategy, with and
-/// without error feedback (EF rewrites the residual the frame carries).
+/// The sacred invariant of the COW capture path: a full checkpoint whose
+/// capture the trainer defers (chunks copied by the update hook mid-step +
+/// swept by the worker) must be **byte-identical** to one captured whole
+/// before the hook returned — same keys, same bytes, same resume — for
+/// every strategy, with and without error feedback (EF rewrites the
+/// residual the frame carries).
 fn check_incremental_equivalence(scheme: usize, ef: bool, seed: u64) {
     let names = [
         "lowdiff",
@@ -686,10 +725,10 @@ fn check_incremental_equivalence(scheme: usize, ef: bool, seed: u64) {
     ];
     let what = names[scheme];
     let stripe = StripeCfg::default();
-    let blocking = run_scheme(scheme, stripe, SnapshotMode::Blocking, ef, seed);
-    let incremental = run_scheme(scheme, stripe, SnapshotMode::Incremental, ef, seed);
-    assert_stores_identical(&incremental, &blocking, what);
-    assert_resume_equal(&incremental, &blocking, scheme, ef, seed, what);
+    let eager = run_scheme(scheme, stripe, true, ef, seed);
+    let deferred = run_scheme(scheme, stripe, false, ef, seed);
+    assert_stores_identical(&deferred, &eager, what);
+    assert_resume_equal(&deferred, &eager, scheme, ef, seed, what);
 }
 
 // ------------------------------------------------------------------ tests
@@ -723,9 +762,9 @@ fn all_strategies_striped_matches_single_blob() {
     }
 }
 
-/// Incremental COW capture is byte-invisible: every strategy's store after
-/// an incremental-snapshot run is identical to its blocking-snapshot run,
-/// with and without error feedback.
+/// Deferred COW capture is byte-invisible: every strategy's store after a
+/// trainer run is identical to the same run with every capture completed
+/// inside the hook, with and without error feedback.
 #[test]
 fn all_strategies_incremental_matches_blocking() {
     for scheme in 0..6 {
@@ -881,8 +920,8 @@ proptest! {
         check_striped_equivalence(scheme, stripes, seed);
     }
 
-    /// COW-captured full checkpoints are byte-identical to the blocking
-    /// copy's for every strategy and either error-feedback setting.
+    /// Deferred COW captures are byte-identical to eager ones for every
+    /// strategy and either error-feedback setting.
     #[test]
     fn incremental_snapshot_is_byte_identical(
         scheme in 0usize..6,
