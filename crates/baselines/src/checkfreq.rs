@@ -16,8 +16,7 @@
 //! snapshot queued; the next submit blocks).
 
 use lowdiff::engine::{
-    CheckpointEngine, CheckpointPolicy, CowTicket, EngineConfig, EngineCtx, FullOpts, Job,
-    Submitted, TierStack,
+    CheckpointEngine, CheckpointPolicy, EngineConfig, EngineCtx, FullOpts, Job, TierStack,
 };
 use lowdiff::strategy::{CheckpointStrategy, StrategyStats};
 use lowdiff_compress::AuxView;
@@ -40,8 +39,8 @@ impl CheckpointPolicy for CheckFreqPolicy {
 
     fn process(&mut self, job: Job, cx: &mut EngineCtx<'_>) {
         match job {
-            Job::Full(ticket) => {
-                cx.persist_capture(&self.tiers, &ticket, &FullOpts::durable());
+            Job::Full(mut ticket) => {
+                cx.persist_capture(&self.tiers, &mut ticket, &FullOpts::durable());
             }
             _ => debug_assert!(false, "checkfreq submits full snapshots"),
         }
@@ -84,21 +83,6 @@ impl CheckFreqStrategy {
     pub fn store(&self) -> &Arc<CheckpointStore> {
         self.engine.store()
     }
-
-    /// Snapshot (the GPU→CPU `snapshot()` op, through `submit`) on
-    /// schedule, then enqueue for persist; blocks when the pipeline is
-    /// full — the CheckFreq stall at high frequency. A dead persist thread
-    /// degrades the run instead of aborting training.
-    fn snapshot(
-        &mut self,
-        state: &ModelState,
-        submit: impl FnOnce(&mut CheckpointEngine, Instant) -> Submitted,
-    ) -> Secs {
-        if !state.iteration.is_multiple_of(self.every) {
-            return Secs::ZERO;
-        }
-        submit(&mut self.engine, Instant::now()).stall
-    }
 }
 
 impl CheckpointStrategy for CheckFreqStrategy {
@@ -111,18 +95,15 @@ impl CheckpointStrategy for CheckFreqStrategy {
     }
 
     fn after_update(&mut self, state: &ModelState, aux: &AuxView<'_>) -> Secs {
-        self.snapshot(state, |engine, t0| engine.submit_full(t0, state, aux))
-    }
-
-    unsafe fn after_update_deferred(&mut self, state: &ModelState, aux: &AuxView<'_>) -> Secs {
-        self.snapshot(state, |engine, t0| {
-            // SAFETY: this hook's contract is the deferred submit's.
-            unsafe { engine.submit_full_deferred(t0, state, aux) }
-        })
-    }
-
-    fn take_pending_capture(&mut self) -> Option<Arc<CowTicket>> {
-        self.engine.take_pending_capture()
+        if !state.iteration.is_multiple_of(self.every) {
+            return Secs::ZERO;
+        }
+        let t0 = Instant::now();
+        // Snapshot: capture (the GPU→CPU `snapshot()` op) into a pooled
+        // frame, then enqueue for persist; blocks when the pipeline is
+        // full — the CheckFreq stall at high frequency. A dead persist
+        // thread degrades the run instead of aborting training.
+        self.engine.submit_full(t0, state, aux).stall
     }
 
     fn flush(&mut self) -> Secs {

@@ -16,8 +16,8 @@
 //! recovery-priority order.
 
 use lowdiff::engine::{
-    AckMode, CheckpointEngine, CheckpointPolicy, CowTicket, DurableTier, EngineConfig, EngineCtx,
-    FullOpts, Job, MemoryTier, RecoveryTier, Submitted, TierStack,
+    AckMode, CheckpointEngine, CheckpointPolicy, DurableTier, EngineConfig, EngineCtx, FullOpts,
+    Job, MemoryTier, RecoveryTier, TierStack,
 };
 use lowdiff::strategy::{CheckpointStrategy, StrategyStats};
 use lowdiff_compress::AuxView;
@@ -44,7 +44,7 @@ impl CheckpointPolicy for GeminiPolicy {
 
     fn process(&mut self, job: Job, cx: &mut EngineCtx<'_>) {
         match job {
-            Job::Full(ticket) => {
+            Job::Full(mut ticket) => {
                 // Memory-tier copy (peer CPU RAM over the network in the
                 // real system); aligned iterations also ride the durable
                 // tier, written from the same sealed frame.
@@ -53,7 +53,7 @@ impl CheckpointPolicy for GeminiPolicy {
                 } else {
                     &self.mem_only
                 };
-                cx.persist_capture(tiers, &ticket, &FullOpts::durable());
+                cx.persist_capture(tiers, &mut ticket, &FullOpts::durable());
             }
             _ => debug_assert!(false, "gemini submits full snapshots"),
         }
@@ -162,19 +162,6 @@ impl GeminiStrategy {
     pub fn recover_durable(&self) -> std::io::Result<Option<ModelState>> {
         self.engine.store().latest_valid_full()
     }
-
-    /// Hand the engine a full of `state` through `submit` every
-    /// `mem_every` iterations.
-    fn snapshot(
-        &mut self,
-        state: &ModelState,
-        submit: impl FnOnce(&mut CheckpointEngine, Instant) -> Submitted,
-    ) -> Secs {
-        if !state.iteration.is_multiple_of(self.mem_every) {
-            return Secs::ZERO;
-        }
-        submit(&mut self.engine, Instant::now()).stall
-    }
 }
 
 impl CheckpointStrategy for GeminiStrategy {
@@ -187,18 +174,11 @@ impl CheckpointStrategy for GeminiStrategy {
     }
 
     fn after_update(&mut self, state: &ModelState, aux: &AuxView<'_>) -> Secs {
-        self.snapshot(state, |engine, t0| engine.submit_full(t0, state, aux))
-    }
-
-    unsafe fn after_update_deferred(&mut self, state: &ModelState, aux: &AuxView<'_>) -> Secs {
-        self.snapshot(state, |engine, t0| {
-            // SAFETY: this hook's contract is the deferred submit's.
-            unsafe { engine.submit_full_deferred(t0, state, aux) }
-        })
-    }
-
-    fn take_pending_capture(&mut self) -> Option<Arc<CowTicket>> {
-        self.engine.take_pending_capture()
+        if !state.iteration.is_multiple_of(self.mem_every) {
+            return Secs::ZERO;
+        }
+        let t0 = Instant::now();
+        self.engine.submit_full(t0, state, aux).stall
     }
 
     fn flush(&mut self) -> Secs {

@@ -42,7 +42,7 @@ struct NaiveDcPolicy {
     full_every: u64,
     rho: f64,
     /// Parameters of the last checkpoint — the next delta's parent — read
-    /// out of its sealed frame (the §3.4 memory cost of retaining state).
+    /// out of its captured frame (the §3.4 memory cost of retaining state).
     prev_params: Vec<f32>,
     /// The dense moments blob, rebuilt in place every interval.
     moments: Vec<u8>,
@@ -71,24 +71,18 @@ impl CheckpointPolicy for NaiveDcPolicy {
     }
 
     fn process(&mut self, job: Job, cx: &mut EngineCtx<'_>) {
-        let Job::Full(ticket) = job else {
+        let Job::Full(mut ticket) = job else {
             debug_assert!(false, "naive-dc submits full snapshots");
             return;
         };
-        // Every interval needs the sealed frame: fulls persist it as is,
-        // deltas and moments are read out of it.
-        if !cx.finish_capture(&ticket) {
-            return; // the simulated process died mid-capture
-        }
         let (iteration, psi) = (ticket.iteration(), ticket.psi());
-        let frame = ticket.sealed_bytes();
+        // params / m / v sit at fixed offsets whatever aux sections follow.
         let layout = codec::full_frame_layout(psi, &AuxView::NONE);
-        let params = &frame[layout.params_off..layout.m_off];
         if !self.has_base || iteration.is_multiple_of(self.full_every) {
             // The first checkpoint is always a full base (Equation (2)
             // needs a C^F to anchor the differential chain), persisted
             // synchronously as Check-N-Run does.
-            if cx.persist_full_encoded(&self.tiers, iteration, frame, &FullOpts::durable()) {
+            if cx.persist_capture(&self.tiers, &mut ticket, &FullOpts::durable()) {
                 self.has_base = true;
                 if self.reanchor_pending {
                     self.reanchor_pending = false;
@@ -100,9 +94,12 @@ impl CheckpointPolicy for NaiveDcPolicy {
                 self.has_base = false;
             }
         } else {
+            // A differential interval reads the captured frame back and
+            // never seals it.
+            let frame = ticket.bytes();
             debug_assert_eq!(self.prev_params.len(), psi, "a delta needs its parent");
             // 1. delta computation (training thread).
-            let delta: Vec<f32> = f32s(params)
+            let delta: Vec<f32> = f32s(&frame[layout.params_off..layout.m_off])
                 .zip(&self.prev_params)
                 .map(|(new, &old)| new - old)
                 .collect();
@@ -138,7 +135,8 @@ impl CheckpointPolicy for NaiveDcPolicy {
             }
         }
         self.prev_params.clear();
-        self.prev_params.extend(f32s(params));
+        self.prev_params
+            .extend(f32s(&ticket.bytes()[layout.params_off..layout.m_off]));
     }
 }
 
@@ -416,6 +414,27 @@ mod tests {
         assert_eq!(replayed, 0);
         assert_eq!(rec.iteration, 3);
         assert_eq!(rec.params, state.params);
+    }
+
+    /// Only a full interval pays the capture's CRC seal: a differential
+    /// interval reads the unsealed frame back and encodes just its delta.
+    #[test]
+    fn diff_intervals_never_seal_the_capture() {
+        let adam = Adam::default();
+        let mut state = ModelState::new(vec![0.5; 200]);
+        let mut s = NaiveDcStrategy::new(store(), 1, 100, 0.05);
+        s.after_update(&state, &AuxView::NONE); // base full
+        for _ in 0..6 {
+            state.apply_gradient(&adam, &[0.1; 200]);
+            s.after_update(&state, &AuxView::NONE);
+        }
+        let stats = s.stats();
+        assert_eq!((stats.full_checkpoints, stats.diff_checkpoints), (1, 6));
+        assert_eq!(
+            stats.engine.encode.count,
+            1 + 6,
+            "one seal for the base, one delta encode per differential"
+        );
     }
 
     #[test]

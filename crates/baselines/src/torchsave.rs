@@ -29,8 +29,8 @@ impl CheckpointPolicy for TorchSavePolicy {
 
     fn process(&mut self, job: Job, cx: &mut EngineCtx<'_>) {
         match job {
-            Job::Full(ticket) => {
-                cx.persist_capture(&self.tiers, &ticket, &FullOpts::durable());
+            Job::Full(mut ticket) => {
+                cx.persist_capture(&self.tiers, &mut ticket, &FullOpts::durable());
             }
             _ => debug_assert!(false, "torch-save submits full snapshots"),
         }

@@ -23,13 +23,8 @@
 //! `--peers P` sizes the `lowdiff-peer` row — LowDiff over a
 //! `[PeerTier(P), DurableTier(async)]` recovery stack, every checkpoint
 //! object streamed to P ring peers with the durable write trailing
-//! asynchronously (0 drops the row). Every row captures its fulls through
-//! the safe hooks, which finish the capture before returning; the
-//! `lowdiff-cow` row drives LowDiff through `after_update_deferred`
-//! instead, leaving each capture to the worker's sweep, so every recorded
-//! JSON carries the eager-vs-deferred `snapshot_peak_ms` comparison.
-//! `--quant-bits Q` adds a
-//! `lowdiff-qQ` row persisting differentials
+//! asynchronously (0 drops the row). `--quant-bits Q` adds a `lowdiff-qQ`
+//! row persisting differentials
 //! through the v3 quantized codec (0 disables it); `--adaptive` +
 //! `--max-quant-err E` let the per-chunk width chooser move on the
 //! 4/8/16 ladder under a hard per-element error bound. The run also
@@ -98,12 +93,6 @@ struct E2eResult {
     writes: u64,
     /// Largest single snapshot-stage sample (capture + enqueue).
     snapshot_peak_ms: f64,
-    /// Largest capture span (framing → seal; overlapped with compute
-    /// only when deferred).
-    capture_peak_ms: f64,
-    /// Chunks copied by the update-path COW hook vs the worker sweeper.
-    cow_chunks: u64,
-    sweep_chunks: u64,
     /// Allocations during the post-warmup iterations (count-allocs builds).
     steady_allocs: u64,
     /// ... of at least `4Ψ` bytes — full-state-sized.
@@ -190,10 +179,8 @@ fn run_strategy<S: CheckpointStrategy>(
     // same contract real training runs get.
     strat.prime(&state, &AuxView::NONE);
     // Allocation accounting ignores a warmup prefix: pools fill during the
-    // first few checkpoints (the ticket pool grows one full frame at a
-    // time, up to 4, while the store falls behind), steady state is what
-    // the tentpole claims.
-    let warmup = (iters / 4).clamp(5, 10).min(iters.saturating_sub(1));
+    // first few checkpoints, steady state is what the tentpole claims.
+    let warmup = (iters / 4).clamp(1, 10).min(iters.saturating_sub(1));
     let wall = Instant::now();
     let mut total_stall = 0.0f64;
     let mut samples = Vec::with_capacity(iters as usize);
@@ -223,9 +210,6 @@ fn run_strategy<S: CheckpointStrategy>(
         diff_bytes_written: stats.diff_bytes_written,
         writes: stats.writes,
         snapshot_peak_ms: stats.engine.snapshot.max.as_f64() * 1e3,
-        capture_peak_ms: stats.engine.capture.max.as_f64() * 1e3,
-        cow_chunks: stats.engine.cow_chunks,
-        sweep_chunks: stats.engine.sweep_chunks,
         steady_allocs: at_end.0 - at_warm.0,
         steady_large_allocs: at_end.1 - at_warm.1,
     }
@@ -380,11 +364,8 @@ fn main() {
     let mut results: Vec<E2eResult> = Vec::new();
 
     // LowDiff (Algorithm 1): per-iteration compressed differentials,
-    // batched writes, full every 10. Runs twice: once through the safe
-    // hook, whose capture completes before it returns, and once deferred,
-    // so the `snapshot_peak_ms` delta (the full-checkpoint stall spike
-    // the deferred capture exists to kill) is always in the recorded JSON.
-    for (row, deferred) in [("lowdiff", false), ("lowdiff-cow", true)] {
+    // batched writes, full every 10.
+    {
         let strat = LowDiffStrategy::new(
             throttled_store(mbps),
             LowDiffConfig {
@@ -396,7 +377,7 @@ fn main() {
         );
         let cg = Arc::clone(&cg);
         results.push(run_strategy(
-            row,
+            "lowdiff",
             iters,
             strat,
             move |s, st| {
@@ -404,17 +385,7 @@ fn main() {
                     .on_synced_gradient(st.iteration, &cg, &AuxView::NONE)
                     .as_f64();
                 st.iteration += 1;
-                let b = if deferred {
-                    // SAFETY: this loop mutates only `iteration`, which
-                    // the frame captured at reset; params, moments and the
-                    // (absent) residual never change, and `run_strategy`
-                    // flushes — completing the last capture — before it
-                    // drops the state.
-                    unsafe { s.after_update_deferred(st, &AuxView::NONE) }
-                } else {
-                    s.after_update(st, &AuxView::NONE)
-                };
-                a + b.as_f64()
+                a + s.after_update(st, &AuxView::NONE).as_f64()
             },
             &initial,
         ));
@@ -649,11 +620,6 @@ fn main() {
                 format!("{:.2}MB", r.diff_bytes_written as f64 / 1e6),
                 r.writes.to_string(),
                 format!("{:.3}ms", r.snapshot_peak_ms),
-                if r.cow_chunks + r.sweep_chunks > 0 {
-                    format!("{}/{}", r.cow_chunks, r.sweep_chunks)
-                } else {
-                    "-".to_string()
-                },
                 if counting {
                     format!("{}/{}", r.steady_large_allocs, r.steady_allocs)
                 } else {
@@ -674,7 +640,6 @@ fn main() {
             "diff bytes",
             "writes",
             "snap peak",
-            "cow/sweep",
             "big/all allocs",
         ],
         &rows,
@@ -719,7 +684,7 @@ fn main() {
     json.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"persist_stripes\": {stripes}, \"stall_per_iter_ms\": {:.6}, \"stall_p99_ms\": {:.6}, \"total_stall_secs\": {:.6}, \"drain_secs\": {:.6}, \"wall_secs\": {:.6}, \"bytes_written\": {}, \"diff_bytes_written\": {}, \"writes\": {}, \"snapshot_peak_ms\": {:.6}, \"capture_peak_ms\": {:.6}, \"cow_chunks\": {}, \"sweep_chunks\": {}, \"steady_allocs\": {}, \"steady_large_allocs\": {}}}{}\n",
+            "    {{\"name\": \"{}\", \"persist_stripes\": {stripes}, \"stall_per_iter_ms\": {:.6}, \"stall_p99_ms\": {:.6}, \"total_stall_secs\": {:.6}, \"drain_secs\": {:.6}, \"wall_secs\": {:.6}, \"bytes_written\": {}, \"diff_bytes_written\": {}, \"writes\": {}, \"snapshot_peak_ms\": {:.6}, \"steady_allocs\": {}, \"steady_large_allocs\": {}}}{}\n",
             r.name,
             r.stall_per_iter_ms,
             r.stall_p99_ms,
@@ -730,9 +695,6 @@ fn main() {
             r.diff_bytes_written,
             r.writes,
             r.snapshot_peak_ms,
-            r.capture_peak_ms,
-            r.cow_chunks,
-            r.sweep_chunks,
             r.steady_allocs,
             r.steady_large_allocs,
             if i + 1 < results.len() { "," } else { "" }

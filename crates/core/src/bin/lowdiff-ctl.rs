@@ -312,7 +312,7 @@ fn cmd_health(dir: &str) {
             f("queue_capacity"),
             f("queue_peak"),
         );
-        for stage in ["snapshot", "capture", "encode", "persist"] {
+        for stage in ["snapshot", "encode", "persist"] {
             out!(
                 "  {:<8} count={:<8} p50={}us p99={}us",
                 stage,
@@ -320,13 +320,6 @@ fn cmd_health(dir: &str) {
                 f(&format!("{stage}_p50_us")),
                 f(&format!("{stage}_p99_us")),
             );
-        }
-        // Capture chunk accounting: who copied the snapshot — the
-        // update-path COW hook or a sweep.
-        if let (Some(cow), Some(sweep)) = (num("cow_chunks"), num("sweep_chunks")) {
-            if cow + sweep > 0 {
-                out!("  cow capture: {cow} chunk(s) via update hook, {sweep} swept");
-            }
         }
         out!(
             "  io_errors={} io_retries={} dropped_batches={} degraded={}",

@@ -1,435 +1,181 @@
-//! Full-checkpoint capture: every full is a [`CowTicket`].
+//! Full-checkpoint capture: every full is a [`CowTicket`] — a v2 wire
+//! frame checked out of the engine's bounded ticket pool.
 //!
-//! [`CowTicket::reset`] only *frames* the checkpoint — it writes the v2
-//! header and the small aux sections into the final wire buffer, in
-//! microseconds. The 12Ψ bytes of params / moments / residual are then
-//! captured **chunk by chunk**, each chunk exactly once, by whichever party
-//! reaches it first:
+//! `CheckpointEngine::submit_full` fills the ticket on the submitting
+//! thread with [`codec::encode_full_frame_into`]: the header and small aux
+//! sections are stamped and params / m / v / EF residual are copied
+//! straight to their wire offsets, with no allocation once the frame is
+//! pooled. The capture is therefore complete when the submitting hook
+//! returns, and the caller may mutate the state at once. The engine worker
+//! seals the CRC ([`CowTicket::seal`]) and fans the finished blob across
+//! the tier stack; the sealed bytes are **byte-identical** to
+//! `encode_full_checkpoint_into` on the same state, which the
+//! `engine_equivalence` tests pin. Dropping the ticket hands its frame
+//! back to the pool.
 //!
-//! * the **copy-on-write hook** — the optimizer update copies each
-//!   still-uncaptured chunk into the frame immediately before overwriting
-//!   it ([`CowTicket::cow_range`]), so the snapshot always reflects the
-//!   submit-instant values;
-//! * the **sweeper** ([`CowTicket::sweep`]) — every cold chunk.
-//!
-//! When the capture completes is decided by the call that started it. The
-//! safe `CheckpointStrategy::after_update` sweeps on the training thread
-//! before it returns (`CheckpointEngine::submit_full`), so the caller may
-//! mutate the state the moment the hook is back. Only the trainer's
-//! `after_update_deferred` leaves the capture in flight: its update hooks
-//! and the engine worker's sweep complete it while training continues.
-//!
-//! Chunks land *directly at their wire offsets* (the frame layout is
-//! fixed — [`lowdiff_storage::codec::full_frame_layout`]), so capture
-//! **is** the streamed encode: once the last chunk lands the worker seals
-//! the CRC and hands the finished blob to the striped/tiered persist
-//! fan-out. The sealed blob is **byte-identical** to what
-//! `encode_full_checkpoint_into` produces from the submit-instant state —
-//! the `engine_equivalence` proptests pin that.
-//!
-//! ### Safety contract
-//!
-//! A ticket holds raw pointers into the live `ModelState` (and EF
-//! residual). Until the capture completes (`remaining() == 0`) or the
-//! ticket is re-`reset`:
-//!
-//! * the source buffers are neither freed nor reallocated;
-//! * every mutation of a source region goes through
-//!   [`CowTicket::cow_range`] first (or [`CowTicket::cow_all`] completes
-//!   the capture before an unhooked mutation).
-//!
-//! The trainer enforces this with a capture guard dropped *before* the
-//! model state; the safe hooks never leave a capture in flight.
+//! The capture is eager. A copy-on-write variant, which let the
+//! optimizer's update hooks and the worker capture chunks lazily, needs a
+//! benchmark workload that exercises it before it can come back.
 
 use lowdiff_compress::AuxView;
 use lowdiff_optim::ModelState;
-use lowdiff_storage::codec::{self, FullFrameLayout};
-use lowdiff_tensor::chunked::{copy_f32_chunk_le, ChunkMap, ChunkStates};
+use lowdiff_storage::codec;
 use parking_lot::{Condvar, Mutex};
-use std::cell::UnsafeCell;
-use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Elements per capture chunk: matches the Adam kernel's parallel block
-/// size (1 << 15 elements = 128 KiB), so a COW hook never straddles more
-/// than one extra chunk per update block.
-pub const COW_CHUNK_ELEMS: usize = 1 << 15;
-
-/// A capturable source region of the checkpoint frame, named from the
-/// mutator's point of view (the trainer knows *which array* it is about
-/// to overwrite, not where that array lives in the wire image).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CowRegion {
-    /// Model parameters.
-    Params,
-    /// Adam first moment.
-    M,
-    /// Adam second moment.
-    V,
-    /// Error-feedback residual (absent when the run has no EF).
-    Residual,
-}
-
-/// One source region: where to read, where in the frame to write.
-struct Region {
-    src: *const f32,
-    map: ChunkMap,
-    /// Byte offset of the region inside the frame buffer.
-    dst_off: usize,
-    /// First global chunk index of this region.
-    chunk_base: usize,
-}
-
-struct Setup {
+/// A captured full checkpoint: the frame plus what policies key persists
+/// off. Owned by exactly one job at a time, so sealing needs no sharing
+/// protocol.
+pub struct CowTicket {
+    frame: Vec<u8>,
     iteration: u64,
     adam_t: u64,
-    regions: Vec<Region>,
-    /// Index into `regions` per [`CowRegion`] discriminant; `None` when
-    /// the region is absent from this capture (no EF residual).
-    by_region: [Option<usize>; 4],
-    start: Instant,
+    psi: usize,
+    sealed: bool,
+    /// The pool the frame returns to when the ticket drops.
+    home: Arc<CowTickets>,
 }
-
-/// A full-checkpoint capture: the framed wire buffer plus the per-chunk
-/// capture state machine. Shared `Arc`-style between the training thread
-/// (COW hooks) and the engine worker (sweeper + seal); all cross-thread
-/// mutation is chunk-disjoint, mediated by the [`ChunkStates`] CAS.
-pub struct CowTicket {
-    buf: UnsafeCell<Vec<u8>>,
-    setup: Setup,
-    states: ChunkStates,
-    sealed: AtomicBool,
-    cow_chunks: AtomicU64,
-    sweep_chunks: AtomicU64,
-}
-
-// SAFETY: the only non-`Send` fields are the raw source pointers and the
-// `UnsafeCell` frame. The sources are owned by the submitter, who keeps
-// them alive until the capture completes (module contract), so reading
-// them from the worker thread is no different from reading them on the
-// training thread.
-unsafe impl Send for CowTicket {}
-// SAFETY: through `&self`, `setup` is read-only and the counters and
-// flags are atomics; the rest is partitioned by the chunk CAS:
-// `ChunkStates::try_begin` hands each chunk to exactly one thread, which
-// alone reads that chunk's source (never while the owner mutates it — the
-// COW hook captures before the overwrite) and writes that chunk's
-// disjoint byte range of the frame. The frame's length changes only in
-// `seal`, after `remaining()` reached 0, at most once per capture;
-// `&mut self` (`reset`) excludes everyone.
-unsafe impl Sync for CowTicket {}
 
 impl CowTicket {
-    fn empty() -> Self {
-        Self {
-            buf: UnsafeCell::new(Vec::new()),
-            setup: Setup {
-                iteration: 0,
-                adam_t: 0,
-                regions: Vec::new(),
-                by_region: [None; 4],
-                start: Instant::now(),
-            },
-            states: ChunkStates::new(0),
-            sealed: AtomicBool::new(false),
-            cow_chunks: AtomicU64::new(0),
-            sweep_chunks: AtomicU64::new(0),
-        }
-    }
-
-    /// A new ticket framing a capture of `state` + `aux`. The frame buffer
-    /// is allocated and zero-filled (its pages faulted in) at its final
-    /// size here, once; every later [`Self::reset`] of a same-shaped
-    /// capture takes [`codec::reframe_full_frame_into`]'s in-place path.
-    fn framed(state: &ModelState, aux: &AuxView<'_>) -> Self {
-        let mut t = Self::empty();
-        t.reset(state, aux);
-        t
-    }
-
-    /// Frame a new capture of `state` + `aux` into this (exclusively
-    /// held) ticket: write the v2 header and small aux sections at their
-    /// final wire offsets, arm the chunk state machine, and remember
-    /// where to read each region from. On a recycled ticket this is
-    /// O(header) — the previous frame's region bytes stay in place and
-    /// are overwritten chunk by chunk, so not even a memset of the
-    /// Ψ-sized regions lands on the training thread.
-    pub(crate) fn reset(&mut self, state: &ModelState, aux: &AuxView<'_>) {
-        let psi = state.params.len();
-        let buf = self.buf.get_mut();
-        let layout: FullFrameLayout =
-            codec::reframe_full_frame_into(state.iteration, state.opt.t, psi, aux, buf);
-        let map = ChunkMap::new(psi, COW_CHUNK_ELEMS);
-        let chunks_per_region = map.num_chunks();
-        // The region list is rebuilt in place (≤ 4 entries, capacity kept
-        // across resets): a recycled ticket's reset stays allocation-free.
-        self.setup.iteration = state.iteration;
-        self.setup.adam_t = state.opt.t;
-        self.setup.by_region = [None; 4];
-        self.setup.regions.clear();
-        let residual = match (aux.residual, layout.residual_off) {
-            (Some(r), Some(off)) => Some((CowRegion::Residual, r.as_ptr(), off)),
-            _ => None,
-        };
-        let sources = [
-            Some((CowRegion::Params, state.params.as_ptr(), layout.params_off)),
-            Some((CowRegion::M, state.opt.m.as_ptr(), layout.m_off)),
-            Some((CowRegion::V, state.opt.v.as_ptr(), layout.v_off)),
-            residual,
-        ];
-        for (region, src, dst_off) in sources.into_iter().flatten() {
-            let n = self.setup.regions.len();
-            self.setup.by_region[region as usize] = Some(n);
-            self.setup.regions.push(Region {
-                src,
-                map,
-                dst_off,
-                chunk_base: n * chunks_per_region,
-            });
-        }
-        let total_chunks = self.setup.regions.len() * chunks_per_region;
-        if self.states.len() == total_chunks {
-            self.states.reset();
-        } else {
-            self.states = ChunkStates::new(total_chunks);
-        }
-        self.setup.start = Instant::now();
-        self.sealed.store(false, Ordering::Relaxed);
-        self.cow_chunks.store(0, Ordering::Relaxed);
-        self.sweep_chunks.store(0, Ordering::Relaxed);
-    }
-
-    /// The iteration this capture snapshots (policies key persists off it).
+    /// The iteration this capture snapshots.
     pub fn iteration(&self) -> u64 {
-        self.setup.iteration
+        self.iteration
     }
 
     /// The Adam step count of the captured state.
     pub fn adam_t(&self) -> u64 {
-        self.setup.adam_t
+        self.adam_t
     }
 
     /// Parameter count of the captured state.
     pub fn psi(&self) -> usize {
-        self.setup.regions.first().map_or(0, |r| r.map.len)
+        self.psi
     }
 
-    /// Chunks not yet captured. 0 means the frame is fully assembled.
-    pub fn remaining(&self) -> usize {
-        self.states.remaining()
+    /// The frame: header, aux sections and regions at their
+    /// [`codec::full_frame_layout`] offsets, then — once sealed — the CRC
+    /// trailer, making it the wire blob.
+    pub fn bytes(&self) -> &[u8] {
+        &self.frame
     }
 
-    /// When the capture was framed (worker-side duration telemetry).
-    pub(crate) fn started(&self) -> Instant {
-        self.setup.start
-    }
-
-    /// Chunks captured by the COW hook / the sweeper in this capture.
-    pub fn chunk_counts(&self) -> (u64, u64) {
-        (
-            self.cow_chunks.load(Ordering::Relaxed),
-            self.sweep_chunks.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Capture global chunk `idx` of `r`, unless another party has it —
-    /// then wait until its copy landed. True when this call copied it.
-    fn claim(&self, r: &Region, idx: usize) -> bool {
-        if !self.states.try_begin(idx) {
-            self.states.wait_captured(idx);
-            return false;
-        }
-        let elems = r.map.range(idx - r.chunk_base);
-        // SAFETY: `r.src` points at a live region of `r.map.len` elements
-        // (module contract) and `elems` lies inside it. Winning the CAS
-        // makes this the only capturer of the chunk, and its owner does
-        // not write it until the capture below lands (COW hook) or the
-        // capture completes.
-        let src = unsafe { std::slice::from_raw_parts(r.src.add(elems.start), elems.len()) };
-        // SAFETY: the frame was sized for every region at `reset` and is
-        // not reallocated before `seal`, which waits for this chunk; chunk
-        // byte ranges are disjoint, and winning the CAS makes this the
-        // only writer of this one.
-        let dst = unsafe {
-            let buf = &mut *self.buf.get();
-            std::slice::from_raw_parts_mut(
-                buf.as_mut_ptr().add(r.dst_off + elems.start * 4),
-                elems.len() * 4,
-            )
-        };
-        copy_f32_chunk_le(src, dst);
-        self.states.finish(idx);
-        true
-    }
-
-    /// Claim every chunk still uncaptured; returns how many this call
-    /// copied. After it returns the capture is complete.
-    fn capture_rest(&self) -> u64 {
-        let mut copied = 0;
-        for r in &self.setup.regions {
-            for idx in 0..r.map.num_chunks() {
-                copied += u64::from(self.claim(r, r.chunk_base + idx));
-            }
-        }
-        copied
-    }
-
-    /// Copy-on-write hook: ensure every chunk of `region` overlapping the
-    /// element range `elems` is captured **before** the caller overwrites
-    /// it. Uncaptured chunks are copied here (sub-millisecond slices on
-    /// the training thread); chunks a concurrent sweeper is mid-copying
-    /// are waited on. No-op for regions absent from this capture and for
-    /// already-complete captures.
-    pub fn cow_range(&self, region: CowRegion, elems: Range<usize>) {
-        if self.remaining() == 0 {
-            return;
-        }
-        let Some(ri) = self.setup.by_region[region as usize] else {
-            return;
-        };
-        let r = &self.setup.regions[ri];
-        for idx in r.map.chunks_overlapping(elems) {
-            if self.claim(r, r.chunk_base + idx) {
-                self.cow_chunks.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Complete the capture ahead of an unhooked mutation (the trainer's
-    /// guard teardown, a superseded deferred capture). After this returns
-    /// the sources may be mutated or freed.
-    pub fn cow_all(&self) {
-        self.cow_chunks
-            .fetch_add(self.capture_rest(), Ordering::Relaxed);
-    }
-
-    /// Capture every still-cold chunk — the chunks nobody was about to
-    /// overwrite. After this returns the capture is complete.
-    pub fn sweep(&self) {
-        self.sweep_chunks
-            .fetch_add(self.capture_rest(), Ordering::Relaxed);
-    }
-
-    /// Seal the completed frame with its CRC. Must only be called once
-    /// per capture, after `remaining() == 0`.
-    pub(crate) fn seal(&self) {
-        assert_eq!(self.remaining(), 0, "seal before capture completed");
-        assert!(
-            !self.sealed.swap(true, Ordering::AcqRel),
-            "double seal of a COW ticket"
-        );
-        // SAFETY: capture complete (no chunk writer is left) and the seal
-        // flag makes this the only len-mutating access; framing reserved
-        // the CRC bytes so no reallocation happens here.
-        codec::seal_frame(unsafe { &mut *self.buf.get() });
-    }
-
-    /// The sealed wire blob — byte-identical to the blocking encoder's
-    /// output for the captured state.
-    pub fn sealed_bytes(&self) -> &[u8] {
-        assert!(
-            self.sealed.load(Ordering::Acquire),
-            "sealed_bytes before seal"
-        );
-        // SAFETY: a sealed frame is read-only until the next `reset`,
-        // which takes `&mut self` and so cannot overlap this borrow.
-        unsafe { &*self.buf.get() }
+    /// Append the CRC trailer. Once per capture.
+    pub(crate) fn seal(&mut self) {
+        assert!(!self.sealed, "double seal of a capture ticket");
+        codec::seal_frame(&mut self.frame);
+        self.sealed = true;
     }
 }
 
-/// The engine's ticket pool. It grows on demand, one framed ticket at a
-/// time, up to its depth; at that bound [`Self::frame`] waits for the
-/// worker to release a ticket instead of growing the footprint by another
-/// full frame. The pool keeps a handle on every ticket it built: a ticket
-/// is free again once the pool holds its only reference — the job, the
-/// engine's pending handle and the trainer's capture guard all let go.
+impl Drop for CowTicket {
+    fn drop(&mut self) {
+        self.home.give_back(std::mem::take(&mut self.frame));
+    }
+}
+
+/// The engine's ticket pool: at most `depth` frames, each ~12Ψ bytes. A
+/// capture takes a free frame, builds one while the pool is below its
+/// depth, and otherwise waits for the worker to drop a ticket instead of
+/// growing the footprint by another full frame.
 pub(crate) struct CowTickets {
-    pool: Mutex<TicketPool>,
+    pool: Mutex<Frames>,
     released: Condvar,
     depth: usize,
 }
 
-struct TicketPool {
-    tickets: Vec<Arc<CowTicket>>,
-    /// A worker thread is alive and will release the tickets in flight.
+struct Frames {
+    /// Frames not checked out; the most recently returned one is last, so
+    /// a capture prefers frames whose pages are already faulted in.
+    free: Vec<Vec<u8>>,
+    /// Frames built so far, free or checked out.
+    built: usize,
+    /// A worker thread is alive and will drop the tickets in flight.
     /// False for inline engines and once the worker has exited: a dry
     /// pool can then never refill, and nobody must wait on it.
     worker_alive: bool,
 }
 
 impl CowTickets {
-    /// Upper bound on pooled tickets: each holds a full wire frame
-    /// (~12Ψ bytes), so the pool must stay shallow even behind a deep job
-    /// queue.
+    /// Upper bound on pooled frames: the pool must stay shallow even
+    /// behind a deep job queue.
     pub(crate) const MAX_DEPTH: usize = 4;
 
-    pub(crate) fn new(pipeline_depth: usize, has_worker: bool) -> Self {
-        Self {
-            pool: Mutex::new(TicketPool {
-                tickets: Vec::new(),
+    pub(crate) fn new(depth: usize, has_worker: bool) -> Arc<Self> {
+        Arc::new(Self {
+            pool: Mutex::new(Frames {
+                free: Vec::new(),
+                built: 0,
                 worker_alive: has_worker,
             }),
             released: Condvar::new(),
-            depth: pipeline_depth.clamp(1, Self::MAX_DEPTH),
-        }
+            depth: depth.clamp(1, Self::MAX_DEPTH),
+        })
     }
 
-    /// Build the first ticket, framed for captures shaped like `state` +
-    /// `aux`, so the first anchor does not pay the frame's allocation and
-    /// page faults. Idempotent.
+    /// Build every frame for captures shaped like `state` + `aux`, off the
+    /// anchor path. The first is filled, so its pages are faulted in now;
+    /// the rest are only allocated, and their pages fault in when a
+    /// capture first fills them — a store that keeps up never fills them.
+    /// Captures then never allocate. Idempotent.
     pub(crate) fn prime(&self, state: &ModelState, aux: &AuxView<'_>) {
         let mut pool = self.pool.lock();
-        if pool.tickets.is_empty() {
-            pool.tickets.push(Arc::new(CowTicket::framed(state, aux)));
+        if pool.built > 0 {
+            return;
         }
+        let len = codec::full_frame_layout(state.params.len(), aux).body_len + 4;
+        let mut first = Vec::with_capacity(len);
+        codec::encode_full_frame_into(state, aux, &mut first);
+        pool.free
+            .extend((1..self.depth).map(|_| Vec::with_capacity(len)));
+        pool.free.push(first);
+        pool.built = self.depth;
     }
 
-    /// Frame a capture of `state` + `aux` in a free ticket, building one
-    /// if the pool is below its depth, else waiting for a release. Also
-    /// returns how long it waited (zero when it did not). `None` when
-    /// every ticket is in flight and no live worker is left to release
-    /// one.
-    pub(crate) fn frame(
-        &self,
+    /// Capture `state` + `aux` into a free frame, building one while the
+    /// pool is below its depth, else waiting for the worker to drop a
+    /// ticket. Also returns how long it waited (zero when it did not).
+    /// `None` when every frame is checked out and no live worker is left
+    /// to return one.
+    pub(crate) fn capture(
+        self: &Arc<Self>,
         state: &ModelState,
         aux: &AuxView<'_>,
-    ) -> (Option<Arc<CowTicket>>, Duration) {
+    ) -> (Option<CowTicket>, Duration) {
         let mut pool = self.pool.lock();
-        let mut wait_start = None;
-        loop {
-            let waited = wait_start.map_or(Duration::ZERO, |t: Instant| t.elapsed());
-            if let Some(t) = pool.tickets.iter_mut().find_map(|t| {
-                Arc::get_mut(t)?.reset(state, aux);
-                Some(Arc::clone(t))
-            }) {
-                return (Some(t), waited);
+        let mut wait_start: Option<Instant> = None;
+        let waited = |start: Option<Instant>| start.map_or(Duration::ZERO, |t| t.elapsed());
+        let mut frame = loop {
+            if let Some(frame) = pool.free.pop() {
+                break frame;
             }
-            if pool.tickets.len() < self.depth {
-                // Only the submitting thread builds tickets, so the slot
-                // stays ours while the lock is released for the frame's
-                // Ψ-sized allocation.
-                drop(pool);
-                let t = Arc::new(CowTicket::framed(state, aux));
-                self.pool.lock().tickets.push(Arc::clone(&t));
-                return (Some(t), waited);
+            if pool.built < self.depth {
+                pool.built += 1;
+                break Vec::new();
             }
             if !pool.worker_alive {
-                return (None, waited);
+                return (None, waited(wait_start));
             }
             wait_start.get_or_insert_with(Instant::now);
             self.released.wait(&mut pool);
-        }
+        };
+        drop(pool);
+        let waited = waited(wait_start);
+        codec::encode_full_frame_into(state, aux, &mut frame);
+        let ticket = CowTicket {
+            frame,
+            iteration: state.iteration,
+            adam_t: state.opt.t,
+            psi: state.params.len(),
+            sealed: false,
+            home: Arc::clone(self),
+        };
+        (Some(ticket), waited)
     }
 
-    /// The worker finished a job and dropped its ticket handle: wake a
-    /// submitter waiting for a free ticket.
-    pub(crate) fn released(&self) {
-        // Taking the lock orders the handle's drop before the waiter's
-        // next look at the pool: a wakeup cannot fall between its check
-        // and its wait.
-        let _pool = self.pool.lock();
+    /// A ticket dropped: its frame is free again; wake a waiting capture.
+    fn give_back(&self, frame: Vec<u8>) {
+        self.pool.lock().free.push(frame);
         self.released.notify_one();
     }
 
@@ -439,10 +185,10 @@ impl CowTickets {
         self.released.notify_all();
     }
 
-    /// Tickets built so far.
+    /// Frames built so far.
     #[cfg(test)]
     pub(crate) fn built(&self) -> usize {
-        self.pool.lock().tickets.len()
+        self.pool.lock().built
     }
 }
 
@@ -463,8 +209,8 @@ mod tests {
     }
 
     #[test]
-    fn sweep_only_capture_is_byte_identical_to_blocking_encode() {
-        let st = demo_state(COW_CHUNK_ELEMS + 100, 5);
+    fn sealed_capture_is_byte_identical_to_blocking_encode() {
+        let st = demo_state(1000, 5);
         let aux = AuxState {
             residual: Some(vec![0.25; st.params.len()]),
             compressor: Some(CompressorCfg::topk(0.01)),
@@ -472,96 +218,36 @@ mod tests {
             quant: None,
         };
         let view = aux.view();
-        let blocking = codec::encode_full_checkpoint(&st, &view);
-        let t = CowTicket::framed(&st, &view);
-        assert!(t.remaining() > 0);
-        assert_eq!(t.iteration(), 42);
-        assert_eq!(t.adam_t(), 42);
-        assert_eq!(t.psi(), COW_CHUNK_ELEMS + 100);
-        t.sweep();
-        assert_eq!(t.remaining(), 0);
+        let pool = CowTickets::new(1, false);
+        let (t, waited) = pool.capture(&st, &view);
+        let mut t = t.expect("an empty pool builds a frame");
+        assert!(waited.is_zero());
+        assert_eq!((t.iteration(), t.adam_t(), t.psi()), (42, 42, 1000));
         t.seal();
-        assert_eq!(t.sealed_bytes(), &blocking[..]);
-        let (cow, swept) = t.chunk_counts();
-        assert_eq!(cow, 0);
-        assert_eq!(swept, 4 * 2); // 4 regions x 2 chunks each
+        assert_eq!(t.bytes(), &codec::encode_full_checkpoint(&st, &view)[..]);
     }
 
     #[test]
-    fn cow_hook_preserves_submit_instant_values_under_mutation() {
-        let mut st = demo_state(3 * COW_CHUNK_ELEMS, 6);
-        let view = AuxView::NONE;
-        let blocking = codec::encode_full_checkpoint(&st, &view);
-        let t = CowTicket::framed(&st, &view);
-        // Mutate params chunk 1 and m chunk 0, hooked: the hook captures
-        // the pre-mutation bytes first.
-        let r = COW_CHUNK_ELEMS..2 * COW_CHUNK_ELEMS;
-        t.cow_range(CowRegion::Params, r.clone());
-        for x in &mut st.params[r] {
-            *x = -1.0;
-        }
-        t.cow_range(CowRegion::M, 0..10);
-        for x in &mut st.opt.m[0..10] {
-            *x = f32::NAN;
-        }
-        // Residual region absent: the hook is a no-op, not a panic.
-        t.cow_range(CowRegion::Residual, 0..10);
-        t.sweep();
-        t.seal();
-        assert_eq!(
-            t.sealed_bytes(),
-            &blocking[..],
-            "COW capture must snapshot submit-instant values"
-        );
-        let (cow, swept) = t.chunk_counts();
-        assert_eq!(cow, 2);
-        assert_eq!(cow + swept, 9);
-    }
-
-    #[test]
-    fn racing_hook_and_sweeper_still_byte_identical() {
-        let mut st = demo_state(COW_CHUNK_ELEMS, 7); // 1 chunk/region
-        st.iteration = 9;
-        let view = AuxView::NONE;
-        let blocking = codec::encode_full_checkpoint(&st, &view);
-        let t = Arc::new(CowTicket::framed(&st, &view));
-        std::thread::scope(|scope| {
-            let ts = Arc::clone(&t);
-            scope.spawn(move || ts.sweep());
-            t.cow_all();
-        });
-        assert_eq!(t.remaining(), 0);
-        let (cow, swept) = t.chunk_counts();
-        assert_eq!(cow + swept, 3, "every chunk captured exactly once");
-        t.seal();
-        assert_eq!(t.sealed_bytes(), &blocking[..]);
-    }
-
-    #[test]
-    fn ticket_reuse_reframes_cleanly() {
+    fn a_dropped_ticket_returns_its_frame_for_reuse() {
         let pool = CowTickets::new(2, false);
         let st = demo_state(100, 8);
         let view = AuxView::NONE;
         pool.prime(&st, &view);
-        let (t, waited) = pool.frame(&st, &view);
-        let t = t.expect("primed ticket is free");
-        assert!(waited.is_zero());
-        t.sweep();
+        assert_eq!(pool.built(), 2, "prime builds the whole pool");
+        let mut t = pool.capture(&st, &view).0.expect("primed frame is free");
         t.seal();
-        let first = t.sealed_bytes().to_vec();
+        let first = t.bytes().to_vec();
+        let ptr = t.bytes().as_ptr();
         drop(t);
-        // Second capture of a different state through the same ticket.
+        // Second capture of a different state through the same frame.
         let mut st2 = demo_state(100, 9);
         st2.iteration = 77;
-        let t = pool.frame(&st2, &view).0.expect("released ticket is free");
-        assert_eq!(pool.built(), 1, "a released ticket is reused, not rebuilt");
-        t.sweep();
+        let mut t = pool.capture(&st2, &view).0.expect("released frame is free");
+        assert_eq!(t.bytes().as_ptr(), ptr, "the filled frame is reused first");
         t.seal();
-        assert_eq!(
-            t.sealed_bytes(),
-            &codec::encode_full_checkpoint(&st2, &view)[..]
-        );
-        assert_ne!(t.sealed_bytes(), &first[..]);
+        assert_eq!(t.bytes(), &codec::encode_full_checkpoint(&st2, &view)[..]);
+        assert_ne!(t.bytes(), &first[..]);
+        assert_eq!(pool.built(), 2);
     }
 
     #[test]
@@ -569,10 +255,16 @@ mod tests {
         let pool = CowTickets::new(2, false);
         let st = demo_state(100, 10);
         let view = AuxView::NONE;
-        let held: Vec<_> = (0..2).map(|_| pool.frame(&st, &view).0.unwrap()).collect();
+        let held: Vec<_> = (0..2)
+            .map(|_| pool.capture(&st, &view).0.unwrap())
+            .collect();
         assert_eq!(pool.built(), 2);
-        assert!(pool.frame(&st, &view).0.is_none(), "depth bounds the pool");
+        assert!(
+            pool.capture(&st, &view).0.is_none(),
+            "depth bounds the pool"
+        );
         drop(held);
-        assert!(pool.frame(&st, &view).0.is_some());
+        assert!(pool.capture(&st, &view).0.is_some());
+        assert_eq!(pool.built(), 2);
     }
 }

@@ -19,14 +19,12 @@
 //!
 //! * [`CrashPoint::PreSnapshot`] — death on the training thread before the
 //!   snapshot job enters the pipeline.
-//! * [`CrashPoint::MidCapture`] — death while a full-checkpoint capture
-//!   is still assembling its frame in memory.
-//!   Some chunks have been copied into the (unsealed) snapshot buffer, but
-//!   nothing has been encoded or written — the partially captured frame
+//! * [`CrashPoint::MidCapture`] — death while a captured full exists only
+//!   in memory: its frame is filled but not yet sealed or written, so it
 //!   dies with the process and recovery sees only earlier checkpoints. For
-//!   blocking-capture strategies that never go through a ticket (LowDiff+'s
-//!   replica-side copy), the point fires in the equivalent window between
-//!   the replica snapshot copy and its persist.
+//!   strategies that never go through a ticket (LowDiff+'s replica-side
+//!   copy), the point fires in the equivalent window between the replica
+//!   snapshot copy and its persist.
 //! * [`CrashPoint::PostEncode`] — death after encode, before any byte is
 //!   written: the blob never lands.
 //! * [`CrashPoint::MidPersist`] — power cut mid-write: a truncated prefix
@@ -54,7 +52,7 @@ use std::sync::Arc;
 pub enum CrashPoint {
     /// Training thread, before the snapshot job enters the pipeline.
     PreSnapshot,
-    /// Full-checkpoint capture, after chunks have been copied into the
+    /// Full-checkpoint capture, after the state was copied into its
     /// unsealed frame, before it is sealed or persisted.
     MidCapture,
     /// Worker thread, after encode, before any byte is written.

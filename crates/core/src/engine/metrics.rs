@@ -135,19 +135,11 @@ pub struct EngineCounters {
     pub queue_capacity: u64,
     /// Snapshot stage: state capture + enqueue on the training thread.
     pub snapshot: StageLatency,
-    /// Full capture: framing → sealed (wall-clock span; overlapped with
-    /// compute when deferred, so *not* training-thread stall).
-    pub capture: StageLatency,
     /// Encode stage: codec + CRC (off the training thread for async
     /// engines).
     pub encode: StageLatency,
     /// Persist stage: storage writes including every retry.
     pub persist: StageLatency,
-    /// Chunks captured by the copy-on-write hook (update path, just
-    /// before overwrite).
-    pub cow_chunks: u64,
-    /// Chunks captured by the worker-side sweeper (cold chunks).
-    pub sweep_chunks: u64,
 }
 
 impl EngineCounters {
@@ -158,11 +150,8 @@ impl EngineCounters {
         self.queue_peak = self.queue_peak.max(other.queue_peak);
         self.queue_capacity = self.queue_capacity.max(other.queue_capacity);
         self.snapshot.merge(&other.snapshot);
-        self.capture.merge(&other.capture);
         self.encode.merge(&other.encode);
         self.persist.merge(&other.persist);
-        self.cow_chunks += other.cow_chunks;
-        self.sweep_chunks += other.sweep_chunks;
     }
 
     /// The persist queue is (or last was) completely full — submissions
@@ -179,11 +168,8 @@ pub struct EngineMetrics {
     queue_peak: AtomicU64,
     queue_capacity: AtomicU64,
     pub(crate) snapshot: LatencyHist,
-    pub(crate) capture: LatencyHist,
     pub(crate) encode: LatencyHist,
     pub(crate) persist: LatencyHist,
-    pub(crate) cow_chunks: AtomicU64,
-    pub(crate) sweep_chunks: AtomicU64,
 }
 
 impl EngineMetrics {
@@ -202,11 +188,8 @@ impl EngineMetrics {
             queue_peak: self.queue_peak.load(Ordering::Relaxed),
             queue_capacity: self.queue_capacity.load(Ordering::Relaxed),
             snapshot: self.snapshot.snapshot(),
-            capture: self.capture.snapshot(),
             encode: self.encode.snapshot(),
             persist: self.persist.snapshot(),
-            cow_chunks: self.cow_chunks.load(Ordering::Relaxed),
-            sweep_chunks: self.sweep_chunks.load(Ordering::Relaxed),
         }
     }
 }

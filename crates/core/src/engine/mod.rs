@@ -43,7 +43,7 @@ pub mod persist;
 pub mod policy;
 pub mod tier;
 
-pub use cow::{CowRegion, CowTicket, COW_CHUNK_ELEMS};
+pub use cow::CowTicket;
 pub use crash::{CrashInjector, CrashPoint, ALL_CRASH_POINTS};
 pub use metrics::{EngineCounters, EngineMetrics, LatencyHist, StageLatency};
 pub use persist::{EngineCtx, FullOpts, Tier};
@@ -126,11 +126,11 @@ struct EngineShared {
     metrics: EngineMetrics,
     force_full: AtomicBool,
     buffers: BufferPool<u8>,
-    cow: cow::CowTickets,
+    cow: Arc<cow::CowTickets>,
 }
 
 impl EngineShared {
-    fn new(cow: cow::CowTickets) -> Arc<Self> {
+    fn new(cow: Arc<cow::CowTickets>) -> Arc<Self> {
         Arc::new(Self {
             stats: Mutex::new(StrategyStats::default()),
             metrics: EngineMetrics::default(),
@@ -159,9 +159,6 @@ pub struct CheckpointEngine {
     store: Arc<CheckpointStore>,
     cfg: EngineConfig,
     shared: Arc<EngineShared>,
-    /// The newest deferred capture, until the adapter hands it to the
-    /// trainer via [`Self::take_pending_capture`] to drive the COW hooks.
-    pending: Option<Arc<CowTicket>>,
     stall: Secs,
     backpressure: u64,
     // Async mode:
@@ -199,7 +196,6 @@ impl CheckpointEngine {
             store,
             cfg,
             shared,
-            pending: None,
             stall: Secs::ZERO,
             backpressure: 0,
             job_tx: Some(job_tx),
@@ -220,10 +216,9 @@ impl CheckpointEngine {
             name: policy.name(),
             store,
             cfg,
-            // Persists finish before submit returns; the second ticket is
-            // for the one a trainer's capture guard may still pin.
-            shared: EngineShared::new(cow::CowTickets::new(2, false)),
-            pending: None,
+            // Persists finish before submit returns, so one ticket is all
+            // an inline engine ever has checked out.
+            shared: EngineShared::new(cow::CowTickets::new(1, false)),
             stall: Secs::ZERO,
             backpressure: 0,
             job_tx: None,
@@ -237,10 +232,10 @@ impl CheckpointEngine {
         &self.store
     }
 
-    /// One-time warm-up before the first training iteration: build (and
-    /// page-touch) the first capture ticket, framed for captures shaped
-    /// like `state` + `aux`, so the first anchor doesn't pay its
-    /// allocation and page faults on the training thread. Idempotent.
+    /// One-time warm-up before the first training iteration: build the
+    /// ticket pool's frames for captures shaped like `state` + `aux` (the
+    /// first one page-touched), so no anchor allocates a frame on the
+    /// training thread. Idempotent.
     pub fn prime_capture(&self, state: &ModelState, aux: &AuxView<'_>) {
         self.shared.cow.prime(state, aux);
     }
@@ -259,48 +254,16 @@ impl CheckpointEngine {
     }
 
     /// Submit a full checkpoint of `state` + auxiliary training state (EF
-    /// residual, compressor identity, data-RNG cursor): frame it in a
-    /// pooled [`CowTicket`] and capture every chunk straight to its wire
-    /// offset on the calling thread, then enqueue it. The capture is
-    /// complete when this returns, so the caller may mutate `state` at
-    /// once; the worker only seals and persists.
+    /// residual, compressor identity, data-RNG cursor): capture it into a
+    /// pooled [`CowTicket`] frame on the calling thread, every byte at its
+    /// wire offset, then enqueue it. The capture is complete when this
+    /// returns, so the caller may mutate `state` at once; the worker only
+    /// seals and persists.
     pub fn submit_full(
         &mut self,
         since: Instant,
         state: &ModelState,
         aux: &AuxView<'_>,
-    ) -> Submitted {
-        self.submit_capture(since, state, aux, false)
-    }
-
-    /// [`Self::submit_full`] that leaves the capture in flight: only the
-    /// frame is written here (microseconds), and the capture completes
-    /// through the copy-on-write hooks of the ticket
-    /// [`Self::take_pending_capture`] hands out next, racing the worker's
-    /// sweep.
-    ///
-    /// # Safety
-    ///
-    /// Until the capture completes, `state` and `aux.residual` must stay
-    /// alive at their current addresses, and every mutation of params, m,
-    /// v and the residual must first go through the ticket the next
-    /// `take_pending_capture` returns ([`CowTicket::cow_range`], or
-    /// [`CowTicket::cow_all`] before an unhooked write).
-    pub unsafe fn submit_full_deferred(
-        &mut self,
-        since: Instant,
-        state: &ModelState,
-        aux: &AuxView<'_>,
-    ) -> Submitted {
-        self.submit_capture(since, state, aux, true)
-    }
-
-    fn submit_capture(
-        &mut self,
-        since: Instant,
-        state: &ModelState,
-        aux: &AuxView<'_>,
-        defer: bool,
     ) -> Submitted {
         if self.crash_dead() {
             return Submitted {
@@ -308,24 +271,17 @@ impl CheckpointEngine {
                 delivered: false,
             };
         }
-        // Every ticket in flight means the store is a pool's depth of
+        // Every frame checked out means the store is a pool's depth of
         // fulls behind: wait one out. Like the queue-full wait in
         // `submit`, that is backpressure, not snapshot work.
-        let (ticket, waited) = self.shared.cow.frame(state, aux);
+        let (ticket, waited) = self.shared.cow.capture(state, aux);
         if !waited.is_zero() {
             self.backpressure += 1;
         }
         let Some(ticket) = ticket else {
-            // Dry pool and no worker left to release a ticket.
+            // Dry pool and no worker left to return a ticket.
             return self.undelivered(since);
         };
-        if !defer {
-            ticket.sweep();
-        } else if let Some(stale) = self.pending.replace(Arc::clone(&ticket)) {
-            // Nobody took the previous deferred capture to hook it:
-            // complete it before the caller can mutate its sources.
-            stale.cow_all();
-        }
         self.submit_after(since, waited, Job::Full(ticket))
     }
 
@@ -339,14 +295,6 @@ impl CheckpointEngine {
             stall,
             delivered: false,
         }
-    }
-
-    /// Hand the capture [`Self::submit_full_deferred`] left in flight to
-    /// the adapter so the training loop can drive its copy-on-write hooks
-    /// (and complete it before any unhooked mutation). `None` when no
-    /// deferred capture is pending.
-    pub fn take_pending_capture(&mut self) -> Option<Arc<CowTicket>> {
-        self.pending.take()
     }
 
     /// Submit a job captured since `since` (the adapter's hook entry). The
@@ -511,8 +459,6 @@ impl CheckpointEngine {
                 "{{\"strategy\":\"{}\",\"stall_seconds\":{:.9},",
                 "\"queue_depth\":{},\"queue_peak\":{},\"queue_capacity\":{},",
                 "\"snapshot_count\":{},\"snapshot_p50_us\":{:.3},\"snapshot_p99_us\":{:.3},",
-                "\"capture_count\":{},\"capture_p50_us\":{:.3},\"capture_p99_us\":{:.3},",
-                "\"cow_chunks\":{},\"sweep_chunks\":{},",
                 "\"encode_count\":{},\"encode_p50_us\":{:.3},\"encode_p99_us\":{:.3},",
                 "\"persist_count\":{},\"persist_p50_us\":{:.3},\"persist_p99_us\":{:.3},",
                 "\"io_errors\":{},\"io_retries\":{},\"dropped_batches\":{},\"degraded\":{},",
@@ -526,11 +472,6 @@ impl CheckpointEngine {
             e.snapshot.count,
             us(e.snapshot.p50),
             us(e.snapshot.p99),
-            e.capture.count,
-            us(e.capture.p50),
-            us(e.capture.p99),
-            e.cow_chunks,
-            e.sweep_chunks,
             e.encode.count,
             us(e.encode.p50),
             us(e.encode.p99),
@@ -591,12 +532,6 @@ fn worker_loop(
     }
     let _exit = WorkerExit(&shared.cow);
     let mut cx = shared.ctx(&cfg);
-    // A processed job has dropped its ticket handle: the ticket may be
-    // free for the next full.
-    let process = |policy: &mut dyn CheckpointPolicy, job, cx: &mut EngineCtx<'_>| {
-        policy.process(job, cx);
-        shared.cow.released();
-    };
     let mut job_open = true;
     let mut ctl_open = true;
     while job_open || ctl_open {
@@ -620,7 +555,7 @@ fn worker_loop(
 
         if ready == job_idx {
             match job_rx.try_recv() {
-                Ok(job) => process(&mut *policy, job, &mut cx),
+                Ok(job) => policy.process(job, &mut cx),
                 Err(TryRecvError::Empty) => {} // raced; re-select
                 Err(TryRecvError::Disconnected) => job_open = false,
             }
@@ -634,7 +569,7 @@ fn worker_loop(
                 // Drain queued jobs first so the flush covers everything
                 // submitted before it, then flush the policy's buffers.
                 while let Ok(job) = job_rx.try_recv() {
-                    process(&mut *policy, job, &mut cx);
+                    policy.process(job, &mut cx);
                 }
                 policy.flush(&mut cx);
                 let _ = ack.send(());
@@ -646,7 +581,7 @@ fn worker_loop(
     }
     // Shutdown: both channels closed. Drain what's left, then flush.
     while let Ok(job) = job_rx.try_recv() {
-        process(&mut *policy, job, &mut cx);
+        policy.process(job, &mut cx);
     }
     policy.flush(&mut cx);
     shared.metrics.note_depth(0);
@@ -655,7 +590,6 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lowdiff_storage::codec;
     use lowdiff_storage::MemoryBackend;
 
     const DEPTH: usize = cow::CowTickets::MAX_DEPTH;
@@ -671,18 +605,17 @@ mod tests {
         eng.submit_full(Instant::now(), &state, &AuxView::default())
     }
 
-    /// Holds every full until the gate yields a token (or is dropped),
-    /// then completes and seals its capture.
+    /// Holds every full's ticket until the gate yields a token (or is
+    /// dropped), then drops it.
     struct Gated(Receiver<()>);
 
     impl CheckpointPolicy for Gated {
         fn name(&self) -> &'static str {
             "gated"
         }
-        fn process(&mut self, job: Job, cx: &mut EngineCtx<'_>) {
-            if let Job::Full(ticket) = job {
+        fn process(&mut self, job: Job, _cx: &mut EngineCtx<'_>) {
+            if let Job::Full(_ticket) = job {
                 let _ = self.0.recv();
-                cx.finish_capture(&ticket);
             }
         }
     }
@@ -761,36 +694,8 @@ mod tests {
         assert!(!eng.stats().degraded);
     }
 
-    /// The trainer pins the newest deferred capture, possibly before any
-    /// hook touched it. A dry pool must still refill: the worker sweeps
-    /// the pinned ticket like any other, and releases the rest.
-    #[test]
-    fn pinned_mid_capture_ticket_never_deadlocks_a_dry_pool() {
-        let state = ModelState::new((0..3 * COW_CHUNK_ELEMS).map(|i| i as f32).collect());
-        let (open, gate) = unbounded();
-        let mut eng = engine(Gated(gate));
-        // SAFETY: `state` is never mutated and outlives the engine, whose
-        // flush below completes the capture.
-        let sub = unsafe { eng.submit_full_deferred(Instant::now(), &state, &AuxView::NONE) };
-        assert!(sub.delivered);
-        let pinned = eng.take_pending_capture().expect("deferred capture");
-        assert!(pinned.remaining() > 0, "nothing captured it yet");
-        for _ in 1..DEPTH {
-            assert!(submit_full(&mut eng).delivered);
-        }
-        let (releaser, _) = release(open, 2, Duration::from_millis(5));
-        assert!(submit_full(&mut eng).delivered);
-        assert_eq!(eng.backpressure_events(), 1);
-        drop(releaser.join().expect("releaser"));
-        eng.flush();
-        assert_eq!(pinned.chunk_counts(), (0, 9), "the worker swept it all");
-        assert_eq!(
-            pinned.sealed_bytes(),
-            &codec::encode_full_checkpoint(&state, &AuxView::NONE)[..]
-        );
-    }
-
-    /// A worker that dies with fulls in flight takes their tickets with it.
+    /// A worker that dies on its first job: the fulls queued behind it keep
+    /// their tickets, and nothing will ever process them.
     struct Dies;
 
     impl CheckpointPolicy for Dies {

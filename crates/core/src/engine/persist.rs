@@ -368,51 +368,31 @@ impl EngineCtx<'_> {
         landed == Some(true)
     }
 
-    /// Complete a full capture, then fan it across the tier stack: the
-    /// one full-checkpoint path of every ticket-capturing policy. The
-    /// ticket returns to the engine's pool when the job drops `ticket`.
-    /// Returns whether every synchronous tier landed it.
+    /// Seal a captured full's frame with its CRC (timed as the encode
+    /// stage), then fan it across the tier stack: the one full-checkpoint
+    /// path of every ticket-capturing policy. The frame returns to the
+    /// engine's pool when the job drops `ticket`. Returns whether every
+    /// synchronous tier landed it — never when the engine is dead or the
+    /// armed [`CrashPoint::MidCapture`] fires in the window where the
+    /// captured frame exists only in memory.
     pub fn persist_capture(
         &mut self,
         tiers: &TierStack,
-        ticket: &CowTicket,
+        ticket: &mut CowTicket,
         opts: &FullOpts,
     ) -> bool {
-        self.finish_capture(ticket)
-            && self.persist_full_encoded(tiers, ticket.iteration(), ticket.sealed_bytes(), opts)
-    }
-
-    /// Complete a full capture on the engine: sweep every chunk nobody
-    /// has captured yet (none, unless the capture was deferred), fold the
-    /// capture telemetry into the engine metrics, then seal the frame's
-    /// CRC. Returns `false` — the ticket stays unsealed and nothing may
-    /// land — when the engine is dead or the armed
-    /// [`CrashPoint::MidCapture`] fires in the window where the frame is
-    /// assembled only in memory.
-    pub fn finish_capture(&mut self, ticket: &CowTicket) -> bool {
-        if self.crash_dead() {
-            return false;
-        }
-        ticket.sweep();
-        let (cow, swept) = ticket.chunk_counts();
-        self.metrics.cow_chunks.fetch_add(cow, Ordering::Relaxed);
-        self.metrics
-            .sweep_chunks
-            .fetch_add(swept, Ordering::Relaxed);
-        self.metrics.capture.record(ticket.started().elapsed());
-        if self.crash_hit(CrashPoint::MidCapture) {
+        if self.crash_dead() || self.crash_hit(CrashPoint::MidCapture) {
             return false;
         }
         let t0 = Instant::now();
         ticket.seal();
         self.metrics.encode.record(t0.elapsed());
-        true
+        self.persist_full_encoded(tiers, ticket.iteration(), ticket.bytes(), opts)
     }
 
     /// [`CrashPoint::MidCapture`] check for strategies that capture their
-    /// fulls outside a ticket (LowDiff+'s replica-side
-    /// snapshot copy): fires in the equivalent window between capture and
-    /// persist. `true` means the simulated process just died.
+    /// fulls outside a ticket (LowDiff+'s replica-side snapshot copy):
+    /// fires in the equivalent window between capture and persist. `true` means the simulated process just died.
     pub fn capture_interrupted(&self) -> bool {
         self.crash_hit(CrashPoint::MidCapture)
     }

@@ -11,14 +11,11 @@ use std::sync::Arc;
 /// snapshot stage (training thread) produces jobs; the worker hands them
 /// to the policy, which encodes and persists through [`EngineCtx`].
 pub enum Job {
-    /// A full checkpoint of the model + aux state: the frame is already
-    /// laid out at its wire offsets, and the capture is complete or in
-    /// flight (deferred). The policy completes it
-    /// ([`EngineCtx::finish_capture`] — a sweep of whatever chunks the
-    /// training thread's COW hooks haven't captured yet), then persists
-    /// the sealed bytes; dropping the handle returns the ticket to the
-    /// pool.
-    Full(Arc<CowTicket>),
+    /// A full checkpoint of the model + aux state, already captured into
+    /// its wire frame on the training thread. The policy seals and
+    /// persists it ([`EngineCtx::persist_capture`]); dropping the ticket
+    /// returns its frame to the pool.
+    Full(CowTicket),
     /// A reused compressed gradient — LowDiff's zero-copy differential
     /// (the `Arc` is the IPC handle; cloning it is the only transmission).
     Diff {

@@ -18,7 +18,7 @@
 //! CheckFreq/Gemini/Naïve-DC against the same trait so every comparison in
 //! the experiments is apples-to-apples.
 
-#![deny(clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 
 pub mod batched;
 pub mod config;
@@ -35,9 +35,9 @@ pub mod trainer;
 pub use batched::{BatchMode, BatchedWriter};
 pub use config::{ConfigOptimizer, WastedTimeModel};
 pub use engine::{
-    CheckpointEngine, CheckpointPolicy, CowRegion, CowTicket, CrashInjector, CrashPoint,
-    DurableTier, EngineConfig, EngineCounters, EngineCtx, FullOpts, Job, MemoryTier, PeerTier,
-    PolicyCtl, RecoveryTier, StageLatency, Tier, TierStack, ALL_CRASH_POINTS, COW_CHUNK_ELEMS,
+    CheckpointEngine, CheckpointPolicy, CowTicket, CrashInjector, CrashPoint, DurableTier,
+    EngineConfig, EngineCounters, EngineCtx, FullOpts, Job, MemoryTier, PeerTier, PolicyCtl,
+    RecoveryTier, StageLatency, Tier, TierStack, ALL_CRASH_POINTS,
 };
 pub use lowdiff::{LowDiffConfig, LowDiffStrategy};
 pub use lowdiff_compress::{AuxState, AuxView, CompressorCfg, CompressorKind};

@@ -22,8 +22,8 @@
 
 use crate::batched::{BatchMode, BatchedWriter};
 use crate::engine::{
-    CheckpointEngine, CheckpointPolicy, CowTicket, EngineConfig, EngineCtx, FullOpts, Job,
-    PolicyCtl, Submitted, TierStack,
+    CheckpointEngine, CheckpointPolicy, EngineConfig, EngineCtx, FullOpts, Job, PolicyCtl,
+    TierStack,
 };
 use crate::strategy::{CheckpointStrategy, StrategyStats};
 use lowdiff_compress::{AuxView, CompressedGrad};
@@ -99,7 +99,7 @@ impl CheckpointPolicy for LowDiffPolicy {
                     cx.persist_batch(&self.tiers, &mut self.writer);
                 }
             }
-            Job::Full(ticket) => {
+            Job::Full(mut ticket) => {
                 let opts = FullOpts {
                     // A full that never lands must be re-attempted soon:
                     // without it, a previously dropped batch would leave
@@ -107,7 +107,7 @@ impl CheckpointPolicy for LowDiffPolicy {
                     reanchor_on_failure: true,
                     keep_fulls: self.keep_fulls,
                 };
-                cx.persist_capture(&self.tiers, &ticket, &opts);
+                cx.persist_capture(&self.tiers, &mut ticket, &opts);
             }
             Job::Dense { .. } => debug_assert!(false, "lowdiff submits compressed gradients"),
         }
@@ -220,37 +220,6 @@ impl LowDiffStrategy {
     pub fn backpressure_events(&self) -> u64 {
         self.engine.backpressure_events()
     }
-
-    /// The anchor decision both `after_update` flavours share: when this
-    /// iteration is scheduled, or a dropped batch forced a re-anchor,
-    /// `submit` hands the engine a full of `state`.
-    fn anchor(
-        &mut self,
-        state: &ModelState,
-        submit: impl FnOnce(&mut CheckpointEngine, Instant) -> Submitted,
-    ) -> Secs {
-        let scheduled = state.iteration.is_multiple_of(self.cfg.full_every);
-        // A dropped differential batch forces an early full checkpoint:
-        // the full re-anchors the chain past the gap.
-        let forced = self.engine.take_reanchor();
-        if !scheduled && !forced {
-            return Secs::ZERO;
-        }
-        // Snapshot: the state + aux (EF residual, compressor, RNG cursor)
-        // framed in a pooled ticket — no allocation in steady state — so
-        // the full is resume-exact, not just parameter-exact; the write
-        // happens on the checkpointing thread.
-        let sub = submit(&mut self.engine, Instant::now());
-        if sub.delivered {
-            if forced {
-                self.engine.with_stats(|s| s.forced_fulls += 1);
-            }
-        } else if forced {
-            // Nobody will write the re-anchor; keep the request alive.
-            self.engine.request_reanchor();
-        }
-        sub.stall
-    }
 }
 
 impl CheckpointStrategy for LowDiffStrategy {
@@ -283,18 +252,28 @@ impl CheckpointStrategy for LowDiffStrategy {
     }
 
     fn after_update(&mut self, state: &ModelState, aux: &AuxView<'_>) -> Secs {
-        self.anchor(state, |engine, t0| engine.submit_full(t0, state, aux))
-    }
-
-    unsafe fn after_update_deferred(&mut self, state: &ModelState, aux: &AuxView<'_>) -> Secs {
-        self.anchor(state, |engine, t0| {
-            // SAFETY: this hook's contract is the deferred submit's.
-            unsafe { engine.submit_full_deferred(t0, state, aux) }
-        })
-    }
-
-    fn take_pending_capture(&mut self) -> Option<Arc<CowTicket>> {
-        self.engine.take_pending_capture()
+        let scheduled = state.iteration.is_multiple_of(self.cfg.full_every);
+        // A dropped differential batch forces an early full checkpoint:
+        // the full re-anchors the chain past the gap.
+        let forced = self.engine.take_reanchor();
+        if !scheduled && !forced {
+            return Secs::ZERO;
+        }
+        let t0 = Instant::now();
+        // Snapshot: the state + aux (EF residual, compressor, RNG cursor)
+        // captured into a pooled frame — no allocation in steady state —
+        // so the full is resume-exact, not just parameter-exact; the write
+        // happens on the checkpointing thread.
+        let sub = self.engine.submit_full(t0, state, aux);
+        if sub.delivered {
+            if forced {
+                self.engine.with_stats(|s| s.forced_fulls += 1);
+            }
+        } else if forced {
+            // Nobody will write the re-anchor; keep the request alive.
+            self.engine.request_reanchor();
+        }
+        sub.stall
     }
 
     fn flush(&mut self) -> Secs {
@@ -600,12 +579,11 @@ mod tests {
         assert_eq!(rec.params, state.params, "re-anchored recovery is exact");
     }
 
-    /// The safe hook's capture is complete when it returns: a hand-driven
+    /// The hook's capture is complete when it returns: a hand-driven
     /// caller may overwrite the state at once, even while the worker is
-    /// still in an earlier write and could not have swept the frame yet.
+    /// still in an earlier write and has not touched the full yet.
     #[test]
     fn after_update_completes_its_capture_before_returning() {
-        use crate::engine::COW_CHUNK_ELEMS;
         use lowdiff_storage::codec::encode_full_checkpoint;
         use lowdiff_storage::{FaultConfig, FaultyBackend};
 
@@ -619,7 +597,7 @@ mod tests {
             },
         );
         let st = Arc::new(CheckpointStore::new(Arc::new(slow)));
-        let psi = 2 * COW_CHUNK_ELEMS + 5;
+        let psi = 70_000;
         let mut rng = DetRng::new(9);
         let mut state = ModelState::new((0..psi).map(|_| rng.normal() as f32).collect());
         rng.fill_normal_f32(&mut state.opt.m, 0.1);
@@ -649,7 +627,6 @@ mod tests {
         strat.flush();
         let got = st.backend().get(&CheckpointStore::full_key(1)).unwrap();
         assert!(got == want, "the stored full holds post-return mutations");
-        assert_eq!(strat.stats().engine.cow_chunks, 0, "nothing was deferred");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! the peer stores first and durable storage as the last resort.
 
 use crate::engine::{
-    peer_recovery_stores, AckMode, CowTicket, DurableTier, PeerTier, RecoveryTier, TierStack,
+    peer_recovery_stores, AckMode, DurableTier, PeerTier, RecoveryTier, TierStack,
 };
 use crate::lowdiff::{LowDiffConfig, LowDiffStrategy};
 use crate::strategy::{CheckpointStrategy, StrategyStats};
@@ -93,15 +93,6 @@ impl CheckpointStrategy for PeerReplicateStrategy {
 
     fn after_update(&mut self, state: &ModelState, aux: &AuxView<'_>) -> Secs {
         self.inner.after_update(state, aux)
-    }
-
-    unsafe fn after_update_deferred(&mut self, state: &ModelState, aux: &AuxView<'_>) -> Secs {
-        // SAFETY: forwarded; our caller upholds the same contract.
-        unsafe { self.inner.after_update_deferred(state, aux) }
-    }
-
-    fn take_pending_capture(&mut self) -> Option<Arc<CowTicket>> {
-        self.inner.take_pending_capture()
     }
 
     fn flush(&mut self) -> Secs {

@@ -27,10 +27,6 @@
 //!   [`ShardedStrategy::unshardable_grads`] and persists nothing for that
 //!   iteration, leaving a gap that stitching would reject. Cluster mode
 //!   runs with Top-K or no compression.
-//! * **Eager captures only.** Projected states are temporaries owned by
-//!   this wrapper for the duration of the hook, so it does not forward
-//!   `after_update_deferred`: the inner strategy's safe `after_update`
-//!   completes every capture before the projected sources die.
 
 use crate::strategy::{CheckpointStrategy, StrategyStats};
 use lowdiff_compress::{AuxView, CompressedGrad};

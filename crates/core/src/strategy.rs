@@ -177,28 +177,9 @@ pub trait CheckpointStrategy: Send {
         Secs::ZERO
     }
 
-    /// [`Self::after_update`], except that a full capture it starts may be
-    /// left in flight: only the frame is written before it returns, and
-    /// the capture completes through the copy-on-write hooks of the ticket
-    /// the next [`Self::take_pending_capture`] hands out, racing the
-    /// engine's sweeper. Only [`crate::trainer::Trainer`] calls it. The
-    /// default is the eager `after_update`.
-    ///
-    /// # Safety
-    ///
-    /// Until the capture completes, `state` and `aux.residual` must stay
-    /// alive at their current addresses, and every mutation of params, m,
-    /// v and the EF residual must first go through the ticket handed out
-    /// by the next `take_pending_capture` ([`CowTicket::cow_range`], or
-    /// [`CowTicket::cow_all`] before an unhooked write).
-    unsafe fn after_update_deferred(&mut self, state: &ModelState, aux: &AuxView<'_>) -> Secs {
-        self.after_update(state, aux)
-    }
-
-    /// Hand over the capture the last [`Self::after_update_deferred`] left
-    /// in flight, if any. Always `None` after the safe `after_update`, and
-    /// for strategies that do not defer. See
-    /// [`crate::engine::cow::CowTicket`] for the contract.
+    /// Always `None`: every full capture completes inside the hook that
+    /// starts it, so nothing is ever left in flight. Kept so strategy
+    /// wrappers that forward it keep compiling.
     fn take_pending_capture(&mut self) -> Option<Arc<CowTicket>> {
         None
     }
@@ -243,15 +224,6 @@ impl<T: CheckpointStrategy + ?Sized> CheckpointStrategy for Box<T> {
 
     fn after_update(&mut self, state: &ModelState, aux: &AuxView<'_>) -> Secs {
         (**self).after_update(state, aux)
-    }
-
-    unsafe fn after_update_deferred(&mut self, state: &ModelState, aux: &AuxView<'_>) -> Secs {
-        // SAFETY: forwarded; our caller upholds the same contract.
-        unsafe { (**self).after_update_deferred(state, aux) }
-    }
-
-    fn take_pending_capture(&mut self) -> Option<Arc<CowTicket>> {
-        (**self).take_pending_capture()
     }
 
     fn flush(&mut self) -> Secs {

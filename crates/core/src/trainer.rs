@@ -12,9 +12,7 @@
 //! 5. decompress and update the model state (`M_{t+1} = M_t + Adam(G_t)`) —
 //!    note training updates from the *decompressed* gradient, which is what
 //!    makes gradient-replay recovery bit-exact,
-//! 6. `after_update_deferred` (full checkpoints, state-diff baselines): a
-//!    full it starts is finished by the next updates' copy-on-write hooks
-//!    and the engine's sweeper, not on the training thread.
+//! 6. `after_update` (full checkpoints, state-diff baselines).
 //!
 //! ## Resume = never crashed
 //!
@@ -33,7 +31,6 @@
 //!   model-state-only constructor; with error feedback on it silently
 //!   zeroes the residual, which is exactly the divergence `resume` fixes.
 
-use crate::engine::{CowRegion, CowTicket};
 use crate::recovery;
 use crate::strategy::{CheckpointStrategy, StrategyStats};
 use lowdiff_compress::{
@@ -211,49 +208,8 @@ pub struct RecoverySource {
     pub store: Arc<CheckpointStore>,
 }
 
-/// The trainer's handle on an in-flight deferred (copy-on-write) full
-/// capture. Completing the capture (`cow_all`) before the ticket's
-/// source buffers can be freed or replaced is a safety obligation, so the
-/// completion lives in `Drop` and the field is declared **first** in
-/// [`Trainer`]: it drops before `state`/`comp`/`strategy`, guaranteeing
-/// the engine's sweeper never touches freed memory.
-#[derive(Default)]
-struct CaptureGuard {
-    ticket: Option<Arc<CowTicket>>,
-}
-
-impl CaptureGuard {
-    fn get(&self) -> Option<&Arc<CowTicket>> {
-        self.ticket.as_ref()
-    }
-
-    /// Finish the held capture (every still-uncaptured chunk is copied
-    /// now) and forget the ticket.
-    fn complete(&mut self) {
-        if let Some(t) = self.ticket.take() {
-            t.cow_all();
-        }
-    }
-
-    /// Swap in a newer in-flight capture, completing the previous one
-    /// first — its sources are about to be mutated again.
-    fn replace(&mut self, ticket: Arc<CowTicket>) {
-        self.complete();
-        self.ticket = Some(ticket);
-    }
-}
-
-impl Drop for CaptureGuard {
-    fn drop(&mut self) {
-        self.complete();
-    }
-}
-
 /// Training engine binding a model, optimizer, compressor and strategy.
 pub struct Trainer<S: CheckpointStrategy> {
-    // NB: declared first — must drop before `state`/`comp`/`strategy`
-    // (see [`CaptureGuard`]).
-    capture: CaptureGuard,
     net: Network,
     state: ModelState,
     adam: Adam,
@@ -312,7 +268,6 @@ impl<S: CheckpointStrategy> Trainer<S> {
             data_rng.next_u64();
         }
         Self {
-            capture: CaptureGuard::default(),
             net,
             state,
             adam,
@@ -543,8 +498,8 @@ impl<S: CheckpointStrategy> Trainer<S> {
         // Warm the capture machinery before the first measured iteration:
         // the aux view here has the exact shape every later capture will
         // have (contents don't matter for sizing), so engines can build
-        // and page-touch their first ticket without any anchor paying
-        // that one-time cost.
+        // their capture frames without any anchor paying that one-time
+        // cost.
         let aux = AuxView {
             residual: match &self.comp {
                 Comp::Ef(c) => Some(c.residual()),
@@ -583,14 +538,6 @@ impl<S: CheckpointStrategy> Trainer<S> {
                 .backward_layerwise(&grad_out, |layer, grad, range| {
                     strategy.on_layer_gradient(t, layer, range, grad);
                 });
-
-            // Copy-on-write: compressing with error feedback overwrites
-            // the residual buffer an in-flight capture may still source
-            // from, so capture the whole residual region first (no-op when
-            // no capture is pending or the frame carries no residual).
-            if let Some(t) = self.capture.get() {
-                t.cow_range(CowRegion::Residual, 0..self.state.num_params());
-            }
 
             // Compress (or pass through dense — moving the flat gradient
             // into the handle, not copying it).
@@ -634,34 +581,8 @@ impl<S: CheckpointStrategy> Trainer<S> {
                     &expanded
                 }
             };
-            match self.capture.get() {
-                Some(t) => {
-                    // Copy-on-write update: each block's pre-update
-                    // params/m/v are captured into the in-flight snapshot
-                    // immediately before the kernel overwrites them —
-                    // arithmetic identical to the plain path.
-                    let t = t.as_ref();
-                    self.state.apply_gradient_with_hook(&self.adam, dense, |r| {
-                        t.cow_range(CowRegion::Params, r.clone());
-                        t.cow_range(CowRegion::M, r.clone());
-                        t.cow_range(CowRegion::V, r);
-                    });
-                }
-                None => self.state.apply_gradient(&self.adam, dense),
-            }
-            // SAFETY: a full this starts is handed to the capture guard
-            // right below. From then on `state` and the residual change
-            // only through its hooks — the update above routes every
-            // params/m/v block through `cow_range`, and the residual is
-            // captured whole before the compressor rewrites it — and the
-            // guard completes the capture before either is dropped.
-            unsafe { self.strategy.after_update_deferred(&self.state, &aux) };
-            // Hold the deferred capture's ticket so the COW hooks above
-            // protect it from the next iterations' mutations while the
-            // engine sweeps cold chunks.
-            if let Some(t) = self.strategy.take_pending_capture() {
-                self.capture.replace(t);
-            }
+            self.state.apply_gradient(&self.adam, dense);
+            self.strategy.after_update(&self.state, &aux);
         }
         self.strategy.flush();
         TrainerReport {
@@ -766,12 +687,11 @@ mod tests {
         assert_eq!(rec.opt.v, live.opt.v);
     }
 
-    /// Only the trainer defers full captures: its update hooks capture the
-    /// chunks a busy worker has not swept yet, a full every iteration runs
-    /// the ticket pool dry while the newest ticket is pinned, and the run
-    /// neither deadlocks nor loses a byte.
+    /// A full every iteration behind a slow store runs the ticket pool
+    /// dry: the trainer waits out the worker instead of allocating more
+    /// frames, and the run neither deadlocks nor loses a byte.
     #[test]
-    fn deferred_captures_ride_the_update_hooks_through_a_dry_pool() {
+    fn fulls_behind_a_slow_store_wait_out_a_dry_ticket_pool() {
         use lowdiff_storage::{FaultConfig, FaultyBackend};
 
         // Every put stalls: the worker falls behind from the first write.
@@ -802,11 +722,7 @@ mod tests {
                 ..TrainerConfig::default()
             },
         );
-        let report = tr.run(8, regression_step(Regression::new(5, 2, 5), 6));
-        assert!(
-            report.stats.engine.cow_chunks > 0,
-            "no capture was deferred"
-        );
+        tr.run(8, regression_step(Regression::new(5, 2, 5), 6));
         assert!(
             tr.strategy().backpressure_events() > 0,
             "the ticket pool never ran dry"

@@ -1,6 +1,6 @@
-//! The full checkpoint `C^F` (magic `LDFC`): one encoder, one frame
-//! builder for incremental capture on top of the same section writer, and
-//! one decoder.
+//! The full checkpoint `C^F` (magic `LDFC`): one encoder — which can stop
+//! short of the CRC seal, so capture and seal may run on different
+//! threads — and one decoder.
 
 use super::{put_f32s, seal, CodecError, Cursor, FULL_VERSION_V2, MAGIC_FULL, VERSION};
 use lowdiff_compress::{AuxState, AuxView, CompressorCfg, CompressorKind, QuantPolicyState};
@@ -50,9 +50,18 @@ pub fn encode_full_checkpoint(state: &ModelState, aux: &AuxView<'_>) -> Vec<u8> 
 ///
 /// The Ψ-sized regions are appended with one memcpy each; only the gaps
 /// before them — header and small aux sections, a few dozen bytes — are
-/// zero-filled, then stamped by the same section writer the incremental
-/// capture frame uses.
+/// zero-filled, then stamped by the section writer.
 pub fn encode_full_checkpoint_into(state: &ModelState, aux: &AuxView<'_>, buf: &mut Vec<u8>) {
+    encode_full_frame_into(state, aux, buf);
+    seal(buf);
+}
+
+/// [`encode_full_checkpoint_into`] without the CRC trailer: the **unsealed**
+/// frame, with room reserved for the seal. [`seal_frame`] later turns it
+/// into exactly the blob `encode_full_checkpoint_into` produces, without
+/// reallocating — so a writer can capture the state on one thread and pay
+/// the CRC pass on another.
+pub fn encode_full_frame_into(state: &ModelState, aux: &AuxView<'_>, buf: &mut Vec<u8>) {
     let psi = state.params.len();
     let layout = full_frame_layout(psi, aux);
     buf.clear();
@@ -70,16 +79,12 @@ pub fn encode_full_checkpoint_into(state: &ModelState, aux: &AuxView<'_>, buf: &
     }
     buf.resize(layout.body_len, 0);
     write_frame_sections(buf, &layout, state.iteration, psi, state.opt.t, aux);
-    seal(buf);
 }
 
 /// Byte offsets of a v2 full-checkpoint frame — the only place they are
-/// computed. The large lazily-capturable regions sit at fixed offsets (the
-/// header and every aux section except the residual have static sizes),
-/// which is what lets an incremental snapshot capture chunks **directly
-/// into the wire image**: filling the regions of a
-/// [`reframe_full_frame_into`] frame and sealing yields a blob
-/// byte-identical to [`encode_full_checkpoint_into`] on the same state.
+/// computed. The large regions sit at fixed offsets (the header and every
+/// aux section except the residual have static sizes), so a reader of an
+/// encoded frame can index params / m / v without decoding it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FullFrameLayout {
     /// Offset of the `params` region (`Ψ × 4` bytes, f32 LE).
@@ -207,53 +212,8 @@ fn write_frame_sections(
     }
 }
 
-/// Frame an **unsealed** v2 full checkpoint in `buf` for incremental
-/// capture: the header and every small aux section carry their final
-/// bytes; the params / m / v / residual regions sit at the offsets the
-/// returned [`FullFrameLayout`] names. Once every region byte has been
-/// filled (f32 LE, e.g. chunk by chunk), [`seal_frame`] appends the CRC and
-/// the blob is byte-identical to [`encode_full_checkpoint_into`] for the
-/// state the regions were filled from — the incremental-snapshot
-/// byte-identity invariant, pinned by
-/// `frame_fill_seal_matches_blocking_encode`.
-///
-/// When `buf` already holds a frame of the **same shape** (same `psi`,
-/// same aux-section mix — e.g. a recycled capture ticket) only the header
-/// and small sections are rewritten in place; the region bytes still hold
-/// the *previous* capture's bytes, and the caller's contract is exactly the
-/// frame-filling one: every region byte is overwritten before
-/// [`seal_frame`]. Skipping the multi-MB placeholder zeroing is the point:
-/// on the training thread that memset is a milliseconds-scale stall for
-/// nothing. Any other buffer (empty, wrong length, different section mix)
-/// is rebuilt from scratch with zero-filled regions and room for the seal.
-///
-/// `aux.residual` contributes only its *presence* (its length must equal
-/// `psi`); the contents are captured into the region later.
-pub fn reframe_full_frame_into(
-    iteration: u64,
-    opt_t: u64,
-    psi: usize,
-    aux: &AuxView<'_>,
-    buf: &mut Vec<u8>,
-) -> FullFrameLayout {
-    let layout = full_frame_layout(psi, aux);
-    // A sealed previous frame is body + 4 CRC bytes; an unsealed one
-    // (abandoned capture) is bare body. The flags byte pins the section
-    // mix, and with it every offset this in-place rewrite relies on.
-    let reusable = (buf.len() == layout.body_len || buf.len() == layout.body_len + 4)
-        && buf.get(layout.flags_off).copied() == Some(aux_flag_bits(aux));
-    if reusable {
-        buf.truncate(layout.body_len);
-    } else {
-        buf.clear();
-        buf.reserve(layout.body_len + 4);
-        buf.resize(layout.body_len, 0);
-    }
-    write_frame_sections(buf, &layout, iteration, psi, opt_t, aux);
-    layout
-}
-
-/// Seal a filled frame: append the CRC32 of everything written so far.
+/// Seal a frame from [`encode_full_frame_into`]: append the CRC32 of
+/// everything written so far.
 pub fn seal_frame(buf: &mut Vec<u8>) {
     seal(buf);
 }
@@ -363,11 +323,9 @@ mod tests {
         }
     }
 
-    /// Overwrite an f32 region of a frame element by element.
-    fn fill(buf: &mut [u8], off: usize, xs: &[f32]) {
-        for (i, &x) in xs.iter().enumerate() {
-            buf[off + i * 4..off + i * 4 + 4].copy_from_slice(&x.to_le_bytes());
-        }
+    /// The f32 LE bytes of `xs`, element by element.
+    fn le_bytes(xs: &[f32]) -> Vec<u8> {
+        xs.iter().flat_map(|x| x.to_le_bytes()).collect()
     }
 
     #[test]
@@ -432,14 +390,15 @@ mod tests {
     }
 
     #[test]
-    fn frame_fill_seal_matches_blocking_encode() {
-        // The incremental-capture byte-identity invariant at the codec
-        // layer: framing an empty buffer, filling the regions from the
-        // state, and sealing must reproduce the blocking encoder's blob
-        // exactly — without the seal reallocating.
+    fn unsealed_frame_seals_to_the_blocking_encode_without_reallocating() {
+        // The split capture path: the unsealed frame holds every region at
+        // the offset `full_frame_layout` names, and sealing it later
+        // reproduces the one-shot encoder's blob exactly — within the
+        // reservation, also when a larger stale frame is reused.
+        let mut framed = Vec::new();
         for (psi, seed, aux) in [
-            (300, 31, AuxState::default()),
             (301, 32, full_aux(301)),
+            (300, 31, AuxState::default()),
             (
                 64,
                 33,
@@ -458,78 +417,27 @@ mod tests {
         ] {
             let st = demo_state(psi, seed);
             let view = aux.view();
-            let blocking = encode_full_checkpoint(&st, &view);
-            let mut framed = Vec::new();
-            let layout = reframe_full_frame_into(st.iteration, st.opt.t, psi, &view, &mut framed);
-            assert_eq!(layout, full_frame_layout(psi, &view));
+            encode_full_frame_into(&st, &view, &mut framed);
+            let layout = full_frame_layout(psi, &view);
             assert_eq!(framed.len(), layout.body_len);
-            assert!(framed.capacity() >= layout.body_len + 4, "seal must fit");
-            fill(&mut framed, layout.params_off, &st.params);
-            fill(&mut framed, layout.m_off, &st.opt.m);
-            fill(&mut framed, layout.v_off, &st.opt.v);
-            if let Some(r) = view.residual {
-                fill(&mut framed, layout.residual_off.unwrap(), r);
-            } else {
-                assert!(layout.residual_off.is_none());
+            let region = |off: usize| &framed[off..off + 4 * psi];
+            assert_eq!(region(layout.params_off), le_bytes(&st.params));
+            assert_eq!(region(layout.m_off), le_bytes(&st.opt.m));
+            assert_eq!(region(layout.v_off), le_bytes(&st.opt.v));
+            match (view.residual, layout.residual_off) {
+                (Some(r), Some(off)) => assert_eq!(region(off), le_bytes(r)),
+                (None, None) => {}
+                _ => panic!("residual region without a residual (or vice versa)"),
             }
+            let ptr = framed.as_ptr();
             seal_frame(&mut framed);
-            assert_eq!(framed, blocking, "frame+fill+seal diverged at psi={psi}");
+            assert_eq!(framed.as_ptr(), ptr, "the seal must fit the reservation");
+            assert_eq!(
+                framed,
+                encode_full_checkpoint(&st, &view),
+                "frame+seal diverged at psi={psi}"
+            );
         }
-    }
-
-    #[test]
-    fn reframe_reuses_matching_buffers_and_rebuilds_others() {
-        let aux = AuxState {
-            residual: Some((0..200).map(|i| i as f32 * 0.25).collect()),
-            compressor: Some(CompressorCfg::topk(0.02)),
-            rng: Some([4, 5, 6, 7]),
-            quant: None,
-        };
-        let view = aux.view();
-        let complete = |st: &ModelState, buf: &mut Vec<u8>, layout: FullFrameLayout| {
-            fill(buf, layout.params_off, &st.params);
-            fill(buf, layout.m_off, &st.opt.m);
-            fill(buf, layout.v_off, &st.opt.v);
-            fill(buf, layout.residual_off.unwrap(), view.residual.unwrap());
-            seal_frame(buf);
-        };
-        // First frame from scratch, filled and sealed.
-        let st1 = demo_state(200, 41);
-        let mut buf = Vec::new();
-        let layout = reframe_full_frame_into(st1.iteration, st1.opt.t, 200, &view, &mut buf);
-        complete(&st1, &mut buf, layout);
-        assert_eq!(buf, encode_full_checkpoint(&st1, &view));
-
-        // Reframe over the sealed buffer: in-place fast path — no
-        // reallocation, stale region bytes — must still seal to exactly
-        // the blocking encoder's output once refilled.
-        let mut st2 = demo_state(200, 42);
-        st2.iteration = 1234;
-        st2.opt.t = 1234;
-        let cap = buf.capacity();
-        let ptr = buf.as_ptr();
-        let layout = reframe_full_frame_into(st2.iteration, st2.opt.t, 200, &view, &mut buf);
-        assert_eq!(buf.capacity(), cap);
-        assert_eq!(buf.as_ptr(), ptr, "fast path must not reallocate");
-        complete(&st2, &mut buf, layout);
-        assert_eq!(buf, encode_full_checkpoint(&st2, &view));
-
-        // A different section mix (flags mismatch at the same offset
-        // math) falls back to the full rebuild and still round-trips.
-        let bare = AuxView {
-            residual: None,
-            compressor: Some(CompressorCfg::topk(0.02)),
-            rng: Some([4, 5, 6, 7]),
-            quant: None,
-        };
-        let st3 = demo_state(200, 43);
-        let layout = reframe_full_frame_into(st3.iteration, st3.opt.t, 200, &bare, &mut buf);
-        assert!(layout.residual_off.is_none());
-        fill(&mut buf, layout.params_off, &st3.params);
-        fill(&mut buf, layout.m_off, &st3.opt.m);
-        fill(&mut buf, layout.v_off, &st3.opt.v);
-        seal_frame(&mut buf);
-        assert_eq!(buf, encode_full_checkpoint(&st3, &bare));
     }
 
     #[test]

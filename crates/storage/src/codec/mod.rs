@@ -89,7 +89,7 @@ pub use diff::{
 };
 pub use full::{
     decode_full_checkpoint, decode_model_state, encode_full_checkpoint,
-    encode_full_checkpoint_into, encode_model_state, full_frame_layout, reframe_full_frame_into,
+    encode_full_checkpoint_into, encode_full_frame_into, encode_model_state, full_frame_layout,
     seal_frame, FullCheckpoint, FullFrameLayout,
 };
 

@@ -15,11 +15,9 @@
 //! reproduction's claims concern checkpoint *dataflow*, not kernel speed, and
 //! rayon-chunked loops already scale with cores for the sizes we train.
 
-pub mod chunked;
 pub mod ops;
 pub mod statedict;
 pub mod tensor;
 
-pub use chunked::{ChunkMap, ChunkStates};
 pub use statedict::StateDict;
 pub use tensor::Tensor;

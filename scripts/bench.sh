@@ -15,11 +15,7 @@
 #                          4-channel backend) and the quant block
 #                          (lowdiff-q8 row's diff_bytes_written reduction
 #                          against the f32 lowdiff row + the recovery-
-#                          fidelity probe's max/mean parameter error) and
-#                          the lowdiff-cow row (full captures deferred to
-#                          the worker's sweep — its snapshot_peak_ms
-#                          against the eager lowdiff row is the
-#                          full-checkpoint stall-spike reduction); run
+#                          fidelity probe's max/mean parameter error); run
 #                          bench_ckpt_e2e directly to vary its
 #                          --psi/--iters/--mbps/--stripes/--quant-bits/
 #                          --adaptive/--max-quant-err

@@ -50,9 +50,8 @@
 #                            bench runs three times — 1 and 4 persist
 #                            stripes, then with adaptive quantization
 #                            on — so the single-blob, striped, quantized
-#                            and peer-replicated write paths, and both
-#                            eager and deferred (lowdiff-cow row) full
-#                            captures, are all exercised end-to-end
+#                            and peer-replicated write paths are all
+#                            exercised end-to-end
 # 9. benchmark --smoke     — builds the repo benchmark (benchmark/, a
 #                            separate package using the public API) and
 #                            runs every workload on a tiny configuration,

@@ -475,7 +475,7 @@ fn smoke_every_strategy_survives_a_torn_write() {
 }
 
 /// CI smoke subset: every strategy survives dying mid-capture (the
-/// partially captured frame must vanish without a trace) and resumes
+/// captured but unsealed frame must vanish without a trace) and resumes
 /// bit-exactly, EF alternating across schemes.
 #[test]
 fn smoke_every_strategy_survives_a_mid_capture_crash() {

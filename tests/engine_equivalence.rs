@@ -17,8 +17,8 @@ use lowdiff::lowdiff_plus::{LowDiffPlusConfig, LowDiffPlusStrategy};
 use lowdiff::recovery::recover_serial;
 use lowdiff::strategy::CheckpointStrategy;
 use lowdiff::{
-    AuxView, CowTicket, EngineConfig, NoCheckpoint, PeerReplicateStrategy, RecoverySource,
-    ResumeOpts, StrategyStats, Trainer, TrainerConfig,
+    AuxView, EngineConfig, NoCheckpoint, PeerReplicateStrategy, RecoverySource, ResumeOpts,
+    StrategyStats, Trainer, TrainerConfig,
 };
 use lowdiff_baselines::{CheckFreqStrategy, GeminiStrategy, NaiveDcStrategy, TorchSaveStrategy};
 use lowdiff_comm::ReplicaNet;
@@ -27,7 +27,7 @@ use lowdiff_model::builders::mlp;
 use lowdiff_model::data::Regression;
 use lowdiff_model::loss::mse;
 use lowdiff_optim::{Adam, ModelState};
-use lowdiff_storage::codec::DiffEntry;
+use lowdiff_storage::codec::{encode_full_checkpoint, DiffEntry};
 use lowdiff_storage::{stripe, CheckpointStore, MemoryBackend, StripeCfg};
 use lowdiff_util::units::Secs;
 use lowdiff_util::DetRng;
@@ -456,17 +456,21 @@ fn check_mixed_version_chain(seed: u64, psi: usize, iters: u64, batch: usize) {
 
 // ------------------------------------------- striped persist equivalence
 
-/// Forwards every hook except `after_update_deferred`, so the trainer's
-/// deferred call lands on the safe `after_update`: every capture of the
-/// wrapped strategy completes before the hook returns.
-struct Eager(Box<dyn CheckpointStrategy>);
+/// Forwards every hook, and records the reference encoding
+/// (`encode_full_checkpoint`) of every state + aux the trainer hands
+/// `after_update`, keyed by iteration: what any full written from that
+/// hook must be, byte for byte.
+struct Recorded {
+    inner: Box<dyn CheckpointStrategy>,
+    fulls: BTreeMap<u64, Vec<u8>>,
+}
 
-impl CheckpointStrategy for Eager {
+impl CheckpointStrategy for Recorded {
     fn name(&self) -> &'static str {
-        self.0.name()
+        self.inner.name()
     }
     fn prime(&mut self, state: &ModelState, aux: &AuxView<'_>) {
-        self.0.prime(state, aux)
+        self.inner.prime(state, aux)
     }
     fn on_layer_gradient(
         &mut self,
@@ -475,7 +479,7 @@ impl CheckpointStrategy for Eager {
         range: std::ops::Range<usize>,
         grad: &[f32],
     ) -> Secs {
-        self.0.on_layer_gradient(iteration, layer, range, grad)
+        self.inner.on_layer_gradient(iteration, layer, range, grad)
     }
     fn on_synced_gradient(
         &mut self,
@@ -483,35 +487,31 @@ impl CheckpointStrategy for Eager {
         grad: &Arc<CompressedGrad>,
         aux: &AuxView<'_>,
     ) -> Secs {
-        self.0.on_synced_gradient(iteration, grad, aux)
+        self.inner.on_synced_gradient(iteration, grad, aux)
     }
     fn after_update(&mut self, state: &ModelState, aux: &AuxView<'_>) -> Secs {
-        self.0.after_update(state, aux)
-    }
-    fn take_pending_capture(&mut self) -> Option<Arc<CowTicket>> {
-        self.0.take_pending_capture()
+        self.fulls
+            .insert(state.iteration, encode_full_checkpoint(state, aux));
+        self.inner.after_update(state, aux)
     }
     fn flush(&mut self) -> Secs {
-        self.0.flush()
+        self.inner.flush()
     }
     fn stats(&self) -> StrategyStats {
-        self.0.stats()
+        self.inner.stats()
     }
 }
 
 /// Drive one strategy through a real [`Trainer`] run at the given stripe
-/// configuration, returning the store it wrote. The trainer defers full
-/// captures to its update hooks and the worker's sweep; `eager` wraps the
-/// strategy in [`Eager`] so every capture completes on the training
-/// thread instead. `scheme` indexes the same six schemes the torture
-/// matrix exercises.
+/// configuration. Returns the store it wrote and the reference encoding
+/// of every state the trainer handed `after_update` (see [`Recorded`]).
+/// `scheme` indexes the same six schemes the torture matrix exercises.
 fn run_scheme(
     scheme: usize,
     stripe: StripeCfg,
-    eager: bool,
     ef: bool,
     seed: u64,
-) -> Arc<CheckpointStore> {
+) -> (Arc<CheckpointStore>, BTreeMap<u64, Vec<u8>>) {
     let dense_only = scheme == 1; // lowdiff+ runs dense
     let cfg = TrainerConfig {
         compress_ratio: if dense_only { None } else { Some(0.25) },
@@ -568,7 +568,10 @@ fn run_scheme(
             ecfg,
         )),
     };
-    let strat = if eager { Box::new(Eager(strat)) } else { strat };
+    let strat = Recorded {
+        inner: strat,
+        fulls: BTreeMap::new(),
+    };
     let task = Regression::new(4, 2, 7);
     let mut tr = Trainer::new(network, Adam::default(), strat, cfg);
     tr.run_with_data(18, move |net, _t, rng| {
@@ -576,8 +579,9 @@ fn run_scheme(
         let pred = net.forward(&x);
         mse(&pred, &y)
     });
-    drop(tr); // flush + shutdown
-    store
+    let Recorded { inner, fulls } = tr.into_strategy();
+    drop(inner); // flush + shutdown
+    (store, fulls)
 }
 
 /// The striped store must hold exactly the legacy store's logical
@@ -637,14 +641,13 @@ fn check_striped_equivalence(scheme: usize, stripes: usize, seed: u64) {
         "naive-dc",
     ];
     let what = names[scheme];
-    let legacy = run_scheme(scheme, StripeCfg::default(), false, false, seed);
-    let striped = run_scheme(
+    let (legacy, _) = run_scheme(scheme, StripeCfg::default(), false, seed);
+    let (striped, _) = run_scheme(
         scheme,
         StripeCfg {
             stripes,
             min_stripe_bytes: 1, // toy model: stripe even tiny blobs
         },
-        false,
         false,
         seed,
     );
@@ -706,15 +709,15 @@ fn assert_resume_equal(
     }
 }
 
-// --------------------------------------------- deferred capture equivalence
+// ------------------------------------------------- ticket capture equivalence
 
-/// The sacred invariant of the COW capture path: a full checkpoint whose
-/// capture the trainer defers (chunks copied by the update hook mid-step +
-/// swept by the worker) must be **byte-identical** to one captured whole
-/// before the hook returned — same keys, same bytes, same resume — for
-/// every strategy, with and without error feedback (EF rewrites the
-/// residual the frame carries).
-fn check_incremental_equivalence(scheme: usize, ef: bool, seed: u64) {
+/// The sacred invariant of the ticket capture: every full a strategy
+/// writes during a real trainer run — captured into a pooled frame on the
+/// training thread, sealed on the engine — is **byte-identical** to the
+/// blocking encoder run on the live state and aux of that iteration, for
+/// every strategy, with and without error feedback (EF puts the residual
+/// into the frame).
+fn check_capture_matches_encoder(scheme: usize, ef: bool, seed: u64) {
     let names = [
         "lowdiff",
         "lowdiff+",
@@ -724,11 +727,23 @@ fn check_incremental_equivalence(scheme: usize, ef: bool, seed: u64) {
         "naive-dc",
     ];
     let what = names[scheme];
-    let stripe = StripeCfg::default();
-    let eager = run_scheme(scheme, stripe, true, ef, seed);
-    let deferred = run_scheme(scheme, stripe, false, ef, seed);
-    assert_stores_identical(&deferred, &eager, what);
-    assert_resume_equal(&deferred, &eager, scheme, ef, seed, what);
+    let (store, want) = run_scheme(scheme, StripeCfg::default(), ef, seed);
+    let fulls = store.full_iterations().unwrap();
+    assert!(
+        fulls.len() >= 2,
+        "{what}: only {} full(s) written",
+        fulls.len()
+    );
+    for it in fulls {
+        let got = store.backend().get(&CheckpointStore::full_key(it)).unwrap();
+        let want = want
+            .get(&it)
+            .unwrap_or_else(|| panic!("{what}: full at {it} was never handed to a hook"));
+        assert!(
+            &got == want,
+            "{what}: full at {it} differs from the blocking encode"
+        );
+    }
 }
 
 // ------------------------------------------------------------------ tests
@@ -762,13 +777,13 @@ fn all_strategies_striped_matches_single_blob() {
     }
 }
 
-/// Deferred COW capture is byte-invisible: every strategy's store after a
-/// trainer run is identical to the same run with every capture completed
-/// inside the hook, with and without error feedback.
+/// Ticket capture is byte-invisible: every full each strategy writes in a
+/// trainer run equals the blocking encode of that iteration's state, with
+/// and without error feedback.
 #[test]
 fn all_strategies_incremental_matches_blocking() {
     for scheme in 0..6 {
-        check_incremental_equivalence(scheme, scheme % 2 == 0, 51 + scheme as u64);
+        check_capture_matches_encoder(scheme, scheme % 2 == 0, 51 + scheme as u64);
     }
 }
 
@@ -920,7 +935,7 @@ proptest! {
         check_striped_equivalence(scheme, stripes, seed);
     }
 
-    /// Deferred COW captures are byte-identical to eager ones for every
+    /// Ticket captures are byte-identical to the blocking encode for every
     /// strategy and either error-feedback setting.
     #[test]
     fn incremental_snapshot_is_byte_identical(
@@ -928,7 +943,7 @@ proptest! {
         ef_raw in 0usize..2,
         seed in 0u64..1000,
     ) {
-        check_incremental_equivalence(scheme, ef_raw == 1, seed);
+        check_capture_matches_encoder(scheme, ef_raw == 1, seed);
     }
 
     /// Peer replication is a pure fan-out: the durable store stays
