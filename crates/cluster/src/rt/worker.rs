@@ -37,7 +37,7 @@ use lowdiff_optim::{Adam, ModelState};
 use lowdiff_storage::codec::{DiffEntry, FullCheckpoint};
 use lowdiff_storage::shard::{stitch_diff_chains, stitch_fulls};
 use lowdiff_storage::{CheckpointStore, DiskBackend, ShardSpec};
-use lowdiff_util::crc32;
+use lowdiff_util::crc::Hasher;
 use lowdiff_util::DetRng;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -118,16 +118,27 @@ fn store_at(dir: &Path) -> io::Result<Arc<CheckpointStore>> {
 /// resume recomputes it from the loaded shard checkpoint and refuses a
 /// mismatch — the manifest's integrity teeth.
 pub fn shard_digest(state: &ModelState) -> (u64, u32) {
-    let mut bytes = Vec::with_capacity(state.params.len() * 12);
-    for v in state
+    // Stream the bytes through a fixed stack buffer instead of staging
+    // 12Ψ bytes on the heap.
+    let mut buf = [0u8; 16 * 1024];
+    let mut hasher = Hasher::new();
+    let mut values = state
         .params
         .iter()
         .chain(state.opt.m.iter())
-        .chain(state.opt.v.iter())
-    {
-        bytes.extend_from_slice(&v.to_le_bytes());
+        .chain(state.opt.v.iter());
+    loop {
+        let mut n = 0;
+        for (slot, v) in buf.chunks_exact_mut(4).zip(values.by_ref()) {
+            slot.copy_from_slice(&v.to_le_bytes());
+            n += 4;
+        }
+        if n == 0 {
+            break;
+        }
+        hasher.update(&buf[..n]);
     }
-    (state.params.len() as u64, crc32(&bytes))
+    (state.params.len() as u64, hasher.finalize())
 }
 
 /// The cluster's fixed training task: every rank derives the identical
@@ -443,4 +454,37 @@ fn train_loop(
         resumed_from,
         degraded,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lowdiff_util::crc32;
+
+    /// The staging construction the digest was first defined by: every
+    /// value of params ‖ m ‖ v as little-endian bytes in one `Vec`.
+    fn staged_digest(state: &ModelState) -> (u64, u32) {
+        let bytes: Vec<u8> = state
+            .params
+            .iter()
+            .chain(&state.opt.m)
+            .chain(&state.opt.v)
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        (state.params.len() as u64, crc32(&bytes))
+    }
+
+    #[test]
+    fn streamed_digest_equals_staged_digest() {
+        let mut rng = DetRng::new(7);
+        // Empty, shorter than one buffer, and several buffers plus a tail.
+        for psi in [0usize, 1, 5, 4096, 3 * 4096 + 17] {
+            let mut state = ModelState::new((0..psi).map(|_| rng.normal() as f32).collect());
+            for (m, v) in state.opt.m.iter_mut().zip(state.opt.v.iter_mut()) {
+                *m = rng.normal() as f32;
+                *v = rng.normal().abs() as f32;
+            }
+            assert_eq!(shard_digest(&state), staged_digest(&state), "psi={psi}");
+        }
+    }
 }

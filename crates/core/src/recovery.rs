@@ -113,14 +113,22 @@ pub(crate) fn walk(
     first_err.map_or(Ok(None), Err)
 }
 
+/// Elements per replay block: params, m, v and the gradient scratch of one
+/// block take 4 × 64 KiB, which stays in a core's L2 while every chain
+/// entry is applied to it.
+const REPLAY_BLOCK: usize = 16 * 1024;
+
 /// Replay `chain` (the differentials after `state`'s iteration, in order)
 /// through Adam: `M_{j+1} = M_j + Adam(Comp⁻¹(G_j))` for every entry.
 ///
 /// Ψ is partitioned with [`chunk_ranges`]`(Ψ, width)`; each shard owns
-/// disjoint `&mut` windows of params, m and v plus one shard-sized
-/// gradient scratch, and replays every entry with the global step number
-/// `base_t + k + 1` for bias correction. Adam is elementwise, so any
-/// width gives the same bits as replaying the whole vector entry by entry.
+/// disjoint `&mut` windows of params, m and v plus one block-sized
+/// gradient scratch. A shard walks its window in [`REPLAY_BLOCK`]-element
+/// blocks and replays every entry on a block, with the global step number
+/// `base_t + k + 1` for bias correction, before moving to the next block,
+/// so params/m/v stream through DRAM once per replay rather than once per
+/// entry. Adam is elementwise, so any width and any blocking give the same
+/// bits as replaying the whole vector entry by entry.
 pub(crate) fn replay_chain(state: &mut ModelState, adam: &Adam, chain: &[DiffEntry], width: usize) {
     let base_t = state.opt.t;
     if !chain.is_empty() {
@@ -142,15 +150,21 @@ pub(crate) fn replay_chain(state: &mut ModelState, adam: &Adam, chain: &[DiffEnt
             })
             .collect();
         // Few, coarse items: one shard per chunk, past the element-count
-        // heuristic.
+        // heuristic. `step_range` is serial: the shards occupy the pool.
         shards
             .into_par_iter()
             .with_min_len(1)
             .for_each(|(range, p, m, v)| {
-                let mut grad = vec![0.0f32; range.len()];
-                for (k, entry) in chain.iter().enumerate() {
-                    fill_range_dense(&entry.grad, &range, &mut grad);
-                    adam.step_range(p, m, v, &grad, base_t + k as u64 + 1);
+                let mut grad = vec![0.0f32; REPLAY_BLOCK.min(range.len())];
+                for lo in (0..range.len()).step_by(REPLAY_BLOCK) {
+                    let hi = (lo + REPLAY_BLOCK).min(range.len());
+                    let block = range.start + lo..range.start + hi;
+                    let (p, m, v) = (&mut p[lo..hi], &mut m[lo..hi], &mut v[lo..hi]);
+                    let grad = &mut grad[..hi - lo];
+                    for (k, entry) in chain.iter().enumerate() {
+                        fill_range_dense(&entry.grad, &block, grad);
+                        adam.step_range(p, m, v, grad, base_t + k as u64 + 1);
+                    }
                 }
             });
     }
@@ -310,8 +324,15 @@ mod tests {
         let adam = Adam::default();
         let mut rng = DetRng::new(0x0a11);
         // Ψ not divisible by the widths, Ψ below the widest width, a
-        // single element, and one Ψ past Adam's parallel block size.
-        for (psi, n) in [(403usize, 13usize), (5, 12), (1, 6), ((1 << 15) + 5, 6)] {
+        // single element, one Ψ past Adam's parallel block size, and one
+        // spanning several replay blocks per shard with a ragged tail.
+        for (psi, n) in [
+            (403usize, 13usize),
+            (5, 12),
+            (1, 6),
+            ((1 << 15) + 5, 6),
+            (7 * REPLAY_BLOCK + 333, 9),
+        ] {
             let start = start_state(psi, &mut rng);
             let chain = mixed_chain(psi, n, &mut rng);
             for len in [0, 1, n] {

@@ -111,6 +111,10 @@ impl Adam {
     /// `step_t` is the global Adam step number this update corresponds to
     /// (bias correction must use the *global* t, not a per-shard counter).
     /// The caller owns the step counter; this function does not touch it.
+    ///
+    /// Runs on the calling thread, never fanned out on the pool: its caller
+    /// already partitions the work (the cache-blocked chain replay updates
+    /// one cache-sized block at a time inside each of its own shards).
     pub fn step_range(
         &self,
         params: &mut [f32],
@@ -120,7 +124,38 @@ impl Adam {
         step_t: u64,
     ) {
         assert!(step_t >= 1, "Adam step numbers start at 1");
-        self.apply(params, m, v, grad, step_t, &|_| {});
+        check_lens(params, m, v, grad);
+        self.kernel(params, m, v, grad, self.bias_corrections(step_t));
+    }
+
+    /// Adam's bias corrections `(1 − β1^t, 1 − β2^t)`; they depend only on
+    /// the global step number.
+    fn bias_corrections(&self, step_t: u64) -> (f32, f32) {
+        let bc1 = 1.0 - (self.beta1 as f64).powi(step_t as i32);
+        let bc2 = 1.0 - (self.beta2 as f64).powi(step_t as i32);
+        (bc1 as f32, bc2 as f32)
+    }
+
+    /// The elementwise update of one window, serially; `bc` are the step's
+    /// bias corrections.
+    #[inline]
+    fn kernel(&self, pc: &mut [f32], mc: &mut [f32], vc: &mut [f32], gc: &[f32], bc: (f32, f32)) {
+        let (b1, b2) = (self.beta1, self.beta2);
+        let (bc1, bc2) = bc;
+        for j in 0..pc.len() {
+            let g = gc[j];
+            let m = b1 * mc[j] + (1.0 - b1) * g;
+            let v = b2 * vc[j] + (1.0 - b2) * g * g;
+            mc[j] = m;
+            vc[j] = v;
+            let m_hat = m / bc1;
+            let v_hat = v / bc2;
+            let mut p = pc[j];
+            if self.weight_decay != 0.0 {
+                p -= self.lr * self.weight_decay * p;
+            }
+            pc[j] = p - self.lr * m_hat / (v_hat.sqrt() + self.eps);
+        }
     }
 
     /// Shared kernel: update `params`/`m`/`v` in place from `grad` (all
@@ -139,36 +174,8 @@ impl Adam {
         step_t: u64,
         hook: &F,
     ) {
-        assert!(
-            mr.len() == pr.len() && vr.len() == pr.len(),
-            "state/param length mismatch"
-        );
-        assert_eq!(gr.len(), pr.len(), "grad/param length mismatch");
-        // Bias corrections depend only on the global step number.
-        let bc1 = 1.0 - (self.beta1 as f64).powi(step_t as i32);
-        let bc2 = 1.0 - (self.beta2 as f64).powi(step_t as i32);
-        let bc1 = bc1 as f32;
-        let bc2 = bc2 as f32;
-        let (b1, b2) = (self.beta1, self.beta2);
-
-        // The update is elementwise, so any chunking is bit-identical to
-        // the serial loop — including no chunking at all.
-        let kernel = |pc: &mut [f32], mc: &mut [f32], vc: &mut [f32], gc: &[f32]| {
-            for j in 0..pc.len() {
-                let g = gc[j];
-                let m = b1 * mc[j] + (1.0 - b1) * g;
-                let v = b2 * vc[j] + (1.0 - b2) * g * g;
-                mc[j] = m;
-                vc[j] = v;
-                let m_hat = m / bc1;
-                let v_hat = v / bc2;
-                let mut p = pc[j];
-                if self.weight_decay != 0.0 {
-                    p -= self.lr * self.weight_decay * p;
-                }
-                pc[j] = p - self.lr * m_hat / (v_hat.sqrt() + self.eps);
-            }
-        };
+        check_lens(pr, mr, vr, gr);
+        let bc = self.bias_corrections(step_t);
 
         const CHUNK: usize = 1 << 15;
 
@@ -181,11 +188,12 @@ impl Adam {
             while off < pr.len() {
                 let end = (off + CHUNK).min(pr.len());
                 hook(off..end);
-                kernel(
+                self.kernel(
                     &mut pr[off..end],
                     &mut mr[off..end],
                     &mut vr[off..end],
                     &gr[off..end],
+                    bc,
                 );
                 off = end;
             }
@@ -200,7 +208,7 @@ impl Adam {
             .for_each(|(i, (((pc, mc), vc), gc))| {
                 let lo = i * CHUNK;
                 hook(lo..lo + pc.len());
-                kernel(pc, mc, vc, gc);
+                self.kernel(pc, mc, vc, gc, bc);
             });
     }
 
@@ -216,6 +224,15 @@ impl Adam {
         lowdiff_tensor::ops::sub_assign(&mut delta, params);
         delta
     }
+}
+
+/// Panic unless params, both moments and the gradient are one length.
+fn check_lens(p: &[f32], m: &[f32], v: &[f32], g: &[f32]) {
+    assert!(
+        m.len() == p.len() && v.len() == p.len(),
+        "state/param length mismatch"
+    );
+    assert_eq!(g.len(), p.len(), "grad/param length mismatch");
 }
 
 #[cfg(test)]

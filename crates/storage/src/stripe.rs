@@ -38,7 +38,7 @@
 use crate::backend::StorageBackend;
 use crate::codec::{put_u16, put_u32, put_u64, seal, CodecError, Cursor};
 use crate::retry::{with_retry, RetryPolicy};
-use lowdiff_util::crc::crc32;
+use lowdiff_util::crc::{crc32, crc32_combine};
 use lowdiff_util::par::chunk_ranges;
 use rayon::prelude::*;
 use std::io;
@@ -99,9 +99,10 @@ pub struct StripeManifest {
 
 impl StripeManifest {
     /// Build the manifest for `bytes` split into `stripes` balanced
-    /// ranges — the exact ranges [`put_striped_data`] writes.
+    /// ranges — the exact ranges [`put_striped_data`] writes. Each byte is
+    /// checksummed once: `whole_crc` is combined from the stripe CRCs.
     pub fn describe(bytes: &[u8], stripes: usize) -> Self {
-        let infos = chunk_ranges(bytes.len(), stripes.max(1))
+        let infos: Vec<StripeInfo> = chunk_ranges(bytes.len(), stripes.max(1))
             .into_iter()
             .map(|r| StripeInfo {
                 offset: r.start as u64,
@@ -111,10 +112,18 @@ impl StripeManifest {
             .collect();
         Self {
             total_len: bytes.len() as u64,
-            whole_crc: crc32(bytes),
+            whole_crc: combined_crc(infos.iter().map(|s| (s.crc, s.len))),
             stripes: infos,
         }
     }
+}
+
+/// The CRC32 of consecutive pieces' concatenation from each piece's
+/// `(crc, len)`.
+fn combined_crc(pieces: impl IntoIterator<Item = (u32, u64)>) -> u32 {
+    pieces
+        .into_iter()
+        .fold(crc32(&[]), |acc, (crc, len)| crc32_combine(acc, crc, len))
 }
 
 /// Encode a manifest (layout in the module docs; CRC-sealed like every
@@ -164,7 +173,8 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<StripeManifest, CodecError> {
 
 /// Validate a data object against its manifest: exact length, contiguous
 /// stripes, and every stripe CRC (verified in parallel on the workspace
-/// executor — recovery reads are as wide as persist writes).
+/// executor — recovery reads are as wide as persist writes). The whole
+/// CRC is combined from the stripe CRCs, so each byte is read once.
 pub fn validate(data: &[u8], m: &StripeManifest) -> Result<(), CodecError> {
     if data.len() as u64 != m.total_len {
         return Err(CodecError::Corrupt("data object length mismatch"));
@@ -181,18 +191,15 @@ pub fn validate(data: &[u8], m: &StripeManifest) -> Result<(), CodecError> {
     if next != m.total_len {
         return Err(CodecError::Corrupt("stripes do not cover data object"));
     }
-    let ok = m
+    let crcs: Vec<u32> = m
         .stripes
         .par_iter()
         .with_min_len(1)
-        .map(|s| crc32(&data[s.offset as usize..(s.offset + s.len) as usize]) == s.crc)
-        .collect::<Vec<bool>>()
-        .into_iter()
-        .all(|v| v);
-    if !ok {
-        return Err(CodecError::CrcMismatch);
-    }
-    if crc32(data) != m.whole_crc {
+        .map(|s| crc32(&data[s.offset as usize..(s.offset + s.len) as usize]))
+        .collect();
+    let stripes_ok = crcs.iter().zip(&m.stripes).all(|(&c, s)| c == s.crc);
+    let whole = combined_crc(crcs.iter().zip(&m.stripes).map(|(&c, s)| (c, s.len)));
+    if !stripes_ok || whole != m.whole_crc {
         return Err(CodecError::CrcMismatch);
     }
     Ok(())
@@ -295,6 +302,18 @@ mod tests {
         assert_eq!(m.total_len, 1000);
         let enc = encode_manifest(&m);
         assert_eq!(decode_manifest(&enc).unwrap(), m);
+    }
+
+    #[test]
+    fn combined_whole_crc_equals_crc_of_whole_object() {
+        for (len, stripes) in [(0usize, 1usize), (1, 4), (1000, 1), (1000, 4), (10_007, 7)] {
+            let data = blob(len);
+            let mut m = StripeManifest::describe(&data, stripes);
+            assert_eq!(m.whole_crc, crc32(&data), "len={len} stripes={stripes}");
+            assert_eq!(validate(&data, &m), Ok(()));
+            m.whole_crc ^= 1;
+            assert_eq!(validate(&data, &m), Err(CodecError::CrcMismatch));
+        }
     }
 
     #[test]

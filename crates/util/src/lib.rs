@@ -7,6 +7,11 @@
 //! Everything in this crate is dependency-free and deterministic so that the
 //! higher layers (training, checkpointing, cluster simulation) can be tested
 //! reproducibly.
+//!
+//! The one `unsafe` surface is the CRC32 carry-less-multiply kernel in
+//! [`crc`]; every block there names the CPU-feature check it relies on.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod clock;
 pub mod crc;

@@ -1,26 +1,37 @@
 //! Property-based tests for utility invariants.
 
 use lowdiff_testkit::reference::crc32_bytewise;
+use lowdiff_util::crc::crc32_combine;
 use lowdiff_util::par::chunk_ranges;
 use lowdiff_util::{crc32, DetRng};
 use proptest::prelude::*;
 
-/// Slicing-by-8 must agree with the byte-at-a-time reference for every
-/// length mod 8 and every starting offset.
-#[test]
-fn crc_sliced_matches_bytewise_all_alignments() {
-    let data: Vec<u8> = (0..4096u32)
+fn bytes(len: usize) -> Vec<u8> {
+    (0..len as u32)
         .map(|x| (x.wrapping_mul(2654435761) >> 24) as u8)
-        .collect();
-    for start in 0..8 {
-        for len in [0usize, 1, 7, 8, 9, 63, 64, 65, 1000, 4000] {
-            let slice = &data[start..(start + len).min(data.len())];
+        .collect()
+}
+
+/// `crc32` — the carry-less-multiply kernel where the CPU has it,
+/// slicing-by-8 below 64 bytes and for the tail — must agree with the
+/// byte-at-a-time reference at every length up to 1 KiB, every starting
+/// offset within a 16-byte vector, and on large buffers.
+#[test]
+fn crc_matches_bytewise_all_lengths_and_alignments() {
+    let data = bytes(1024 + 16);
+    for start in 0..16 {
+        for len in 0..=1024 {
+            let slice = &data[start..start + len];
             assert_eq!(
                 crc32(slice),
                 crc32_bytewise(slice),
                 "start={start} len={len}"
             );
         }
+    }
+    for len in [64 << 10, (1 << 20) + 3] {
+        let big = bytes(len);
+        assert_eq!(crc32(&big), crc32_bytewise(&big), "len={len}");
     }
 }
 
@@ -53,6 +64,35 @@ proptest! {
         h.update(&data[..cut]);
         h.update(&data[cut..]);
         prop_assert_eq!(h.finalize(), crc32(&data));
+    }
+
+    /// Streaming in random pieces, many under the 64-byte kernel minimum,
+    /// equals the byte-at-a-time reference over the whole buffer.
+    #[test]
+    fn crc_random_pieces_match_bytewise(
+        data in prop::collection::vec(any::<u8>(), 0..4000),
+        cuts in prop::collection::vec(0usize..300, 0..40),
+    ) {
+        let mut h = lowdiff_util::crc::Hasher::new();
+        let mut rest = &data[..];
+        for n in cuts {
+            let (piece, tail) = rest.split_at(n.min(rest.len()));
+            h.update(piece);
+            rest = tail;
+        }
+        h.update(rest);
+        prop_assert_eq!(h.finalize(), crc32_bytewise(&data));
+    }
+
+    /// `crc32_combine` of the halves equals the CRC of the whole at every
+    /// split, the empty halves included.
+    #[test]
+    fn crc_combine_every_split(data in prop::collection::vec(any::<u8>(), 0..400)) {
+        let whole = crc32_bytewise(&data);
+        for split in 0..=data.len() {
+            let (a, b) = data.split_at(split);
+            prop_assert_eq!(crc32_combine(crc32(a), crc32(b), b.len() as u64), whole);
+        }
     }
 
     /// sample_indices: distinct, sorted, in range, correct count.

@@ -25,7 +25,10 @@
 # 3e. storage decoders (release) — the hostile-blob regressions and the
 #                            decoder mutation suite again in release,
 #                            where unchecked length arithmetic would wrap
-#                            silently instead of panicking as in debug
+#                            silently instead of panicking as in debug;
+#                            the util suite in release too, so the CRC32
+#                            equivalence tests run the carry-less-multiply
+#                            kernel as optimized code
 # 4. crash-torture smoke   — the fast subset of the crash/resume matrix,
 #                            including whole-rank-loss cells recovered
 #                            from peer replicas alone
@@ -89,6 +92,7 @@ done
 echo "== storage decoders (release) =="
 cargo test --release -q -p lowdiff-storage --test hostile_blobs
 cargo test --release -q -p lowdiff-storage --test decoder_mutations
+cargo test --release -q -p lowdiff-util
 
 echo "== crash-torture smoke =="
 # Fast subset of the crash-point torture matrix (tests/crash_torture.rs):
