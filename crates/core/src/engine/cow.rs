@@ -78,6 +78,13 @@ impl Drop for CowTicket {
 /// capture takes a free frame, builds one while the pool is below its
 /// depth, and otherwise waits for the worker to drop a ticket instead of
 /// growing the footprint by another full frame.
+///
+/// The resident footprint is one frame while the store keeps up. The
+/// first capture that finds every filled frame still in flight — the
+/// store has fallen behind the anchors — faults in the whole depth at
+/// once. The footprint then depends on whether the store ever lagged, not
+/// on how far the lag happened to reach, and no later anchor page-faults
+/// a fresh frame on the training thread.
 pub(crate) struct CowTickets {
     pool: Mutex<Frames>,
     released: Condvar,
@@ -86,7 +93,8 @@ pub(crate) struct CowTickets {
 
 struct Frames {
     /// Frames not checked out; the most recently returned one is last, so
-    /// a capture prefers frames whose pages are already faulted in.
+    /// a capture prefers frames whose pages are already faulted in. Cold
+    /// frames (allocated, never filled: empty) all precede the filled ones.
     free: Vec<Vec<u8>>,
     /// Frames built so far, free or checked out.
     built: usize,
@@ -115,15 +123,15 @@ impl CowTickets {
 
     /// Build every frame for captures shaped like `state` + `aux`, off the
     /// anchor path. The first is filled, so its pages are faulted in now;
-    /// the rest are only allocated, and their pages fault in when a
-    /// capture first fills them — a store that keeps up never fills them.
-    /// Captures then never allocate. Idempotent.
+    /// the rest are only allocated — a store that keeps up never touches
+    /// them, and one that falls behind faults them all in at its first lag
+    /// ([`Self::capture`]). Captures then never allocate. Idempotent.
     pub(crate) fn prime(&self, state: &ModelState, aux: &AuxView<'_>) {
         let mut pool = self.pool.lock();
         if pool.built > 0 {
             return;
         }
-        let len = codec::full_frame_layout(state.params.len(), aux).body_len + 4;
+        let len = frame_len(state, aux);
         let mut first = Vec::with_capacity(len);
         codec::encode_full_frame_into(state, aux, &mut first);
         pool.free
@@ -134,9 +142,11 @@ impl CowTickets {
 
     /// Capture `state` + `aux` into a free frame, building one while the
     /// pool is below its depth, else waiting for the worker to drop a
-    /// ticket. Also returns how long it waited (zero when it did not).
-    /// `None` when every frame is checked out and no live worker is left
-    /// to return one.
+    /// ticket. A cold frame taken while another ticket is in flight means
+    /// the store has fallen behind: every frame up to the depth is then
+    /// built and faulted in before this returns. Also returns how long it
+    /// waited (zero when it did not). `None` when every frame is checked
+    /// out and no live worker is left to return one.
     pub(crate) fn capture(
         self: &Arc<Self>,
         state: &ModelState,
@@ -159,9 +169,23 @@ impl CowTickets {
             wait_start.get_or_insert_with(Instant::now);
             self.released.wait(&mut pool);
         };
+        // Frames checked out besides this one.
+        let in_flight = pool.built - pool.free.len() - 1;
+        let mut cold = Vec::new();
+        if frame.is_empty() && in_flight > 0 {
+            let (empty, filled) = std::mem::take(&mut pool.free)
+                .into_iter()
+                .partition(Vec::is_empty);
+            (pool.free, cold) = (filled, empty);
+            cold.extend((pool.built..self.depth).map(|_| Vec::new()));
+            pool.built = self.depth;
+        }
         drop(pool);
         let waited = waited(wait_start);
         codec::encode_full_frame_into(state, aux, &mut frame);
+        if !cold.is_empty() {
+            self.warm(cold, frame_len(state, aux));
+        }
         let ticket = CowTicket {
             frame,
             iteration: state.iteration,
@@ -171,6 +195,16 @@ impl CowTickets {
             home: Arc::clone(self),
         };
         (Some(ticket), waited)
+    }
+
+    /// Fault in `frames` at `len` bytes each (zero-filled, so they count as
+    /// filled from now on) and return them to the pool.
+    fn warm(&self, mut frames: Vec<Vec<u8>>, len: usize) {
+        for f in &mut frames {
+            f.resize(len, 0);
+        }
+        self.pool.lock().free.append(&mut frames);
+        self.released.notify_all();
     }
 
     /// A ticket dropped: its frame is free again; wake a waiting capture.
@@ -190,6 +224,22 @@ impl CowTickets {
     pub(crate) fn built(&self) -> usize {
         self.pool.lock().built
     }
+
+    /// Free frames never filled.
+    #[cfg(test)]
+    fn cold(&self) -> usize {
+        self.pool
+            .lock()
+            .free
+            .iter()
+            .filter(|f| f.is_empty())
+            .count()
+    }
+}
+
+/// Length of a sealed frame for captures shaped like `state` + `aux`.
+fn frame_len(state: &ModelState, aux: &AuxView<'_>) -> usize {
+    codec::full_frame_layout(state.params.len(), aux).body_len + 4
 }
 
 #[cfg(test)]
@@ -248,6 +298,48 @@ mod tests {
         assert_eq!(t.bytes(), &codec::encode_full_checkpoint(&st2, &view)[..]);
         assert_ne!(t.bytes(), &first[..]);
         assert_eq!(pool.built(), 2);
+    }
+
+    #[test]
+    fn first_lag_faults_in_the_whole_depth() {
+        let st = demo_state(100, 11);
+        let view = AuxView::NONE;
+        for primed in [true, false] {
+            let pool = CowTickets::new(3, false);
+            if primed {
+                pool.prime(&st, &view);
+            }
+            // A store that keeps up: each ticket drops before the next
+            // capture, so one frame serves every capture.
+            for _ in 0..3 {
+                drop(pool.capture(&st, &view).0.unwrap());
+            }
+            let idle = usize::from(primed) * 2;
+            assert_eq!(
+                (pool.built(), pool.cold()),
+                (1 + idle, idle),
+                "primed={primed}"
+            );
+            // The store falls behind: a second capture while one is held.
+            let held = pool.capture(&st, &view).0.unwrap();
+            let mut lagging = pool.capture(&st, &view).0.unwrap();
+            assert_eq!((pool.built(), pool.cold()), (3, 0), "primed={primed}");
+            // The warmed frame carries a capture like any other.
+            let mut st2 = demo_state(100, 12);
+            st2.iteration = 9;
+            let mut last = pool.capture(&st2, &view).0.unwrap();
+            last.seal();
+            assert_eq!(
+                last.bytes(),
+                &codec::encode_full_checkpoint(&st2, &view)[..]
+            );
+            lagging.seal();
+            assert_eq!(
+                lagging.bytes(),
+                &codec::encode_full_checkpoint(&st, &view)[..]
+            );
+            drop(held);
+        }
     }
 
     #[test]
