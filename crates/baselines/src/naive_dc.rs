@@ -400,13 +400,25 @@ mod tests {
         state.apply_gradient(&adam, &g); // iteration 3
         s.after_update(&state, &AuxView::NONE);
         let stats = s.stats();
-        assert!(stats.io_errors >= 1);
-        assert_eq!(stats.dropped_diffs, 1);
+        // The whole ledger: full 0, diff 1 (+ moments), the dropped diff
+        // at 2 (one retry, one error), the forced full at 3.
+        let ledger = (
+            stats.full_checkpoints,
+            stats.diff_checkpoints,
+            stats.writes,
+            stats.bytes_written,
+            stats.diff_bytes_written,
+        );
+        assert_eq!(ledger, (2, 1, 4, 2321, 195));
         assert_eq!(
-            stats.dropped_batches, 1,
+            (stats.dropped_diffs, stats.dropped_batches),
+            (1, 1),
             "a dropped single-diff write is one dropped batch, counted once"
         );
-        assert_eq!(stats.forced_fulls, 1);
+        assert_eq!(
+            (stats.forced_fulls, stats.io_errors, stats.io_retries),
+            (1, 1, 1)
+        );
         assert!(stats.degraded);
         assert_eq!(st.full_iterations().unwrap(), vec![0, 3]);
         // Recovery lands on the re-anchor, not the broken chain.

@@ -740,7 +740,8 @@ mod tests {
     }
 
     /// The crash points a persist can reach, in pipeline order.
-    const PERSIST_POINTS: [(CrashPoint, &str); 4] = [
+    const PERSIST_POINTS: [(CrashPoint, &str); 5] = [
+        (CrashPoint::MidCapture, "MC"),
         (CrashPoint::PostEncode, "PE"),
         (CrashPoint::MidPersist, "MP"),
         (CrashPoint::MidStripe, "MS"),
@@ -768,33 +769,30 @@ mod tests {
             reanchor_on_failure: true,
             keep_fulls: Some(1),
         };
-        let mut encoded = Vec::new();
-        codec::encode_full_checkpoint_into(&pin_state(20), &AuxView::NONE, &mut encoded);
+        let pool = CowTickets::new(1, false);
+        let mut ticket = pool
+            .capture(&pin_state(10), &AuxView::NONE)
+            .0
+            .expect("an empty pool builds a frame");
         let mut writer = BatchedWriter::new(2, BatchMode::Concat);
         writer.offload(21, Arc::new(pin_grad(1)));
         writer.offload(22, Arc::new(pin_grad(2)));
-        let entries = [23, 24].map(|iteration| DiffEntry {
-            iteration,
-            grad: pin_grad(iteration as u32),
-        });
+        let mut single = BatchedWriter::new(1, BatchMode::Concat);
+        single.offload(23, Arc::new(pin_grad(23)));
         let blob: Vec<u8> = (0..=255).collect();
         type Call<'a> = Box<dyn FnMut(&mut EngineCtx<'_>) -> bool + 'a>;
         let calls: Vec<(&str, Call<'_>)> = vec![
             (
-                "full",
-                Box::new(|cx| cx.persist_full(&tiers, &pin_state(10), &AuxView::NONE, &opts)),
-            ),
-            (
-                "full_encoded",
-                Box::new(|cx| cx.persist_full_encoded(&tiers, 20, &encoded, &opts)),
+                "capture",
+                Box::new(|cx| cx.persist_capture(&tiers, &mut ticket, &opts)),
             ),
             (
                 "batch",
                 Box::new(|cx| cx.persist_batch(&tiers, &mut writer)),
             ),
             (
-                "diff_entries",
-                Box::new(|cx| cx.persist_diff_entries(&tiers, &entries)),
+                "batch1",
+                Box::new(|cx| cx.persist_batch(&tiers, &mut single)),
             ),
             (
                 "blob",
@@ -827,7 +825,6 @@ mod tests {
             }
         });
         assert_eq!(crash.reached(CrashPoint::PreSnapshot), 0);
-        assert_eq!(crash.reached(CrashPoint::MidCapture), 0);
         assert!(!crash.crashed());
         let tiers: Vec<String> = stats
             .tiers
@@ -884,10 +881,10 @@ mod tests {
                 actual.join("\n")
             );
             // Two facts the table encodes that refactors tend to break.
-            let blob = &actual[4];
+            let blob = &actual[3];
             assert!(blob.starts_with("blob:") && blob.contains("PE0"), "{blob}");
             if stack == "peer" {
-                assert!(actual[..5].iter().all(|l| l.contains("MS0")));
+                assert!(actual[..4].iter().all(|l| l.contains("MS0")));
             }
         }
     }
@@ -897,15 +894,14 @@ mod tests {
             "durable",
             1,
             r"
-full: ok=true reanchor=false enc=1 put=1 reached=PE1 MP1 MS0 PA1
-full_encoded: ok=true reanchor=false enc=0 put=1 reached=PE1 MP1 MS0 PA1
-batch: ok=true reanchor=false enc=1 put=1 reached=PE1 MP1 MS0 PA1
-diff_entries: ok=true reanchor=false enc=1 put=1 reached=PE1 MP1 MS0 PA1
-blob: ok=true reanchor=false enc=0 put=1 reached=PE0 MP1 MS0 PA1
-ledger: fulls=2 diffs=2 writes=5 bytes=2614 diff_bytes=752 io_errors=0 io_retries=0 dropped=0/0 degraded=false tiers=[durable b=2614 a=5 e=0 c=0]
+capture: ok=true reanchor=false enc=1 put=1 reached=MC1 PE1 MP1 MS0 PA1
+batch: ok=true reanchor=false enc=1 put=1 reached=MC0 PE1 MP1 MS0 PA1
+batch1: ok=true reanchor=false enc=1 put=1 reached=MC0 PE1 MP1 MS0 PA1
+blob: ok=true reanchor=false enc=0 put=1 reached=MC0 PE0 MP1 MS0 PA1
+ledger: fulls=1 diffs=0 writes=4 bytes=1630 diff_bytes=571 io_errors=0 io_retries=0 dropped=0/0 degraded=false tiers=[durable b=1630 a=4 e=0 c=0]
 durable: diff-0000000021-0000000022.ckpt 376 6697a90b59d41400
-durable: diff-0000000023-0000000024.ckpt 376 58ff1e959dc4eaf1
-durable: full-0000000020.ckpt 803 c70d6ede7e21644b
+durable: diff-0000000023-0000000023.ckpt 195 5252d546dd1ecb4a
+durable: full-0000000010.ckpt 803 1f10b6ba480dc1e2
 durable: moments-24.bin 256 4242dc5249c33625
 ",
         ),
@@ -913,18 +909,17 @@ durable: moments-24.bin 256 4242dc5249c33625
             "durable",
             4,
             r"
-full: ok=true reanchor=false enc=1 put=1 reached=PE1 MP1 MS1 PA1
-full_encoded: ok=true reanchor=false enc=0 put=1 reached=PE1 MP1 MS1 PA1
-batch: ok=true reanchor=false enc=1 put=1 reached=PE1 MP1 MS1 PA1
-diff_entries: ok=true reanchor=false enc=1 put=1 reached=PE1 MP1 MS1 PA1
-blob: ok=true reanchor=false enc=0 put=1 reached=PE0 MP1 MS0 PA1
-ledger: fulls=2 diffs=2 writes=5 bytes=2614 diff_bytes=752 io_errors=0 io_retries=0 dropped=0/0 degraded=false tiers=[durable b=2614 a=5 e=0 c=0]
+capture: ok=true reanchor=false enc=1 put=1 reached=MC1 PE1 MP1 MS1 PA1
+batch: ok=true reanchor=false enc=1 put=1 reached=MC0 PE1 MP1 MS1 PA1
+batch1: ok=true reanchor=false enc=1 put=1 reached=MC0 PE1 MP1 MS1 PA1
+blob: ok=true reanchor=false enc=0 put=1 reached=MC0 PE0 MP1 MS0 PA1
+ledger: fulls=1 diffs=0 writes=4 bytes=1630 diff_bytes=571 io_errors=0 io_retries=0 dropped=0/0 degraded=false tiers=[durable b=1630 a=4 e=0 c=0]
 durable: diff-0000000021-0000000022.sd.ckpt 376 6697a90b59d41400
 durable: diff-0000000021-0000000022.sm.ckpt 106 2a5a66428a42395e
-durable: diff-0000000023-0000000024.sd.ckpt 376 58ff1e959dc4eaf1
-durable: diff-0000000023-0000000024.sm.ckpt 106 d3d765e67360588a
-durable: full-0000000020.sd.ckpt 803 c70d6ede7e21644b
-durable: full-0000000020.sm.ckpt 106 431a88a207520f04
+durable: diff-0000000023-0000000023.sd.ckpt 195 5252d546dd1ecb4a
+durable: diff-0000000023-0000000023.sm.ckpt 86 787e30c5350bbecf
+durable: full-0000000010.sd.ckpt 803 1f10b6ba480dc1e2
+durable: full-0000000010.sm.ckpt 106 2a4c9826c8eb3d2a
 durable: moments-24.bin 256 4242dc5249c33625
 ",
         ),
@@ -932,19 +927,18 @@ durable: moments-24.bin 256 4242dc5249c33625
             "memory+async",
             1,
             r"
-full: ok=true reanchor=false enc=1 put=2 reached=PE1 MP2 MS0 PA2
-full_encoded: ok=true reanchor=false enc=0 put=2 reached=PE1 MP2 MS0 PA2
-batch: ok=true reanchor=false enc=1 put=2 reached=PE1 MP2 MS0 PA2
-diff_entries: ok=true reanchor=false enc=1 put=2 reached=PE1 MP2 MS0 PA2
-blob: ok=true reanchor=false enc=0 put=2 reached=PE0 MP2 MS0 PA2
-ledger: fulls=2 diffs=4 writes=8 bytes=5228 diff_bytes=1504 io_errors=0 io_retries=0 dropped=0/0 degraded=false tiers=[memory b=2614 a=5 e=0 c=0|durable b=2614 a=5 e=0 c=0]
+capture: ok=true reanchor=false enc=1 put=2 reached=MC1 PE1 MP2 MS0 PA2
+batch: ok=true reanchor=false enc=1 put=2 reached=MC0 PE1 MP2 MS0 PA2
+batch1: ok=true reanchor=false enc=1 put=2 reached=MC0 PE1 MP2 MS0 PA2
+blob: ok=true reanchor=false enc=0 put=2 reached=MC0 PE0 MP2 MS0 PA2
+ledger: fulls=1 diffs=1 writes=7 bytes=3260 diff_bytes=1142 io_errors=0 io_retries=0 dropped=0/0 degraded=false tiers=[memory b=1630 a=4 e=0 c=0|durable b=1630 a=4 e=0 c=0]
 memory: diff-0000000021-0000000022.ckpt 376 6697a90b59d41400
-memory: diff-0000000023-0000000024.ckpt 376 58ff1e959dc4eaf1
-memory: full-0000000020.ckpt 803 c70d6ede7e21644b
+memory: diff-0000000023-0000000023.ckpt 195 5252d546dd1ecb4a
+memory: full-0000000010.ckpt 803 1f10b6ba480dc1e2
 memory: moments-24.bin 256 4242dc5249c33625
 durable: diff-0000000021-0000000022.ckpt 376 6697a90b59d41400
-durable: diff-0000000023-0000000024.ckpt 376 58ff1e959dc4eaf1
-durable: full-0000000020.ckpt 803 c70d6ede7e21644b
+durable: diff-0000000023-0000000023.ckpt 195 5252d546dd1ecb4a
+durable: full-0000000010.ckpt 803 1f10b6ba480dc1e2
 durable: moments-24.bin 256 4242dc5249c33625
 ",
         ),
@@ -952,25 +946,24 @@ durable: moments-24.bin 256 4242dc5249c33625
             "memory+async",
             4,
             r"
-full: ok=true reanchor=false enc=1 put=2 reached=PE1 MP2 MS2 PA2
-full_encoded: ok=true reanchor=false enc=0 put=2 reached=PE1 MP2 MS2 PA2
-batch: ok=true reanchor=false enc=1 put=2 reached=PE1 MP2 MS2 PA2
-diff_entries: ok=true reanchor=false enc=1 put=2 reached=PE1 MP2 MS2 PA2
-blob: ok=true reanchor=false enc=0 put=2 reached=PE0 MP2 MS0 PA2
-ledger: fulls=2 diffs=4 writes=8 bytes=5228 diff_bytes=1504 io_errors=0 io_retries=0 dropped=0/0 degraded=false tiers=[memory b=2614 a=5 e=0 c=0|durable b=2614 a=5 e=0 c=0]
+capture: ok=true reanchor=false enc=1 put=2 reached=MC1 PE1 MP2 MS2 PA2
+batch: ok=true reanchor=false enc=1 put=2 reached=MC0 PE1 MP2 MS2 PA2
+batch1: ok=true reanchor=false enc=1 put=2 reached=MC0 PE1 MP2 MS2 PA2
+blob: ok=true reanchor=false enc=0 put=2 reached=MC0 PE0 MP2 MS0 PA2
+ledger: fulls=1 diffs=1 writes=7 bytes=3260 diff_bytes=1142 io_errors=0 io_retries=0 dropped=0/0 degraded=false tiers=[memory b=1630 a=4 e=0 c=0|durable b=1630 a=4 e=0 c=0]
 memory: diff-0000000021-0000000022.sd.ckpt 376 6697a90b59d41400
 memory: diff-0000000021-0000000022.sm.ckpt 106 2a5a66428a42395e
-memory: diff-0000000023-0000000024.sd.ckpt 376 58ff1e959dc4eaf1
-memory: diff-0000000023-0000000024.sm.ckpt 106 d3d765e67360588a
-memory: full-0000000020.sd.ckpt 803 c70d6ede7e21644b
-memory: full-0000000020.sm.ckpt 106 431a88a207520f04
+memory: diff-0000000023-0000000023.sd.ckpt 195 5252d546dd1ecb4a
+memory: diff-0000000023-0000000023.sm.ckpt 86 787e30c5350bbecf
+memory: full-0000000010.sd.ckpt 803 1f10b6ba480dc1e2
+memory: full-0000000010.sm.ckpt 106 2a4c9826c8eb3d2a
 memory: moments-24.bin 256 4242dc5249c33625
 durable: diff-0000000021-0000000022.sd.ckpt 376 6697a90b59d41400
 durable: diff-0000000021-0000000022.sm.ckpt 106 2a5a66428a42395e
-durable: diff-0000000023-0000000024.sd.ckpt 376 58ff1e959dc4eaf1
-durable: diff-0000000023-0000000024.sm.ckpt 106 d3d765e67360588a
-durable: full-0000000020.sd.ckpt 803 c70d6ede7e21644b
-durable: full-0000000020.sm.ckpt 106 431a88a207520f04
+durable: diff-0000000023-0000000023.sd.ckpt 195 5252d546dd1ecb4a
+durable: diff-0000000023-0000000023.sm.ckpt 86 787e30c5350bbecf
+durable: full-0000000010.sd.ckpt 803 1f10b6ba480dc1e2
+durable: full-0000000010.sm.ckpt 106 2a4c9826c8eb3d2a
 durable: moments-24.bin 256 4242dc5249c33625
 ",
         ),
@@ -978,40 +971,36 @@ durable: moments-24.bin 256 4242dc5249c33625
             "failing",
             1,
             r"
-full: ok=false reanchor=true enc=1 put=1 reached=PE1 MP1 MS0 PA0
-full_encoded: ok=false reanchor=true enc=0 put=1 reached=PE1 MP1 MS0 PA0
-batch: ok=false reanchor=true enc=1 put=1 reached=PE1 MP1 MS0 PA0
-diff_entries: ok=false reanchor=false enc=1 put=1 reached=PE1 MP1 MS0 PA0
-blob: ok=false reanchor=false enc=0 put=1 reached=PE0 MP1 MS0 PA0
-ledger: fulls=0 diffs=0 writes=0 bytes=0 diff_bytes=0 io_errors=5 io_retries=10 dropped=4/2 degraded=true tiers=[durable b=0 a=0 e=5 c=0]
+capture: ok=false reanchor=true enc=1 put=1 reached=MC1 PE1 MP1 MS0 PA0
+batch: ok=false reanchor=true enc=1 put=1 reached=MC0 PE1 MP1 MS0 PA0
+batch1: ok=false reanchor=true enc=1 put=1 reached=MC0 PE1 MP1 MS0 PA0
+blob: ok=false reanchor=false enc=0 put=1 reached=MC0 PE0 MP1 MS0 PA0
+ledger: fulls=0 diffs=0 writes=0 bytes=0 diff_bytes=0 io_errors=4 io_retries=8 dropped=3/2 degraded=true tiers=[durable b=0 a=0 e=4 c=0]
 ",
         ),
         (
             "failing",
             4,
             r"
-full: ok=false reanchor=true enc=1 put=1 reached=PE1 MP1 MS0 PA0
-full_encoded: ok=false reanchor=true enc=0 put=1 reached=PE1 MP1 MS0 PA0
-batch: ok=false reanchor=true enc=1 put=1 reached=PE1 MP1 MS0 PA0
-diff_entries: ok=false reanchor=false enc=1 put=1 reached=PE1 MP1 MS0 PA0
-blob: ok=false reanchor=false enc=0 put=1 reached=PE0 MP1 MS0 PA0
-ledger: fulls=0 diffs=0 writes=0 bytes=0 diff_bytes=0 io_errors=5 io_retries=34 dropped=4/2 degraded=true tiers=[durable b=0 a=0 e=5 c=0]
+capture: ok=false reanchor=true enc=1 put=1 reached=MC1 PE1 MP1 MS0 PA0
+batch: ok=false reanchor=true enc=1 put=1 reached=MC0 PE1 MP1 MS0 PA0
+batch1: ok=false reanchor=true enc=1 put=1 reached=MC0 PE1 MP1 MS0 PA0
+blob: ok=false reanchor=false enc=0 put=1 reached=MC0 PE0 MP1 MS0 PA0
+ledger: fulls=0 diffs=0 writes=0 bytes=0 diff_bytes=0 io_errors=4 io_retries=24 dropped=3/2 degraded=true tiers=[durable b=0 a=0 e=4 c=0]
 ",
         ),
         (
             "peer",
             1,
             r"
-full: ok=true reanchor=false enc=1 put=1 reached=PE1 MP1 MS0 PA1
-full_encoded: ok=true reanchor=false enc=0 put=1 reached=PE1 MP1 MS0 PA1
-batch: ok=true reanchor=false enc=1 put=1 reached=PE1 MP1 MS0 PA1
-diff_entries: ok=true reanchor=false enc=1 put=1 reached=PE1 MP1 MS0 PA1
-blob: ok=true reanchor=false enc=0 put=1 reached=PE0 MP1 MS0 PA1
-ledger: fulls=0 diffs=2 writes=0 bytes=0 diff_bytes=0 io_errors=0 io_retries=0 dropped=0/0 degraded=false tiers=[peer b=2614 a=5 e=0 c=0]
+capture: ok=true reanchor=false enc=1 put=1 reached=MC1 PE1 MP1 MS0 PA1
+batch: ok=true reanchor=false enc=1 put=1 reached=MC0 PE1 MP1 MS0 PA1
+batch1: ok=true reanchor=false enc=1 put=1 reached=MC0 PE1 MP1 MS0 PA1
+blob: ok=true reanchor=false enc=0 put=1 reached=MC0 PE0 MP1 MS0 PA1
+ledger: fulls=0 diffs=0 writes=0 bytes=0 diff_bytes=0 io_errors=0 io_retries=0 dropped=0/0 degraded=false tiers=[peer b=1630 a=4 e=0 c=0]
 peer: diff-0000000021-0000000022.ckpt 376 6697a90b59d41400
-peer: diff-0000000023-0000000024.ckpt 376 58ff1e959dc4eaf1
+peer: diff-0000000023-0000000023.ckpt 195 5252d546dd1ecb4a
 peer: full-0000000010.ckpt 803 1f10b6ba480dc1e2
-peer: full-0000000020.ckpt 803 c70d6ede7e21644b
 peer: moments-24.bin 256 4242dc5249c33625
 ",
         ),
@@ -1019,16 +1008,14 @@ peer: moments-24.bin 256 4242dc5249c33625
             "peer",
             4,
             r"
-full: ok=true reanchor=false enc=1 put=1 reached=PE1 MP1 MS0 PA1
-full_encoded: ok=true reanchor=false enc=0 put=1 reached=PE1 MP1 MS0 PA1
-batch: ok=true reanchor=false enc=1 put=1 reached=PE1 MP1 MS0 PA1
-diff_entries: ok=true reanchor=false enc=1 put=1 reached=PE1 MP1 MS0 PA1
-blob: ok=true reanchor=false enc=0 put=1 reached=PE0 MP1 MS0 PA1
-ledger: fulls=0 diffs=2 writes=0 bytes=0 diff_bytes=0 io_errors=0 io_retries=0 dropped=0/0 degraded=false tiers=[peer b=2614 a=5 e=0 c=0]
+capture: ok=true reanchor=false enc=1 put=1 reached=MC1 PE1 MP1 MS0 PA1
+batch: ok=true reanchor=false enc=1 put=1 reached=MC0 PE1 MP1 MS0 PA1
+batch1: ok=true reanchor=false enc=1 put=1 reached=MC0 PE1 MP1 MS0 PA1
+blob: ok=true reanchor=false enc=0 put=1 reached=MC0 PE0 MP1 MS0 PA1
+ledger: fulls=0 diffs=0 writes=0 bytes=0 diff_bytes=0 io_errors=0 io_retries=0 dropped=0/0 degraded=false tiers=[peer b=1630 a=4 e=0 c=0]
 peer: diff-0000000021-0000000022.ckpt 376 6697a90b59d41400
-peer: diff-0000000023-0000000024.ckpt 376 58ff1e959dc4eaf1
+peer: diff-0000000023-0000000023.ckpt 195 5252d546dd1ecb4a
 peer: full-0000000010.ckpt 803 1f10b6ba480dc1e2
-peer: full-0000000020.ckpt 803 c70d6ede7e21644b
 peer: moments-24.bin 256 4242dc5249c33625
 ",
         ),
