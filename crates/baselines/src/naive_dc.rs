@@ -19,6 +19,7 @@
 //! applies param deltas in order (approximate — Top-K drops mass) and
 //! restores the moments from the newest blob (exact).
 
+use lowdiff::batched::BatchedWriter;
 use lowdiff::engine::{
     CheckpointEngine, CheckpointPolicy, EngineConfig, EngineCtx, FullOpts, Job, TierStack,
 };
@@ -26,7 +27,7 @@ use lowdiff::strategy::{CheckpointStrategy, StrategyStats};
 use lowdiff_compress::sparsify::TopK;
 use lowdiff_compress::{AuxView, Compressor};
 use lowdiff_optim::ModelState;
-use lowdiff_storage::codec::{self, DiffEntry};
+use lowdiff_storage::codec::{self, ValueCodec};
 use lowdiff_storage::CheckpointStore;
 use lowdiff_util::units::Secs;
 use std::sync::Arc;
@@ -46,6 +47,8 @@ struct NaiveDcPolicy {
     prev_params: Vec<f32>,
     /// The dense moments blob, rebuilt in place every interval.
     moments: Vec<u8>,
+    /// Batch-size-1 f32 writer: each delta is its own differential write.
+    writer: BatchedWriter,
     has_base: bool,
     /// Set when a write failure invalidated the differential chain; the
     /// next full checkpoint that lands is a forced re-anchor.
@@ -108,11 +111,10 @@ impl CheckpointPolicy for NaiveDcPolicy {
             // 3. synchronous write of delta + dense moments
             //    (Challenge 2 + Exp. 7). iteration−1 because the delta
             //    advances M_{t-1} → M_t.
-            let entry = DiffEntry {
-                iteration: iteration - 1,
-                grad: topk.compress(&delta),
-            };
-            if cx.persist_diff_entries(&self.tiers, std::slice::from_ref(&entry)) {
+            self.writer
+                .offload(iteration - 1, Arc::new(topk.compress(&delta)));
+            if cx.persist_batch(&self.tiers, &mut self.writer) {
+                cx.with_stats(|s| s.diff_checkpoints += 1);
                 // The Adam step, then m and v back to back — exactly
                 // their wire bytes in the frame.
                 self.moments.clear();
@@ -167,6 +169,7 @@ impl NaiveDcStrategy {
             rho,
             prev_params: Vec::new(),
             moments: Vec::new(),
+            writer: BatchedWriter::new(1, ValueCodec::F32),
             has_base: false,
             reanchor_pending: false,
         };

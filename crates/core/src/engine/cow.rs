@@ -13,6 +13,10 @@
 //! `engine_equivalence` tests pin. Dropping the ticket hands its frame
 //! back to the pool.
 //!
+//! LowDiff+'s policy captures its CPU replica the same way, on the engine
+//! worker, through [`super::EngineCtx::capture`]: that capture never waits
+//! on a dry pool, since only the worker itself would return a frame.
+//!
 //! The capture is eager. A copy-on-write variant, which let the
 //! optimizer's update hooks and the worker capture chunks lazily, needs a
 //! benchmark workload that exercises it before it can come back.
@@ -141,16 +145,19 @@ impl CowTickets {
     }
 
     /// Capture `state` + `aux` into a free frame, building one while the
-    /// pool is below its depth, else waiting for the worker to drop a
-    /// ticket. A cold frame taken while another ticket is in flight means
-    /// the store has fallen behind: every frame up to the depth is then
-    /// built and faulted in before this returns. Also returns how long it
-    /// waited (zero when it did not). `None` when every frame is checked
-    /// out and no live worker is left to return one.
+    /// pool is below its depth, else — if `may_wait` — waiting for the
+    /// worker to drop a ticket. A cold frame taken while another ticket is
+    /// in flight means the store has fallen behind: every frame up to the
+    /// depth is then built and faulted in before this returns. Also returns
+    /// how long it waited (zero when it did not). `None` when every frame
+    /// is checked out and waiting is not allowed or no live worker is left
+    /// to return one. The worker itself must never wait: no other thread
+    /// drops the tickets it would wait for.
     pub(crate) fn capture(
         self: &Arc<Self>,
         state: &ModelState,
         aux: &AuxView<'_>,
+        may_wait: bool,
     ) -> (Option<CowTicket>, Duration) {
         let mut pool = self.pool.lock();
         let mut wait_start: Option<Instant> = None;
@@ -163,7 +170,7 @@ impl CowTickets {
                 pool.built += 1;
                 break Vec::new();
             }
-            if !pool.worker_alive {
+            if !(may_wait && pool.worker_alive) {
                 return (None, waited(wait_start));
             }
             wait_start.get_or_insert_with(Instant::now);
@@ -269,7 +276,7 @@ mod tests {
         };
         let view = aux.view();
         let pool = CowTickets::new(1, false);
-        let (t, waited) = pool.capture(&st, &view);
+        let (t, waited) = pool.capture(&st, &view, false);
         let mut t = t.expect("an empty pool builds a frame");
         assert!(waited.is_zero());
         assert_eq!((t.iteration(), t.adam_t(), t.psi()), (42, 42, 1000));
@@ -284,7 +291,10 @@ mod tests {
         let view = AuxView::NONE;
         pool.prime(&st, &view);
         assert_eq!(pool.built(), 2, "prime builds the whole pool");
-        let mut t = pool.capture(&st, &view).0.expect("primed frame is free");
+        let mut t = pool
+            .capture(&st, &view, false)
+            .0
+            .expect("primed frame is free");
         t.seal();
         let first = t.bytes().to_vec();
         let ptr = t.bytes().as_ptr();
@@ -292,7 +302,10 @@ mod tests {
         // Second capture of a different state through the same frame.
         let mut st2 = demo_state(100, 9);
         st2.iteration = 77;
-        let mut t = pool.capture(&st2, &view).0.expect("released frame is free");
+        let mut t = pool
+            .capture(&st2, &view, false)
+            .0
+            .expect("released frame is free");
         assert_eq!(t.bytes().as_ptr(), ptr, "the filled frame is reused first");
         t.seal();
         assert_eq!(t.bytes(), &codec::encode_full_checkpoint(&st2, &view)[..]);
@@ -312,7 +325,7 @@ mod tests {
             // A store that keeps up: each ticket drops before the next
             // capture, so one frame serves every capture.
             for _ in 0..3 {
-                drop(pool.capture(&st, &view).0.unwrap());
+                drop(pool.capture(&st, &view, false).0.unwrap());
             }
             let idle = usize::from(primed) * 2;
             assert_eq!(
@@ -321,13 +334,13 @@ mod tests {
                 "primed={primed}"
             );
             // The store falls behind: a second capture while one is held.
-            let held = pool.capture(&st, &view).0.unwrap();
-            let mut lagging = pool.capture(&st, &view).0.unwrap();
+            let held = pool.capture(&st, &view, false).0.unwrap();
+            let mut lagging = pool.capture(&st, &view, false).0.unwrap();
             assert_eq!((pool.built(), pool.cold()), (3, 0), "primed={primed}");
             // The warmed frame carries a capture like any other.
             let mut st2 = demo_state(100, 12);
             st2.iteration = 9;
-            let mut last = pool.capture(&st2, &view).0.unwrap();
+            let mut last = pool.capture(&st2, &view, false).0.unwrap();
             last.seal();
             assert_eq!(
                 last.bytes(),
@@ -348,15 +361,15 @@ mod tests {
         let st = demo_state(100, 10);
         let view = AuxView::NONE;
         let held: Vec<_> = (0..2)
-            .map(|_| pool.capture(&st, &view).0.unwrap())
+            .map(|_| pool.capture(&st, &view, false).0.unwrap())
             .collect();
         assert_eq!(pool.built(), 2);
         assert!(
-            pool.capture(&st, &view).0.is_none(),
+            pool.capture(&st, &view, false).0.is_none(),
             "depth bounds the pool"
         );
         drop(held);
-        assert!(pool.capture(&st, &view).0.is_some());
+        assert!(pool.capture(&st, &view, false).0.is_some());
         assert_eq!(pool.built(), 2);
     }
 }

@@ -148,6 +148,7 @@ impl EngineShared {
             force_full: &self.force_full,
             metrics: &self.metrics,
             buffers: &self.buffers,
+            cow: &self.cow,
             crash: cfg.crash.as_deref(),
         }
     }
@@ -274,7 +275,7 @@ impl CheckpointEngine {
         // Every frame checked out means the store is a pool's depth of
         // fulls behind: wait one out. Like the queue-full wait in
         // `submit`, that is backpressure, not snapshot work.
-        let (ticket, waited) = self.shared.cow.capture(state, aux);
+        let (ticket, waited) = self.shared.cow.capture(state, aux, true);
         if !waited.is_zero() {
             self.backpressure += 1;
         }
@@ -423,6 +424,12 @@ impl CheckpointEngine {
     /// Mutate the shared stats from the adapter (e.g. `forced_fulls`).
     pub fn with_stats<R>(&self, f: impl FnOnce(&mut StrategyStats) -> R) -> R {
         f(&mut self.shared.stats.lock())
+    }
+
+    /// Frames the ticket pool has built so far.
+    #[cfg(test)]
+    pub(crate) fn tickets_built(&self) -> usize {
+        self.shared.cow.built()
     }
 
     /// Times the training thread hit a full pipeline on submit.

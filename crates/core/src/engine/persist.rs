@@ -29,7 +29,7 @@
 //! the write sequence is byte-identical to the pre-tier engine — the
 //! `engine_equivalence` proptests pin that.
 
-use super::cow::CowTicket;
+use super::cow::{CowTicket, CowTickets};
 use super::crash::{CrashInjector, CrashPoint};
 use super::metrics::EngineMetrics;
 use super::tier::{AckMode, SinkReport, TierBacking, TierStack};
@@ -37,13 +37,13 @@ use crate::batched::BatchedWriter;
 use crate::strategy::StrategyStats;
 use lowdiff_compress::AuxView;
 use lowdiff_optim::ModelState;
-use lowdiff_storage::codec::{self, DiffEntry, ValueCodec};
 use lowdiff_storage::stripe::StripedData;
 use lowdiff_storage::{with_retry, CheckpointStore, RetryPolicy, StripeCfg, StripeManifest};
 use lowdiff_util::BufferPool;
 use parking_lot::Mutex;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// How a landed full checkpoint is accounted (Gemini's memory-tier fulls
@@ -58,7 +58,7 @@ pub enum Tier {
     Memory,
 }
 
-/// Per-write options for [`EngineCtx::persist_full`].
+/// Per-write options for [`EngineCtx::persist_capture`].
 #[derive(Clone, Copy, Debug)]
 pub struct FullOpts {
     /// On failure, request an early full so the chain gets re-anchored
@@ -182,6 +182,7 @@ pub struct EngineCtx<'a> {
     pub(super) force_full: &'a AtomicBool,
     pub(super) metrics: &'a EngineMetrics,
     pub(super) buffers: &'a BufferPool<u8>,
+    pub(super) cow: &'a Arc<CowTickets>,
     pub(super) crash: Option<&'a CrashInjector>,
 }
 
@@ -324,57 +325,26 @@ impl EngineCtx<'_> {
         Some((r.result.is_ok(), data.retries + r.retries as u64))
     }
 
-    /// Encode a full checkpoint of `state` + `aux` once (v2 format: model
-    /// state plus EF residual / compressor / RNG cursor) and fan it across
-    /// the tier stack. Returns whether every synchronous tier landed it.
-    pub fn persist_full(
-        &mut self,
-        tiers: &TierStack,
-        state: &ModelState,
-        aux: &AuxView<'_>,
-        opts: &FullOpts,
-    ) -> bool {
-        if self.crash_dead() {
-            return false;
-        }
+    /// Capture `state` + `aux` into a frame from the engine's ticket pool
+    /// on the calling thread, timed as the encode stage: the full capture
+    /// of a policy that owns the state it persists (LowDiff+'s replica),
+    /// finished by [`Self::persist_capture`]. Never waits on a dry pool —
+    /// on the worker, nothing else would return a frame — and returns
+    /// `None` then.
+    pub fn capture(&self, state: &ModelState, aux: &AuxView<'_>) -> Option<CowTicket> {
         let t0 = Instant::now();
-        let mut bytes = self.buffers.get();
-        codec::encode_full_checkpoint_into(state, aux, &mut bytes);
+        let (ticket, _) = self.cow.capture(state, aux, false);
         self.metrics.encode.record(t0.elapsed());
-        let ok = self.persist_full_encoded(tiers, state.iteration, &bytes, opts);
-        self.buffers.put(bytes);
-        ok
-    }
-
-    /// Fan an already-encoded full-checkpoint blob across the tier stack
-    /// (the post-encode half of [`Self::persist_full`], shared with
-    /// [`Self::persist_capture`], whose sealed ticket *is* the encoded
-    /// blob). On failure, requests a re-anchor if `opts` says so.
-    pub fn persist_full_encoded(
-        &mut self,
-        tiers: &TierStack,
-        iteration: u64,
-        bytes: &[u8],
-        opts: &FullOpts,
-    ) -> bool {
-        if self.crash_dead() {
-            return false;
-        }
-        let keep = opts.keep_fulls;
-        let landed = self.fan_out(tiers, Obj::Full { iteration, keep }, bytes);
-        if landed == Some(false) && opts.reanchor_on_failure {
-            self.request_reanchor();
-        }
-        landed == Some(true)
+        ticket
     }
 
     /// Seal a captured full's frame with its CRC (timed as the encode
     /// stage), then fan it across the tier stack: the one full-checkpoint
-    /// path of every ticket-capturing policy. The frame returns to the
-    /// engine's pool when the job drops `ticket`. Returns whether every
-    /// synchronous tier landed it — never when the engine is dead or the
-    /// armed [`CrashPoint::MidCapture`] fires in the window where the
-    /// captured frame exists only in memory.
+    /// path of every policy. The frame returns to the engine's pool when
+    /// `ticket` drops. Returns whether every synchronous tier landed it —
+    /// never when the engine is dead or the armed [`CrashPoint::MidCapture`]
+    /// fires in the window where the captured frame exists only in memory.
+    /// On failure, requests a re-anchor if `opts` says so.
     pub fn persist_capture(
         &mut self,
         tiers: &TierStack,
@@ -387,14 +357,15 @@ impl EngineCtx<'_> {
         let t0 = Instant::now();
         ticket.seal();
         self.metrics.encode.record(t0.elapsed());
-        self.persist_full_encoded(tiers, ticket.iteration(), ticket.bytes(), opts)
-    }
-
-    /// [`CrashPoint::MidCapture`] check for strategies that capture their
-    /// fulls outside a ticket (LowDiff+'s replica-side snapshot copy):
-    /// fires in the equivalent window between capture and persist. `true` means the simulated process just died.
-    pub fn capture_interrupted(&self) -> bool {
-        self.crash_hit(CrashPoint::MidCapture)
+        let obj = Obj::Full {
+            iteration: ticket.iteration(),
+            keep: opts.keep_fulls,
+        };
+        let landed = self.fan_out(tiers, obj, ticket.bytes());
+        if landed == Some(false) && opts.reanchor_on_failure {
+            self.request_reanchor();
+        }
+        landed == Some(true)
     }
 
     /// Encode the writer's buffered differential batch once and fan it
@@ -413,7 +384,6 @@ impl EngineCtx<'_> {
         };
         self.metrics.encode.record(t0.elapsed());
         let landed = self.fan_out(tiers, Obj::Diff(enc.start, enc.end), &enc.bytes);
-        let written = enc.bytes.len() as u64;
         self.buffers.put(enc.bytes);
         match landed {
             // Durable-but-unacknowledged (or torn) writes leave the batch
@@ -422,7 +392,7 @@ impl EngineCtx<'_> {
             // past it.
             None => false,
             Some(true) => {
-                writer.complete_write(written);
+                writer.complete_write();
                 true
             }
             Some(false) => {
@@ -441,43 +411,6 @@ impl EngineCtx<'_> {
                 false
             }
         }
-    }
-
-    /// Encode standalone differential entries once as f32 values (no
-    /// writer buffering — the Naïve-DC synchronous path) and fan across
-    /// the stack. Accounting matches the batch path: a synchronous-tier
-    /// failure drops the entries and counts one `dropped_batches`; the
-    /// *caller* decides how to re-anchor (Naïve DC tracks its base
-    /// validity itself).
-    pub fn persist_diff_entries(&mut self, tiers: &TierStack, entries: &[DiffEntry]) -> bool {
-        if self.crash_dead() {
-            return false;
-        }
-        let (Some(first), Some(last)) = (entries.first(), entries.last()) else {
-            // Nothing to write trivially "lands" — mirroring
-            // `persist_batch` on an empty buffer. Callers flushing
-            // zero-entry tails must not see a phantom failure.
-            return true;
-        };
-        let t0 = Instant::now();
-        let mut bytes = self.buffers.get();
-        let refs = entries.iter().map(|e| (e.iteration, &e.grad));
-        codec::encode_diff_batch_into(refs, &ValueCodec::F32, &mut bytes);
-        self.metrics.encode.record(t0.elapsed());
-        let landed = self.fan_out(tiers, Obj::Diff(first.iteration, last.iteration), &bytes);
-        self.buffers.put(bytes);
-        let Some(ok) = landed else {
-            return false;
-        };
-        let n = entries.len() as u64;
-        let mut s = self.shared.lock();
-        if ok {
-            s.diff_checkpoints += n;
-        } else {
-            s.dropped_diffs += n;
-            s.dropped_batches += 1;
-        }
-        ok
     }
 
     /// Persist an opaque blob under `key` (Naïve DC's dense moments) to
@@ -506,14 +439,12 @@ impl EngineCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batched::BatchMode;
-    use crate::engine::cow::CowTickets;
     use crate::engine::tier::{DurableTier, MemoryTier, PeerReplicaBackend, PeerTier};
     use crate::engine::{EngineConfig, EngineShared};
     use lowdiff_comm::ReplicaNet;
     use lowdiff_compress::{CompressedGrad, SparseGrad};
+    use lowdiff_storage::codec::ValueCodec;
     use lowdiff_storage::{MemoryBackend, StorageBackend};
-    use std::sync::Arc;
 
     /// Run `f` against a fresh EngineCtx built from `retry`, `stripe` and
     /// `crash`, and return the stats it accumulated.
@@ -554,17 +485,20 @@ mod tests {
         with_stack(TierStack::durable(Arc::clone(&store)), store, f)
     }
 
-    fn state_at(iteration: u64) -> ModelState {
+    /// A full of a small state at `iteration`, captured through the
+    /// engine context like a worker-side policy does.
+    fn capture_at(cx: &EngineCtx<'_>, iteration: u64) -> CowTicket {
         let mut st = ModelState::new(vec![1.0, 2.0, 3.0, 4.0]);
         st.iteration = iteration;
-        st
+        cx.capture(&st, &AuxView::NONE).expect("one frame is free")
     }
 
     #[test]
-    fn empty_diff_entry_slice_lands_trivially() {
+    fn empty_batch_lands_trivially() {
         let stats = with_ctx(|cx, tiers, store| {
+            let mut writer = BatchedWriter::new(1, ValueCodec::F32);
             assert!(
-                cx.persist_diff_entries(tiers, &[]),
+                cx.persist_batch(tiers, &mut writer),
                 "an empty flush is a success, not a dropped batch"
             );
             assert!(store.backend().list().unwrap().is_empty());
@@ -582,12 +516,8 @@ mod tests {
         let stack = TierStack::new(vec![Arc::new(MemoryTier::new(Arc::clone(&mem), 2))]);
         let stats = with_stack(stack, Arc::clone(&mem), |cx, tiers, store| {
             for it in [3u64, 6, 9, 12] {
-                assert!(cx.persist_full(
-                    tiers,
-                    &state_at(it),
-                    &AuxView::NONE,
-                    &FullOpts::durable()
-                ));
+                let mut ticket = capture_at(cx, it);
+                assert!(cx.persist_capture(tiers, &mut ticket, &FullOpts::durable()));
             }
             // Retention 2: always the newest two, oldest evicted first.
             assert_eq!(store.full_iterations().unwrap(), vec![9, 12]);
@@ -607,7 +537,8 @@ mod tests {
             Arc::new(DurableTier::new(Arc::clone(&dur))),
         ]);
         let stats = with_stack(stack, Arc::clone(&dur), |cx, tiers, _| {
-            assert!(cx.persist_full(tiers, &state_at(7), &AuxView::NONE, &FullOpts::durable()));
+            let mut ticket = capture_at(cx, 7);
+            assert!(cx.persist_capture(tiers, &mut ticket, &FullOpts::durable()));
         });
         let key = CheckpointStore::full_key(7);
         assert_eq!(
@@ -652,8 +583,9 @@ mod tests {
             Arc::new(DurableTier::with_ack(Arc::clone(&bad), AckMode::Async)),
         ]);
         let stats = with_stack(stack, Arc::clone(&good), |cx, tiers, _| {
+            let mut ticket = capture_at(cx, 1);
             assert!(
-                cx.persist_full(tiers, &state_at(1), &AuxView::NONE, &FullOpts::durable()),
+                cx.persist_capture(tiers, &mut ticket, &FullOpts::durable()),
                 "an async tier's failure must not fail the persist"
             );
         });
@@ -671,7 +603,8 @@ mod tests {
     fn sync_tier_failure_fails_the_persist() {
         let bad = Arc::new(CheckpointStore::new(Arc::new(BlackholeBackend)));
         let stats = with_stack(TierStack::durable(Arc::clone(&bad)), bad, |cx, tiers, _| {
-            assert!(!cx.persist_full(tiers, &state_at(1), &AuxView::NONE, &FullOpts::durable()));
+            let mut ticket = capture_at(cx, 1);
+            assert!(!cx.persist_capture(tiers, &mut ticket, &FullOpts::durable()));
         });
         assert_eq!(stats.io_errors, 1);
         assert!(stats.degraded);
@@ -771,13 +704,13 @@ mod tests {
         };
         let pool = CowTickets::new(1, false);
         let mut ticket = pool
-            .capture(&pin_state(10), &AuxView::NONE)
+            .capture(&pin_state(10), &AuxView::NONE, false)
             .0
             .expect("an empty pool builds a frame");
-        let mut writer = BatchedWriter::new(2, BatchMode::Concat);
+        let mut writer = BatchedWriter::new(2, ValueCodec::F32);
         writer.offload(21, Arc::new(pin_grad(1)));
         writer.offload(22, Arc::new(pin_grad(2)));
-        let mut single = BatchedWriter::new(1, BatchMode::Concat);
+        let mut single = BatchedWriter::new(1, ValueCodec::F32);
         single.offload(23, Arc::new(pin_grad(23)));
         let blob: Vec<u8> = (0..=255).collect();
         type Call<'a> = Box<dyn FnMut(&mut EngineCtx<'_>) -> bool + 'a>;

@@ -32,7 +32,7 @@ pub mod shard;
 pub mod strategy;
 pub mod trainer;
 
-pub use batched::{BatchMode, BatchedWriter};
+pub use batched::BatchedWriter;
 pub use config::{ConfigOptimizer, WastedTimeModel};
 pub use engine::{
     CheckpointEngine, CheckpointPolicy, CowTicket, CrashInjector, CrashPoint, DurableTier,

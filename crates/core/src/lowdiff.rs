@@ -20,7 +20,7 @@
 //! checkpointer lags by more than the queue capacity) and, every FCF
 //! iterations, one in-memory snapshot of the model state.
 
-use crate::batched::{BatchMode, BatchedWriter};
+use crate::batched::BatchedWriter;
 use crate::engine::{
     CheckpointEngine, CheckpointPolicy, EngineConfig, EngineCtx, FullOpts, Job, PolicyCtl,
     TierStack,
@@ -42,8 +42,6 @@ pub struct LowDiffConfig {
     pub full_every: u64,
     /// Batching size (BS) for differential writes.
     pub batch_size: usize,
-    /// Concat (exact) vs Accumulate (merged) batching.
-    pub mode: BatchMode,
     /// If set, keep only the newest `k` full checkpoints (older fulls and
     /// their differential chains are garbage-collected).
     pub keep_fulls: Option<u64>,
@@ -63,7 +61,6 @@ impl Default for LowDiffConfig {
         Self {
             full_every: 20,
             batch_size: 2,
-            mode: BatchMode::Concat,
             keep_fulls: None,
             value_codec: ValueCodec::F32,
             engine: EngineConfig::default(),
@@ -122,10 +119,7 @@ impl CheckpointPolicy for LowDiffPolicy {
         // Complete the in-flight batch at the old size, then switch:
         // differential chains stay consecutive.
         cx.persist_batch(&self.tiers, &mut self.writer);
-        let mode = self.writer.mode();
-        let codec = self.writer.value_codec();
-        let done = std::mem::replace(&mut self.writer, BatchedWriter::with_codec(bs, mode, codec));
-        self.writer.inherit_counters(&done);
+        self.writer.set_batch_size(bs);
     }
 }
 
@@ -156,7 +150,7 @@ impl LowDiffStrategy {
         assert!(cfg.full_every >= 1 && cfg.batch_size >= 1);
         let policy = LowDiffPolicy {
             tiers,
-            writer: BatchedWriter::with_codec(cfg.batch_size, cfg.mode, cfg.value_codec),
+            writer: BatchedWriter::new(cfg.batch_size, cfg.value_codec),
             keep_fulls: cfg.keep_fulls,
             label,
         };

@@ -12,8 +12,9 @@
 //!   gradients, keeping an always-up-to-date *in-memory checkpoint*
 //!   (per-iteration frequency, Exp. 4's LowDiff+(S)).
 //! * **Asynchronous persistence** — every `persist_every` iterations the
-//!   replica is written to storage as a plain full checkpoint, off the
-//!   training thread's critical path (LowDiff+(P)). No differential blobs
+//!   replica is captured into a frame from the engine's ticket pool and
+//!   written to storage as a plain full checkpoint, off the training
+//!   thread's critical path (LowDiff+(P)). No differential blobs
 //!   are ever written: gradients are *fused* into the replica instead
 //!   (the §5.2 write-volume argument).
 //!
@@ -33,7 +34,7 @@ use crate::engine::{
 };
 use crate::strategy::{CheckpointStrategy, StrategyStats};
 use lowdiff_comm::SyncPool;
-use lowdiff_compress::{AuxView, CompressorCfg};
+use lowdiff_compress::AuxView;
 use lowdiff_optim::{Adam, ModelState};
 use lowdiff_storage::CheckpointStore;
 use lowdiff_util::units::Secs;
@@ -50,12 +51,6 @@ pub struct LowDiffPlusConfig {
     pub persist_every: u64,
     /// Snapshot thread-pool size (`P_s`).
     pub snapshot_threads: usize,
-    /// Dense staging buffers preallocated at attach time. Each in-flight
-    /// iteration (queued behind a slow persist) holds one Ψ-sized buffer,
-    /// so this is the pipeline depth the strategy can absorb without
-    /// allocating on the training thread; deeper bursts fall back to
-    /// allocation. Memory cost: `staging_depth × 4Ψ` bytes.
-    pub staging_depth: usize,
     /// Optimizer the replica loop applies the reused gradients with. MUST
     /// match the trainer's Adam hyperparameters or the replica drifts from
     /// the live model (the update `M^C ← Adam(M^C, g)` replays training).
@@ -67,12 +62,18 @@ pub struct LowDiffPlusConfig {
     pub engine: EngineConfig,
 }
 
+/// Dense staging buffers preallocated at attach time. Each in-flight
+/// iteration (queued behind a slow persist) holds one Ψ-sized buffer, so
+/// this is the pipeline depth the strategy absorbs without allocating on
+/// the training thread; deeper bursts fall back to allocation. Memory cost:
+/// `STAGING_DEPTH × 4Ψ` bytes.
+const STAGING_DEPTH: usize = 24;
+
 impl Default for LowDiffPlusConfig {
     fn default() -> Self {
         Self {
             persist_every: 10,
             snapshot_threads: 4,
-            staging_depth: 24,
             adam: Adam::default(),
             engine: EngineConfig::default(),
         }
@@ -89,14 +90,6 @@ struct LowDiffPlusPolicy {
     replica: Arc<Mutex<ModelState>>,
     persist_every: u64,
     adam: Adam,
-    /// Reusable persist-time snapshot of the replica: `copy_from` into
-    /// this pre-sized slot replaces a fresh `clone()` every interval.
-    snap: ModelState,
-    /// Aux state belonging to `snap` (from the `Job::Dense` whose fusion
-    /// produced it) — persisted alongside so replica fulls are
-    /// resume-exact, not just parameter-exact.
-    snap_rng: Option<[u64; 4]>,
-    snap_compressor: Option<CompressorCfg>,
     /// Returns consumed staged gradients to the adapter's staging pool so
     /// the per-iteration dense buffer is recycled, not reallocated.
     staging_pool: Arc<BufferPool<f32>>,
@@ -121,34 +114,30 @@ impl CheckpointPolicy for LowDiffPlusPolicy {
         let mut m_c = self.replica.lock();
         debug_assert_eq!(m_c.iteration, iteration, "replica fell out of step");
         m_c.apply_gradient(&self.adam, &grad); // update in CPU (line 12)
-        let persist = m_c.iteration.is_multiple_of(self.persist_every);
-        if persist {
-            self.snap.copy_from(&m_c);
-            self.snap_rng = rng;
-            self.snap_compressor = compressor;
-        }
+
+        // A persist interval captures the replica plus the aux state of the
+        // job whose fusion produced it, so the full is resume-exact, not
+        // just parameter-exact.
+        let aux = AuxView {
+            residual: None, // the non-compression scenario has no EF
+            compressor,
+            rng,
+            quant: None, // no compression, so no precision policy
+        };
+        let ticket = if m_c.iteration.is_multiple_of(self.persist_every) {
+            cx.capture(&m_c, &aux)
+        } else {
+            None
+        };
         drop(m_c); // never hold the replica lock across storage I/O
         self.staging_pool.put(grad); // recycle the staged dense buffer
         cx.with_stats(|s| s.diff_checkpoints += 1); // one in-memory ckpt per iter
-        if persist && cx.capture_interrupted() {
-            // Torture hook: LowDiff+ fulls never go through `submit_full`,
-            // so the MidCapture crash point fires here — between the
-            // replica snapshot and its persist, the same window a ticket
-            // capture dies in.
-            return;
-        }
-        if persist {
+        if let Some(mut ticket) = ticket {
             // A persist that fails is skipped: the in-memory replica is
             // still exact (software recovery unaffected); durable recovery
             // falls back to the previous persisted full until the next
             // interval lands. Hence no re-anchor request.
-            let aux = AuxView {
-                residual: None, // the non-compression scenario has no EF
-                compressor: self.snap_compressor,
-                rng: self.snap_rng,
-                quant: None, // no compression, so no precision policy
-            };
-            cx.persist_full(&self.tiers, &self.snap, &aux, &FullOpts::durable());
+            cx.persist_capture(&self.tiers, &mut ticket, &FullOpts::durable());
         }
     }
 }
@@ -181,8 +170,8 @@ impl LowDiffPlusStrategy {
         // The staging ring: preallocate the whole pipeline depth so a
         // burst of iterations queued behind a slow persist recycles these
         // instead of allocating per iteration on the training thread.
-        let staging_pool = Arc::new(BufferPool::new(cfg.staging_depth.max(2)));
-        for _ in 0..cfg.staging_depth {
+        let staging_pool = Arc::new(BufferPool::new(STAGING_DEPTH));
+        for _ in 0..STAGING_DEPTH {
             staging_pool.put(Vec::with_capacity(psi));
         }
         let layer_pool = Arc::new(BufferPool::new(2 * cfg.snapshot_threads.max(1)));
@@ -192,9 +181,6 @@ impl LowDiffPlusStrategy {
             replica: Arc::clone(&replica),
             persist_every: cfg.persist_every,
             adam: cfg.adam,
-            snap: ModelState::new(Vec::new()),
-            snap_rng: None,
-            snap_compressor: None,
             staging_pool: Arc::clone(&staging_pool),
         };
         let engine = CheckpointEngine::spawn(store, policy, cfg.engine.clone());
@@ -482,6 +468,62 @@ mod tests {
         drop(tr);
         let durable = LowDiffPlusStrategy::recover_hardware(&st).unwrap().unwrap();
         assert_eq!(durable.iteration, 8, "post-outage persist re-anchors");
+    }
+
+    /// Replica fulls go through one pooled frame: after several persist
+    /// intervals the pool has built exactly one, and each stored full is
+    /// the blocking encode of the replica plus the aux state its fusion
+    /// carried.
+    #[test]
+    fn replica_fulls_reuse_one_frame_and_match_the_blocking_encode() {
+        use lowdiff_compress::CompressorCfg;
+        use lowdiff_storage::codec::encode_full_checkpoint;
+        let st = store();
+        let psi = 40;
+        let mut rng = DetRng::new(8);
+        let mut state = ModelState::new((0..psi).map(|_| rng.normal() as f32).collect());
+        let mut strat = LowDiffPlusStrategy::new(
+            Arc::clone(&st),
+            LowDiffPlusConfig {
+                persist_every: 3,
+                snapshot_threads: 2,
+                ..LowDiffPlusConfig::default()
+            },
+            state.clone(),
+        );
+        let dummy = Arc::new(lowdiff_compress::CompressedGrad::Sparse(
+            lowdiff_compress::SparseGrad::new(psi, Vec::new(), Vec::new()),
+        ));
+        let adam = Adam::default();
+        let mut want = Vec::new();
+        for t in 0..10u64 {
+            let g: Vec<f32> = (0..psi).map(|_| rng.normal() as f32 * 0.1).collect();
+            let aux = AuxView {
+                compressor: Some(CompressorCfg::topk(0.01 * (t + 1) as f64)),
+                rng: Some([t, 2 * t, 3 * t, 4 * t]),
+                ..AuxView::NONE
+            };
+            strat.on_layer_gradient(t, 0, 0..psi, &g);
+            strat.on_synced_gradient(t, &dummy, &aux);
+            state.apply_gradient(&adam, &g);
+            if state.iteration.is_multiple_of(3) {
+                want.push((state.iteration, encode_full_checkpoint(&state, &aux)));
+            }
+        }
+        strat.flush();
+        assert_eq!(
+            strat.engine.tickets_built(),
+            1,
+            "one frame serves every full"
+        );
+        assert_eq!(st.full_iterations().unwrap(), vec![3, 6, 9]);
+        for (it, bytes) in want {
+            let got = st.backend().get(&CheckpointStore::full_key(it)).unwrap();
+            assert!(
+                got == bytes,
+                "replica full {it} differs from the blocking encode"
+            );
+        }
     }
 
     #[test]

@@ -193,16 +193,8 @@ impl CheckpointStore {
         }
         let (start, end) = (entries[0].iteration, entries.last().unwrap().iteration);
         let bytes = codec::encode_diff_batch(entries);
-        self.put_diff_batch_bytes(start, end, &bytes)?;
+        self.backend.put(&Self::diff_key(start, end), &bytes)?;
         Ok(bytes.len() as u64)
-    }
-
-    /// Store a pre-encoded differential batch covering `start..=end` under
-    /// the canonical key. The caller vouches that `bytes` came from
-    /// [`codec::encode_diff_batch`] over consecutive entries spanning
-    /// exactly that range.
-    pub fn put_diff_batch_bytes(&self, start: u64, end: u64, bytes: &[u8]) -> io::Result<()> {
-        self.backend.put(&Self::diff_key(start, end), bytes)
     }
 
     /// Write a full checkpoint's encoded bytes as `stripes` concurrent
@@ -235,8 +227,8 @@ impl CheckpointStore {
         )
     }
 
-    /// Striped analog of [`put_diff_batch_bytes`](Self::put_diff_batch_bytes):
-    /// the data object lands unsealed until
+    /// Write a differential batch's encoded bytes as `stripes` concurrent
+    /// ranged writes: the data object lands unsealed until
     /// [`seal_diff_striped`](Self::seal_diff_striped).
     pub fn put_diff_striped(
         &self,

@@ -17,11 +17,13 @@
 #                            oracle, and every resume entry point each
 #                            other, at any pool width
 # 3d. engine @1/@4 threads — the engine tests of the core crate (the
-#                            persist pin included) and the engine
-#                            equivalence suite with the pool pinned to 1
-#                            and to 4 threads: striped fan-out runs on the
-#                            pool, so ledgers, stored bytes and crash-point
-#                            visits must not depend on its width
+#                            persist pin included), the baselines' tests
+#                            and the engine equivalence suite with the
+#                            pool pinned to 1 and to 4 threads: striped
+#                            fan-out runs on the pool and every baseline
+#                            persists through it, so ledgers, stored
+#                            bytes and crash-point visits must not depend
+#                            on its width
 # 3e. storage decoders (release) — the hostile-blob regressions and the
 #                            decoder mutation suite again in release,
 #                            where unchecked length arithmetic would wrap
@@ -86,6 +88,7 @@ LOWDIFF_NUM_THREADS=4 cargo test -q -p lowdiff recovery
 echo "== engine @1/@4 threads =="
 for n in 1 4; do
   LOWDIFF_NUM_THREADS=$n cargo test -q -p lowdiff engine
+  LOWDIFF_NUM_THREADS=$n cargo test -q -p lowdiff-baselines
   LOWDIFF_NUM_THREADS=$n cargo test -q --test engine_equivalence
 done
 

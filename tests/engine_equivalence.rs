@@ -3,14 +3,13 @@
 //! checkpoint files and identical recovery to the pre-refactor write path
 //! on the same recorded gradient trace.
 //!
-//! The reference side uses the storage primitives the strategies called
-//! directly before the refactor — `CheckpointStore::save_full`,
-//! `BatchedWriter::push`/`flush`, `backend().put` — driven by the same
-//! schedule arithmetic. The engine side runs the real strategies. Blob
+//! The reference side uses plain storage primitives —
+//! `CheckpointStore::save_full`, `save_diff_batch`, and `backend().put` of
+//! `codec::encode_diff_batch` under `CheckpointStore::diff_key` — driven by
+//! the same schedule arithmetic. The engine side runs the real strategies. Blob
 //! maps are compared key-by-key (the engine's `meta-` health blob is the
 //! one deliberate addition and is excluded).
 
-use lowdiff::batched::{BatchMode, BatchedWriter};
 use lowdiff::engine::peer_recovery_stores;
 use lowdiff::lowdiff::{LowDiffConfig, LowDiffStrategy};
 use lowdiff::lowdiff_plus::{LowDiffPlusConfig, LowDiffPlusStrategy};
@@ -27,7 +26,7 @@ use lowdiff_model::builders::mlp;
 use lowdiff_model::data::Regression;
 use lowdiff_model::loss::mse;
 use lowdiff_optim::{Adam, ModelState};
-use lowdiff_storage::codec::{encode_full_checkpoint, DiffEntry};
+use lowdiff_storage::codec::{encode_diff_batch, encode_full_checkpoint, DiffEntry};
 use lowdiff_storage::{stripe, CheckpointStore, MemoryBackend, StripeCfg};
 use lowdiff_util::units::Secs;
 use lowdiff_util::DetRng;
@@ -83,6 +82,19 @@ fn assert_recovers_to(store: &CheckpointStore, live: &ModelState, what: &str) {
     assert_eq!(rec.params, live.params, "{what}: recovery params");
 }
 
+/// The reference differential write: the buffered entries encoded as one
+/// batch and put under the batch's key, then cleared.
+fn put_diff_batch(store: &CheckpointStore, entries: &mut Vec<DiffEntry>) {
+    if let (Some(first), Some(last)) = (entries.first(), entries.last()) {
+        let key = CheckpointStore::diff_key(first.iteration, last.iteration);
+        store
+            .backend()
+            .put(&key, &encode_diff_batch(entries))
+            .unwrap();
+    }
+    entries.clear();
+}
+
 // ---------------------------------------------------------------- lowdiff
 
 fn check_lowdiff(seed: u64, psi: usize, iters: u64, full_every: u64, batch_size: usize) {
@@ -111,22 +123,27 @@ fn check_lowdiff(seed: u64, psi: usize, iters: u64, full_every: u64, batch_size:
     strat.flush();
     drop(strat);
 
-    // Reference path: save_full + BatchedWriter, the pre-refactor calls.
+    // Reference path: save_full + one put per batch_size differentials.
     let store_b = mem_store();
     let mut ref_state = ModelState::new(init);
     let mut comp = TopK::new(0.25);
-    let mut w = BatchedWriter::new(batch_size, BatchMode::Concat);
+    let mut pending = Vec::with_capacity(batch_size);
     store_b.save_full(&ref_state).unwrap();
     for g in &grads {
-        let cg = Arc::new(comp.compress(g));
-        w.push(&store_b, ref_state.iteration, Arc::clone(&cg))
-            .unwrap();
+        let cg = comp.compress(g);
         ref_state.apply_gradient(&adam, &cg.to_dense());
+        pending.push(DiffEntry {
+            iteration: ref_state.iteration - 1,
+            grad: cg,
+        });
+        if pending.len() == batch_size {
+            put_diff_batch(&store_b, &mut pending);
+        }
         if ref_state.iteration.is_multiple_of(full_every) {
             store_b.save_full(&ref_state).unwrap();
         }
     }
-    w.flush(&store_b).unwrap();
+    put_diff_batch(&store_b, &mut pending);
 
     assert_eq!(state.params, ref_state.params, "trace replay diverged");
     assert_stores_identical(&store_a, &store_b, "lowdiff");
@@ -438,9 +455,9 @@ fn check_mixed_version_chain(seed: u64, psi: usize, iters: u64, batch: usize) {
         if k % 2 == 0 {
             // Legacy writer: raw little-endian u32 index lists (v1).
             let bytes = lowdiff_testkit::reference::encode_diff_batch(chunk);
-            store
-                .put_diff_batch_bytes(chunk[0].iteration, chunk.last().unwrap().iteration, &bytes)
-                .unwrap();
+            let key =
+                CheckpointStore::diff_key(chunk[0].iteration, chunk.last().unwrap().iteration);
+            store.backend().put(&key, &bytes).unwrap();
         } else {
             // Current writer: varint-delta v2.
             store.save_diff_batch(chunk).unwrap();
@@ -789,10 +806,9 @@ fn all_strategies_incremental_matches_blocking() {
 
 /// Regression (persist accounting): `StrategyStats::bytes_written` must
 /// equal the bytes the backend itself counted — i.e. the encoded blob
-/// length, not the logical payload size `persist_full` used to charge.
-/// Health export is off so the backend counter holds checkpoint bytes
-/// only; schemes chosen to cover `persist_full`, `persist_diff_entries`
-/// and `persist_blob`.
+/// length, not a logical payload size. Health export is off so the
+/// backend counter holds checkpoint bytes only; schemes chosen to cover
+/// `persist_capture`, `persist_batch` and `persist_blob`.
 #[test]
 fn stats_bytes_written_matches_backend_counter() {
     type Builder = fn(Arc<CheckpointStore>) -> Box<dyn CheckpointStrategy>;
