@@ -1,10 +1,13 @@
 //! The persist stage: **the** retry/backoff, degraded-mode and forced
 //! re-anchor implementation for every checkpoint write in the system.
 //!
-//! Policies receive an [`EngineCtx`] and call one of the `persist_*`
-//! helpers. Each is an encode step followed by one private fan-out over
-//! an ordered [`TierStack`] (see [`super::tier`]) that owns, for every
-//! object it writes:
+//! Policies receive an [`EngineCtx`] and call one `persist_*` helper per
+//! object kind: [`EngineCtx::persist_capture`] for a full (a captured
+//! [`CowTicket`]), [`EngineCtx::persist_batch`] for a differential batch
+//! (a [`BatchedWriter`]'s buffer) and [`EngineCtx::persist_blob`] for an
+//! opaque side blob. Each is an encode step followed by one private
+//! fan-out over an ordered [`TierStack`] (see [`super::tier`]) that owns,
+//! for every object it writes:
 //!
 //! * the per-tier write — a plain put, or the striped parallel put when
 //!   [`StripeCfg`] allows more than one stripe: concurrent ranged writes
