@@ -642,6 +642,32 @@ mod tests {
                 let bad = Arc::new(CheckpointStore::new(Arc::new(BlackholeBackend)));
                 (TierStack::durable(bad), Vec::new())
             }
+            "peer+async" => {
+                let (net, dur) = (ReplicaNet::new(2), store());
+                let seen = vec![
+                    (
+                        "peer",
+                        Arc::new(PeerReplicaBackend::new(Arc::clone(&net), 1, 0))
+                            as Arc<dyn StorageBackend>,
+                    ),
+                    ("durable", Arc::clone(dur.backend())),
+                ];
+                let stack = TierStack::new(vec![
+                    Arc::new(PeerTier::new(net, 0, 1)),
+                    Arc::new(DurableTier::with_ack(dur, AckMode::Async)),
+                ]);
+                (stack, seen)
+            }
+            "memory+failing" => {
+                let mem = store();
+                let bad = Arc::new(CheckpointStore::new(Arc::new(BlackholeBackend)));
+                let seen = vec![("memory", Arc::clone(mem.backend()))];
+                let stack = TierStack::new(vec![
+                    Arc::new(MemoryTier::new(mem, 1)),
+                    Arc::new(DurableTier::with_ack(bad, AckMode::Async)),
+                ]);
+                (stack, seen)
+            }
             "peer" => {
                 let net = ReplicaNet::new(2);
                 let replica: Arc<dyn StorageBackend> =
@@ -825,7 +851,7 @@ mod tests {
         }
     }
 
-    const PERSIST_PIN: [(&str, usize, &str); 8] = [
+    const PERSIST_PIN: [(&str, usize, &str); 12] = [
         (
             "durable",
             1,
@@ -953,6 +979,80 @@ peer: diff-0000000021-0000000022.ckpt 376 6697a90b59d41400
 peer: diff-0000000023-0000000023.ckpt 195 5252d546dd1ecb4a
 peer: full-0000000010.ckpt 803 1f10b6ba480dc1e2
 peer: moments-24.bin 256 4242dc5249c33625
+",
+        ),
+        (
+            "peer+async",
+            1,
+            r"
+capture: ok=true reanchor=false enc=1 put=2 reached=MC1 PE1 MP2 MS0 PA2
+batch: ok=true reanchor=false enc=1 put=2 reached=MC0 PE1 MP2 MS0 PA2
+batch1: ok=true reanchor=false enc=1 put=2 reached=MC0 PE1 MP2 MS0 PA2
+blob: ok=true reanchor=false enc=0 put=2 reached=MC0 PE0 MP2 MS0 PA2
+ledger: fulls=1 diffs=0 writes=4 bytes=1630 diff_bytes=571 io_errors=0 io_retries=0 dropped=0/0 degraded=false tiers=[peer b=1630 a=4 e=0 c=0|durable b=1630 a=4 e=0 c=0]
+peer: diff-0000000021-0000000022.ckpt 376 6697a90b59d41400
+peer: diff-0000000023-0000000023.ckpt 195 5252d546dd1ecb4a
+peer: full-0000000010.ckpt 803 1f10b6ba480dc1e2
+peer: moments-24.bin 256 4242dc5249c33625
+durable: diff-0000000021-0000000022.ckpt 376 6697a90b59d41400
+durable: diff-0000000023-0000000023.ckpt 195 5252d546dd1ecb4a
+durable: full-0000000010.ckpt 803 1f10b6ba480dc1e2
+durable: moments-24.bin 256 4242dc5249c33625
+",
+        ),
+        (
+            "peer+async",
+            4,
+            r"
+capture: ok=true reanchor=false enc=1 put=2 reached=MC1 PE1 MP2 MS1 PA2
+batch: ok=true reanchor=false enc=1 put=2 reached=MC0 PE1 MP2 MS1 PA2
+batch1: ok=true reanchor=false enc=1 put=2 reached=MC0 PE1 MP2 MS1 PA2
+blob: ok=true reanchor=false enc=0 put=2 reached=MC0 PE0 MP2 MS0 PA2
+ledger: fulls=1 diffs=0 writes=4 bytes=1630 diff_bytes=571 io_errors=0 io_retries=0 dropped=0/0 degraded=false tiers=[peer b=1630 a=4 e=0 c=0|durable b=1630 a=4 e=0 c=0]
+peer: diff-0000000021-0000000022.ckpt 376 6697a90b59d41400
+peer: diff-0000000023-0000000023.ckpt 195 5252d546dd1ecb4a
+peer: full-0000000010.ckpt 803 1f10b6ba480dc1e2
+peer: moments-24.bin 256 4242dc5249c33625
+durable: diff-0000000021-0000000022.sd.ckpt 376 6697a90b59d41400
+durable: diff-0000000021-0000000022.sm.ckpt 106 2a5a66428a42395e
+durable: diff-0000000023-0000000023.sd.ckpt 195 5252d546dd1ecb4a
+durable: diff-0000000023-0000000023.sm.ckpt 86 787e30c5350bbecf
+durable: full-0000000010.sd.ckpt 803 1f10b6ba480dc1e2
+durable: full-0000000010.sm.ckpt 106 2a4c9826c8eb3d2a
+durable: moments-24.bin 256 4242dc5249c33625
+",
+        ),
+        (
+            "memory+failing",
+            1,
+            r"
+capture: ok=true reanchor=false enc=1 put=2 reached=MC1 PE1 MP2 MS0 PA1
+batch: ok=true reanchor=false enc=1 put=2 reached=MC0 PE1 MP2 MS0 PA1
+batch1: ok=true reanchor=false enc=1 put=2 reached=MC0 PE1 MP2 MS0 PA1
+blob: ok=true reanchor=false enc=0 put=2 reached=MC0 PE0 MP2 MS0 PA1
+ledger: fulls=0 diffs=1 writes=3 bytes=1630 diff_bytes=571 io_errors=4 io_retries=8 dropped=0/0 degraded=true tiers=[memory b=1630 a=4 e=0 c=0|durable b=0 a=0 e=4 c=0]
+memory: diff-0000000021-0000000022.ckpt 376 6697a90b59d41400
+memory: diff-0000000023-0000000023.ckpt 195 5252d546dd1ecb4a
+memory: full-0000000010.ckpt 803 1f10b6ba480dc1e2
+memory: moments-24.bin 256 4242dc5249c33625
+",
+        ),
+        (
+            "memory+failing",
+            4,
+            r"
+capture: ok=true reanchor=false enc=1 put=2 reached=MC1 PE1 MP2 MS1 PA1
+batch: ok=true reanchor=false enc=1 put=2 reached=MC0 PE1 MP2 MS1 PA1
+batch1: ok=true reanchor=false enc=1 put=2 reached=MC0 PE1 MP2 MS1 PA1
+blob: ok=true reanchor=false enc=0 put=2 reached=MC0 PE0 MP2 MS0 PA1
+ledger: fulls=0 diffs=1 writes=3 bytes=1630 diff_bytes=571 io_errors=4 io_retries=24 dropped=0/0 degraded=true tiers=[memory b=1630 a=4 e=0 c=0|durable b=0 a=0 e=4 c=0]
+memory: diff-0000000021-0000000022.sd.ckpt 376 6697a90b59d41400
+memory: diff-0000000021-0000000022.sm.ckpt 106 2a5a66428a42395e
+memory: diff-0000000023-0000000023.sd.ckpt 195 5252d546dd1ecb4a
+memory: diff-0000000023-0000000023.sm.ckpt 86 787e30c5350bbecf
+memory: full-0000000010.sd.ckpt 803 1f10b6ba480dc1e2
+memory: full-0000000010.sm.ckpt 106 2a4c9826c8eb3d2a
+memory: moments-24.bin 256 4242dc5249c33625
 ",
         ),
     ];

@@ -122,3 +122,57 @@ pub fn recovery_sources(
     });
     sources
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::peer_recovery_stores;
+    use lowdiff_compress::{Compressor, TopK};
+    use lowdiff_optim::Adam;
+    use lowdiff_storage::MemoryBackend;
+    use lowdiff_util::DetRng;
+
+    /// `keep_fulls` garbage-collects the durable store behind the peer
+    /// tier, never the peer replicas: those keep every full and every
+    /// differential batch the rank streamed.
+    #[test]
+    fn keep_fulls_gcs_the_durable_store_not_the_peer_replicas() {
+        let store = Arc::new(CheckpointStore::new(Arc::new(MemoryBackend::new())));
+        let net = ReplicaNet::new(2);
+        let cfg = LowDiffConfig {
+            full_every: 4,
+            batch_size: 2,
+            keep_fulls: Some(2),
+            ..LowDiffConfig::default()
+        };
+        let mut strat = PeerReplicateStrategy::new(Arc::clone(&store), cfg, Arc::clone(&net), 0, 1);
+        let (adam, mut comp, mut rng) = (Adam::default(), TopK::new(0.25), DetRng::new(5));
+        let mut state = ModelState::new(vec![0.0; 64]);
+        strat.prime(&state, &AuxView::NONE);
+        for _ in 0..18 {
+            let g: Vec<f32> = (0..64).map(|_| rng.normal() as f32 * 0.1).collect();
+            let cg = Arc::new(comp.compress(&g));
+            strat.on_synced_gradient(state.iteration, &cg, &AuxView::NONE);
+            state.apply_gradient(&adam, &cg.to_dense());
+            strat.after_update(&state, &AuxView::NONE);
+        }
+        strat.flush();
+        assert_eq!(store.full_iterations().unwrap(), vec![12, 16]);
+        assert!(store.diff_keys().unwrap().iter().all(|k| k.end >= 12));
+        let peers = peer_recovery_stores(&net, 0);
+        assert_eq!(peers.len(), 1);
+        let replica = &peers[0].1;
+        assert_eq!(replica.full_iterations().unwrap(), vec![4, 8, 12, 16]);
+        let diffs: Vec<(u64, u64)> = replica
+            .diff_keys()
+            .unwrap()
+            .iter()
+            .map(|k| (k.start, k.end))
+            .collect();
+        assert_eq!(diffs.len(), 9, "{diffs:?}");
+        let stats = strat.stats();
+        assert_eq!(stats.tiers[0].name, "peer");
+        assert_eq!(stats.tiers[1].name, "durable");
+        assert_eq!(stats.full_checkpoints, 4);
+    }
+}

@@ -264,6 +264,45 @@ mod tests {
         assert!(last < (vocab as f64).ln(), "did not beat uniform baseline");
     }
 
+    /// Five Adam steps of a tiny GPT on Markov text, hashed bit for bit:
+    /// the parameters and logits before each step and the gradient
+    /// `backward` returns.
+    fn gpt_trace_hash(mut net: Network) -> u64 {
+        let text = MarkovText::new(12, 9);
+        let adam = Adam::default();
+        let mut st = AdamState::new(net.num_params());
+        let mut params = net.params_flat();
+        let mut rng = DetRng::new(10);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |xs: &[f32]| {
+            for x in xs {
+                h = (h ^ x.to_bits() as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for _ in 0..5 {
+            let (x, target) = text.sequence_tensor(&mut rng, 10);
+            net.set_params_flat(&params);
+            fold(&params);
+            let logits = net.forward(&x);
+            fold(logits.as_slice());
+            let (_, grad) = softmax_cross_entropy(&logits, &target);
+            let g = net.backward(&grad);
+            fold(&g);
+            adam.step(&mut st, &mut params, &g);
+        }
+        fold(&params);
+        h
+    }
+
+    /// The one-head GPT is pinned bit for bit: parameters, logits and
+    /// gradients over several training steps.
+    #[test]
+    fn one_head_gpt_trace_is_pinned() {
+        const PIN: u64 = 14969466061601282166;
+        assert_eq!(gpt_trace_hash(tiny_gpt(12, 16, 2, 8)), PIN);
+        assert_eq!(gpt_trace_hash(tiny_gpt_mha(12, 16, 1, 2, 8)), PIN);
+    }
+
     #[test]
     fn gpt_layer_structure() {
         let net = tiny_gpt(10, 8, 2, 11);
