@@ -2,13 +2,12 @@
 //! (Wang et al., SOSP '23).
 //!
 //! Gemini writes checkpoints to the CPU memory of peer machines (fast
-//! tier) and only periodically to durable storage. Since the recovery-tier
-//! refactor the scheme is *pure policy*: every snapshot goes to a
-//! [`MemoryTier`] stack, every `persist_every`-th through a
-//! `[MemoryTier, DurableTier(async)]` stack — the engine encodes once,
-//! fans the same bytes across both tiers, and runs the memory tier's
-//! deterministic retention GC (keep the newest `retention` fulls, evict
-//! oldest-first — replacing the old best-effort single-live-ckpt sweep).
+//! tier) and only periodically to durable storage. The scheme is *pure
+//! policy*: every snapshot goes to a `[Tier::Memory]` stack, every
+//! `persist_every`-th through a `[Tier::Memory, Tier::Durable]` stack —
+//! the engine encodes once, fans the same bytes across both tiers, and
+//! runs the memory tier's deterministic retention GC (keep the newest
+//! `retention` fulls, evict oldest-first).
 //!
 //! Recovery prefers the memory tier ([`GeminiStrategy::recover_memory`])
 //! and falls back to durable storage when the machine holding the replica
@@ -16,8 +15,7 @@
 //! recovery-priority order.
 
 use lowdiff::engine::{
-    AckMode, CheckpointEngine, CheckpointPolicy, DurableTier, EngineConfig, EngineCtx, FullOpts,
-    Job, MemoryTier, RecoveryTier, TierStack,
+    CheckpointEngine, CheckpointPolicy, EngineConfig, EngineCtx, FullOpts, Job, Tier, TierStack,
 };
 use lowdiff::strategy::{CheckpointStrategy, StrategyStats};
 use lowdiff_compress::AuxView;
@@ -29,8 +27,9 @@ use std::time::Instant;
 
 /// Two-tier persistence as stack selection: every snapshot through the
 /// memory-only stack, every `persist_every`-th through memory+durable.
-/// The durable tier acks asynchronously — a lost write on either tier
-/// degrades, never aborts, and never fails the memory-tier checkpoint.
+/// The memory tier acknowledges and the durable tier trails best-effort —
+/// a lost write on either tier degrades, never aborts, and never fails the
+/// memory-tier checkpoint.
 struct GeminiPolicy {
     mem_only: TierStack,
     both: TierStack,
@@ -118,16 +117,18 @@ impl GeminiStrategy {
     ) -> Self {
         assert!(mem_every >= 1 && persist_every >= mem_every);
         let mem_store = Arc::new(CheckpointStore::new(Arc::new(MemoryBackend::new())));
-        let mem_tier: Arc<dyn RecoveryTier> =
-            Arc::new(MemoryTier::new(Arc::clone(&mem_store), retention));
+        let mem_tier = Tier::Memory {
+            store: Arc::clone(&mem_store),
+            keep: retention,
+        };
         let policy = GeminiPolicy {
-            mem_only: TierStack::new(vec![Arc::clone(&mem_tier)]),
+            mem_only: TierStack::new(vec![mem_tier.clone()]),
             both: TierStack::new(vec![
                 mem_tier,
-                Arc::new(DurableTier::with_ack(
-                    Arc::clone(&durable_store),
-                    AckMode::Async,
-                )),
+                Tier::Durable {
+                    store: Arc::clone(&durable_store),
+                    keep: None,
+                },
             ]),
             persist_every,
         };

@@ -21,9 +21,9 @@
 //! throughput over 1/2/4/8 stripes on a 4-channel throttled backend to
 //! show the fan-out scaling near-linearly up to the channel count.
 //! `--peers P` sizes the `lowdiff-peer` row — LowDiff over a
-//! `[PeerTier(P), DurableTier(async)]` recovery stack, every checkpoint
+//! `[Tier::Peer(P), Tier::Durable]` recovery stack, every checkpoint
 //! object streamed to P ring peers with the durable write trailing
-//! asynchronously (0 drops the row). `--quant-bits Q` adds a `lowdiff-qQ`
+//! best-effort (0 drops the row). `--quant-bits Q` adds a `lowdiff-qQ`
 //! row persisting differentials
 //! through the v3 quantized codec (0 disables it); `--adaptive` +
 //! `--max-quant-err E` let the per-chunk width chooser move on the

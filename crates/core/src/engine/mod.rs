@@ -9,11 +9,17 @@
 //!   clone the gradient handle     │
 //!   → submit(Job) ──bounded queue──▶ policy.process(job, ctx)
 //!                                 │   ├─ ENCODE: codec + CRC
-//!                                 │   └─ PERSIST: store writes behind the
-//!                                 │      one shared RetryPolicy; dropped
-//!                                 │      batches and forced re-anchors
-//!                                 │      handled here, once, for everyone
+//!                                 │   └─ PERSIST: fan-out over the tier
+//!                                 │      stack behind the one shared
+//!                                 │      RetryPolicy; dropped batches and
+//!                                 │      forced re-anchors handled here,
+//!                                 │      once, for everyone
 //! ```
+//!
+//! Every write goes through a [`TierStack`] of the closed [`Tier`] enum
+//! (durable store, CPU-memory store, peer replicas); the front tier
+//! acknowledges, the rest trail best-effort, and each store tier
+//! garbage-collects to its own `keep` ([`tier`], [`persist`]).
 //!
 //! Strategies are split in two:
 //!
@@ -46,12 +52,9 @@ pub mod tier;
 pub use cow::CowTicket;
 pub use crash::{CrashInjector, CrashPoint, ALL_CRASH_POINTS};
 pub use metrics::{EngineCounters, EngineMetrics, LatencyHist, StageLatency};
-pub use persist::{EngineCtx, FullOpts, Tier};
+pub use persist::{EngineCtx, FullOpts};
 pub use policy::{CheckpointPolicy, Job, PolicyCtl};
-pub use tier::{
-    peer_recovery_stores, AckMode, DurabilityClass, DurableTier, MemoryTier, ObjectSink,
-    PeerReplicaBackend, PeerTier, RecoveryTier, SinkReport, TierBacking, TierStack,
-};
+pub use tier::{peer_recovery_stores, PeerReplicaBackend, PeerTier, Tier, TierStack};
 
 use crate::strategy::StrategyStats;
 use crossbeam::channel::{

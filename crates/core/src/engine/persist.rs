@@ -9,33 +9,31 @@
 //! fan-out over an ordered [`TierStack`] (see [`super::tier`]) that owns,
 //! for every object it writes:
 //!
-//! * the per-tier write — a plain put, or the striped parallel put when
-//!   [`StripeCfg`] allows more than one stripe: concurrent ranged writes
-//!   sealed by a CRC-carrying manifest written last
-//!   ([`lowdiff_storage::stripe`]); object tiers (peer streams) take the
-//!   encoded blob whole,
+//! * the per-tier write — on a store tier a plain put, or the striped
+//!   parallel put when [`StripeCfg`] allows more than one stripe:
+//!   concurrent ranged writes sealed by a CRC-carrying manifest written
+//!   last ([`lowdiff_storage::stripe`]); the peer tier takes the encoded
+//!   blob whole,
 //! * bounded exponential backoff via [`lowdiff_storage::with_retry`],
 //! * the crash points of a write (torn put, seal window, unacknowledged
 //!   durable write) and persist-stage latency,
 //! * accounting into the shared [`StrategyStats`]: the global ledger
 //!   (`full_checkpoints`/`writes`/`bytes_written`/…), `io_retries`,
 //!   `io_errors`/`degraded`, the per-tier bytes/acks/errors ledger, and
-//!   GC after a landed full.
+//!   GC to the store tier's own `keep` after a landed full.
 //!
 //! What happens after the fan-out stays with each helper: completing or
 //! dropping a differential batch (`dropped_batches` counts exactly once
 //! per discarded batch) and requesting a re-anchoring full.
 //!
-//! A persist call succeeds iff every [`AckMode::Sync`] tier landed;
-//! [`AckMode::Async`] tiers are best-effort (failures are accounted but
-//! never fail the call). With a single [`super::tier::DurableTier`] stack
-//! the write sequence is byte-identical to the pre-tier engine — the
-//! `engine_equivalence` proptests pin that.
+//! A persist call succeeds iff the front tier landed it; every tier
+//! behind it is best-effort (failures are accounted but never fail the
+//! call).
 
 use super::cow::{CowTicket, CowTickets};
 use super::crash::{CrashInjector, CrashPoint};
 use super::metrics::EngineMetrics;
-use super::tier::{AckMode, SinkReport, TierBacking, TierStack};
+use super::tier::{SinkReport, Tier, TierStack};
 use crate::batched::BatchedWriter;
 use crate::strategy::StrategyStats;
 use lowdiff_compress::AuxView;
@@ -49,18 +47,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// How a landed full checkpoint is accounted (Gemini's memory-tier fulls
-/// count as `diff_checkpoints`, matching the paper's "in-memory
-/// checkpoint" framing). Tiers report theirs via
-/// [`super::tier::RecoveryTier::counts_as`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Tier {
-    /// Durable storage: counts as `full_checkpoints` + `writes`.
-    Durable,
-    /// A fast in-memory tier: counts as `diff_checkpoints`, no `writes`.
-    Memory,
-}
-
 /// Per-write options for [`EngineCtx::persist_capture`].
 #[derive(Clone, Copy, Debug)]
 pub struct FullOpts {
@@ -68,19 +54,13 @@ pub struct FullOpts {
     /// (LowDiff semantics). Strategies whose recovery simply falls back to
     /// the previous full (CheckFreq, TorchSave, …) leave this off.
     pub reanchor_on_failure: bool,
-    /// Keep only the newest `k` fulls after a successful write (older
-    /// fulls and their differential chains are garbage-collected). Applies
-    /// to store-backed tiers without their own retention
-    /// ([`super::tier::RecoveryTier::retain_fulls`] wins when set).
-    pub keep_fulls: Option<u64>,
 }
 
 impl FullOpts {
-    /// Skip-on-failure, no GC — the common baseline case.
+    /// Skip-on-failure — the common baseline case.
     pub fn durable() -> Self {
         Self {
             reanchor_on_failure: false,
-            keep_fulls: None,
         }
     }
 }
@@ -89,8 +69,8 @@ impl FullOpts {
 /// [`CheckpointStore`] call lands it and how a landed write is counted.
 #[derive(Clone, Copy)]
 enum Obj<'k> {
-    /// A full checkpoint (C^F); `keep` is the GC depth once it lands.
-    Full { iteration: u64, keep: Option<u64> },
+    /// A full checkpoint (C^F) of `iteration`.
+    Full(u64),
     /// A differential batch (C^B) covering `start..=end`.
     Diff(u64, u64),
     /// An opaque side blob under its own key: written as handed over (no
@@ -102,7 +82,7 @@ impl Obj<'_> {
     /// The canonical key: what a plain put and an object tier write under.
     fn key(self) -> String {
         match self {
-            Obj::Full { iteration, .. } => CheckpointStore::full_key(iteration),
+            Obj::Full(iteration) => CheckpointStore::full_key(iteration),
             Obj::Diff(start, end) => CheckpointStore::diff_key(start, end),
             Obj::Blob(key) => key.to_owned(),
         }
@@ -124,7 +104,7 @@ impl Obj<'_> {
         retry: &RetryPolicy,
     ) -> StripedData {
         match self {
-            Obj::Full { iteration, .. } => store.put_full_striped(iteration, bytes, stripes, retry),
+            Obj::Full(iteration) => store.put_full_striped(iteration, bytes, stripes, retry),
             Obj::Diff(start, end) => store.put_diff_striped(start, end, bytes, stripes, retry),
             Obj::Blob(_) => unreachable!("side blobs are never striped"),
         }
@@ -132,7 +112,7 @@ impl Obj<'_> {
 
     fn seal(self, store: &CheckpointStore, manifest: &StripeManifest) -> io::Result<()> {
         match self {
-            Obj::Full { iteration, .. } => store.seal_full_striped(iteration, manifest),
+            Obj::Full(iteration) => store.seal_full_striped(iteration, manifest),
             Obj::Diff(start, end) => store.seal_diff_striped(start, end, manifest),
             Obj::Blob(_) => unreachable!("side blobs are never striped"),
         }
@@ -143,7 +123,7 @@ impl Obj<'_> {
     /// the fan-out itself tears: some stripes land, unfinished, unsealed.
     fn put_torn(self, store: &CheckpointStore, bytes: &[u8], stripes: usize) {
         match self {
-            Obj::Full { iteration, .. } if stripes >= 2 => {
+            Obj::Full(iteration) if stripes >= 2 => {
                 store.put_full_striped_torn(iteration, bytes, stripes)
             }
             Obj::Diff(start, end) if stripes >= 2 => {
@@ -155,17 +135,19 @@ impl Obj<'_> {
         }
     }
 
-    /// Account one write of `len` bytes that landed on a store-backed
-    /// tier. Only those feed the global ledger — `bytes_written` stays
-    /// "bytes handed to storage backends"; replica traffic is visible in
-    /// the per-tier ledger.
-    fn count(self, s: &mut StrategyStats, counts_as: Tier, len: u64) {
-        match (self, counts_as) {
-            (Obj::Full { .. }, Tier::Durable) => {
+    /// Account one write of `len` bytes that landed on `tier`. Only store
+    /// tiers feed the global ledger — `bytes_written` stays "bytes handed
+    /// to storage backends"; replica traffic is visible in the per-tier
+    /// ledger. A full on the memory tier is an in-memory checkpoint
+    /// (`diff_checkpoints`, Gemini's framing).
+    fn count(self, s: &mut StrategyStats, tier: &Tier, len: u64) {
+        match (self, tier) {
+            (_, Tier::Peer(_)) => return,
+            (Obj::Full(_), Tier::Durable { .. }) => {
                 s.full_checkpoints += 1;
                 s.writes += 1;
             }
-            (Obj::Full { .. }, Tier::Memory) => s.diff_checkpoints += 1,
+            (Obj::Full(_), Tier::Memory { .. }) => s.diff_checkpoints += 1,
             (Obj::Diff(..), _) => {
                 s.writes += 1;
                 s.diff_bytes_written += len;
@@ -211,17 +193,17 @@ impl EngineCtx<'_> {
     }
 
     /// Write `obj` to every tier of the stack, front to back, and account
-    /// each tier's outcome. `Some(ok)`: whether every synchronous tier
-    /// landed it. `None`: an armed crash point fired — the simulated
-    /// process is gone, nothing more is accounted and the remaining tiers
-    /// never see the blob.
+    /// each tier's outcome. `Some(ok)`: whether the front tier landed it.
+    /// `None`: an armed crash point fired — the simulated process is gone,
+    /// nothing more is accounted and the remaining tiers never see the
+    /// blob.
     fn fan_out(&self, tiers: &TierStack, obj: Obj<'_>, bytes: &[u8]) -> Option<bool> {
         if !matches!(obj, Obj::Blob(_)) && self.crash_hit(CrashPoint::PostEncode) {
             return None;
         }
-        let mut ok_all = true;
-        for tier in tiers.iter() {
-            let (rep, retries) = self.tier_write(tier.backing(), obj, bytes)?;
+        let mut front_ok = true;
+        for (i, tier) in tiers.iter().enumerate() {
+            let (rep, retries) = self.tier_write(tier, obj, bytes)?;
             let ok = rep.acks > 0;
             {
                 let mut s = self.shared.lock();
@@ -237,46 +219,46 @@ impl EngineCtx<'_> {
                     // decides whether to drop data or re-anchor.
                     s.io_errors += 1;
                     s.degraded = true;
-                    if tier.ack() == AckMode::Sync {
-                        ok_all = false;
+                    if i == 0 {
+                        front_ok = false;
                     }
-                } else if let TierBacking::Store(_) = tier.backing() {
-                    obj.count(&mut s, tier.counts_as(), bytes.len() as u64);
+                } else {
+                    obj.count(&mut s, tier, bytes.len() as u64);
                 }
             }
-            if let (true, TierBacking::Store(store), Obj::Full { keep, .. }) =
-                (ok, tier.backing(), obj)
-            {
-                if let Some(keep) = tier.retain_fulls().or(keep) {
-                    self.gc_keep(store, keep);
+            if let (true, Obj::Full(_)) = (ok, obj) {
+                match tier {
+                    Tier::Durable {
+                        store,
+                        keep: Some(keep),
+                    }
+                    | Tier::Memory { store, keep } => self.gc_keep(store, *keep),
+                    Tier::Durable { keep: None, .. } | Tier::Peer(_) => {}
                 }
             }
         }
-        Some(ok_all)
+        Some(front_ok)
     }
 
     /// One tier's write of `obj` with its crash points and persist-stage
     /// timing: the tier's ledger entry plus the storage retries it burned,
     /// or `None` when the process died mid-write.
-    fn tier_write(
-        &self,
-        backing: TierBacking<'_>,
-        obj: Obj<'_>,
-        bytes: &[u8],
-    ) -> Option<(SinkReport, u64)> {
+    fn tier_write(&self, tier: &Tier, obj: Obj<'_>, bytes: &[u8]) -> Option<(SinkReport, u64)> {
         let stripes = obj.stripes(self.stripe, bytes.len());
         if self.crash_hit(CrashPoint::MidPersist) {
-            match backing {
-                TierBacking::Store(store) => obj.put_torn(store, bytes, stripes),
-                TierBacking::Object(sink) => {
-                    sink.put_object(&obj.key(), &bytes[..bytes.len() / 2]);
+            match tier {
+                Tier::Durable { store, .. } | Tier::Memory { store, .. } => {
+                    obj.put_torn(store, bytes, stripes)
+                }
+                Tier::Peer(peer) => {
+                    peer.put(&obj.key(), &bytes[..bytes.len() / 2]);
                 }
             }
             return None;
         }
         let t1 = Instant::now();
-        let (rep, retries) = match backing {
-            TierBacking::Store(store) => {
+        let (rep, retries) = match tier {
+            Tier::Durable { store, .. } | Tier::Memory { store, .. } => {
                 let (ok, retries) = self.store_write(store, obj, bytes, stripes)?;
                 let rep = SinkReport {
                     acks: ok as u64,
@@ -286,9 +268,9 @@ impl EngineCtx<'_> {
                 };
                 (rep, retries)
             }
-            // No striping for object tiers — the network frame is the
-            // unit — so they never reach `CrashPoint::MidStripe`.
-            TierBacking::Object(sink) => (sink.put_object(&obj.key(), bytes), 0),
+            // No striping for the peer tier — the network frame is the
+            // unit — so it never reaches `CrashPoint::MidStripe`.
+            Tier::Peer(peer) => (peer.put(&obj.key(), bytes), 0),
         };
         self.metrics.persist.record(t1.elapsed());
         if rep.acks > 0 && self.crash_hit(CrashPoint::PostPersistPreAck) {
@@ -344,7 +326,7 @@ impl EngineCtx<'_> {
     /// Seal a captured full's frame with its CRC (timed as the encode
     /// stage), then fan it across the tier stack: the one full-checkpoint
     /// path of every policy. The frame returns to the engine's pool when
-    /// `ticket` drops. Returns whether every synchronous tier landed it —
+    /// `ticket` drops. Returns whether the front tier landed it —
     /// never when the engine is dead or the armed [`CrashPoint::MidCapture`]
     /// fires in the window where the captured frame exists only in memory.
     /// On failure, requests a re-anchor if `opts` says so.
@@ -360,11 +342,7 @@ impl EngineCtx<'_> {
         let t0 = Instant::now();
         ticket.seal();
         self.metrics.encode.record(t0.elapsed());
-        let obj = Obj::Full {
-            iteration: ticket.iteration(),
-            keep: opts.keep_fulls,
-        };
-        let landed = self.fan_out(tiers, obj, ticket.bytes());
+        let landed = self.fan_out(tiers, Obj::Full(ticket.iteration()), ticket.bytes());
         if landed == Some(false) && opts.reanchor_on_failure {
             self.request_reanchor();
         }
@@ -372,11 +350,11 @@ impl EngineCtx<'_> {
     }
 
     /// Encode the writer's buffered differential batch once and fan it
-    /// across the tier stack. When any synchronous tier exhausts, the
+    /// across the tier stack. When the front tier exhausts, the
     /// batch is dropped — `dropped_batches` counts exactly once per
     /// discarded batch — the run degrades, and a re-anchoring full
-    /// checkpoint is requested. Returns whether the batch landed on every
-    /// synchronous tier (an empty buffer trivially "lands").
+    /// checkpoint is requested. Returns whether the batch landed on the
+    /// front tier (an empty buffer trivially "lands").
     pub fn persist_batch(&mut self, tiers: &TierStack, writer: &mut BatchedWriter) -> bool {
         if self.crash_dead() {
             return false;
@@ -399,7 +377,7 @@ impl EngineCtx<'_> {
                 true
             }
             Some(false) => {
-                // Retries exhausted on a synchronous tier: give the batch
+                // Retries exhausted on the front tier: give the batch
                 // up. The gap this leaves in the differential chain is
                 // exactly what recovery already bounds (`diff_chain_from`
                 // stops at the gap); the forced full re-anchors the chain
@@ -442,7 +420,7 @@ impl EngineCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::tier::{DurableTier, MemoryTier, PeerReplicaBackend, PeerTier};
+    use crate::engine::tier::{PeerReplicaBackend, PeerTier};
     use crate::engine::{EngineConfig, EngineShared};
     use lowdiff_comm::ReplicaNet;
     use lowdiff_compress::{CompressedGrad, SparseGrad};
@@ -516,7 +494,10 @@ mod tests {
     #[test]
     fn memory_tier_evicts_oldest_fulls_deterministically() {
         let mem = Arc::new(CheckpointStore::new(Arc::new(MemoryBackend::new())));
-        let stack = TierStack::new(vec![Arc::new(MemoryTier::new(Arc::clone(&mem), 2))]);
+        let stack = TierStack::new(vec![Tier::Memory {
+            store: Arc::clone(&mem),
+            keep: 2,
+        }]);
         let stats = with_stack(stack, Arc::clone(&mem), |cx, tiers, store| {
             for it in [3u64, 6, 9, 12] {
                 let mut ticket = capture_at(cx, it);
@@ -536,8 +517,14 @@ mod tests {
         let mem = Arc::new(CheckpointStore::new(Arc::new(MemoryBackend::new())));
         let dur = Arc::new(CheckpointStore::new(Arc::new(MemoryBackend::new())));
         let stack = TierStack::new(vec![
-            Arc::new(MemoryTier::new(Arc::clone(&mem), 1)),
-            Arc::new(DurableTier::new(Arc::clone(&dur))),
+            Tier::Memory {
+                store: Arc::clone(&mem),
+                keep: 1,
+            },
+            Tier::Durable {
+                store: Arc::clone(&dur),
+                keep: None,
+            },
         ]);
         let stats = with_stack(stack, Arc::clone(&dur), |cx, tiers, _| {
             let mut ticket = capture_at(cx, 7);
@@ -578,28 +565,33 @@ mod tests {
     }
 
     #[test]
-    fn async_tier_failure_degrades_but_does_not_fail_the_persist() {
+    fn trailing_tier_failure_degrades_but_does_not_fail_the_persist() {
         let good = Arc::new(CheckpointStore::new(Arc::new(MemoryBackend::new())));
         let bad = Arc::new(CheckpointStore::new(Arc::new(BlackholeBackend)));
         let stack = TierStack::new(vec![
-            Arc::new(DurableTier::new(Arc::clone(&good))),
-            Arc::new(DurableTier::with_ack(Arc::clone(&bad), AckMode::Async)),
+            Tier::Memory {
+                store: Arc::clone(&good),
+                keep: 1,
+            },
+            Tier::Durable {
+                store: bad,
+                keep: None,
+            },
         ]);
         let stats = with_stack(stack, Arc::clone(&good), |cx, tiers, _| {
             let mut ticket = capture_at(cx, 1);
             assert!(
                 cx.persist_capture(tiers, &mut ticket, &FullOpts::durable()),
-                "an async tier's failure must not fail the persist"
+                "a trailing tier's failure must not fail the persist"
             );
         });
-        assert_eq!(stats.full_checkpoints, 1);
+        assert_eq!(stats.diff_checkpoints, 1, "the front tier's full");
+        assert_eq!(stats.full_checkpoints, 0);
         assert_eq!(stats.io_errors, 1, "…but it is accounted");
         assert!(stats.degraded);
-        // Both tiers share the name "durable", so the ledger merges them:
-        // one ack (the good store) and one error (the blackhole).
-        assert_eq!(stats.tiers.len(), 1);
-        assert_eq!(stats.tiers[0].acks, 1);
-        assert_eq!(stats.tiers[0].errors, 1);
+        assert_eq!(stats.tiers.len(), 2);
+        assert_eq!((stats.tiers[0].acks, stats.tiers[0].errors), (1, 0));
+        assert_eq!((stats.tiers[1].acks, stats.tiers[1].errors), (0, 1));
     }
 
     #[test]
@@ -620,11 +612,16 @@ mod tests {
 
     fn pin_stack(name: &str) -> PinStack {
         let store = || Arc::new(CheckpointStore::new(Arc::new(MemoryBackend::new())));
+        // The pin's durable tiers keep one full.
+        let durable = |store| Tier::Durable {
+            store,
+            keep: Some(1),
+        };
         match name {
             "durable" => {
                 let dur = store();
                 let seen = vec![("durable", Arc::clone(dur.backend()))];
-                (TierStack::durable(dur), seen)
+                (TierStack::new(vec![durable(dur)]), seen)
             }
             "memory+async" => {
                 let (mem, dur) = (store(), store());
@@ -633,14 +630,17 @@ mod tests {
                     ("durable", Arc::clone(dur.backend())),
                 ];
                 let stack = TierStack::new(vec![
-                    Arc::new(MemoryTier::new(mem, 1)),
-                    Arc::new(DurableTier::with_ack(dur, AckMode::Async)),
+                    Tier::Memory {
+                        store: mem,
+                        keep: 1,
+                    },
+                    durable(dur),
                 ]);
                 (stack, seen)
             }
             "failing" => {
                 let bad = Arc::new(CheckpointStore::new(Arc::new(BlackholeBackend)));
-                (TierStack::durable(bad), Vec::new())
+                (TierStack::new(vec![durable(bad)]), Vec::new())
             }
             "peer+async" => {
                 let (net, dur) = (ReplicaNet::new(2), store());
@@ -653,8 +653,8 @@ mod tests {
                     ("durable", Arc::clone(dur.backend())),
                 ];
                 let stack = TierStack::new(vec![
-                    Arc::new(PeerTier::new(net, 0, 1)),
-                    Arc::new(DurableTier::with_ack(dur, AckMode::Async)),
+                    Tier::Peer(Arc::new(PeerTier::new(net, 0, 1))),
+                    durable(dur),
                 ]);
                 (stack, seen)
             }
@@ -663,8 +663,11 @@ mod tests {
                 let bad = Arc::new(CheckpointStore::new(Arc::new(BlackholeBackend)));
                 let seen = vec![("memory", Arc::clone(mem.backend()))];
                 let stack = TierStack::new(vec![
-                    Arc::new(MemoryTier::new(mem, 1)),
-                    Arc::new(DurableTier::with_ack(bad, AckMode::Async)),
+                    Tier::Memory {
+                        store: mem,
+                        keep: 1,
+                    },
+                    durable(bad),
                 ]);
                 (stack, seen)
             }
@@ -672,7 +675,7 @@ mod tests {
                 let net = ReplicaNet::new(2);
                 let replica: Arc<dyn StorageBackend> =
                     Arc::new(PeerReplicaBackend::new(Arc::clone(&net), 1, 0));
-                let stack = TierStack::new(vec![Arc::new(PeerTier::new(net, 0, 1))]);
+                let stack = TierStack::new(vec![Tier::Peer(Arc::new(PeerTier::new(net, 0, 1)))]);
                 (stack, vec![("peer", replica)])
             }
             other => unreachable!("no pin stack {other}"),
@@ -729,7 +732,6 @@ mod tests {
         };
         let opts = FullOpts {
             reanchor_on_failure: true,
-            keep_fulls: Some(1),
         };
         let pool = CowTickets::new(1, false);
         let mut ticket = pool

@@ -1,33 +1,33 @@
-//! Recovery tiers — the pluggable persistence stack behind
-//! [`super::EngineCtx`].
+//! Recovery tiers — the persistence stack behind [`super::EngineCtx`].
 //!
-//! Every checkpoint write used to target exactly one [`CheckpointStore`];
-//! the two-tier schemes (Gemini's memory+durable split, Checkmate's
-//! peer-replication-first design) had to hand-roll their second tier.
-//! Now a policy persists through an ordered [`TierStack`] of
-//! [`RecoveryTier`] objects and the engine fans each encoded blob across
-//! the stack, accounting per tier:
+//! A policy persists through an ordered [`TierStack`] of [`Tier`]s and the
+//! engine fans each encoded blob across the stack, accounting per tier.
+//! The set of tiers is closed; [`super::persist`] is the one place that
+//! knows how each writes, counts a landed full and garbage-collects:
 //!
-//! * [`DurableTier`] — wraps a [`CheckpointStore`] (striped persist path
-//!   included). With a single-`DurableTier` stack the engine's write
-//!   sequence is byte-identical to the pre-tier code — the equivalence
-//!   proptests pin this.
-//! * [`MemoryTier`] — Gemini's CPU-memory tier: a store over a
+//! * [`Tier::Durable`] — a [`CheckpointStore`] (striped persist path
+//!   included). A single-durable stack is the stack of every strategy
+//!   without a fast tier.
+//! * [`Tier::Memory`] — Gemini's CPU-memory tier: a store over a
 //!   [`lowdiff_storage::MemoryBackend`], accounted as in-memory
-//!   checkpoints, with **deterministic** retention-count GC (keep the
-//!   newest `retention` fulls, evict oldest-first) replacing the old
-//!   best-effort single-live-checkpoint sweep.
-//! * [`PeerTier`] — Checkmate: stream fulls and compressed-gradient diffs
-//!   to `k` peer ranks over the [`lowdiff_comm::ReplicaNet`] fabric. A
-//!   replica addressed to a dead peer is dropped, accounted, and
-//!   re-replicated on the next interval (re-targeted to the next alive
-//!   ring peer when the original stays down).
+//!   checkpoints.
+//! * [`Tier::Peer`] — Checkmate: stream fulls and compressed-gradient
+//!   diffs to `k` peer ranks over the [`lowdiff_comm::ReplicaNet`] fabric
+//!   ([`PeerTier`]). A replica addressed to a dead peer is dropped,
+//!   accounted, and re-replicated on the next interval (re-targeted to the
+//!   next alive ring peer when the original stays down).
+//!
+//! Two rules govern a stack. **The front tier acknowledges**: a persist
+//! call lands iff the first tier landed it; every tier behind it is
+//! best-effort (its failure is accounted, never fails the call). **GC
+//! depth is the store tier's own `keep`**: after a landed full, a store
+//! tier keeps its newest `keep` fulls (older fulls and their differential
+//! chains are deleted); peer replicas are never garbage-collected.
 //!
 //! Recovery priority is the stack order: [`crate::trainer::Trainer::resume_tiered`]
 //! walks sources front-to-back and anchors on the first tier holding a
 //! valid full checkpoint, falling back down the stack.
 
-use super::persist::Tier;
 use lowdiff_comm::ReplicaNet;
 use lowdiff_storage::{CheckpointStore, StorageBackend};
 use parking_lot::Mutex;
@@ -36,40 +36,16 @@ use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// What failure domain a tier survives — documentation/reporting surface
-/// (accounting is [`RecoveryTier::counts_as`], semantics are
-/// [`RecoveryTier::ack`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DurabilityClass {
-    /// Survives whole-cluster loss (disk/remote storage).
-    Durable,
-    /// Survives software failure on the same host (CPU memory).
-    Memory,
-    /// Survives whole-rank loss while any replica peer lives.
-    Peer,
-}
-
-/// How a tier's write result feeds the persist call's outcome.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AckMode {
-    /// The persist "lands" only if this tier landed: its failure fails
-    /// the call (drives batch drops / re-anchor requests).
-    Sync,
-    /// Best-effort second tier: a failure is accounted (per-tier errors,
-    /// `io_errors`, degraded mode) but never fails the persist call.
-    Async,
-}
-
-/// Outcome of one [`ObjectSink::put_object`] fan-out.
+/// Outcome of one tier write.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SinkReport {
+pub(crate) struct SinkReport {
     /// Replicas acknowledged (current blob + any re-replicated backlog).
     pub acks: u64,
     /// Replicas dropped (dead peer, backlog overflow).
     pub errors: u64,
     /// Bytes acknowledged across all replicas.
     pub bytes: u64,
-    /// Replica slots the sink refused to even attempt because the
+    /// Replica slots the peer tier refused to even attempt because the
     /// requested fan-out exceeded what the topology supports (peer rings
     /// clamp `k` to `ranks − 1` so a blob never "replicates" to its own
     /// sender). Not an error — the write degrades gracefully — but the
@@ -77,64 +53,63 @@ pub struct SinkReport {
     pub clamped: u64,
 }
 
-/// A non-store transport a tier can write through: receives the encoded
-/// blob under its canonical store key and reports how many replicas
-/// acknowledged it. Zero acks means the write failed.
-pub trait ObjectSink: Send + Sync {
-    fn put_object(&self, key: &str, bytes: &[u8]) -> SinkReport;
-}
-
-/// Where a tier's writes go. `Store` tiers take the full
-/// [`CheckpointStore`] path — striping, torn-write crash points, manifest
-/// seal — so a store-backed tier is byte-identical to the pre-tier engine.
-/// `Object` tiers receive the already-encoded blob (peer streams don't
-/// stripe; the network frame is the unit).
-pub enum TierBacking<'a> {
-    Store(&'a CheckpointStore),
-    Object(&'a dyn ObjectSink),
-}
-
 /// One level of the recovery stack.
-pub trait RecoveryTier: Send + Sync {
+#[derive(Clone)]
+pub enum Tier {
+    /// Durable storage: survives whole-cluster loss. Landed fulls count as
+    /// `full_checkpoints` + `writes`; `keep: Some(k)` keeps the newest `k`
+    /// fulls after each landed full.
+    Durable {
+        store: Arc<CheckpointStore>,
+        keep: Option<u64>,
+    },
+    /// CPU memory: survives software failure on the same host. Landed
+    /// fulls count as in-memory checkpoints (`diff_checkpoints`, no
+    /// `writes`); the newest `keep` fulls are kept, oldest evicted first.
+    Memory {
+        store: Arc<CheckpointStore>,
+        keep: u64,
+    },
+    /// Peer RAM: survives whole-rank loss while any replica peer lives.
+    /// Replica traffic shows only in the per-tier ledger.
+    Peer(Arc<PeerTier>),
+}
+
+impl Tier {
     /// Stable short name — keys the per-tier entry in
     /// [`crate::strategy::StrategyStats::tiers`] and `lowdiff-ctl health`.
-    fn name(&self) -> &'static str;
-    /// Failure domain this tier survives.
-    fn class(&self) -> DurabilityClass;
-    /// Sync (failure fails the persist) or async (best-effort) acks.
-    fn ack(&self) -> AckMode {
-        AckMode::Sync
+    pub fn name(&self) -> &'static str {
+        match self {
+            Tier::Durable { .. } => "durable",
+            Tier::Memory { .. } => "memory",
+            Tier::Peer(_) => "peer",
+        }
     }
-    /// How a landed full on this tier is accounted in the global stats
-    /// (memory-class fulls count as in-memory checkpoints, Gemini-style).
-    fn counts_as(&self) -> Tier {
-        Tier::Durable
-    }
-    /// Deterministic per-tier GC: keep only the newest `n` fulls after
-    /// each successful full write on this tier.
-    fn retain_fulls(&self) -> Option<u64> {
-        None
-    }
-    /// The write path for this tier.
-    fn backing(&self) -> TierBacking<'_>;
 }
 
 /// An ordered, non-empty stack of recovery tiers. Writes fan out
-/// front-to-back; recovery priority is the same order.
+/// front-to-back; the front tier acknowledges, the rest are best-effort;
+/// recovery priority is the same order.
 #[derive(Clone)]
 pub struct TierStack {
-    tiers: Vec<Arc<dyn RecoveryTier>>,
+    tiers: Vec<Tier>,
 }
 
 impl TierStack {
-    pub fn new(tiers: Vec<Arc<dyn RecoveryTier>>) -> Self {
+    pub fn new(tiers: Vec<Tier>) -> Self {
         assert!(!tiers.is_empty(), "a tier stack needs at least one tier");
+        assert!(
+            tiers
+                .iter()
+                .all(|t| !matches!(t, Tier::Memory { keep: 0, .. })),
+            "a memory tier must retain at least one full"
+        );
         Self { tiers }
     }
 
-    /// The ubiquitous single-tier stack: one sync durable store.
+    /// The ubiquitous single-tier stack: one durable store, no GC.
     pub fn durable(store: Arc<CheckpointStore>) -> Self {
-        Self::new(vec![Arc::new(DurableTier::new(store))])
+        Self::new(vec![Tier::Durable { store, keep: None }])
     }
 
     pub fn len(&self) -> usize {
@@ -145,97 +120,8 @@ impl TierStack {
         false // by construction
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = &dyn RecoveryTier> {
-        self.tiers.iter().map(|t| t.as_ref())
-    }
-}
-
-/// Today's store + stripe path behind the tier trait. The only tier most
-/// strategies need; byte-identical to the pre-stack engine when alone.
-pub struct DurableTier {
-    store: Arc<CheckpointStore>,
-    ack: AckMode,
-}
-
-impl DurableTier {
-    pub fn new(store: Arc<CheckpointStore>) -> Self {
-        Self::with_ack(store, AckMode::Sync)
-    }
-
-    /// Async-ack durable tier: the best-effort second level under a
-    /// memory or peer tier ([`AckMode::Async`]).
-    pub fn with_ack(store: Arc<CheckpointStore>, ack: AckMode) -> Self {
-        Self { store, ack }
-    }
-
-    pub fn store(&self) -> &Arc<CheckpointStore> {
-        &self.store
-    }
-}
-
-impl RecoveryTier for DurableTier {
-    fn name(&self) -> &'static str {
-        "durable"
-    }
-
-    fn class(&self) -> DurabilityClass {
-        DurabilityClass::Durable
-    }
-
-    fn ack(&self) -> AckMode {
-        self.ack
-    }
-
-    fn backing(&self) -> TierBacking<'_> {
-        TierBacking::Store(&self.store)
-    }
-}
-
-/// Gemini's CPU-memory tier: a store over a memory backend, accounted as
-/// in-memory checkpoints, GC'd deterministically to the newest
-/// `retention` fulls (oldest evicted first) after every landed full.
-pub struct MemoryTier {
-    store: Arc<CheckpointStore>,
-    retention: u64,
-}
-
-impl MemoryTier {
-    pub fn new(store: Arc<CheckpointStore>, retention: u64) -> Self {
-        assert!(
-            retention >= 1,
-            "a memory tier must retain at least one full"
-        );
-        Self { store, retention }
-    }
-
-    pub fn store(&self) -> &Arc<CheckpointStore> {
-        &self.store
-    }
-
-    pub fn retention(&self) -> u64 {
-        self.retention
-    }
-}
-
-impl RecoveryTier for MemoryTier {
-    fn name(&self) -> &'static str {
-        "memory"
-    }
-
-    fn class(&self) -> DurabilityClass {
-        DurabilityClass::Memory
-    }
-
-    fn counts_as(&self) -> Tier {
-        Tier::Memory
-    }
-
-    fn retain_fulls(&self) -> Option<u64> {
-        Some(self.retention)
-    }
-
-    fn backing(&self) -> TierBacking<'_> {
-        TierBacking::Store(&self.store)
+    pub fn iter(&self) -> impl Iterator<Item = &Tier> {
+        self.tiers.iter()
     }
 }
 
@@ -339,8 +225,10 @@ impl PeerTier {
     }
 }
 
-impl ObjectSink for PeerTier {
-    fn put_object(&self, key: &str, bytes: &[u8]) -> SinkReport {
+impl PeerTier {
+    /// Stream `bytes` under `key` to the ring peers, re-replicating the
+    /// backlog first. Zero acks means the write failed.
+    pub(crate) fn put(&self, key: &str, bytes: &[u8]) -> SinkReport {
         let mut rep = SinkReport {
             clamped: (self.replicas - self.effective_replicas()) as u64,
             ..SinkReport::default()
@@ -373,27 +261,6 @@ impl ObjectSink for PeerTier {
             rep.errors += 1;
         }
         rep
-    }
-}
-
-impl RecoveryTier for PeerTier {
-    fn name(&self) -> &'static str {
-        "peer"
-    }
-
-    fn class(&self) -> DurabilityClass {
-        DurabilityClass::Peer
-    }
-
-    // Peer replicas live in a peer's RAM: account landed fulls like the
-    // memory tier (in-memory checkpoints, not storage writes). Replica
-    // traffic is visible per tier (bytes/acks/errors) either way.
-    fn counts_as(&self) -> Tier {
-        Tier::Memory
-    }
-
-    fn backing(&self) -> TierBacking<'_> {
-        TierBacking::Object(self)
     }
 }
 
@@ -483,7 +350,7 @@ mod tests {
     fn peer_tier_replicates_to_ring_successors() {
         let net = ReplicaNet::new(4);
         let tier = PeerTier::new(Arc::clone(&net), 1, 2);
-        let rep = tier.put_object("full-0000000003.ckpt", b"blob");
+        let rep = tier.put("full-0000000003.ckpt", b"blob");
         assert_eq!(
             rep,
             SinkReport {
@@ -510,7 +377,7 @@ mod tests {
         assert_eq!(tier.effective_replicas(), 2, "effective k clamps to n−1");
         let peers: Vec<usize> = tier.ring_peers().collect();
         assert_eq!(peers, vec![2, 0], "distinct successors, sender excluded");
-        let rep = tier.put_object("k", b"blob");
+        let rep = tier.put("k", b"blob");
         assert_eq!(rep.acks, 2, "one replica per distinct peer");
         assert_eq!(rep.errors, 0);
         assert_eq!(rep.bytes, 8);
@@ -525,13 +392,13 @@ mod tests {
         let net = ReplicaNet::new(2);
         let tier = PeerTier::new(Arc::clone(&net), 0, 1);
         net.kill(1);
-        let rep = tier.put_object("k1", b"aaaa");
+        let rep = tier.put("k1", b"aaaa");
         assert_eq!(rep.acks, 0, "no live peer, nothing landed");
         assert_eq!(rep.errors, 1, "dropped replica accounted");
         assert_eq!(tier.pending_replicas(), 1);
         // Peer heals; the next interval re-replicates the backlog first.
         net.revive(1);
-        let rep = tier.put_object("k2", b"bb");
+        let rep = tier.put("k2", b"bb");
         assert_eq!(rep.acks, 2, "backlog + fresh blob both land");
         assert_eq!(rep.errors, 0);
         assert_eq!(tier.pending_replicas(), 0);
@@ -544,18 +411,18 @@ mod tests {
         let net = ReplicaNet::new(3);
         let tier = PeerTier::new(Arc::clone(&net), 0, 1); // ring peer: 1
         net.kill(1);
-        let rep = tier.put_object("k", b"x");
+        let rep = tier.put("k", b"x");
         assert_eq!((rep.acks, rep.errors), (0, 1));
         // Peer 1 stays dead: with only one ring peer there is no
         // alternative target yet, so widen the ring via a k=2 tier.
         let wide = PeerTier::new(Arc::clone(&net), 0, 2); // ring: 1, 2
-        let rep = wide.put_object("k", b"x");
+        let rep = wide.put("k", b"x");
         assert_eq!(rep.acks, 1, "replica lands on the surviving ring peer");
         assert_eq!(rep.errors, 1, "the dead peer's copy is still dropped");
         assert_eq!(*net.fetch(2, 0, "k").unwrap(), b"x");
         // Next interval: the pending copy for peer 1 retargets to peer 2;
         // the fresh blob still loses its peer-1 replica (queued again).
-        let rep = wide.put_object("k2", b"y");
+        let rep = wide.put("k2", b"y");
         assert_eq!(rep.acks, 2, "backlog retargeted + surviving fresh replica");
         assert_eq!(rep.errors, 1, "the dead peer keeps dropping its copy");
         assert_eq!(*net.fetch(2, 0, "k2").unwrap(), b"y");
@@ -575,7 +442,7 @@ mod tests {
             &lowdiff_compress::AuxView::NONE,
             &mut bytes,
         );
-        tier.put_object(&CheckpointStore::full_key(0), &bytes);
+        tier.put(&CheckpointStore::full_key(0), &bytes);
         let sources = peer_recovery_stores(&net, 0);
         assert_eq!(sources.len(), 1);
         assert_eq!(sources[0].0, "peer:1");

@@ -12,6 +12,7 @@
 //! | Optimal configuration, Eq. (3)–(5) (§4.3) | [`config`] |
 //! | Parallel recovery (§6, Fig. "Parallel Fast Recovery") | [`recovery`] |
 //! | LowDiff+ / Algorithm 2 (§5) | [`lowdiff_plus::LowDiffPlusStrategy`] |
+//! | Gemini / Checkmate recovery tiers (memory, peer replicas) | [`engine::Tier`], [`peer::PeerReplicateStrategy`] |
 //!
 //! The [`trainer::Trainer`] drives real model training with a pluggable
 //! [`strategy::CheckpointStrategy`]; the baselines crate implements
@@ -35,9 +36,9 @@ pub mod trainer;
 pub use batched::BatchedWriter;
 pub use config::{ConfigOptimizer, WastedTimeModel};
 pub use engine::{
-    CheckpointEngine, CheckpointPolicy, CowTicket, CrashInjector, CrashPoint, DurableTier,
-    EngineConfig, EngineCounters, EngineCtx, FullOpts, Job, MemoryTier, PeerTier, PolicyCtl,
-    RecoveryTier, StageLatency, Tier, TierStack, ALL_CRASH_POINTS,
+    CheckpointEngine, CheckpointPolicy, CowTicket, CrashInjector, CrashPoint, EngineConfig,
+    EngineCounters, EngineCtx, FullOpts, Job, PeerTier, PolicyCtl, StageLatency, Tier, TierStack,
+    ALL_CRASH_POINTS,
 };
 pub use lowdiff::{LowDiffConfig, LowDiffStrategy};
 pub use lowdiff_compress::{AuxState, AuxView, CompressorCfg, CompressorKind};

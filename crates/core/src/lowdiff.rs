@@ -22,7 +22,7 @@
 
 use crate::batched::BatchedWriter;
 use crate::engine::{
-    CheckpointEngine, CheckpointPolicy, EngineConfig, EngineCtx, FullOpts, Job, PolicyCtl,
+    CheckpointEngine, CheckpointPolicy, EngineConfig, EngineCtx, FullOpts, Job, PolicyCtl, Tier,
     TierStack,
 };
 use crate::strategy::{CheckpointStrategy, StrategyStats};
@@ -42,8 +42,9 @@ pub struct LowDiffConfig {
     pub full_every: u64,
     /// Batching size (BS) for differential writes.
     pub batch_size: usize,
-    /// If set, keep only the newest `k` full checkpoints (older fulls and
-    /// their differential chains are garbage-collected).
+    /// If set, keep only the newest `k` full checkpoints on the durable
+    /// store (older fulls and their differential chains are
+    /// garbage-collected).
     pub keep_fulls: Option<u64>,
     /// Value-plane wire format for differential batches: raw f32 (v2,
     /// bit-exact recovery) or per-chunk quantized (v3, bounded-lossy,
@@ -69,15 +70,15 @@ impl Default for LowDiffConfig {
 }
 
 /// The scheme half of LowDiff: batches differentials, persists fulls with
-/// re-anchor-on-failure semantics, garbage-collects old fulls. Runs on the
-/// engine's checkpointing thread; every write fans across the recovery
-/// tier stack through [`EngineCtx`] (plain LowDiff runs a single durable
-/// tier; [`crate::peer::PeerReplicateStrategy`] swaps in a peer-first
-/// stack without touching this logic).
+/// re-anchor-on-failure semantics. Runs on the engine's checkpointing
+/// thread; every write fans across the recovery tier stack through
+/// [`EngineCtx`] (plain LowDiff runs a single durable tier;
+/// [`crate::peer::PeerReplicateStrategy`] swaps in a peer-first stack
+/// without touching this logic), whose store tiers garbage-collect old
+/// fulls.
 struct LowDiffPolicy {
     tiers: TierStack,
     writer: BatchedWriter,
-    keep_fulls: Option<u64>,
     label: &'static str,
 }
 
@@ -102,7 +103,6 @@ impl CheckpointPolicy for LowDiffPolicy {
                     // without it, a previously dropped batch would leave
                     // the recovery window unbounded.
                     reanchor_on_failure: true,
-                    keep_fulls: self.keep_fulls,
                 };
                 cx.persist_capture(&self.tiers, &mut ticket, &opts);
             }
@@ -133,15 +133,18 @@ pub struct LowDiffStrategy {
 
 impl LowDiffStrategy {
     pub fn new(store: Arc<CheckpointStore>, cfg: LowDiffConfig) -> Self {
-        let tiers = TierStack::durable(Arc::clone(&store));
+        let tiers = TierStack::new(vec![Tier::Durable {
+            store: Arc::clone(&store),
+            keep: cfg.keep_fulls,
+        }]);
         Self::with_tier_stack(store, cfg, tiers, "lowdiff")
     }
 
-    /// Run the unchanged LowDiff scheme over an arbitrary recovery-tier
-    /// stack — the composition point for peer-first variants
-    /// ([`crate::peer::PeerReplicateStrategy`]). `store` stays the durable
-    /// store recovery and the health blob talk to.
-    pub fn with_tier_stack(
+    /// Run the unchanged LowDiff scheme over another recovery-tier stack —
+    /// the composition point for [`crate::peer::PeerReplicateStrategy`].
+    /// `store` stays the durable store recovery and the health blob talk
+    /// to; the stack's own tiers carry the GC depth.
+    pub(crate) fn with_tier_stack(
         store: Arc<CheckpointStore>,
         cfg: LowDiffConfig,
         tiers: TierStack,
@@ -151,7 +154,6 @@ impl LowDiffStrategy {
         let policy = LowDiffPolicy {
             tiers,
             writer: BatchedWriter::new(cfg.batch_size, cfg.value_codec),
-            keep_fulls: cfg.keep_fulls,
             label,
         };
         let engine = CheckpointEngine::spawn(store, policy, cfg.engine.clone());

@@ -8,23 +8,21 @@
 //! stack:
 //!
 //! ```text
-//! [ PeerTier(k)            — sync:  each diff/full streamed to k ring peers
-//! , DurableTier (async)    — best-effort durable second tier            ]
+//! [ Tier::Peer(k)       — front: each diff/full streamed to k ring peers
+//! , Tier::Durable       — best-effort durable trailer, GC'd to keep_fulls ]
 //! ```
 //!
-//! The peer tier acks synchronously (a checkpoint "lands" once a peer
-//! holds it); the durable tier trails asynchronously, so a storage stall
-//! never widens the recovery window. A lost rank is rebuilt from a
-//! surviving peer's replicas with **no storage round-trip** —
-//! [`recovery_sources`] hands [`crate::trainer::Trainer::resume_tiered`]
-//! the peer stores first and durable storage as the last resort.
+//! The peer tier acknowledges (a checkpoint "lands" once a peer holds
+//! it); the durable tier trails best-effort, so a storage stall never
+//! widens the recovery window. A lost rank is rebuilt from a surviving
+//! peer's replicas with **no storage round-trip** —
+//! [`crate::engine::peer_recovery_stores`] hands
+//! [`crate::trainer::Trainer::resume_tiered`] the peer stores, with
+//! durable storage as the last resort.
 
-use crate::engine::{
-    peer_recovery_stores, AckMode, DurableTier, PeerTier, RecoveryTier, TierStack,
-};
+use crate::engine::{PeerTier, Tier, TierStack};
 use crate::lowdiff::{LowDiffConfig, LowDiffStrategy};
 use crate::strategy::{CheckpointStrategy, StrategyStats};
-use crate::trainer::RecoverySource;
 use lowdiff_comm::ReplicaNet;
 use lowdiff_compress::{AuxView, CompressedGrad};
 use lowdiff_optim::ModelState;
@@ -32,7 +30,7 @@ use lowdiff_storage::CheckpointStore;
 use lowdiff_util::units::Secs;
 use std::sync::Arc;
 
-/// LowDiff over a `[PeerTier(k), DurableTier(async)]` recovery stack.
+/// LowDiff over a `[Tier::Peer(k), Tier::Durable]` recovery stack.
 /// All scheme decisions (batching, full cadence, GC, re-anchor) are
 /// [`LowDiffStrategy`]'s, untouched — only the write fan-out differs.
 pub struct PeerReplicateStrategy {
@@ -52,8 +50,11 @@ impl PeerReplicateStrategy {
     ) -> Self {
         let tier = Arc::new(PeerTier::new(net, rank, replicas));
         let tiers = TierStack::new(vec![
-            Arc::clone(&tier) as Arc<dyn RecoveryTier>,
-            Arc::new(DurableTier::with_ack(Arc::clone(&store), AckMode::Async)),
+            Tier::Peer(Arc::clone(&tier)),
+            Tier::Durable {
+                store: Arc::clone(&store),
+                keep: cfg.keep_fulls,
+            },
         ]);
         let inner = LowDiffStrategy::with_tier_stack(store, cfg, tiers, "lowdiff-peer");
         Self { inner, tier }
@@ -102,25 +103,6 @@ impl CheckpointStrategy for PeerReplicateStrategy {
     fn stats(&self) -> StrategyStats {
         self.inner.stats()
     }
-}
-
-/// Tier-priority recovery sources for rebuilding `lost`: each surviving
-/// peer's replica store first (no storage round-trip), durable storage
-/// last. Feed to [`crate::trainer::Trainer::resume_tiered`].
-pub fn recovery_sources(
-    net: &Arc<ReplicaNet>,
-    lost: usize,
-    durable: Arc<CheckpointStore>,
-) -> Vec<RecoverySource> {
-    let mut sources: Vec<RecoverySource> = peer_recovery_stores(net, lost)
-        .into_iter()
-        .map(|(tier, store)| RecoverySource { tier, store })
-        .collect();
-    sources.push(RecoverySource {
-        tier: "durable".to_string(),
-        store: durable,
-    });
-    sources
 }
 
 #[cfg(test)]

@@ -359,7 +359,7 @@ fn check_naive_dc(seed: u64, psi: usize, iters: u64, diff_every: u64, full_every
 
 // ----------------------------------------------------------- lowdiff-peer
 
-/// PeerReplicate is LowDiff with a `[PeerTier(k), DurableTier]` stack:
+/// PeerReplicate is LowDiff with a `[Tier::Peer(k), Tier::Durable]` stack:
 /// the durable store must stay byte-identical to plain LowDiff's, and
 /// every ring peer must hold a byte-identical mirror of it that recovers
 /// to the live state with no storage round-trip.
