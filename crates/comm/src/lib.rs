@@ -13,9 +13,6 @@
 //!   Algorithm 2 (`P_g`): gradients are handed over per layer during the
 //!   backward pass, synchronized concurrently, and completion handles are
 //!   awaited before the model update (`H_g.wait()`).
-//! * [`cost`] — the ring-allreduce timing model used by the cluster
-//!   simulator (we run threads for *correctness*, the cost model for
-//!   *paper-scale timing*).
 //! * [`replicate`] — the Checkmate-style peer-replication fabric: each
 //!   rank streams checkpoint blobs into k peers' memory ([`ReplicaNet`]),
 //!   so a lost rank is rebuilt from a surviving peer with no storage
@@ -25,7 +22,6 @@
 //!   epoch barriers, and shard-seal reports, plus the blocking
 //!   [`CoordClient`] request/response channel.
 
-pub mod cost;
 pub mod group;
 pub mod pool;
 pub mod rendezvous;

@@ -18,11 +18,7 @@
 //! reports exactly that, and the storage experiments rely on it.
 
 pub mod adam;
-pub mod schedule;
-pub mod sgd;
 pub mod state;
 
 pub use adam::{Adam, AdamState};
-pub use schedule::{clip_grad_norm, LrSchedule};
-pub use sgd::{Sgd, SgdState};
 pub use state::ModelState;

@@ -1,6 +1,6 @@
 //! Property-based tests for tensor numerics.
 
-use lowdiff_tensor::{ops, StateDict, Tensor};
+use lowdiff_tensor::{ops, Tensor};
 use proptest::prelude::*;
 
 fn arb_matrix(max: usize) -> impl Strategy<Value = Tensor> {
@@ -60,38 +60,6 @@ proptest! {
                 sum += v;
             }
             prop_assert!((sum - 1.0).abs() < 1e-4);
-        }
-    }
-
-    /// StateDict flatten/unflatten roundtrip over arbitrary shapes.
-    #[test]
-    fn statedict_flatten_roundtrip(sizes in prop::collection::vec(1usize..40, 1..6)) {
-        let mut d = StateDict::new();
-        for (i, &n) in sizes.iter().enumerate() {
-            let data: Vec<f32> = (0..n).map(|j| (i * 100 + j) as f32).collect();
-            d.insert(format!("t{i}"), Tensor::from_slice(&data));
-        }
-        let flat = d.flatten();
-        prop_assert_eq!(flat.len(), d.num_elements());
-        let mut d2 = d.clone();
-        for (_, t) in d2.iter_mut() {
-            t.as_mut_slice().iter_mut().for_each(|x| *x = -1.0);
-        }
-        d2.unflatten_from(&flat);
-        prop_assert_eq!(d2, d);
-    }
-
-    /// Offsets table is consistent with flatten layout.
-    #[test]
-    fn statedict_offsets_consistent(sizes in prop::collection::vec(1usize..30, 1..5)) {
-        let mut d = StateDict::new();
-        for (i, &n) in sizes.iter().enumerate() {
-            d.insert(format!("t{i}"), Tensor::full(&[n], i as f32));
-        }
-        let flat = d.flatten();
-        for (name, off, len) in d.offsets() {
-            let t = d.get(&name).unwrap();
-            prop_assert_eq!(&flat[off..off + len], t.as_slice());
         }
     }
 }
