@@ -1,6 +1,5 @@
 //! Ready-made trainable networks for the examples, tests and benches.
 
-use crate::attn::CausalSelfAttention;
 use crate::conv::{Conv2d, Flatten, MaxPool2};
 use crate::layer::{Embedding, Gelu, LayerNorm, Linear, Relu};
 use crate::mha::MultiHeadAttention;
@@ -50,9 +49,11 @@ pub fn tiny_cnn(c_in: usize, h: usize, w: usize, classes: usize, seed: u64) -> N
 }
 
 /// Tiny GPT-style language model over a single sequence:
-/// Embedding → n_blocks × (residual attention + residual MLP) → LM head.
-/// Input is a (seq,) tensor of token ids; output is (seq, vocab) logits.
-pub fn tiny_gpt(vocab: usize, d: usize, n_blocks: usize, seed: u64) -> Network {
+/// Embedding → n_blocks × (residual multi-head attention + residual MLP) →
+/// LM head, with `heads` attention heads per block (`d` divisible by
+/// `heads`). Input is a (seq,) tensor of token ids; output is (seq, vocab)
+/// logits.
+pub fn tiny_gpt(vocab: usize, d: usize, heads: usize, n_blocks: usize, seed: u64) -> Network {
     let mut rng = DetRng::new(seed);
     let mut layers: Vec<Box<dyn crate::Layer>> = Vec::new();
     layers.push(Box::new(Embedding::new("tok_emb", vocab, d, &mut rng)));
@@ -60,44 +61,8 @@ pub fn tiny_gpt(vocab: usize, d: usize, n_blocks: usize, seed: u64) -> Network {
         // Attention sub-block: LN → attention, wrapped in a residual.
         let attn_branch = Network::new(vec![
             Box::new(LayerNorm::new(format!("blk{b}.ln1"), d)),
-            Box::new(CausalSelfAttention::new(
-                format!("blk{b}.attn"),
-                d,
-                &mut rng,
-            )),
-        ]);
-        layers.push(Box::new(Residual::new(
-            format!("blk{b}.res_attn"),
-            attn_branch,
-        )));
-        // MLP sub-block: LN → Linear(4d) → GELU → Linear(d), residual.
-        let mlp_branch = Network::new(vec![
-            Box::new(LayerNorm::new(format!("blk{b}.ln2"), d)),
-            Box::new(Linear::new(format!("blk{b}.fc1"), d, 4 * d, &mut rng)),
-            Box::new(Gelu::new(format!("blk{b}.gelu"))),
-            Box::new(Linear::new(format!("blk{b}.fc2"), 4 * d, d, &mut rng)),
-        ]);
-        layers.push(Box::new(Residual::new(
-            format!("blk{b}.res_mlp"),
-            mlp_branch,
-        )));
-    }
-    layers.push(Box::new(LayerNorm::new("ln_f", d)));
-    layers.push(Box::new(Linear::new("lm_head", d, vocab, &mut rng)));
-    Network::new(layers)
-}
-
-/// Tiny GPT with *multi-head* attention (`heads` per block) — the closer-
-/// to-GPT-2 variant of [`tiny_gpt`].
-pub fn tiny_gpt_mha(vocab: usize, d: usize, heads: usize, n_blocks: usize, seed: u64) -> Network {
-    let mut rng = DetRng::new(seed);
-    let mut layers: Vec<Box<dyn crate::Layer>> = Vec::new();
-    layers.push(Box::new(Embedding::new("tok_emb", vocab, d, &mut rng)));
-    for b in 0..n_blocks {
-        let attn_branch = Network::new(vec![
-            Box::new(LayerNorm::new(format!("blk{b}.ln1"), d)),
             Box::new(MultiHeadAttention::new(
-                format!("blk{b}.mha"),
+                format!("blk{b}.attn"),
                 d,
                 heads,
                 &mut rng,
@@ -107,6 +72,7 @@ pub fn tiny_gpt_mha(vocab: usize, d: usize, heads: usize, n_blocks: usize, seed:
             format!("blk{b}.res_attn"),
             attn_branch,
         )));
+        // MLP sub-block: LN → Linear(4d) → GELU → Linear(d), residual.
         let mlp_branch = Network::new(vec![
             Box::new(LayerNorm::new(format!("blk{b}.ln2"), d)),
             Box::new(Linear::new(format!("blk{b}.fc1"), d, 4 * d, &mut rng)),
@@ -205,7 +171,7 @@ mod tests {
     #[test]
     fn gpt_trains_on_markov_text() {
         let vocab = 12;
-        let mut net = tiny_gpt(vocab, 16, 2, 8);
+        let mut net = tiny_gpt(vocab, 16, 1, 2, 8);
         let text = MarkovText::new(vocab, 9);
         let adam = Adam {
             lr: 3e-3,
@@ -239,7 +205,7 @@ mod tests {
     #[test]
     fn gpt_mha_trains_on_markov_text() {
         let vocab = 12;
-        let mut net = tiny_gpt_mha(vocab, 16, 4, 2, 18);
+        let mut net = tiny_gpt(vocab, 16, 4, 2, 18);
         let text = MarkovText::new(vocab, 9);
         let adam = Adam {
             lr: 3e-3,
@@ -299,13 +265,12 @@ mod tests {
     #[test]
     fn one_head_gpt_trace_is_pinned() {
         const PIN: u64 = 14969466061601282166;
-        assert_eq!(gpt_trace_hash(tiny_gpt(12, 16, 2, 8)), PIN);
-        assert_eq!(gpt_trace_hash(tiny_gpt_mha(12, 16, 1, 2, 8)), PIN);
+        assert_eq!(gpt_trace_hash(tiny_gpt(12, 16, 1, 2, 8)), PIN);
     }
 
     #[test]
     fn gpt_layer_structure() {
-        let net = tiny_gpt(10, 8, 2, 11);
+        let net = tiny_gpt(10, 8, 1, 2, 11);
         // emb + 2*(res_attn + res_mlp) + ln_f + head = 7 layers.
         assert_eq!(net.num_layers(), 7);
         let ranges = net.layer_ranges();

@@ -21,7 +21,6 @@
 //! Every layer's backward pass is validated against centered finite
 //! differences in its unit tests.
 
-pub mod attn;
 pub mod builders;
 pub mod conv;
 pub mod data;

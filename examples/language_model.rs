@@ -25,7 +25,7 @@ const SEQ: usize = 32;
 
 fn main() {
     let store = Arc::new(CheckpointStore::new(Arc::new(MemoryBackend::new())));
-    let net = tiny_gpt(VOCAB, DIM, BLOCKS, 11);
+    let net = tiny_gpt(VOCAB, DIM, 1, BLOCKS, 11);
     println!(
         "tiny GPT: {} parameters in {} layers, vocab {VOCAB}, seq {SEQ}",
         net.num_params(),

@@ -40,7 +40,7 @@ fn train_lm(
     iters: u64,
     cfg: LowDiffConfig,
 ) -> lowdiff_optim::ModelState {
-    let net = tiny_gpt(VOCAB, 8, 1, 2);
+    let net = tiny_gpt(VOCAB, 8, 1, 1, 2);
     let strat = LowDiffStrategy::new(store, cfg);
     let mut tr = Trainer::new(
         net,
