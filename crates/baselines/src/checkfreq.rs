@@ -118,8 +118,8 @@ impl CheckpointStrategy for CheckFreqStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lowdiff_storage::{MemoryBackend, StorageBackend, ThrottledBackend};
-    use lowdiff_util::units::Bandwidth;
+    use lowdiff_storage::{FaultConfig, FaultyBackend, MemoryBackend, StorageBackend};
+    use std::time::Duration;
 
     fn store() -> Arc<CheckpointStore> {
         Arc::new(CheckpointStore::new(Arc::new(MemoryBackend::new())))
@@ -141,17 +141,26 @@ mod tests {
 
     #[test]
     fn snapshot_returns_before_persist_completes() {
-        // With a slow (simulated-bandwidth-accounted) backend, the first
-        // snapshot must return quickly: persist happens off-thread.
-        let throttled = ThrottledBackend::new(MemoryBackend::new(), Bandwidth::mbps_bytes(10.0));
-        let st = Arc::new(CheckpointStore::new(
-            Arc::new(throttled) as Arc<dyn StorageBackend>
-        ));
-        let mut s = CheckFreqStrategy::new(Arc::clone(&st), 1);
+        // Every put sleeps a full second, so a snapshot that waited on its
+        // persist would blow the bound below: persist happens off-thread.
+        let slow = FaultyBackend::new(
+            MemoryBackend::new(),
+            FaultConfig {
+                latency_spike_rate: 1.0,
+                latency_spike: Duration::from_secs(1),
+                ..FaultConfig::default()
+            },
+        );
+        let st = Arc::new(CheckpointStore::new(Arc::new(slow)));
+        let cfg = EngineConfig {
+            export_health: false,
+            ..EngineConfig::default()
+        };
+        let mut s = CheckFreqStrategy::with_engine_config(Arc::clone(&st), 1, cfg);
         let mut state = ModelState::new(vec![0.0; 50_000]);
         state.iteration = 1;
         let stall = s.after_update(&state, &AuxView::NONE);
-        // Snapshot = clone + enqueue only; generous CI bound.
+        // Snapshot = capture + enqueue only; generous CI bound.
         assert!(stall.as_f64() < 0.2, "snapshot blocked on persist: {stall}");
         s.flush();
         assert_eq!(s.stats().full_checkpoints, 1);
@@ -175,7 +184,6 @@ mod tests {
 
     #[test]
     fn storage_outage_skips_checkpoints_without_panic() {
-        use lowdiff_storage::{FaultConfig, FaultyBackend};
         let faulty = Arc::new(FaultyBackend::new(
             MemoryBackend::new(),
             FaultConfig::default(),

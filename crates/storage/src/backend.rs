@@ -1,10 +1,10 @@
 //! Storage backends: in-memory, local disk, and bandwidth-throttled.
 //!
-//! The throttled wrapper is how the mechanism-level experiments reproduce
-//! *bandwidth-bound* checkpoint stalls on a machine whose real SSD is
-//! far faster than a saturated training node's: every write advances a
-//! busy-until horizon at the configured bandwidth and reports the simulated
-//! write latency.
+//! The throttled wrapper accounts the device time a slower store would
+//! spend: every write advances a busy-until horizon at the configured
+//! bandwidth, and callers read the simulated write time back. It never
+//! sleeps, so a write through it returns at the inner backend's speed and
+//! causes no bandwidth-bound stall on the writing thread.
 
 use lowdiff_util::units::{Bandwidth, ByteSize, Secs};
 use parking_lot::Mutex;
@@ -431,8 +431,8 @@ impl StorageBackend for DiskBackend {
 /// multi-queue NVMe namespace, parallel multipart-upload streams). Each
 /// successful write charges the *least-busy* lane — a failed write
 /// consumes no device time, since nothing durable moved. No real sleeping
-/// — callers decide whether to advance a [`lowdiff_util::SimClock`] or to
-/// sleep; [`total_busy`](Self::total_busy) sums device-time across lanes,
+/// — the accounting is all it does; [`total_busy`](Self::total_busy) sums
+/// device-time across lanes,
 /// [`critical_busy`](Self::critical_busy) is the busiest lane, i.e. the
 /// simulated wall-clock a perfectly-overlapped writer would observe.
 pub struct ThrottledBackend<B> {

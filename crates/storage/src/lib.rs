@@ -9,7 +9,9 @@
 //!   checkpoints). Torn writes are detected at load time.
 //! * [`backend`] — [`StorageBackend`] implementations: in-memory (tests),
 //!   local disk (atomic rename writes), and a bandwidth-throttled wrapper
-//!   that models SSD/remote write speeds against a [`lowdiff_util::Clock`].
+//!   that accounts the device time SSD/remote write speeds would take. It
+//!   never sleeps, so it adds no wall-clock stall; [`FaultyBackend`]'s
+//!   latency spikes are the way to make a put really slow.
 //! * [`faults`] — [`FaultyBackend`], a seeded, deterministic storage-fault
 //!   injector (transient/persistent errors, torn writes, latency spikes)
 //!   wrapping any backend.
