@@ -11,8 +11,8 @@
 //!    Challenge 2's transmission stall and Exp. 7's storage pathology).
 //!
 //! The synchronous-on-the-training-thread shape maps to an *inline*
-//! [`CheckpointEngine`]: [`NaiveDcPolicy::wants_capture`] is the schedule,
-//! and every persist stalls the submit call by construction.
+//! [`CheckpointEngine`]: `NaiveDcPolicy::wants_capture` is the schedule, and
+//! every persist stalls the submit call by construction.
 //!
 //! Blob layout (custom key space `ndc-…` on the shared backend):
 //! param delta as a sparse record, then the full `m`/`v` vectors. Recovery

@@ -16,14 +16,15 @@
 //!
 //! ## Resume
 //!
-//! `resume: true` anchors on the newest [`GlobalManifest`]: every rank's
-//! shard checkpoint at the sealed iteration is loaded from its store,
-//! digest-verified against the manifest, stitched back into the global
-//! state, and handed to [`Trainer::resume_from_parts`]. The ranks' diff
-//! chains are read, trimmed to their common prefix and stitched only when
-//! the resume will replay them ([`ResumeOpts::replays_chain`]); with error
-//! feedback on it anchors at the full instead, bit-exact — the relaunched
-//! run re-produces the killed run's bytes.
+//! `resume: true` anchors on the newest
+//! [`lowdiff_storage::GlobalManifest`]: every rank's shard checkpoint at
+//! the sealed iteration is loaded from its store, digest-verified against
+//! the manifest, stitched back into the global state, and handed to
+//! [`Trainer::resume_from_parts`]. The ranks' diff chains are read, trimmed
+//! to their common prefix and stitched only when the resume will replay
+//! them ([`ResumeOpts::replays_chain`]); with error feedback on it anchors
+//! at the full instead, bit-exact — the relaunched run re-produces the
+//! killed run's bytes.
 
 use lowdiff::{
     LowDiffConfig, LowDiffStrategy, ResumeOpts, ShardedStrategy, Trainer, TrainerConfig,

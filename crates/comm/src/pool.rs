@@ -3,7 +3,7 @@
 //! During LowDiff+'s backward pass, each layer's gradient is submitted the
 //! moment it is produced (`P_g.execute(Sync, g)` in the paper); worker
 //! threads process submissions concurrently and completion is awaited with
-//! [`JobSet::wait`] (the paper's `H_g.wait()`). The pool is generic over
+//! [`SyncPool::wait`] (the paper's `H_g.wait()`). The pool is generic over
 //! the job closure so the same machinery serves the snapshot pool `P_s`.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};

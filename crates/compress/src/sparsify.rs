@@ -13,7 +13,7 @@
 //!   input (the float comparison it replaces is not: NaN is incomparable),
 //!   so NaNs rank above `+inf` and are selected first.
 //! * **Threshold.** The k-th largest key `T` is found digit by digit
-//!   ([`LEVELS`]: 12 + 12 + 7 bits). Each level is one streaming pass that
+//!   (`LEVELS`: 12 + 12 + 7 bits). Each level is one streaming pass that
 //!   histograms the next digit of every key still matching the digits
 //!   resolved so far; scanning the histogram from the top gives the digit
 //!   of `T` and how many elements are still to be taken below it. After

@@ -7,7 +7,7 @@
 //! straight to their wire offsets, with no allocation once the frame is
 //! pooled. The capture is therefore complete when the submitting hook
 //! returns, and the caller may mutate the state at once. The engine worker
-//! seals the CRC ([`CowTicket::seal`]) and fans the finished blob across
+//! seals the CRC (`CowTicket::seal`) and fans the finished blob across
 //! the tier stack; the sealed bytes are **byte-identical** to
 //! `encode_full_checkpoint_into` on the same state, which the
 //! `engine_equivalence` tests pin. Dropping the ticket hands its frame

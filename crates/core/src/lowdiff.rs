@@ -11,8 +11,9 @@
 //! ```
 //!
 //! The strategy is a thin adapter over [`crate::engine::CheckpointEngine`]:
-//! all scheme decisions (batch boundaries, full-checkpoint cadence, GC
-//! depth) live in [`LowDiffPolicy`]; all mechanism (bounded queue, worker
+//! the scheme decisions (batch boundaries, full-checkpoint cadence) live in
+//! a private `LowDiffPolicy`; GC depth is the durable tier's `keep`
+//! ([`LowDiffConfig::keep_fulls`]); all mechanism (bounded queue, worker
 //! thread, retry/backoff, degraded mode, stats) lives in the engine.
 //!
 //! The training thread never waits for storage: its only costs are the

@@ -21,7 +21,7 @@
 //! The strategy is an adapter over [`crate::engine::CheckpointEngine`]:
 //! the staging pool stays on the training side (it *is* the snapshot
 //! stage), while the replica update + persistence run as
-//! [`LowDiffPlusPolicy`] on the engine's checkpointing thread.
+//! a private `LowDiffPlusPolicy` on the engine's checkpointing thread.
 //!
 //! Failure model (§5.3): a **software** failure leaves the checkpointing
 //! thread's memory intact → recover instantly from the replica

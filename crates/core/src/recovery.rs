@@ -5,7 +5,7 @@
 //!   checkpoint, then the differential chain past it, fetched only when
 //!   the caller's gate says the chain will be replayed. An I/O error on a
 //!   source falls through to the next one.
-//! * [`replay_chain`] — the only chain-replay kernel. Adam is elementwise,
+//! * `replay_chain` — the only chain-replay kernel. Adam is elementwise,
 //!   so Ψ is cut into `width` contiguous shards and every shard replays the
 //!   whole chain over its own disjoint windows of params/m/v. The result is
 //!   bit-identical to a serial diff-by-diff replay at any width.

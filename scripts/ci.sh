@@ -6,6 +6,10 @@
 # 1. cargo fmt --check     — formatting is canonical, no diffs tolerated
 # 2. cargo clippy          — every lint is an error across the workspace,
 #                            all targets (libs, bins, tests, benches)
+# 2b. cargo doc            — rustdoc with every warning an error: no
+#                            unresolved, ambiguous or private intra-doc
+#                            link (catches the links a deletion leaves
+#                            behind)
 # 3. cargo test -q         — the full workspace test suite
 # 3b. compress @1/@4 threads — the compress suite again with the worker
 #                            pool pinned to 1 and to 4 threads: the Top-K
@@ -73,6 +77,10 @@ cargo fmt --all --check
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== rustdoc =="
+# Every doc link must resolve to a public item of the documented crate.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== test =="
 cargo test -q --workspace
