@@ -112,14 +112,6 @@ impl TierStack {
         Self::new(vec![Tier::Durable { store, keep: None }])
     }
 
-    pub fn len(&self) -> usize {
-        self.tiers.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        false // by construction
-    }
-
     pub fn iter(&self) -> impl Iterator<Item = &Tier> {
         self.tiers.iter()
     }
@@ -160,14 +152,6 @@ impl PeerTier {
             replicas,
             pending: Mutex::new(VecDeque::new()),
         }
-    }
-
-    pub fn net(&self) -> &Arc<ReplicaNet> {
-        &self.net
-    }
-
-    pub fn rank(&self) -> usize {
-        self.rank
     }
 
     /// The configured fan-out (`k` as requested, before clamping).
