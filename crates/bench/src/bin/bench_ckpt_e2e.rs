@@ -1,28 +1,22 @@
 //! End-to-end checkpoint-pipeline benchmark: per-strategy **training-thread
 //! stall** per iteration, measured over the unified `CheckpointEngine` on an
-//! in-memory backend behind a `ThrottledBackend`.
+//! in-memory backend.
 //!
-//! The throttled backend only accounts device time; it never sleeps. So the
-//! stall reported here is CPU work only — capture, encode, CRC, the copy
-//! into the in-memory store and queueing — and `--mbps` moves neither the
-//! stall nor the wall time beyond run-to-run noise: a store-bound stall (CheckFreq waiting on
-//! its depth-1 pipeline behind a slow write, torch.save blocking for a
-//! whole slow write) does not show. The stall is exactly what each strategy
-//! returns from its training-side hooks (`on_synced_gradient` +
-//! `after_update`); the end-of-run queue drain is reported separately and
-//! does not count against per-iteration stall. The full-write scaling sweep
-//! reads the backend's accounted device time, so `--mbps` does set those
-//! rows.
+//! The stall reported here is CPU work only — capture, encode, CRC, the
+//! copy into the in-memory store and queueing: a store-bound stall
+//! (CheckFreq waiting on its depth-1 pipeline behind a slow write,
+//! torch.save blocking for a whole slow write) does not show. The stall is
+//! exactly what each strategy returns from its training-side hooks
+//! (`on_synced_gradient` + `after_update`); the end-of-run queue drain is
+//! reported separately and does not count against per-iteration stall.
 //!
-//! Usage: `bench_ckpt_e2e [--psi N] [--iters K] [--mbps B] [--stripes S]
+//! Usage: `bench_ckpt_e2e [--psi N] [--iters K] [--stripes S]
 //! [--peers P] [--quant-bits Q] [--adaptive] [--max-quant-err E]
 //! [--out PATH] [--smoke]`
-//! (defaults: 262144 params, 40 iterations, 300 MB/s, 1 stripe, 1 peer,
+//! (defaults: 262144 params, 40 iterations, 1 stripe, 1 peer,
 //! 8-bit quantized row, BENCH_ckpt_e2e.json). `--stripes S` fans every
 //! checkpoint blob out into S concurrent ranged writes sealed by a
-//! manifest (the striped persist path); the run also sweeps full-write
-//! throughput over 1/2/4/8 stripes on a 4-channel throttled backend to
-//! show the fan-out scaling near-linearly up to the channel count.
+//! manifest (the striped persist path).
 //! `--peers P` sizes the `lowdiff-peer` row — LowDiff over a
 //! `[Tier::Peer(P), Tier::Durable]` recovery stack, every checkpoint
 //! object streamed to P ring peers with the durable write trailing
@@ -55,10 +49,7 @@ use lowdiff_comm::ReplicaNet;
 use lowdiff_compress::{AuxView, CompressedGrad, Compressor, SparseGrad, TopK};
 use lowdiff_optim::ModelState;
 use lowdiff_storage::codec::{QuantizedValues, ValueCodec};
-use lowdiff_storage::{
-    CheckpointStore, MemoryBackend, StorageBackend, StripeCfg, ThrottledBackend,
-};
-use lowdiff_util::units::Bandwidth;
+use lowdiff_storage::{CheckpointStore, MemoryBackend, StripeCfg};
 use lowdiff_util::DetRng;
 use std::sync::Arc;
 use std::time::Instant;
@@ -102,68 +93,8 @@ struct E2eResult {
     steady_large_allocs: u64,
 }
 
-fn throttled_store(mbps: f64) -> Arc<CheckpointStore> {
-    let backend = ThrottledBackend::new(MemoryBackend::new(), Bandwidth::mbps_bytes(mbps));
-    Arc::new(CheckpointStore::new(
-        Arc::new(backend) as Arc<dyn StorageBackend>
-    ))
-}
-
-struct StripeScale {
-    stripes: usize,
-    bytes: u64,
-    /// Simulated wall-clock of the write: the busiest channel's time.
-    critical_secs: f64,
-    write_mbps: f64,
-    speedup: f64,
-}
-
-/// Full-checkpoint write throughput vs stripe count on a `channels`-lane
-/// throttled backend. One durable full per run: the backend charges each
-/// ranged write to its least-busy channel, so the busiest channel's time
-/// is the simulated wall-clock of the fan-out — a broken fan-out (one
-/// blob, one channel) shows up as flat 1x "scaling".
-fn stripe_scaling_sweep(mbps: f64, channels: usize, initial: &ModelState) -> Vec<StripeScale> {
-    let mut out: Vec<StripeScale> = Vec::new();
-    for stripes in [1usize, 2, 4, 8] {
-        let backend = Arc::new(ThrottledBackend::with_channels(
-            MemoryBackend::new(),
-            Bandwidth::mbps_bytes(mbps),
-            channels,
-        ));
-        let store = Arc::new(CheckpointStore::new(
-            Arc::clone(&backend) as Arc<dyn StorageBackend>
-        ));
-        let mut strat = TorchSaveStrategy::with_engine_config(
-            store,
-            1,
-            EngineConfig {
-                stripe: StripeCfg {
-                    stripes,
-                    min_stripe_bytes: 1,
-                },
-                export_health: false,
-                ..EngineConfig::default()
-            },
-        );
-        let mut state = initial.clone();
-        state.iteration = 1;
-        strat.after_update(&state, &AuxView::NONE);
-        strat.flush();
-        let bytes = strat.stats().bytes_written;
-        drop(strat);
-        let critical_secs = backend.critical_busy().as_f64();
-        let write_mbps = bytes as f64 / critical_secs / 1e6;
-        let speedup = out.first().map_or(1.0, |base| write_mbps / base.write_mbps);
-        out.push(StripeScale {
-            stripes,
-            bytes,
-            critical_secs,
-            write_mbps,
-            speedup,
-        });
-    }
-    out
+fn mem_store() -> Arc<CheckpointStore> {
+    Arc::new(CheckpointStore::new(Arc::new(MemoryBackend::new())))
 }
 
 /// Drive one strategy over the shared trace; returns its stall profile.
@@ -219,7 +150,7 @@ fn run_strategy<S: CheckpointStrategy>(
 }
 
 /// Recovery-fidelity probe: real training (MLP + Top-K) persisted through
-/// the v3 quantized codec on an unthrottled store, crashed mid-chain,
+/// the v3 quantized codec on an in-memory store, crashed mid-chain,
 /// recovered, and compared against the live state. The wall-clock here is
 /// irrelevant — this measures *exactness*, the other axis of the codec.
 struct FidelityProbe {
@@ -281,7 +212,6 @@ fn fidelity_probe(q: QuantizedValues) -> FidelityProbe {
 fn main() {
     let mut psi: usize = 1 << 18;
     let mut iters: u64 = 40;
-    let mut mbps: f64 = 300.0;
     let mut stripes: usize = 1;
     let mut peers: usize = 1;
     let mut quant_bits: u8 = 8;
@@ -299,7 +229,6 @@ fn main() {
         match a.as_str() {
             "--psi" => psi = val("--psi").parse().expect("bad --psi"),
             "--iters" => iters = val("--iters").parse().expect("bad --iters"),
-            "--mbps" => mbps = val("--mbps").parse().expect("bad --mbps"),
             "--stripes" => stripes = val("--stripes").parse().expect("bad --stripes"),
             "--peers" => peers = val("--peers").parse().expect("bad --peers"),
             "--quant-bits" => quant_bits = val("--quant-bits").parse().expect("bad --quant-bits"),
@@ -344,8 +273,8 @@ fn main() {
         ..EngineConfig::default()
     };
     eprintln!(
-        "bench_ckpt_e2e: {psi} params, {iters} iterations, {mbps} MB/s storage, \
-         {stripes} stripe(s), {peers} replica peer(s)"
+        "bench_ckpt_e2e: {psi} params, {iters} iterations, {stripes} stripe(s), \
+         {peers} replica peer(s)"
     );
 
     // One recorded gradient, reused every iteration: the stall numbers are
@@ -370,7 +299,7 @@ fn main() {
     // batched writes, full every 10.
     {
         let strat = LowDiffStrategy::new(
-            throttled_store(mbps),
+            mem_store(),
             LowDiffConfig {
                 full_every: 10,
                 batch_size: 4,
@@ -398,13 +327,12 @@ fn main() {
     // write schedule as the row above, but every checkpoint object is
     // streamed to `peers` ring peers first, the durable write trailing
     // best-effort — the stall delta against the `lowdiff` row is what the
-    // extra replica copies cost the training thread (the throttled store
-    // never sleeps, so there is no storage wait here for peer acks to
-    // hide).
+    // extra replica copies cost the training thread (the in-memory store
+    // has no storage wait here for peer acks to hide).
     if peers > 0 {
         let net = ReplicaNet::new(peers + 1);
         let strat = PeerReplicateStrategy::new(
-            throttled_store(mbps),
+            mem_store(),
             LowDiffConfig {
                 full_every: 10,
                 batch_size: 4,
@@ -442,7 +370,7 @@ fn main() {
     };
     if quant_bits != 0 {
         let strat = LowDiffStrategy::new(
-            throttled_store(mbps),
+            mem_store(),
             LowDiffConfig {
                 full_every: 10,
                 batch_size: 4,
@@ -475,7 +403,7 @@ fn main() {
     // persisted every 10.
     {
         let strat = LowDiffPlusStrategy::new(
-            throttled_store(mbps),
+            mem_store(),
             LowDiffPlusConfig {
                 persist_every: 10,
                 snapshot_threads: 2,
@@ -508,7 +436,7 @@ fn main() {
     // CheckFreq: full snapshot every iteration through the depth-1
     // pipeline — the high-frequency configuration the paper stresses.
     {
-        let strat = CheckFreqStrategy::with_engine_config(throttled_store(mbps), 1, ecfg());
+        let strat = CheckFreqStrategy::with_engine_config(mem_store(), 1, ecfg());
         results.push(run_strategy(
             "checkfreq",
             iters,
@@ -523,7 +451,7 @@ fn main() {
 
     // torch.save: synchronous full every iteration.
     {
-        let strat = TorchSaveStrategy::with_engine_config(throttled_store(mbps), 1, ecfg());
+        let strat = TorchSaveStrategy::with_engine_config(mem_store(), 1, ecfg());
         results.push(run_strategy(
             "torch-save",
             iters,
@@ -538,7 +466,7 @@ fn main() {
 
     // Gemini: memory-tier full every iteration, durable every 10.
     {
-        let strat = GeminiStrategy::with_engine_config(throttled_store(mbps), 1, 10, ecfg());
+        let strat = GeminiStrategy::with_engine_config(mem_store(), 1, 10, ecfg());
         results.push(run_strategy(
             "gemini",
             iters,
@@ -553,7 +481,7 @@ fn main() {
 
     // Naive DC: per-iteration top-k delta computed on the training thread.
     {
-        let strat = NaiveDcStrategy::with_engine_config(throttled_store(mbps), 1, 10, 0.01, ecfg());
+        let strat = NaiveDcStrategy::with_engine_config(mem_store(), 1, 10, 0.01, ecfg());
         results.push(run_strategy(
             "naive-dc",
             iters,
@@ -567,12 +495,6 @@ fn main() {
             &initial,
         ));
     }
-
-    // Stripe scaling: one full checkpoint fanned out over a 4-channel
-    // throttled backend, stripes 1..8. Near-linear up to the channel count
-    // is the striped persist path's acceptance criterion.
-    const SWEEP_CHANNELS: usize = 4;
-    let scaling = stripe_scaling_sweep(mbps, SWEEP_CHANNELS, &initial);
 
     // Recovery fidelity of the quantized codec, and the diff-byte
     // reduction against the f32 row.
@@ -650,30 +572,6 @@ fn main() {
         &rows,
     );
 
-    let scale_rows: Vec<Vec<String>> = scaling
-        .iter()
-        .map(|r| {
-            vec![
-                r.stripes.to_string(),
-                format!("{:.1}MB", r.bytes as f64 / 1e6),
-                format!("{:.4}s", r.critical_secs),
-                format!("{:.0}MB/s", r.write_mbps),
-                format!("{:.2}x", r.speedup),
-            ]
-        })
-        .collect();
-    print_table(
-        &format!("full-checkpoint write scaling, {SWEEP_CHANNELS}-channel backend @ {mbps} MB/s"),
-        &[
-            "stripes",
-            "written",
-            "critical path",
-            "throughput",
-            "speedup",
-        ],
-        &scale_rows,
-    );
-
     if smoke && !out_explicit {
         eprintln!("smoke mode: skipping json");
         return;
@@ -682,7 +580,6 @@ fn main() {
     json.push_str("{\n");
     json.push_str(&format!("  \"psi\": {psi},\n"));
     json.push_str(&format!("  \"iters\": {iters},\n"));
-    json.push_str(&format!("  \"storage_mbps\": {mbps},\n"));
     json.push_str(&format!("  \"persist_stripes\": {stripes},\n"));
     json.push_str(&format!("  \"replica_peers\": {peers},\n"));
     json.push_str(&format!("  \"alloc_counting\": {counting},\n"));
@@ -705,10 +602,10 @@ fn main() {
             if i + 1 < results.len() { "," } else { "" }
         ));
     }
-    json.push_str("  ],\n");
+    json.push_str("  ]");
     if let Some(f) = &fidelity {
         json.push_str(&format!(
-            "  \"quant\": {{\"bits\": {}, \"adaptive\": {adaptive}, \"max_quant_err\": {max_quant_err}, \"diff_bytes_reduction\": {}, \"fidelity_replayed\": {}, \"fidelity_max_param_err\": {:.6e}, \"fidelity_mean_param_err\": {:.6e}}},\n",
+            ",\n  \"quant\": {{\"bits\": {}, \"adaptive\": {adaptive}, \"max_quant_err\": {max_quant_err}, \"diff_bytes_reduction\": {}, \"fidelity_replayed\": {}, \"fidelity_max_param_err\": {:.6e}, \"fidelity_mean_param_err\": {:.6e}}}",
             quant_cfg.bits,
             diff_reduction.map_or("null".to_string(), |r| format!("{r:.4}")),
             f.replayed,
@@ -716,21 +613,7 @@ fn main() {
             f.mean_param_err,
         ));
     }
-    json.push_str(&format!(
-        "  \"stripe_scaling\": {{\"channels\": {SWEEP_CHANNELS}, \"rows\": [\n"
-    ));
-    for (i, r) in scaling.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"stripes\": {}, \"bytes\": {}, \"critical_secs\": {:.6}, \"write_mbps\": {:.3}, \"speedup\": {:.3}}}{}\n",
-            r.stripes,
-            r.bytes,
-            r.critical_secs,
-            r.write_mbps,
-            r.speedup,
-            if i + 1 < scaling.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]}\n}\n");
+    json.push_str("\n}\n");
     std::fs::write(&out_path, &json).expect("write benchmark json");
     eprintln!("wrote {out_path}");
 }

@@ -1,6 +1,7 @@
-//! Produce a small on-disk checkpoint directory (used by docs and by the
-//! `lowdiff-ctl` smoke test): trains a small model with LowDiff and leaves
-//! the checkpoints in the given directory (default /tmp/lowdiff-demo).
+//! Produce a small on-disk checkpoint directory to point `lowdiff-ctl` at
+//! by hand: trains a small model with LowDiff and leaves the checkpoints
+//! in the given directory (default /tmp/lowdiff-demo). The CLI's own
+//! tests (`crates/core/tests/ctl.rs`) write their directories themselves.
 
 use lowdiff::lowdiff::{LowDiffConfig, LowDiffStrategy};
 use lowdiff::trainer::{Trainer, TrainerConfig};

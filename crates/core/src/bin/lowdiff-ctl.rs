@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! lowdiff-ctl list <dir>                 list checkpoints and chains
-//! lowdiff-ctl validate <dir>             CRC-check every blob
+//! lowdiff-ctl validate <dir>             CRC-check every checkpoint object
 //! lowdiff-ctl health <dir>               chain-integrity report + exit code
 //! lowdiff-ctl resume-info <dir>          what a Trainer::resume would restore
 //! lowdiff-ctl recover <dir> [--shards N] [--out FILE]
@@ -88,20 +88,30 @@ fn fmt_bytes(n: usize) -> String {
     }
 }
 
+/// Read the checkpoint object `key` through the store, in whichever
+/// layout holds it: its payload size (0 when unreadable) and whether
+/// `decodes` accepts the payload.
+fn audit(store: &CheckpointStore, key: &str, decodes: fn(&[u8]) -> bool) -> (usize, bool) {
+    match store.get_object(key) {
+        Ok(bytes) => (bytes.len(), decodes(&bytes)),
+        Err(_) => (0, false),
+    }
+}
+
+fn full_decodes(bytes: &[u8]) -> bool {
+    codec::decode_full_checkpoint(bytes).is_ok()
+}
+
+fn diff_decodes(bytes: &[u8]) -> bool {
+    codec::decode_diff_batch(bytes).is_ok()
+}
+
 fn cmd_list(dir: &str) {
     let store = open(dir);
     let fulls = or_die("list full checkpoints", store.full_iterations());
     out!("full checkpoints ({}):", fulls.len());
     for it in &fulls {
-        // Legacy single blob, or the striped data object (payload size —
-        // the manifest seal is metadata).
-        let size = store
-            .backend()
-            .get(&format!("full-{it:010}.ckpt"))
-            .or_else(|_| store.backend().get(&format!("full-{it:010}.sd.ckpt")))
-            .map(|b| b.len())
-            .unwrap_or(0);
-        let valid = store.load_full(*it).is_ok();
+        let (size, valid) = audit(&store, &CheckpointStore::full_key(*it), full_decodes);
         out!(
             "  iter {:>8}  {:>10}  {}",
             it,
@@ -112,30 +122,12 @@ fn cmd_list(dir: &str) {
     let diffs = or_die("list differential batches", store.diff_keys());
     out!("differential batches ({}):", diffs.len());
     for dk in &diffs {
-        // Striped batches list by manifest key: size from the data object,
-        // validity through the stripe-CRC-checked read.
-        let payload = if let Some(base) = dk.key.strip_suffix(".sm.ckpt") {
-            (
-                store
-                    .backend()
-                    .get(&format!("{base}.sd.ckpt"))
-                    .map(|b| b.len())
-                    .unwrap_or(0),
-                store.get_striped_validated(&dk.key).ok(),
-            )
-        } else {
-            let b = store.backend().get(&dk.key).ok();
-            (b.as_ref().map(|b| b.len()).unwrap_or(0), b)
-        };
-        let (bytes, blob) = payload;
-        let valid = blob
-            .map(|b| codec::decode_diff_batch(&b).is_ok())
-            .unwrap_or(false);
+        let (size, valid) = audit(&store, &dk.key, diff_decodes);
         out!(
             "  iters {:>8}..={:<8}  {:>10}  {}",
             dk.start,
             dk.end,
-            fmt_bytes(bytes),
+            fmt_bytes(size),
             if valid { "ok" } else { "CORRUPT" }
         );
     }
@@ -154,46 +146,34 @@ fn cmd_list(dir: &str) {
 
 fn cmd_validate(dir: &str) {
     let store = open(dir);
-    let keys = or_die("list blobs", store.backend().list());
+    let fulls = or_die("list full checkpoints", store.full_iterations());
+    let diffs = or_die("list differential batches", store.diff_keys());
+    let unsealed = or_die("list unsealed objects", store.unsealed());
+    // Every object in either layout: a striped one passes only if its
+    // manifest, every stripe CRC and the payload decode all check out.
+    let total = fulls.len() + diffs.len();
     let mut bad = 0usize;
-    let mut unsealed = 0usize;
-    let mut total = 0usize;
-    for key in &keys {
-        total += 1;
-        // Striped pairs: the manifest key drives the audit (manifest CRC +
-        // every stripe CRC + payload decode); the data object is covered
-        // by it, so it is only reported standalone when unsealed — garbage
-        // a crashed fan-out left behind, swept on resume, not corruption.
-        if let Some(base) = key.strip_suffix(".sd.ckpt") {
-            if !keys.contains(&format!("{base}.sm.ckpt")) {
-                out!("UNSEALED    {key}");
-                unsealed += 1;
-            }
-            continue;
-        }
-        let bytes = if key.ends_with(".sm.ckpt") {
-            store.get_striped_validated(key)
-        } else {
-            store.backend().get(key)
-        };
-        let Ok(bytes) = bytes else {
-            out!("CORRUPT     {key}");
-            bad += 1;
-            continue;
-        };
-        let ok = if key.starts_with("full-") {
-            codec::decode_model_state(&bytes).is_ok()
-        } else if key.starts_with("diff-") {
-            codec::decode_diff_batch(&bytes).is_ok()
-        } else {
-            true // foreign blob: not ours to judge
-        };
-        if !ok {
+    let mut check = |key: &str, decodes: fn(&[u8]) -> bool| {
+        if !audit(&store, key, decodes).1 {
             out!("CORRUPT     {key}");
             bad += 1;
         }
+    };
+    for it in fulls {
+        check(&CheckpointStore::full_key(it), full_decodes);
     }
-    out!("{total} blobs checked, {bad} corrupt, {unsealed} unsealed");
+    for dk in &diffs {
+        check(&dk.key, diff_decodes);
+    }
+    // Data objects whose seal never landed: garbage a crashed fan-out
+    // left behind, swept on resume, not corruption.
+    for key in &unsealed {
+        out!("UNSEALED    {key}");
+    }
+    out!(
+        "{total} objects checked, {bad} corrupt, {} unsealed",
+        unsealed.len()
+    );
     if bad > 0 {
         exit(1);
     }
@@ -261,14 +241,7 @@ fn cmd_health(dir: &str) {
     let diffs = or_die("list differential batches", store.diff_keys());
     let corrupt_diffs = diffs
         .iter()
-        .filter(|dk| {
-            store
-                .backend()
-                .get(&dk.key)
-                .ok()
-                .map(|b| codec::decode_diff_batch(&b).is_err())
-                .unwrap_or(true)
-        })
+        .filter(|dk| !audit(&store, &dk.key, diff_decodes).1)
         .count();
     out!(
         "fulls: {} ({} corrupt)   diff batches: {} ({} corrupt)",

@@ -38,11 +38,9 @@ use crate::batched::BatchedWriter;
 use crate::strategy::StrategyStats;
 use lowdiff_compress::AuxView;
 use lowdiff_optim::ModelState;
-use lowdiff_storage::stripe::StripedData;
-use lowdiff_storage::{with_retry, CheckpointStore, RetryPolicy, StripeCfg, StripeManifest};
+use lowdiff_storage::{with_retry, CheckpointStore, RetryPolicy, StripeCfg};
 use lowdiff_util::BufferPool;
 use parking_lot::Mutex;
-use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -95,43 +93,14 @@ impl Obj<'_> {
         }
     }
 
-    /// The striped data object: unsealed, invisible until [`Self::seal`].
-    fn put_striped(
-        self,
-        store: &CheckpointStore,
-        bytes: &[u8],
-        stripes: usize,
-        retry: &RetryPolicy,
-    ) -> StripedData {
-        match self {
-            Obj::Full(iteration) => store.put_full_striped(iteration, bytes, stripes, retry),
-            Obj::Diff(start, end) => store.put_diff_striped(start, end, bytes, stripes, retry),
-            Obj::Blob(_) => unreachable!("side blobs are never striped"),
-        }
-    }
-
-    fn seal(self, store: &CheckpointStore, manifest: &StripeManifest) -> io::Result<()> {
-        match self {
-            Obj::Full(iteration) => store.seal_full_striped(iteration, manifest),
-            Obj::Diff(start, end) => store.seal_diff_striped(start, end, manifest),
-            Obj::Blob(_) => unreachable!("side blobs are never striped"),
-        }
-    }
-
     /// Power cut mid-write: a torn prefix lands directly (no retry — the
     /// process is gone); the codec CRC rejects it at load time. Striped,
     /// the fan-out itself tears: some stripes land, unfinished, unsealed.
     fn put_torn(self, store: &CheckpointStore, bytes: &[u8], stripes: usize) {
-        match self {
-            Obj::Full(iteration) if stripes >= 2 => {
-                store.put_full_striped_torn(iteration, bytes, stripes)
-            }
-            Obj::Diff(start, end) if stripes >= 2 => {
-                store.put_diff_striped_torn(start, end, bytes, stripes)
-            }
-            _ => {
-                let _ = store.backend().put(&self.key(), &bytes[..bytes.len() / 2]);
-            }
+        if stripes >= 2 {
+            store.put_striped_torn(&self.key(), bytes, stripes);
+        } else {
+            let _ = store.backend().put(&self.key(), &bytes[..bytes.len() / 2]);
         }
     }
 
@@ -294,19 +263,19 @@ impl EngineCtx<'_> {
         bytes: &[u8],
         stripes: usize,
     ) -> Option<(bool, u64)> {
+        let key = obj.key();
         if stripes < 2 {
-            let key = obj.key();
             let r = with_retry(self.retry, || store.backend().put(&key, bytes));
             return Some((r.result.is_ok(), r.retries as u64));
         }
-        let data = obj.put_striped(store, bytes, stripes, self.retry);
+        let data = store.put_striped(&key, bytes, stripes, self.retry);
         let Ok(manifest) = data.result else {
             return Some((false, data.retries));
         };
         if self.crash_hit(CrashPoint::MidStripe) {
             return None;
         }
-        let r = with_retry(self.retry, || obj.seal(store, &manifest));
+        let r = with_retry(self.retry, || store.seal_striped(&key, &manifest));
         Some((r.result.is_ok(), data.retries + r.retries as u64))
     }
 
@@ -678,7 +647,7 @@ mod tests {
                 let stack = TierStack::new(vec![Tier::Peer(Arc::new(PeerTier::new(net, 0, 1)))]);
                 (stack, vec![("peer", replica)])
             }
-            other => unreachable!("no pin stack {other}"),
+            other => panic!("no pin stack {other}"),
         }
     }
 

@@ -1,12 +1,5 @@
-//! Storage backends: in-memory, local disk, and bandwidth-throttled.
-//!
-//! The throttled wrapper accounts the device time a slower store would
-//! spend: every write advances a busy-until horizon at the configured
-//! bandwidth, and callers read the simulated write time back. It never
-//! sleeps, so a write through it returns at the inner backend's speed and
-//! causes no bandwidth-bound stall on the writing thread.
+//! Storage backends: in-memory and local disk.
 
-use lowdiff_util::units::{Bandwidth, ByteSize, Secs};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::io;
@@ -422,125 +415,6 @@ impl StorageBackend for DiskBackend {
     }
 }
 
-/// Bandwidth-throttled wrapper: models a slower device (SSD at ~3 GB/s,
-/// 25 Gbps remote store, …) on top of any inner backend.
-///
-/// The device is modelled as `channels` independent write lanes, each at
-/// `bandwidth` — one lane is a single-stream SSD or NIC flow; several
-/// lanes are the parallel channels a striped persist path can drive (a
-/// multi-queue NVMe namespace, parallel multipart-upload streams). Each
-/// successful write charges the *least-busy* lane — a failed write
-/// consumes no device time, since nothing durable moved. No real sleeping
-/// — the accounting is all it does; [`total_busy`](Self::total_busy) sums
-/// device-time across lanes,
-/// [`critical_busy`](Self::critical_busy) is the busiest lane, i.e. the
-/// simulated wall-clock a perfectly-overlapped writer would observe.
-pub struct ThrottledBackend<B> {
-    inner: B,
-    bandwidth: Bandwidth,
-    /// Per-channel cumulative busy nanoseconds.
-    channels: Mutex<Vec<u64>>,
-}
-
-impl<B: StorageBackend> ThrottledBackend<B> {
-    /// Single write channel — the classic one-stream device.
-    pub fn new(inner: B, bandwidth: Bandwidth) -> Self {
-        Self::with_channels(inner, bandwidth, 1)
-    }
-
-    /// A device with `channels` parallel write lanes of `bandwidth` each.
-    pub fn with_channels(inner: B, bandwidth: Bandwidth, channels: usize) -> Self {
-        assert!(channels > 0, "need at least one write channel");
-        Self {
-            inner,
-            bandwidth,
-            channels: Mutex::new(vec![0; channels]),
-        }
-    }
-
-    /// Device time to write `n` bytes on one channel.
-    pub fn write_latency(&self, n: ByteSize) -> Secs {
-        n / self.bandwidth
-    }
-
-    /// Cumulative device-busy time summed across all channels (total
-    /// device work, regardless of overlap).
-    pub fn total_busy(&self) -> Secs {
-        Secs(self.channels.lock().iter().sum::<u64>() as f64 / 1e9)
-    }
-
-    /// Busy time of the busiest channel — the critical path. With writes
-    /// spread across N channels this is what a wall clock would show, so
-    /// `bytes / critical_busy` is the effective write throughput.
-    pub fn critical_busy(&self) -> Secs {
-        Secs(*self.channels.lock().iter().max().unwrap() as f64 / 1e9)
-    }
-
-    pub fn num_channels(&self) -> usize {
-        self.channels.lock().len()
-    }
-
-    pub fn inner(&self) -> &B {
-        &self.inner
-    }
-
-    /// Charge `n` bytes of write time to the least-busy channel. Called
-    /// only after the inner write succeeded: a failed write moved nothing
-    /// durable, so it must not inflate simulated device-busy time.
-    fn charge(&self, n: usize) {
-        let dt = self.write_latency(ByteSize::bytes(n as u64));
-        let nanos = (dt.as_f64() * 1e9) as u64;
-        let mut lanes = self.channels.lock();
-        let min = lanes
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &busy)| busy)
-            .map(|(i, _)| i)
-            .unwrap();
-        lanes[min] += nanos;
-    }
-}
-
-impl<B: StorageBackend> StorageBackend for ThrottledBackend<B> {
-    fn put(&self, key: &str, data: &[u8]) -> io::Result<()> {
-        self.inner.put(key, data)?;
-        self.charge(data.len());
-        Ok(())
-    }
-
-    fn get(&self, key: &str) -> io::Result<Vec<u8>> {
-        self.inner.get(key)
-    }
-
-    fn len(&self, key: &str) -> io::Result<u64> {
-        self.inner.len(key)
-    }
-
-    fn list(&self) -> io::Result<Vec<String>> {
-        self.inner.list()
-    }
-
-    fn delete(&self, key: &str) -> io::Result<()> {
-        self.inner.delete(key)
-    }
-
-    fn bytes_written(&self) -> u64 {
-        self.inner.bytes_written()
-    }
-
-    fn put_ranged(&self, key: &str, offset: u64, total_len: u64, data: &[u8]) -> io::Result<()> {
-        self.inner.put_ranged(key, offset, total_len, data)?;
-        self.charge(data.len());
-        Ok(())
-    }
-
-    // finish_ranged is a metadata operation (rename/seal) — no data moves,
-    // so it passes through unthrottled.
-    fn finish_ranged(&self, key: &str, total_len: u64) -> io::Result<()> {
-        self.inner.finish_ranged(key, total_len)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -605,57 +479,6 @@ mod tests {
             "orphaned temp files must be swept on open"
         );
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn throttled_accounts_latency() {
-        let b = ThrottledBackend::new(MemoryBackend::new(), Bandwidth::gbps_bytes(1.0));
-        let data = vec![0u8; 1_000_000]; // 1 MB at 1 GB/s = 1 ms
-        b.put("blob", &data).unwrap();
-        assert!((b.total_busy().as_f64() - 1e-3).abs() < 1e-6);
-        b.put("blob2", &data).unwrap();
-        assert!((b.total_busy().as_f64() - 2e-3).abs() < 1e-6);
-        // Reads are free.
-        b.get("blob").unwrap();
-        assert!((b.total_busy().as_f64() - 2e-3).abs() < 1e-6);
-    }
-
-    #[test]
-    fn throttled_channels_overlap_writes() {
-        let b =
-            ThrottledBackend::with_channels(MemoryBackend::new(), Bandwidth::gbps_bytes(1.0), 4);
-        let data = vec![0u8; 1_000_000]; // 1 MB at 1 GB/s = 1 ms per lane
-        for i in 0..4 {
-            b.put(&format!("s{i}"), &data).unwrap();
-        }
-        // Total device work is 4 ms, but spread over 4 lanes the critical
-        // path is 1 ms — the 4x overlap the striped persist path banks on.
-        assert!((b.total_busy().as_f64() - 4e-3).abs() < 1e-6);
-        assert!((b.critical_busy().as_f64() - 1e-3).abs() < 1e-6);
-    }
-
-    #[test]
-    fn throttled_charges_only_successful_writes() {
-        // Regression: a faulted put used to charge device-busy time before
-        // the inner write ran, inflating the simulated stall for writes
-        // that moved nothing durable.
-        let inner = crate::faults::FaultyBackend::new(
-            MemoryBackend::new(),
-            crate::faults::FaultConfig::default(),
-        );
-        let b = ThrottledBackend::new(inner, Bandwidth::gbps_bytes(1.0));
-        let data = vec![0u8; 1_000_000];
-        b.inner().fail_next_puts(3);
-        for _ in 0..3 {
-            assert!(b.put("blob", &data).is_err());
-        }
-        assert_eq!(
-            b.total_busy().as_f64(),
-            0.0,
-            "failed writes must not consume device time"
-        );
-        b.put("blob", &data).unwrap();
-        assert!((b.total_busy().as_f64() - 1e-3).abs() < 1e-6);
     }
 
     /// Ranged-write contract shared by every backend: out-of-order stripes,

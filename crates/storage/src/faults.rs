@@ -68,8 +68,7 @@ pub struct FaultCounters {
 }
 
 /// A [`StorageBackend`] wrapper that injects seeded faults around an inner
-/// backend. Mirrors [`ThrottledBackend`](crate::ThrottledBackend)'s shape:
-/// construct over any backend, hand the wrapper to the store.
+/// backend: construct over any backend, hand the wrapper to the store.
 pub struct FaultyBackend<B> {
     inner: B,
     cfg: FaultConfig,

@@ -7,11 +7,9 @@
 //!   [`lowdiff_optim::ModelState`] (full checkpoints) and
 //!   [`lowdiff_compress::CompressedGrad`] batches (differential
 //!   checkpoints). Torn writes are detected at load time.
-//! * [`backend`] — [`StorageBackend`] implementations: in-memory (tests),
-//!   local disk (atomic rename writes), and a bandwidth-throttled wrapper
-//!   that accounts the device time SSD/remote write speeds would take. It
-//!   never sleeps, so it adds no wall-clock stall; [`FaultyBackend`]'s
-//!   latency spikes are the way to make a put really slow.
+//! * [`backend`] — [`StorageBackend`] implementations: in-memory (tests)
+//!   and local disk (atomic rename writes); [`FaultyBackend`]'s latency
+//!   spikes are the way to make a put really slow.
 //! * [`faults`] — [`FaultyBackend`], a seeded, deterministic storage-fault
 //!   injector (transient/persistent errors, torn writes, latency spikes)
 //!   wrapping any backend.
@@ -31,7 +29,7 @@ pub mod shard;
 pub mod store;
 pub mod stripe;
 
-pub use backend::{DiskBackend, MemoryBackend, StorageBackend, ThrottledBackend};
+pub use backend::{DiskBackend, MemoryBackend, StorageBackend};
 pub use codec::FullCheckpoint;
 pub use faults::{FaultConfig, FaultCounters, FaultyBackend};
 pub use retry::{with_retry, with_retry_if, Retried, RetryPolicy};

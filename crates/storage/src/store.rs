@@ -14,11 +14,16 @@
 //! * `full-0000000042.sd.ckpt` / `full-0000000042.sm.ckpt`
 //! * `diff-0000000042-0000000045.sd.ckpt` / `…sm.ckpt`
 //!
+//! This module is the only one that knows the pair. Every caller names a
+//! checkpoint object by its canonical key ([`CheckpointStore::full_key`],
+//! [`CheckpointStore::diff_key`]) whichever layout stores it, and reads it
+//! with [`CheckpointStore::get_object`].
+//!
 //! Discovery treats a striped checkpoint as present iff its **manifest**
 //! exists; load additionally requires every stripe CRC to verify. A data
-//! object with no manifest is a crashed write — invisible to recovery and
-//! reclaimed by [`CheckpointStore::sweep_unsealed`]. (The legacy parsers
-//! are untouched: `full-…sd.ckpt` fails their `u64` parse naturally.)
+//! object with no manifest is a crashed write — invisible to recovery,
+//! listed by [`CheckpointStore::unsealed`] and reclaimed by
+//! [`CheckpointStore::sweep_unsealed`].
 //!
 //! Recovery = latest *valid* (CRC-checked) full checkpoint + every valid
 //! differential chain after it, in order (Equation 2).
@@ -29,6 +34,7 @@ use crate::retry::{with_retry_if, RetryPolicy};
 use crate::stripe::{self, StripeManifest};
 use lowdiff_compress::AuxView;
 use lowdiff_optim::ModelState;
+use std::collections::HashSet;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -36,36 +42,30 @@ use std::sync::Arc;
 /// Manages checkpoint blobs on a backend.
 pub struct CheckpointStore {
     backend: Arc<dyn StorageBackend>,
-    /// Backoff policy for transient *read* faults.
-    read_retry: RetryPolicy,
     /// Total read-side retries spent (attempts beyond the first).
     read_retries: AtomicU64,
 }
 
-/// A parsed differential-batch key.
+/// A listed differential batch.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DiffKey {
     /// First iteration this batch advances from.
     pub start: u64,
     /// Last iteration this batch advances from (inclusive).
     pub end: u64,
+    /// The canonical key ([`CheckpointStore::diff_key`]), whichever layout
+    /// stores the batch.
     pub key: String,
+    /// Stored as a sealed striped pair rather than one blob.
+    striped: bool,
 }
 
 impl CheckpointStore {
     pub fn new(backend: Arc<dyn StorageBackend>) -> Self {
         Self {
             backend,
-            read_retry: RetryPolicy::default(),
             read_retries: AtomicU64::new(0),
         }
-    }
-
-    /// Override the read-side retry policy (backoff for transient `get`
-    /// faults during recovery).
-    pub fn with_read_retry(mut self, policy: RetryPolicy) -> Self {
-        self.read_retry = policy;
-        self
     }
 
     /// Total read-side retries spent so far (attempts beyond the first).
@@ -77,15 +77,16 @@ impl CheckpointStore {
         &self.backend
     }
 
-    /// Canonical blob key of an unstriped full checkpoint. Public so
-    /// non-store transports (peer replication) lay replicas out in the
-    /// exact key space the recovery walkers expect.
+    /// Canonical key of a full checkpoint, whichever layout stores it (an
+    /// unstriped full is the blob of this name). Public so non-store
+    /// transports (peer replication) lay replicas out in the exact key
+    /// space the recovery walkers expect.
     pub fn full_key(iteration: u64) -> String {
         format!("full-{iteration:010}.ckpt")
     }
 
-    /// Canonical blob key of an unstriped differential batch (see
-    /// [`CheckpointStore::full_key`] for why it is public).
+    /// Canonical key of a differential batch (see
+    /// [`CheckpointStore::full_key`]).
     pub fn diff_key(start: u64, end: u64) -> String {
         format!("diff-{start:010}-{end:010}.ckpt")
     }
@@ -139,20 +140,12 @@ impl CheckpointStore {
         Ok(None)
     }
 
-    fn full_data_key(iteration: u64) -> String {
-        format!("full-{iteration:010}.sd.ckpt")
-    }
-
-    fn full_manifest_key(iteration: u64) -> String {
-        format!("full-{iteration:010}.sm.ckpt")
-    }
-
-    fn diff_data_key(start: u64, end: u64) -> String {
-        format!("diff-{start:010}-{end:010}.sd.ckpt")
-    }
-
-    fn diff_manifest_key(start: u64, end: u64) -> String {
-        format!("diff-{start:010}-{end:010}.sm.ckpt")
+    /// The striped layout of the checkpoint object with canonical key
+    /// `key` (`….ckpt`): the data object (`….sd.ckpt`) and the manifest
+    /// that seals it (`….sm.ckpt`).
+    fn striped_pair(key: &str) -> (String, String) {
+        let base = key.strip_suffix(".ckpt").unwrap_or(key);
+        (format!("{base}.sd.ckpt"), format!("{base}.sm.ckpt"))
     }
 
     /// Persist a full checkpoint of `state` (encode + put in one call).
@@ -197,123 +190,80 @@ impl CheckpointStore {
         Ok(bytes.len() as u64)
     }
 
-    /// Write a full checkpoint's encoded bytes as `stripes` concurrent
-    /// ranged writes (the `.sd.ckpt` data object). The checkpoint is NOT
-    /// yet visible to recovery — [`seal_full_striped`](Self::seal_full_striped)
+    /// Write the encoded checkpoint object `key` in the striped layout:
+    /// its data object as `stripes` concurrent ranged writes. The object
+    /// is NOT yet visible to recovery — [`seal_striped`](Self::seal_striped)
     /// must write the manifest to seal it. Per-stripe retries run under
     /// `retry` and are summed in the returned outcome.
-    pub fn put_full_striped(
+    pub fn put_striped(
         &self,
-        iteration: u64,
+        key: &str,
         bytes: &[u8],
         stripes: usize,
         retry: &RetryPolicy,
     ) -> stripe::StripedData {
-        stripe::put_striped_data(
-            &*self.backend,
-            &Self::full_data_key(iteration),
-            bytes,
-            stripes,
-            retry,
-        )
+        let (data_key, _) = Self::striped_pair(key);
+        stripe::put_striped_data(&*self.backend, &data_key, bytes, stripes, retry)
     }
 
-    /// Seal a striped full checkpoint: the manifest put that makes it
-    /// durable. Recovery sees the checkpoint from this moment on.
-    pub fn seal_full_striped(&self, iteration: u64, manifest: &StripeManifest) -> io::Result<()> {
-        self.backend.put(
-            &Self::full_manifest_key(iteration),
-            &stripe::encode_manifest(manifest),
-        )
+    /// Seal the striped object `key`: the manifest put that makes it
+    /// durable. Recovery sees the object from this moment on.
+    pub fn seal_striped(&self, key: &str, manifest: &StripeManifest) -> io::Result<()> {
+        let (_, manifest_key) = Self::striped_pair(key);
+        self.backend
+            .put(&manifest_key, &stripe::encode_manifest(manifest))
     }
 
-    /// Write a differential batch's encoded bytes as `stripes` concurrent
-    /// ranged writes: the data object lands unsealed until
-    /// [`seal_diff_striped`](Self::seal_diff_striped).
-    pub fn put_diff_striped(
-        &self,
-        start: u64,
-        end: u64,
-        bytes: &[u8],
-        stripes: usize,
-        retry: &RetryPolicy,
-    ) -> stripe::StripedData {
-        stripe::put_striped_data(
-            &*self.backend,
-            &Self::diff_data_key(start, end),
-            bytes,
-            stripes,
-            retry,
-        )
+    /// Crash-injection: a power cut midway through a striped write of
+    /// `key` — some stripes land (one torn), nothing is finished or sealed.
+    pub fn put_striped_torn(&self, key: &str, bytes: &[u8], stripes: usize) {
+        let (data_key, _) = Self::striped_pair(key);
+        stripe::put_striped_torn(&*self.backend, &data_key, bytes, stripes);
     }
 
-    /// Seal a striped differential batch with its manifest.
-    pub fn seal_diff_striped(
-        &self,
-        start: u64,
-        end: u64,
-        manifest: &StripeManifest,
-    ) -> io::Result<()> {
-        self.backend.put(
-            &Self::diff_manifest_key(start, end),
-            &stripe::encode_manifest(manifest),
-        )
+    /// Striped data objects whose manifest never landed — the remains of
+    /// writes that crashed between the stripe fan-out and the seal.
+    /// Invisible to recovery by construction; listing only (one `list`),
+    /// [`sweep_unsealed`](Self::sweep_unsealed) deletes them.
+    pub fn unsealed(&self) -> io::Result<Vec<String>> {
+        let keys = self.backend.list()?;
+        let unsealed = |k: &&String| {
+            k.strip_suffix(".sd.ckpt")
+                .is_some_and(|base| !keys.contains(&Self::striped_pair(&format!("{base}.ckpt")).1))
+        };
+        Ok(keys.iter().filter(unsealed).cloned().collect())
     }
 
-    /// Crash-injection: a power cut midway through a striped full write —
-    /// some stripes land (one torn), nothing is finished or sealed.
-    pub fn put_full_striped_torn(&self, iteration: u64, bytes: &[u8], stripes: usize) {
-        stripe::put_striped_torn(
-            &*self.backend,
-            &Self::full_data_key(iteration),
-            bytes,
-            stripes,
-        );
-    }
-
-    /// Crash-injection: torn striped differential-batch write.
-    pub fn put_diff_striped_torn(&self, start: u64, end: u64, bytes: &[u8], stripes: usize) {
-        stripe::put_striped_torn(
-            &*self.backend,
-            &Self::diff_data_key(start, end),
-            bytes,
-            stripes,
-        )
-    }
-
-    /// Delete striped data objects whose manifest never landed — the
-    /// remains of writes that crashed between the stripe fan-out and the
-    /// seal. Invisible to recovery by construction; this reclaims their
-    /// space, like the `.tmp-` sweep in `DiskBackend::new`. Returns the
+    /// Delete every [`unsealed`](Self::unsealed) data object, reclaiming
+    /// its space like the `.tmp-` sweep in `DiskBackend::new`. Returns the
     /// number of objects removed.
     pub fn sweep_unsealed(&self) -> io::Result<usize> {
-        let keys = self.backend.list()?;
-        let mut removed = 0;
+        let keys = self.unsealed()?;
         for k in &keys {
-            let Some(base) = k.strip_suffix(".sd.ckpt") else {
-                continue;
-            };
-            if !keys.contains(&format!("{base}.sm.ckpt")) {
-                self.backend.delete(k)?;
-                removed += 1;
-            }
+            self.backend.delete(k)?;
         }
-        Ok(removed)
+        Ok(keys.len())
     }
 
-    /// Read and fully validate a striped checkpoint given its manifest
-    /// key: manifest CRC, stripe coverage, and every stripe CRC must pass
-    /// before the reassembled bytes are returned. Public for tooling
-    /// (`lowdiff-ctl validate` audits striped pairs through it).
-    pub fn get_striped_validated(&self, manifest_key: &str) -> io::Result<Vec<u8>> {
+    /// Read the checkpoint object with canonical key `key` in whichever
+    /// layout stores it: the plain blob, or — when there is none — the
+    /// striped data object, returned only once its manifest decodes and
+    /// every stripe CRC verifies. The payload is not decoded.
+    pub fn get_object(&self, key: &str) -> io::Result<Vec<u8>> {
+        match self.get_retried(key) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => self.get_striped(key),
+            read => read,
+        }
+    }
+
+    /// Read and fully validate the striped object `key`: manifest CRC,
+    /// stripe coverage, and every stripe CRC must pass before the
+    /// reassembled bytes are returned.
+    fn get_striped(&self, key: &str) -> io::Result<Vec<u8>> {
         let inv =
             |e: crate::codec::CodecError| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
-        let mbytes = self.get_retried(manifest_key)?;
-        let manifest = stripe::decode_manifest(&mbytes).map_err(inv)?;
-        let data_key = manifest_key
-            .strip_suffix(".sm.ckpt")
-            .map(|base| format!("{base}.sd.ckpt"))
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "not a manifest key"))?;
+        let (data_key, manifest_key) = Self::striped_pair(key);
+        let manifest = stripe::decode_manifest(&self.get_retried(&manifest_key)?).map_err(inv)?;
         let data = self.get_retried(&data_key)?;
         stripe::validate(&data, &manifest).map_err(inv)?;
         Ok(data)
@@ -340,24 +290,27 @@ impl CheckpointStore {
         Ok(out)
     }
 
-    /// All differential-batch keys (sorted by start iteration). Striped
-    /// batches are listed by their **manifest** key; legacy single blobs
-    /// by their plain key.
+    /// All differential batches (sorted by start iteration), each under
+    /// its canonical key. A striped batch is listed iff its manifest
+    /// exists.
     pub fn diff_keys(&self) -> io::Result<Vec<DiffKey>> {
         let mut out: Vec<DiffKey> = self
             .backend
             .list()?
             .iter()
             .filter_map(|k| {
-                let body = k.strip_prefix("diff-")?;
-                let body = body
-                    .strip_suffix(".ckpt")
-                    .and_then(|b| b.strip_suffix(".sm").or(Some(b)))?;
+                let body = k.strip_prefix("diff-")?.strip_suffix(".ckpt")?;
+                let (body, striped) = match body.strip_suffix(".sm") {
+                    Some(b) => (b, true),
+                    None => (body, false),
+                };
                 let (s, e) = body.split_once('-')?;
+                let (start, end) = (s.parse().ok()?, e.parse().ok()?);
                 Some(DiffKey {
-                    start: s.parse().ok()?,
-                    end: e.parse().ok()?,
-                    key: k.clone(),
+                    start,
+                    end,
+                    key: Self::diff_key(start, end),
+                    striped,
                 })
             })
             .collect();
@@ -370,18 +323,11 @@ impl CheckpointStore {
         self.load_full_checkpoint(iteration).map(|fc| fc.state)
     }
 
-    /// Load and CRC-validate a specific full checkpoint, including any
-    /// auxiliary training state the blob carries. Tries the legacy single
-    /// blob first, then the striped layout (manifest + stripe-validated
-    /// data object); either form decodes to the same bytes.
+    /// Load and CRC-validate a specific full checkpoint, in either layout
+    /// (see [`get_object`](Self::get_object)), including any auxiliary
+    /// training state the blob carries.
     pub fn load_full_checkpoint(&self, iteration: u64) -> io::Result<FullCheckpoint> {
-        let bytes = match self.get_retried(&Self::full_key(iteration)) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                self.get_striped_validated(&Self::full_manifest_key(iteration))?
-            }
-            Err(e) => return Err(e),
-        };
+        let bytes = self.get_object(&Self::full_key(iteration))?;
         codec::decode_full_checkpoint(&bytes)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
     }
@@ -393,7 +339,7 @@ impl CheckpointStore {
     /// (`NotFound`, corrupt data surfacing later) are not retried.
     fn get_retried(&self, key: &str) -> io::Result<Vec<u8>> {
         let r = with_retry_if(
-            &self.read_retry,
+            &RetryPolicy::default(),
             || self.backend.get(key),
             |e| e.kind() == io::ErrorKind::Interrupted,
         );
@@ -437,11 +383,11 @@ impl CheckpointStore {
             if dk.end < next {
                 continue; // already covered by the full checkpoint
             }
-            // Striped batches (listed by manifest key) get the fully
-            // validated read; any stripe failing its CRC ends the chain
-            // exactly like a torn legacy blob.
-            let read = if dk.key.ends_with(".sm.ckpt") {
-                self.get_striped_validated(&dk.key)
+            // The listing knows the layout, so no probe read: a striped
+            // batch gets the fully validated read, and any stripe failing
+            // its CRC ends the chain exactly like a torn plain blob.
+            let read = if dk.striped {
+                self.get_striped(&dk.key)
             } else {
                 self.get_retried(&dk.key)
             };
@@ -472,46 +418,31 @@ impl CheckpointStore {
     /// the number of blobs removed.
     pub fn gc_before(&self, keep_from: u64) -> io::Result<usize> {
         let mut removed = 0;
-        let keys = self.backend.list()?;
-        let mut drop_key = |key: &str| -> io::Result<()> {
-            if keys.contains(&key.to_string()) {
-                self.backend.delete(key)?;
-                removed += 1;
+        let mut listed: HashSet<String> = self.backend.list()?.into_iter().collect();
+        // An object may exist in either layout; the manifest goes first so
+        // a crash mid-GC never leaves a sealed manifest pointing at
+        // deleted data.
+        let mut drop_object = |key: &str| -> io::Result<()> {
+            let (data_key, manifest_key) = Self::striped_pair(key);
+            for k in [manifest_key.as_str(), data_key.as_str(), key] {
+                if listed.remove(k) {
+                    self.backend.delete(k)?;
+                    removed += 1;
+                }
             }
             Ok(())
         };
         for iter in self.full_iterations()? {
             if iter < keep_from {
-                // A checkpoint may exist in either layout; manifests go
-                // first so a crash mid-GC never leaves a sealed manifest
-                // pointing at deleted data.
-                drop_key(&Self::full_manifest_key(iter))?;
-                drop_key(&Self::full_data_key(iter))?;
-                drop_key(&Self::full_key(iter))?;
+                drop_object(&Self::full_key(iter))?;
             }
         }
         for dk in self.diff_keys()? {
             if dk.end < keep_from {
-                if dk.key.ends_with(".sm.ckpt") {
-                    drop_key(&dk.key)?;
-                    drop_key(&Self::diff_data_key(dk.start, dk.end))?;
-                } else {
-                    drop_key(&dk.key)?;
-                }
+                drop_object(&dk.key)?;
             }
         }
         Ok(removed)
-    }
-
-    /// Total stored bytes across all checkpoint blobs (Exp. 7's metric).
-    /// Metadata-only: sizes come from [`StorageBackend::len`], never from
-    /// downloading blob contents.
-    pub fn total_stored_bytes(&self) -> io::Result<u64> {
-        let mut total = 0u64;
-        for k in self.backend.list()? {
-            total += self.backend.len(&k)?;
-        }
-        Ok(total)
     }
 }
 
@@ -630,17 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn total_stored_bytes_counts_everything() {
-        let (_, store) = mem_store();
-        store.save_full(&state_at(1)).unwrap();
-        store.save_diff_batch(&[diff_at(1)]).unwrap();
-        let total = store.total_stored_bytes().unwrap();
-        assert!(total > 0);
-        let full_len = store.backend().get("full-0000000001.ckpt").unwrap().len();
-        assert!(total as usize > full_len);
-    }
-
-    #[test]
     fn full_with_aux_roundtrips_through_store() {
         use lowdiff_compress::CompressorCfg;
         let (_, store) = mem_store();
@@ -661,18 +581,26 @@ mod tests {
         assert_eq!(store.latest_valid_full().unwrap().unwrap(), st);
     }
 
-    fn put_full_striped_sealed(store: &CheckpointStore, st: &ModelState, stripes: usize) {
+    fn put_striped_sealed(store: &CheckpointStore, key: &str, bytes: &[u8], stripes: usize) {
+        let out = store.put_striped(key, bytes, stripes, &RetryPolicy::none());
+        store.seal_striped(key, &out.result.unwrap()).unwrap();
+    }
+
+    fn put_sealed_full(store: &CheckpointStore, st: &ModelState, stripes: usize) {
         let bytes = codec::encode_model_state(st);
-        let out = store.put_full_striped(st.iteration, &bytes, stripes, &RetryPolicy::none());
-        let manifest = out.result.unwrap();
-        store.seal_full_striped(st.iteration, &manifest).unwrap();
+        put_striped_sealed(
+            store,
+            &CheckpointStore::full_key(st.iteration),
+            &bytes,
+            stripes,
+        );
     }
 
     #[test]
     fn striped_full_roundtrips_and_is_discovered() {
         let (_, store) = mem_store();
         store.save_full(&state_at(3)).unwrap();
-        put_full_striped_sealed(&store, &state_at(9), 4);
+        put_sealed_full(&store, &state_at(9), 4);
         assert_eq!(store.full_iterations().unwrap(), vec![3, 9]);
         let latest = store.latest_valid_full().unwrap().unwrap();
         assert_eq!(latest, state_at(9));
@@ -689,7 +617,8 @@ mod tests {
         store.save_full(&state_at(3)).unwrap();
         let bytes = codec::encode_model_state(&state_at(9));
         // Stripes land and finish, but the crash comes before the seal.
-        let out = store.put_full_striped(9, &bytes, 4, &RetryPolicy::none());
+        let key = CheckpointStore::full_key(9);
+        let out = store.put_striped(&key, &bytes, 4, &RetryPolicy::none());
         out.result.unwrap();
         assert_eq!(
             store.full_iterations().unwrap(),
@@ -697,10 +626,18 @@ mod tests {
             "no manifest, no checkpoint"
         );
         assert_eq!(store.latest_valid_full().unwrap().unwrap(), state_at(3));
+        assert_eq!(
+            store.get_object(&key).unwrap_err().kind(),
+            io::ErrorKind::NotFound
+        );
+        // Listing is non-destructive; the sweep deletes what it lists.
+        assert_eq!(store.unsealed().unwrap(), vec!["full-0000000009.sd.ckpt"]);
+        assert_eq!(store.unsealed().unwrap().len(), 1);
         assert_eq!(store.sweep_unsealed().unwrap(), 1);
+        assert!(store.unsealed().unwrap().is_empty());
         assert!(store.backend().get("full-0000000009.sd.ckpt").is_err());
         // Sealed objects are never swept.
-        put_full_striped_sealed(&store, &state_at(12), 2);
+        put_sealed_full(&store, &state_at(12), 2);
         assert_eq!(store.sweep_unsealed().unwrap(), 0);
         assert_eq!(store.full_iterations().unwrap(), vec![3, 12]);
     }
@@ -709,7 +646,7 @@ mod tests {
     fn corrupt_stripe_invalidates_striped_full() {
         let (mem, store) = mem_store();
         store.save_full(&state_at(3)).unwrap();
-        put_full_striped_sealed(&store, &state_at(9), 4);
+        put_sealed_full(&store, &state_at(9), 4);
         // Tear the data object: the manifest is intact but a stripe CRC
         // now fails, so recovery must fall back to the older full.
         mem.truncate_blob("full-0000000009.sd.ckpt", 10);
@@ -721,13 +658,21 @@ mod tests {
         let (_, store) = mem_store();
         // Legacy batch then a striped batch: one chain.
         store.save_diff_batch(&[diff_at(10), diff_at(11)]).unwrap();
+        let key = CheckpointStore::diff_key(12, 13);
         let bytes = codec::encode_diff_batch(&[diff_at(12), diff_at(13)]);
-        let out = store.put_diff_striped(12, 13, &bytes, 2, &RetryPolicy::none());
-        let manifest = out.result.unwrap();
-        store.seal_diff_striped(12, 13, &manifest).unwrap();
+        put_striped_sealed(&store, &key, &bytes, 2);
         let chain = store.diff_chain_from(10).unwrap();
         let iters: Vec<u64> = chain.iter().map(|e| e.iteration).collect();
         assert_eq!(iters, vec![10, 11, 12, 13]);
+        // Both batches list and read under their canonical keys.
+        let keys: Vec<String> = store
+            .diff_keys()
+            .unwrap()
+            .into_iter()
+            .map(|d| d.key)
+            .collect();
+        assert_eq!(keys, vec![CheckpointStore::diff_key(10, 11), key.clone()]);
+        assert_eq!(store.get_object(&key).unwrap(), bytes);
     }
 
     #[test]
@@ -736,7 +681,12 @@ mod tests {
         store.save_diff_batch(&[diff_at(10)]).unwrap();
         let bytes = codec::encode_diff_batch(&[diff_at(11)]);
         store
-            .put_diff_striped(11, 11, &bytes, 2, &RetryPolicy::none())
+            .put_striped(
+                &CheckpointStore::diff_key(11, 11),
+                &bytes,
+                2,
+                &RetryPolicy::none(),
+            )
             .result
             .unwrap(); // never sealed
         store.save_diff_batch(&[diff_at(12)]).unwrap();
@@ -747,11 +697,10 @@ mod tests {
     #[test]
     fn gc_removes_striped_pairs() {
         let (_, store) = mem_store();
-        put_full_striped_sealed(&store, &state_at(0), 2);
+        put_sealed_full(&store, &state_at(0), 2);
         let bytes = codec::encode_diff_batch(&[diff_at(0), diff_at(1)]);
-        let out = store.put_diff_striped(0, 1, &bytes, 2, &RetryPolicy::none());
-        store.seal_diff_striped(0, 1, &out.result.unwrap()).unwrap();
-        put_full_striped_sealed(&store, &state_at(10), 2);
+        put_striped_sealed(&store, &CheckpointStore::diff_key(0, 1), &bytes, 2);
+        put_sealed_full(&store, &state_at(10), 2);
         let removed = store.gc_before(10).unwrap();
         assert_eq!(removed, 4, "manifest + data for the full and the batch");
         assert_eq!(store.full_iterations().unwrap(), vec![10]);
@@ -766,12 +715,7 @@ mod tests {
             MemoryBackend::new(),
             FaultConfig::default(),
         ));
-        let store = CheckpointStore::new(faulty.clone() as Arc<dyn StorageBackend>)
-            .with_read_retry(crate::retry::RetryPolicy {
-                max_retries: 4,
-                base_delay: std::time::Duration::from_micros(10),
-                max_delay: std::time::Duration::from_micros(50),
-            });
+        let store = CheckpointStore::new(faulty.clone() as Arc<dyn StorageBackend>);
         store.save_full(&state_at(3)).unwrap();
         // NotFound is definitive: no retries spent.
         assert!(store.load_full(99).is_err());
@@ -784,15 +728,13 @@ mod tests {
                 ..FaultConfig::default()
             },
         ));
-        let flaky = CheckpointStore::new(always as Arc<dyn StorageBackend>).with_read_retry(
-            crate::retry::RetryPolicy {
-                max_retries: 2,
-                base_delay: std::time::Duration::from_micros(10),
-                max_delay: std::time::Duration::from_micros(50),
-            },
-        );
+        let flaky = CheckpointStore::new(always as Arc<dyn StorageBackend>);
         flaky.save_full(&state_at(1)).unwrap();
         assert!(flaky.load_full(1).is_err(), "every read faults");
-        assert_eq!(flaky.read_retries(), 2, "all retries spent and counted");
+        assert_eq!(
+            flaky.read_retries(),
+            u64::from(RetryPolicy::default().max_retries),
+            "all retries spent and counted, no more"
+        );
     }
 }

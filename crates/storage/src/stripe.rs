@@ -99,7 +99,9 @@ pub struct StripeManifest {
 
 impl StripeManifest {
     /// Build the manifest for `bytes` split into `stripes` balanced
-    /// ranges — the exact ranges [`put_striped_data`] writes. Each byte is
+    /// ranges — the exact ranges
+    /// [`CheckpointStore::put_striped`](crate::CheckpointStore::put_striped)
+    /// writes. Each byte is
     /// checksummed once: `whole_crc` is combined from the stripe CRCs.
     pub fn describe(bytes: &[u8], stripes: usize) -> Self {
         let infos: Vec<StripeInfo> = chunk_ranges(bytes.len(), stripes.max(1))
@@ -222,7 +224,7 @@ pub struct StripedData {
 /// Each stripe retries independently under `retry`; retry counts are
 /// summed. Any stripe exhausting its retries fails the whole write with
 /// the first error in stripe order.
-pub fn put_striped_data(
+pub(crate) fn put_striped_data(
     backend: &dyn StorageBackend,
     data_key: &str,
     bytes: &[u8],
@@ -261,7 +263,7 @@ pub fn put_striped_data(
 /// Crash-injection helper: a power cut midway through the stripe fan-out.
 /// Roughly half the stripes land (the last of them torn), nothing is
 /// finished, no manifest exists — recovery must never see this object.
-pub fn put_striped_torn(
+pub(crate) fn put_striped_torn(
     backend: &dyn StorageBackend,
     data_key: &str,
     bytes: &[u8],

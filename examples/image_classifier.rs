@@ -15,9 +15,8 @@ use lowdiff_model::data::Blobs;
 use lowdiff_model::loss::{accuracy, softmax_cross_entropy};
 use lowdiff_model::Network;
 use lowdiff_optim::Adam;
-use lowdiff_storage::{CheckpointStore, MemoryBackend, ThrottledBackend};
+use lowdiff_storage::{CheckpointStore, MemoryBackend};
 use lowdiff_tensor::Tensor;
-use lowdiff_util::units::Bandwidth;
 use lowdiff_util::DetRng;
 use std::sync::Arc;
 
@@ -27,12 +26,8 @@ const W: usize = 8;
 const CLASSES: usize = 4;
 const ITERS: u64 = 60;
 
-fn throttled_store() -> Arc<CheckpointStore> {
-    // A deliberately slow "SSD" so checkpoint volume differences show up.
-    Arc::new(CheckpointStore::new(Arc::new(ThrottledBackend::new(
-        MemoryBackend::new(),
-        Bandwidth::mbps_bytes(200.0),
-    ))))
+fn mem_store() -> Arc<CheckpointStore> {
+    Arc::new(CheckpointStore::new(Arc::new(MemoryBackend::new())))
 }
 
 fn step() -> impl FnMut(&mut Network, u64) -> (f64, Tensor) {
@@ -86,20 +81,20 @@ fn main() {
             ("wo-ckpt", acc, st)
         },
         {
-            let (acc, st, _) = train(TorchSaveStrategy::new(throttled_store(), 1));
+            let (acc, st, _) = train(TorchSaveStrategy::new(mem_store(), 1));
             ("torch.save", acc, st)
         },
         {
-            let (acc, st, _) = train(CheckFreqStrategy::new(throttled_store(), 1));
+            let (acc, st, _) = train(CheckFreqStrategy::new(mem_store(), 1));
             ("checkfreq", acc, st)
         },
         {
-            let (acc, st, _) = train(NaiveDcStrategy::new(throttled_store(), 1, 30, 0.05));
+            let (acc, st, _) = train(NaiveDcStrategy::new(mem_store(), 1, 30, 0.05));
             ("naive-dc", acc, st)
         },
         {
             let (acc, st, _) = train(LowDiffStrategy::new(
-                throttled_store(),
+                mem_store(),
                 LowDiffConfig {
                     full_every: 30,
                     batch_size: 5,

@@ -10,14 +10,12 @@
 #   BENCH_ckpt_e2e.json  — per-strategy training-thread stall through the
 #                          CheckpointEngine (see DESIGN.md "The checkpoint
 #                          engine"), each row stamped with its
-#                          persist_stripes, plus the stripe_scaling block
-#                          (full-write throughput at 1/2/4/8 stripes on a
-#                          4-channel backend) and the quant block
+#                          persist_stripes, plus the quant block
 #                          (lowdiff-q8 row's diff_bytes_written reduction
 #                          against the f32 lowdiff row + the recovery-
 #                          fidelity probe's max/mean parameter error); run
 #                          bench_ckpt_e2e directly to vary its
-#                          --psi/--iters/--mbps/--stripes/--quant-bits/
+#                          --psi/--iters/--stripes/--quant-bits/
 #                          --adaptive/--max-quant-err
 #
 # LOWDIFF_NUM_THREADS caps the thread pool if set.

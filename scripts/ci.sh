@@ -59,8 +59,11 @@
 #                            bench runs three times — 1 and 4 persist
 #                            stripes, then with adaptive quantization
 #                            on — so the single-blob, striped, quantized
-#                            and peer-replicated write paths are all
-#                            exercised end-to-end
+#                            and peer-replicated write paths all run
+#                            end-to-end on the in-memory store (the
+#                            stripe count of each object is pinned by
+#                            the manifests in engine/persist.rs's persist
+#                            pin, not timed here)
 # 9. benchmark --smoke     — builds the repo benchmark (benchmark/, a
 #                            separate package using the public API) and
 #                            runs every workload on a tiny configuration,
