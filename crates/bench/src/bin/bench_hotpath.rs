@@ -2,11 +2,12 @@
 //! kernels this repo's training and checkpointing loops spend their time in.
 //!
 //! Each benchmark times the retained pre-optimization reference against the
-//! shipping implementation on the same ≥16M-element buffers, so the reported
-//! speedups are algorithmic (bulk memcpy codec, slicing-by-8 CRC, chunked
-//! reduce-scatter, radix-threshold selection) and reproducible on any host —
-//! they do not depend on core count, though the parallel kernels additionally
-//! scale with threads where cores exist.
+//! shipping implementation on the same ≥16M-element buffers (the matmul row
+//! on the benchmark MLP's first-layer shape), so the reported speedups are
+//! algorithmic (bulk memcpy codec, slicing-by-8 CRC, chunked reduce-scatter,
+//! radix-threshold selection, register-blocked matmul) and reproducible on
+//! any host — they do not depend on core count, though the parallel kernels
+//! additionally scale with threads where cores exist.
 //!
 //! Usage: `bench_hotpath [--elems N] [--ranks R] [--reps K] [--out PATH]
 //! [--smoke]` (defaults: 16 Mi elements, 4 ranks, 3 reps,
@@ -30,6 +31,7 @@ use lowdiff_comm::WorkerGroup;
 use lowdiff_compress::TopK;
 use lowdiff_optim::{Adam, AdamState, ModelState};
 use lowdiff_storage::codec;
+use lowdiff_tensor::{ops, Tensor};
 use lowdiff_testkit::reference;
 use lowdiff_util::crc::crc32;
 use lowdiff_util::DetRng;
@@ -296,6 +298,31 @@ fn main() {
                 adam.step(&mut st, &mut p, &grad);
                 p[0]
             }),
+        });
+    }
+
+    // --- matmul_nt (register-blocked tiles vs one dot per output) ----------
+    {
+        // fc0's forward in the repo benchmark's MLP: a batch of 8 against a
+        // 2048×1024 weight, independent of --elems.
+        let (batch, out_dim, in_dim) = (8, 2048, 1024);
+        let mut x = Tensor::zeros(&[batch, in_dim]);
+        let mut w = Tensor::zeros(&[out_dim, in_dim]);
+        rng.fill_normal_f32(x.as_mut_slice(), 1.0);
+        rng.fill_normal_f32(w.as_mut_slice(), 0.03);
+        assert_eq!(
+            ops::matmul_nt(&x, &w).as_slice(),
+            reference::matmul_nt_scalar(&x, &w).as_slice(),
+            "matmul_nt kernels disagree"
+        );
+        let base = time_best(reps, || reference::matmul_nt_scalar(&x, &w));
+        let opt = time_best(reps, || ops::matmul_nt(&x, &w));
+        results.push(BenchResult {
+            name: "matmul_nt",
+            what: "Linear forward x·Wᵀ at fc0's shape (8×1024 · (2048×1024)ᵀ)",
+            baseline_secs: base,
+            optimized_secs: opt,
+            pool_sweep: sweep_pool(reps, || ops::matmul_nt(&x, &w)),
         });
     }
 

@@ -6,15 +6,14 @@
 //! tests can assert loss decreases. Each generator is deterministic per
 //! seed and supports sharding by worker rank (data parallelism).
 
-use lowdiff_tensor::Tensor;
+use lowdiff_tensor::{ops, Tensor};
 use lowdiff_util::DetRng;
 
 /// A learnable nonlinear regression task: `y = tanh(A·x)` for a fixed random
 /// matrix `A`. Stand-in for generic dense workloads.
 pub struct Regression {
-    a: Vec<f32>, // (out, in) row-major
-    in_dim: usize,
-    out_dim: usize,
+    /// The teacher `A`, stored (out, in).
+    a: Tensor,
 }
 
 impl Regression {
@@ -22,27 +21,22 @@ impl Regression {
         let mut rng = DetRng::new(seed);
         let mut a = vec![0.0f32; in_dim * out_dim];
         rng.fill_normal_f32(&mut a, 1.0 / (in_dim as f32).sqrt());
-        Self { a, in_dim, out_dim }
+        Self {
+            a: Tensor::from_vec(&[out_dim, in_dim], a),
+        }
     }
 
     /// Batch `(x, y)`: x is (batch, in), y is (batch, out).
     pub fn batch(&self, rng: &mut DetRng, batch: usize) -> (Tensor, Tensor) {
-        let mut x = vec![0.0f32; batch * self.in_dim];
+        let in_dim = self.a.shape()[1];
+        let mut x = vec![0.0f32; batch * in_dim];
         rng.fill_normal_f32(&mut x, 1.0);
-        let mut y = vec![0.0f32; batch * self.out_dim];
-        for b in 0..batch {
-            for o in 0..self.out_dim {
-                let mut acc = 0.0f32;
-                for i in 0..self.in_dim {
-                    acc += self.a[o * self.in_dim + i] * x[b * self.in_dim + i];
-                }
-                y[b * self.out_dim + o] = acc.tanh();
-            }
+        let x = Tensor::from_vec(&[batch, in_dim], x);
+        let mut y = ops::matmul_nt(&x, &self.a);
+        for v in y.as_mut_slice() {
+            *v = v.tanh();
         }
-        (
-            Tensor::from_vec(&[batch, self.in_dim], x),
-            Tensor::from_vec(&[batch, self.out_dim], y),
-        )
+        (x, y)
     }
 }
 
@@ -183,6 +177,28 @@ mod tests {
         assert_eq!(x1.as_slice(), x2.as_slice());
         assert_eq!(y1.as_slice(), y2.as_slice());
         assert!(y1.as_slice().iter().all(|&v| (-1.0..=1.0).contains(&v)));
+    }
+
+    #[test]
+    fn regression_batch_is_tanh_of_the_per_element_teacher() {
+        for (in_dim, out_dim, batch) in [(5, 3, 1), (64, 33, 8), (1024, 1024, 8)] {
+            let task = Regression::new(in_dim, out_dim, 11);
+            let (x, y) = task.batch(&mut DetRng::new(12), batch);
+            let (a, x) = (task.a.as_slice(), x.as_slice());
+            for b in 0..batch {
+                for o in 0..out_dim {
+                    let mut acc = 0.0f32;
+                    for i in 0..in_dim {
+                        acc += a[o * in_dim + i] * x[b * in_dim + i];
+                    }
+                    assert_eq!(
+                        y.at2(b, o).to_bits(),
+                        acc.tanh().to_bits(),
+                        "({in_dim}, {out_dim}, {batch}): y[{b}, {o}]"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

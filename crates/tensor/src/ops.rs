@@ -5,7 +5,8 @@
 //!   and compressors can reuse them on raw buffers without constructing
 //!   tensors;
 //! * matrix kernels (`matmul`, `matmul_tn`, …) implement the 2-D products the
-//!   model layers need, with rayon parallelism over output rows.
+//!   model layers need, with rayon parallelism over output rows, or over
+//!   register-blocked output tiles in [`matmul_nt`].
 
 use crate::tensor::Tensor;
 use rayon::prelude::*;
@@ -136,26 +137,88 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec(&[m, n], out)
 }
 
+/// Rows of A per packed panel, and per output tile.
+const MR: usize = 8;
+/// Rows of B (columns of C) per output tile.
+const NR: usize = 4;
+/// Multiply-adds a parallel task gets at least: below this a thread spawn
+/// costs more than the tiles it would run.
+const TASK_MACS: usize = 1 << 18;
+
 /// `C = A(m×k) · B(n×k)ᵀ = (m×n)`: B is stored (n×k), used transposed.
-/// This is the `input-gradient = dOut · weightᵀ` pattern in backward passes.
+/// This is the `Linear` forward (`input · Wᵀ`) and the
+/// `input-gradient = dOut · weightᵀ` pattern in backward passes.
+///
+/// Register-blocked: A is packed into panels of 8 rows laid out as
+/// `k × [f32; 8]`, and each task computes an 8 × 4 tile of C with 4
+/// independent 8-lane accumulators, which the compiler vectorizes at the
+/// baseline target. The result is bit-identical to one serial dot per
+/// output: every output starts at `+0.0` and adds `a[i,p] * b[j,p]` for
+/// `p = 0..k` in order (accumulator on the left, the A element as the left
+/// factor), with no fused multiply-add. Only which NaN a NaN output carries
+/// is left to codegen, as in any Rust float code. Each output is computed
+/// wholly inside one tile, so the result does not depend on how tiles are
+/// spread over the pool.
 pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = (a.shape()[0], a.shape()[1]);
     let (n, k2) = (b.shape()[0], b.shape()[1]);
     assert_eq!(k, k2, "matmul_nt inner dims {k} vs {k2}");
-    let (ad, bd) = (a.as_slice(), b.as_slice());
     let mut out = vec![0.0f32; m * n];
-    out.par_chunks_mut(n).enumerate().for_each(|(i, row)| {
-        let arow = &ad[i * k..(i + 1) * k];
-        for (j, r) in row.iter_mut().enumerate() {
-            let brow = &bd[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&x, &y) in arow.iter().zip(brow) {
-                acc += x * y;
-            }
-            *r = acc;
+    if k == 0 || out.is_empty() {
+        return Tensor::from_vec(&[m, n], out);
+    }
+    let (ad, bd) = (a.as_slice(), b.as_slice());
+    // Rows past `m` in the last panel stay zero; their outputs are dropped.
+    let mut packed = vec![[0.0f32; MR]; m.div_ceil(MR) * k];
+    for (i, arow) in ad.chunks_exact(k).enumerate() {
+        let panel = &mut packed[i / MR * k..(i / MR + 1) * k];
+        for (lane, &x) in panel.iter_mut().zip(arow) {
+            lane[i % MR] = x;
         }
-    });
+    }
+    let col_groups = n.div_ceil(NR);
+    let tiles: Vec<usize> = (0..m.div_ceil(MR) * col_groups).collect();
+    let per_task = TASK_MACS.div_ceil(MR * NR * k);
+    let results: Vec<[[f32; MR]; NR]> = tiles
+        .into_par_iter()
+        .with_min_len(per_task)
+        .map(|t| {
+            let (panel, group) = (t / col_groups, t % col_groups);
+            // Columns past `n` in the last group repeat column `n - 1`.
+            let brows = std::array::from_fn(|c| {
+                let j = (group * NR + c).min(n - 1);
+                &bd[j * k..(j + 1) * k]
+            });
+            tile(&packed[panel * k..(panel + 1) * k], brows)
+        })
+        .collect();
+    for (t, acc) in results.iter().enumerate() {
+        let (panel, group) = (t / col_groups, t % col_groups);
+        for r in 0..MR.min(m - panel * MR) {
+            let row = &mut out[(panel * MR + r) * n..(panel * MR + r + 1) * n];
+            for c in 0..NR.min(n - group * NR) {
+                row[group * NR + c] = acc[c][r];
+            }
+        }
+    }
     Tensor::from_vec(&[m, n], out)
+}
+
+/// One `MR × NR` tile of `A · Bᵀ`: `acc[c][r] = Σ_p panel[p][r] * brows[c][p]`,
+/// summed from `+0.0` in `p` order.
+fn tile(panel: &[[f32; MR]], brows: [&[f32]; NR]) -> [[f32; MR]; NR] {
+    let k = panel.len();
+    let brows = brows.map(|b| &b[..k]);
+    let mut acc = [[0.0f32; MR]; NR];
+    for (p, a) in panel.iter().enumerate() {
+        for (accc, b) in acc.iter_mut().zip(&brows) {
+            let y = b[p];
+            for (s, &x) in accc.iter_mut().zip(a) {
+                *s += x * y;
+            }
+        }
+    }
+    acc
 }
 
 /// Row-wise softmax in place on a 2-D tensor (numerically stabilized).
@@ -261,6 +324,14 @@ mod tests {
             ],
         );
         assert_eq!(matmul_nt(&a, &b).as_slice(), matmul(&a, &bt).as_slice());
+    }
+
+    #[test]
+    fn matmul_nt_sums_every_output_from_positive_zero() {
+        // Every product is -0.0: a dot started at +0.0 stays +0.0. A 9×5
+        // output has a partial 8-row panel and a partial 4-column group.
+        let c = matmul_nt(&t2(9, 2, &[-0.0; 18]), &t2(5, 2, &[1.0; 10]));
+        assert!(c.as_slice().iter().all(|v| v.to_bits() == 0));
     }
 
     #[test]

@@ -9,11 +9,17 @@
 //!
 //! [`crc32_bytewise`] is the classic byte-at-a-time table walk the
 //! slicing-by-8 `lowdiff_util::crc32` is proven equal to.
+//!
+//! [`matmul_nt_scalar`] is the one-dot-per-output `A · Bᵀ` the
+//! register-blocked `lowdiff_tensor::ops::matmul_nt` is proven bit-identical
+//! to.
 
 use lowdiff_compress::CompressedGrad;
 use lowdiff_optim::{AdamState, ModelState};
 use lowdiff_storage::codec::{CodecError, DiffEntry, MAGIC_DIFF, MAGIC_FULL, VERSION};
+use lowdiff_tensor::Tensor;
 use lowdiff_util::crc::crc32;
+use rayon::prelude::*;
 use std::sync::OnceLock;
 
 fn put_f32s(buf: &mut Vec<u8>, xs: &[f32]) {
@@ -174,4 +180,29 @@ pub fn crc32_bytewise(data: &[u8]) -> u32 {
         c = t[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
+}
+
+/// Reference `C = A(m×k) · B(n×k)ᵀ`: one serial `acc += a[i,p] * b[j,p]`
+/// chain per output, rows of C spread over the pool. Every output starts at
+/// `+0.0` and sums in `p` order, so it is the exact result the blocked
+/// `lowdiff_tensor::ops::matmul_nt` must reproduce bit for bit, and the
+/// baseline `bench_hotpath` times it against.
+pub fn matmul_nt_scalar(a: &Tensor, b: &Tensor) -> Tensor {
+    let (m, k) = (a.shape()[0], a.shape()[1]);
+    let (n, k2) = (b.shape()[0], b.shape()[1]);
+    assert_eq!(k, k2, "matmul_nt inner dims {k} vs {k2}");
+    let (ad, bd) = (a.as_slice(), b.as_slice());
+    let mut out = vec![0.0f32; m * n];
+    out.par_chunks_mut(n).enumerate().for_each(|(i, row)| {
+        let arow = &ad[i * k..(i + 1) * k];
+        for (j, r) in row.iter_mut().enumerate() {
+            let brow = &bd[j * k..(j + 1) * k];
+            let mut acc = 0.0f32;
+            for (&x, &y) in arow.iter().zip(brow) {
+                acc += x * y;
+            }
+            *r = acc;
+        }
+    });
+    Tensor::from_vec(&[m, n], out)
 }

@@ -28,7 +28,12 @@
 #                            persists through it, so ledgers, stored
 #                            bytes and crash-point visits must not depend
 #                            on its width
-# 3e. storage decoders (release) — the hostile-blob regressions and the
+# 3e. tensor + model @1/@4 threads — the tensor and model suites with the
+#                            pool pinned to 1 and to 4 threads: matmul_nt
+#                            spreads its output tiles over the pool, so its
+#                            bits (and the Regression teacher's) must equal
+#                            the scalar oracle's at any pool width
+# 3f. storage decoders (release) — the hostile-blob regressions and the
 #                            decoder mutation suite again in release,
 #                            where unchecked length arithmetic would wrap
 #                            silently instead of panicking as in debug;
@@ -102,6 +107,10 @@ for n in 1 4; do
   LOWDIFF_NUM_THREADS=$n cargo test -q -p lowdiff-baselines
   LOWDIFF_NUM_THREADS=$n cargo test -q --test engine_equivalence
 done
+
+echo "== tensor + model @1/@4 threads =="
+LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff-tensor -p lowdiff-model
+LOWDIFF_NUM_THREADS=4 cargo test -q -p lowdiff-tensor -p lowdiff-model
 
 echo "== storage decoders (release) =="
 cargo test --release -q -p lowdiff-storage --test hostile_blobs
