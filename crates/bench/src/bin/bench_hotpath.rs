@@ -3,11 +3,13 @@
 //!
 //! Each benchmark times the retained pre-optimization reference against the
 //! shipping implementation on the same ≥16M-element buffers (the matmul row
-//! on the benchmark MLP's first-layer shape), so the reported speedups are
-//! algorithmic (bulk memcpy codec, slicing-by-8 CRC, chunked reduce-scatter,
-//! radix-threshold selection, register-blocked matmul) and reproducible on
-//! any host — they do not depend on core count, though the parallel kernels
-//! additionally scale with threads where cores exist.
+//! on the benchmark MLP's first-layer shape, the v2 decode row at the
+//! benchmark model's Ψ ≈ 4.2 M), so the reported speedups are algorithmic
+//! (bulk memcpy codec, one-pass verify-and-decode, slicing-by-8 CRC,
+//! chunked reduce-scatter, radix-threshold selection, register-blocked
+//! matmul) and reproducible on any host — they do not depend on core
+//! count, though the parallel kernels additionally scale with threads
+//! where cores exist.
 //!
 //! Usage: `bench_hotpath [--elems N] [--ranks R] [--reps K] [--out PATH]
 //! [--smoke]` (defaults: 16 Mi elements, 4 ranks, 3 reps,
@@ -28,7 +30,7 @@
 
 use lowdiff_bench::print_table;
 use lowdiff_comm::WorkerGroup;
-use lowdiff_compress::TopK;
+use lowdiff_compress::{AuxState, CompressorCfg, TopK};
 use lowdiff_optim::{Adam, AdamState, ModelState};
 use lowdiff_storage::codec;
 use lowdiff_tensor::{ops, Tensor};
@@ -197,6 +199,43 @@ fn main() {
             optimized_secs: opt,
             pool_sweep: sweep_pool(reps, || codec::decode_model_state(&bytes).unwrap()),
         });
+
+        // A v2 full with an error-feedback residual at the benchmark
+        // model's Ψ ≈ 4.2 M (what recovery reads): the two-pass decoder
+        // (whole-body CRC, then copy) against the one-pass one that CRCs
+        // and copies each piece while it is in cache.
+        let psi = elems.min(4_200_000);
+        let small = ModelState {
+            iteration: st.iteration,
+            params: st.params[..psi].to_vec(),
+            opt: AdamState {
+                m: st.opt.m[..psi].to_vec(),
+                v: st.opt.v[..psi].to_vec(),
+                t: st.opt.t,
+            },
+        };
+        let aux = AuxState {
+            residual: Some(grad[elems - psi..].to_vec()),
+            compressor: Some(CompressorCfg::topk(0.01)),
+            rng: Some([1, 2, 3, 4]),
+            quant: None,
+        };
+        let v2 = codec::encode_full_checkpoint(&small, &aux.view());
+        assert_eq!(
+            codec::decode_full_checkpoint(&v2).unwrap(),
+            reference::decode_full_checkpoint(&v2).unwrap(),
+            "full decoders disagree"
+        );
+        let base = time_best(reps, || reference::decode_full_checkpoint(&v2).unwrap());
+        let opt = time_best(reps, || codec::decode_full_checkpoint(&v2).unwrap());
+        results.push(BenchResult {
+            name: "codec_decode_v2",
+            what: "v2 full + residual deserialize at psi 4.2M (two-pass vs one-pass)",
+            baseline_secs: base,
+            optimized_secs: opt,
+            pool_sweep: sweep_pool(reps, || codec::decode_full_checkpoint(&v2).unwrap()),
+        });
+        drop((small, v2));
 
         let base = time_best(reps, || reference::crc32_bytewise(&bytes));
         let opt = time_best(reps, || crc32(&bytes));

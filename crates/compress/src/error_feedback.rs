@@ -67,14 +67,15 @@ impl<C: Compressor> ErrorFeedback<C> {
 
     /// Restore the residual from a checkpoint — the exact-resume path.
     /// Without this, a restarted run re-starts error feedback from zero and
-    /// silently diverges from the uninterrupted run.
-    pub fn set_residual(&mut self, residual: &[f32]) {
+    /// silently diverges from the uninterrupted run. The decoded buffer is
+    /// moved in, not copied.
+    pub fn set_residual(&mut self, residual: Vec<f32>) {
         assert_eq!(
             residual.len(),
             self.residual.len(),
             "residual length mismatch"
         );
-        self.residual.copy_from_slice(residual);
+        self.residual = residual;
     }
 
     /// L2 norm of the residual — a convergence health metric.

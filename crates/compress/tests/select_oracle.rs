@@ -200,7 +200,7 @@ fn residual_round_trips_across_a_resume() {
     }
     let saved = live.residual().to_vec();
     let mut resumed = ErrorFeedback::new(TopK::new(0.02), n);
-    resumed.set_residual(&saved);
+    resumed.set_residual(saved.clone());
     assert_eq!(resumed.residual(), &saved[..]);
     for g in &grads[10..] {
         assert_eq!(live.compress(g), resumed.compress(g));

@@ -423,8 +423,8 @@ impl<S: CheckpointStrategy> Trainer<S> {
         if let Some(r) = restored_rng {
             tr.data_rng = r;
         }
-        if ef_on && has_residual {
-            if let Some(res) = &aux.residual {
+        if ef_on {
+            if let Some(res) = aux.residual {
                 match &mut tr.comp {
                     Comp::Ef(c) => c.set_residual(res),
                     Comp::QuantEf(c) => c.set_residual(res),

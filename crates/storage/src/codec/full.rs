@@ -2,9 +2,16 @@
 //! short of the CRC seal, so capture and seal may run on different
 //! threads — and one decoder.
 
-use super::{put_f32s, seal, CodecError, Cursor, FULL_VERSION_V2, MAGIC_FULL, VERSION};
+use super::{
+    combined_crc, put_f32s, seal, split_seal, CodecError, Cursor, FULL_VERSION_V2, MAGIC_FULL,
+    VERSION,
+};
 use lowdiff_compress::{AuxState, AuxView, CompressorCfg, CompressorKind, QuantPolicyState};
 use lowdiff_optim::{AdamState, ModelState};
+use lowdiff_util::crc::crc32;
+use lowdiff_util::par::chunk_ranges;
+use rayon::prelude::*;
+use std::mem::MaybeUninit;
 
 /// Aux flag bits in the v2 full-checkpoint trailer.
 const AUX_FLAG_RESIDUAL: u8 = 1 << 0;
@@ -224,10 +231,142 @@ pub fn decode_model_state(data: &[u8]) -> Result<ModelState, CodecError> {
     Ok(decode_full_checkpoint(data)?.state)
 }
 
+/// Target size of one piece of the one-pass full decode. The pieces are
+/// `chunk_ranges(body, ⌈body / DECODE_PIECE_BYTES⌉)` — a function of the
+/// blob length only, never of the pool width — and one piece is small
+/// enough that its CRC pass leaves it in cache for the copy that follows.
+const DECODE_PIECE_BYTES: usize = 1 << 20;
+
 /// Deserialize a full checkpoint with its auxiliary state, validating
 /// magic, version and CRC. Accepts v1 (no aux, lossy) and v2.
+///
+/// One pass over the blob: the header and the small aux sections are
+/// parsed from the still-unverified body (the same bounds checks and
+/// length caps as every decoder here, so every allocation is bounded by
+/// the blob's length), then the body is walked in pieces on the pool —
+/// each piece is CRC'd and its overlap with the params / m / v / residual
+/// regions copied straight into the output arrays — and the piece CRCs
+/// are folded in order with `crc32_combine`. Nothing decoded is returned
+/// unless the combined CRC equals the seal. A body that does not parse
+/// reports its structural error only behind a valid seal, and
+/// [`CodecError::CrcMismatch`] otherwise: exactly the verdict of
+/// verifying the CRC first and parsing second.
 pub fn decode_full_checkpoint(data: &[u8]) -> Result<FullCheckpoint, CodecError> {
-    let mut cur = Cursor::open(data, MAGIC_FULL)?;
+    decode_full_in_pieces(data, DECODE_PIECE_BYTES)
+}
+
+/// [`decode_full_checkpoint`] with an explicit piece size (the unit tests
+/// pin that the result does not depend on it).
+fn decode_full_in_pieces(data: &[u8], piece_bytes: usize) -> Result<FullCheckpoint, CodecError> {
+    let (body, stored) = split_seal(data)?;
+    let plan = match parse_full(body) {
+        Ok(plan) => plan,
+        Err(e) if crc32(body) == stored => return Err(e),
+        Err(_) => return Err(CodecError::CrcMismatch),
+    };
+    let psi = plan.psi;
+    let mut outs: Vec<Vec<f32>> = plan
+        .regions
+        .iter()
+        .map(|_| Vec::with_capacity(psi))
+        .collect();
+    let mut dsts: Vec<&mut [MaybeUninit<u8>]> =
+        outs.iter_mut().map(|v| spare_bytes(v, psi)).collect();
+    // Pair every piece with its overlap of each region; the regions are
+    // walked in order, so each overlap is the next prefix of its output.
+    let pieces: Vec<Piece<'_>> = chunk_ranges(body.len(), body.len().div_ceil(piece_bytes))
+        .into_iter()
+        .map(|r| {
+            let mut copies = Vec::new();
+            for (&off, dst) in plan.regions.iter().zip(&mut dsts) {
+                let (lo, hi) = (r.start.max(off), r.end.min(off + 4 * psi));
+                if lo < hi {
+                    let (head, tail) = std::mem::take(dst).split_at_mut(hi - lo);
+                    *dst = tail;
+                    copies.push((&body[lo..hi], head));
+                }
+            }
+            Piece {
+                bytes: &body[r],
+                copies,
+            }
+        })
+        .collect();
+    // Every output byte belongs to exactly one piece: the pieces partition
+    // the body and every region lies inside it.
+    assert!(dsts.iter().all(|d| d.is_empty()), "regions not covered");
+    let crcs: Vec<(u32, u64)> = pieces
+        .into_par_iter()
+        .with_min_len(1)
+        .map(|p| {
+            let crc = crc32(p.bytes);
+            for (src, dst) in p.copies {
+                copy_bytes(src, dst);
+            }
+            (crc, p.bytes.len() as u64)
+        })
+        .collect();
+    if combined_crc(crcs) != stored {
+        return Err(CodecError::CrcMismatch);
+    }
+    for v in &mut outs {
+        // SAFETY: `v` has capacity ≥ psi and the assert above shows its
+        // whole `psi × 4`-byte spare prefix was handed out to pieces, each
+        // of which copied exactly its slice's length into it; every bit
+        // pattern is a valid f32.
+        unsafe { v.set_len(psi) };
+        #[cfg(target_endian = "big")]
+        for x in v.iter_mut() {
+            *x = f32::from_bits(u32::from_le(x.to_bits()));
+        }
+    }
+    let mut outs = outs.into_iter();
+    let mut next = || outs.next().expect("one output per region");
+    let (params, m, v) = (next(), next(), next());
+    let mut aux = plan.aux;
+    aux.residual = plan.has_residual.then(next);
+    let lossy = aux.is_empty();
+    Ok(FullCheckpoint {
+        state: ModelState {
+            iteration: plan.iteration,
+            params,
+            opt: AdamState {
+                m,
+                v,
+                t: plan.adam_t,
+            },
+        },
+        aux,
+        lossy,
+        version: plan.version,
+    })
+}
+
+/// One piece of the one-pass decode: its body bytes (CRC'd) and the
+/// slices of them that land in each output array.
+struct Piece<'a> {
+    bytes: &'a [u8],
+    copies: Vec<(&'a [u8], &'a mut [MaybeUninit<u8>])>,
+}
+
+/// What [`parse_full`] learns from a body without copying a region.
+struct FullPlan {
+    version: u16,
+    iteration: u64,
+    psi: usize,
+    adam_t: u64,
+    /// Body offsets of the `psi × 4`-byte regions in output order:
+    /// params, m, v, then the residual when present.
+    regions: Vec<usize>,
+    has_residual: bool,
+    /// The small aux sections (never a residual).
+    aux: AuxState,
+}
+
+/// The structure of an LDFC body: every check, in the order of the wire,
+/// that decoding makes — except the CRC, which the caller gates on.
+fn parse_full(body: &[u8]) -> Result<FullPlan, CodecError> {
+    let mut cur = Cursor::after_magic(body, MAGIC_FULL)?;
     let version = cur.get_u16("truncated header")?;
     if version != VERSION && version != FULL_VERSION_V2 {
         return Err(CodecError::UnsupportedVersion(version));
@@ -235,10 +374,16 @@ pub fn decode_full_checkpoint(data: &[u8]) -> Result<FullCheckpoint, CodecError>
     let iteration = cur.get_u64("truncated header")?;
     let psi = cur.get_u64("truncated header")?;
     let adam_t = cur.get_u64("truncated header")?;
-    let params = cur.get_f32s(psi, "truncated f32 array")?;
-    let m = cur.get_f32s(psi, "truncated f32 array")?;
-    let v = cur.get_f32s(psi, "truncated f32 array")?;
+    let mut regions = Vec::with_capacity(4);
+    let mut region = |cur: &mut Cursor<'_>| -> Result<(), CodecError> {
+        regions.push(body.len() - cur.remaining());
+        cur.skip_f32s(psi, "truncated f32 array").map(drop)
+    };
+    for _ in 0..3 {
+        region(&mut cur)?;
+    }
     let mut aux = AuxState::default();
+    let mut has_residual = false;
     if version >= FULL_VERSION_V2 {
         let flags = cur.get_u8("missing aux flags")?;
         if flags & !AUX_FLAGS_KNOWN != 0 {
@@ -259,7 +404,8 @@ pub fn decode_full_checkpoint(data: &[u8]) -> Result<FullCheckpoint, CodecError>
             aux.rng = Some(rng);
         }
         if flags & AUX_FLAG_RESIDUAL != 0 {
-            aux.residual = Some(cur.get_f32s(psi, "truncated f32 array")?);
+            region(&mut cur)?;
+            has_residual = true;
         }
         if flags & AUX_FLAG_QUANT_POLICY != 0 {
             let bits = cur.get_u8("truncated quant policy")?;
@@ -280,17 +426,34 @@ pub fn decode_full_checkpoint(data: &[u8]) -> Result<FullCheckpoint, CodecError>
         }
     }
     cur.finish()?;
-    let lossy = aux.is_empty();
-    Ok(FullCheckpoint {
-        state: ModelState {
-            iteration,
-            params,
-            opt: AdamState { m, v, t: adam_t },
-        },
-        aux,
-        lossy,
+    Ok(FullPlan {
         version,
+        iteration,
+        // Within the body's length: `skip_f32s` applied the length cap.
+        psi: psi as usize,
+        adam_t,
+        regions,
+        has_residual,
+        aux,
     })
+}
+
+/// The first `n` f32s of `v`'s spare capacity as uninitialized bytes.
+fn spare_bytes(v: &mut Vec<f32>, n: usize) -> &mut [MaybeUninit<u8>] {
+    let spare = &mut v.spare_capacity_mut()[..n];
+    // SAFETY: `spare` is `n` exclusively borrowed `MaybeUninit<f32>`s, i.e.
+    // `4n` bytes that may be uninitialized — exactly what a slice of
+    // `MaybeUninit<u8>` (alignment 1) over the same memory describes.
+    unsafe { std::slice::from_raw_parts_mut(spare.as_mut_ptr().cast(), n * 4) }
+}
+
+/// Copy `src` into the equally long `dst`.
+fn copy_bytes(src: &[u8], dst: &mut [MaybeUninit<u8>]) {
+    assert_eq!(src.len(), dst.len());
+    // SAFETY: both slices are `src.len()` bytes long, `dst` is exclusively
+    // borrowed (so writable and not overlapping `src`), and writing bytes
+    // into `MaybeUninit<u8>` is always valid.
+    unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), dst.as_mut_ptr().cast(), src.len()) };
 }
 
 #[cfg(test)]
@@ -450,6 +613,45 @@ mod tests {
         encode_full_checkpoint_into(&small, &AuxView::NONE, &mut fb);
         assert_eq!(fb, encode_model_state(&small), "stale bytes leaked");
         assert_eq!(fb.capacity(), cap, "allocation was not reused");
+    }
+
+    #[test]
+    fn decode_does_not_depend_on_the_piece_size() {
+        // Pieces as small as one byte split every region (and the header)
+        // mid-element; the verdict — value or error — must not move, for
+        // intact blobs, torn ones and re-sealed mutants alike.
+        let st = demo_state(9, 41);
+        let blobs = [
+            encode_full_checkpoint(&st, &full_aux(9).view()),
+            encode_model_state(&st),
+        ];
+        let reseal = |body: &[u8]| {
+            let mut b = body.to_vec();
+            seal(&mut b);
+            b
+        };
+        for blob in &blobs {
+            let body = &blob[..blob.len() - 4];
+            let mut mutants = vec![blob.clone()];
+            for at in 0..blob.len() {
+                let mut flipped = blob.clone();
+                flipped[at] ^= 0x10;
+                mutants.push(flipped);
+                mutants.push(blob[..at].to_vec());
+                let mut resealed = body.to_vec();
+                if at < body.len() {
+                    resealed[at] = resealed[at].wrapping_add(1);
+                }
+                mutants.push(reseal(&resealed));
+                mutants.push(reseal(&body[..at.min(body.len())]));
+            }
+            for m in &mutants {
+                let whole = decode_full_in_pieces(m, usize::MAX);
+                for piece in [1, 3, 7, 64] {
+                    assert_eq!(decode_full_in_pieces(m, piece), whole, "piece {piece}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -59,9 +59,15 @@
 //!
 //! Every format in this crate — LDFC and LDDB here, the LDSM stripe
 //! manifest (`crate::stripe`) and the LDGM global manifest
-//! (`crate::shard`) — is sealed by the same CRC trailer writer and opened
-//! by the same borrowing `Cursor` (CRC first, then magic). Each format has
-//! one encoder and one parser. Every length field read from a blob passes
+//! (`crate::shard`) — is sealed by the same CRC trailer writer and parsed
+//! by the same borrowing `Cursor`. LDDB, LDSM and LDGM open it with the
+//! CRC first, then the magic. LDFC, whose blobs are the largest, is
+//! decoded in one pass instead: its small header and aux sections are
+//! parsed first, then CRC and region copy run together piece by piece,
+//! and nothing is returned before the combined CRC matches the seal —
+//! the same verdict, byte for byte, as CRC first (see
+//! [`decode_full_checkpoint`]). Each format has one encoder and one
+//! parser. Every length field read from a blob passes
 //! the **length-cap rule** before anything is allocated: `n` elements that
 //! each take at least `min_size` bytes on the wire must fit in the bytes
 //! still unread (`n ≤ remaining / min_size`, no overflow possible). A
@@ -93,7 +99,7 @@ pub use full::{
     seal_frame, FullCheckpoint, FullFrameLayout,
 };
 
-use lowdiff_util::crc::crc32;
+use lowdiff_util::crc::{crc32, crc32_combine};
 
 pub const MAGIC_FULL: &[u8; 4] = b"LDFC";
 pub const MAGIC_DIFF: &[u8; 4] = b"LDDB";
@@ -193,6 +199,15 @@ pub(crate) fn seal(buf: &mut Vec<u8>) {
     put_u32(buf, crc);
 }
 
+/// The CRC32 of consecutive pieces' concatenation from each piece's
+/// `(crc, len)`, in order — how a reader that checksums a blob in pieces
+/// (stripes, decode pieces) still reads each byte once.
+pub(crate) fn combined_crc(pieces: impl IntoIterator<Item = (u32, u64)>) -> u32 {
+    pieces
+        .into_iter()
+        .fold(crc32(&[]), |acc, (crc, len)| crc32_combine(acc, crc, len))
+}
+
 // --- the one read cursor ----------------------------------------------------
 
 /// Borrowing read cursor under every decoder in this crate. Getters return
@@ -206,23 +221,41 @@ pub(crate) struct Cursor<'a> {
     data: &'a [u8],
 }
 
+/// Split a sealed blob into its body and the CRC32 its trailer stores.
+fn split_seal(data: &[u8]) -> Result<(&[u8], u32), CodecError> {
+    if data.len() < 4 {
+        return Err(CodecError::Corrupt("too short for crc"));
+    }
+    let (body, tail) = data.split_at(data.len() - 4);
+    let stored = Cursor { data: tail }.get_u32("too short for crc")?;
+    Ok((body, stored))
+}
+
 impl<'a> Cursor<'a> {
     /// Verify a sealed blob's CRC32 trailer, then its magic; the cursor
     /// starts right after the magic and ends before the trailer.
     pub(crate) fn open(data: &'a [u8], magic: &[u8; 4]) -> Result<Self, CodecError> {
-        if data.len() < 4 {
-            return Err(CodecError::Corrupt("too short for crc"));
-        }
-        let (body, tail) = data.split_at(data.len() - 4);
-        let stored = Self { data: tail }.get_u32("too short for crc")?;
+        let (body, stored) = split_seal(data)?;
         if crc32(body) != stored {
             return Err(CodecError::CrcMismatch);
         }
+        Self::after_magic(body, magic)
+    }
+
+    /// Check `body`'s magic and start right after it — **without** the CRC
+    /// check. Only a parser whose caller gates every result on the seal
+    /// (the one-pass full decoder) may read an unverified body.
+    fn after_magic(body: &'a [u8], magic: &[u8; 4]) -> Result<Self, CodecError> {
         let mut cur = Self { data: body };
         match cur.take(4, "missing magic") {
             Ok(m) if m == magic => Ok(cur),
             _ => Err(CodecError::BadMagic),
         }
+    }
+
+    /// Bytes not yet read.
+    fn remaining(&self) -> usize {
+        self.data.len()
     }
 
     #[inline]
@@ -305,11 +338,18 @@ impl<'a> Cursor<'a> {
         self.capped_len(n.into(), min_size, what)
     }
 
+    /// Step over `n` little-endian f32s, after the length cap, and return
+    /// their `n × 4` wire bytes undecoded.
+    fn skip_f32s(&mut self, n: u64, what: &'static str) -> Result<&'a [u8], CodecError> {
+        let n = self.capped_len(n, 4, what)?;
+        self.take(n * 4, what)
+    }
+
     /// Bulk-decode `n` little-endian f32s, after the length cap: one
     /// memcpy on LE targets.
     fn get_f32s(&mut self, n: u64, what: &'static str) -> Result<Vec<f32>, CodecError> {
-        let n = self.capped_len(n, 4, what)?;
-        let bytes = self.take(n * 4, what)?;
+        let bytes = self.skip_f32s(n, what)?;
+        let n = bytes.len() / 4;
         #[cfg(target_endian = "little")]
         {
             let mut out: Vec<f32> = Vec::with_capacity(n);

@@ -28,6 +28,7 @@ use crate::codec::{
 };
 use lowdiff_compress::{AuxState, AuxView, CompressedGrad, SparseGrad};
 use lowdiff_optim::{AdamState, ModelState};
+use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::io;
 use std::ops::Range;
@@ -131,13 +132,7 @@ impl ShardSpec {
 
     /// Scatter a shard-local vector back into its global positions.
     pub fn scatter_slice_into(&self, shard: &[f32], full: &mut [f32]) -> io::Result<()> {
-        if shard.len() != self.len() {
-            return Err(err(format!(
-                "shard slice is {} elements, spec owns {}",
-                shard.len(),
-                self.len()
-            )));
-        }
+        check_shard_len(self, shard)?;
         if full.len() != self.psi {
             return Err(err("scatter target must be Ψ-sized"));
         }
@@ -231,45 +226,100 @@ impl ShardSpec {
     }
 }
 
-/// Check that `specs` partition `[0, Ψ)` exactly: every element owned by
-/// exactly one shard.
-fn check_partition(psi: usize, specs: &[&ShardSpec]) -> io::Result<()> {
-    let mut covered = vec![false; psi];
-    for spec in specs {
+/// One owned range of the stitched space: `len` elements at global
+/// offset `start`, held by part `part` at shard-local offset `local`.
+struct Segment {
+    start: usize,
+    len: usize,
+    part: usize,
+    local: usize,
+}
+
+/// Check that `specs` partition `[0, Ψ)` exactly — every element owned by
+/// exactly one shard — by sorting every owned range and walking them, and
+/// return those ranges in global order: the stitch's gather plan.
+fn check_partition(psi: usize, specs: &[&ShardSpec]) -> io::Result<Vec<Segment>> {
+    let mut segs = Vec::new();
+    for (part, spec) in specs.iter().enumerate() {
         if spec.psi() != psi {
             return Err(err(format!(
                 "shard spec Ψ={} disagrees with Ψ={psi}",
                 spec.psi()
             )));
         }
+        let mut local = 0;
         for r in spec.ranges() {
-            for c in &mut covered[r] {
-                if *c {
-                    return Err(err("shards overlap"));
-                }
-                *c = true;
-            }
+            segs.push(Segment {
+                start: r.start,
+                len: r.len(),
+                part,
+                local,
+            });
+            local += r.len();
         }
     }
-    if covered.iter().any(|c| !*c) {
+    segs.sort_unstable_by_key(|s| s.start);
+    // Overlap outranks a gap, whichever comes first in the walk.
+    let (mut end, mut gap) = (0, false);
+    for s in &segs {
+        if s.start < end {
+            return Err(err("shards overlap"));
+        }
+        gap |= s.start > end;
+        end = s.start + s.len;
+    }
+    if gap || end != psi {
         return Err(err("shards do not cover [0, Ψ)"));
+    }
+    Ok(segs)
+}
+
+/// A shard-local slice must hold exactly what its spec owns.
+fn check_shard_len(spec: &ShardSpec, shard: &[f32]) -> io::Result<()> {
+    if shard.len() != spec.len() {
+        return Err(err(format!(
+            "shard slice is {} elements, spec owns {}",
+            shard.len(),
+            spec.len()
+        )));
     }
     Ok(())
 }
 
-/// Reassemble a full `Ψ` model state from per-rank shard states. Every
-/// shard must agree on iteration and step counter, and the specs must
-/// partition `[0, Ψ)`.
-pub fn stitch_states(psi: usize, parts: &[(ShardSpec, ModelState)]) -> io::Result<ModelState> {
-    let specs: Vec<&ShardSpec> = parts.iter().map(|(s, _)| s).collect();
-    check_partition(psi, &specs)?;
+/// Build one global array with a single in-order pass over the borrowed
+/// shard slices (`shards[part]` is part `part`'s shard-local array).
+fn gather(psi: usize, segs: &[Segment], shards: &[&[f32]]) -> Vec<f32> {
+    let mut out = Vec::with_capacity(psi);
+    for s in segs {
+        out.extend_from_slice(&shards[s.part][s.local..s.local + s.len]);
+    }
+    debug_assert_eq!(out.len(), psi);
+    out
+}
+
+/// Gather every array of `arrays` (each given as its per-part shard
+/// slices) in parallel, in order.
+fn gather_all(psi: usize, segs: &[Segment], arrays: Vec<Vec<&[f32]>>) -> Vec<Vec<f32>> {
+    arrays
+        .into_par_iter()
+        .with_min_len(1)
+        .map(|shards| gather(psi, segs, &shards))
+        .collect()
+}
+
+/// Validate per-rank shard states against their specs — partition,
+/// agreeing iteration and step counter, slice lengths — and return the
+/// gather plan plus the shared `(iteration, t)`.
+fn check_states(
+    psi: usize,
+    parts: &[(&ShardSpec, &ModelState)],
+) -> io::Result<(Vec<Segment>, u64, u64)> {
+    let specs: Vec<&ShardSpec> = parts.iter().map(|&(s, _)| s).collect();
+    let segs = check_partition(psi, &specs)?;
     let (it, t) = match parts.first() {
         Some((_, st)) => (st.iteration, st.opt.t),
         None => return Err(err("no shards to stitch")),
     };
-    let mut out = ModelState::new(vec![0.0; psi]);
-    out.iteration = it;
-    out.opt.t = t;
     for (spec, st) in parts {
         if st.iteration != it || st.opt.t != t {
             return Err(err(format!(
@@ -277,26 +327,59 @@ pub fn stitch_states(psi: usize, parts: &[(ShardSpec, ModelState)]) -> io::Resul
                 st.iteration, st.opt.t
             )));
         }
-        spec.scatter_slice_into(&st.params, &mut out.params)?;
-        spec.scatter_slice_into(&st.opt.m, &mut out.opt.m)?;
-        spec.scatter_slice_into(&st.opt.v, &mut out.opt.v)?;
+        for xs in [&st.params, &st.opt.m, &st.opt.v] {
+            check_shard_len(spec, xs)?;
+        }
     }
-    Ok(out)
+    Ok((segs, it, t))
+}
+
+/// The per-part params, m and v slices (in that order) for `gather_all`.
+fn state_arrays<'a>(parts: &[(&ShardSpec, &'a ModelState)]) -> Vec<Vec<&'a [f32]>> {
+    vec![
+        parts.iter().map(|(_, st)| &st.params[..]).collect(),
+        parts.iter().map(|(_, st)| &st.opt.m[..]).collect(),
+        parts.iter().map(|(_, st)| &st.opt.v[..]).collect(),
+    ]
+}
+
+/// The stitched state from `gather_all`'s params, m and v (in that order).
+fn assemble_state(arrays: &mut impl Iterator<Item = Vec<f32>>, it: u64, t: u64) -> ModelState {
+    let mut next = || arrays.next().expect("params, m and v gathered");
+    let (params, m, v) = (next(), next(), next());
+    ModelState {
+        iteration: it,
+        params,
+        opt: AdamState { m, v, t },
+    }
+}
+
+/// Reassemble a full `Ψ` model state from per-rank shard states. Every
+/// shard must agree on iteration and step counter, and the specs must
+/// partition `[0, Ψ)`. Each global array is one in-order gather from the
+/// borrowed shards; the three run in parallel.
+pub fn stitch_states(psi: usize, parts: &[(ShardSpec, ModelState)]) -> io::Result<ModelState> {
+    let refs: Vec<(&ShardSpec, &ModelState)> = parts.iter().map(|(s, st)| (s, st)).collect();
+    let (segs, it, t) = check_states(psi, &refs)?;
+    let arrays = state_arrays(&refs);
+    Ok(assemble_state(
+        &mut gather_all(psi, &segs, arrays).into_iter(),
+        it,
+        t,
+    ))
 }
 
 /// Reassemble a full checkpoint — model state plus auxiliary resume state
 /// — from per-rank shard fulls. Residuals stitch like params; the scalar
 /// aux (compressor, RNG cursor, quant policy) is replicated on every rank
-/// and must agree.
+/// and must agree. Nothing is cloned: params, m, v and the residual are
+/// each gathered once from the borrowed shards, in parallel.
 pub fn stitch_fulls(
     psi: usize,
     parts: &[(ShardSpec, FullCheckpoint)],
 ) -> io::Result<FullCheckpoint> {
-    let states: Vec<(ShardSpec, ModelState)> = parts
-        .iter()
-        .map(|(s, fc)| (s.clone(), fc.state.clone()))
-        .collect();
-    let state = stitch_states(psi, &states)?;
+    let refs: Vec<(&ShardSpec, &ModelState)> = parts.iter().map(|(s, fc)| (s, &fc.state)).collect();
+    let (segs, it, t) = check_states(psi, &refs)?;
     let first = &parts[0].1;
     for (_, fc) in parts.iter().skip(1) {
         if fc.aux.compressor != first.aux.compressor
@@ -309,24 +392,23 @@ pub fn stitch_fulls(
             return Err(err("shard residual presence disagrees across ranks"));
         }
     }
-    let residual = if first.aux.residual.is_some() {
-        let mut full = vec![0.0f32; psi];
-        for (spec, fc) in parts {
-            let r = fc
-                .aux
-                .residual
-                .as_ref()
-                .ok_or_else(|| err("missing shard residual"))?;
-            spec.scatter_slice_into(r, &mut full)?;
+    let residuals: Option<Vec<&[f32]>> = parts
+        .iter()
+        .map(|(_, fc)| fc.aux.residual.as_deref())
+        .collect();
+    if let Some(rs) = &residuals {
+        for ((spec, _), r) in parts.iter().zip(rs) {
+            check_shard_len(spec, r)?;
         }
-        Some(full)
-    } else {
-        None
-    };
+    }
+    let mut arrays = state_arrays(&refs);
+    arrays.extend(residuals);
+    let mut gathered = gather_all(psi, &segs, arrays).into_iter();
+    let state = assemble_state(&mut gathered, it, t);
     Ok(FullCheckpoint {
         state,
         aux: AuxState {
-            residual,
+            residual: gathered.next(),
             compressor: first.aux.compressor,
             rng: first.aux.rng,
             quant: first.aux.quant,
@@ -609,6 +691,57 @@ mod tests {
             .collect();
         parts[1].1.iteration = 99;
         assert!(stitch_states(psi, &parts).is_err());
+        // Ψ mismatch: one spec cut from a different parameter space, and
+        // the stitch asked for the wrong Ψ.
+        let mut parts: Vec<_> = specs
+            .iter()
+            .map(|s| (s.clone(), s.project_state(&full)))
+            .collect();
+        assert!(stitch_states(psi + 1, &parts).is_err());
+        parts[2].0 = spec(psi + 1, 4, &[3]);
+        assert!(stitch_states(psi, &parts).is_err());
+        // A shard slice shorter than its spec.
+        let mut parts: Vec<_> = specs
+            .iter()
+            .map(|s| (s.clone(), s.project_state(&full)))
+            .collect();
+        parts[0].1.opt.v.pop();
+        assert!(stitch_states(psi, &parts).is_err());
+        // Residual presence must agree across ranks, and each present
+        // residual must match its spec.
+        let residual = vec![0.5; psi];
+        let fulls = |with: &[bool]| -> Vec<(ShardSpec, FullCheckpoint)> {
+            specs
+                .iter()
+                .zip(with)
+                .map(|(s, &w)| {
+                    let fc = FullCheckpoint {
+                        state: s.project_state(&full),
+                        aux: AuxState {
+                            residual: w.then(|| s.project_slice(&residual)),
+                            ..AuxState::default()
+                        },
+                        lossy: false,
+                        version: 2,
+                    };
+                    (s.clone(), fc)
+                })
+                .collect()
+        };
+        let all = stitch_fulls(psi, &fulls(&[true; 3])).unwrap();
+        assert_eq!(all.aux.residual.as_deref(), Some(&residual[..]));
+        assert!(stitch_fulls(psi, &fulls(&[false; 3]))
+            .unwrap()
+            .aux
+            .residual
+            .is_none());
+        for mixed in [[true, false, true], [false, false, true]] {
+            let err = stitch_fulls(psi, &fulls(&mixed)).unwrap_err();
+            assert!(err.to_string().contains("residual presence"), "{err}");
+        }
+        let mut short = fulls(&[true; 3]);
+        short[1].1.aux.residual.as_mut().unwrap().pop();
+        assert!(stitch_fulls(psi, &short).is_err());
     }
 
     #[test]

@@ -36,9 +36,9 @@
 //! retry count).
 
 use crate::backend::StorageBackend;
-use crate::codec::{put_u16, put_u32, put_u64, seal, CodecError, Cursor};
+use crate::codec::{combined_crc, put_u16, put_u32, put_u64, seal, CodecError, Cursor};
 use crate::retry::{with_retry, RetryPolicy};
-use lowdiff_util::crc::{crc32, crc32_combine};
+use lowdiff_util::crc::crc32;
 use lowdiff_util::par::chunk_ranges;
 use rayon::prelude::*;
 use std::io;
@@ -118,14 +118,6 @@ impl StripeManifest {
             stripes: infos,
         }
     }
-}
-
-/// The CRC32 of consecutive pieces' concatenation from each piece's
-/// `(crc, len)`.
-fn combined_crc(pieces: impl IntoIterator<Item = (u32, u64)>) -> u32 {
-    pieces
-        .into_iter()
-        .fold(crc32(&[]), |acc, (crc, len)| crc32_combine(acc, crc, len))
 }
 
 /// Encode a manifest (layout in the module docs; CRC-sealed like every

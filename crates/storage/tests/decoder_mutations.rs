@@ -15,6 +15,12 @@
 //!
 //! The contract: no decoder panics, and a mutant either fails with an
 //! error or decodes to a value whose re-encode round-trips byte for byte.
+//! On top of that, every LDFC input — intact, torn, flipped or re-sealed —
+//! must get exactly the verdict of the two-pass oracle
+//! (`lowdiff_testkit::reference::decode_full_checkpoint`) from the
+//! one-pass decoder, at pool widths 1 and 4: the same bits on `Ok`, the
+//! same [`codec::CodecError`] on `Err` — so a torn blob stays
+//! `CrcMismatch` wherever the CRC-first order made it one.
 
 mod corpus;
 
@@ -22,6 +28,8 @@ use corpus::{corpus, Blob, Format};
 use lowdiff_storage::codec;
 use lowdiff_storage::shard::GlobalManifest;
 use lowdiff_storage::stripe;
+use lowdiff_storage::FullCheckpoint;
+use lowdiff_testkit::reference;
 use lowdiff_util::crc32;
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -52,6 +60,7 @@ fn decode_roundtrips(format: Format, bytes: &[u8]) -> bool {
     match format {
         Format::Full => {
             let full = codec::decode_full_checkpoint(bytes);
+            assert_same_verdict_as_oracle(bytes);
             assert_eq!(full.is_ok(), codec::decode_model_state(bytes).is_ok());
             let Ok(fc) = full else { return false };
             let re = codec::encode_full_checkpoint(&fc.state, &fc.aux.view());
@@ -94,6 +103,34 @@ fn decode_roundtrips(format: Format, bytes: &[u8]) -> bool {
         }
     }
     true
+}
+
+/// A decoded full as comparable bits: wire version, lossiness and the
+/// canonical v2 encoding (every f32 by its bit pattern, NaNs included).
+fn full_bits(fc: &FullCheckpoint) -> (u16, bool, Vec<u8>) {
+    (
+        fc.version,
+        fc.lossy,
+        codec::encode_full_checkpoint(&fc.state, &fc.aux.view()),
+    )
+}
+
+/// The one-pass decoder's verdict on `bytes` equals the two-pass oracle's
+/// at pool widths 1 and 4.
+fn assert_same_verdict_as_oracle(bytes: &[u8]) {
+    let oracle = reference::decode_full_checkpoint(bytes);
+    for width in [1, 4] {
+        let got = rayon::pool::with_num_threads(width, || codec::decode_full_checkpoint(bytes));
+        match (&got, &oracle) {
+            (Ok(a), Ok(b)) => assert_eq!(full_bits(a), full_bits(b), "width {width}"),
+            (Err(a), Err(b)) => assert_eq!(a, b, "width {width}"),
+            _ => panic!(
+                "width {width}: one-pass {:?} vs oracle {:?}",
+                got.as_ref().map(|_| ()),
+                oracle.as_ref().map(|_| ())
+            ),
+        }
+    }
 }
 
 /// [`decode_roundtrips`], turning any panic into a test failure that names
@@ -153,6 +190,53 @@ fn every_bit_flip() {
                         format!("{} re-sealed bit {bit} of byte {at}", blob.id())
                     });
                 }
+            }
+        }
+    }
+}
+
+/// A full large enough that the one-pass decoder splits it into several
+/// pieces, mutated at the edges that matter — every piece boundary and
+/// every region boundary (±1 byte), plus the header: each single-bit flip
+/// and truncation without re-sealing, and each re-sealed byte rewrite and
+/// prefix. The verdict must equal the oracle's throughout.
+#[test]
+fn multi_piece_fulls_match_the_oracle() {
+    let psi = 90_001; // 4 regions × 360 004 B: a 1.44 MB body, 2 pieces
+    for (name, aux) in corpus::aux_mixes(psi) {
+        if !matches!(name, "all" | "none") {
+            continue;
+        }
+        let blob = codec::encode_full_checkpoint(&corpus::model_state(psi, 5), &aux.view());
+        let body_len = blob.len() - 4;
+        let mut edges = vec![0, 4, 6, 14, 22, 30, body_len - 1];
+        for k in 1..=4 {
+            edges.push(30 + 4 * psi * k);
+        }
+        // The decoder's pieces: ⌈body / 1 MiB⌉ balanced ranges.
+        for r in lowdiff_util::par::chunk_ranges(body_len, body_len.div_ceil(1 << 20)) {
+            edges.push(r.end);
+        }
+        let mut offsets: Vec<usize> = edges
+            .iter()
+            .flat_map(|&e| [e.saturating_sub(1), e, e + 1])
+            .filter(|&at| at < blob.len())
+            .collect();
+        offsets.sort_unstable();
+        offsets.dedup();
+        assert_same_verdict_as_oracle(&blob);
+        for &at in &offsets {
+            assert_same_verdict_as_oracle(&blob[..at]);
+            for bit in [0, 7] {
+                let mut torn = blob.clone();
+                torn[at] ^= 1 << bit;
+                assert_same_verdict_as_oracle(&torn);
+            }
+            if at < body_len {
+                let mut mutant = blob[..body_len].to_vec();
+                mutant[at] = mutant[at].wrapping_add(0x81);
+                assert_same_verdict_as_oracle(&reseal(&mutant));
+                assert_same_verdict_as_oracle(&reseal(&blob[..at]));
             }
         }
     }

@@ -1,10 +1,12 @@
 //! Property-based tests for the checkpoint codec and store.
 
-use lowdiff_compress::{AuxView, CompressedGrad, QuantGrad, SparseGrad};
+use lowdiff_compress::{AuxState, AuxView, CompressedGrad, CompressorCfg, QuantGrad, SparseGrad};
 use lowdiff_optim::{AdamState, ModelState};
 use lowdiff_storage::codec::{self, DiffEntry, ValueCodec};
-use lowdiff_storage::{CheckpointStore, MemoryBackend, StorageBackend};
+use lowdiff_storage::shard::stitch_fulls;
+use lowdiff_storage::{CheckpointStore, FullCheckpoint, MemoryBackend, ShardSpec, StorageBackend};
 use lowdiff_testkit::reference;
+use lowdiff_util::DetRng;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -384,7 +386,7 @@ proptest! {
 /// v2 delta encoding is well under the v1 raw-index layout.
 #[test]
 fn v2_sparse_smaller_than_v1() {
-    let mut rng = lowdiff_util::DetRng::new(77);
+    let mut rng = DetRng::new(77);
     let n = 100_000usize;
     let indices: Vec<u32> = (0..n as u32)
         .filter(|_| rng.next_u64().is_multiple_of(100))
@@ -404,4 +406,108 @@ fn v2_sparse_smaller_than_v1() {
         v2.len(),
         v1.len()
     );
+}
+
+/// The stitch as it was before the gather: clone every shard state, zero
+/// Ψ-sized globals and scatter each shard into them.
+fn stitch_by_scatter(psi: usize, parts: &[(ShardSpec, FullCheckpoint)]) -> FullCheckpoint {
+    let mut state = ModelState::new(vec![0.0; psi]);
+    let first = parts[0].1.clone();
+    state.iteration = first.state.iteration;
+    state.opt.t = first.state.opt.t;
+    let mut residual = first.aux.residual.as_ref().map(|_| vec![0.0; psi]);
+    for (spec, fc) in parts {
+        let st = fc.state.clone();
+        spec.scatter_slice_into(&st.params, &mut state.params)
+            .unwrap();
+        spec.scatter_slice_into(&st.opt.m, &mut state.opt.m)
+            .unwrap();
+        spec.scatter_slice_into(&st.opt.v, &mut state.opt.v)
+            .unwrap();
+        if let (Some(out), Some(r)) = (&mut residual, &fc.aux.residual) {
+            spec.scatter_slice_into(r, out).unwrap();
+        }
+    }
+    FullCheckpoint {
+        state,
+        aux: AuxState {
+            residual,
+            ..first.aux
+        },
+        lossy: parts.iter().any(|(_, fc)| fc.lossy),
+        version: first.version,
+    }
+}
+
+/// A full's every f32 by its bit pattern, plus the scalars.
+fn full_bits(fc: &FullCheckpoint) -> Vec<u64> {
+    let bits = |xs: &[f32]| {
+        xs.iter()
+            .map(|x| u64::from(x.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    let mut out = vec![fc.state.iteration, fc.state.opt.t, u64::from(fc.lossy)];
+    out.push(u64::from(fc.version));
+    out.extend(bits(&fc.state.params));
+    out.extend(bits(&fc.state.opt.m));
+    out.extend(bits(&fc.state.opt.v));
+    if let Some(r) = &fc.aux.residual {
+        out.push(u64::MAX);
+        out.extend(bits(r));
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// 2–5 shards over random chunk assignments of an odd Ψ, residual
+    /// present or absent: the clone-free gather equals the clone-and-
+    /// scatter stitch bit for bit (random bit patterns, NaNs included).
+    #[test]
+    fn stitch_fulls_equals_scatter_oracle(
+        half in 0usize..1500,
+        num_chunks in 1u32..40,
+        ranks in 2usize..=5,
+        seed in any::<u64>(),
+        with_residual in any::<bool>(),
+    ) {
+        let psi = 2 * half + 1;
+        let mut rng = DetRng::new(seed);
+        let mut arb = |n: usize| -> Vec<f32> {
+            (0..n).map(|_| f32::from_bits(rng.next_u64() as u32)).collect()
+        };
+        let full = ModelState {
+            iteration: 77,
+            params: arb(psi),
+            opt: AdamState { m: arb(psi), v: arb(psi), t: 77 },
+        };
+        let aux = AuxState {
+            residual: with_residual.then(|| arb(psi)),
+            compressor: Some(CompressorCfg::topk(0.01)),
+            rng: Some([1, 2, 3, 4]),
+            quant: None,
+        };
+        let mut owned = vec![Vec::new(); ranks];
+        for c in 0..num_chunks {
+            owned[rng.below(ranks as u64) as usize].push(c);
+        }
+        let parts: Vec<(ShardSpec, FullCheckpoint)> = owned
+            .into_iter()
+            .map(|chunks| {
+                let spec = ShardSpec::new(psi, num_chunks, chunks).unwrap();
+                let fc = FullCheckpoint {
+                    state: spec.project_state(&full),
+                    aux: spec.project_aux(&aux.view()),
+                    lossy: false,
+                    version: codec::FULL_VERSION_V2,
+                };
+                (spec, fc)
+            })
+            .collect();
+        let stitched = stitch_fulls(psi, &parts).unwrap();
+        prop_assert_eq!(full_bits(&stitched), full_bits(&stitch_by_scatter(psi, &parts)));
+        prop_assert_eq!(stitched.aux.compressor, aux.compressor);
+        prop_assert_eq!(stitched.aux.rng, aux.rng);
+    }
 }

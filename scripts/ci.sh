@@ -33,7 +33,14 @@
 #                            spreads its output tiles over the pool, so its
 #                            bits (and the Regression teacher's) must equal
 #                            the scalar oracle's at any pool width
-# 3f. storage decoders (release) — the hostile-blob regressions and the
+# 3f. storage @1/@4 threads — the storage suite with the pool pinned to 1
+#                            and to 4 threads: the one-pass full decoder
+#                            spreads its pieces and the shard stitch its
+#                            gathers over the pool, so every decode
+#                            verdict must equal the two-pass oracle's and
+#                            every stitched bit the scatter oracle's at
+#                            any pool width
+# 3g. storage decoders (release) — the hostile-blob regressions and the
 #                            decoder mutation suite again in release,
 #                            where unchecked length arithmetic would wrap
 #                            silently instead of panicking as in debug;
@@ -111,6 +118,10 @@ done
 echo "== tensor + model @1/@4 threads =="
 LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff-tensor -p lowdiff-model
 LOWDIFF_NUM_THREADS=4 cargo test -q -p lowdiff-tensor -p lowdiff-model
+
+echo "== storage @1/@4 threads =="
+LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff-storage
+LOWDIFF_NUM_THREADS=4 cargo test -q -p lowdiff-storage
 
 echo "== storage decoders (release) =="
 cargo test --release -q -p lowdiff-storage --test hostile_blobs
