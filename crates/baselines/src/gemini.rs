@@ -6,8 +6,7 @@
 //! policy*: every snapshot goes to a `[Tier::Memory]` stack, every
 //! `persist_every`-th through a `[Tier::Memory, Tier::Durable]` stack —
 //! the engine encodes once, fans the same bytes across both tiers, and
-//! runs the memory tier's deterministic retention GC (keep the newest
-//! `retention` fulls, evict oldest-first).
+//! runs the memory tier's retention GC (keep only the newest full).
 //!
 //! Recovery prefers the memory tier ([`GeminiStrategy::recover_memory`])
 //! and falls back to durable storage when the machine holding the replica
@@ -79,23 +78,6 @@ impl GeminiStrategy {
         )
     }
 
-    /// Like [`GeminiStrategy::new`] but keeping the newest `retention`
-    /// checkpoints in the memory tier instead of the default single one.
-    pub fn with_retention(
-        durable_store: Arc<CheckpointStore>,
-        mem_every: u64,
-        persist_every: u64,
-        retention: u64,
-    ) -> Self {
-        Self::build(
-            durable_store,
-            mem_every,
-            persist_every,
-            retention,
-            EngineConfig::default(),
-        )
-    }
-
     /// Full-control constructor (crash injection, retry tuning, …). The
     /// depth-2 queue is part of the scheme, so `queue_capacity` is always
     /// pinned to 2 regardless of `cfg`.
@@ -105,21 +87,11 @@ impl GeminiStrategy {
         persist_every: u64,
         cfg: EngineConfig,
     ) -> Self {
-        Self::build(durable_store, mem_every, persist_every, 1, cfg)
-    }
-
-    fn build(
-        durable_store: Arc<CheckpointStore>,
-        mem_every: u64,
-        persist_every: u64,
-        retention: u64,
-        cfg: EngineConfig,
-    ) -> Self {
         assert!(mem_every >= 1 && persist_every >= mem_every);
         let mem_store = Arc::new(CheckpointStore::new(Arc::new(MemoryBackend::new())));
         let mem_tier = Tier::Memory {
             store: Arc::clone(&mem_store),
-            keep: retention,
+            keep: 1,
         };
         let policy = GeminiPolicy {
             mem_only: TierStack::new(vec![mem_tier.clone()]),
@@ -232,18 +204,6 @@ mod tests {
             s.mem_store.full_iterations().unwrap().len(),
             1,
             "memory tier must be GC'd to the latest"
-        );
-    }
-
-    #[test]
-    fn memory_retention_evicts_oldest_first() {
-        let d = durable();
-        let mut s = GeminiStrategy::with_retention(Arc::clone(&d), 2, 100, 3);
-        run(&mut s, 12); // memory fulls at 2,4,…,12
-        assert_eq!(
-            s.mem_store.full_iterations().unwrap(),
-            vec![8, 10, 12],
-            "retention 3 keeps exactly the newest three, oldest evicted first"
         );
     }
 

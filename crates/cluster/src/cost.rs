@@ -111,11 +111,6 @@ impl CostModel {
         self.spec.compressed_grad_bytes(self.rho)
     }
 
-    /// Naïve-DC differential bytes: 8ρΨ sparse params + 8Ψ dense moments.
-    pub fn naive_diff_bytes(&self) -> ByteSize {
-        self.spec.naive_dc_bytes(self.rho)
-    }
-
     // ----- per-strategy steady-state overhead ---------------------------
 
     /// Amortized checkpointing overhead per iteration at checkpoint

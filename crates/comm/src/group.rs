@@ -23,10 +23,6 @@ impl WorkerCtx {
         self.rank
     }
 
-    pub fn num_workers(&self) -> usize {
-        self.n
-    }
-
     /// Dense allreduce with mean semantics (the standard data-parallel
     /// gradient synchronization): every rank ends with the elementwise
     /// average of all contributions.
@@ -89,29 +85,6 @@ impl WorkerCtx {
         let gen = self.gen_sparse.get();
         self.gen_sparse.set(gen + 1);
         let all = self.sparse.exchange_shared(self.rank, gen, local.clone());
-        let mut merged = SparseGrad::merge_all(local.dense_len, all.iter());
-        let inv = 1.0 / self.n as f32;
-        for v in merged.values.iter_mut() {
-            *v *= inv;
-        }
-        merged
-    }
-
-    /// Layer-tagged sparse allgather for concurrent per-layer sync
-    /// (Algorithm 2's `Sync Thread`). `layer` id is the tag; `step` the
-    /// training iteration.
-    ///
-    /// NB: every rank must *eventually* contribute to every tag it blocks
-    /// on. When layers are synchronized from plain sequential code, all
-    /// ranks must use the same layer order; issuing layers from concurrent
-    /// threads (the Algorithm-2 thread pool `P_g`) lifts that restriction,
-    /// which is how LowDiff+ uses it.
-    pub fn allgather_sparse_layer(&self, layer: u64, step: u64, local: &SparseGrad) -> SparseGrad {
-        // Tag streams are (layer+1) so they never collide with the default
-        // tag 0 used by `allgather_sparse`.
-        let all = self
-            .sparse
-            .exchange_tagged_shared(layer + 1, self.rank, step, local.clone());
         let mut merged = SparseGrad::merge_all(local.dense_len, all.iter());
         let inv = 1.0 / self.n as f32;
         for v in merged.values.iter_mut() {
@@ -233,53 +206,6 @@ mod tests {
         assert_eq!(results[0], results[1]);
         for (iter, &s) in results[0].iter().enumerate() {
             assert!((s - (0.5 + iter as f32)).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn layer_tagged_sync_keeps_tags_separate() {
-        // Two ranks sync two layers in the same (sequential) order — the
-        // per-tag streams must never mix values.
-        let group = WorkerGroup::new(2);
-        let results = group.run(|ctx| {
-            let l0 = SparseGrad::new(4, vec![0], vec![2.0]);
-            let l1 = SparseGrad::new(4, vec![1], vec![4.0]);
-            let a = ctx.allgather_sparse_layer(0, 0, &l0);
-            let b = ctx.allgather_sparse_layer(1, 0, &l1);
-            (a, b)
-        });
-        for (a, b) in &results {
-            assert_eq!(a.indices, vec![0]);
-            assert_eq!(a.values, vec![2.0]); // (2+2)/2
-            assert_eq!(b.indices, vec![1]);
-            assert_eq!(b.values, vec![4.0]);
-        }
-    }
-
-    #[test]
-    fn layer_tagged_sync_out_of_order_with_threads() {
-        // Algorithm 2's real execution: each rank hands every layer to a
-        // sync thread, so layers complete in ANY order across ranks. Use
-        // the rendezvous directly with one thread per (rank, layer).
-        use crate::rendezvous::Rendezvous;
-        let r: Rendezvous<SparseGrad> = Rendezvous::new(2);
-        let mut handles = Vec::new();
-        for rank in 0..2usize {
-            for layer in 0..4u64 {
-                let r = r.clone();
-                handles.push(std::thread::spawn(move || {
-                    // Stagger ranks in opposite orders to maximize overlap.
-                    let layer = if rank == 0 { layer } else { 3 - layer };
-                    let local = SparseGrad::new(8, vec![layer as u32], vec![(layer + 1) as f32]);
-                    let all = r.exchange_tagged(layer + 1, rank, 0, local);
-                    (layer, SparseGrad::merge_all(8, all.iter()))
-                }));
-            }
-        }
-        for h in handles {
-            let (layer, merged) = h.join().unwrap();
-            assert_eq!(merged.indices, vec![layer as u32], "tags crossed");
-            assert_eq!(merged.values, vec![2.0 * (layer + 1) as f32]);
         }
     }
 

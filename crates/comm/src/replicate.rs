@@ -69,10 +69,6 @@ impl ReplicaNet {
         self.hosts.len()
     }
 
-    pub fn is_alive(&self, rank: usize) -> bool {
-        self.hosts[rank].alive.load(Ordering::SeqCst)
-    }
-
     /// Whole-rank loss: the host stops accepting sends and every replica
     /// it held for other ranks is erased with its memory.
     pub fn kill(&self, rank: usize) {

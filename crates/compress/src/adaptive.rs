@@ -158,14 +158,6 @@ impl Compressor for AdaptiveQuant {
         }
         out
     }
-
-    fn ratio(&self) -> f64 {
-        1.0
-    }
-
-    fn name(&self) -> &'static str {
-        "adaptive-quant"
-    }
 }
 
 #[cfg(test)]

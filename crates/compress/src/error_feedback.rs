@@ -78,15 +78,6 @@ impl<C: Compressor> ErrorFeedback<C> {
         self.residual = residual;
     }
 
-    /// L2 norm of the residual — a convergence health metric.
-    pub fn residual_norm(&self) -> f64 {
-        self.residual
-            .iter()
-            .map(|&x| (x as f64) * (x as f64))
-            .sum::<f64>()
-            .sqrt()
-    }
-
     pub fn inner(&self) -> &C {
         &self.inner
     }
@@ -129,7 +120,6 @@ mod tests {
         let mut ef = ErrorFeedback::new(TopK::new(1.0), 8);
         ef.compress(&[1.0, -2.0, 3.0, 0.0, 5.0, -6.0, 7.0, 8.0]);
         assert!(ef.residual().iter().all(|&r| r == 0.0));
-        assert_eq!(ef.residual_norm(), 0.0);
     }
 
     #[test]

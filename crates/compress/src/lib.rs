@@ -6,8 +6,7 @@
 //! Two families are implemented, matching the paper's taxonomy:
 //!
 //! * **Sparsification** — [`TopK`] (used in the paper's evaluation with
-//!   ρ = 0.01), [`RandomK`], and [`ThresholdK`]; all produce a
-//!   [`SparseGrad`] of `(index, value)` pairs.
+//!   ρ = 0.01), producing a [`SparseGrad`] of `(index, value)` pairs.
 //! * **Quantization** — [`UniformQuant`] (16/8/4-bit linear), producing a
 //!   [`QuantGrad`]; [`AdaptiveQuant`] retunes the width each interval
 //!   under a hard reconstruction-error bound.
@@ -23,7 +22,6 @@ pub mod adaptive;
 pub mod aux;
 pub mod error_feedback;
 pub mod grad;
-pub mod qsgd;
 pub mod quant;
 pub mod sparsify;
 
@@ -31,20 +29,15 @@ pub use adaptive::{AdaptiveQuant, QuantPolicyState};
 pub use aux::{AuxState, AuxView, CompressorCfg, CompressorKind};
 pub use error_feedback::ErrorFeedback;
 pub use grad::{CompressedGrad, QuantGrad, SparseGrad};
-pub use qsgd::Qsgd;
 pub use quant::UniformQuant;
-pub use sparsify::{RandomK, ThresholdK, TopK};
+pub use sparsify::TopK;
 
 /// A gradient compressor: dense in, compressed out.
 ///
-/// `compress` takes `&mut self` because some compressors are stateful
-/// (Random-K advances an RNG so successive iterations pick different
-/// coordinates — required for convergence).
+/// `compress` takes `&mut self` because compressors keep state across
+/// calls: Top-K reuses its histogram scratch, and [`AdaptiveQuant`]
+/// retunes its width from what it emitted.
 pub trait Compressor: Send {
     /// Compress a dense gradient.
     fn compress(&mut self, grad: &[f32]) -> CompressedGrad;
-    /// Nominal fraction of elements kept (ρ); 1.0 for quantizers.
-    fn ratio(&self) -> f64;
-    /// Human-readable name for reports.
-    fn name(&self) -> &'static str;
 }

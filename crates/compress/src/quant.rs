@@ -70,28 +70,11 @@ impl Compressor for UniformQuant {
             zero: lo,
         })
     }
-
-    fn ratio(&self) -> f64 {
-        1.0
-    }
-
-    fn name(&self) -> &'static str {
-        match self.bits {
-            16 => "quant16",
-            8 => "quant8",
-            _ => "quant4",
-        }
-    }
 }
 
-/// Reconstruct the dense gradient from a quantized one.
-///
-/// Dispatches on the encoding: `zero == f32::MAX` marks a QSGD record
-/// (sign+level planes), anything else is uniform linear quantization.
+/// Reconstruct the dense gradient from a quantized one: element `i` is
+/// `zero + code_i · scale`.
 pub fn dequantize(q: &QuantGrad) -> Vec<f32> {
-    if q.zero == f32::MAX {
-        return crate::qsgd::dequantize_qsgd(q);
-    }
     let mut out = Vec::with_capacity(q.dense_len);
     match q.bits {
         16 => {
@@ -120,23 +103,13 @@ pub fn dequantize(q: &QuantGrad) -> Vec<f32> {
 }
 
 /// Decode only `range` of the dense gradient into `out`
-/// (`out.len() == range.len()`). Every encoding is element-addressable —
-/// uniform 8-bit and QSGD are one byte per element, uniform 4-bit is one
-/// nibble (low nibble first) — so sharded recovery can decode its own
-/// window in O(range) instead of expanding the full Ψ-sized vector.
+/// (`out.len() == range.len()`). Every width is element-addressable —
+/// 16-bit is two bytes per element, 8-bit one, 4-bit one nibble (low
+/// nibble first) — so sharded recovery can decode its own window in
+/// O(range) instead of expanding the full Ψ-sized vector.
 pub fn dequantize_range(q: &QuantGrad, range: std::ops::Range<usize>, out: &mut [f32]) {
     assert!(range.end <= q.dense_len, "range beyond dense_len");
     assert_eq!(out.len(), range.len(), "output buffer length mismatch");
-    if q.zero == f32::MAX {
-        // QSGD plane: sign in the MSB, level in the low 7 bits.
-        assert_eq!(q.bits, 8, "QSGD uses the 8-bit plane");
-        for (o, &c) in out.iter_mut().zip(&q.codes[range]) {
-            let level = (c & 0x7F) as f32;
-            let sign = if c & 0x80 != 0 { -1.0 } else { 1.0 };
-            *o = sign * q.scale * level;
-        }
-        return;
-    }
     match q.bits {
         16 => {
             for (o, i) in out.iter_mut().zip(range) {
@@ -173,7 +146,6 @@ mod tests {
             UniformQuant::new(16).compress(&g),
             UniformQuant::new(8).compress(&g),
             UniformQuant::new(4).compress(&g),
-            crate::Qsgd::new(64, 3).compress(&g),
         ] {
             let q = match &c {
                 CompressedGrad::Quant(q) => q,
@@ -256,6 +228,22 @@ mod tests {
         let step = range / 65535.0;
         for (a, b) in g.iter().zip(&d) {
             assert!((a - b).abs() <= step * 0.5 + 1e-6, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn f32_max_roundtrips_at_every_width() {
+        // `zero == f32::MAX` is an ordinary zero point: an input whose
+        // minimum is f32::MAX decodes to itself, whole and windowed.
+        for bits in [4u8, 8, 16] {
+            let c = UniformQuant::new(bits).compress(&[f32::MAX; 5]);
+            assert_eq!(c.to_dense(), vec![f32::MAX; 5], "{bits}-bit");
+            let CompressedGrad::Quant(q) = &c else {
+                unreachable!()
+            };
+            let mut out = [0.0f32; 3];
+            dequantize_range(q, 1..4, &mut out);
+            assert_eq!(out, [f32::MAX; 3], "{bits}-bit window");
         }
     }
 

@@ -1,4 +1,4 @@
-//! Sparsification compressors: Top-K, Random-K, Threshold.
+//! Top-K sparsification.
 //!
 //! Top-K with ρ = 0.01 is the paper's default (§6.1), and because LowDiff
 //! reuses the compressed gradient as the differential checkpoint, the
@@ -35,7 +35,6 @@
 
 use crate::grad::{CompressedGrad, SparseGrad};
 use crate::Compressor;
-use lowdiff_util::DetRng;
 use rayon::prelude::*;
 
 /// Number of elements kept for a ratio over a dense length:
@@ -258,99 +257,12 @@ impl Compressor for TopK {
         let (indices, values) = Self::select_with(grad, k, &mut self.hists);
         CompressedGrad::Sparse(SparseGrad::new(grad.len(), indices, values))
     }
-
-    fn ratio(&self) -> f64 {
-        self.ratio
-    }
-
-    fn name(&self) -> &'static str {
-        "topk"
-    }
-}
-
-/// Keep k uniformly random elements (fresh coordinates each call).
-#[derive(Debug)]
-pub struct RandomK {
-    pub ratio: f64,
-    rng: DetRng,
-}
-
-impl RandomK {
-    pub fn new(ratio: f64, seed: u64) -> Self {
-        assert!(ratio > 0.0 && ratio <= 1.0, "RandomK ratio {ratio}");
-        Self {
-            ratio,
-            rng: DetRng::new(seed),
-        }
-    }
-}
-
-impl Compressor for RandomK {
-    fn compress(&mut self, grad: &[f32]) -> CompressedGrad {
-        let k = k_for_ratio(grad.len(), self.ratio);
-        let indices = self.rng.sample_indices(grad.len(), k);
-        let values = indices.iter().map(|&i| grad[i as usize]).collect();
-        CompressedGrad::Sparse(SparseGrad::new(grad.len(), indices, values))
-    }
-
-    fn ratio(&self) -> f64 {
-        self.ratio
-    }
-
-    fn name(&self) -> &'static str {
-        "randomk"
-    }
-}
-
-/// Keep every element with `|v| ≥ threshold`. Output size is data-dependent:
-/// no fixed k is guaranteed up front, so `ratio()` reports the *observed*
-/// density (nnz / Ψ) of the most recent `compress` call — 1.0 (the
-/// conservative worst case) before anything has been compressed.
-#[derive(Clone, Debug)]
-pub struct ThresholdK {
-    pub threshold: f32,
-    /// Observed nnz/Ψ of the latest `compress` call.
-    last_ratio: f64,
-}
-
-impl ThresholdK {
-    pub fn new(threshold: f32) -> Self {
-        assert!(threshold >= 0.0, "negative threshold");
-        Self {
-            threshold,
-            last_ratio: 1.0,
-        }
-    }
-}
-
-impl Compressor for ThresholdK {
-    fn compress(&mut self, grad: &[f32]) -> CompressedGrad {
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        for (i, &v) in grad.iter().enumerate() {
-            if v.abs() >= self.threshold {
-                indices.push(i as u32);
-                values.push(v);
-            }
-        }
-        if !grad.is_empty() {
-            self.last_ratio = indices.len() as f64 / grad.len() as f64;
-        }
-        CompressedGrad::Sparse(SparseGrad::new(grad.len(), indices, values))
-    }
-
-    fn ratio(&self) -> f64 {
-        self.last_ratio
-    }
-
-    fn name(&self) -> &'static str {
-        "threshold"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lowdiff_util::DetRng;
 
     #[test]
     fn k_for_ratio_bounds() {
@@ -409,23 +321,6 @@ mod tests {
         let once = c.compress(&g);
         let twice = c.compress(&once.to_dense());
         assert_eq!(once, twice);
-    }
-
-    #[test]
-    fn randomk_different_each_call_same_across_seeds() {
-        let g = vec![1.0f32; 1000];
-        let mut c1 = RandomK::new(0.05, 42);
-        let mut c2 = RandomK::new(0.05, 42);
-        let a1 = c1.compress(&g);
-        let a2 = c1.compress(&g);
-        let b1 = c2.compress(&g);
-        assert_eq!(a1, b1, "same seed must replay identically");
-        assert_ne!(
-            a1.as_sparse().unwrap().indices,
-            a2.as_sparse().unwrap().indices,
-            "successive calls should sample fresh coordinates"
-        );
-        assert_eq!(a1.as_sparse().unwrap().nnz(), 50);
     }
 
     /// The definition of the result, by full sort: the first k under
@@ -530,27 +425,6 @@ mod tests {
                 .zip(&s.values)
                 .all(|(&i, &v)| g[i as usize].to_bits() == v.to_bits()));
         }
-    }
-
-    #[test]
-    fn threshold_ratio_reports_observed_density() {
-        let mut c = ThresholdK::new(0.5);
-        assert_eq!(c.ratio(), 1.0, "worst case before any compress");
-        c.compress(&[0.1, -0.5, 0.9, -0.05]); // keeps 2 of 4
-        assert_eq!(c.ratio(), 0.5);
-        c.compress(&[1.0, 2.0, 3.0, 4.0]); // keeps all
-        assert_eq!(c.ratio(), 1.0);
-        c.compress(&[]); // empty input leaves the last observation in place
-        assert_eq!(c.ratio(), 1.0);
-    }
-
-    #[test]
-    fn threshold_keeps_only_large() {
-        let g = vec![0.1, -0.5, 0.9, -0.05];
-        let mut c = ThresholdK::new(0.5);
-        let s = c.compress(&g);
-        let s = s.as_sparse().unwrap();
-        assert_eq!(s.indices, vec![1, 2]);
     }
 
     #[test]

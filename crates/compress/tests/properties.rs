@@ -2,11 +2,20 @@
 
 mod oracle;
 
-use lowdiff_compress::{Compressor, ErrorFeedback, RandomK, SparseGrad, TopK, UniformQuant};
+use lowdiff_compress::sparsify::k_for_ratio;
+use lowdiff_compress::{Compressor, ErrorFeedback, SparseGrad, TopK, UniformQuant};
+use lowdiff_util::DetRng;
 use proptest::prelude::*;
 
 fn small_grad() -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-100.0f32..100.0, 1..300)
+}
+
+/// `g` at `ratio` of its coordinates, drawn uniformly without replacement.
+fn random_subset(g: &[f32], ratio: f64, rng: &mut DetRng) -> SparseGrad {
+    let indices = rng.sample_indices(g.len(), k_for_ratio(g.len(), ratio));
+    let values = indices.iter().map(|&i| g[i as usize]).collect();
+    SparseGrad::new(g.len(), indices, values)
 }
 
 proptest! {
@@ -57,11 +66,10 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let n = g1.len();
-        let mut rk = RandomK::new(0.3, seed);
-        let a = rk.compress(&g1);
-        let b = rk.compress(&g1);
-        let (sa, sb) = (a.as_sparse().unwrap(), b.as_sparse().unwrap());
-        let merged = sa.merge(sb).to_dense();
+        let mut rng = DetRng::new(seed);
+        let sa = random_subset(&g1, 0.3, &mut rng);
+        let sb = random_subset(&g1, 0.3, &mut rng);
+        let merged = sa.merge(&sb).to_dense();
         let mut expect = vec![0.0f32; n];
         sa.add_into(&mut expect);
         sb.add_into(&mut expect);
@@ -71,11 +79,10 @@ proptest! {
     /// Merge is commutative.
     #[test]
     fn merge_commutes(g in small_grad(), seed in 0u64..1000) {
-        let mut rk = RandomK::new(0.4, seed);
-        let a = rk.compress(&g);
-        let b = rk.compress(&g);
-        let (sa, sb) = (a.as_sparse().unwrap(), b.as_sparse().unwrap());
-        prop_assert_eq!(sa.merge(sb), sb.merge(sa));
+        let mut rng = DetRng::new(seed);
+        let sa = random_subset(&g, 0.4, &mut rng);
+        let sb = random_subset(&g, 0.4, &mut rng);
+        prop_assert_eq!(sa.merge(&sb), sb.merge(&sa));
     }
 
     /// Quantization error is bounded by half a step.
@@ -122,7 +129,7 @@ proptest! {
     ) {
         // Three chunks, the last one short.
         let n = (3 << 15) + 123;
-        let mut rng = lowdiff_util::DetRng::new(seed);
+        let mut rng = DetRng::new(seed);
         let mut g: Vec<f32> = (0..n).map(|_| rng.normal() as f32).collect();
         for i in (0..n).step_by(dup_every) {
             g[i] = 1.25; // ties spanning chunk boundaries
@@ -133,15 +140,6 @@ proptest! {
             let got = rayon::pool::with_num_threads(t, || TopK::select(&g, k));
             prop_assert_eq!(&got, &want);
         }
-    }
-
-    /// ThresholdK::ratio reports the observed density of the latest call.
-    #[test]
-    fn threshold_ratio_is_observed_density(g in small_grad(), thr in 0.0f32..120.0) {
-        let mut c = lowdiff_compress::ThresholdK::new(thr);
-        let s = c.compress(&g);
-        let nnz = s.as_sparse().unwrap().nnz();
-        prop_assert_eq!(c.ratio(), nnz as f64 / g.len() as f64);
     }
 
     /// SparseGrad payload accounting is exact.

@@ -95,25 +95,6 @@ impl WastedTimeModel {
         (f, b_time / self.iter_time.as_f64())
     }
 
-    /// Brute-force argmin over log-spaced grids — the ground truth the
-    /// closed form is validated against.
-    pub fn optimal_numeric(&self, grid: usize) -> (f64, f64) {
-        let (f0, b0) = self.optimal_closed_form();
-        let mut best = (f64::INFINITY, f0, b0);
-        for i in 0..grid {
-            // Sweep two decades around the analytic point.
-            let f = f0 * 10f64.powf(-1.0 + 2.0 * i as f64 / (grid - 1) as f64);
-            for j in 0..grid {
-                let b = (b0 * 10f64.powf(-1.0 + 2.0 * j as f64 / (grid - 1) as f64)).max(1e-6);
-                let w = self.wasted_time(f, b).as_f64();
-                if w < best.0 {
-                    best = (w, f, b);
-                }
-            }
-        }
-        (best.1, best.2)
-    }
-
     /// Normalized wasted-time grid over explicit FCF intervals (iterations)
     /// and integer batch sizes — the shape of Table 1. Entry `[i][j]` is
     /// `T(fcf_i, bs_j) / min`.
@@ -217,11 +198,30 @@ mod tests {
         }
     }
 
+    /// Brute-force argmin over log-spaced grids — the ground truth the
+    /// closed form is validated against.
+    fn optimal_numeric(m: &WastedTimeModel, grid: usize) -> (f64, f64) {
+        let (f0, b0) = m.optimal_closed_form();
+        let mut best = (f64::INFINITY, f0, b0);
+        for i in 0..grid {
+            // Sweep two decades around the analytic point.
+            let f = f0 * 10f64.powf(-1.0 + 2.0 * i as f64 / (grid - 1) as f64);
+            for j in 0..grid {
+                let b = (b0 * 10f64.powf(-1.0 + 2.0 * j as f64 / (grid - 1) as f64)).max(1e-6);
+                let w = m.wasted_time(f, b).as_f64();
+                if w < best.0 {
+                    best = (w, f, b);
+                }
+            }
+        }
+        (best.1, best.2)
+    }
+
     #[test]
     fn closed_form_matches_numeric_argmin() {
         let m = model();
         let (fa, ba) = m.optimal_closed_form();
-        let (fn_, bn) = m.optimal_numeric(81);
+        let (fn_, bn) = optimal_numeric(&m, 81);
         // Grid resolution is ~6% per step in log space.
         assert!(
             (fa / fn_ - 1.0).abs() < 0.1,

@@ -220,12 +220,6 @@ impl LowDiffPlusStrategy {
     pub fn replica_iteration(&self) -> u64 {
         self.replica.lock().iteration
     }
-
-    /// Adam instance the replica loop applies gradients with; configured
-    /// via [`LowDiffPlusConfig::adam`] and must match the trainer's.
-    pub fn replica_adam(&self) -> Adam {
-        self.cfg.adam
-    }
 }
 
 impl CheckpointStrategy for LowDiffPlusStrategy {

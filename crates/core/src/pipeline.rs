@@ -44,10 +44,6 @@ impl Pipeline {
         Self { stages, ranges }
     }
 
-    pub fn num_stages(&self) -> usize {
-        self.stages.len()
-    }
-
     /// Total parameters across stages (Ψ).
     pub fn num_params(&self) -> usize {
         self.ranges.last().map_or(0, |r| r.end)

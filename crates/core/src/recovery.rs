@@ -69,7 +69,9 @@ pub fn recover_sharded(
 /// checkpoint anchors the recovery. Returns that store's index, its newest
 /// valid full, and the chain past it — fetched only when `plan(&full)`
 /// returns `true`, empty otherwise. With `sweep`, unsealed striped
-/// leftovers are swept from each store first.
+/// leftovers are swept from each store first. The chain ends before the
+/// first entry whose dense length is not the full's Ψ, as it ends before
+/// a corrupt batch: such an entry cannot replay onto that state.
 ///
 /// An I/O error while sweeping, loading the anchor or loading the chain
 /// skips that store; only when no store anchors is the first such error
@@ -99,7 +101,12 @@ pub(crate) fn walk(
         };
         let chain = if plan(&fc)? {
             match store.diff_chain_from(fc.state.iteration) {
-                Ok(chain) => chain,
+                Ok(mut chain) => {
+                    let psi = fc.state.num_params();
+                    let fits = chain.iter().take_while(|e| e.grad.dense_len() == psi);
+                    chain.truncate(fits.count());
+                    chain
+                }
                 Err(e) => {
                     first_err.get_or_insert(e);
                     continue;
@@ -280,8 +287,9 @@ mod tests {
     /// A chain cycling through every entry kind: dense and sparse (awkward
     /// values; sparse entries follow dense ones, so a shard scratch left
     /// stale would show), quantized at 8/4/16 bits, a hand-built quantized
-    /// entry whose dequantized values are denormals, and a QSGD plane
-    /// whose zero levels dequantize to `-0.0`.
+    /// entry whose dequantized values are denormals, and one with
+    /// `zero = -0.0` and a negative scale, whose code 0 dequantizes to
+    /// `-0.0`.
     fn mixed_chain(psi: usize, n: usize, rng: &mut DetRng) -> Vec<DiffEntry> {
         (0..n)
             .map(|k| {
@@ -306,9 +314,9 @@ mod tests {
                     _ => CompressedGrad::Quant(QuantGrad {
                         dense_len: psi,
                         bits: 8,
-                        codes: (0..psi).map(|_| (rng.below(3) as u8) << 7).collect(),
-                        scale: 1e-3,
-                        zero: f32::MAX,
+                        codes: (0..psi).map(|_| rng.below(3) as u8).collect(),
+                        scale: -1e-3,
+                        zero: -0.0,
                     }),
                 };
                 DiffEntry {
@@ -441,6 +449,71 @@ mod tests {
         let (rec, report) = recover_serial(&store, &Adam::default()).unwrap().unwrap();
         assert_eq!(report.replayed, 9, "only the intact prefix replays");
         assert_eq!(rec.iteration, 2 + 9);
+    }
+
+    /// A store holding `start` as its full plus one batch of `grads`
+    /// right after it.
+    fn full_plus_batch(start: &ModelState, grads: Vec<CompressedGrad>) -> CheckpointStore {
+        let store = CheckpointStore::new(Arc::new(MemoryBackend::new()));
+        store.save_full(start).unwrap();
+        let batch: Vec<DiffEntry> = (start.iteration..)
+            .zip(grads)
+            .map(|(iteration, grad)| DiffEntry { iteration, grad })
+            .collect();
+        store.save_diff_batch(&batch).unwrap();
+        store
+    }
+
+    #[test]
+    fn hostile_quant_record_resumes_at_the_full() {
+        // A CRC-valid batch whose quant record has no decodable width is
+        // corrupt: recovery resumes at the full instead of panicking in
+        // the replay's dequantize.
+        let psi = 8;
+        let start = start_state(psi, &mut DetRng::new(3));
+        let hostile = CompressedGrad::Quant(QuantGrad {
+            dense_len: psi,
+            bits: 3,
+            codes: vec![0x55; psi],
+            scale: 1.0,
+            zero: 0.0,
+        });
+        let store = full_plus_batch(&start, vec![hostile]);
+        let (state, report) = recover_serial(&store, &Adam::default()).unwrap().unwrap();
+        assert_eq!(report.replayed, 0);
+        assert_bit_identical(&state, &start, "resumed at the full");
+    }
+
+    #[test]
+    fn wrong_length_entry_ends_the_chain() {
+        // A short dense entry after a good one: the good one replays, the
+        // chain ends at the short one instead of panicking in the replay.
+        let psi = 8;
+        let adam = Adam::default();
+        let start = start_state(psi, &mut DetRng::new(4));
+        let good = CompressedGrad::Dense(vec![0.5; psi]);
+        let store = full_plus_batch(
+            &start,
+            vec![
+                good.clone(),
+                CompressedGrad::Dense(vec![1.0; 3]),
+                good.clone(),
+            ],
+        );
+        let mut want = start.clone();
+        oracle_replay(
+            &mut want,
+            &adam,
+            &[DiffEntry {
+                iteration: 0,
+                grad: good,
+            }],
+        );
+        for shards in [1, 3] {
+            let (state, report) = recover_sharded(&store, &adam, shards).unwrap().unwrap();
+            assert_eq!(report.replayed, 1);
+            assert_bit_identical(&state, &want, &format!("{shards} shards"));
+        }
     }
 
     #[test]

@@ -64,11 +64,6 @@ impl<S: CheckpointStrategy> ShardedStrategy<S> {
         &mut self.inner
     }
 
-    /// Dismantle the wrapper, handing back the inner strategy.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-
     /// Gradients dropped because their encoding carries global state that
     /// a shard slice cannot preserve (quantized payloads). Non-zero here
     /// means the differential chain has gaps — the run is misconfigured

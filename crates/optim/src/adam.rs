@@ -211,19 +211,6 @@ impl Adam {
                 self.kernel(pc, mc, vc, gc, bc);
             });
     }
-
-    /// The *delta* this step would apply, without mutating `params`
-    /// (the optimizer state IS advanced). Used to materialize differential
-    /// checkpoints `C^D_t = Adam(G_t) = M_{t+1} − M_t` for the Naïve-DC
-    /// baseline and for delta-merge parallel recovery.
-    pub fn step_delta(&self, state: &mut AdamState, params: &[f32], grad: &[f32]) -> Vec<f32> {
-        // One allocation: step a shadow copy, then turn it into the delta
-        // in place (new − old).
-        let mut delta = params.to_vec();
-        self.step(state, &mut delta, grad);
-        lowdiff_tensor::ops::sub_assign(&mut delta, params);
-        delta
-    }
 }
 
 /// Panic unless params, both moments and the gradient are one length.
@@ -329,29 +316,6 @@ mod tests {
         assert_eq!(p, p_ref, "sharded replay diverged from serial");
         assert_eq!(st.m, st_ref.m);
         assert_eq!(st.v, st_ref.v);
-    }
-
-    #[test]
-    fn step_delta_matches_step() {
-        let adam = Adam::default();
-        let n = 32;
-        let g = demo_grad(n, 3);
-
-        let mut st_a = AdamState::new(n);
-        let mut p_a = vec![0.25f32; n];
-        adam.step(&mut st_a, &mut p_a, &g);
-
-        let mut st_b = AdamState::new(n);
-        let p_b = vec![0.25f32; n];
-        let delta = adam.step_delta(&mut st_b, &p_b, &g);
-
-        for i in 0..n {
-            assert!(
-                (p_b[i] + delta[i] - p_a[i]).abs() < 1e-7,
-                "delta mismatch at {i}"
-            );
-        }
-        assert_eq!(st_a, st_b);
     }
 
     #[test]

@@ -75,18 +75,6 @@ impl ModelState {
         self.iteration += 1;
     }
 
-    /// Apply a precomputed delta `C^D = M_{t+1} − M_t` covering params only
-    /// (Check-N-Run-style differential that does not track optimizer state).
-    /// Used by the Naïve-DC baseline; note the optimizer moments are NOT
-    /// restored by this path — exactly the deficiency Exp. 7 quantifies.
-    pub fn apply_param_delta(&mut self, delta: &[f32]) {
-        assert_eq!(delta.len(), self.params.len(), "delta length mismatch");
-        for (p, &d) in self.params.iter_mut().zip(delta) {
-            *p += d;
-        }
-        self.iteration += 1;
-    }
-
     /// Maximum absolute difference across params and moments — the metric
     /// recovery-exactness tests assert to be exactly 0.0.
     pub fn max_abs_diff(&self, other: &ModelState) -> f32 {
@@ -134,24 +122,6 @@ mod tests {
         assert_eq!(st.iteration, 1);
         assert_eq!(st.opt.t, 1);
         assert!(st.params.iter().all(|&p| p != 0.0));
-    }
-
-    #[test]
-    fn equation_1_identity() {
-        // M_{t+1} = M_t + Adam(G_t): applying the delta from step_delta to a
-        // copy must equal apply_gradient on the original.
-        let adam = Adam::default();
-        let g: Vec<f32> = (0..16).map(|i| (i as f32 * 0.3).cos()).collect();
-
-        let mut live = ModelState::new(vec![0.5; 16]);
-        let mut shadow = live.clone();
-
-        let delta = adam.step_delta(&mut shadow.opt, &shadow.params, &g);
-        shadow.apply_param_delta(&delta);
-        live.apply_gradient(&adam, &g);
-
-        assert_eq!(live.params, shadow.params);
-        assert_eq!(live.iteration, shadow.iteration);
     }
 
     #[test]

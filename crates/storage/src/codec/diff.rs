@@ -335,6 +335,17 @@ fn take_compressed(
             let scale = cur.get_f32("truncated quant grad")?;
             let zero = cur.get_f32("truncated quant grad")?;
             let n = cur.get_u32("truncated quant grad")? as usize;
+            // The code plane must hold exactly `dense_len` codes at `bits`,
+            // or dequantizing the record would index past it.
+            let want = match bits {
+                16 => dense_len.checked_mul(2),
+                8 => Some(dense_len),
+                4 => Some(dense_len.div_ceil(2)),
+                _ => return Err(CodecError::Corrupt("unknown quant width")),
+            };
+            if want != Some(n) {
+                return Err(CodecError::Corrupt("quant code plane length mismatch"));
+            }
             let codes = cur.take(n, "truncated quant codes")?.to_vec();
             Ok(CompressedGrad::Quant(QuantGrad {
                 dense_len,
@@ -676,6 +687,49 @@ mod tests {
         }];
         let bytes = encode_with(&entries, &fixed_q(4));
         assert_eq!(decode_diff_batch(&bytes).unwrap(), entries);
+    }
+
+    #[test]
+    fn quant_record_code_plane_must_fit_its_width() {
+        let batch = |dense_len: usize, bits: u8, codes: usize| {
+            encode_diff_batch(&[DiffEntry {
+                iteration: 1,
+                grad: CompressedGrad::Quant(QuantGrad {
+                    dense_len,
+                    bits,
+                    codes: vec![0x5a; codes],
+                    scale: 1.0,
+                    zero: 0.0,
+                }),
+            }])
+        };
+        for (n, bits, codes) in [(5, 16, 10), (5, 8, 5), (5, 4, 3), (4, 4, 2), (0, 4, 0)] {
+            assert!(
+                decode_diff_batch(&batch(n, bits, codes)).is_ok(),
+                "{bits}-bit n={n}"
+            );
+        }
+        for (n, bits, codes, why) in [
+            (5, 3, 5, "unknown quant width"),
+            (5, 32, 20, "unknown quant width"),
+            (5, 16, 9, "quant code plane length mismatch"),
+            (5, 8, 6, "quant code plane length mismatch"),
+            (5, 4, 2, "quant code plane length mismatch"),
+            (4, 4, 4, "quant code plane length mismatch"),
+            // 2·n overflows.
+            (
+                usize::MAX / 2 + 1,
+                16,
+                0,
+                "quant code plane length mismatch",
+            ),
+        ] {
+            assert_eq!(
+                decode_diff_batch(&batch(n, bits, codes)),
+                Err(CodecError::Corrupt(why)),
+                "{bits}-bit n={n} codes={codes}"
+            );
+        }
     }
 
     #[test]

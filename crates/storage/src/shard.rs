@@ -468,7 +468,12 @@ pub fn stitch_diff_chains(
             let lifted: Vec<SparseGrad> = grads
                 .iter()
                 .map(|(spec, g)| match g {
-                    CompressedGrad::Sparse(s) => Ok(spec.unproject_sparse(s)),
+                    CompressedGrad::Sparse(s) if s.dense_len == spec.len() => {
+                        Ok(spec.unproject_sparse(s))
+                    }
+                    CompressedGrad::Sparse(_) => Err(err(format!(
+                        "iteration {iteration}: shard entry length differs from its shard"
+                    ))),
                     _ => Err(err("quantized shard entries are not stitchable")),
                 })
                 .collect::<io::Result<_>>()?;
@@ -814,6 +819,23 @@ mod tests {
         let mut torn = parts.clone();
         torn[1].1.pop();
         assert!(stitch_diff_chains(psi, &torn).is_err());
+    }
+
+    #[test]
+    fn wrong_length_shard_entry_is_invalid_data() {
+        // A decodable sparse entry sized for another shard: an error,
+        // never an assertion inside the stitch.
+        let psi = 10;
+        let parts: Vec<(ShardSpec, Vec<DiffEntry>)> = three_way(psi)
+            .into_iter()
+            .map(|s| {
+                let len = if s.chunks() == [1, 3] { 1 } else { s.len() };
+                let grad = CompressedGrad::Sparse(SparseGrad::new(len, vec![0], vec![1.0]));
+                (s, vec![DiffEntry { iteration: 5, grad }])
+            })
+            .collect();
+        let e = stitch_diff_chains(psi, &parts).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
     }
 
     #[test]

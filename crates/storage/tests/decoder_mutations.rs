@@ -14,7 +14,8 @@
 //! checksum.
 //!
 //! The contract: no decoder panics, and a mutant either fails with an
-//! error or decodes to a value whose re-encode round-trips byte for byte.
+//! error or decodes to a value whose re-encode round-trips byte for byte
+//! and whose quant records dequantize without panicking.
 //! On top of that, every LDFC input — intact, torn, flipped or re-sealed —
 //! must get exactly the verdict of the two-pass oracle
 //! (`lowdiff_testkit::reference::decode_full_checkpoint`) from the
@@ -25,6 +26,8 @@
 mod corpus;
 
 use corpus::{corpus, Blob, Format};
+use lowdiff_compress::quant::dequantize;
+use lowdiff_compress::CompressedGrad;
 use lowdiff_storage::codec;
 use lowdiff_storage::shard::GlobalManifest;
 use lowdiff_storage::stripe;
@@ -80,6 +83,12 @@ fn decode_roundtrips(format: Format, bytes: &[u8]) -> bool {
             );
             let Ok(entries) = decoded else { return false };
             assert_eq!(inspected.unwrap().entries.len(), entries.len());
+            // A decoded quant record must dequantize without panicking.
+            for e in &entries {
+                if let CompressedGrad::Quant(q) = &e.grad {
+                    assert_eq!(dequantize(q).len(), q.dense_len);
+                }
+            }
             let re = codec::encode_diff_batch(&entries);
             let back = codec::decode_diff_batch(&re).expect("re-encode must decode");
             assert_eq!(codec::encode_diff_batch(&back), re);

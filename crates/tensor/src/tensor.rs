@@ -86,11 +86,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consume into the underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reinterpret with a new shape of identical element count.
     pub fn reshape(mut self, shape: &[usize]) -> Self {
         let n: usize = shape.iter().product();
@@ -112,32 +107,10 @@ impl Tensor {
         self.data[r * self.shape[1] + c]
     }
 
-    /// 2-D element assignment.
-    #[inline]
-    pub fn set2(&mut self, r: usize, c: usize, v: f32) {
-        debug_assert_eq!(self.shape.len(), 2);
-        self.data[r * self.shape[1] + c] = v;
-    }
-
     /// Bytes occupied by the payload (excludes shape metadata) — the number
     /// the storage cost model cares about.
     pub fn payload_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<f32>()
-    }
-
-    /// Squared L2 norm.
-    pub fn sq_norm(&self) -> f64 {
-        self.data.iter().map(|&x| (x as f64) * (x as f64)).sum()
-    }
-
-    /// Maximum |x|, 0 for empty.
-    pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
-    }
-
-    /// True if every element is finite — cheap training sanity check.
-    pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
     }
 
     /// Maximum absolute difference to another tensor of identical shape.
@@ -191,30 +164,19 @@ mod tests {
     }
 
     #[test]
-    fn set_and_get_2d() {
+    fn at2_is_row_major() {
         let mut t = Tensor::zeros(&[2, 3]);
-        t.set2(0, 2, 9.0);
-        t.set2(1, 1, -4.0);
+        t.as_mut_slice()[2] = 9.0;
+        t.as_mut_slice()[4] = -4.0;
         assert_eq!(t.at2(0, 2), 9.0);
         assert_eq!(t.at2(1, 1), -4.0);
-        assert_eq!(t.as_slice(), &[0.0, 0.0, 9.0, 0.0, -4.0, 0.0]);
     }
 
     #[test]
-    fn norms_and_diffs() {
+    fn max_abs_diff() {
         let a = Tensor::from_slice(&[3.0, 4.0]);
-        assert!((a.sq_norm() - 25.0).abs() < 1e-12);
-        assert_eq!(a.max_abs(), 4.0);
         let b = Tensor::from_slice(&[3.0, 4.5]);
         assert!((a.max_abs_diff(&b) - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn finite_check() {
-        let mut t = Tensor::from_slice(&[1.0, 2.0]);
-        assert!(t.all_finite());
-        t.as_mut_slice()[1] = f32::NAN;
-        assert!(!t.all_finite());
     }
 
     #[test]

@@ -115,12 +115,6 @@ impl DetRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform float in `[lo, hi)`.
-    #[inline]
-    pub fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.uniform()
-    }
-
     /// Uniform `f32` in `[-scale, scale)`; used for weight initialization.
     #[inline]
     pub fn uniform_f32(&mut self, scale: f32) -> f32 {
@@ -159,12 +153,6 @@ impl DetRng {
         r * theta.cos()
     }
 
-    /// Normal with given mean / standard deviation.
-    #[inline]
-    pub fn normal_ms(&mut self, mean: f64, std: f64) -> f64 {
-        mean + std * self.normal()
-    }
-
     /// Exponentially distributed sample with the given mean (inverse
     /// transform). Used for failure inter-arrival times: `mean == MTBF`.
     #[inline]
@@ -172,14 +160,6 @@ impl DetRng {
         debug_assert!(mean > 0.0);
         // 1 - uniform() is in (0, 1], so ln() is finite.
         -mean * (1.0 - self.uniform()).ln()
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
     }
 
     /// Sample `k` distinct indices from `[0, n)`.
@@ -311,20 +291,5 @@ mod tests {
         let mut r = DetRng::new(12);
         let v = r.sample_indices(16, 16);
         assert_eq!(v, (0..16u32).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = DetRng::new(13);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(
-            v,
-            (0..100).collect::<Vec<_>>(),
-            "shuffle left input unchanged"
-        );
     }
 }

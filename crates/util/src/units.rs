@@ -92,16 +92,8 @@ impl Bandwidth {
     pub fn gbits(g: f64) -> Self {
         Self(g * 1e9 / 8.0)
     }
-    /// From megabytes per second.
-    pub fn mbps_bytes(mb: f64) -> Self {
-        Self(mb * 1e6)
-    }
     pub fn bytes_per_sec(self) -> f64 {
         self.0
-    }
-    /// Apply an efficiency factor in (0, 1].
-    pub fn derate(self, eff: f64) -> Self {
-        Self(self.0 * eff)
     }
 }
 

@@ -10,6 +10,9 @@
 #                            unresolved, ambiguous or private intra-doc
 #                            link (catches the links a deletion leaves
 #                            behind)
+# 2c. uncalled report      — prints how many `pub` items under crates/*/src
+#                            no production code names (scripts/uncalled.sh;
+#                            run it bare for the list); reports, never fails
 # 3. cargo test -q         — the full workspace test suite
 # 3b. compress @1/@4 threads — the compress suite again with the worker
 #                            pool pinned to 1 and to 4 threads: the Top-K
@@ -96,6 +99,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== rustdoc =="
 # Every doc link must resolve to a public item of the documented crate.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
+echo "== uncalled pub items (report) =="
+bash scripts/uncalled.sh --count
 
 echo "== test =="
 cargo test -q --workspace
