@@ -43,7 +43,9 @@ pub struct CoordConfig {
     /// ranks.
     pub world_size: u32,
     /// Chunks the flat parameter vector is cut into (the consistent-hash
-    /// unit). More chunks = smoother balance, bigger manifests.
+    /// unit). More chunks = smoother balance, bigger manifests. The
+    /// default 16 splits far from evenly over small worlds — 5/11 for 2
+    /// ranks, 3/7/6 for 3, 2/6/4/4 for 4 (see [`HashRing::DEFAULT_VNODES`]).
     pub num_chunks: u32,
     /// Virtual nodes per rank on the hash ring.
     pub vnodes: usize,

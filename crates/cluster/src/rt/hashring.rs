@@ -36,8 +36,10 @@ pub struct HashRing {
 }
 
 impl HashRing {
-    /// Default virtual nodes per rank: enough to keep the per-rank load
-    /// within a few percent of even for small clusters.
+    /// Default virtual nodes per rank. The ring balances arcs, not a
+    /// handful of chunks: at the coordinator's default 16 chunks the
+    /// per-rank split is 5/11 for 2 ranks, 3/7/6 for 3 and 2/6/4/4 for 4
+    /// (pinned by a unit test), so one rank can persist twice its 1/n.
     pub const DEFAULT_VNODES: usize = 64;
 
     /// Build a ring over `ranks`, each placed at `vnodes` points.
@@ -133,6 +135,26 @@ mod tests {
             } else {
                 assert_ne!(*a, 2);
             }
+        }
+    }
+
+    /// The split `DEFAULT_VNODES` documents, at the coordinator's default
+    /// 16 chunks.
+    #[test]
+    fn default_split_matches_the_documented_one() {
+        for (world, split) in [
+            (2u32, vec![5, 11]),
+            (3, vec![3, 7, 6]),
+            (4, vec![2, 6, 4, 4]),
+        ] {
+            let ranks: Vec<u32> = (0..world).collect();
+            let ring = HashRing::new(&ranks, HashRing::DEFAULT_VNODES);
+            let counts: Vec<usize> = ring
+                .assignment(16)
+                .into_iter()
+                .map(|(_, chunks)| chunks.len())
+                .collect();
+            assert_eq!(counts, split, "world {world}");
         }
     }
 }

@@ -119,14 +119,43 @@ fn store_at(dir: &Path) -> io::Result<Arc<CheckpointStore>> {
 /// resume recomputes it from the loaded shard checkpoint and refuses a
 /// mismatch — the manifest's integrity teeth.
 pub fn shard_digest(state: &ModelState) -> (u64, u32) {
-    // Stream the bytes through a fixed stack buffer instead of staging
-    // 12Ψ bytes on the heap. Each array is cut into buffer-sized slices,
-    // so the conversion loop is a plain slice-to-slice copy the compiler
-    // vectorizes (a chained element iterator across the three arrays cost
-    // 4× the CRC itself).
-    let mut buf = [0u8; 16 * 1024];
+    seal_digest(&ShardSpec::full(state.params.len()), state)
+}
+
+/// [`shard_digest`] of `spec`'s shard of the global `state`, read in
+/// place: the CRC of params, then m, then v, each gathered over the
+/// spec's ranges in order — the bytes of
+/// `shard_digest(&spec.project_state(state))` without projecting them.
+fn seal_digest(spec: &ShardSpec, state: &ModelState) -> (u64, u32) {
     let mut hasher = Hasher::new();
     for xs in [&state.params, &state.opt.m, &state.opt.v] {
+        for r in spec.ranges() {
+            hash_f32s(&mut hasher, &xs[r]);
+        }
+    }
+    (spec.len() as u64, hasher.finalize())
+}
+
+/// Feed `xs` to `hasher` as little-endian bytes: the values in place on
+/// little-endian targets.
+fn hash_f32s(hasher: &mut Hasher, xs: &[f32]) {
+    #[cfg(target_endian = "little")]
+    {
+        // SAFETY: f32 has no padding bytes and u8 has alignment 1, so
+        // viewing an initialized f32 slice as its `size_of_val` bytes is
+        // valid; on a little-endian target the in-memory byte order is
+        // the digest's byte order.
+        let bytes = unsafe {
+            std::slice::from_raw_parts(xs.as_ptr().cast::<u8>(), std::mem::size_of_val(xs))
+        };
+        hasher.update(bytes);
+    }
+    #[cfg(target_endian = "big")]
+    {
+        // Stream through a fixed stack buffer instead of staging the
+        // bytes on the heap; buffer-sized slices keep the conversion a
+        // plain slice-to-slice copy the compiler vectorizes.
+        let mut buf = [0u8; 16 * 1024];
         for chunk in xs.chunks(buf.len() / 4) {
             let bytes = &mut buf[..chunk.len() * 4];
             for (slot, v) in bytes.chunks_exact_mut(4).zip(chunk) {
@@ -135,7 +164,6 @@ pub fn shard_digest(state: &ModelState) -> (u64, u32) {
             hasher.update(bytes);
         }
     }
-    (state.params.len() as u64, hasher.finalize())
 }
 
 /// The cluster's fixed training task: every rank derives the identical
@@ -410,8 +438,7 @@ fn train_loop(
         // Seal this epoch's shard and meet the barrier. Only epochs ending
         // on the full-checkpoint cadence are sealable.
         if iteration % cfg.epoch_iters == 0 {
-            let shard_state = spec.project_state(trainer.state());
-            let (len, crc) = shard_digest(&shard_state);
+            let (len, crc) = seal_digest(&spec, trainer.state());
             match client.rpc(&Msg::ShardSealed {
                 rank,
                 iteration,
@@ -482,6 +509,35 @@ mod tests {
                 *v = rng.normal().abs() as f32;
             }
             assert_eq!(shard_digest(&state), staged_digest(&state), "psi={psi}");
+        }
+    }
+
+    /// The seal digest read in place over a spec's ranges equals the
+    /// digest of the projected shard, for ragged specs too.
+    #[test]
+    fn seal_digest_equals_digest_of_the_projection() {
+        let mut rng = DetRng::new(9);
+        let cases: [(usize, u32, Vec<u32>); 7] = [
+            (37, 5, vec![]),        // empty shard
+            (37, 5, vec![2]),       // one chunk
+            (37, 5, vec![0, 3, 4]), // Ψ not divisible by num_chunks
+            (37, 5, vec![4]),       // only the short last chunk
+            (5, 8, vec![1, 6, 7]),  // chunks past Ψ own nothing
+            (3 * 4096 + 17, 16, vec![0, 5, 6, 15]),
+            (3 * 4096 + 17, 1, vec![0]), // world size 1: the whole space
+        ];
+        for (psi, num_chunks, chunks) in cases {
+            let spec = ShardSpec::new(psi, num_chunks, chunks.clone()).unwrap();
+            let mut state = ModelState::new((0..psi).map(|_| rng.normal() as f32).collect());
+            for (m, v) in state.opt.m.iter_mut().zip(state.opt.v.iter_mut()) {
+                *m = rng.normal() as f32;
+                *v = rng.normal().abs() as f32;
+            }
+            assert_eq!(
+                seal_digest(&spec, &state),
+                shard_digest(&spec.project_state(&state)),
+                "psi={psi} num_chunks={num_chunks} chunks={chunks:?}"
+            );
         }
     }
 }

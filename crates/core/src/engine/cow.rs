@@ -227,7 +227,6 @@ impl CowTickets {
     }
 
     /// Frames built so far.
-    #[cfg(test)]
     pub(crate) fn built(&self) -> usize {
         self.pool.lock().built
     }

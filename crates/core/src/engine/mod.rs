@@ -430,7 +430,6 @@ impl CheckpointEngine {
     }
 
     /// Frames the ticket pool has built so far.
-    #[cfg(test)]
     pub(crate) fn tickets_built(&self) -> usize {
         self.shared.cow.built()
     }

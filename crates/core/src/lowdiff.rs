@@ -217,6 +217,48 @@ impl LowDiffStrategy {
     pub fn backpressure_events(&self) -> u64 {
         self.engine.backpressure_events()
     }
+
+    /// The full-checkpoint decision after the update that produced
+    /// `iteration`: `Some(forced)` when a full is due — on the FCF
+    /// schedule, or forced because a dropped differential batch asked the
+    /// next full to re-anchor the chain past the gap (the request is
+    /// consumed here) — `None` otherwise. Every `Some` must be answered
+    /// by [`Self::capture_full`].
+    pub(crate) fn full_due(&self, iteration: u64) -> Option<bool> {
+        let scheduled = iteration.is_multiple_of(self.cfg.full_every);
+        let forced = self.engine.take_reanchor();
+        (scheduled || forced).then_some(forced)
+    }
+
+    /// Capture the full [`Self::full_due`] called for. Snapshot: the
+    /// state + aux (EF residual, compressor, RNG cursor) captured into a
+    /// pooled frame — no allocation in steady state — so the full is
+    /// resume-exact, not just parameter-exact; the write happens on the
+    /// checkpointing thread.
+    pub(crate) fn capture_full(
+        &mut self,
+        state: &ModelState,
+        aux: &AuxView<'_>,
+        forced: bool,
+    ) -> Secs {
+        let t0 = Instant::now();
+        let sub = self.engine.submit_full(t0, state, aux);
+        if sub.delivered {
+            if forced {
+                self.engine.with_stats(|s| s.forced_fulls += 1);
+            }
+        } else if forced {
+            // Nobody will write the re-anchor; keep the request alive.
+            self.engine.request_reanchor();
+        }
+        sub.stall
+    }
+
+    /// Whether the capture frames are built: [`CheckpointStrategy::prime`]
+    /// is then a no-op.
+    pub(crate) fn capture_primed(&self) -> bool {
+        self.engine.tickets_built() > 0
+    }
 }
 
 impl CheckpointStrategy for LowDiffStrategy {
@@ -249,28 +291,10 @@ impl CheckpointStrategy for LowDiffStrategy {
     }
 
     fn after_update(&mut self, state: &ModelState, aux: &AuxView<'_>) -> Secs {
-        let scheduled = state.iteration.is_multiple_of(self.cfg.full_every);
-        // A dropped differential batch forces an early full checkpoint:
-        // the full re-anchors the chain past the gap.
-        let forced = self.engine.take_reanchor();
-        if !scheduled && !forced {
+        let Some(forced) = self.full_due(state.iteration) else {
             return Secs::ZERO;
-        }
-        let t0 = Instant::now();
-        // Snapshot: the state + aux (EF residual, compressor, RNG cursor)
-        // captured into a pooled frame — no allocation in steady state —
-        // so the full is resume-exact, not just parameter-exact; the write
-        // happens on the checkpointing thread.
-        let sub = self.engine.submit_full(t0, state, aux);
-        if sub.delivered {
-            if forced {
-                self.engine.with_stats(|s| s.forced_fulls += 1);
-            }
-        } else if forced {
-            // Nobody will write the re-anchor; keep the request alive.
-            self.engine.request_reanchor();
-        }
-        sub.stall
+        };
+        self.capture_full(state, aux, forced)
     }
 
     fn flush(&mut self) -> Secs {

@@ -4,10 +4,16 @@
 //! A cluster worker trains the **full** model (deterministic replicated
 //! compute stands in for allreduce — every rank sees identical gradients),
 //! but persists only its own parameter shard. This wrapper sits between
-//! the trainer and any inner [`CheckpointStrategy`]: every hook argument
-//! is projected onto the rank's [`ShardSpec`] before the inner strategy
-//! sees it, so the inner engine's full checkpoints, differentials and
-//! manifests all describe the Ψ/n shard.
+//! the trainer and a [`LowDiffStrategy`] and hands it only projections
+//! onto the rank's [`ShardSpec`], so the inner engine's full checkpoints,
+//! differentials and manifests all describe the Ψ/n shard.
+//!
+//! It projects only what the inner strategy checkpoints. Each synced
+//! gradient is projected (its sparse coordinates are the differential).
+//! The state and the EF residual are projected only when the inner
+//! strategy's own full-checkpoint decision says "capture" — on the
+//! scheduled anchor or a forced re-anchor — and in `prime` only while the
+//! capture frames are not built yet. Every other hook copies nothing.
 //!
 //! ## Why projection is exact
 //!
@@ -28,6 +34,7 @@
 //!   iteration, leaving a gap that stitching would reject. Cluster mode
 //!   runs with Top-K or no compression.
 
+use crate::lowdiff::LowDiffStrategy;
 use crate::strategy::{CheckpointStrategy, StrategyStats};
 use lowdiff_compress::{AuxView, CompressedGrad};
 use lowdiff_optim::ModelState;
@@ -35,33 +42,21 @@ use lowdiff_storage::ShardSpec;
 use lowdiff_util::units::Secs;
 use std::sync::Arc;
 
-/// Wraps an inner strategy so it checkpoints only this rank's shard.
+/// Wraps a [`LowDiffStrategy`] so it checkpoints only this rank's shard.
 /// See the module docs for exactness and restrictions.
-pub struct ShardedStrategy<S: CheckpointStrategy> {
+pub struct ShardedStrategy {
     spec: ShardSpec,
-    inner: S,
+    inner: LowDiffStrategy,
     unshardable: u64,
 }
 
-impl<S: CheckpointStrategy> ShardedStrategy<S> {
-    pub fn new(spec: ShardSpec, inner: S) -> Self {
+impl ShardedStrategy {
+    pub fn new(spec: ShardSpec, inner: LowDiffStrategy) -> Self {
         Self {
             spec,
             inner,
             unshardable: 0,
         }
-    }
-
-    pub fn spec(&self) -> &ShardSpec {
-        &self.spec
-    }
-
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    pub fn inner_mut(&mut self) -> &mut S {
-        &mut self.inner
     }
 
     /// Gradients dropped because their encoding carries global state that
@@ -73,12 +68,15 @@ impl<S: CheckpointStrategy> ShardedStrategy<S> {
     }
 }
 
-impl<S: CheckpointStrategy> CheckpointStrategy for ShardedStrategy<S> {
+impl CheckpointStrategy for ShardedStrategy {
     fn name(&self) -> &'static str {
         "lowdiff-sharded"
     }
 
     fn prime(&mut self, state: &ModelState, aux: &AuxView<'_>) {
+        if self.inner.capture_primed() {
+            return;
+        }
         let shard_state = self.spec.project_state(state);
         let shard_aux = self.spec.project_aux(aux);
         self.inner.prime(&shard_state, &shard_aux.view());
@@ -92,21 +90,26 @@ impl<S: CheckpointStrategy> CheckpointStrategy for ShardedStrategy<S> {
         &mut self,
         iteration: u64,
         grad: &Arc<CompressedGrad>,
-        aux: &AuxView<'_>,
+        _aux: &AuxView<'_>,
     ) -> Secs {
         let Some(shard_grad) = self.spec.project_grad(grad) else {
             self.unshardable += 1;
             return Secs::ZERO;
         };
-        let shard_aux = self.spec.project_aux(aux);
+        // LowDiff persists the gradient alone here; the aux state rides
+        // on the fulls.
         self.inner
-            .on_synced_gradient(iteration, &Arc::new(shard_grad), &shard_aux.view())
+            .on_synced_gradient(iteration, &Arc::new(shard_grad), &AuxView::NONE)
     }
 
     fn after_update(&mut self, state: &ModelState, aux: &AuxView<'_>) -> Secs {
+        let Some(forced) = self.inner.full_due(state.iteration) else {
+            return Secs::ZERO;
+        };
         let shard_state = self.spec.project_state(state);
         let shard_aux = self.spec.project_aux(aux);
-        self.inner.after_update(&shard_state, &shard_aux.view())
+        self.inner
+            .capture_full(&shard_state, &shard_aux.view(), forced)
     }
 
     fn flush(&mut self) -> Secs {

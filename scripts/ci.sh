@@ -50,6 +50,12 @@
 #                            the util suite in release too, so the CRC32
 #                            equivalence tests run the carry-less-multiply
 #                            kernel as optimized code
+# 3h. sharded @1 thread    — the sharded adapter's tests (the lowdiff
+#                            `shard::` unit tests, its lazy-projection and
+#                            blob-equivalence suite, tests/sharded_cluster.rs)
+#                            and the whole cluster crate with the pool
+#                            pinned to 1 thread, which is how the
+#                            benchmark's cluster ranks run
 # 4. crash-torture smoke   — the fast subset of the crash/resume matrix,
 #                            including whole-rank-loss cells recovered
 #                            from peer replicas alone
@@ -133,6 +139,12 @@ echo "== storage decoders (release) =="
 cargo test --release -q -p lowdiff-storage --test hostile_blobs
 cargo test --release -q -p lowdiff-storage --test decoder_mutations
 cargo test --release -q -p lowdiff-util
+
+echo "== sharded @1 thread =="
+LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff shard::
+LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff --test sharded_strategy
+LOWDIFF_NUM_THREADS=1 cargo test -q --test sharded_cluster
+LOWDIFF_NUM_THREADS=1 timeout 600 cargo test -q -p lowdiff-cluster
 
 echo "== crash-torture smoke =="
 # Fast subset of the crash-point torture matrix (tests/crash_torture.rs):
