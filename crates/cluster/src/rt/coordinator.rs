@@ -11,13 +11,19 @@
 //! * **Heartbeats** — a monitor thread marks ranks dead after
 //!   `heartbeat_timeout` of silence (or on connection close). Death never
 //!   panics anything; it *degrades* the current barrier.
-//! * **Epoch barriers** — workers enter a numbered barrier after sealing
-//!   each epoch's shard checkpoint. The barrier releases when all ranks
-//!   enter, and **fails with a timeout error** (never hangs) when a rank
-//!   dies or `barrier_timeout` elapses; waiters get the missing rank set.
+//! * **Epoch barriers** — workers enter a numbered barrier at each epoch
+//!   end, without waiting for that epoch's shard checkpoint to be durable:
+//!   its seal follows once it has landed, typically within two
+//!   iterations, so a released barrier for epoch `k` does not imply that
+//!   the global manifest for `k` exists yet. The barrier releases when all
+//!   ranks enter, and **fails with a timeout error** (never hangs) when a
+//!   rank dies or `barrier_timeout` elapses; waiters get the missing rank
+//!   set.
 //! * **Shard seals → global manifest** — when every rank has reported a
-//!   sealed shard checkpoint for iteration `t`, the coordinator writes a
-//!   [`GlobalManifest`] (LDGM) into the global store. That manifest *is*
+//!   sealed shard checkpoint for iteration `t` (a rank reports one only
+//!   after its shard full at `t` landed, and never for one that failed),
+//!   the coordinator writes a [`GlobalManifest`] (LDGM) into the global
+//!   store. That manifest *is*
 //!   the visibility point: a global checkpoint exists iff all of its
 //!   shard manifests are sealed, the cluster-level mirror of the striped
 //!   manifest-seal invariant.

@@ -9,10 +9,21 @@
 //! determinism is also what makes the stitched shards a consistent global
 //! state (see `lowdiff::shard`).
 //!
-//! The run is an epoch loop: train `epoch_iters` iterations (the shard
-//! store's full-checkpoint cadence), report the sealed shard digest to
-//! the coordinator, then meet the epoch barrier. A failed barrier (dead
-//! peer, timeout) ends the run *degraded* — never a hang, never a panic.
+//! The run is an epoch loop over `epoch_iters` iterations (the shard
+//! store's full-checkpoint cadence), and it never flushes mid-run. At an
+//! epoch end `t` the rank computes its seal digest in place and enters
+//! that epoch's barrier at once, while its checkpointing thread persists
+//! the shard full at `t`. Between the iterations of the next epoch it
+//! sends `ShardSealed(t)` as soon as that full has landed — typically
+//! within two iterations; only a full still in flight at the next epoch
+//! end is waited for, bounded by `barrier_timeout`. A full that failed is
+//! never sealed, so the coordinator writes no global manifest for `t` and
+//! resume anchors on the one before. A released barrier for epoch `k`
+//! therefore does not imply that the manifest for `k` exists yet: a rank
+//! killed before every shard full of `k` is durable resumes from
+//! `k − epoch_iters`. The run ends with one flush and the last epoch's
+//! seal. A failed barrier (dead peer, timeout) ends the run *degraded* —
+//! never a hang, never a panic.
 //!
 //! ## Resume
 //!
@@ -27,7 +38,8 @@
 //! killed run's bytes.
 
 use lowdiff::{
-    LowDiffConfig, LowDiffStrategy, ResumeOpts, ShardedStrategy, Trainer, TrainerConfig,
+    CheckpointStrategy, LowDiffConfig, LowDiffStrategy, ResumeOpts, ShardedStrategy, Trainer,
+    TrainerConfig,
 };
 use lowdiff_comm::wire::{CoordClient, Msg};
 use lowdiff_model::builders::mlp;
@@ -377,6 +389,42 @@ fn heartbeat_loop(coord: &str, rank: u32, every: Duration, stopped: &mpsc::Recei
     }
 }
 
+/// An epoch end's shard seal, sent once the rank's shard full at its
+/// iteration has landed.
+struct Seal {
+    rank: u32,
+    iteration: u64,
+    len: u64,
+    crc: u32,
+}
+
+impl Seal {
+    /// Send the seal if its full landed, waiting up to `wait` for the
+    /// outcome; drop it if the full failed. Hands it back while the full
+    /// is still in flight.
+    fn settle(
+        self,
+        strategy: &ShardedStrategy,
+        client: &mut CoordClient,
+        wait: Duration,
+    ) -> io::Result<Option<Seal>> {
+        match strategy.full_outcome(self.iteration, wait) {
+            None => return Ok(Some(self)),
+            Some(false) => return Ok(None),
+            Some(true) => {}
+        }
+        match client.rpc(&Msg::ShardSealed {
+            rank: self.rank,
+            iteration: self.iteration,
+            len: self.len,
+            crc: self.crc,
+        })? {
+            Msg::SealAck { .. } => Ok(None),
+            other_msg => Err(other(format!("unexpected seal ack: {other_msg:?}"))),
+        }
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn train_loop(
     cfg: &WorkerConfig,
@@ -418,15 +466,15 @@ fn train_loop(
         Trainer::new(net, Adam::default(), strategy, tcfg)
     };
 
+    let mut step = step_fn(task_for(&cfg.dims, cfg.data_seed), cfg.step_delay);
+    // The last epoch end whose full has not settled yet.
+    let mut unsealed: Option<Seal> = None;
     let mut degraded = None;
     while trainer.state().iteration < cfg.iters {
-        let remaining = cfg.iters - trainer.state().iteration;
-        let n = cfg.epoch_iters.min(remaining);
-        trainer.run_with_data(
-            n,
-            step_fn(task_for(&cfg.dims, cfg.data_seed), cfg.step_delay),
-        );
-        let iteration = trainer.state().iteration;
+        if let Some(seal) = unsealed.take() {
+            unsealed = seal.settle(trainer.strategy(), client, Duration::ZERO)?;
+        }
+        trainer.run_unflushed(1, &mut step);
         if trainer.strategy().unshardable_grads() > 0 {
             return Err(other(
                 "gradient encoding is not shardable (quantized?): cluster \
@@ -435,39 +483,53 @@ fn train_loop(
             ));
         }
 
-        // Seal this epoch's shard and meet the barrier. Only epochs ending
-        // on the full-checkpoint cadence are sealable.
-        if iteration % cfg.epoch_iters == 0 {
-            let (len, crc) = seal_digest(&spec, trainer.state());
-            match client.rpc(&Msg::ShardSealed {
-                rank,
-                iteration,
-                len,
-                crc,
-            })? {
-                Msg::SealAck { .. } => {}
-                other_msg => return Err(other(format!("unexpected seal ack: {other_msg:?}"))),
-            }
+        // Only epochs ending on the full-checkpoint cadence are sealable.
+        let iteration = trainer.state().iteration;
+        if !iteration.is_multiple_of(cfg.epoch_iters) {
+            continue;
+        }
+        // The previous epoch's full is due by now; one still in flight
+        // after the barrier timeout is given up on, never sealed.
+        if let Some(seal) = unsealed.take() {
+            seal.settle(trainer.strategy(), client, cfg.barrier_timeout)?;
+        }
+        let (len, crc) = seal_digest(&spec, trainer.state());
+        unsealed = Some(Seal {
+            rank,
+            iteration,
+            len,
+            crc,
+        });
 
-            client.set_read_timeout(cfg.barrier_timeout + Duration::from_secs(5))?;
-            let resp = client.rpc(&Msg::BarrierEnter {
-                rank,
-                epoch: iteration / cfg.epoch_iters,
-            });
-            client.set_read_timeout(RPC_TIMEOUT)?;
-            match resp? {
-                Msg::BarrierRelease { .. } => {}
-                Msg::BarrierFailed {
-                    missing, reason, ..
-                } => {
-                    degraded = Some(format!(
-                        "epoch barrier failed at iteration {iteration}: {reason} \
-                         (missing ranks {missing:?})"
-                    ));
-                    break;
-                }
-                other_msg => return Err(other(format!("unexpected barrier reply: {other_msg:?}"))),
+        client.set_read_timeout(cfg.barrier_timeout + Duration::from_secs(5))?;
+        let resp = client.rpc(&Msg::BarrierEnter {
+            rank,
+            epoch: iteration / cfg.epoch_iters,
+        });
+        client.set_read_timeout(RPC_TIMEOUT)?;
+        match resp? {
+            Msg::BarrierRelease { .. } => {}
+            Msg::BarrierFailed {
+                missing, reason, ..
+            } => {
+                degraded = Some(format!(
+                    "epoch barrier failed at iteration {iteration}: {reason} \
+                     (missing ranks {missing:?})"
+                ));
+                break;
             }
+            other_msg => return Err(other(format!("unexpected barrier reply: {other_msg:?}"))),
+        }
+    }
+
+    // After the flush every full's outcome is known.
+    trainer.strategy_mut().flush();
+    if let Some(seal) = unsealed {
+        let sealed = seal.settle(trainer.strategy(), client, Duration::ZERO);
+        // A degraded run reports its barrier failure whatever the seal's
+        // fate.
+        if degraded.is_none() {
+            sealed?;
         }
     }
 

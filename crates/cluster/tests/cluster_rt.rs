@@ -323,3 +323,90 @@ fn worker_returns_when_training_ends_not_when_the_heartbeat_wakes() {
     assert_eq!(report.degraded, None);
     assert!(took < heartbeat_every / 2, "run_worker took {took:?}");
 }
+
+/// A rank whose shard full at one epoch end never lands must not seal
+/// that epoch: the coordinator writes no global manifest for it, and every
+/// manifest it does write names shard fulls that are on disk and match
+/// their digests.
+#[test]
+fn a_failed_shard_full_is_never_sealed() {
+    use lowdiff_cluster::rt::worker::shard_digest;
+    use lowdiff_cluster::rt::{run_worker, WorkerConfig};
+    use lowdiff_storage::DiskBackend;
+
+    const EPOCH: u64 = 5;
+    const FAILED: u64 = 2 * EPOCH;
+    let dir = std::env::temp_dir().join(format!("lowdiff-failed-full-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store_at = |d: std::path::PathBuf| {
+        Arc::new(CheckpointStore::new(Arc::new(DiskBackend::new(d).unwrap())))
+    };
+    // A non-empty directory where rank 1's full at FAILED goes: every
+    // attempt's rename onto it fails, so that full fails after retries.
+    let blocker = dir.join("rank-1").join(CheckpointStore::full_key(FAILED));
+    std::fs::create_dir_all(&blocker).unwrap();
+    std::fs::write(blocker.join("occupied"), b"x").unwrap();
+
+    let global = store_at(dir.join("global"));
+    let coord = Coordinator::start(
+        "127.0.0.1:0",
+        CoordConfig {
+            world_size: 2,
+            heartbeat_timeout: Duration::from_secs(5),
+            barrier_timeout: Duration::from_secs(20),
+            global_store: Some(Arc::clone(&global)),
+            ..CoordConfig::default()
+        },
+    )
+    .unwrap();
+    let workers: Vec<_> = (0..2u32)
+        .map(|rank| {
+            let cfg = WorkerConfig {
+                coord: coord.addr().to_string(),
+                dir: dir.clone(),
+                name: format!("rank{rank}"),
+                rank_hint: Some(rank),
+                dims: vec![8, 16, 8],
+                seed: 1,
+                data_seed: 2,
+                compress_ratio: Some(0.25),
+                iters: 4 * EPOCH,
+                epoch_iters: EPOCH,
+                resume: false,
+                heartbeat_every: Duration::from_millis(100),
+                barrier_timeout: Duration::from_secs(20),
+                step_delay: Duration::ZERO,
+            };
+            std::thread::spawn(move || run_worker(cfg))
+        })
+        .collect();
+    for worker in workers {
+        let report = worker.join().unwrap().unwrap();
+        assert_eq!(report.final_iteration, 4 * EPOCH);
+        assert_eq!(report.degraded, None);
+    }
+    coord.shutdown();
+
+    let sealed = global.global_iterations().unwrap();
+    assert!(
+        !sealed.contains(&FAILED),
+        "a global manifest names rank 1's failed full at {FAILED}: {sealed:?}"
+    );
+    assert_eq!(sealed.last(), Some(&(4 * EPOCH)), "sealed {sealed:?}");
+    for iteration in sealed {
+        let manifest = global.get_global_manifest(iteration).unwrap();
+        for seal in &manifest.shards {
+            let store = store_at(dir.join(format!("rank-{}", seal.rank)));
+            let fc = store.load_full_checkpoint(iteration).unwrap_or_else(|e| {
+                panic!("rank {} full at {iteration}: {e}", seal.rank);
+            });
+            assert_eq!(
+                shard_digest(&fc.state),
+                (seal.len, seal.crc),
+                "rank {} full at {iteration}",
+                seal.rank
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -39,8 +39,12 @@
 //!   the write sits on the critical path).
 //!
 //! The engine produces [`crate::strategy::StrategyStats`] centrally
-//! (policies account through [`EngineCtx`]) and exports a small health
-//! blob ([`HEALTH_KEY`]) that `lowdiff-ctl health` surfaces.
+//! (policies account through [`EngineCtx`]), records every full's persist
+//! outcome by iteration ([`CheckpointEngine::full_outcome`]: "is the full
+//! at `t` durable?" without a flush), and exports a small health blob
+//! ([`HEALTH_KEY`]) that `lowdiff-ctl health` surfaces: the checkpointing
+//! thread refreshes it after each landed full, and flush and drop export
+//! it too.
 
 pub mod cow;
 pub mod crash;
@@ -52,6 +56,7 @@ pub mod tier;
 pub use cow::CowTicket;
 pub use crash::{CrashInjector, CrashPoint, ALL_CRASH_POINTS};
 pub use metrics::{EngineCounters, EngineMetrics, LatencyHist, StageLatency};
+use persist::FullOutcomes;
 pub use persist::{EngineCtx, FullOpts};
 pub use policy::{CheckpointPolicy, Job, PolicyCtl};
 pub use tier::{peer_recovery_stores, PeerReplicaBackend, PeerTier, Tier, TierStack};
@@ -66,7 +71,7 @@ use lowdiff_storage::{CheckpointStore, RetryPolicy, StripeCfg};
 use lowdiff_util::units::Secs;
 use lowdiff_util::BufferPool;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -82,7 +87,9 @@ pub struct EngineConfig {
     pub queue_capacity: usize,
     /// The one retry/backoff policy every persist goes through.
     pub retry: RetryPolicy,
-    /// Export the health blob under [`HEALTH_KEY`] on flush/shutdown.
+    /// Export the health blob under [`HEALTH_KEY`]: on flush and shutdown,
+    /// and (asynchronous engines) from the checkpointing thread after
+    /// each landed full.
     pub export_health: bool,
     /// Striped parallel persist: blobs above the stripe threshold fan out
     /// into `stripe.stripes` concurrent ranged writes sealed by a
@@ -121,25 +128,46 @@ enum WorkerMsg {
 }
 
 /// What the training-side engine handle and its checkpointing thread
-/// share: the stats ledger, the stage metrics, the re-anchor flag, the
-/// encode buffers and the ticket pool. [`Self::ctx`] is the one place an
+/// share: the stats ledger (the training thread's stall total included),
+/// the stage metrics, the re-anchor flag, the encode buffers, the ticket
+/// pool and the fulls' outcomes. [`Self::ctx`] is the one place an
 /// [`EngineCtx`] is built.
 struct EngineShared {
     stats: Mutex<StrategyStats>,
+    /// The training thread's stall total, as the bits of its `f64`
+    /// seconds: added to by the training thread only, read by both.
+    stall: AtomicU64,
     metrics: EngineMetrics,
     force_full: AtomicBool,
     buffers: BufferPool<u8>,
     cow: Arc<cow::CowTickets>,
+    fulls: FullOutcomes,
+    /// Where the checkpointing thread refreshes the health blob after
+    /// each landed full; `None` leaves the export to flush and drop.
+    health: Option<HealthSink>,
+}
+
+/// The health blob's destination: the engine's name and durable store.
+struct HealthSink {
+    name: &'static str,
+    store: Arc<CheckpointStore>,
 }
 
 impl EngineShared {
     fn new(cow: Arc<cow::CowTickets>) -> Arc<Self> {
+        Self::with_health(cow, None)
+    }
+
+    fn with_health(cow: Arc<cow::CowTickets>, health: Option<HealthSink>) -> Arc<Self> {
         Arc::new(Self {
             stats: Mutex::new(StrategyStats::default()),
+            stall: AtomicU64::new(0f64.to_bits()),
             metrics: EngineMetrics::default(),
             force_full: AtomicBool::new(false),
             buffers: BufferPool::default(),
             cow,
+            fulls: FullOutcomes::default(),
+            health,
         })
     }
 
@@ -153,7 +181,43 @@ impl EngineShared {
             buffers: &self.buffers,
             cow: &self.cow,
             crash: cfg.crash.as_deref(),
+            engine: self,
         }
+    }
+
+    fn stall(&self) -> Secs {
+        Secs(f64::from_bits(self.stall.load(Ordering::Relaxed)))
+    }
+
+    /// Add `stall` to the total. Training thread only: the load and the
+    /// store are not one atomic step.
+    fn add_stall(&self, stall: Secs) {
+        let total = self.stall() + stall;
+        self.stall
+            .store(total.as_f64().to_bits(), Ordering::Relaxed);
+    }
+
+    /// The ledger with the stall total and the engine counters; the queue
+    /// depth is the one the checkpointing thread last observed.
+    fn stats(&self) -> StrategyStats {
+        let mut s = self.stats.lock().clone();
+        s.stall = self.stall();
+        s.engine = self.metrics.counters();
+        s
+    }
+
+    /// Record the persist outcome of the full at `iteration`. A landed
+    /// full first refreshes the health blob when this engine exports it
+    /// from the checkpointing thread and the process is not crash-dead
+    /// (the torture harness must never see a post-crash write), so a
+    /// caller that sees the outcome also sees a blob that counts it.
+    fn record_full(&self, iteration: u64, landed: bool, crash: Option<&CrashInjector>) {
+        if let Some(h) = self.health.as_ref().filter(|_| landed) {
+            if !crash.is_some_and(|c| c.crashed()) {
+                put_health(&h.store, h.name, &self.stats());
+            }
+        }
+        self.fulls.record(iteration, landed);
     }
 }
 
@@ -163,7 +227,6 @@ pub struct CheckpointEngine {
     store: Arc<CheckpointStore>,
     cfg: EngineConfig,
     shared: Arc<EngineShared>,
-    stall: Secs,
     backpressure: u64,
     // Async mode:
     job_tx: Option<Sender<Job>>,
@@ -184,7 +247,12 @@ impl CheckpointEngine {
         assert!(cfg.queue_capacity >= 1, "queue capacity must be >= 1");
         let name = policy.name();
         // The worker's ticket + the queued ones + the one being framed.
-        let shared = EngineShared::new(cow::CowTickets::new(cfg.queue_capacity + 2, true));
+        let health = cfg.export_health.then(|| HealthSink {
+            name,
+            store: Arc::clone(&store),
+        });
+        let shared =
+            EngineShared::with_health(cow::CowTickets::new(cfg.queue_capacity + 2, true), health);
         shared.metrics.set_capacity(cfg.queue_capacity as u64);
         let (job_tx, job_rx) = bounded(cfg.queue_capacity);
         let (ctl_tx, ctl_rx) = unbounded();
@@ -200,7 +268,6 @@ impl CheckpointEngine {
             store,
             cfg,
             shared,
-            stall: Secs::ZERO,
             backpressure: 0,
             job_tx: Some(job_tx),
             ctl_tx: Some(ctl_tx),
@@ -223,7 +290,6 @@ impl CheckpointEngine {
             // Persists finish before submit returns, so one ticket is all
             // an inline engine ever has checked out.
             shared: EngineShared::new(cow::CowTickets::new(1, false)),
-            stall: Secs::ZERO,
             backpressure: 0,
             job_tx: None,
             ctl_tx: None,
@@ -282,11 +348,17 @@ impl CheckpointEngine {
         if !waited.is_zero() {
             self.backpressure += 1;
         }
-        let Some(ticket) = ticket else {
+        let sub = match ticket {
+            Some(ticket) => self.submit_after(since, waited, Job::Full(ticket)),
             // Dry pool and no worker left to return a ticket.
-            return self.undelivered(since);
+            None => self.undelivered(since),
         };
-        self.submit_after(since, waited, Job::Full(ticket))
+        if !sub.delivered {
+            // Nothing will ever persist it.
+            self.shared
+                .record_full(state.iteration, false, self.cfg.crash.as_deref());
+        }
+        sub
     }
 
     /// The worker is gone: checkpointing stops advancing; training
@@ -294,7 +366,7 @@ impl CheckpointEngine {
     fn undelivered(&mut self, since: Instant) -> Submitted {
         self.shared.stats.lock().degraded = true;
         let stall = Secs(since.elapsed().as_secs_f64());
-        self.stall += stall;
+        self.shared.add_stall(stall);
         Submitted {
             stall,
             delivered: false,
@@ -347,7 +419,7 @@ impl CheckpointEngine {
             self.shared.metrics.snapshot.record(since.elapsed());
             policy.process(job, &mut self.shared.ctx(&self.cfg));
             let stall = Secs(since.elapsed().as_secs_f64());
-            self.stall += stall;
+            self.shared.add_stall(stall);
             return Submitted {
                 stall,
                 delivered: true,
@@ -362,7 +434,7 @@ impl CheckpointEngine {
             return self.undelivered(since);
         }
         let stall = Secs(since.elapsed().as_secs_f64());
-        self.stall += stall;
+        self.shared.add_stall(stall);
         Submitted {
             stall,
             delivered: true,
@@ -375,7 +447,7 @@ impl CheckpointEngine {
         let d = since.elapsed();
         self.shared.metrics.snapshot.record(d);
         let stall = Secs(d.as_secs_f64());
-        self.stall += stall;
+        self.shared.add_stall(stall);
         stall
     }
 
@@ -398,7 +470,7 @@ impl CheckpointEngine {
         }
         self.export_health();
         let stall = Secs(t0.elapsed().as_secs_f64());
-        self.stall += stall;
+        self.shared.add_stall(stall);
         stall
     }
 
@@ -429,6 +501,16 @@ impl CheckpointEngine {
         f(&mut self.shared.stats.lock())
     }
 
+    /// The persist outcome of the full captured at `iteration`, waiting up
+    /// to `wait` for one: `Some(true)` once it landed on the front tier,
+    /// `Some(false)` once it failed there or was never delivered, `None`
+    /// while it is still in flight (or no such full was submitted among
+    /// the recent ones). A later full — a forced re-anchor at
+    /// `iteration + 1` — never answers for this one.
+    pub fn full_outcome(&self, iteration: u64, wait: Duration) -> Option<bool> {
+        self.shared.fulls.wait(iteration, wait)
+    }
+
     /// Frames the ticket pool has built so far.
     pub(crate) fn tickets_built(&self) -> usize {
         self.shared.cow.built()
@@ -441,71 +523,73 @@ impl CheckpointEngine {
 
     /// Current stats snapshot, engine counters included.
     pub fn stats(&self) -> StrategyStats {
-        let mut s = self.shared.stats.lock().clone();
-        s.stall = self.stall;
-        let mut eng = self.shared.metrics.counters();
+        let mut s = self.shared.stats();
         if let Some(tx) = &self.job_tx {
-            eng.queue_depth = tx.len() as u64;
+            s.engine.queue_depth = tx.len() as u64;
         }
-        s.engine = eng;
         s
     }
 
     /// Best-effort export of the health blob ([`HEALTH_KEY`]) for
-    /// `lowdiff-ctl health`. Never counted in stats; failures ignored
-    /// (health reporting must not create health problems).
+    /// `lowdiff-ctl health`.
     fn export_health(&self) {
         // A dead process exports nothing — the health blob would be a
         // post-crash write the torture harness must never observe.
         if !self.cfg.export_health || self.crash_dead() {
             return;
         }
-        let s = self.stats();
-        let e = &s.engine;
-        let us = |sec: Secs| sec.as_f64() * 1e6;
-        let json = format!(
-            concat!(
-                "{{\"strategy\":\"{}\",\"stall_seconds\":{:.9},",
-                "\"queue_depth\":{},\"queue_peak\":{},\"queue_capacity\":{},",
-                "\"snapshot_count\":{},\"snapshot_p50_us\":{:.3},\"snapshot_p99_us\":{:.3},",
-                "\"encode_count\":{},\"encode_p50_us\":{:.3},\"encode_p99_us\":{:.3},",
-                "\"persist_count\":{},\"persist_p50_us\":{:.3},\"persist_p99_us\":{:.3},",
-                "\"io_errors\":{},\"io_retries\":{},\"dropped_batches\":{},\"degraded\":{},",
-                "\"tiers\":\"{}\"}}"
-            ),
-            self.name,
-            s.stall.as_f64(),
-            e.queue_depth,
-            e.queue_peak,
-            e.queue_capacity,
-            e.snapshot.count,
-            us(e.snapshot.p50),
-            us(e.snapshot.p99),
-            e.encode.count,
-            us(e.encode.p50),
-            us(e.encode.p99),
-            e.persist.count,
-            us(e.persist.p50),
-            us(e.persist.p99),
-            s.io_errors,
-            s.io_retries,
-            s.dropped_batches,
-            s.degraded,
-            // Per-tier ledger as a flat comma-free string so the ctl's
-            // naive json_field scanner stays valid: "durable b=.. a=.. e=..|peer ..".
-            s.tiers
-                .iter()
-                .map(|t| {
-                    format!(
-                        "{} b={} a={} e={} c={}",
-                        t.name, t.bytes, t.acks, t.errors, t.clamped
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join("|"),
-        );
-        let _ = self.store.backend().put(HEALTH_KEY, json.as_bytes());
+        put_health(&self.store, self.name, &self.stats());
     }
+}
+
+/// Write the health blob of engine `name` with stats `s` to `store`. Never
+/// counted in stats; failures ignored (health reporting must not create
+/// health problems).
+fn put_health(store: &CheckpointStore, name: &str, s: &StrategyStats) {
+    let e = &s.engine;
+    let us = |sec: Secs| sec.as_f64() * 1e6;
+    let json = format!(
+        concat!(
+            "{{\"strategy\":\"{}\",\"stall_seconds\":{:.9},",
+            "\"queue_depth\":{},\"queue_peak\":{},\"queue_capacity\":{},",
+            "\"snapshot_count\":{},\"snapshot_p50_us\":{:.3},\"snapshot_p99_us\":{:.3},",
+            "\"encode_count\":{},\"encode_p50_us\":{:.3},\"encode_p99_us\":{:.3},",
+            "\"persist_count\":{},\"persist_p50_us\":{:.3},\"persist_p99_us\":{:.3},",
+            "\"io_errors\":{},\"io_retries\":{},\"dropped_batches\":{},\"degraded\":{},",
+            "\"tiers\":\"{}\"}}"
+        ),
+        name,
+        s.stall.as_f64(),
+        e.queue_depth,
+        e.queue_peak,
+        e.queue_capacity,
+        e.snapshot.count,
+        us(e.snapshot.p50),
+        us(e.snapshot.p99),
+        e.encode.count,
+        us(e.encode.p50),
+        us(e.encode.p99),
+        e.persist.count,
+        us(e.persist.p50),
+        us(e.persist.p99),
+        s.io_errors,
+        s.io_retries,
+        s.dropped_batches,
+        s.degraded,
+        // Per-tier ledger as a flat comma-free string so the ctl's
+        // naive json_field scanner stays valid: "durable b=.. a=.. e=..|peer ..".
+        s.tiers
+            .iter()
+            .map(|t| {
+                format!(
+                    "{} b={} a={} e={} c={}",
+                    t.name, t.bytes, t.acks, t.errors, t.clamped
+                )
+            })
+            .collect::<Vec<_>>()
+            .join("|"),
+    );
+    let _ = store.backend().put(HEALTH_KEY, json.as_bytes());
 }
 
 impl Drop for CheckpointEngine {

@@ -24,7 +24,8 @@
 //!
 //! What happens after the fan-out stays with each helper: completing or
 //! dropping a differential batch (`dropped_batches` counts exactly once
-//! per discarded batch) and requesting a re-anchoring full.
+//! per discarded batch), requesting a re-anchoring full, and recording
+//! each full's outcome by iteration (`FullOutcomes`).
 //!
 //! A persist call succeeds iff the front tier landed it; every tier
 //! behind it is best-effort (failures are accounted but never fail the
@@ -40,10 +41,11 @@ use lowdiff_compress::AuxView;
 use lowdiff_optim::ModelState;
 use lowdiff_storage::{with_retry, CheckpointStore, RetryPolicy, StripeCfg};
 use lowdiff_util::BufferPool;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Per-write options for [`EngineCtx::persist_capture`].
 #[derive(Clone, Copy, Debug)]
@@ -59,6 +61,48 @@ impl FullOpts {
     pub fn durable() -> Self {
         Self {
             reanchor_on_failure: false,
+        }
+    }
+}
+
+/// The persist outcome of each recent full, by iteration: `true` once it
+/// landed on the front tier, `false` once it failed there or never
+/// reached the checkpointing thread. Lets the training side act on "the
+/// full at `t` is durable" without flushing the whole pipeline.
+#[derive(Default)]
+pub(super) struct FullOutcomes {
+    recent: Mutex<VecDeque<(u64, bool)>>,
+    changed: Condvar,
+}
+
+impl FullOutcomes {
+    /// Outcomes kept: many more fulls than the ticket pool holds in
+    /// flight.
+    const KEPT: usize = 64;
+
+    pub(super) fn record(&self, iteration: u64, landed: bool) {
+        let mut recent = self.recent.lock();
+        if recent.len() == Self::KEPT {
+            recent.pop_front();
+        }
+        recent.push_back((iteration, landed));
+        self.changed.notify_all();
+    }
+
+    /// The newest outcome of the full at exactly `iteration`, waiting up
+    /// to `wait` for one to be recorded; `None` if none is by then.
+    pub(super) fn wait(&self, iteration: u64, wait: Duration) -> Option<bool> {
+        let deadline = Instant::now() + wait;
+        let mut recent = self.recent.lock();
+        loop {
+            if let Some(&(_, landed)) = recent.iter().rev().find(|(t, _)| *t == iteration) {
+                return Some(landed);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return None;
+            }
+            self.changed.wait_for(&mut recent, left);
         }
     }
 }
@@ -138,6 +182,8 @@ pub struct EngineCtx<'a> {
     pub(super) buffers: &'a BufferPool<u8>,
     pub(super) cow: &'a Arc<CowTickets>,
     pub(super) crash: Option<&'a CrashInjector>,
+    /// The whole shared bundle, where each full's outcome is recorded.
+    pub(super) engine: &'a super::EngineShared,
 }
 
 impl EngineCtx<'_> {
@@ -298,24 +344,29 @@ impl EngineCtx<'_> {
     /// `ticket` drops. Returns whether the front tier landed it —
     /// never when the engine is dead or the armed [`CrashPoint::MidCapture`]
     /// fires in the window where the captured frame exists only in memory.
-    /// On failure, requests a re-anchor if `opts` says so.
+    /// On failure, requests a re-anchor if `opts` says so. Either way the
+    /// outcome is recorded under the full's iteration.
     pub fn persist_capture(
         &mut self,
         tiers: &TierStack,
         ticket: &mut CowTicket,
         opts: &FullOpts,
     ) -> bool {
-        if self.crash_dead() || self.crash_hit(CrashPoint::MidCapture) {
-            return false;
-        }
-        let t0 = Instant::now();
-        ticket.seal();
-        self.metrics.encode.record(t0.elapsed());
-        let landed = self.fan_out(tiers, Obj::Full(ticket.iteration()), ticket.bytes());
-        if landed == Some(false) && opts.reanchor_on_failure {
-            self.request_reanchor();
-        }
-        landed == Some(true)
+        let landed = if self.crash_dead() || self.crash_hit(CrashPoint::MidCapture) {
+            false
+        } else {
+            let t0 = Instant::now();
+            ticket.seal();
+            self.metrics.encode.record(t0.elapsed());
+            let landed = self.fan_out(tiers, Obj::Full(ticket.iteration()), ticket.bytes());
+            if landed == Some(false) && opts.reanchor_on_failure {
+                self.request_reanchor();
+            }
+            landed == Some(true)
+        };
+        self.engine
+            .record_full(ticket.iteration(), landed, self.crash);
+        landed
     }
 
     /// Encode the writer's buffered differential batch once and fan it

@@ -33,7 +33,7 @@ use lowdiff_storage::codec::ValueCodec;
 use lowdiff_storage::CheckpointStore;
 use lowdiff_util::units::Secs;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Configuration for [`LowDiffStrategy`].
 #[derive(Clone, Debug)]
@@ -252,6 +252,15 @@ impl LowDiffStrategy {
             self.engine.request_reanchor();
         }
         sub.stall
+    }
+
+    /// Whether the full captured at `iteration` is durable, waiting up to
+    /// `wait` for its persist to finish: `Some(true)` landed, `Some(false)`
+    /// failed (a forced re-anchor at a later iteration does not change
+    /// that), `None` still in flight. See
+    /// [`CheckpointEngine::full_outcome`].
+    pub fn full_outcome(&self, iteration: u64, wait: Duration) -> Option<bool> {
+        self.engine.full_outcome(iteration, wait)
     }
 
     /// Whether the capture frames are built: [`CheckpointStrategy::prime`]
@@ -648,6 +657,111 @@ mod tests {
         strat.flush();
         let got = st.backend().get(&CheckpointStore::full_key(1)).unwrap();
         assert!(got == want, "the stored full holds post-return mutations");
+    }
+
+    /// A full that failed stays failed for the per-iteration query, even
+    /// after the forced re-anchor one iteration later lands.
+    #[test]
+    fn failed_full_is_not_answered_by_the_reanchor_after_it() {
+        use lowdiff_storage::{FaultConfig, FaultyBackend, StorageBackend};
+
+        let faulty = Arc::new(FaultyBackend::new(
+            MemoryBackend::new(),
+            FaultConfig::default(),
+        ));
+        let st = Arc::new(CheckpointStore::new(
+            Arc::clone(&faulty) as Arc<dyn StorageBackend>
+        ));
+        let adam = Adam::default();
+        let mut comp = TopK::new(0.2);
+        let mut rng = DetRng::new(4);
+        let psi = 64;
+        let mut state = ModelState::new((0..psi).map(|_| rng.normal() as f32).collect());
+        let mut strat = LowDiffStrategy::new(
+            Arc::clone(&st),
+            LowDiffConfig {
+                full_every: 2,
+                // No differential write before the final flush.
+                batch_size: 100,
+                engine: EngineConfig {
+                    retry: lowdiff_storage::RetryPolicy::none(),
+                    ..EngineConfig::default()
+                },
+                ..LowDiffConfig::default()
+            },
+        );
+        let mut step = |strat: &mut LowDiffStrategy, state: &mut ModelState| {
+            let g: Vec<f32> = (0..psi).map(|_| rng.normal() as f32 * 0.1).collect();
+            let cg = Arc::new(comp.compress(&g));
+            strat.on_synced_gradient(state.iteration, &cg, &AuxView::NONE);
+            state.apply_gradient(&adam, &cg.to_dense());
+            strat.after_update(state, &AuxView::NONE);
+        };
+        let wait = Duration::from_secs(10);
+        faulty.fail_all_puts();
+        step(&mut strat, &mut state);
+        step(&mut strat, &mut state); // the scheduled full at 2 fails
+        assert_eq!(strat.full_outcome(2, wait), Some(false));
+        faulty.heal();
+        step(&mut strat, &mut state); // the forced re-anchor at 3 lands
+        assert_eq!(strat.full_outcome(3, wait), Some(true));
+        assert_eq!(strat.full_outcome(2, Duration::ZERO), Some(false));
+        assert_eq!(strat.full_outcome(1, Duration::ZERO), None, "no full at 1");
+        strat.flush();
+        assert_eq!(st.full_iterations().unwrap(), vec![3]);
+    }
+
+    /// The checkpointing thread refreshes the health blob after each
+    /// landed full, before the full's outcome reads "landed": no flush
+    /// needed. With `export_health` off it writes none.
+    #[test]
+    fn landed_full_refreshes_the_health_blob_without_a_flush() {
+        for export_health in [true, false] {
+            use crate::trainer::{Trainer, TrainerConfig};
+            use lowdiff_model::builders::mlp;
+            use lowdiff_model::data::Regression;
+
+            let st = store();
+            let strat = LowDiffStrategy::new(
+                Arc::clone(&st),
+                LowDiffConfig {
+                    full_every: 3,
+                    batch_size: 100,
+                    engine: EngineConfig {
+                        export_health,
+                        ..EngineConfig::default()
+                    },
+                    ..LowDiffConfig::default()
+                },
+            );
+            let mut tr = Trainer::new(
+                mlp(&[4, 8, 2], 1),
+                Adam::default(),
+                strat,
+                TrainerConfig::default(),
+            );
+            let task = Regression::new(4, 2, 3);
+            tr.run_unflushed(4, |net, _t, rng| {
+                let (x, y) = task.batch(rng, 8);
+                let pred = net.forward(&x);
+                lowdiff_model::loss::mse(&pred, &y)
+            });
+            let strat = tr.strategy();
+            assert_eq!(strat.full_outcome(3, Duration::from_secs(10)), Some(true));
+            let blob = st.backend().get(crate::engine::HEALTH_KEY);
+            if !export_health {
+                assert!(blob.is_err(), "health exported with export_health off");
+                continue;
+            }
+            let json = String::from_utf8(blob.expect("health blob after a landed full")).unwrap();
+            let count: u64 = json
+                .split("\"persist_count\":")
+                .nth(1)
+                .and_then(|rest| rest.split(',').next())
+                .and_then(|n| n.parse().ok())
+                .unwrap_or_else(|| panic!("no persist_count in {json}"));
+            assert!(count >= 1, "{json}");
+        }
     }
 
     #[test]

@@ -41,6 +41,7 @@ use lowdiff_optim::ModelState;
 use lowdiff_storage::ShardSpec;
 use lowdiff_util::units::Secs;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Wraps a [`LowDiffStrategy`] so it checkpoints only this rank's shard.
 /// See the module docs for exactness and restrictions.
@@ -65,6 +66,12 @@ impl ShardedStrategy {
     /// for cluster mode.
     pub fn unshardable_grads(&self) -> u64 {
         self.unshardable
+    }
+
+    /// Whether this rank's shard full at `iteration` is durable, waiting
+    /// up to `wait`: [`LowDiffStrategy::full_outcome`].
+    pub fn full_outcome(&self, iteration: u64, wait: Duration) -> Option<bool> {
+        self.inner.full_outcome(iteration, wait)
     }
 }
 

@@ -491,7 +491,44 @@ impl<S: CheckpointStrategy> Trainer<S> {
     /// receives a fresh `DetRng` seeded from this iteration's draw of the
     /// data RNG. Sampling batches from it makes the data stream a pure
     /// function of (`data_seed`, iteration) — and therefore resumable.
-    pub fn run_with_data<F>(&mut self, iters: u64, mut step: F) -> TrainerReport
+    /// Ends with the strategy's flush: everything the iterations
+    /// checkpointed is durable when this returns.
+    pub fn run_with_data<F>(&mut self, iters: u64, step: F) -> TrainerReport
+    where
+        F: FnMut(&mut Network, u64, &mut DetRng) -> (f64, Tensor),
+    {
+        let (losses, t_start) = self.train(iters, step);
+        self.strategy.flush();
+        self.report(losses, t_start)
+    }
+
+    /// [`Trainer::run_with_data`] without the trailing flush: the
+    /// checkpoints of these iterations may still be in flight when it
+    /// returns. For callers that overlap persistence with the iterations
+    /// that follow and flush once at the end (the cluster worker seals
+    /// each epoch when its full lands, asking the strategy per
+    /// iteration).
+    pub fn run_unflushed<F>(&mut self, iters: u64, step: F) -> TrainerReport
+    where
+        F: FnMut(&mut Network, u64, &mut DetRng) -> (f64, Tensor),
+    {
+        let (losses, t_start) = self.train(iters, step);
+        self.report(losses, t_start)
+    }
+
+    fn report(&self, losses: Vec<f64>, t_start: Instant) -> TrainerReport {
+        TrainerReport {
+            iterations: losses.len() as u64,
+            losses,
+            elapsed: Secs(t_start.elapsed().as_secs_f64()),
+            stats: self.strategy.stats(),
+        }
+    }
+
+    /// The training loop of both `run_*` entry points: primes the
+    /// strategy, then runs `iters` iterations. Returns the losses and
+    /// when the first iteration started.
+    fn train<F>(&mut self, iters: u64, mut step: F) -> (Vec<f64>, Instant)
     where
         F: FnMut(&mut Network, u64, &mut DetRng) -> (f64, Tensor),
     {
@@ -584,13 +621,7 @@ impl<S: CheckpointStrategy> Trainer<S> {
             self.state.apply_gradient(&self.adam, dense);
             self.strategy.after_update(&self.state, &aux);
         }
-        self.strategy.flush();
-        TrainerReport {
-            losses,
-            elapsed: Secs(t_start.elapsed().as_secs_f64()),
-            stats: self.strategy.stats(),
-            iterations: iters,
-        }
+        (losses, t_start)
     }
 }
 
@@ -734,6 +765,83 @@ mod tests {
         assert_eq!(rec.params, live.params);
         assert_eq!(rec.opt.m, live.opt.m);
         assert_eq!(rec.opt.v, live.opt.v);
+    }
+
+    /// Every blob in `store` but the engine's `meta-` telemetry (the
+    /// health blob carries timings).
+    fn checkpoint_blobs(store: &CheckpointStore) -> Vec<(String, Vec<u8>)> {
+        let backend = store.backend();
+        let mut keys = backend.list().unwrap();
+        keys.retain(|k| !k.starts_with("meta-"));
+        keys.sort();
+        keys.into_iter()
+            .map(|k| {
+                let bytes = backend.get(&k).unwrap();
+                (k, bytes)
+            })
+            .collect()
+    }
+
+    /// `run_unflushed` returns while the anchor's full is still being
+    /// written; `run_with_data` returns only once it landed. After a final
+    /// flush both leave the same bytes.
+    #[test]
+    fn unflushed_run_returns_before_the_anchor_lands() {
+        use lowdiff_storage::{FaultConfig, FaultyBackend};
+        use std::time::Duration;
+
+        let run = |flush: bool| {
+            // Every put stalls: the full at 4 queues behind two
+            // differential batches.
+            let slow = FaultyBackend::new(
+                MemoryBackend::new(),
+                FaultConfig {
+                    latency_spike_rate: 1.0,
+                    latency_spike: Duration::from_millis(150),
+                    ..FaultConfig::default()
+                },
+            );
+            let store = Arc::new(CheckpointStore::new(Arc::new(slow)));
+            let strat = LowDiffStrategy::new(
+                Arc::clone(&store),
+                LowDiffConfig {
+                    full_every: 4,
+                    batch_size: 2,
+                    ..LowDiffConfig::default()
+                },
+            );
+            let cfg = TrainerConfig {
+                compress_ratio: Some(0.2),
+                data_seed: 5,
+                ..TrainerConfig::default()
+            };
+            let mut tr = Trainer::new(mlp(&[4, 12, 2], 8), Adam::default(), strat, cfg);
+            let task = Regression::new(4, 2, 7);
+            let report = if flush {
+                tr.run_with_data(4, data_step(task))
+            } else {
+                tr.run_unflushed(4, data_step(task))
+            };
+            assert_eq!(report.iterations, 4);
+            let outcome = tr.strategy().full_outcome(4, Duration::ZERO);
+            tr.strategy_mut().flush();
+            (outcome, checkpoint_blobs(&store))
+        };
+        let (unflushed, unflushed_blobs) = run(false);
+        let (flushed, flushed_blobs) = run(true);
+        assert_eq!(unflushed, None, "the unflushed loop waited for the full");
+        assert_eq!(
+            flushed,
+            Some(true),
+            "run_with_data returned before its full landed"
+        );
+        assert!(unflushed_blobs
+            .iter()
+            .any(|(k, _)| k == &CheckpointStore::full_key(4)));
+        assert!(
+            unflushed_blobs == flushed_blobs,
+            "the two entry points persisted different bytes"
+        );
     }
 
     /// The tentpole property as a matrix: straight run ≡ crash + resume,

@@ -52,10 +52,15 @@
 #                            kernel as optimized code
 # 3h. sharded @1 thread    — the sharded adapter's tests (the lowdiff
 #                            `shard::` unit tests, its lazy-projection and
-#                            blob-equivalence suite, tests/sharded_cluster.rs)
-#                            and the whole cluster crate with the pool
-#                            pinned to 1 thread, which is how the
-#                            benchmark's cluster ranks run
+#                            blob-equivalence suite, tests/sharded_cluster.rs),
+#                            the seal-on-landed-full pieces the cluster
+#                            worker drives (the trainer's unflushed loop,
+#                            the per-iteration full outcome, the health
+#                            blob refreshed without a flush) and the whole
+#                            cluster crate (its never-seal-a-failed-full
+#                            test included) with the pool pinned to 1
+#                            thread, which is how the benchmark's cluster
+#                            ranks run
 # 4. crash-torture smoke   — the fast subset of the crash/resume matrix,
 #                            including whole-rank-loss cells recovered
 #                            from peer replicas alone
@@ -144,6 +149,9 @@ echo "== sharded @1 thread =="
 LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff shard::
 LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff --test sharded_strategy
 LOWDIFF_NUM_THREADS=1 cargo test -q --test sharded_cluster
+LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff unflushed_run_returns_before_the_anchor_lands
+LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff failed_full_is_not_answered_by_the_reanchor_after_it
+LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff landed_full_refreshes_the_health_blob_without_a_flush
 LOWDIFF_NUM_THREADS=1 timeout 600 cargo test -q -p lowdiff-cluster
 
 echo "== crash-torture smoke =="
