@@ -42,8 +42,8 @@
 use lowdiff::lowdiff::{LowDiffConfig, LowDiffStrategy};
 use lowdiff::lowdiff_plus::{LowDiffPlusConfig, LowDiffPlusStrategy};
 use lowdiff::strategy::CheckpointStrategy;
-use lowdiff::{EngineConfig, PeerReplicateStrategy};
-use lowdiff_baselines::{CheckFreqStrategy, GeminiStrategy, NaiveDcStrategy, TorchSaveStrategy};
+use lowdiff::{EngineConfig, PeerTier, Tier, TierStack};
+use lowdiff_baselines::{NaiveDcStrategy, PeriodicFullStrategy};
 use lowdiff_bench::print_table;
 use lowdiff_comm::ReplicaNet;
 use lowdiff_compress::{AuxView, CompressedGrad, Compressor, SparseGrad, TopK};
@@ -331,18 +331,21 @@ fn main() {
     // has no storage wait here for peer acks to hide).
     if peers > 0 {
         let net = ReplicaNet::new(peers + 1);
-        let strat = PeerReplicateStrategy::new(
-            mem_store(),
-            LowDiffConfig {
-                full_every: 10,
-                batch_size: 4,
-                engine: ecfg(),
-                ..LowDiffConfig::default()
+        let store = mem_store();
+        let cfg = LowDiffConfig {
+            full_every: 10,
+            batch_size: 4,
+            engine: ecfg(),
+            ..LowDiffConfig::default()
+        };
+        let tiers = TierStack::new(vec![
+            Tier::Peer(Arc::new(PeerTier::new(net, 0, peers))),
+            Tier::Durable {
+                store: Arc::clone(&store),
+                keep: cfg.keep_fulls,
             },
-            net,
-            0,
-            peers,
-        );
+        ]);
+        let strat = LowDiffStrategy::with_tier_stack(store, cfg, tiers);
         let cg = Arc::clone(&cg);
         results.push(run_strategy(
             "lowdiff-peer",
@@ -436,7 +439,7 @@ fn main() {
     // CheckFreq: full snapshot every iteration through the depth-1
     // pipeline — the high-frequency configuration the paper stresses.
     {
-        let strat = CheckFreqStrategy::with_engine_config(mem_store(), 1, ecfg());
+        let strat = PeriodicFullStrategy::checkfreq(mem_store(), 1, ecfg());
         results.push(run_strategy(
             "checkfreq",
             iters,
@@ -451,7 +454,7 @@ fn main() {
 
     // torch.save: synchronous full every iteration.
     {
-        let strat = TorchSaveStrategy::with_engine_config(mem_store(), 1, ecfg());
+        let strat = PeriodicFullStrategy::torch_save(mem_store(), 1, ecfg());
         results.push(run_strategy(
             "torch-save",
             iters,
@@ -466,7 +469,7 @@ fn main() {
 
     // Gemini: memory-tier full every iteration, durable every 10.
     {
-        let strat = GeminiStrategy::with_engine_config(mem_store(), 1, 10, ecfg());
+        let strat = PeriodicFullStrategy::gemini(mem_store(), 1, 10, ecfg());
         results.push(run_strategy(
             "gemini",
             iters,

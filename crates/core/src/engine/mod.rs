@@ -31,12 +31,14 @@
 //! Two modes:
 //!
 //! * [`CheckpointEngine::spawn`] — a dedicated worker thread behind a
-//!   bounded job queue (LowDiff, LowDiff+, CheckFreq, Gemini). The queue
-//!   capacity *is* the pipeline depth: CheckFreq's depth-1 snapshot/persist
-//!   overlap is `queue_capacity = 1`.
+//!   bounded job queue (LowDiff and the sharded adapter over it,
+//!   LowDiff+, and the periodic-full CheckFreq and Gemini schedules).
+//!   The queue capacity *is* the pipeline depth: CheckFreq's depth-1
+//!   snapshot/persist overlap is `queue_capacity = 1`.
 //! * [`CheckpointEngine::inline`] — no thread; jobs are processed on the
-//!   training thread (TorchSave, Naïve DC — schemes whose point is that
-//!   the write sits on the critical path).
+//!   training thread (the periodic-full `torch.save` schedule and Naïve
+//!   DC — schemes whose point is that the write sits on the critical
+//!   path).
 //!
 //! The engine produces [`crate::strategy::StrategyStats`] centrally
 //! (policies account through [`EngineCtx`]), records every full's persist

@@ -46,10 +46,12 @@ pub trait CheckpointPolicy: Send + 'static {
     /// Scheme name for reports and the exported health blob.
     fn name(&self) -> &'static str;
 
-    /// Training-side gate for synchronous engines: should `after_update`
-    /// at `iteration` produce a job at all? Async engines filter on the
-    /// adapter side instead (the decision needs adapter state like the
-    /// forced-full flag).
+    /// Training-side gate read through [`super::CheckpointEngine::wants_capture`]
+    /// on inline engines only: should `after_update` at `iteration`
+    /// produce a job at all? Naïve DC's schedule is the one policy that
+    /// gates here; every other adapter filters on its own side (spawned
+    /// engines hand the policy to their thread, and LowDiff's decision
+    /// needs adapter state like the forced-full flag).
     fn wants_capture(&self, _iteration: u64) -> bool {
         true
     }

@@ -12,12 +12,13 @@
 //! | Optimal configuration, Eq. (3)–(5) (§4.3) | [`config`] |
 //! | Parallel recovery (§6, Fig. "Parallel Fast Recovery") | [`recovery`] |
 //! | LowDiff+ / Algorithm 2 (§5) | [`lowdiff_plus::LowDiffPlusStrategy`] |
-//! | Gemini / Checkmate recovery tiers (memory, peer replicas) | [`engine::Tier`], [`peer::PeerReplicateStrategy`] |
+//! | Gemini / Checkmate recovery tiers (memory, peer replicas) | [`engine::Tier`], [`lowdiff::LowDiffStrategy::with_tier_stack`] |
 //!
 //! The [`trainer::Trainer`] drives real model training with a pluggable
 //! [`strategy::CheckpointStrategy`]; the baselines crate implements
-//! CheckFreq/Gemini/Naïve-DC against the same trait so every comparison in
-//! the experiments is apples-to-apples.
+//! torch.save/CheckFreq/Gemini (one periodic-full scheme) and Naïve DC
+//! against the same trait so every comparison in the experiments is
+//! apples-to-apples.
 
 #![forbid(unsafe_code)]
 
@@ -26,7 +27,6 @@ pub mod config;
 pub mod engine;
 pub mod lowdiff;
 pub mod lowdiff_plus;
-pub mod peer;
 pub mod pipeline;
 pub mod recovery;
 pub mod shard;
@@ -43,7 +43,6 @@ pub use engine::{
 pub use lowdiff::{LowDiffConfig, LowDiffStrategy};
 pub use lowdiff_compress::{AuxState, AuxView, CompressorCfg, CompressorKind};
 pub use lowdiff_plus::{LowDiffPlusConfig, LowDiffPlusStrategy};
-pub use peer::PeerReplicateStrategy;
 pub use recovery::{recover_serial, recover_sharded};
 pub use shard::ShardedStrategy;
 pub use strategy::{CheckpointStrategy, NoCheckpoint, StrategyStats, TierStats};

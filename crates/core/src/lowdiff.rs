@@ -73,10 +73,9 @@ impl Default for LowDiffConfig {
 /// The scheme half of LowDiff: batches differentials, persists fulls with
 /// re-anchor-on-failure semantics. Runs on the engine's checkpointing
 /// thread; every write fans across the recovery tier stack through
-/// [`EngineCtx`] (plain LowDiff runs a single durable tier;
-/// [`crate::peer::PeerReplicateStrategy`] swaps in a peer-first stack
-/// without touching this logic), whose store tiers garbage-collect old
-/// fulls.
+/// [`EngineCtx`] (plain LowDiff runs a single durable tier; a peer-first
+/// stack from [`LowDiffStrategy::with_tier_stack`] leaves this logic
+/// untouched), whose store tiers garbage-collect old fulls.
 struct LowDiffPolicy {
     tiers: TierStack,
     writer: BatchedWriter,
@@ -138,20 +137,29 @@ impl LowDiffStrategy {
             store: Arc::clone(&store),
             keep: cfg.keep_fulls,
         }]);
-        Self::with_tier_stack(store, cfg, tiers, "lowdiff")
+        Self::with_tier_stack(store, cfg, tiers)
     }
 
-    /// Run the unchanged LowDiff scheme over another recovery-tier stack —
-    /// the composition point for [`crate::peer::PeerReplicateStrategy`].
-    /// `store` stays the durable store recovery and the health blob talk
-    /// to; the stack's own tiers carry the GC depth.
-    pub(crate) fn with_tier_stack(
+    /// Run the unchanged LowDiff scheme over another recovery-tier stack.
+    /// Checkmate-style peer replication is
+    /// `[Tier::Peer(k), Tier::Durable { keep: cfg.keep_fulls }]`: every
+    /// diff and full streams to `k` ring peers and lands on a peer ack,
+    /// the durable store trails best-effort, and a lost rank is rebuilt
+    /// from a surviving peer's replicas
+    /// ([`crate::engine::peer_recovery_stores`]). `store` stays the
+    /// durable store recovery and the health blob talk to; the stack's own
+    /// tiers carry the GC depth. The strategy reports as `"lowdiff-peer"`
+    /// when the stack's front tier is a peer tier, `"lowdiff"` otherwise.
+    pub fn with_tier_stack(
         store: Arc<CheckpointStore>,
         cfg: LowDiffConfig,
         tiers: TierStack,
-        label: &'static str,
     ) -> Self {
         assert!(cfg.full_every >= 1 && cfg.batch_size >= 1);
+        let label = match tiers.iter().next() {
+            Some(Tier::Peer(_)) => "lowdiff-peer",
+            _ => "lowdiff",
+        };
         let policy = LowDiffPolicy {
             tiers,
             writer: BatchedWriter::new(cfg.batch_size, cfg.value_codec),
@@ -797,5 +805,84 @@ mod tests {
         // The engine exports its health blob on flush.
         let blob = st.backend().get(crate::engine::HEALTH_KEY).unwrap();
         assert!(!blob.is_empty(), "health blob exported on flush");
+    }
+
+    /// LowDiff over `[Tier::Peer(replicas), Tier::Durable { keep }]`.
+    fn peer_first(
+        store: &Arc<CheckpointStore>,
+        cfg: LowDiffConfig,
+        net: &Arc<lowdiff_comm::ReplicaNet>,
+        replicas: usize,
+    ) -> LowDiffStrategy {
+        let tiers = TierStack::new(vec![
+            Tier::Peer(Arc::new(crate::engine::PeerTier::new(
+                Arc::clone(net),
+                0,
+                replicas,
+            ))),
+            Tier::Durable {
+                store: Arc::clone(store),
+                keep: cfg.keep_fulls,
+            },
+        ]);
+        LowDiffStrategy::with_tier_stack(Arc::clone(store), cfg, tiers)
+    }
+
+    #[test]
+    fn the_label_follows_the_front_tier() {
+        let net = lowdiff_comm::ReplicaNet::new(2);
+        let st = store();
+        let peer = peer_first(&st, LowDiffConfig::default(), &net, 1);
+        assert_eq!(peer.name(), "lowdiff-peer");
+        let durable_first = TierStack::new(vec![Tier::Durable {
+            store: Arc::clone(&st),
+            keep: None,
+        }]);
+        let plain = LowDiffStrategy::with_tier_stack(st, LowDiffConfig::default(), durable_first);
+        assert_eq!(plain.name(), "lowdiff");
+    }
+
+    /// `keep_fulls` garbage-collects the durable store behind the peer
+    /// tier, never the peer replicas: those keep every full and every
+    /// differential batch the rank streamed.
+    #[test]
+    fn keep_fulls_gcs_the_durable_store_not_the_peer_replicas() {
+        let store = store();
+        let net = lowdiff_comm::ReplicaNet::new(2);
+        let cfg = LowDiffConfig {
+            full_every: 4,
+            batch_size: 2,
+            keep_fulls: Some(2),
+            ..LowDiffConfig::default()
+        };
+        let mut strat = peer_first(&store, cfg, &net, 1);
+        let (adam, mut comp, mut rng) = (Adam::default(), TopK::new(0.25), DetRng::new(5));
+        let mut state = ModelState::new(vec![0.0; 64]);
+        strat.prime(&state, &AuxView::NONE);
+        for _ in 0..18 {
+            let g: Vec<f32> = (0..64).map(|_| rng.normal() as f32 * 0.1).collect();
+            let cg = Arc::new(comp.compress(&g));
+            strat.on_synced_gradient(state.iteration, &cg, &AuxView::NONE);
+            state.apply_gradient(&adam, &cg.to_dense());
+            strat.after_update(&state, &AuxView::NONE);
+        }
+        strat.flush();
+        assert_eq!(store.full_iterations().unwrap(), vec![12, 16]);
+        assert!(store.diff_keys().unwrap().iter().all(|k| k.end >= 12));
+        let peers = crate::engine::peer_recovery_stores(&net, 0);
+        assert_eq!(peers.len(), 1);
+        let replica = &peers[0].1;
+        assert_eq!(replica.full_iterations().unwrap(), vec![4, 8, 12, 16]);
+        let diffs: Vec<(u64, u64)> = replica
+            .diff_keys()
+            .unwrap()
+            .iter()
+            .map(|k| (k.start, k.end))
+            .collect();
+        assert_eq!(diffs.len(), 9, "{diffs:?}");
+        let stats = strat.stats();
+        assert_eq!(stats.tiers[0].name, "peer");
+        assert_eq!(stats.tiers[1].name, "durable");
+        assert_eq!(stats.full_checkpoints, 4);
     }
 }

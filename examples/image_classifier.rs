@@ -9,7 +9,8 @@
 use lowdiff::lowdiff::{LowDiffConfig, LowDiffStrategy};
 use lowdiff::strategy::{CheckpointStrategy, NoCheckpoint, StrategyStats};
 use lowdiff::trainer::{Trainer, TrainerConfig};
-use lowdiff_baselines::{CheckFreqStrategy, NaiveDcStrategy, TorchSaveStrategy};
+use lowdiff::EngineConfig;
+use lowdiff_baselines::{NaiveDcStrategy, PeriodicFullStrategy};
 use lowdiff_model::builders::tiny_cnn;
 use lowdiff_model::data::Blobs;
 use lowdiff_model::loss::{accuracy, softmax_cross_entropy};
@@ -81,11 +82,19 @@ fn main() {
             ("wo-ckpt", acc, st)
         },
         {
-            let (acc, st, _) = train(TorchSaveStrategy::new(mem_store(), 1));
+            let (acc, st, _) = train(PeriodicFullStrategy::torch_save(
+                mem_store(),
+                1,
+                EngineConfig::default(),
+            ));
             ("torch.save", acc, st)
         },
         {
-            let (acc, st, _) = train(CheckFreqStrategy::new(mem_store(), 1));
+            let (acc, st, _) = train(PeriodicFullStrategy::checkfreq(
+                mem_store(),
+                1,
+                EngineConfig::default(),
+            ));
             ("checkfreq", acc, st)
         },
         {

@@ -10,9 +10,11 @@
 #                            unresolved, ambiguous or private intra-doc
 #                            link (catches the links a deletion leaves
 #                            behind)
-# 2c. uncalled report      — prints how many `pub` items under crates/*/src
-#                            no production code names (scripts/uncalled.sh;
-#                            run it bare for the list); reports, never fails
+# 2c. uncalled gate        — how many `pub` items under crates/*/src no
+#                            production code names (scripts/uncalled.sh;
+#                            run it bare for the list); fails when the
+#                            count exceeds UNCALLED_CEILING below. Lower
+#                            the ceiling when a change lowers the count
 # 3. cargo test -q         — the full workspace test suite
 # 3b. compress @1/@4 threads — the compress suite again with the worker
 #                            pool pinned to 1 and to 4 threads: the Top-K
@@ -111,8 +113,14 @@ echo "== rustdoc =="
 # Every doc link must resolve to a public item of the documented crate.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-echo "== uncalled pub items (report) =="
-bash scripts/uncalled.sh --count
+echo "== uncalled pub items (gate) =="
+UNCALLED_CEILING=34
+uncalled=$(bash scripts/uncalled.sh --count)
+echo "$uncalled (ceiling $UNCALLED_CEILING)"
+if [ "$uncalled" -gt "$UNCALLED_CEILING" ]; then
+  echo "uncalled pub items rose above $UNCALLED_CEILING: run scripts/uncalled.sh for the list" >&2
+  exit 1
+fi
 
 echo "== test =="
 cargo test -q --workspace

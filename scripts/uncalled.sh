@@ -17,7 +17,8 @@
 #
 # The search is by name, so an item that shares its name with anything
 # production code names counts as called: the report can miss an uncalled
-# item, but it does not list a called one. It reports; it never fails.
+# item, but it does not list a called one. It reports; it never fails
+# (scripts/ci.sh fails when the count exceeds its ceiling).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -25,10 +25,10 @@
 use lowdiff::engine::peer_recovery_stores;
 use lowdiff::{
     CheckpointStrategy, CrashInjector, CrashPoint, EngineConfig, LowDiffConfig, LowDiffPlusConfig,
-    LowDiffPlusStrategy, LowDiffStrategy, NoCheckpoint, PeerReplicateStrategy, RecoverySource,
-    ResumeOpts, Trainer, TrainerConfig, ALL_CRASH_POINTS,
+    LowDiffPlusStrategy, LowDiffStrategy, NoCheckpoint, PeerTier, RecoverySource, ResumeOpts, Tier,
+    TierStack, Trainer, TrainerConfig, ALL_CRASH_POINTS,
 };
-use lowdiff_baselines::{CheckFreqStrategy, GeminiStrategy, NaiveDcStrategy, TorchSaveStrategy};
+use lowdiff_baselines::{NaiveDcStrategy, PeriodicFullStrategy};
 use lowdiff_comm::ReplicaNet;
 use lowdiff_model::builders::mlp;
 use lowdiff_model::data::Regression;
@@ -147,17 +147,17 @@ fn torture_cell(scheme: Scheme, point: CrashPoint, error_feedback: bool, cell_se
             },
             ModelState::new(network.params_flat()),
         )),
-        Scheme::CheckFreq => Box::new(CheckFreqStrategy::with_engine_config(
+        Scheme::CheckFreq => Box::new(PeriodicFullStrategy::checkfreq(
             Arc::clone(&store),
             3,
             ecfg(),
         )),
-        Scheme::TorchSave => Box::new(TorchSaveStrategy::with_engine_config(
+        Scheme::TorchSave => Box::new(PeriodicFullStrategy::torch_save(
             Arc::clone(&store),
             3,
             ecfg(),
         )),
-        Scheme::Gemini => Box::new(GeminiStrategy::with_engine_config(
+        Scheme::Gemini => Box::new(PeriodicFullStrategy::gemini(
             Arc::clone(&store),
             2,
             4,
@@ -342,7 +342,7 @@ fn quant_torture_cell(point: CrashPoint, error_feedback: bool, cell_seed: u64) {
 
 /// Whole-rank-loss cell: the crash takes the *entire rank* with it —
 /// live model, optimizer, AND the rank's durable checkpoint directory.
-/// The only surviving copies are the replicas [`PeerReplicateStrategy`]
+/// The only surviving copies are the replicas LowDiff's peer tier
 /// streamed to its ring peers, so recovery runs [`Trainer::resume_tiered`]
 /// over the peers' replica stores with **no durable source at all**. The
 /// resumed run must still land bit-identical to the straight run.
@@ -372,22 +372,28 @@ fn rank_loss_cell(point: CrashPoint, error_feedback: bool, cell_seed: u64) {
         StripeCfg::default()
     };
     let replica_net = ReplicaNet::new(RANKS);
-    let strat = PeerReplicateStrategy::new(
-        Arc::clone(&store),
-        LowDiffConfig {
-            full_every: 6,
-            batch_size: 2,
-            engine: EngineConfig {
-                stripe,
-                crash: Some(Arc::clone(&injector)),
-                ..EngineConfig::default()
-            },
-            ..LowDiffConfig::default()
+    let lcfg = LowDiffConfig {
+        full_every: 6,
+        batch_size: 2,
+        engine: EngineConfig {
+            stripe,
+            crash: Some(Arc::clone(&injector)),
+            ..EngineConfig::default()
         },
-        Arc::clone(&replica_net),
-        0,
-        REPLICAS,
-    );
+        ..LowDiffConfig::default()
+    };
+    let tiers = TierStack::new(vec![
+        Tier::Peer(Arc::new(PeerTier::new(
+            Arc::clone(&replica_net),
+            0,
+            REPLICAS,
+        ))),
+        Tier::Durable {
+            store: Arc::clone(&store),
+            keep: lcfg.keep_fulls,
+        },
+    ]);
+    let strat = LowDiffStrategy::with_tier_stack(Arc::clone(&store), lcfg, tiers);
 
     let mut doomed = Trainer::new(net(), Adam::default(), Box::new(strat), cfg.clone());
     let mut step = data_step();

@@ -1,5 +1,6 @@
-//! Peer-replication contract tests: [`lowdiff::PeerReplicateStrategy`]
-//! and its [`PeerTier`] under injected peer loss, and the full
+//! Peer-replication contract tests: LowDiff over a peer-first tier stack
+//! ([`lowdiff::LowDiffStrategy::with_tier_stack`]) and its [`PeerTier`]
+//! under injected peer loss, and the full
 //! multi-rank recovery story over [`lowdiff_comm::WorkerGroup`].
 //!
 //! The tier contract under loss (ISSUE satellite): a replica headed for a
@@ -9,10 +10,10 @@
 //! a peer is reachable again.
 
 use lowdiff::engine::{peer_recovery_stores, PeerReplicaBackend};
-use lowdiff::lowdiff::LowDiffConfig;
+use lowdiff::lowdiff::{LowDiffConfig, LowDiffStrategy};
 use lowdiff::strategy::CheckpointStrategy;
 use lowdiff::{
-    AuxView, NoCheckpoint, PeerReplicateStrategy, RecoverySource, ResumeOpts, Trainer,
+    AuxView, NoCheckpoint, PeerTier, RecoverySource, ResumeOpts, Tier, TierStack, Trainer,
     TrainerConfig,
 };
 use lowdiff_comm::{ReplicaNet, WorkerGroup};
@@ -28,6 +29,27 @@ use std::sync::Arc;
 
 fn mem_store() -> Arc<CheckpointStore> {
     Arc::new(CheckpointStore::new(Arc::new(MemoryBackend::new())))
+}
+
+/// LowDiff over the Checkmate-style `[Tier::Peer(replicas), Tier::Durable]`
+/// stack; the peer tier comes back too, for its re-replication backlog.
+fn peer_lowdiff(
+    store: &Arc<CheckpointStore>,
+    cfg: LowDiffConfig,
+    net: &Arc<ReplicaNet>,
+    rank: usize,
+    replicas: usize,
+) -> (LowDiffStrategy, Arc<PeerTier>) {
+    let peer = Arc::new(PeerTier::new(Arc::clone(net), rank, replicas));
+    let tiers = TierStack::new(vec![
+        Tier::Peer(Arc::clone(&peer)),
+        Tier::Durable {
+            store: Arc::clone(store),
+            keep: cfg.keep_fulls,
+        },
+    ]);
+    let strat = LowDiffStrategy::with_tier_stack(Arc::clone(store), cfg, tiers);
+    (strat, peer)
 }
 
 /// The replica-view backend honors the same `StorageBackend` contract the
@@ -75,20 +97,20 @@ fn dead_peer_replica_dropped_accounted_and_rereplicated() {
         (0..32).map(|_| rng.normal() as f32).collect()
     });
     let adam = Adam::default();
-    let mut strat = PeerReplicateStrategy::new(
-        Arc::clone(&store),
+    let (mut strat, peer) = peer_lowdiff(
+        &store,
         LowDiffConfig {
             full_every: 2,
             batch_size: 1,
             ..LowDiffConfig::default()
         },
-        Arc::clone(&net),
+        &net,
         0,
         2,
     );
     let mut comp = TopK::new(0.25);
     let mut rng = DetRng::new(7);
-    let mut drive = |strat: &mut PeerReplicateStrategy, state: &mut ModelState, iters: u64| {
+    let mut drive = |strat: &mut LowDiffStrategy, state: &mut ModelState, iters: u64| {
         for _ in 0..iters {
             let g: Vec<f32> = (0..32).map(|_| rng.normal() as f32 * 0.1).collect();
             let cg = Arc::new(comp.compress(&g));
@@ -101,7 +123,7 @@ fn dead_peer_replica_dropped_accounted_and_rereplicated() {
     strat.after_update(&state, &AuxView::NONE); // anchor full at 0
     drive(&mut strat, &mut state, 4);
     strat.flush(); // barrier: batch_size 1 leaves nothing partial to force
-    assert_eq!(strat.pending_replicas(), 0, "both peers alive: no backlog");
+    assert_eq!(peer.pending_replicas(), 0, "both peers alive: no backlog");
 
     // Peer 1 dies. Iterations 5..=8 keep checkpointing: every object
     // still acks on peer 2 (k=2 tolerates one loss), the peer-1 copies
@@ -122,7 +144,7 @@ fn dead_peer_replica_dropped_accounted_and_rereplicated() {
         peer_ledger.errors
     );
     assert!(
-        strat.pending_replicas() > 0,
+        peer.pending_replicas() > 0,
         "dropped replicas are queued for re-replication"
     );
     assert_eq!(
@@ -148,7 +170,7 @@ fn dead_peer_replica_dropped_accounted_and_rereplicated() {
     drive(&mut strat, &mut state, 4);
     strat.flush();
     assert_eq!(
-        strat.pending_replicas(),
+        peer.pending_replicas(),
         0,
         "backlog drains once the peer is reachable again"
     );
@@ -187,14 +209,14 @@ fn whole_rank_loss_recovers_from_peer_replicas_e2e() {
             let mut state = start.clone();
             let psi = state.num_params();
             let mut ef = ErrorFeedback::new(TopK::new(0.1), psi);
-            let mut strategy = PeerReplicateStrategy::new(
-                Arc::clone(&stores[ctx.rank()]),
+            let (mut strategy, _) = peer_lowdiff(
+                &stores[ctx.rank()],
                 LowDiffConfig {
                     full_every: 10,
                     batch_size: 3,
                     ..LowDiffConfig::default()
                 },
-                Arc::clone(replica_net),
+                replica_net,
                 ctx.rank(),
                 1,
             );

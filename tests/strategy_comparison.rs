@@ -7,7 +7,8 @@ use lowdiff::lowdiff_plus::{LowDiffPlusConfig, LowDiffPlusStrategy};
 use lowdiff::recovery::recover_serial;
 use lowdiff::strategy::{CheckpointStrategy, NoCheckpoint};
 use lowdiff::trainer::{Trainer, TrainerConfig};
-use lowdiff_baselines::{CheckFreqStrategy, GeminiStrategy, NaiveDcStrategy, TorchSaveStrategy};
+use lowdiff::EngineConfig;
+use lowdiff_baselines::{NaiveDcStrategy, PeriodicFullStrategy};
 use lowdiff_model::builders::mlp;
 use lowdiff_model::data::Regression;
 use lowdiff_model::loss::mse;
@@ -57,9 +58,18 @@ fn all_strategies_train_identically() {
     // Checkpointing must never perturb training: every strategy produces
     // exactly the same final model state for the same data.
     let (reference, _) = run(NoCheckpoint::new(), Some(0.1));
-    let (torch, _) = run(TorchSaveStrategy::new(store(), 5), Some(0.1));
-    let (cf, _) = run(CheckFreqStrategy::new(store(), 5), Some(0.1));
-    let (gem, _) = run(GeminiStrategy::new(store(), 1, 5), Some(0.1));
+    let (torch, _) = run(
+        PeriodicFullStrategy::torch_save(store(), 5, EngineConfig::default()),
+        Some(0.1),
+    );
+    let (cf, _) = run(
+        PeriodicFullStrategy::checkfreq(store(), 5, EngineConfig::default()),
+        Some(0.1),
+    );
+    let (gem, _) = run(
+        PeriodicFullStrategy::gemini(store(), 1, 5, EngineConfig::default()),
+        Some(0.1),
+    );
     let (naive, _) = run(NaiveDcStrategy::new(store(), 1, 100, 0.1), Some(0.1));
     let (lowdiff, _) = run(
         LowDiffStrategy::new(store(), LowDiffConfig::default()),
@@ -83,22 +93,32 @@ fn all_strategies_train_identically() {
 fn every_strategy_recovers_to_a_valid_state() {
     // torch.save — recovers to the last multiple of 5.
     let st = store();
-    let (live, _) = run(TorchSaveStrategy::new(Arc::clone(&st), 5), Some(0.1));
+    let (live, _) = run(
+        PeriodicFullStrategy::torch_save(Arc::clone(&st), 5, EngineConfig::default()),
+        Some(0.1),
+    );
     let rec = st.latest_valid_full().unwrap().unwrap();
     assert_eq!(rec.iteration, 20);
     assert_eq!(live.iteration, ITERS);
 
     // CheckFreq — same cadence, asynchronous.
     let st = store();
-    let (_, mut s) = run(CheckFreqStrategy::new(Arc::clone(&st), 5), Some(0.1));
+    let (_, mut s) = run(
+        PeriodicFullStrategy::checkfreq(Arc::clone(&st), 5, EngineConfig::default()),
+        Some(0.1),
+    );
     s.flush();
     assert_eq!(st.latest_valid_full().unwrap().unwrap().iteration, 20);
 
     // Gemini — memory tier is fresher than durable.
     let st = store();
-    let (_, s) = run(GeminiStrategy::new(Arc::clone(&st), 1, 9), Some(0.1));
-    let mem = s.recover_memory().unwrap().unwrap();
-    let dur = s.recover_durable().unwrap().unwrap();
+    let (_, s) = run(
+        PeriodicFullStrategy::gemini(Arc::clone(&st), 1, 9, EngineConfig::default()),
+        Some(0.1),
+    );
+    let sources = s.recovery_sources();
+    let mem = sources[0].store.latest_valid_full().unwrap().unwrap();
+    let dur = sources[1].store.latest_valid_full().unwrap().unwrap();
     assert_eq!(mem.iteration, ITERS);
     assert_eq!(dur.iteration, 18, "durable persists at 9 and 18");
 
@@ -171,7 +191,10 @@ fn storage_footprint_ordering_matches_exp7() {
     let rho = 0.02;
 
     let st_full = store();
-    run(TorchSaveStrategy::new(Arc::clone(&st_full), 1), Some(rho));
+    run(
+        PeriodicFullStrategy::torch_save(Arc::clone(&st_full), 1, EngineConfig::default()),
+        Some(rho),
+    );
     let full_bytes = st_full.backend().bytes_written();
 
     let st_naive = store();
