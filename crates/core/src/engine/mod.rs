@@ -44,9 +44,11 @@
 //! (policies account through [`EngineCtx`]), records every full's persist
 //! outcome by iteration ([`CheckpointEngine::full_outcome`]: "is the full
 //! at `t` durable?" without a flush), and exports a small health blob
-//! ([`HEALTH_KEY`]) that `lowdiff-ctl health` surfaces: the checkpointing
-//! thread refreshes it after each landed full, and flush and drop export
-//! it too.
+//! ([`HEALTH_KEY`]) that `lowdiff-ctl health` surfaces. The checkpointing
+//! thread refreshes it after a landed full within a time budget: a
+//! refresh that took `d` allows the next one `20 × d` after it started,
+//! so a cheap sink is refreshed at every landed full and a slow one costs
+//! at most 5 % of the thread's time. Flush and drop always export it.
 
 pub mod cow;
 pub mod crash;
@@ -90,8 +92,8 @@ pub struct EngineConfig {
     /// The one retry/backoff policy every persist goes through.
     pub retry: RetryPolicy,
     /// Export the health blob under [`HEALTH_KEY`]: on flush and shutdown,
-    /// and (asynchronous engines) from the checkpointing thread after
-    /// each landed full.
+    /// and (asynchronous engines) from the checkpointing thread after a
+    /// landed full, as often as a 5 % time budget allows.
     pub export_health: bool,
     /// Striped parallel persist: blobs above the stripe threshold fan out
     /// into `stripe.stripes` concurrent ranged writes sealed by a
@@ -145,14 +147,37 @@ struct EngineShared {
     cow: Arc<cow::CowTickets>,
     fulls: FullOutcomes,
     /// Where the checkpointing thread refreshes the health blob after
-    /// each landed full; `None` leaves the export to flush and drop.
+    /// landed fulls; `None` leaves the export to flush and drop.
     health: Option<HealthSink>,
 }
 
-/// The health blob's destination: the engine's name and durable store.
+/// A refresh that took `d` allows the next one `HEALTH_BUDGET × d` after
+/// it started, so refreshing takes at most 1/20 of the checkpointing
+/// thread's wall time.
+const HEALTH_BUDGET: u32 = 20;
+
+/// The health blob's destination, the engine's name, and the earliest
+/// instant of the checkpointing thread's next refresh.
 struct HealthSink {
     name: &'static str,
     store: Arc<CheckpointStore>,
+    next: Mutex<Instant>,
+}
+
+impl HealthSink {
+    /// Write the blob with `stats` unless the budget holds it back. A
+    /// sink that is cheap next to the gap between fulls (the in-memory
+    /// and peer stores) refreshes at every landed full; a slow one (a
+    /// rename behind another writer's writeback) is throttled.
+    fn refresh(&self, stats: impl FnOnce() -> StrategyStats) {
+        let mut next = self.next.lock();
+        let start = Instant::now();
+        if start < *next {
+            return;
+        }
+        put_health(&self.store, self.name, &stats());
+        *next = start + start.elapsed() * HEALTH_BUDGET;
+    }
 }
 
 impl EngineShared {
@@ -210,13 +235,15 @@ impl EngineShared {
 
     /// Record the persist outcome of the full at `iteration`. A landed
     /// full first refreshes the health blob when this engine exports it
-    /// from the checkpointing thread and the process is not crash-dead
-    /// (the torture harness must never see a post-crash write), so a
-    /// caller that sees the outcome also sees a blob that counts it.
+    /// from the checkpointing thread, the process is not crash-dead (the
+    /// torture harness must never see a post-crash write) and the
+    /// refresh budget allows it ([`HealthSink::refresh`]). So a caller
+    /// that sees the outcome also sees a blob that counts it whenever
+    /// that full refreshed it; the first landed full always does.
     fn record_full(&self, iteration: u64, landed: bool, crash: Option<&CrashInjector>) {
         if let Some(h) = self.health.as_ref().filter(|_| landed) {
             if !crash.is_some_and(|c| c.crashed()) {
-                put_health(&h.store, h.name, &self.stats());
+                h.refresh(|| self.stats());
             }
         }
         self.fulls.record(iteration, landed);
@@ -248,11 +275,12 @@ impl CheckpointEngine {
     ) -> Self {
         assert!(cfg.queue_capacity >= 1, "queue capacity must be >= 1");
         let name = policy.name();
-        // The worker's ticket + the queued ones + the one being framed.
         let health = cfg.export_health.then(|| HealthSink {
             name,
             store: Arc::clone(&store),
+            next: Mutex::new(Instant::now()),
         });
+        // The worker's ticket + the queued ones + the one being framed.
         let shared =
             EngineShared::with_health(cow::CowTickets::new(cfg.queue_capacity + 2, true), health);
         shared.metrics.set_capacity(cfg.queue_capacity as u64);

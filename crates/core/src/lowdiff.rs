@@ -772,6 +772,159 @@ mod tests {
         }
     }
 
+    /// What a test-local [`HealthPuts`] backend does with a health put.
+    #[derive(Clone, Copy)]
+    enum HealthPut {
+        Store,
+        Sleep(Duration),
+        Fail,
+    }
+
+    /// An in-memory backend that counts [`crate::engine::HEALTH_KEY`]
+    /// puts and can slow them down or fail them.
+    struct HealthPuts {
+        inner: MemoryBackend,
+        mode: HealthPut,
+        puts: std::sync::atomic::AtomicU64,
+    }
+
+    impl HealthPuts {
+        fn new(mode: HealthPut) -> Arc<Self> {
+            Arc::new(Self {
+                inner: MemoryBackend::new(),
+                mode,
+                puts: Default::default(),
+            })
+        }
+
+        fn health_puts(&self) -> u64 {
+            self.puts.load(std::sync::atomic::Ordering::SeqCst)
+        }
+    }
+
+    impl lowdiff_storage::StorageBackend for HealthPuts {
+        fn put(&self, key: &str, data: &[u8]) -> std::io::Result<()> {
+            if key == crate::engine::HEALTH_KEY {
+                self.puts.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                match self.mode {
+                    HealthPut::Store => {}
+                    HealthPut::Sleep(d) => std::thread::sleep(d),
+                    HealthPut::Fail => return Err(std::io::Error::other("health sink down")),
+                }
+            }
+            self.inner.put(key, data)
+        }
+        fn get(&self, key: &str) -> std::io::Result<Vec<u8>> {
+            self.inner.get(key)
+        }
+        fn list(&self) -> std::io::Result<Vec<String>> {
+            self.inner.list()
+        }
+        fn delete(&self, key: &str) -> std::io::Result<()> {
+            self.inner.delete(key)
+        }
+        fn bytes_written(&self) -> u64 {
+            self.inner.bytes_written()
+        }
+    }
+
+    /// Run `iters` iterations of LowDiff with a full at every iteration
+    /// on `backend`, sleeping `pause` in each step, without a flush; then
+    /// wait for every full's outcome and assert that it landed.
+    fn full_every_iteration(
+        backend: Arc<HealthPuts>,
+        iters: u64,
+        pause: Duration,
+    ) -> crate::trainer::Trainer<LowDiffStrategy> {
+        use crate::trainer::{Trainer, TrainerConfig};
+        use lowdiff_model::builders::mlp;
+        use lowdiff_model::data::Regression;
+
+        let st = Arc::new(CheckpointStore::new(backend));
+        let strat = LowDiffStrategy::new(
+            st,
+            LowDiffConfig {
+                full_every: 1,
+                ..LowDiffConfig::default()
+            },
+        );
+        let mut tr = Trainer::new(
+            mlp(&[4, 8, 2], 1),
+            Adam::default(),
+            strat,
+            TrainerConfig::default(),
+        );
+        let task = Regression::new(4, 2, 3);
+        tr.run_unflushed(iters, |net, _t, rng| {
+            std::thread::sleep(pause);
+            let (x, y) = task.batch(rng, 8);
+            let pred = net.forward(&x);
+            lowdiff_model::loss::mse(&pred, &y)
+        });
+        for t in 1..=iters {
+            let outcome = tr.strategy().full_outcome(t, Duration::from_secs(10));
+            assert_eq!(outcome, Some(true), "full at {t}");
+        }
+        tr
+    }
+
+    /// The `persist_count` of the health blob in `backend`.
+    fn health_persist_count(backend: &HealthPuts) -> u64 {
+        use lowdiff_storage::StorageBackend;
+        let blob = backend.get(crate::engine::HEALTH_KEY).expect("health blob");
+        let json = String::from_utf8(blob).unwrap();
+        json.split("\"persist_count\":")
+            .nth(1)
+            .and_then(|rest| rest.split(',').next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no persist_count in {json}"))
+    }
+
+    /// Where a refresh costs far less than the gap between fulls, every
+    /// landed full refreshes the health blob before its outcome reads
+    /// "landed".
+    #[test]
+    fn every_landed_full_refreshes_a_cheap_health_blob() {
+        let backend = HealthPuts::new(HealthPut::Store);
+        let fulls = 5;
+        let _tr = full_every_iteration(Arc::clone(&backend), fulls, Duration::from_millis(60));
+        assert_eq!(backend.health_puts(), fulls);
+    }
+
+    /// A slow health put is refreshed within the time budget: the first
+    /// landed full refreshes, later ones only once the budget allows, and
+    /// every full still lands. The flush exports a blob that counts every
+    /// write.
+    #[test]
+    fn slow_health_refresh_is_budgeted() {
+        let backend = HealthPuts::new(HealthPut::Sleep(Duration::from_millis(40)));
+        let fulls = 8;
+        let mut tr = full_every_iteration(Arc::clone(&backend), fulls, Duration::from_millis(5));
+        let puts = backend.health_puts();
+        assert!(
+            (1..fulls).contains(&puts),
+            "{puts} refreshes for {fulls} fulls"
+        );
+        tr.strategy_mut().flush();
+        let stats = tr.strategy().stats();
+        assert!(stats.writes > stats.full_checkpoints, "no batch written");
+        assert_eq!(health_persist_count(&backend), stats.writes);
+    }
+
+    /// A health sink that fails never costs a checkpoint: every full
+    /// lands and the run stays healthy.
+    #[test]
+    fn failing_health_puts_leave_the_run_healthy() {
+        let backend = HealthPuts::new(HealthPut::Fail);
+        let mut tr = full_every_iteration(Arc::clone(&backend), 4, Duration::ZERO);
+        tr.strategy_mut().flush();
+        let stats = tr.strategy().stats();
+        assert!(backend.health_puts() >= 1, "no health put attempted");
+        assert_eq!(stats.io_errors, 0);
+        assert!(!stats.degraded);
+        assert!(stats.healthy());
+    }
+
     #[test]
     fn zero_copy_reuse_counted() {
         let st = store();

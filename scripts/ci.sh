@@ -58,7 +58,10 @@
 #                            the seal-on-landed-full pieces the cluster
 #                            worker drives (the trainer's unflushed loop,
 #                            the per-iteration full outcome, the health
-#                            blob refreshed without a flush) and the whole
+#                            blob refreshed without a flush, at every
+#                            landed full on a cheap sink and within its
+#                            time budget on a slow one, and a failing
+#                            health sink leaving the run healthy) and the whole
 #                            cluster crate (its never-seal-a-failed-full
 #                            test included) with the pool pinned to 1
 #                            thread, which is how the benchmark's cluster
@@ -160,6 +163,9 @@ LOWDIFF_NUM_THREADS=1 cargo test -q --test sharded_cluster
 LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff unflushed_run_returns_before_the_anchor_lands
 LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff failed_full_is_not_answered_by_the_reanchor_after_it
 LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff landed_full_refreshes_the_health_blob_without_a_flush
+LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff every_landed_full_refreshes_a_cheap_health_blob
+LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff slow_health_refresh_is_budgeted
+LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff failing_health_puts_leave_the_run_healthy
 LOWDIFF_NUM_THREADS=1 timeout 600 cargo test -q -p lowdiff-cluster
 
 echo "== crash-torture smoke =="
