@@ -16,7 +16,8 @@
 //!
 //! Blob layout (custom key space `ndc-…` on the shared backend):
 //! param delta as a sparse record, then the full `m`/`v` vectors. Recovery
-//! applies param deltas in order (approximate — Top-K drops mass) and
+//! adds the tree-merged param deltas (approximate — Top-K drops mass, and
+//! the merge equals the in-order sum only up to `f32` rounding) and
 //! restores the moments from the newest blob (exact).
 
 use lowdiff::batched::BatchedWriter;
@@ -190,7 +191,8 @@ impl NaiveDcStrategy {
     }
 
     /// Recover: latest full checkpoint + parameter deltas (merged with the
-    /// paper's parallel tree merge) + moments from the newest blob.
+    /// paper's parallel tree merge, equal to their in-order sum up to `f32`
+    /// rounding) + moments from the newest blob.
     pub fn recover(store: &CheckpointStore) -> std::io::Result<Option<(ModelState, usize)>> {
         let Some(mut state) = store.latest_valid_full()? else {
             return Ok(None);

@@ -22,6 +22,8 @@
 //! says which (see [`calib`]); EXPERIMENTS.md records where the shapes
 //! deviate.
 
+#![forbid(unsafe_code)]
+
 pub mod calib;
 pub mod cost;
 pub mod hardware;

@@ -11,19 +11,20 @@
 //!
 //! The run is an epoch loop over `epoch_iters` iterations (the shard
 //! store's full-checkpoint cadence), and it never flushes mid-run. At an
-//! epoch end `t` the rank computes its seal digest in place and enters
-//! that epoch's barrier at once, while its checkpointing thread persists
-//! the shard full at `t`. Between the iterations of the next epoch it
-//! sends `ShardSealed(t)` as soon as that full has landed — typically
-//! within two iterations; only a full still in flight at the next epoch
-//! end is waited for, bounded by `barrier_timeout`. A full that failed is
-//! never sealed, so the coordinator writes no global manifest for `t` and
-//! resume anchors on the one before. A released barrier for epoch `k`
-//! therefore does not imply that the manifest for `k` exists yet: a rank
-//! killed before every shard full of `k` is durable resumes from
-//! `k − epoch_iters`. The run ends with one flush and the last epoch's
-//! seal. A failed barrier (dead peer, timeout) ends the run *degraded* —
-//! never a hang, never a panic.
+//! epoch end `t` the rank enters that epoch's barrier at once, while its
+//! checkpointing thread seals and persists the shard full at `t`; the
+//! seal's CRC pass also yields the CRC of the full's params ‖ m ‖ v,
+//! which the full's landed outcome carries. Between the iterations of the
+//! next epoch the rank sends `ShardSealed(t)` with that CRC as soon as
+//! the full has landed — typically within two iterations; only a full
+//! still in flight at the next epoch end is waited for, bounded by
+//! `barrier_timeout`. A full that failed is never sealed, so the
+//! coordinator writes no global manifest for `t` and resume anchors on
+//! the one before. A released barrier for epoch `k` therefore does not
+//! imply that the manifest for `k` exists yet: a rank killed before every
+//! shard full of `k` is durable resumes from `k − epoch_iters`. The run
+//! ends with one flush and the last epoch's seal. A failed barrier (dead
+//! peer, timeout) ends the run *degraded* — never a hang, never a panic.
 //!
 //! ## Resume
 //!
@@ -38,8 +39,8 @@
 //! killed run's bytes.
 
 use lowdiff::{
-    CheckpointStrategy, LowDiffConfig, LowDiffStrategy, ResumeOpts, ShardedStrategy, Trainer,
-    TrainerConfig,
+    CheckpointStrategy, FullOutcome, LowDiffConfig, LowDiffStrategy, ResumeOpts, ShardedStrategy,
+    Trainer, TrainerConfig,
 };
 use lowdiff_comm::wire::{CoordClient, Msg};
 use lowdiff_model::builders::mlp;
@@ -47,10 +48,9 @@ use lowdiff_model::data::Regression;
 use lowdiff_model::loss::mse;
 use lowdiff_model::Network;
 use lowdiff_optim::{Adam, ModelState};
-use lowdiff_storage::codec::{DiffEntry, FullCheckpoint};
+use lowdiff_storage::codec::{self, DiffEntry, FullCheckpoint};
 use lowdiff_storage::shard::{stitch_diff_chains, stitch_fulls};
 use lowdiff_storage::{CheckpointStore, DiskBackend, ShardSpec};
-use lowdiff_util::crc::Hasher;
 use lowdiff_util::DetRng;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -125,57 +125,14 @@ fn store_at(dir: &Path) -> io::Result<Arc<CheckpointStore>> {
     )?))))
 }
 
-/// The digest a rank seals an epoch with: shard element count plus a CRC
-/// over the shard state's raw little-endian bytes (params ‖ m ‖ v). The
+/// The digest an epoch is sealed with: shard element count plus the
+/// CRC32 of the shard state's params ‖ m ‖ v ([`codec::state_crc`]) — the
+/// CRC a landed shard full's seal took ([`FullOutcome::Landed`]). The
 /// coordinator records it in the [`lowdiff_storage::GlobalManifest`];
 /// resume recomputes it from the loaded shard checkpoint and refuses a
 /// mismatch — the manifest's integrity teeth.
 pub fn shard_digest(state: &ModelState) -> (u64, u32) {
-    seal_digest(&ShardSpec::full(state.params.len()), state)
-}
-
-/// [`shard_digest`] of `spec`'s shard of the global `state`, read in
-/// place: the CRC of params, then m, then v, each gathered over the
-/// spec's ranges in order — the bytes of
-/// `shard_digest(&spec.project_state(state))` without projecting them.
-fn seal_digest(spec: &ShardSpec, state: &ModelState) -> (u64, u32) {
-    let mut hasher = Hasher::new();
-    for xs in [&state.params, &state.opt.m, &state.opt.v] {
-        for r in spec.ranges() {
-            hash_f32s(&mut hasher, &xs[r]);
-        }
-    }
-    (spec.len() as u64, hasher.finalize())
-}
-
-/// Feed `xs` to `hasher` as little-endian bytes: the values in place on
-/// little-endian targets.
-fn hash_f32s(hasher: &mut Hasher, xs: &[f32]) {
-    #[cfg(target_endian = "little")]
-    {
-        // SAFETY: f32 has no padding bytes and u8 has alignment 1, so
-        // viewing an initialized f32 slice as its `size_of_val` bytes is
-        // valid; on a little-endian target the in-memory byte order is
-        // the digest's byte order.
-        let bytes = unsafe {
-            std::slice::from_raw_parts(xs.as_ptr().cast::<u8>(), std::mem::size_of_val(xs))
-        };
-        hasher.update(bytes);
-    }
-    #[cfg(target_endian = "big")]
-    {
-        // Stream through a fixed stack buffer instead of staging the
-        // bytes on the heap; buffer-sized slices keep the conversion a
-        // plain slice-to-slice copy the compiler vectorizes.
-        let mut buf = [0u8; 16 * 1024];
-        for chunk in xs.chunks(buf.len() / 4) {
-            let bytes = &mut buf[..chunk.len() * 4];
-            for (slot, v) in bytes.chunks_exact_mut(4).zip(chunk) {
-                slot.copy_from_slice(&v.to_le_bytes());
-            }
-            hasher.update(bytes);
-        }
-    }
+    (state.params.len() as u64, codec::state_crc(state))
 }
 
 /// The cluster's fixed training task: every rank derives the identical
@@ -394,30 +351,30 @@ fn heartbeat_loop(coord: &str, rank: u32, every: Duration, stopped: &mpsc::Recei
 struct Seal {
     rank: u32,
     iteration: u64,
-    len: u64,
-    crc: u32,
 }
 
 impl Seal {
     /// Send the seal if its full landed, waiting up to `wait` for the
-    /// outcome; drop it if the full failed. Hands it back while the full
-    /// is still in flight.
+    /// outcome: the shard's `len` and the state CRC the full's seal took.
+    /// Drop it if the full failed. Hands it back while the full is still
+    /// in flight.
     fn settle(
         self,
         strategy: &ShardedStrategy,
+        len: u64,
         client: &mut CoordClient,
         wait: Duration,
     ) -> io::Result<Option<Seal>> {
-        match strategy.full_outcome(self.iteration, wait) {
+        let crc = match strategy.full_outcome(self.iteration, wait) {
             None => return Ok(Some(self)),
-            Some(false) => return Ok(None),
-            Some(true) => {}
-        }
+            Some(FullOutcome::Failed) => return Ok(None),
+            Some(FullOutcome::Landed { state_crc }) => state_crc,
+        };
         match client.rpc(&Msg::ShardSealed {
             rank: self.rank,
             iteration: self.iteration,
-            len: self.len,
-            crc: self.crc,
+            len,
+            crc,
         })? {
             Msg::SealAck { .. } => Ok(None),
             other_msg => Err(other(format!("unexpected seal ack: {other_msg:?}"))),
@@ -441,7 +398,8 @@ fn train_loop(
         batch_size: 1,
         ..LowDiffConfig::default()
     };
-    let strategy = ShardedStrategy::new(spec.clone(), LowDiffStrategy::new(own_store, ld_cfg));
+    let shard_len = spec.len() as u64;
+    let strategy = ShardedStrategy::new(spec, LowDiffStrategy::new(own_store, ld_cfg));
     let tcfg = trainer_cfg(cfg);
 
     let mut resumed_from = None;
@@ -472,7 +430,7 @@ fn train_loop(
     let mut degraded = None;
     while trainer.state().iteration < cfg.iters {
         if let Some(seal) = unsealed.take() {
-            unsealed = seal.settle(trainer.strategy(), client, Duration::ZERO)?;
+            unsealed = seal.settle(trainer.strategy(), shard_len, client, Duration::ZERO)?;
         }
         trainer.run_unflushed(1, &mut step);
         if trainer.strategy().unshardable_grads() > 0 {
@@ -491,15 +449,9 @@ fn train_loop(
         // The previous epoch's full is due by now; one still in flight
         // after the barrier timeout is given up on, never sealed.
         if let Some(seal) = unsealed.take() {
-            seal.settle(trainer.strategy(), client, cfg.barrier_timeout)?;
+            seal.settle(trainer.strategy(), shard_len, client, cfg.barrier_timeout)?;
         }
-        let (len, crc) = seal_digest(&spec, trainer.state());
-        unsealed = Some(Seal {
-            rank,
-            iteration,
-            len,
-            crc,
-        });
+        unsealed = Some(Seal { rank, iteration });
 
         client.set_read_timeout(cfg.barrier_timeout + Duration::from_secs(5))?;
         let resp = client.rpc(&Msg::BarrierEnter {
@@ -525,7 +477,7 @@ fn train_loop(
     // After the flush every full's outcome is known.
     trainer.strategy_mut().flush();
     if let Some(seal) = unsealed {
-        let sealed = seal.settle(trainer.strategy(), client, Duration::ZERO);
+        let sealed = seal.settle(trainer.strategy(), shard_len, client, Duration::ZERO);
         // A degraded run reports its barrier failure whatever the seal's
         // fate.
         if degraded.is_none() {
@@ -571,35 +523,6 @@ mod tests {
                 *v = rng.normal().abs() as f32;
             }
             assert_eq!(shard_digest(&state), staged_digest(&state), "psi={psi}");
-        }
-    }
-
-    /// The seal digest read in place over a spec's ranges equals the
-    /// digest of the projected shard, for ragged specs too.
-    #[test]
-    fn seal_digest_equals_digest_of_the_projection() {
-        let mut rng = DetRng::new(9);
-        let cases: [(usize, u32, Vec<u32>); 7] = [
-            (37, 5, vec![]),        // empty shard
-            (37, 5, vec![2]),       // one chunk
-            (37, 5, vec![0, 3, 4]), // Ψ not divisible by num_chunks
-            (37, 5, vec![4]),       // only the short last chunk
-            (5, 8, vec![1, 6, 7]),  // chunks past Ψ own nothing
-            (3 * 4096 + 17, 16, vec![0, 5, 6, 15]),
-            (3 * 4096 + 17, 1, vec![0]), // world size 1: the whole space
-        ];
-        for (psi, num_chunks, chunks) in cases {
-            let spec = ShardSpec::new(psi, num_chunks, chunks.clone()).unwrap();
-            let mut state = ModelState::new((0..psi).map(|_| rng.normal() as f32).collect());
-            for (m, v) in state.opt.m.iter_mut().zip(state.opt.v.iter_mut()) {
-                *m = rng.normal() as f32;
-                *v = rng.normal().abs() as f32;
-            }
-            assert_eq!(
-                seal_digest(&spec, &state),
-                shard_digest(&spec.project_state(&state)),
-                "psi={psi} num_chunks={num_chunks} chunks={chunks:?}"
-            );
         }
     }
 }

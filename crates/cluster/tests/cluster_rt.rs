@@ -410,3 +410,137 @@ fn a_failed_shard_full_is_never_sealed() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+const DIMS: [usize; 3] = [8, 16, 8];
+const SEED: u64 = 1;
+const DATA_SEED: u64 = 2;
+const RATIO: Option<f64> = Some(0.25);
+const EPOCH: u64 = 5;
+
+/// Rank `rank` of a cluster over `coord` and `dir`, training the fixed
+/// task to `iters`.
+fn worker_cfg(
+    coord: &Coordinator,
+    dir: &std::path::Path,
+    rank: u32,
+    iters: u64,
+) -> lowdiff_cluster::rt::WorkerConfig {
+    lowdiff_cluster::rt::WorkerConfig {
+        coord: coord.addr().to_string(),
+        dir: dir.to_path_buf(),
+        name: format!("rank{rank}"),
+        rank_hint: Some(rank),
+        dims: DIMS.to_vec(),
+        seed: SEED,
+        data_seed: DATA_SEED,
+        compress_ratio: RATIO,
+        iters,
+        epoch_iters: EPOCH,
+        resume: false,
+        heartbeat_every: Duration::from_millis(100),
+        barrier_timeout: Duration::from_secs(20),
+        step_delay: Duration::ZERO,
+    }
+}
+
+fn disk_store(dir: std::path::PathBuf) -> Arc<CheckpointStore> {
+    Arc::new(CheckpointStore::new(Arc::new(
+        lowdiff_storage::DiskBackend::new(dir).unwrap(),
+    )))
+}
+
+/// Two in-process ranks trained to `4 · EPOCH` iterations under a
+/// coordinator that seals into `dir/global`, which is returned.
+fn run_two_sealed_ranks(dir: &std::path::Path) -> Arc<CheckpointStore> {
+    let _ = std::fs::remove_dir_all(dir);
+    let global = disk_store(dir.join("global"));
+    let coord = Coordinator::start(
+        "127.0.0.1:0",
+        CoordConfig {
+            world_size: 2,
+            heartbeat_timeout: Duration::from_secs(5),
+            barrier_timeout: Duration::from_secs(20),
+            global_store: Some(Arc::clone(&global)),
+            ..CoordConfig::default()
+        },
+    )
+    .unwrap();
+    let workers: Vec<_> = (0..2u32)
+        .map(|rank| {
+            let cfg = worker_cfg(&coord, dir, rank, 4 * EPOCH);
+            std::thread::spawn(move || lowdiff_cluster::rt::run_worker(cfg))
+        })
+        .collect();
+    for worker in workers {
+        let report = worker.join().unwrap().unwrap();
+        assert_eq!(report.final_iteration, 4 * EPOCH);
+        assert_eq!(report.degraded, None);
+    }
+    coord.shutdown();
+    global
+}
+
+/// Every epoch seal names the rank's shard of the *training* state at its
+/// iteration: the uninterrupted run's state, projected onto the rank's
+/// spec and digested.
+#[test]
+fn every_seal_is_the_digest_of_the_training_state() {
+    use lowdiff_cluster::rt::worker::{reference_state, shard_digest};
+
+    let dir = std::env::temp_dir().join(format!("lowdiff-seal-state-{}", std::process::id()));
+    let global = run_two_sealed_ranks(&dir);
+    let sealed = global.global_iterations().unwrap();
+    assert_eq!(sealed.last(), Some(&(4 * EPOCH)), "sealed {sealed:?}");
+    for iteration in sealed {
+        let manifest = global.get_global_manifest(iteration).unwrap();
+        let state = reference_state(&DIMS, SEED, DATA_SEED, RATIO, iteration);
+        for seal in &manifest.shards {
+            let spec = manifest.spec_of(seal.rank).unwrap();
+            assert_eq!(
+                shard_digest(&spec.project_state(&state)),
+                (seal.len, seal.crc),
+                "rank {} at {iteration}",
+                seal.rank
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A shard full replaced by a *valid* blob of a different state — it
+/// decodes cleanly, only its seal can tell — is refused at resume.
+#[test]
+fn a_tampered_shard_full_is_refused_at_resume() {
+    use lowdiff_storage::codec;
+
+    let dir = std::env::temp_dir().join(format!("lowdiff-tampered-{}", std::process::id()));
+    let global = run_two_sealed_ranks(&dir);
+    let newest = *global
+        .global_iterations()
+        .unwrap()
+        .last()
+        .expect("a sealed epoch");
+    let rank1 = disk_store(dir.join("rank-1"));
+    let mut fc = rank1.load_full_checkpoint(newest).unwrap();
+    fc.state.params[0] += 1.0;
+    rank1
+        .put_full(
+            newest,
+            &codec::encode_full_checkpoint(&fc.state, &fc.aux.view()),
+        )
+        .unwrap();
+    assert_eq!(rank1.load_full_checkpoint(newest).unwrap(), fc);
+
+    let coord = Coordinator::start("127.0.0.1:0", cfg(1)).unwrap();
+    let resumed = lowdiff_cluster::rt::run_worker(lowdiff_cluster::rt::WorkerConfig {
+        resume: true,
+        ..worker_cfg(&coord, &dir, 0, 5 * EPOCH)
+    });
+    coord.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    let err = resumed.expect_err("resumed from a tampered shard full");
+    assert!(
+        err.to_string().contains("does not match its seal"),
+        "unexpected error: {err}"
+    );
+}

@@ -64,11 +64,13 @@ impl CowTicket {
         &self.frame
     }
 
-    /// Append the CRC trailer. Once per capture.
-    pub(crate) fn seal(&mut self) {
+    /// Append the CRC trailer and return the CRC of the captured
+    /// params ‖ m ‖ v, taken in the same pass ([`codec::seal_frame`]).
+    /// Once per capture.
+    pub(crate) fn seal(&mut self) -> u32 {
         assert!(!self.sealed, "double seal of a capture ticket");
-        codec::seal_frame(&mut self.frame);
         self.sealed = true;
+        codec::seal_frame(&mut self.frame, self.psi)
     }
 }
 

@@ -61,7 +61,7 @@ pub use cow::CowTicket;
 pub use crash::{CrashInjector, CrashPoint, ALL_CRASH_POINTS};
 pub use metrics::{EngineCounters, EngineMetrics, LatencyHist, StageLatency};
 use persist::FullOutcomes;
-pub use persist::{EngineCtx, FullOpts};
+pub use persist::{EngineCtx, FullOpts, FullOutcome};
 pub use policy::{CheckpointPolicy, Job, PolicyCtl};
 pub use tier::{peer_recovery_stores, PeerReplicaBackend, PeerTier, Tier, TierStack};
 
@@ -240,13 +240,14 @@ impl EngineShared {
     /// refresh budget allows it ([`HealthSink::refresh`]). So a caller
     /// that sees the outcome also sees a blob that counts it whenever
     /// that full refreshed it; the first landed full always does.
-    fn record_full(&self, iteration: u64, landed: bool, crash: Option<&CrashInjector>) {
+    fn record_full(&self, iteration: u64, outcome: FullOutcome, crash: Option<&CrashInjector>) {
+        let landed = outcome != FullOutcome::Failed;
         if let Some(h) = self.health.as_ref().filter(|_| landed) {
             if !crash.is_some_and(|c| c.crashed()) {
                 h.refresh(|| self.stats());
             }
         }
-        self.fulls.record(iteration, landed);
+        self.fulls.record(iteration, outcome);
     }
 }
 
@@ -385,8 +386,11 @@ impl CheckpointEngine {
         };
         if !sub.delivered {
             // Nothing will ever persist it.
-            self.shared
-                .record_full(state.iteration, false, self.cfg.crash.as_deref());
+            self.shared.record_full(
+                state.iteration,
+                FullOutcome::Failed,
+                self.cfg.crash.as_deref(),
+            );
         }
         sub
     }
@@ -532,12 +536,13 @@ impl CheckpointEngine {
     }
 
     /// The persist outcome of the full captured at `iteration`, waiting up
-    /// to `wait` for one: `Some(true)` once it landed on the front tier,
-    /// `Some(false)` once it failed there or was never delivered, `None`
-    /// while it is still in flight (or no such full was submitted among
-    /// the recent ones). A later full — a forced re-anchor at
-    /// `iteration + 1` — never answers for this one.
-    pub fn full_outcome(&self, iteration: u64, wait: Duration) -> Option<bool> {
+    /// to `wait` for one: [`FullOutcome::Landed`] with its state CRC once it
+    /// landed on the front tier, [`FullOutcome::Failed`] once it failed
+    /// there or was never delivered, `None` while it is still in flight
+    /// (or no such full was submitted among the recent ones). A later
+    /// full — a forced re-anchor at `iteration + 1` — never answers for
+    /// this one.
+    pub fn full_outcome(&self, iteration: u64, wait: Duration) -> Option<FullOutcome> {
         self.shared.fulls.wait(iteration, wait)
     }
 

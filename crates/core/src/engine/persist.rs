@@ -65,13 +65,22 @@ impl FullOpts {
     }
 }
 
-/// The persist outcome of each recent full, by iteration: `true` once it
-/// landed on the front tier, `false` once it failed there or never
-/// reached the checkpointing thread. Lets the training side act on "the
-/// full at `t` is durable" without flushing the whole pipeline.
+/// How the persist of one full ended: landed on the front tier, with the
+/// CRC of its params ‖ m ‖ v the seal took
+/// ([`lowdiff_storage::codec::seal_frame`]), or failed there or never
+/// reached the checkpointing thread.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FullOutcome {
+    Landed { state_crc: u32 },
+    Failed,
+}
+
+/// The persist outcome of each recent full, by iteration. Lets the
+/// training side act on "the full at `t` is durable" without flushing
+/// the whole pipeline.
 #[derive(Default)]
 pub(super) struct FullOutcomes {
-    recent: Mutex<VecDeque<(u64, bool)>>,
+    recent: Mutex<VecDeque<(u64, FullOutcome)>>,
     changed: Condvar,
 }
 
@@ -80,23 +89,23 @@ impl FullOutcomes {
     /// flight.
     const KEPT: usize = 64;
 
-    pub(super) fn record(&self, iteration: u64, landed: bool) {
+    pub(super) fn record(&self, iteration: u64, outcome: FullOutcome) {
         let mut recent = self.recent.lock();
         if recent.len() == Self::KEPT {
             recent.pop_front();
         }
-        recent.push_back((iteration, landed));
+        recent.push_back((iteration, outcome));
         self.changed.notify_all();
     }
 
     /// The newest outcome of the full at exactly `iteration`, waiting up
     /// to `wait` for one to be recorded; `None` if none is by then.
-    pub(super) fn wait(&self, iteration: u64, wait: Duration) -> Option<bool> {
+    pub(super) fn wait(&self, iteration: u64, wait: Duration) -> Option<FullOutcome> {
         let deadline = Instant::now() + wait;
         let mut recent = self.recent.lock();
         loop {
-            if let Some(&(_, landed)) = recent.iter().rev().find(|(t, _)| *t == iteration) {
-                return Some(landed);
+            if let Some(&(_, outcome)) = recent.iter().rev().find(|(t, _)| *t == iteration) {
+                return Some(outcome);
             }
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
@@ -345,28 +354,32 @@ impl EngineCtx<'_> {
     /// never when the engine is dead or the armed [`CrashPoint::MidCapture`]
     /// fires in the window where the captured frame exists only in memory.
     /// On failure, requests a re-anchor if `opts` says so. Either way the
-    /// outcome is recorded under the full's iteration.
+    /// outcome is recorded under the full's iteration, a landed one with
+    /// the state CRC the seal took.
     pub fn persist_capture(
         &mut self,
         tiers: &TierStack,
         ticket: &mut CowTicket,
         opts: &FullOpts,
     ) -> bool {
-        let landed = if self.crash_dead() || self.crash_hit(CrashPoint::MidCapture) {
-            false
+        let outcome = if self.crash_dead() || self.crash_hit(CrashPoint::MidCapture) {
+            FullOutcome::Failed
         } else {
             let t0 = Instant::now();
-            ticket.seal();
+            let state_crc = ticket.seal();
             self.metrics.encode.record(t0.elapsed());
             let landed = self.fan_out(tiers, Obj::Full(ticket.iteration()), ticket.bytes());
             if landed == Some(false) && opts.reanchor_on_failure {
                 self.request_reanchor();
             }
-            landed == Some(true)
+            match landed {
+                Some(true) => FullOutcome::Landed { state_crc },
+                _ => FullOutcome::Failed,
+            }
         };
         self.engine
-            .record_full(ticket.iteration(), landed, self.crash);
-        landed
+            .record_full(ticket.iteration(), outcome, self.crash);
+        outcome != FullOutcome::Failed
     }
 
     /// Encode the writer's buffered differential batch once and fan it

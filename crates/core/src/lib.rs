@@ -37,8 +37,8 @@ pub use batched::BatchedWriter;
 pub use config::{ConfigOptimizer, WastedTimeModel};
 pub use engine::{
     CheckpointEngine, CheckpointPolicy, CowTicket, CrashInjector, CrashPoint, EngineConfig,
-    EngineCounters, EngineCtx, FullOpts, Job, PeerTier, PolicyCtl, StageLatency, Tier, TierStack,
-    ALL_CRASH_POINTS,
+    EngineCounters, EngineCtx, FullOpts, FullOutcome, Job, PeerTier, PolicyCtl, StageLatency, Tier,
+    TierStack, ALL_CRASH_POINTS,
 };
 pub use lowdiff::{LowDiffConfig, LowDiffStrategy};
 pub use lowdiff_compress::{AuxState, AuxView, CompressorCfg, CompressorKind};

@@ -23,8 +23,8 @@
 
 use crate::batched::BatchedWriter;
 use crate::engine::{
-    CheckpointEngine, CheckpointPolicy, EngineConfig, EngineCtx, FullOpts, Job, PolicyCtl, Tier,
-    TierStack,
+    CheckpointEngine, CheckpointPolicy, EngineConfig, EngineCtx, FullOpts, FullOutcome, Job,
+    PolicyCtl, Tier, TierStack,
 };
 use crate::strategy::{CheckpointStrategy, StrategyStats};
 use lowdiff_compress::{AuxView, CompressedGrad};
@@ -263,11 +263,11 @@ impl LowDiffStrategy {
     }
 
     /// Whether the full captured at `iteration` is durable, waiting up to
-    /// `wait` for its persist to finish: `Some(true)` landed, `Some(false)`
+    /// `wait` for its persist to finish: landed (with its state CRC),
     /// failed (a forced re-anchor at a later iteration does not change
-    /// that), `None` still in flight. See
+    /// that), or `None` still in flight. See
     /// [`CheckpointEngine::full_outcome`].
-    pub fn full_outcome(&self, iteration: u64, wait: Duration) -> Option<bool> {
+    pub fn full_outcome(&self, iteration: u64, wait: Duration) -> Option<FullOutcome> {
         self.engine.full_outcome(iteration, wait)
     }
 
@@ -709,11 +709,17 @@ mod tests {
         faulty.fail_all_puts();
         step(&mut strat, &mut state);
         step(&mut strat, &mut state); // the scheduled full at 2 fails
-        assert_eq!(strat.full_outcome(2, wait), Some(false));
+        assert_eq!(strat.full_outcome(2, wait), Some(FullOutcome::Failed));
         faulty.heal();
         step(&mut strat, &mut state); // the forced re-anchor at 3 lands
-        assert_eq!(strat.full_outcome(3, wait), Some(true));
-        assert_eq!(strat.full_outcome(2, Duration::ZERO), Some(false));
+        assert!(matches!(
+            strat.full_outcome(3, wait),
+            Some(FullOutcome::Landed { .. })
+        ));
+        assert_eq!(
+            strat.full_outcome(2, Duration::ZERO),
+            Some(FullOutcome::Failed)
+        );
         assert_eq!(strat.full_outcome(1, Duration::ZERO), None, "no full at 1");
         strat.flush();
         assert_eq!(st.full_iterations().unwrap(), vec![3]);
@@ -755,7 +761,10 @@ mod tests {
                 lowdiff_model::loss::mse(&pred, &y)
             });
             let strat = tr.strategy();
-            assert_eq!(strat.full_outcome(3, Duration::from_secs(10)), Some(true));
+            assert!(matches!(
+                strat.full_outcome(3, Duration::from_secs(10)),
+                Some(FullOutcome::Landed { .. })
+            ));
             let blob = st.backend().get(crate::engine::HEALTH_KEY);
             if !export_health {
                 assert!(blob.is_err(), "health exported with export_health off");
@@ -863,7 +872,10 @@ mod tests {
         });
         for t in 1..=iters {
             let outcome = tr.strategy().full_outcome(t, Duration::from_secs(10));
-            assert_eq!(outcome, Some(true), "full at {t}");
+            assert!(
+                matches!(outcome, Some(FullOutcome::Landed { .. })),
+                "full at {t}: {outcome:?}"
+            );
         }
         tr
     }

@@ -204,8 +204,9 @@ fn fill_range_dense(grad: &CompressedGrad, range: &Range<usize>, out: &mut [f32]
 }
 
 /// Pairwise-parallel merge of additive deltas (the paper's log-n tree).
-/// Returns the combined delta; exact because vector addition is
-/// associative and commutative.
+/// Returns the combined delta, equal to the sequential sum up to `f32`
+/// rounding: the tree adds in a different order, and `f32` addition is
+/// not associative.
 pub fn merge_deltas_parallel(deltas: &[SparseGrad]) -> Option<SparseGrad> {
     if deltas.is_empty() {
         return None;

@@ -34,6 +34,7 @@
 //!   iteration, leaving a gap that stitching would reject. Cluster mode
 //!   runs with Top-K or no compression.
 
+use crate::engine::FullOutcome;
 use crate::lowdiff::LowDiffStrategy;
 use crate::strategy::{CheckpointStrategy, StrategyStats};
 use lowdiff_compress::{AuxView, CompressedGrad};
@@ -70,7 +71,7 @@ impl ShardedStrategy {
 
     /// Whether this rank's shard full at `iteration` is durable, waiting
     /// up to `wait`: [`LowDiffStrategy::full_outcome`].
-    pub fn full_outcome(&self, iteration: u64, wait: Duration) -> Option<bool> {
+    pub fn full_outcome(&self, iteration: u64, wait: Duration) -> Option<FullOutcome> {
         self.inner.full_outcome(iteration, wait)
     }
 }

@@ -134,6 +134,27 @@ enum Comp {
     QuantEf(ErrorFeedback<AdaptiveQuant>),
 }
 
+/// The auxiliary resume state a checkpoint of the current state carries:
+/// the EF residual, the compressor, the data-RNG cursor and the precision
+/// policy. Takes the trainer's fields, not the trainer, so it can be built
+/// while the strategy is borrowed mutably.
+fn aux_view<'a>(comp: &'a Comp, comp_cfg: CompressorCfg, data_rng: &DetRng) -> AuxView<'a> {
+    AuxView {
+        residual: match comp {
+            Comp::Ef(c) => Some(c.residual()),
+            Comp::QuantEf(c) => Some(c.residual()),
+            _ => None,
+        },
+        compressor: Some(comp_cfg),
+        rng: Some(data_rng.state()),
+        quant: match comp {
+            Comp::Quant(q) => Some(q.policy_state()),
+            Comp::QuantEf(c) => Some(c.inner().policy_state()),
+            _ => None,
+        },
+    }
+}
+
 /// What one training run produced.
 #[derive(Clone, Debug)]
 pub struct TrainerReport {
@@ -537,20 +558,7 @@ impl<S: CheckpointStrategy> Trainer<S> {
         // have (contents don't matter for sizing), so engines can build
         // their capture frames without any anchor paying that one-time
         // cost.
-        let aux = AuxView {
-            residual: match &self.comp {
-                Comp::Ef(c) => Some(c.residual()),
-                Comp::QuantEf(c) => Some(c.residual()),
-                _ => None,
-            },
-            compressor: Some(self.comp_cfg),
-            rng: Some(self.data_rng.state()),
-            quant: match &self.comp {
-                Comp::Quant(q) => Some(q.policy_state()),
-                Comp::QuantEf(c) => Some(c.inner().policy_state()),
-                _ => None,
-            },
-        };
+        let aux = aux_view(&self.comp, self.comp_cfg, &self.data_rng);
         self.strategy.prime(&self.state, &aux);
 
         let t_start = Instant::now();
@@ -590,20 +598,7 @@ impl<S: CheckpointStrategy> Trainer<S> {
             // The auxiliary resume state belonging to M_{t+1}: residual
             // after this compress, cursor after this draw, precision-policy
             // state after this interval's observation.
-            let aux = AuxView {
-                residual: match &self.comp {
-                    Comp::Ef(c) => Some(c.residual()),
-                    Comp::QuantEf(c) => Some(c.residual()),
-                    _ => None,
-                },
-                compressor: Some(self.comp_cfg),
-                rng: Some(self.data_rng.state()),
-                quant: match &self.comp {
-                    Comp::Quant(q) => Some(q.policy_state()),
-                    Comp::QuantEf(c) => Some(c.inner().policy_state()),
-                    _ => None,
-                },
-            };
+            let aux = aux_view(&self.comp, self.comp_cfg, &self.data_rng);
 
             // Reuse point (Q.put) — zero-copy handle.
             self.strategy.on_synced_gradient(t, &handle, &aux);
@@ -787,6 +782,7 @@ mod tests {
     /// flush both leave the same bytes.
     #[test]
     fn unflushed_run_returns_before_the_anchor_lands() {
+        use crate::engine::FullOutcome;
         use lowdiff_storage::{FaultConfig, FaultyBackend};
         use std::time::Duration;
 
@@ -830,9 +826,8 @@ mod tests {
         let (unflushed, unflushed_blobs) = run(false);
         let (flushed, flushed_blobs) = run(true);
         assert_eq!(unflushed, None, "the unflushed loop waited for the full");
-        assert_eq!(
-            flushed,
-            Some(true),
+        assert!(
+            matches!(flushed, Some(FullOutcome::Landed { .. })),
             "run_with_data returned before its full landed"
         );
         assert!(unflushed_blobs

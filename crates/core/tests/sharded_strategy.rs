@@ -3,13 +3,13 @@
 //! argument eagerly writes.
 
 use lowdiff::{
-    AuxView, CheckpointStrategy, CompressorCfg, EngineConfig, LowDiffConfig, LowDiffStrategy,
-    ShardedStrategy, StrategyStats,
+    AuxView, CheckpointStrategy, CompressorCfg, EngineConfig, FullOutcome, LowDiffConfig,
+    LowDiffStrategy, ShardedStrategy, StrategyStats,
 };
 use lowdiff_compress::{CompressedGrad, ErrorFeedback, TopK};
 use lowdiff_optim::{Adam, ModelState};
 use lowdiff_storage::{
-    CheckpointStore, FaultConfig, FaultyBackend, MemoryBackend, RetryPolicy, ShardSpec,
+    codec, CheckpointStore, FaultConfig, FaultyBackend, MemoryBackend, RetryPolicy, ShardSpec,
     StorageBackend,
 };
 use lowdiff_util::units::Secs;
@@ -312,5 +312,52 @@ fn lazy_projection_writes_the_eager_projection_blobs() {
             lazy_blobs == eager_blobs,
             "outage {outage:?}: same keys, different bytes"
         );
+    }
+}
+
+/// A landed shard full's outcome carries the CRC of the rank's shard of
+/// the state at its iteration, for ragged specs too.
+#[test]
+fn landed_outcome_carries_the_crc_of_the_projected_shard() {
+    let mut rng = DetRng::new(9);
+    let cases: [(usize, u32, Vec<u32>); 7] = [
+        (37, 5, vec![]),        // empty shard
+        (37, 5, vec![2]),       // one chunk
+        (37, 5, vec![0, 3, 4]), // Ψ not divisible by num_chunks
+        (37, 5, vec![4]),       // only the short last chunk
+        (5, 8, vec![1, 6, 7]),  // chunks past Ψ own nothing
+        (3 * 4096 + 17, 16, vec![0, 5, 6, 15]),
+        (3 * 4096 + 17, 1, vec![0]), // world size 1: the whole space
+    ];
+    for (psi, num_chunks, chunks) in cases {
+        let spec = ShardSpec::new(psi, num_chunks, chunks.clone()).unwrap();
+        let mut state = ModelState::new((0..psi).map(|_| rng.normal() as f32).collect());
+        for (m, v) in state.opt.m.iter_mut().zip(state.opt.v.iter_mut()) {
+            *m = rng.normal() as f32;
+            *v = rng.normal().abs() as f32;
+        }
+        state.iteration = FULL_EVERY;
+        // A residual puts a region behind the span the CRC covers.
+        let residual: Vec<f32> = (0..psi).map(|_| rng.normal() as f32).collect();
+        let aux = AuxView {
+            residual: Some(&residual),
+            compressor: Some(CompressorCfg::topk(0.01)),
+            rng: Some([1, 2, 3, 4]),
+            quant: None,
+        };
+        let backend = Arc::new(FaultyBackend::new(
+            MemoryBackend::new(),
+            FaultConfig::default(),
+        ));
+        let mut strategy = ShardedStrategy::new(spec.clone(), lowdiff_over(&backend));
+        strategy.after_update(&state, &aux);
+        assert_eq!(
+            strategy.full_outcome(FULL_EVERY, Duration::from_secs(10)),
+            Some(FullOutcome::Landed {
+                state_crc: codec::state_crc(&spec.project_state(&state))
+            }),
+            "psi={psi} num_chunks={num_chunks} chunks={chunks:?}"
+        );
+        strategy.flush();
     }
 }

@@ -3,12 +3,12 @@
 //! threads — and one decoder.
 
 use super::{
-    combined_crc, put_f32s, seal, split_seal, CodecError, Cursor, FULL_VERSION_V2, MAGIC_FULL,
-    VERSION,
+    combined_crc, put_f32s, put_u32, seal, split_seal, with_le_bytes, CodecError, Cursor,
+    FULL_VERSION_V2, MAGIC_FULL, VERSION,
 };
 use lowdiff_compress::{AuxState, AuxView, CompressorCfg, CompressorKind, QuantPolicyState};
 use lowdiff_optim::{AdamState, ModelState};
-use lowdiff_util::crc::crc32;
+use lowdiff_util::crc::{crc32, Hasher};
 use lowdiff_util::par::chunk_ranges;
 use rayon::prelude::*;
 use std::mem::MaybeUninit;
@@ -219,10 +219,32 @@ fn write_frame_sections(
     }
 }
 
-/// Seal a frame from [`encode_full_frame_into`]: append the CRC32 of
-/// everything written so far.
-pub fn seal_frame(buf: &mut Vec<u8>) {
-    seal(buf);
+/// Seal a frame from [`encode_full_frame_into`] of a `psi`-parameter
+/// state: append the CRC32 of everything written so far, and return the
+/// [`state_crc`] of the captured state from the same pass — params, m
+/// and v sit back to back, so the head, that span and the tail are CRC'd
+/// separately and folded into the trailer.
+pub fn seal_frame(buf: &mut Vec<u8>, psi: usize) -> u32 {
+    // params / m / v sit at fixed offsets whatever aux sections follow.
+    let layout = full_frame_layout(psi, &AuxView::NONE);
+    let span = layout.params_off..layout.v_off + 4 * psi;
+    let span_crc = crc32(&buf[span.clone()]);
+    let body_crc = combined_crc([
+        (crc32(&buf[..span.start]), span.start as u64),
+        (span_crc, span.len() as u64),
+        (crc32(&buf[span.end..]), (buf.len() - span.end) as u64),
+    ]);
+    put_u32(buf, body_crc);
+    span_crc
+}
+
+/// The CRC32 of `state`'s params ‖ m ‖ v as little-endian bytes.
+pub fn state_crc(state: &ModelState) -> u32 {
+    let mut hasher = Hasher::new();
+    for xs in [&state.params, &state.opt.m, &state.opt.v] {
+        with_le_bytes(xs, |bytes| hasher.update(bytes));
+    }
+    hasher.finalize()
 }
 
 /// Deserialize a full checkpoint (model state only), accepting both v1 and
@@ -593,13 +615,36 @@ mod tests {
                 _ => panic!("residual region without a residual (or vice versa)"),
             }
             let ptr = framed.as_ptr();
-            seal_frame(&mut framed);
+            seal_frame(&mut framed, psi);
             assert_eq!(framed.as_ptr(), ptr, "the seal must fit the reservation");
             assert_eq!(
                 framed,
                 encode_full_checkpoint(&st, &view),
                 "frame+seal diverged at psi={psi}"
             );
+        }
+    }
+
+    /// The seal returns the CRC of the captured params ‖ m ‖ v — the
+    /// staged bytes' and the state's own — whatever aux sections follow
+    /// the span, and the blob it seals is the one-shot encoder's.
+    #[test]
+    fn seal_returns_the_crc_of_the_state_span() {
+        for psi in [0usize, 1, 5, 4096, 3 * 4096 + 17] {
+            let st = demo_state(psi, 51);
+            let staged: Vec<u8> = [&st.params, &st.opt.m, &st.opt.v]
+                .into_iter()
+                .flat_map(|xs| le_bytes(xs))
+                .collect();
+            for aux in [AuxState::default(), full_aux(psi)] {
+                let view = aux.view();
+                let mut frame = Vec::new();
+                encode_full_frame_into(&st, &view, &mut frame);
+                let crc = seal_frame(&mut frame, psi);
+                assert_eq!(crc, crc32(&staged), "psi={psi}");
+                assert_eq!(crc, state_crc(&st), "psi={psi}");
+                assert_eq!(frame, encode_full_checkpoint(&st, &view), "psi={psi}");
+            }
         }
     }
 

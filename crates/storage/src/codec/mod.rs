@@ -96,7 +96,7 @@ pub use diff::{
 pub use full::{
     decode_full_checkpoint, decode_model_state, encode_full_checkpoint,
     encode_full_checkpoint_into, encode_full_frame_into, encode_model_state, full_frame_layout,
-    seal_frame, FullCheckpoint, FullFrameLayout,
+    seal_frame, state_crc, FullCheckpoint, FullFrameLayout,
 };
 
 use lowdiff_util::crc::{crc32, crc32_combine};
@@ -158,23 +158,25 @@ fn put_f32(buf: &mut Vec<u8>, v: f32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Append `xs` in little-endian order: one memcpy on LE targets.
-fn put_f32s(buf: &mut Vec<u8>, xs: &[f32]) {
+/// The codec's one byte view of an `f32` array: hand `xs` to `sink` as
+/// its little-endian wire bytes — in place, as one slice, on LE targets.
+fn with_le_bytes(xs: &[f32], mut sink: impl FnMut(&[u8])) {
     #[cfg(target_endian = "little")]
     {
         // SAFETY: f32 has no padding bytes and u8 has alignment 1, so
         // viewing an initialized f32 slice as bytes is always valid; on a
         // little-endian target the in-memory byte order is the wire order.
-        let bytes = unsafe { std::slice::from_raw_parts(xs.as_ptr().cast::<u8>(), xs.len() * 4) };
-        buf.extend_from_slice(bytes);
+        sink(unsafe { std::slice::from_raw_parts(xs.as_ptr().cast::<u8>(), xs.len() * 4) });
     }
     #[cfg(target_endian = "big")]
-    {
-        buf.reserve(xs.len() * 4);
-        for &x in xs {
-            buf.extend_from_slice(&x.to_le_bytes());
-        }
+    for x in xs {
+        sink(&x.to_le_bytes());
     }
+}
+
+/// Append `xs` in little-endian order: one memcpy on LE targets.
+fn put_f32s(buf: &mut Vec<u8>, xs: &[f32]) {
+    with_le_bytes(xs, |bytes| buf.extend_from_slice(bytes));
 }
 
 /// Append `v` as an LEB128 varint (7 payload bits per byte, high bit =

@@ -54,18 +54,22 @@
 #                            kernel as optimized code
 # 3h. sharded @1 thread    — the sharded adapter's tests (the lowdiff
 #                            `shard::` unit tests, its lazy-projection and
-#                            blob-equivalence suite, tests/sharded_cluster.rs),
-#                            the seal-on-landed-full pieces the cluster
-#                            worker drives (the trainer's unflushed loop,
+#                            blob-equivalence suite with the landed
+#                            outcome's state CRC over ragged specs,
+#                            tests/sharded_cluster.rs), the
+#                            seal-on-landed-full pieces the cluster
+#                            worker drives (the seal's state-span CRC in
+#                            the codec, the trainer's unflushed loop,
 #                            the per-iteration full outcome, the health
 #                            blob refreshed without a flush, at every
 #                            landed full on a cheap sink and within its
 #                            time budget on a slow one, and a failing
-#                            health sink leaving the run healthy) and the whole
-#                            cluster crate (its never-seal-a-failed-full
-#                            test included) with the pool pinned to 1
-#                            thread, which is how the benchmark's cluster
-#                            ranks run
+#                            health sink leaving the run healthy) and the
+#                            whole cluster crate (its never-seal-a-failed-
+#                            full, every-seal-is-the-training-state and
+#                            tampered-full-refused-at-resume tests
+#                            included) with the pool pinned to 1 thread,
+#                            which is how the benchmark's cluster ranks run
 # 4. crash-torture smoke   — the fast subset of the crash/resume matrix,
 #                            including whole-rank-loss cells recovered
 #                            from peer replicas alone
@@ -159,6 +163,7 @@ cargo test --release -q -p lowdiff-util
 echo "== sharded @1 thread =="
 LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff shard::
 LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff --test sharded_strategy
+LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff-storage seal_returns_the_crc_of_the_state_span
 LOWDIFF_NUM_THREADS=1 cargo test -q --test sharded_cluster
 LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff unflushed_run_returns_before_the_anchor_lands
 LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff failed_full_is_not_answered_by_the_reanchor_after_it
