@@ -1,14 +1,17 @@
-//! Shard projection/stitch benchmarks: the per-epoch cost a cluster rank
-//! pays to persist its Ψ/n slice, and the recovery-path cost of stitching
-//! all shards back into a global state.
+//! Shard capture/stitch benchmarks: the per-anchor cost a cluster rank
+//! pays to gather its Ψ/n slice into a full-checkpoint frame, and the
+//! recovery-path cost of stitching all shards back into a global state.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use lowdiff_compress::{Compressor, TopK};
+use lowdiff_compress::{AuxView, Compressor, TopK};
 use lowdiff_optim::ModelState;
+use lowdiff_storage::codec::encode_full_frame_into;
 use lowdiff_storage::shard::stitch_states;
 use lowdiff_storage::ShardSpec;
+use lowdiff_testkit::ShardProjection;
 use lowdiff_util::DetRng;
 use std::hint::black_box;
+use std::ops::Range;
 
 fn three_way_specs(psi: usize, num_chunks: u32) -> Vec<ShardSpec> {
     // Round-robin chunks over 3 ranks: the bench cares about gather and
@@ -34,10 +37,16 @@ fn bench_shard(c: &mut Criterion) {
 
     let specs = three_way_specs(psi, 48);
 
-    // One rank's per-epoch projection (state → Ψ/3 shard).
+    // One rank's anchor capture: its Ψ/3 shard of the state gathered
+    // into a reused frame, as the ticket pool does.
+    let ranges: Vec<Range<usize>> = specs[0].ranges().collect();
+    let mut frame = Vec::new();
     group.throughput(Throughput::Bytes((psi * 12 / 3) as u64));
-    group.bench_function("project_state_1m_over_3", |b| {
-        b.iter(|| black_box(specs[0].project_state(&st)))
+    group.bench_function("gather_full_frame_1m_over_3", |b| {
+        b.iter(|| {
+            encode_full_frame_into(&st, &AuxView::NONE, &ranges, &mut frame);
+            black_box(frame.len())
+        })
     });
 
     // Sparse diff projection: the per-iteration hot path in cluster mode.

@@ -141,14 +141,16 @@ pub fn task_for(dims: &[usize], data_seed: u64) -> Regression {
     Regression::new(dims[0], *dims.last().unwrap(), data_seed ^ 0x5eed)
 }
 
-fn trainer_cfg(cfg: &WorkerConfig) -> TrainerConfig {
+/// Every rank's trainer, and the uninterrupted-run oracle's: Top-K with
+/// error feedback when compressing, never quantized (not shardable).
+fn trainer_cfg(compress_ratio: Option<f64>, data_seed: u64) -> TrainerConfig {
     TrainerConfig {
-        compress_ratio: cfg.compress_ratio,
-        error_feedback: cfg.compress_ratio.is_some(),
+        compress_ratio,
+        error_feedback: compress_ratio.is_some(),
         quant_bits: None,
         adaptive_quant: false,
         max_quant_err: 0.0,
-        data_seed: cfg.data_seed,
+        data_seed,
     }
 }
 
@@ -177,14 +179,7 @@ pub fn reference_state(
     iters: u64,
 ) -> ModelState {
     let net = mlp(dims, seed);
-    let tcfg = TrainerConfig {
-        compress_ratio,
-        error_feedback: compress_ratio.is_some(),
-        quant_bits: None,
-        adaptive_quant: false,
-        max_quant_err: 0.0,
-        data_seed,
-    };
+    let tcfg = trainer_cfg(compress_ratio, data_seed);
     let mut tr = Trainer::new(net, Adam::default(), lowdiff::NoCheckpoint::new(), tcfg);
     tr.run_with_data(iters, step_fn(task_for(dims, data_seed), Duration::ZERO));
     tr.state().clone()
@@ -400,7 +395,7 @@ fn train_loop(
     };
     let shard_len = spec.len() as u64;
     let strategy = ShardedStrategy::new(spec, LowDiffStrategy::new(own_store, ld_cfg));
-    let tcfg = trainer_cfg(cfg);
+    let tcfg = trainer_cfg(cfg.compress_ratio, cfg.data_seed);
 
     let mut resumed_from = None;
     let mut trainer = if cfg.resume {

@@ -486,6 +486,7 @@ fn run_two_sealed_ranks(dir: &std::path::Path) -> Arc<CheckpointStore> {
 #[test]
 fn every_seal_is_the_digest_of_the_training_state() {
     use lowdiff_cluster::rt::worker::{reference_state, shard_digest};
+    use lowdiff_testkit::ShardProjection;
 
     let dir = std::env::temp_dir().join(format!("lowdiff-seal-state-{}", std::process::id()));
     let global = run_two_sealed_ranks(&dir);

@@ -5,26 +5,25 @@
 //! thread with [`codec::encode_full_frame_into`]: the header and small aux
 //! sections are stamped and params / m / v / EF residual are copied
 //! straight to their wire offsets, with no allocation once the frame is
-//! pooled. The capture is therefore complete when the submitting hook
-//! returns, and the caller may mutate the state at once. The engine worker
-//! seals the CRC (`CowTicket::seal`) and fans the finished blob across
-//! the tier stack; the sealed bytes are **byte-identical** to
-//! `encode_full_checkpoint_into` on the same state, which the
-//! `engine_equivalence` tests pin. Dropping the ticket hands its frame
-//! back to the pool.
+//! pooled. The copy gathers the engine's index ranges: the whole state,
+//! or a cluster rank's shard, which is thereby copied once, from the live
+//! state into the frame. The capture is therefore complete when the
+//! submitting hook returns, and the caller may mutate the state at once.
+//! The engine worker seals the CRC (`CowTicket::seal`) and fans the
+//! finished blob across the tier stack; the sealed bytes are
+//! **byte-identical** to `encode_full_checkpoint_into` on the gathered
+//! state, which the `engine_equivalence` and `sharded_strategy` tests pin.
+//! Dropping the ticket hands its frame back to the pool.
 //!
 //! LowDiff+'s policy captures its CPU replica the same way, on the engine
 //! worker, through [`super::EngineCtx::capture`]: that capture never waits
 //! on a dry pool, since only the worker itself would return a frame.
-//!
-//! The capture is eager. A copy-on-write variant, which let the
-//! optimizer's update hooks and the worker capture chunks lazily, needs a
-//! benchmark workload that exercises it before it can come back.
 
 use lowdiff_compress::AuxView;
 use lowdiff_optim::ModelState;
 use lowdiff_storage::codec;
 use parking_lot::{Condvar, Mutex};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -52,7 +51,7 @@ impl CowTicket {
         self.adam_t
     }
 
-    /// Parameter count of the captured state.
+    /// Parameter count of the captured state: the elements gathered.
     pub fn psi(&self) -> usize {
         self.psi
     }
@@ -86,8 +85,8 @@ impl Drop for CowTicket {
 /// growing the footprint by another full frame.
 ///
 /// The resident footprint is one frame while the store keeps up. The
-/// first capture that finds every filled frame still in flight — the
-/// store has fallen behind the anchors — faults in the whole depth at
+/// first capture that finds every frame still in flight — the store has
+/// fallen behind the anchors — builds and faults in the whole depth at
 /// once. The footprint then depends on whether the store ever lagged, not
 /// on how far the lag happened to reach, and no later anchor page-faults
 /// a fresh frame on the training thread.
@@ -98,9 +97,9 @@ pub(crate) struct CowTickets {
 }
 
 struct Frames {
-    /// Frames not checked out; the most recently returned one is last, so
-    /// a capture prefers frames whose pages are already faulted in. Cold
-    /// frames (allocated, never filled: empty) all precede the filled ones.
+    /// Frames not checked out, every one filled; the most recently
+    /// returned one is last, so a capture prefers frames whose pages are
+    /// still in cache.
     free: Vec<Vec<u8>>,
     /// Frames built so far, free or checked out.
     built: usize,
@@ -127,38 +126,42 @@ impl CowTickets {
         })
     }
 
-    /// Build every frame for captures shaped like `state` + `aux`, off the
-    /// anchor path. The first is filled, so its pages are faulted in now;
-    /// the rest are only allocated — a store that keeps up never touches
-    /// them, and one that falls behind faults them all in at its first lag
-    /// ([`Self::capture`]). Captures then never allocate. Idempotent.
-    pub(crate) fn prime(&self, state: &ModelState, aux: &AuxView<'_>) {
+    /// Build and fill the first frame for captures of `ranges` of
+    /// `state` + `aux`, off the anchor path, so that an anchor neither
+    /// allocates nor page-faults while the store keeps up. A store that
+    /// falls behind builds and faults in the rest of the depth at its
+    /// first lag ([`Self::capture`]), primed or not. Idempotent.
+    ///
+    /// The rest is not reserved here: an untouched reservation saves no
+    /// time, but it fixes where the frames sit in the allocator's arenas,
+    /// and on `cluster-2rank` reserved frames stayed resident after their
+    /// rank's pass, raising the workload's peak RSS.
+    pub(crate) fn prime(&self, state: &ModelState, aux: &AuxView<'_>, ranges: &[Range<usize>]) {
         let mut pool = self.pool.lock();
         if pool.built > 0 {
             return;
         }
-        let len = frame_len(state, aux);
-        let mut first = Vec::with_capacity(len);
-        codec::encode_full_frame_into(state, aux, &mut first);
-        pool.free
-            .extend((1..self.depth).map(|_| Vec::with_capacity(len)));
+        let mut first = Vec::new();
+        codec::encode_full_frame_into(state, aux, ranges, &mut first);
         pool.free.push(first);
-        pool.built = self.depth;
+        pool.built = 1;
     }
 
-    /// Capture `state` + `aux` into a free frame, building one while the
-    /// pool is below its depth, else — if `may_wait` — waiting for the
-    /// worker to drop a ticket. A cold frame taken while another ticket is
-    /// in flight means the store has fallen behind: every frame up to the
-    /// depth is then built and faulted in before this returns. Also returns
-    /// how long it waited (zero when it did not). `None` when every frame
-    /// is checked out and waiting is not allowed or no live worker is left
-    /// to return one. The worker itself must never wait: no other thread
-    /// drops the tickets it would wait for.
+    /// Capture `ranges` of `state` + `aux`
+    /// ([`codec::encode_full_frame_into`]) into a free frame, building one
+    /// while the pool is below its depth, else — if `may_wait` — waiting
+    /// for the worker to drop a ticket. A frame built while another ticket
+    /// is in flight means the store has fallen behind: every frame up to
+    /// the depth is then built and faulted in before this returns. Also
+    /// returns how long it waited (zero when it did not). `None` when every
+    /// frame is checked out and waiting is not allowed or no live worker
+    /// is left to return one. The worker itself must never wait: no other
+    /// thread drops the tickets it would wait for.
     pub(crate) fn capture(
         self: &Arc<Self>,
         state: &ModelState,
         aux: &AuxView<'_>,
+        ranges: &[Range<usize>],
         may_wait: bool,
     ) -> (Option<CowTicket>, Duration) {
         let mut pool = self.pool.lock();
@@ -178,38 +181,37 @@ impl CowTickets {
             wait_start.get_or_insert_with(Instant::now);
             self.released.wait(&mut pool);
         };
-        // Frames checked out besides this one.
+        // Frames checked out besides this one; only a frame built just
+        // now is empty.
         let in_flight = pool.built - pool.free.len() - 1;
-        let mut cold = Vec::new();
+        let mut cold = 0;
         if frame.is_empty() && in_flight > 0 {
-            let (empty, filled) = std::mem::take(&mut pool.free)
-                .into_iter()
-                .partition(Vec::is_empty);
-            (pool.free, cold) = (filled, empty);
-            cold.extend((pool.built..self.depth).map(|_| Vec::new()));
+            cold = self.depth - pool.built;
             pool.built = self.depth;
         }
         drop(pool);
         let waited = waited(wait_start);
-        codec::encode_full_frame_into(state, aux, &mut frame);
-        if !cold.is_empty() {
-            self.warm(cold, frame_len(state, aux));
+        codec::encode_full_frame_into(state, aux, ranges, &mut frame);
+        if cold > 0 {
+            self.warm(cold, frame.len() + 4);
         }
         let ticket = CowTicket {
             frame,
             iteration: state.iteration,
             adam_t: state.opt.t,
-            psi: state.params.len(),
+            psi: ranges.iter().map(Range::len).sum(),
             sealed: false,
             home: Arc::clone(self),
         };
         (Some(ticket), waited)
     }
 
-    /// Fault in `frames` at `len` bytes each (zero-filled, so they count as
-    /// filled from now on) and return them to the pool.
-    fn warm(&self, mut frames: Vec<Vec<u8>>, len: usize) {
+    /// Build `n` frames of `len` bytes, faulted in (zero-filled, so they
+    /// count as filled), and add them to the pool.
+    fn warm(&self, n: usize, len: usize) {
+        let mut frames = vec![Vec::new(); n];
         for f in &mut frames {
+            // Written, not calloc'd: the point is to fault the pages in.
             f.resize(len, 0);
         }
         self.pool.lock().free.append(&mut frames);
@@ -229,25 +231,10 @@ impl CowTickets {
     }
 
     /// Frames built so far.
+    #[cfg(test)]
     pub(crate) fn built(&self) -> usize {
         self.pool.lock().built
     }
-
-    /// Free frames never filled.
-    #[cfg(test)]
-    fn cold(&self) -> usize {
-        self.pool
-            .lock()
-            .free
-            .iter()
-            .filter(|f| f.is_empty())
-            .count()
-    }
-}
-
-/// Length of a sealed frame for captures shaped like `state` + `aux`.
-fn frame_len(state: &ModelState, aux: &AuxView<'_>) -> usize {
-    codec::full_frame_layout(state.params.len(), aux).body_len + 4
 }
 
 #[cfg(test)]
@@ -266,6 +253,11 @@ mod tests {
         st
     }
 
+    /// The whole space: the one range a single-rank capture gathers.
+    fn all(st: &ModelState) -> Vec<Range<usize>> {
+        std::iter::once(0..st.params.len()).collect()
+    }
+
     #[test]
     fn sealed_capture_is_byte_identical_to_blocking_encode() {
         let st = demo_state(1000, 5);
@@ -277,7 +269,7 @@ mod tests {
         };
         let view = aux.view();
         let pool = CowTickets::new(1, false);
-        let (t, waited) = pool.capture(&st, &view, false);
+        let (t, waited) = pool.capture(&st, &view, &all(&st), false);
         let mut t = t.expect("an empty pool builds a frame");
         assert!(waited.is_zero());
         assert_eq!((t.iteration(), t.adam_t(), t.psi()), (42, 42, 1000));
@@ -290,10 +282,10 @@ mod tests {
         let pool = CowTickets::new(2, false);
         let st = demo_state(100, 8);
         let view = AuxView::NONE;
-        pool.prime(&st, &view);
-        assert_eq!(pool.built(), 2, "prime builds the whole pool");
+        pool.prime(&st, &view, &all(&st));
+        assert_eq!(pool.built(), 1, "prime fills one frame");
         let mut t = pool
-            .capture(&st, &view, false)
+            .capture(&st, &view, &all(&st), false)
             .0
             .expect("primed frame is free");
         t.seal();
@@ -304,14 +296,14 @@ mod tests {
         let mut st2 = demo_state(100, 9);
         st2.iteration = 77;
         let mut t = pool
-            .capture(&st2, &view, false)
+            .capture(&st2, &view, &all(&st2), false)
             .0
             .expect("released frame is free");
         assert_eq!(t.bytes().as_ptr(), ptr, "the filled frame is reused first");
         t.seal();
         assert_eq!(t.bytes(), &codec::encode_full_checkpoint(&st2, &view)[..]);
         assert_ne!(t.bytes(), &first[..]);
-        assert_eq!(pool.built(), 2);
+        assert_eq!(pool.built(), 1, "one frame serves a store that keeps up");
     }
 
     #[test]
@@ -321,27 +313,23 @@ mod tests {
         for primed in [true, false] {
             let pool = CowTickets::new(3, false);
             if primed {
-                pool.prime(&st, &view);
+                pool.prime(&st, &view, &all(&st));
             }
             // A store that keeps up: each ticket drops before the next
             // capture, so one frame serves every capture.
             for _ in 0..3 {
-                drop(pool.capture(&st, &view, false).0.unwrap());
+                drop(pool.capture(&st, &view, &all(&st), false).0.unwrap());
             }
-            let idle = usize::from(primed) * 2;
-            assert_eq!(
-                (pool.built(), pool.cold()),
-                (1 + idle, idle),
-                "primed={primed}"
-            );
+            assert_eq!(pool.built(), 1, "primed={primed}");
             // The store falls behind: a second capture while one is held.
-            let held = pool.capture(&st, &view, false).0.unwrap();
-            let mut lagging = pool.capture(&st, &view, false).0.unwrap();
-            assert_eq!((pool.built(), pool.cold()), (3, 0), "primed={primed}");
+            let held = pool.capture(&st, &view, &all(&st), false).0.unwrap();
+            let mut lagging = pool.capture(&st, &view, &all(&st), false).0.unwrap();
+            assert_eq!(pool.built(), 3, "primed={primed}");
             // The warmed frame carries a capture like any other.
             let mut st2 = demo_state(100, 12);
             st2.iteration = 9;
-            let mut last = pool.capture(&st2, &view, false).0.unwrap();
+            let mut last = pool.capture(&st2, &view, &all(&st2), false).0.unwrap();
+            assert_eq!(pool.built(), 3, "the warmed frame is reused");
             last.seal();
             assert_eq!(
                 last.bytes(),
@@ -362,15 +350,15 @@ mod tests {
         let st = demo_state(100, 10);
         let view = AuxView::NONE;
         let held: Vec<_> = (0..2)
-            .map(|_| pool.capture(&st, &view, false).0.unwrap())
+            .map(|_| pool.capture(&st, &view, &all(&st), false).0.unwrap())
             .collect();
         assert_eq!(pool.built(), 2);
         assert!(
-            pool.capture(&st, &view, false).0.is_none(),
+            pool.capture(&st, &view, &all(&st), false).0.is_none(),
             "depth bounds the pool"
         );
         drop(held);
-        assert!(pool.capture(&st, &view, false).0.is_some());
+        assert!(pool.capture(&st, &view, &all(&st), false).0.is_some());
         assert_eq!(pool.built(), 2);
     }
 }

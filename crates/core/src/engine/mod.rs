@@ -75,6 +75,7 @@ use lowdiff_storage::{CheckpointStore, RetryPolicy, StripeCfg};
 use lowdiff_util::units::Secs;
 use lowdiff_util::BufferPool;
 use parking_lot::Mutex;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -258,6 +259,9 @@ pub struct CheckpointEngine {
     cfg: EngineConfig,
     shared: Arc<EngineShared>,
     backpressure: u64,
+    /// The index ranges every full gathers from the submitted state:
+    /// `None` is the whole space, `Some` a cluster rank's shard.
+    gather: Option<Vec<Range<usize>>>,
     // Async mode:
     job_tx: Option<Sender<Job>>,
     ctl_tx: Option<Sender<WorkerMsg>>,
@@ -300,6 +304,7 @@ impl CheckpointEngine {
             cfg,
             shared,
             backpressure: 0,
+            gather: None,
             job_tx: Some(job_tx),
             ctl_tx: Some(ctl_tx),
             worker: Some(worker),
@@ -322,6 +327,7 @@ impl CheckpointEngine {
             // an inline engine ever has checked out.
             shared: EngineShared::new(cow::CowTickets::new(1, false)),
             backpressure: 0,
+            gather: None,
             job_tx: None,
             ctl_tx: None,
             worker: None,
@@ -333,12 +339,29 @@ impl CheckpointEngine {
         &self.store
     }
 
-    /// One-time warm-up before the first training iteration: build the
-    /// ticket pool's frames for captures shaped like `state` + `aux` (the
-    /// first one page-touched), so no anchor allocates a frame on the
-    /// training thread. Idempotent.
+    /// Make every full from now on gather only `ranges` of the submitted
+    /// state and residual: a cluster rank's shard. Set before the first
+    /// capture, so that every frame the pool builds is shard-sized.
+    pub(crate) fn gather(&mut self, ranges: Vec<Range<usize>>) {
+        self.gather = Some(ranges);
+    }
+
+    /// The ranges a full of a `psi`-element state gathers, handed to `f`.
+    fn with_ranges<R>(&self, psi: usize, f: impl FnOnce(&[Range<usize>]) -> R) -> R {
+        match &self.gather {
+            Some(ranges) => f(ranges),
+            None => f(std::slice::from_ref(&(0..psi))),
+        }
+    }
+
+    /// One-time warm-up before the first training iteration: build and
+    /// fill the ticket pool's first frame for captures shaped like
+    /// `state` + `aux`, so no anchor allocates a frame on the training
+    /// thread while the store keeps up. Idempotent.
     pub fn prime_capture(&self, state: &ModelState, aux: &AuxView<'_>) {
-        self.shared.cow.prime(state, aux);
+        self.with_ranges(state.params.len(), |ranges| {
+            self.shared.cow.prime(state, aux, ranges)
+        });
     }
 
     /// Ask the policy's training-side gate (synchronous engines).
@@ -355,11 +378,12 @@ impl CheckpointEngine {
     }
 
     /// Submit a full checkpoint of `state` + auxiliary training state (EF
-    /// residual, compressor identity, data-RNG cursor): capture it into a
-    /// pooled [`CowTicket`] frame on the calling thread, every byte at its
-    /// wire offset, then enqueue it. The capture is complete when this
-    /// returns, so the caller may mutate `state` at once; the worker only
-    /// seals and persists.
+    /// residual, compressor identity, data-RNG cursor): capture it — only
+    /// a cluster rank's shard of it, once the adapter set the ranges to
+    /// gather — into a pooled [`CowTicket`] frame on the calling thread,
+    /// every byte at its wire offset, then enqueue it. The capture is
+    /// complete when this returns, so the caller may mutate `state` at
+    /// once; the worker only seals and persists.
     pub fn submit_full(
         &mut self,
         since: Instant,
@@ -375,7 +399,9 @@ impl CheckpointEngine {
         // Every frame checked out means the store is a pool's depth of
         // fulls behind: wait one out. Like the queue-full wait in
         // `submit`, that is backpressure, not snapshot work.
-        let (ticket, waited) = self.shared.cow.capture(state, aux, true);
+        let (ticket, waited) = self.with_ranges(state.params.len(), |ranges| {
+            self.shared.cow.capture(state, aux, ranges, true)
+        });
         if !waited.is_zero() {
             self.backpressure += 1;
         }
@@ -547,6 +573,7 @@ impl CheckpointEngine {
     }
 
     /// Frames the ticket pool has built so far.
+    #[cfg(test)]
     pub(crate) fn tickets_built(&self) -> usize {
         self.shared.cow.built()
     }

@@ -342,7 +342,10 @@ impl EngineCtx<'_> {
     /// `None` then.
     pub fn capture(&self, state: &ModelState, aux: &AuxView<'_>) -> Option<CowTicket> {
         let t0 = Instant::now();
-        let (ticket, _) = self.cow.capture(state, aux, false);
+        let whole = 0..state.params.len();
+        let (ticket, _) = self
+            .cow
+            .capture(state, aux, std::slice::from_ref(&whole), false);
         self.metrics.encode.record(t0.elapsed());
         ticket
     }
@@ -768,7 +771,12 @@ mod tests {
         };
         let pool = CowTickets::new(1, false);
         let mut ticket = pool
-            .capture(&pin_state(10), &AuxView::NONE, false)
+            .capture(
+                &pin_state(10),
+                &AuxView::NONE,
+                std::slice::from_ref(&(0..64)),
+                false,
+            )
             .0
             .expect("an empty pool builds a frame");
         let mut writer = BatchedWriter::new(2, ValueCodec::F32);

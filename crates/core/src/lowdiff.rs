@@ -30,7 +30,7 @@ use crate::strategy::{CheckpointStrategy, StrategyStats};
 use lowdiff_compress::{AuxView, CompressedGrad};
 use lowdiff_optim::ModelState;
 use lowdiff_storage::codec::ValueCodec;
-use lowdiff_storage::CheckpointStore;
+use lowdiff_storage::{CheckpointStore, ShardSpec};
 use lowdiff_util::units::Secs;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -226,40 +226,11 @@ impl LowDiffStrategy {
         self.engine.backpressure_events()
     }
 
-    /// The full-checkpoint decision after the update that produced
-    /// `iteration`: `Some(forced)` when a full is due — on the FCF
-    /// schedule, or forced because a dropped differential batch asked the
-    /// next full to re-anchor the chain past the gap (the request is
-    /// consumed here) — `None` otherwise. Every `Some` must be answered
-    /// by [`Self::capture_full`].
-    pub(crate) fn full_due(&self, iteration: u64) -> Option<bool> {
-        let scheduled = iteration.is_multiple_of(self.cfg.full_every);
-        let forced = self.engine.take_reanchor();
-        (scheduled || forced).then_some(forced)
-    }
-
-    /// Capture the full [`Self::full_due`] called for. Snapshot: the
-    /// state + aux (EF residual, compressor, RNG cursor) captured into a
-    /// pooled frame — no allocation in steady state — so the full is
-    /// resume-exact, not just parameter-exact; the write happens on the
-    /// checkpointing thread.
-    pub(crate) fn capture_full(
-        &mut self,
-        state: &ModelState,
-        aux: &AuxView<'_>,
-        forced: bool,
-    ) -> Secs {
-        let t0 = Instant::now();
-        let sub = self.engine.submit_full(t0, state, aux);
-        if sub.delivered {
-            if forced {
-                self.engine.with_stats(|s| s.forced_fulls += 1);
-            }
-        } else if forced {
-            // Nobody will write the re-anchor; keep the request alive.
-            self.engine.request_reanchor();
-        }
-        sub.stall
+    /// Checkpoint only `spec`'s shard from now on: every full gathers
+    /// its ranges of the state and residual straight into the frame. Set
+    /// once, by [`crate::ShardedStrategy::new`], before any capture.
+    pub(crate) fn gather_shard(&mut self, spec: &ShardSpec) {
+        self.engine.gather(spec.ranges().collect());
     }
 
     /// Whether the full captured at `iteration` is durable, waiting up to
@@ -269,12 +240,6 @@ impl LowDiffStrategy {
     /// [`CheckpointEngine::full_outcome`].
     pub fn full_outcome(&self, iteration: u64, wait: Duration) -> Option<FullOutcome> {
         self.engine.full_outcome(iteration, wait)
-    }
-
-    /// Whether the capture frames are built: [`CheckpointStrategy::prime`]
-    /// is then a no-op.
-    pub(crate) fn capture_primed(&self) -> bool {
-        self.engine.tickets_built() > 0
     }
 }
 
@@ -308,10 +273,28 @@ impl CheckpointStrategy for LowDiffStrategy {
     }
 
     fn after_update(&mut self, state: &ModelState, aux: &AuxView<'_>) -> Secs {
-        let Some(forced) = self.full_due(state.iteration) else {
+        let scheduled = state.iteration.is_multiple_of(self.cfg.full_every);
+        // A dropped differential batch forces an early full checkpoint:
+        // the full re-anchors the chain past the gap.
+        let forced = self.engine.take_reanchor();
+        if !scheduled && !forced {
             return Secs::ZERO;
-        };
-        self.capture_full(state, aux, forced)
+        }
+        let t0 = Instant::now();
+        // Snapshot: the state + aux (EF residual, compressor, RNG cursor)
+        // captured into a pooled frame — no allocation in steady state —
+        // so the full is resume-exact, not just parameter-exact; the write
+        // happens on the checkpointing thread.
+        let sub = self.engine.submit_full(t0, state, aux);
+        if sub.delivered {
+            if forced {
+                self.engine.with_stats(|s| s.forced_fulls += 1);
+            }
+        } else if forced {
+            // Nobody will write the re-anchor; keep the request alive.
+            self.engine.request_reanchor();
+        }
+        sub.stall
     }
 
     fn flush(&mut self) -> Secs {

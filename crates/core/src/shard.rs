@@ -4,16 +4,17 @@
 //! A cluster worker trains the **full** model (deterministic replicated
 //! compute stands in for allreduce — every rank sees identical gradients),
 //! but persists only its own parameter shard. This wrapper sits between
-//! the trainer and a [`LowDiffStrategy`] and hands it only projections
-//! onto the rank's [`ShardSpec`], so the inner engine's full checkpoints,
-//! differentials and manifests all describe the Ψ/n shard.
+//! the trainer and a [`LowDiffStrategy`], so the inner engine's full
+//! checkpoints, differentials and manifests all describe the rank's Ψ/n
+//! [`ShardSpec`].
 //!
-//! It projects only what the inner strategy checkpoints. Each synced
-//! gradient is projected (its sparse coordinates are the differential).
-//! The state and the EF residual are projected only when the inner
-//! strategy's own full-checkpoint decision says "capture" — on the
-//! scheduled anchor or a forced re-anchor — and in `prime` only while the
-//! capture frames are not built yet. Every other hook copies nothing.
+//! A shard full is the gathered case of the one full capture: `new` hands
+//! the spec to the inner strategy once, and from then on its every full
+//! gathers the shard's ranges of params, m, v and the EF residual straight
+//! into the pooled frame — one copy, no allocation. `prime` and
+//! `after_update` forward the whole state unchanged. Only the synced
+//! gradient is projected, because its sparse coordinates are the
+//! differential.
 //!
 //! ## Why projection is exact
 //!
@@ -53,7 +54,8 @@ pub struct ShardedStrategy {
 }
 
 impl ShardedStrategy {
-    pub fn new(spec: ShardSpec, inner: LowDiffStrategy) -> Self {
+    pub fn new(spec: ShardSpec, mut inner: LowDiffStrategy) -> Self {
+        inner.gather_shard(&spec);
         Self {
             spec,
             inner,
@@ -82,12 +84,7 @@ impl CheckpointStrategy for ShardedStrategy {
     }
 
     fn prime(&mut self, state: &ModelState, aux: &AuxView<'_>) {
-        if self.inner.capture_primed() {
-            return;
-        }
-        let shard_state = self.spec.project_state(state);
-        let shard_aux = self.spec.project_aux(aux);
-        self.inner.prime(&shard_state, &shard_aux.view());
+        self.inner.prime(state, aux);
     }
 
     // `on_layer_gradient` is intentionally not forwarded: layer ranges
@@ -111,13 +108,7 @@ impl CheckpointStrategy for ShardedStrategy {
     }
 
     fn after_update(&mut self, state: &ModelState, aux: &AuxView<'_>) -> Secs {
-        let Some(forced) = self.inner.full_due(state.iteration) else {
-            return Secs::ZERO;
-        };
-        let shard_state = self.spec.project_state(state);
-        let shard_aux = self.spec.project_aux(aux);
-        self.inner
-            .capture_full(&shard_state, &shard_aux.view(), forced)
+        self.inner.after_update(state, aux)
     }
 
     fn flush(&mut self) -> Secs {

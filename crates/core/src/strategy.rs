@@ -134,8 +134,9 @@ pub trait CheckpointStrategy: Send {
     /// One-time warm-up before the first training iteration. `state` and
     /// `aux` have the shape every later capture will have; strategies
     /// backed by a [`crate::engine::CheckpointEngine`] forward this to
-    /// [`crate::engine::CheckpointEngine::prime_capture`] so the capture
-    /// pools are sized (and their pages faulted in) off the anchor path.
+    /// [`crate::engine::CheckpointEngine::prime_capture`] so the frame an
+    /// anchor captures into is built (and its pages faulted in) off the
+    /// anchor path.
     /// Idempotent. Default: no-op.
     fn prime(&mut self, _state: &ModelState, _aux: &AuxView<'_>) {}
 

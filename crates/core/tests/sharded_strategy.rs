@@ -1,5 +1,6 @@
-//! [`ShardedStrategy`] copies the rank's shard only when it checkpoints
-//! it, and still writes exactly the blobs that projecting every hook
+//! [`ShardedStrategy`] gathers the rank's shard straight into its capture
+//! frames — no hook allocates anything shard-sized once the pool is
+//! primed — and still writes exactly the blobs that projecting every hook
 //! argument eagerly writes.
 
 use lowdiff::{
@@ -12,6 +13,7 @@ use lowdiff_storage::{
     codec, CheckpointStore, FaultConfig, FaultyBackend, MemoryBackend, RetryPolicy, ShardSpec,
     StorageBackend,
 };
+use lowdiff_testkit::ShardProjection;
 use lowdiff_util::units::Secs;
 use lowdiff_util::DetRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -143,11 +145,13 @@ impl Stream {
     }
 }
 
-/// Between the anchors the training thread allocates nothing shard-sized:
-/// not on the synced gradient, not after a non-anchor update, not on a
-/// second `prime`. The anchor still captures.
+/// Once the capture pool is primed the training thread allocates nothing
+/// shard-sized: not on a synced gradient, not after a non-anchor update,
+/// not on a second `prime`, and not at a capture — the scheduled anchor
+/// and a forced re-anchor both gather the shard straight into a primed
+/// frame.
 #[test]
-fn non_anchor_hooks_make_no_shard_sized_allocation() {
+fn primed_hooks_make_no_shard_sized_allocation() {
     let backend = Arc::new(FaultyBackend::new(
         MemoryBackend::new(),
         FaultConfig::default(),
@@ -158,12 +162,24 @@ fn non_anchor_hooks_make_no_shard_sized_allocation() {
     let mut stream = Stream::new();
     strategy.prime(&stream.state, &stream.aux());
 
+    // One epoch up to the scheduled anchor, then one more iteration whose
+    // diff is dropped, so that its update forces a re-anchor.
     let mut peak = 0;
-    for t in 0..FULL_EVERY - 1 {
+    for t in 0..=FULL_EVERY {
+        let outage = t == FULL_EVERY;
+        if outage {
+            // The anchor lands before the store is cut off.
+            strategy.flush();
+            backend.fail_all_puts();
+        }
         let g = stream.grad();
         peak = peak.max(peak_alloc(|| {
             strategy.on_synced_gradient(t, &g, &stream.aux());
         }));
+        if outage {
+            strategy.flush();
+            backend.heal();
+        }
         stream.update(&g);
         peak = peak.max(peak_alloc(|| {
             strategy.after_update(&stream.state, &stream.aux());
@@ -172,17 +188,15 @@ fn non_anchor_hooks_make_no_shard_sized_allocation() {
     peak = peak.max(peak_alloc(|| strategy.prime(&stream.state, &stream.aux())));
     assert!(
         peak < shard_bytes,
-        "a {peak}-byte allocation between anchors (shard is {shard_bytes} bytes)"
+        "a {peak}-byte allocation on a primed hook (shard is {shard_bytes} bytes)"
     );
 
-    let g = stream.grad();
-    strategy.on_synced_gradient(FULL_EVERY - 1, &g, &stream.aux());
-    stream.update(&g);
-    strategy.after_update(&stream.state, &stream.aux());
     strategy.flush();
     let stats = strategy.stats();
-    assert_eq!(stats.full_checkpoints, 1);
-    assert_eq!(stats.diff_checkpoints, FULL_EVERY);
+    assert_eq!(stats.full_checkpoints, 2);
+    assert_eq!(stats.forced_fulls, 1);
+    assert_eq!(stats.dropped_batches, 1);
+    assert_eq!(stats.diff_checkpoints, FULL_EVERY + 1);
 }
 
 /// The reference the lazy adapter must reproduce byte for byte: every

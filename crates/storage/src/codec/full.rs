@@ -12,6 +12,7 @@ use lowdiff_util::crc::{crc32, Hasher};
 use lowdiff_util::par::chunk_ranges;
 use rayon::prelude::*;
 use std::mem::MaybeUninit;
+use std::ops::Range;
 
 /// Aux flag bits in the v2 full-checkpoint trailer.
 const AUX_FLAG_RESIDUAL: u8 = 1 << 0;
@@ -54,23 +55,40 @@ pub fn encode_full_checkpoint(state: &ModelState, aux: &AuxView<'_>) -> Vec<u8> 
 /// reusing its allocation. The buffer is cleared first, so a pooled buffer
 /// from a previous (possibly longer) encode never leaks stale bytes into
 /// this one.
-///
-/// The Ψ-sized regions are appended with one memcpy each; only the gaps
-/// before them — header and small aux sections, a few dozen bytes — are
-/// zero-filled, then stamped by the section writer.
 pub fn encode_full_checkpoint_into(state: &ModelState, aux: &AuxView<'_>, buf: &mut Vec<u8>) {
-    encode_full_frame_into(state, aux, buf);
+    let whole = 0..state.params.len();
+    encode_full_frame_into(state, aux, std::slice::from_ref(&whole), buf);
     seal(buf);
 }
 
-/// [`encode_full_checkpoint_into`] without the CRC trailer: the **unsealed**
-/// frame, with room reserved for the seal. [`seal_frame`] later turns it
-/// into exactly the blob `encode_full_checkpoint_into` produces, without
-/// reallocating — so a writer can capture the state on one thread and pay
-/// the CRC pass on another.
-pub fn encode_full_frame_into(state: &ModelState, aux: &AuxView<'_>, buf: &mut Vec<u8>) {
-    let psi = state.params.len();
-    let layout = full_frame_layout(psi, aux);
+/// The **unsealed** v2 frame of the elements `ranges` gathers from
+/// `state` and `aux.residual`, with room reserved for the seal: a full
+/// checkpoint of a state whose params, m, v and residual are
+/// `xs[r₀] ‖ xs[r₁] ‖ …`, iteration and step counter kept. The whole
+/// space `[0, Ψ)` is the one-range case; a shard's chunks are the
+/// gathered one. [`seal_frame`] later turns the frame into exactly the
+/// blob [`encode_full_checkpoint_into`] produces for that state, without
+/// reallocating — so a writer can capture on one thread and pay the CRC
+/// pass on another.
+///
+/// Each region is written range by range straight to its wire offset;
+/// only the gaps before them — header and small aux sections, a few dozen
+/// bytes — are zero-filled, then stamped by the section writer.
+pub fn encode_full_frame_into(
+    state: &ModelState,
+    aux: &AuxView<'_>,
+    ranges: &[Range<usize>],
+    buf: &mut Vec<u8>,
+) {
+    if let Some(r) = aux.residual {
+        assert_eq!(
+            r.len(),
+            state.params.len(),
+            "residual length must equal parameter count"
+        );
+    }
+    let len = ranges.iter().map(Range::len).sum();
+    let layout = full_frame_layout(len, aux);
     buf.clear();
     buf.reserve(layout.body_len + 4);
     let regions = [
@@ -80,12 +98,14 @@ pub fn encode_full_frame_into(state: &ModelState, aux: &AuxView<'_>, buf: &mut V
         layout.residual_off.zip(aux.residual),
     ];
     for (off, xs) in regions.into_iter().flatten() {
-        debug_assert!(buf.len() <= off, "region lengths must equal Ψ");
+        debug_assert!(buf.len() <= off, "region lengths must equal the gathered Ψ");
         buf.resize(off, 0);
-        put_f32s(buf, xs);
+        for r in ranges {
+            put_f32s(buf, &xs[r.clone()]);
+        }
     }
     buf.resize(layout.body_len, 0);
-    write_frame_sections(buf, &layout, state.iteration, psi, state.opt.t, aux);
+    write_frame_sections(buf, &layout, state.iteration, len, state.opt.t, aux);
 }
 
 /// Byte offsets of a v2 full-checkpoint frame — the only place they are
@@ -113,13 +133,10 @@ pub struct FullFrameLayout {
 }
 
 /// Compute the [`FullFrameLayout`] of a v2 full checkpoint for `psi`
-/// parameters and the aux sections present in `aux` (only *which* sections
-/// are present matters, not their contents — but a residual must be Ψ
-/// long).
+/// parameters (the frame's Ψ: the gathered length) and the aux sections
+/// present in `aux` (only *which* sections are present matters, not their
+/// contents).
 pub fn full_frame_layout(psi: usize, aux: &AuxView<'_>) -> FullFrameLayout {
-    if let Some(r) = aux.residual {
-        assert_eq!(r.len(), psi, "residual length must equal parameter count");
-    }
     // magic(4) + version(2) + iteration(8) + psi(8) + adam_t(8)
     let params_off = 30usize;
     let m_off = params_off + psi * 4;
@@ -219,8 +236,8 @@ fn write_frame_sections(
     }
 }
 
-/// Seal a frame from [`encode_full_frame_into`] of a `psi`-parameter
-/// state: append the CRC32 of everything written so far, and return the
+/// Seal a frame from [`encode_full_frame_into`] that gathered `psi`
+/// parameters: append the CRC32 of everything written so far, and return the
 /// [`state_crc`] of the captured state from the same pass — params, m
 /// and v sit back to back, so the head, that span and the tail are CRC'd
 /// separately and folded into the trailer.
@@ -602,7 +619,7 @@ mod tests {
         ] {
             let st = demo_state(psi, seed);
             let view = aux.view();
-            encode_full_frame_into(&st, &view, &mut framed);
+            encode_full_frame_into(&st, &view, std::slice::from_ref(&(0..psi)), &mut framed);
             let layout = full_frame_layout(psi, &view);
             assert_eq!(framed.len(), layout.body_len);
             let region = |off: usize| &framed[off..off + 4 * psi];
@@ -639,7 +656,7 @@ mod tests {
             for aux in [AuxState::default(), full_aux(psi)] {
                 let view = aux.view();
                 let mut frame = Vec::new();
-                encode_full_frame_into(&st, &view, &mut frame);
+                encode_full_frame_into(&st, &view, std::slice::from_ref(&(0..psi)), &mut frame);
                 let crc = seal_frame(&mut frame, psi);
                 assert_eq!(crc, crc32(&staged), "psi={psi}");
                 assert_eq!(crc, state_crc(&st), "psi={psi}");

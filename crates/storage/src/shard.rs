@@ -8,8 +8,10 @@
 //!
 //! * [`ShardSpec`] — which chunks of the flat `[0, Ψ)` parameter space a
 //!   rank owns (chunk ids come from the coordinator's consistent-hash
-//!   assignment). Projection (`Ψ → Ψ/n`) is applied to model states,
-//!   sparse/dense gradients and EF residuals; because Adam's update is
+//!   assignment). Projection (`Ψ → Ψ/n`) is applied to slices and to
+//!   sparse/dense gradients; a shard full gathers the spec's
+//!   [`ShardSpec::ranges`] of the state and EF residual straight into its
+//!   frame ([`crate::codec::encode_full_frame_into`]). Because Adam's update is
 //!   elementwise, a shard-projected state evolved under shard-projected
 //!   gradients is bit-identical to the projection of the full run — the
 //!   invariant the stitch functions rely on and the tests pin.
@@ -26,7 +28,7 @@
 use crate::codec::{
     put_u16, put_u32, put_u64, seal, CodecError, Cursor, DiffEntry, FullCheckpoint,
 };
-use lowdiff_compress::{AuxState, AuxView, CompressedGrad, SparseGrad};
+use lowdiff_compress::{AuxState, CompressedGrad, SparseGrad};
 use lowdiff_optim::{AdamState, ModelState};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
@@ -144,22 +146,6 @@ impl ShardSpec {
         Ok(())
     }
 
-    /// Project a full model state onto this shard: params and both Adam
-    /// moments gathered, iteration and step counter preserved. Adam is
-    /// elementwise, so evolving the projection tracks the projection of
-    /// the evolution bit-for-bit.
-    pub fn project_state(&self, state: &ModelState) -> ModelState {
-        ModelState {
-            iteration: state.iteration,
-            params: self.project_slice(&state.params),
-            opt: AdamState {
-                m: self.project_slice(&state.opt.m),
-                v: self.project_slice(&state.opt.v),
-                t: state.opt.t,
-            },
-        }
-    }
-
     /// Project a sparse gradient: keep coordinates falling in owned
     /// ranges, remapped to shard-local offsets.
     pub fn project_sparse(&self, g: &SparseGrad) -> SparseGrad {
@@ -210,18 +196,6 @@ impl ShardSpec {
             CompressedGrad::Sparse(s) => Some(CompressedGrad::Sparse(self.project_sparse(s))),
             CompressedGrad::Dense(d) => Some(CompressedGrad::Dense(self.project_slice(d))),
             CompressedGrad::Quant(_) => None,
-        }
-    }
-
-    /// Project the auxiliary resume state: the EF residual is per-element
-    /// (sharded like params); compressor identity, RNG cursor and quant
-    /// policy are scalars every rank shares.
-    pub fn project_aux(&self, aux: &AuxView<'_>) -> AuxState {
-        AuxState {
-            residual: aux.residual.map(|r| self.project_slice(r)),
-            compressor: aux.compressor,
-            rng: aux.rng,
-            quant: aux.quant,
         }
     }
 }
@@ -597,6 +571,20 @@ mod tests {
     use lowdiff_optim::Adam;
     use lowdiff_util::DetRng;
 
+    /// The eager projection of a whole state onto `s` (production gathers
+    /// shard fulls straight into their frames instead).
+    fn project_state(s: &ShardSpec, state: &ModelState) -> ModelState {
+        ModelState {
+            iteration: state.iteration,
+            params: s.project_slice(&state.params),
+            opt: AdamState {
+                m: s.project_slice(&state.opt.m),
+                v: s.project_slice(&state.opt.v),
+                t: state.opt.t,
+            },
+        }
+    }
+
     fn spec(psi: usize, num_chunks: u32, chunks: &[u32]) -> ShardSpec {
         ShardSpec::new(psi, num_chunks, chunks.to_vec()).unwrap()
     }
@@ -663,7 +651,7 @@ mod tests {
         let parts: Vec<(ShardSpec, ModelState)> = three_way(psi)
             .into_iter()
             .map(|s| {
-                let st = s.project_state(&full);
+                let st = project_state(&s, &full);
                 (s, st)
             })
             .collect();
@@ -679,20 +667,20 @@ mod tests {
         // Gap: drop one shard.
         let parts: Vec<_> = specs[..2]
             .iter()
-            .map(|s| (s.clone(), s.project_state(&full)))
+            .map(|s| (s.clone(), project_state(s, &full)))
             .collect();
         assert!(stitch_states(psi, &parts).is_err());
         // Overlap: duplicate a shard.
         let mut parts: Vec<_> = specs
             .iter()
-            .map(|s| (s.clone(), s.project_state(&full)))
+            .map(|s| (s.clone(), project_state(s, &full)))
             .collect();
         parts.push(parts[0].clone());
         assert!(stitch_states(psi, &parts).is_err());
         // Iteration skew.
         let mut parts: Vec<_> = specs
             .iter()
-            .map(|s| (s.clone(), s.project_state(&full)))
+            .map(|s| (s.clone(), project_state(s, &full)))
             .collect();
         parts[1].1.iteration = 99;
         assert!(stitch_states(psi, &parts).is_err());
@@ -700,7 +688,7 @@ mod tests {
         // the stitch asked for the wrong Ψ.
         let mut parts: Vec<_> = specs
             .iter()
-            .map(|s| (s.clone(), s.project_state(&full)))
+            .map(|s| (s.clone(), project_state(s, &full)))
             .collect();
         assert!(stitch_states(psi + 1, &parts).is_err());
         parts[2].0 = spec(psi + 1, 4, &[3]);
@@ -708,7 +696,7 @@ mod tests {
         // A shard slice shorter than its spec.
         let mut parts: Vec<_> = specs
             .iter()
-            .map(|s| (s.clone(), s.project_state(&full)))
+            .map(|s| (s.clone(), project_state(s, &full)))
             .collect();
         parts[0].1.opt.v.pop();
         assert!(stitch_states(psi, &parts).is_err());
@@ -721,7 +709,7 @@ mod tests {
                 .zip(with)
                 .map(|(s, &w)| {
                     let fc = FullCheckpoint {
-                        state: s.project_state(&full),
+                        state: project_state(s, &full),
                         aux: AuxState {
                             residual: w.then(|| s.project_slice(&residual)),
                             ..AuxState::default()
@@ -761,7 +749,7 @@ mod tests {
         let adam = Adam::default();
         let specs = three_way(psi);
         let mut full = ModelState::new(init.clone());
-        let mut shards: Vec<ModelState> = specs.iter().map(|s| s.project_state(&full)).collect();
+        let mut shards: Vec<ModelState> = specs.iter().map(|s| project_state(s, &full)).collect();
         for _ in 0..7 {
             let grad: Vec<f32> = (0..psi).map(|_| rng.uniform_f32(0.5)).collect();
             full.apply_gradient(&adam, &grad);

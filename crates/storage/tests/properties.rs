@@ -5,7 +5,7 @@ use lowdiff_optim::{AdamState, ModelState};
 use lowdiff_storage::codec::{self, DiffEntry, ValueCodec};
 use lowdiff_storage::shard::stitch_fulls;
 use lowdiff_storage::{CheckpointStore, FullCheckpoint, MemoryBackend, ShardSpec, StorageBackend};
-use lowdiff_testkit::reference;
+use lowdiff_testkit::{reference, ShardProjection};
 use lowdiff_util::DetRng;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -464,6 +464,11 @@ proptest! {
     /// 2–5 shards over random chunk assignments of an odd Ψ, residual
     /// present or absent: the clone-free gather equals the clone-and-
     /// scatter stitch bit for bit (random bit patterns, NaNs included).
+    /// And each shard's full, as well as one ragged shard of the same
+    /// state (empty, one chunk, every chunk or every other chunk), is the
+    /// gathered case of the one frame fill: the gathered frame, sealed, is
+    /// the blob of the eager projection, and the seal returns that
+    /// projection's state CRC.
     #[test]
     fn stitch_fulls_equals_scatter_oracle(
         half in 0usize..1500,
@@ -471,6 +476,7 @@ proptest! {
         ranks in 2usize..=5,
         seed in any::<u64>(),
         with_residual in any::<bool>(),
+        ragged in 0usize..4,
     ) {
         let psi = 2 * half + 1;
         let mut rng = DetRng::new(seed);
@@ -509,5 +515,27 @@ proptest! {
         prop_assert_eq!(full_bits(&stitched), full_bits(&stitch_by_scatter(psi, &parts)));
         prop_assert_eq!(stitched.aux.compressor, aux.compressor);
         prop_assert_eq!(stitched.aux.rng, aux.rng);
+
+        let chunks: Vec<u32> = match ragged {
+            0 => vec![],
+            1 => vec![num_chunks / 2],
+            2 => (0..num_chunks).collect(),
+            _ => (0..num_chunks).step_by(2).collect(),
+        };
+        let spec = ShardSpec::new(psi, num_chunks, chunks).unwrap();
+        let extra = (spec.clone(), spec.project_state(&full), spec.project_aux(&aux.view()));
+        let shards = parts.iter().map(|(s, fc)| (s.clone(), fc.state.clone(), fc.aux.clone()));
+        let mut frame = Vec::new();
+        for (spec, state, shard_aux) in shards.chain([extra]) {
+            let ranges: Vec<_> = spec.ranges().collect();
+            codec::encode_full_frame_into(&full, &aux.view(), &ranges, &mut frame);
+            let crc = codec::seal_frame(&mut frame, spec.len());
+            prop_assert!(
+                frame == codec::encode_full_checkpoint(&state, &shard_aux.view()),
+                "gathered frame of {:?} differs from its projection's blob",
+                spec.chunks()
+            );
+            prop_assert_eq!(crc, codec::state_crc(&state));
+        }
     }
 }

@@ -12,5 +12,11 @@
 //!   full-checkpoint decoder the one-pass decoder must agree with on every
 //!   input; and the scalar `A · Bᵀ` the blocked `matmul_nt` kernel is
 //!   proven bit-identical to.
+//! * [`shard`](mod@shard) — the eager projection of a model state and its
+//!   aux state onto a [`lowdiff_storage::ShardSpec`]: the oracle a shard
+//!   full's gathered capture is checked against.
 
 pub mod reference;
+pub mod shard;
+
+pub use shard::ShardProjection;

@@ -44,7 +44,9 @@
 #                            gathers over the pool, so every decode
 #                            verdict must equal the two-pass oracle's and
 #                            every stitched bit the scatter oracle's at
-#                            any pool width
+#                            any pool width (that proptest also seals each
+#                            shard's gathered frame against the blob of
+#                            its eager projection)
 # 3g. storage decoders (release) — the hostile-blob regressions and the
 #                            decoder mutation suite again in release,
 #                            where unchecked length arithmetic would wrap
@@ -53,10 +55,12 @@
 #                            equivalence tests run the carry-less-multiply
 #                            kernel as optimized code
 # 3h. sharded @1 thread    — the sharded adapter's tests (the lowdiff
-#                            `shard::` unit tests, its lazy-projection and
-#                            blob-equivalence suite with the landed
-#                            outcome's state CRC over ragged specs,
-#                            tests/sharded_cluster.rs), the
+#                            `shard::` unit tests; sharded_strategy's
+#                            primed_hooks_make_no_shard_sized_allocation
+#                            through the anchor and a forced re-anchor,
+#                            lazy_projection_writes_the_eager_projection_blobs
+#                            and the landed outcome's state CRC over
+#                            ragged specs; tests/sharded_cluster.rs), the
 #                            seal-on-landed-full pieces the cluster
 #                            worker drives (the seal's state-span CRC in
 #                            the codec, the trainer's unflushed loop,

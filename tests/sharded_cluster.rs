@@ -15,6 +15,7 @@ use lowdiff_model::loss::mse;
 use lowdiff_optim::Adam;
 use lowdiff_storage::shard::{stitch_diff_chains, stitch_fulls};
 use lowdiff_storage::{CheckpointStore, MemoryBackend, ShardSpec};
+use lowdiff_testkit::ShardProjection;
 use std::sync::Arc;
 use std::time::Duration;
 
