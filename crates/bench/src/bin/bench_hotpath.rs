@@ -169,7 +169,7 @@ fn main() {
     let grad: Vec<f32> = (0..elems).map(|_| rng.normal() as f32).collect();
     let mut results: Vec<BenchResult> = Vec::new();
 
-    // --- codec encode / decode (bulk memcpy vs per-element) ----------------
+    // --- codec encode (bulk vs per-element) / decode (one- vs two-pass) ----
     {
         let mut st = ModelState::new(grad.clone());
         st.iteration = 77;
@@ -187,10 +187,8 @@ fn main() {
             pool_sweep: sweep_pool(reps, || codec::encode_model_state(&st)),
         });
 
-        // The reference decoder predates the v2 full format, so the decode
-        // comparison runs on a v1 blob both decoders accept.
         let bytes = reference::encode_model_state(&st);
-        let base = time_best(reps, || reference::decode_model_state(&bytes).unwrap());
+        let base = time_best(reps, || reference::decode_full_checkpoint(&bytes).unwrap());
         let opt = time_best(reps, || codec::decode_model_state(&bytes).unwrap());
         results.push(BenchResult {
             name: "codec_decode",

@@ -244,12 +244,16 @@ fn load_global(
 }
 
 /// Run one rank to completion (or degradation). See the module docs.
+/// Fails with [`io::ErrorKind::InvalidInput`], before connecting, unless
+/// `iters` is a multiple of a positive `epoch_iters`.
 pub fn run_worker(cfg: WorkerConfig) -> io::Result<WorkerReport> {
-    assert!(
-        cfg.epoch_iters > 0 && cfg.iters.is_multiple_of(cfg.epoch_iters),
-        "iters must be a positive multiple of epoch_iters: epochs end on \
-         full-checkpoint boundaries"
-    );
+    if cfg.epoch_iters == 0 || !cfg.iters.is_multiple_of(cfg.epoch_iters) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "iters must be a multiple of a positive epoch_iters: epochs end \
+             on full-checkpoint boundaries",
+        ));
+    }
     let net = mlp(&cfg.dims, cfg.seed);
     let psi = net.num_params();
 

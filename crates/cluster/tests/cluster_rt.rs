@@ -324,6 +324,36 @@ fn worker_returns_when_training_ends_not_when_the_heartbeat_wakes() {
     assert!(took < heartbeat_every / 2, "run_worker took {took:?}");
 }
 
+#[test]
+fn epoch_flags_that_split_an_epoch_are_refused_before_connecting() {
+    // Nothing listens on port 1: a worker that got past the check would
+    // fail to connect instead.
+    for (iters, epoch_iters) in [(25, 10), (10, 0)] {
+        let err = lowdiff_cluster::rt::run_worker(lowdiff_cluster::rt::WorkerConfig {
+            coord: "127.0.0.1:1".into(),
+            dir: std::env::temp_dir().join("lowdiff-never-created"),
+            name: "bad-flags".into(),
+            rank_hint: None,
+            dims: DIMS.to_vec(),
+            seed: SEED,
+            data_seed: DATA_SEED,
+            compress_ratio: RATIO,
+            iters,
+            epoch_iters,
+            resume: false,
+            heartbeat_every: Duration::from_millis(100),
+            barrier_timeout: T,
+            step_delay: Duration::ZERO,
+        })
+        .unwrap_err();
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidInput,
+            "--iters {iters} --epoch-iters {epoch_iters}: {err}"
+        );
+    }
+}
+
 /// A rank whose shard full at one epoch end never lands must not seal
 /// that epoch: the coordinator writes no global manifest for it, and every
 /// manifest it does write names shard fulls that are on disk and match

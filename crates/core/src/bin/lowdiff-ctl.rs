@@ -17,7 +17,7 @@
 
 use lowdiff::recovery::{recover_serial, recover_sharded};
 use lowdiff_optim::Adam;
-use lowdiff_storage::{codec, CheckpointStore, DiskBackend};
+use lowdiff_storage::{codec, CheckpointStore, DiskBackend, FullCheckpoint};
 use std::io::Write;
 use std::process::exit;
 use std::sync::Arc;
@@ -106,6 +106,20 @@ fn diff_decodes(bytes: &[u8]) -> bool {
     codec::decode_diff_batch(bytes).is_ok()
 }
 
+/// Where `recover` lands: the newest full that decodes and the length of
+/// the differential chain past it; `None` when no full decodes.
+fn frontier(store: &CheckpointStore) -> Option<(FullCheckpoint, usize)> {
+    let fc = or_die(
+        "read latest full checkpoint",
+        store.latest_valid_full_checkpoint(),
+    )?;
+    let chain = or_die(
+        "walk differential chain",
+        store.diff_chain_from(fc.state.iteration),
+    );
+    Some((fc, chain.len()))
+}
+
 fn cmd_list(dir: &str) {
     let store = open(dir);
     let fulls = or_die("list full checkpoints", store.full_iterations());
@@ -131,16 +145,14 @@ fn cmd_list(dir: &str) {
             if valid { "ok" } else { "CORRUPT" }
         );
     }
-    if let Some(latest) = fulls.last() {
-        let chain = or_die("walk differential chain", store.diff_chain_from(*latest));
+    if let Some((fc, replayed)) = frontier(&store) {
+        let anchor = fc.state.iteration;
         out!(
-            "recoverable to iteration {} (full@{} + {} differentials)",
-            latest + chain.len() as u64,
-            latest,
-            chain.len()
+            "recoverable to iteration {} (full@{anchor} + {replayed} differentials)",
+            anchor + replayed as u64
         );
     } else {
-        out!("no full checkpoint: nothing recoverable");
+        out!("no valid full checkpoint: nothing recoverable");
     }
 }
 
@@ -232,12 +244,10 @@ fn cmd_gc(dir: &str, keep_from: u64) {
 fn cmd_health(dir: &str) {
     let store = open(dir);
     let fulls = or_die("list full checkpoints", store.full_iterations());
-    let valid_fulls: Vec<u64> = fulls
+    let corrupt_fulls = fulls
         .iter()
-        .copied()
-        .filter(|it| store.load_full(*it).is_ok())
-        .collect();
-    let corrupt_fulls = fulls.len() - valid_fulls.len();
+        .filter(|&&it| store.load_full(it).is_err())
+        .count();
     let diffs = or_die("list differential batches", store.diff_keys());
     let corrupt_diffs = diffs
         .iter()
@@ -251,19 +261,16 @@ fn cmd_health(dir: &str) {
         corrupt_diffs
     );
 
-    let Some(&anchor) = valid_fulls.last() else {
+    let Some((fc, replayed)) = frontier(&store) else {
         out!("UNHEALTHY: no valid full checkpoint — nothing recoverable");
         exit(1);
     };
-    let chain = or_die("walk differential chain", store.diff_chain_from(anchor));
-    let reachable = anchor + chain.len() as u64;
+    let anchor = fc.state.iteration;
+    let reachable = anchor + replayed as u64;
     // Diffs newer than the reachable frontier are stranded behind a gap
     // (a dropped batch or torn write broke the chain there).
     let stranded = diffs.iter().filter(|dk| dk.start > reachable).count();
-    out!(
-        "recoverable to iteration {reachable} (full@{anchor} + {} differentials)",
-        chain.len()
-    );
+    out!("recoverable to iteration {reachable} (full@{anchor} + {replayed} differentials)");
     if stranded > 0 {
         out!(
             "DEGRADED: {stranded} diff batch(es) stranded past a chain gap \
@@ -347,29 +354,19 @@ fn cmd_health(dir: &str) {
     out!("healthy");
 }
 
-/// What `Trainer::resume` would restore from this directory: checkpoint
-/// format version, which auxiliary sections (EF residual, compressor
-/// identity, data-RNG cursor) the anchor full carries, and how far the
-/// differential chain can fast-forward. Exit code 1 when the only resume
-/// possible is lossy (a v1 or aux-less blob).
+/// What `Trainer::resume` would restore from this directory: which
+/// auxiliary sections (EF residual, compressor identity, data-RNG cursor)
+/// the anchor full carries, and how far the differential chain can
+/// fast-forward. Exit code 1 when the only resume possible is lossy (the
+/// anchor full was written without aux).
 fn cmd_resume_info(dir: &str) {
     let store = open(dir);
-    let fc = match or_die(
-        "read latest full checkpoint",
-        store.latest_valid_full_checkpoint(),
-    ) {
-        Some(fc) => fc,
-        None => {
-            eprintln!("no valid full checkpoint in {dir}: resume would cold-start");
-            exit(1);
-        }
+    let Some((fc, replayable)) = frontier(&store) else {
+        eprintln!("no valid full checkpoint in {dir}: resume would cold-start");
+        exit(1);
     };
     let anchor = fc.state.iteration;
-    out!(
-        "anchor: full@{anchor} (format v{}, {} params)",
-        fc.version,
-        fc.state.num_params()
-    );
+    out!("anchor: full@{anchor} ({} params)", fc.state.num_params());
     let opt = |present: bool| if present { "present" } else { "absent" };
     out!(
         "aux: residual={} compressor={} rng-cursor={}",
@@ -380,18 +377,15 @@ fn cmd_resume_info(dir: &str) {
         },
         opt(fc.aux.rng.is_some()),
     );
-    let chain = or_die("walk differential chain", store.diff_chain_from(anchor));
     if fc.aux.residual.is_some() {
         out!(
             "error-feedback run: resume anchors at full@{anchor} \
-             ({} differential(s) past it are superseded by the residual)",
-            chain.len()
+             ({replayable} differential(s) past it are superseded by the residual)"
         );
     } else {
         out!(
-            "fast-forward: {} differential(s) replayable to iteration {}",
-            chain.len(),
-            anchor + chain.len() as u64
+            "fast-forward: {replayable} differential(s) replayable to iteration {}",
+            anchor + replayable as u64
         );
     }
     if fc.lossy {
@@ -483,7 +477,7 @@ fn cmd_inspect(path: &str) {
             };
             out!(
                 "full checkpoint (format v{}): iter {}, {} params, {}",
-                fc.version,
+                codec::FULL_VERSION_V2,
                 fc.state.iteration,
                 fc.state.num_params(),
                 fmt_bytes(data.len())

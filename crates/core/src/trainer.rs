@@ -209,7 +209,7 @@ pub struct ResumeReport {
     /// Differentials replayed on top of the full.
     pub replayed: usize,
     /// True when some training state could not be restored bit-exactly
-    /// (v1 blob without aux, or a residual/error-feedback mismatch):
+    /// (a full written without aux, or a residual/error-feedback mismatch):
     /// training continues but may diverge from the uninterrupted run.
     pub lossy: bool,
     /// Which recovery source anchored the resume (`"peer:2"`,
@@ -981,14 +981,13 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_full_resumes_lossy() {
+    fn auxless_full_resumes_lossy() {
         let net = mlp(&[4, 12, 2], 8);
         let psi = net.num_params();
         let mut state = ModelState::new(vec![0.5; psi]);
         state.iteration = 3;
-        let bytes = lowdiff_testkit::reference::encode_model_state(&state);
         let store = CheckpointStore::new(Arc::new(MemoryBackend::new()));
-        store.put_full(3, &bytes).unwrap();
+        store.save_full(&state).unwrap();
 
         let cfg = TrainerConfig {
             compress_ratio: Some(0.2),
@@ -999,7 +998,7 @@ mod tests {
         let (tr, rep) = Trainer::resume(net, Adam::default(), NoCheckpoint::new(), cfg, &store)
             .unwrap()
             .unwrap();
-        assert!(rep.lossy, "v1 blob has no aux: EF resume is lossy");
+        assert!(rep.lossy, "the full has no aux: EF resume is lossy");
         assert_eq!(rep.resumed_iteration, 3);
         assert_eq!(tr.state().params, state.params);
     }

@@ -3,7 +3,7 @@
 
 use super::{
     put_f32, put_f32s, put_u16, put_u32, put_u64, put_varint, seal, CodecError, Cursor,
-    DIFF_VERSION_V2, DIFF_VERSION_V3, MAGIC_DIFF, VERSION,
+    DIFF_VERSION_V2, DIFF_VERSION_V3, MAGIC_DIFF,
 };
 use lowdiff_compress::{CompressedGrad, QuantGrad, SparseGrad};
 
@@ -143,11 +143,11 @@ fn put_values(buf: &mut Vec<u8>, values: &[f32], codec: &ValueCodec) {
     }
 }
 
-/// One gradient record. Sparse indices are written as varint deltas in v2
-/// and v3 alike — this relies on the `SparseGrad` invariant that indices
+/// One gradient record. Sparse indices are written as varint deltas — this
+/// relies on the `SparseGrad` invariant that indices
 /// are strictly increasing (Top-K sorts before constructing), so every
-/// delta after the first is ≥ 1. `Quant` records are stored as-is in every
-/// version: already quantized, and gradient-replay determinism depends on
+/// delta after the first is ≥ 1. `Quant` records are stored as-is in both
+/// versions: already quantized, and gradient-replay determinism depends on
 /// exact code recovery.
 fn put_compressed(buf: &mut Vec<u8>, g: &CompressedGrad, codec: &ValueCodec) {
     match g {
@@ -292,35 +292,21 @@ fn take_compressed(
             let dense_len = cur.get_u64("truncated sparse grad")?;
             // Every stored element spends at least one index byte.
             let nnz = cur.get_len_u32(1, "truncated sparse grad")?;
-            let indices = if version >= DIFF_VERSION_V2 {
-                let mut indices = Vec::with_capacity(nnz);
-                let mut acc: u64 = 0;
-                for i in 0..nnz {
-                    let delta = cur.get_varint("truncated sparse index delta")?;
-                    if i > 0 && delta == 0 {
-                        return Err(CodecError::Corrupt("non-increasing sparse index"));
-                    }
-                    acc = acc
-                        .checked_add(delta)
-                        .ok_or(CodecError::Corrupt("sparse index overflow"))?;
-                    if acc >= dense_len || acc > u64::from(u32::MAX) {
-                        return Err(CodecError::Corrupt("sparse index out of range"));
-                    }
-                    indices.push(acc as u32);
-                }
-                indices
-            } else {
-                let indices = cur.get_u32s(nnz as u64, "truncated sparse grad")?;
-                // `SparseGrad::new` hard-asserts sorted-unique-in-range;
-                // untrusted v1 bytes must fail decoding, not panic there.
-                if !indices.windows(2).all(|w| w[0] < w[1]) {
+            let mut indices = Vec::with_capacity(nnz);
+            let mut acc: u64 = 0;
+            for i in 0..nnz {
+                let delta = cur.get_varint("truncated sparse index delta")?;
+                if i > 0 && delta == 0 {
                     return Err(CodecError::Corrupt("non-increasing sparse index"));
                 }
-                if indices.last().is_some_and(|&l| u64::from(l) >= dense_len) {
+                acc = acc
+                    .checked_add(delta)
+                    .ok_or(CodecError::Corrupt("sparse index overflow"))?;
+                if acc >= dense_len || acc > u64::from(u32::MAX) {
                     return Err(CodecError::Corrupt("sparse index out of range"));
                 }
-                indices
-            };
+                indices.push(acc as u32);
+            }
             let values = take_values(cur, version, nnz as u64, widths)?;
             let dense_len = usize::try_from(dense_len)
                 .map_err(|_| CodecError::Corrupt("sparse dense length overflow"))?;
@@ -370,11 +356,11 @@ type ParsedBatch = (u16, Vec<(DiffEntry, Vec<u8>)>);
 /// The one LDDB parser, under [`decode_diff_batch`] and
 /// [`inspect_diff_batch`]: CRC, magic and version are checked once, then
 /// every entry is decoded and paired with its v3 chunk widths (empty for
-/// v1/v2 entries and tag-1 quant records).
+/// v2 entries and tag-1 quant records).
 fn parse_diff_batch(data: &[u8]) -> Result<ParsedBatch, CodecError> {
     let mut cur = Cursor::open(data, MAGIC_DIFF)?;
     let version = cur.get_u16("truncated header")?;
-    if !(VERSION..=DIFF_VERSION_V3).contains(&version) {
+    if !(DIFF_VERSION_V2..=DIFF_VERSION_V3).contains(&version) {
         return Err(CodecError::UnsupportedVersion(version));
     }
     let count = cur.get_len_u32(MIN_ENTRY_BYTES, "truncated header")?;
@@ -389,9 +375,8 @@ fn parse_diff_batch(data: &[u8]) -> Result<ParsedBatch, CodecError> {
     Ok((version, out))
 }
 
-/// Deserialize a differential batch, accepting v1, v2 and v3 layouts
-/// (mixed-version chains decode entry by entry, so recovery can replay a
-/// chain whose blobs span codec upgrades).
+/// Deserialize a differential batch, v2 or v3 (a chain may mix the two,
+/// so recovery replays a chain whose blobs switch value codecs).
 pub fn decode_diff_batch(data: &[u8]) -> Result<Vec<DiffEntry>, CodecError> {
     let (_, parsed) = parse_diff_batch(data)?;
     Ok(parsed.into_iter().map(|(entry, _)| entry).collect())
@@ -407,7 +392,7 @@ pub struct DiffEntryInspect {
     pub dense_len: usize,
     /// Number of values actually stored (nnz for sparse, Ψ otherwise).
     pub stored_values: usize,
-    /// v3 per-chunk widths in stream order (empty for v1/v2 entries and
+    /// v3 per-chunk widths in stream order (empty for v2 entries and
     /// tag-1 quant records, whose width lives in the record itself).
     pub chunk_widths: Vec<u8>,
 }
@@ -416,7 +401,7 @@ pub struct DiffEntryInspect {
 /// prints.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DiffInspect {
-    /// Wire version (1, 2 or 3).
+    /// Wire version (2 or 3).
     pub version: u16,
     /// Total blob size including header and CRC.
     pub encoded_len: usize,
@@ -428,7 +413,7 @@ pub struct DiffInspect {
 }
 
 /// Stored size of an `n`-value plane: raw f32 when there are no chunk
-/// widths (v1/v2), else the v3 chunks those widths describe.
+/// widths (v2), else the v3 chunks those widths describe.
 fn value_plane_bytes(n: usize, widths: &[u8]) -> usize {
     if widths.is_empty() {
         return n * 4;

@@ -4,7 +4,7 @@
 
 use super::{
     combined_crc, put_f32s, put_u32, seal, split_seal, with_le_bytes, CodecError, Cursor,
-    FULL_VERSION_V2, MAGIC_FULL, VERSION,
+    FULL_VERSION_V2, MAGIC_FULL,
 };
 use lowdiff_compress::{AuxState, AuxView, CompressorCfg, CompressorKind, QuantPolicyState};
 use lowdiff_optim::{AdamState, ModelState};
@@ -14,7 +14,7 @@ use rayon::prelude::*;
 use std::mem::MaybeUninit;
 use std::ops::Range;
 
-/// Aux flag bits in the v2 full-checkpoint trailer.
+/// Aux flag bits in the full-checkpoint trailer.
 const AUX_FLAG_RESIDUAL: u8 = 1 << 0;
 const AUX_FLAG_COMPRESSOR: u8 = 1 << 1;
 const AUX_FLAG_RNG: u8 = 1 << 2;
@@ -28,18 +28,16 @@ const AUX_FLAGS_KNOWN: u8 =
 pub struct FullCheckpoint {
     pub state: ModelState,
     pub aux: AuxState,
-    /// True when the blob carries *no* auxiliary state (a v1 blob, or a v2
-    /// written without aux): resuming an error-feedback run from it loses
-    /// the residual and may diverge from the uninterrupted run. The final
-    /// word on lossiness belongs to the resume path, which knows whether
-    /// error feedback is even enabled.
+    /// True when the blob carries *no* auxiliary state (written with aux
+    /// flags 0): resuming an error-feedback run from it loses the residual
+    /// and may diverge from the uninterrupted run. The final word on
+    /// lossiness belongs to the resume path, which knows whether error
+    /// feedback is even enabled.
     pub lossy: bool,
-    /// Wire version the blob was decoded from (1 or 2).
-    pub version: u16,
 }
 
-/// Serialize a full checkpoint (current v2 format, no auxiliary state)
-/// into a fresh buffer.
+/// Serialize a full checkpoint (v2, no auxiliary state) into a fresh
+/// buffer.
 pub fn encode_model_state(state: &ModelState) -> Vec<u8> {
     encode_full_checkpoint(state, &AuxView::NONE)
 }
@@ -264,8 +262,8 @@ pub fn state_crc(state: &ModelState) -> u32 {
     hasher.finalize()
 }
 
-/// Deserialize a full checkpoint (model state only), accepting both v1 and
-/// v2 layouts; any v2 auxiliary state is decoded and dropped.
+/// Deserialize a full checkpoint (model state only); its auxiliary state
+/// is decoded and dropped.
 pub fn decode_model_state(data: &[u8]) -> Result<ModelState, CodecError> {
     Ok(decode_full_checkpoint(data)?.state)
 }
@@ -277,7 +275,7 @@ pub fn decode_model_state(data: &[u8]) -> Result<ModelState, CodecError> {
 const DECODE_PIECE_BYTES: usize = 1 << 20;
 
 /// Deserialize a full checkpoint with its auxiliary state, validating
-/// magic, version and CRC. Accepts v1 (no aux, lossy) and v2.
+/// magic, version (v2 only) and CRC.
 ///
 /// One pass over the blob: the header and the small aux sections are
 /// parsed from the still-unverified body (the same bounds checks and
@@ -363,7 +361,7 @@ fn decode_full_in_pieces(data: &[u8], piece_bytes: usize) -> Result<FullCheckpoi
     let mut next = || outs.next().expect("one output per region");
     let (params, m, v) = (next(), next(), next());
     let mut aux = plan.aux;
-    aux.residual = plan.has_residual.then(next);
+    aux.residual = outs.next();
     let lossy = aux.is_empty();
     Ok(FullCheckpoint {
         state: ModelState {
@@ -377,7 +375,6 @@ fn decode_full_in_pieces(data: &[u8], piece_bytes: usize) -> Result<FullCheckpoi
         },
         aux,
         lossy,
-        version: plan.version,
     })
 }
 
@@ -390,14 +387,12 @@ struct Piece<'a> {
 
 /// What [`parse_full`] learns from a body without copying a region.
 struct FullPlan {
-    version: u16,
     iteration: u64,
     psi: usize,
     adam_t: u64,
     /// Body offsets of the `psi × 4`-byte regions in output order:
     /// params, m, v, then the residual when present.
     regions: Vec<usize>,
-    has_residual: bool,
     /// The small aux sections (never a residual).
     aux: AuxState,
 }
@@ -407,7 +402,7 @@ struct FullPlan {
 fn parse_full(body: &[u8]) -> Result<FullPlan, CodecError> {
     let mut cur = Cursor::after_magic(body, MAGIC_FULL)?;
     let version = cur.get_u16("truncated header")?;
-    if version != VERSION && version != FULL_VERSION_V2 {
+    if version != FULL_VERSION_V2 {
         return Err(CodecError::UnsupportedVersion(version));
     }
     let iteration = cur.get_u64("truncated header")?;
@@ -422,57 +417,51 @@ fn parse_full(body: &[u8]) -> Result<FullPlan, CodecError> {
         region(&mut cur)?;
     }
     let mut aux = AuxState::default();
-    let mut has_residual = false;
-    if version >= FULL_VERSION_V2 {
-        let flags = cur.get_u8("missing aux flags")?;
-        if flags & !AUX_FLAGS_KNOWN != 0 {
-            return Err(CodecError::Corrupt("unknown aux flags"));
+    let flags = cur.get_u8("missing aux flags")?;
+    if flags & !AUX_FLAGS_KNOWN != 0 {
+        return Err(CodecError::Corrupt("unknown aux flags"));
+    }
+    if flags & AUX_FLAG_COMPRESSOR != 0 {
+        let kind = CompressorKind::from_u8(cur.get_u8("truncated compressor cfg")?)
+            .ok_or(CodecError::Corrupt("unknown compressor kind"))?;
+        let ratio = cur.get_f64("truncated compressor cfg")?;
+        let bits = cur.get_u8("truncated compressor cfg")?;
+        aux.compressor = Some(CompressorCfg { kind, ratio, bits });
+    }
+    if flags & AUX_FLAG_RNG != 0 {
+        let mut rng = [0u64; 4];
+        for w in &mut rng {
+            *w = cur.get_u64("truncated rng cursor")?;
         }
-        if flags & AUX_FLAG_COMPRESSOR != 0 {
-            let kind = CompressorKind::from_u8(cur.get_u8("truncated compressor cfg")?)
-                .ok_or(CodecError::Corrupt("unknown compressor kind"))?;
-            let ratio = cur.get_f64("truncated compressor cfg")?;
-            let bits = cur.get_u8("truncated compressor cfg")?;
-            aux.compressor = Some(CompressorCfg { kind, ratio, bits });
+        aux.rng = Some(rng);
+    }
+    if flags & AUX_FLAG_RESIDUAL != 0 {
+        region(&mut cur)?;
+    }
+    if flags & AUX_FLAG_QUANT_POLICY != 0 {
+        let bits = cur.get_u8("truncated quant policy")?;
+        let streak = cur.get_u8("truncated quant policy")?;
+        let adaptive = cur.get_u8("truncated quant policy")? != 0;
+        let floor_bits = cur.get_u8("truncated quant policy")?;
+        let max_err = cur.get_f32("truncated quant policy")?;
+        if !matches!(bits, 4 | 8 | 16) || !matches!(floor_bits, 4 | 8 | 16) {
+            return Err(CodecError::Corrupt("invalid quant policy width"));
         }
-        if flags & AUX_FLAG_RNG != 0 {
-            let mut rng = [0u64; 4];
-            for w in &mut rng {
-                *w = cur.get_u64("truncated rng cursor")?;
-            }
-            aux.rng = Some(rng);
-        }
-        if flags & AUX_FLAG_RESIDUAL != 0 {
-            region(&mut cur)?;
-            has_residual = true;
-        }
-        if flags & AUX_FLAG_QUANT_POLICY != 0 {
-            let bits = cur.get_u8("truncated quant policy")?;
-            let streak = cur.get_u8("truncated quant policy")?;
-            let adaptive = cur.get_u8("truncated quant policy")? != 0;
-            let floor_bits = cur.get_u8("truncated quant policy")?;
-            let max_err = cur.get_f32("truncated quant policy")?;
-            if !matches!(bits, 4 | 8 | 16) || !matches!(floor_bits, 4 | 8 | 16) {
-                return Err(CodecError::Corrupt("invalid quant policy width"));
-            }
-            aux.quant = Some(QuantPolicyState {
-                bits,
-                streak,
-                adaptive,
-                max_err,
-                floor_bits,
-            });
-        }
+        aux.quant = Some(QuantPolicyState {
+            bits,
+            streak,
+            adaptive,
+            max_err,
+            floor_bits,
+        });
     }
     cur.finish()?;
     Ok(FullPlan {
-        version,
         iteration,
         // Within the body's length: `skip_f32s` applied the length cap.
         psi: psi as usize,
         adam_t,
         regions,
-        has_residual,
         aux,
     })
 }
@@ -547,7 +536,6 @@ mod tests {
         assert_eq!(fc.state, st);
         assert_eq!(fc.aux, aux);
         assert!(!fc.lossy);
-        assert_eq!(fc.version, FULL_VERSION_V2);
         // Model-state-only decode drops the aux without complaint.
         assert_eq!(decode_model_state(&bytes).unwrap(), st);
     }

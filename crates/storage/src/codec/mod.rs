@@ -3,18 +3,17 @@
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! full checkpoint (v1 and v2)   diff batch (v1, v2 and v3)
+//! full checkpoint (v2)          diff batch (v2 and v3)
 //! ┌────────────────────────┐    ┌──────────────────────┐
 //! │ magic "LDFC"           │    │ magic "LDDB"         │
-//! │ version u16 (1 or 2)   │    │ version u16 (1–3)    │
+//! │ version u16 = 2        │    │ version u16 (2 or 3) │
 //! │ iteration u64          │    │ count u32            │
 //! │ psi u64                │    │ count × {            │
 //! │ adam_t u64             │    │   iteration u64      │
 //! │ params  f32×Ψ          │    │   CompressedGrad     │
 //! │ adam_m  f32×Ψ          │    │ }                    │
 //! │ adam_v  f32×Ψ          │    │ crc32 u32            │
-//! │ — v2 only —            │    └──────────────────────┘
-//! │ aux flags u8           │
+//! │ aux flags u8           │    └──────────────────────┘
 //! │ [compressor cfg]       │
 //! │ [rng cursor 4×u64]     │
 //! │ [residual f32×Ψ]       │
@@ -23,24 +22,24 @@
 //! └────────────────────────┘
 //! ```
 //!
-//! Full checkpoints are **written as v2** and decoded as either version.
-//! v2 appends the auxiliary training state that makes resume bit-exact
-//! (see `lowdiff_compress::aux`): a flags byte (bit 0 = error-feedback
+//! Full checkpoints are **v2**, written and read: the model state, then
+//! the auxiliary training state that makes resume bit-exact (see
+//! `lowdiff_compress::aux`): a flags byte (bit 0 = error-feedback
 //! residual present, bit 1 = compressor config, bit 2 = RNG cursor, bit 3
 //! = quant policy) followed by the present sections — compressor (kind u8,
 //! ratio f64, bits u8), RNG (4 × u64 state words), residual (Ψ × f32),
 //! quant policy (bits, streak, adaptive, floor bits u8 × 4, max_err f32).
-//! A v1 blob decodes with no aux and the *lossy* flag set: resume still
-//! works, but an error-feedback run restarts its residual from zero and
-//! may diverge from the uninterrupted run.
+//! A blob whose flags byte is 0 carries no aux and decodes with the
+//! *lossy* flag set: resume still works, but an error-feedback run
+//! restarts its residual from zero and may diverge from the uninterrupted
+//! run.
 //!
-//! Diff batches are **written as v2 or v3** (chosen by [`ValueCodec`]) and
-//! decoded as any version; mixed-version chains recover cleanly. v1 stores
-//! `nnz` raw little-endian `u32` sparse indices; v2 exploits that Top-K
-//! indices are sorted strictly increasing and stores them as LEB128 varint
-//! **deltas** (`idx[0], idx[1]-idx[0], …`). At ~1% density the average gap
-//! is ~100, so almost every delta fits one byte instead of four — roughly
-//! 2–3× fewer bytes per diff batch. Values stay bulk-LE `f32` in v1/v2.
+//! Diff batches are **v2 or v3** (chosen by [`ValueCodec`]), written and
+//! read; a chain may mix the two and recovers cleanly. Both store the
+//! sparse indices, which Top-K sorts strictly increasing, as LEB128 varint
+//! **deltas** (`idx[0], idx[1]-idx[0], …`): at ~1% density the average
+//! gap is ~100, so almost every delta fits one byte. v2 stores the values
+//! as bulk-LE `f32`.
 //!
 //! **v3** keeps the v2 index encoding but quantizes the value plane per
 //! [`QUANT_CHUNK`]-element chunk: each chunk opens with a width byte
@@ -50,7 +49,11 @@
 //! statelessly from the chunk's value range against the configured error
 //! bound (see [`QuantizedValues`]), so re-encoding identical values is
 //! deterministic. Already-quantized `Quant` records stay tag-1 and
-//! lossless in every version — gradient-replay determinism depends on it.
+//! lossless in both versions — gradient-replay determinism depends on it.
+//!
+//! Every other version of either format fails with
+//! [`CodecError::UnsupportedVersion`]; recovery treats such a blob like
+//! any other unreadable one.
 //!
 //! The CRC covers every preceding byte; a checkpoint that fails its CRC (a
 //! torn write at failure time) is treated as absent during recovery.
@@ -103,8 +106,6 @@ use lowdiff_util::crc::{crc32, crc32_combine};
 
 pub const MAGIC_FULL: &[u8; 4] = b"LDFC";
 pub const MAGIC_DIFF: &[u8; 4] = b"LDDB";
-/// The legacy v1 layout of both formats (read, never written).
-pub const VERSION: u16 = 1;
 /// Diff-batch v2 format: varint-delta sparse indices, raw f32 values.
 pub const DIFF_VERSION_V2: u16 = 2;
 /// Diff-batch v3 format: varint-delta indices as in v2, values quantized
@@ -375,8 +376,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Decode `n` little-endian u32s, after the length cap. Only short
-    /// lists use it (legacy v1 sparse indices, LDGM chunk ids), so it reads
-    /// element by element.
+    /// lists use it (LDGM chunk ids), so it reads element by element.
     pub(crate) fn get_u32s(&mut self, n: u64, what: &'static str) -> Result<Vec<u32>, CodecError> {
         let n = self.capped_len(n, 4, what)?;
         (0..n).map(|_| self.get_u32(what)).collect()

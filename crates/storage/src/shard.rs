@@ -388,7 +388,6 @@ pub fn stitch_fulls(
             quant: first.aux.quant,
         },
         lossy: parts.iter().any(|(_, fc)| fc.lossy),
-        version: first.version,
     })
 }
 
@@ -715,7 +714,6 @@ mod tests {
                             ..AuxState::default()
                         },
                         lossy: false,
-                        version: 2,
                     };
                     (s.clone(), fc)
                 })

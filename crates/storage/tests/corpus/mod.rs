@@ -1,11 +1,11 @@
 //! A fixed, deterministic corpus of blobs in every storage format, shared
-//! by the wire-pin and decoder-mutation test binaries: LDFC v2 with each
-//! aux-section mix plus a v1 blob, LDDB v2 and v3 at every value width
-//! (fixed 4/8/16 and adaptive) plus a v1 blob, an LDSM stripe manifest and
-//! an LDGM global manifest. The v1 blobs come from the testkit reference
-//! codec. Values come from integer RNG arithmetic only, so the bytes are
-//! identical on every IEEE-754 host — which is what lets a test pin their
-//! lengths and CRCs.
+//! by the wire-pin and decoder-mutation test binaries, each written by its
+//! production encoder in a version the decoders accept: LDFC v2 with each
+//! aux-section mix, LDDB v2 and v3 at every value width (fixed 4/8/16 and
+//! adaptive), an LDSM stripe manifest and an LDGM global manifest. Values
+//! come from integer RNG arithmetic only, so the bytes are identical on
+//! every IEEE-754 host — which is what lets a test pin their lengths and
+//! CRCs.
 
 use lowdiff_compress::{
     AuxState, CompressedGrad, CompressorCfg, QuantGrad, QuantPolicyState, SparseGrad,
@@ -14,7 +14,6 @@ use lowdiff_optim::ModelState;
 use lowdiff_storage::codec::{self, DiffEntry, QuantizedValues, ValueCodec, QUANT_CHUNK};
 use lowdiff_storage::shard::{GlobalManifest, ShardSeal};
 use lowdiff_storage::stripe::{encode_manifest, StripeManifest};
-use lowdiff_testkit::reference;
 use lowdiff_util::DetRng;
 
 /// Which decoder a corpus blob belongs to.
@@ -227,11 +226,6 @@ pub fn corpus() -> Vec<Blob> {
             blob(name, Format::Full, bytes)
         })
         .collect();
-    out.push(blob(
-        "v1",
-        Format::Full,
-        reference::encode_model_state(&state),
-    ));
 
     // The f32 layouts stay small (their structure does not depend on the
     // value count); the v3 batch spans two value chunks.
@@ -241,11 +235,6 @@ pub fn corpus() -> Vec<Blob> {
         "v2-empty",
         Format::Diff,
         codec::encode_diff_batch(&[]),
-    ));
-    out.push(blob(
-        "v1",
-        Format::Diff,
-        reference::encode_diff_batch(&entries),
     ));
     let chunked = diff_entries(11, QUANT_CHUNK + 4);
     for (name, vc) in value_codecs() {

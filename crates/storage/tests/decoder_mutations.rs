@@ -1,12 +1,15 @@
-//! Decoder mutation suite over the test corpus (every storage format:
-//! LDFC v1/v2 with each aux mix, LDDB v1/v2/v3 at every value width with
-//! sparse, dense and quant records, LDSM and LDGM).
+//! Decoder mutation suite over the test corpus (every storage format in
+//! every version its writer produces: LDFC v2 with each aux mix, LDDB
+//! v2/v3 at every value width with sparse, dense and quant records, LDSM
+//! and LDGM).
 //!
 //! Mutations are structure-aware by exhaustion: every byte offset is tried
 //! as the start of a 1-, 4- and 8-byte little-endian field, so every real
 //! length, count, tag and flag field is inflated, deflated and zeroed
 //! wherever it sits (the only 2-byte field, the version, has its own
-//! permutation test). On top of that come bit flips, truncation
+//! permutation test, which also requires every LDFC/LDDB version the
+//! writers do not produce to fail with `UnsupportedVersion`). On top of
+//! that come bit flips, truncation
 //! at every offset, version and aux-flag permutations, decoding each blob
 //! under every other format's magic, and random splices of two valid
 //! blobs. Except where a test says otherwise, every mutant is *re-sealed*
@@ -114,11 +117,10 @@ fn decode_roundtrips(format: Format, bytes: &[u8]) -> bool {
     true
 }
 
-/// A decoded full as comparable bits: wire version, lossiness and the
-/// canonical v2 encoding (every f32 by its bit pattern, NaNs included).
-fn full_bits(fc: &FullCheckpoint) -> (u16, bool, Vec<u8>) {
+/// A decoded full as comparable bits: lossiness and the canonical
+/// encoding (every f32 by its bit pattern, NaNs included).
+fn full_bits(fc: &FullCheckpoint) -> (bool, Vec<u8>) {
     (
-        fc.version,
         fc.lossy,
         codec::encode_full_checkpoint(&fc.state, &fc.aux.view()),
     )
@@ -289,12 +291,34 @@ fn version_and_aux_flag_permutations() {
         for version in [0u16, 1, 2, 3, 4, u16::MAX] {
             let mut mutant = body.to_vec();
             mutant[4..6].copy_from_slice(&version.to_le_bytes());
-            check(blob.format, &reseal(&mutant), || {
+            let mutant = reseal(&mutant);
+            check(blob.format, &mutant, || {
                 format!("{} as version {version}", blob.id())
             });
+            // Only the versions the writers produce are read.
+            let unsupported = || Err(codec::CodecError::UnsupportedVersion(version));
+            match blob.format {
+                Format::Full if version != codec::FULL_VERSION_V2 => {
+                    assert_eq!(
+                        codec::decode_full_checkpoint(&mutant).map(drop),
+                        unsupported()
+                    );
+                    assert_eq!(
+                        reference::decode_full_checkpoint(&mutant).map(drop),
+                        unsupported()
+                    );
+                }
+                Format::Diff
+                    if !matches!(version, codec::DIFF_VERSION_V2 | codec::DIFF_VERSION_V3) =>
+                {
+                    assert_eq!(codec::decode_diff_batch(&mutant).map(drop), unsupported());
+                    assert_eq!(codec::inspect_diff_batch(&mutant).map(drop), unsupported());
+                }
+                _ => {}
+            }
         }
-        // A v2 full's flags byte follows the three Ψ-sized regions.
-        if blob.format == Format::Full && body[4..6] == 2u16.to_le_bytes() {
+        // A full's flags byte follows the three Ψ-sized regions.
+        if blob.format == Format::Full {
             let psi = u64::from_le_bytes(body[14..22].try_into().unwrap()) as usize;
             let flags_at = 30 + 12 * psi;
             for flags in 0..=u8::MAX {

@@ -100,30 +100,6 @@ proptest! {
         prop_assert_eq!(codec::decode_diff_batch(&bytes).unwrap(), entries);
     }
 
-    /// Backward compatibility: blobs written in the legacy v1 layout decode
-    /// to exactly the same entries as their v2 counterparts.
-    #[test]
-    fn v1_diff_blobs_still_decode(
-        grads in prop::collection::vec(arb_grad(100), 0..6),
-        start in 0u64..1000,
-    ) {
-        let entries: Vec<DiffEntry> = grads
-            .into_iter()
-            .enumerate()
-            .map(|(i, grad)| DiffEntry { iteration: start + i as u64, grad })
-            .collect();
-        let v1 = reference::encode_diff_batch(&entries);
-        prop_assert_eq!(codec::decode_diff_batch(&v1).unwrap(), entries.clone());
-        let v2 = codec::encode_diff_batch(&entries);
-        prop_assert_eq!(
-            codec::decode_diff_batch(&v1).unwrap(),
-            codec::decode_diff_batch(&v2).unwrap()
-        );
-        let info = codec::inspect_diff_batch(&v1).unwrap();
-        prop_assert_eq!(info.version, codec::VERSION);
-        prop_assert_eq!(info.entries.len(), entries.len());
-    }
-
     /// `encode_*_into` with a dirty reused buffer is byte-identical to a
     /// fresh encode: a longer previous encode never leaks a stale suffix.
     #[test]
@@ -160,24 +136,15 @@ proptest! {
     }
 
     /// The bulk (memcpy) encoder must be byte-identical to the retained
-    /// per-element reference encoder: the v2 blob's params / m / v regions
-    /// (at the offsets `full_frame_layout` names) hold exactly the bytes
-    /// the per-element v1 writer puts at the same offsets — v1 and v2
-    /// share the 30-byte header shape. This is what let the bulk rewrite
-    /// ship without a format version bump.
+    /// per-element reference encoder, whole blob for whole blob: the bulk
+    /// rewrite changed no stored byte.
     #[test]
     fn bulk_encoding_byte_identical_to_reference(st in arb_state()) {
-        let bulk = codec::encode_model_state(&st);
-        let per_element = reference::encode_model_state(&st);
-        let layout = codec::full_frame_layout(st.params.len(), &AuxView::NONE);
-        let regions = layout.params_off..layout.v_off + st.params.len() * 4;
-        prop_assert_eq!(&bulk[regions.clone()], &per_element[regions]);
-        prop_assert_eq!(&bulk[..4], &per_element[..4]);
-        prop_assert_eq!(&bulk[6..layout.params_off], &per_element[6..layout.params_off]);
+        prop_assert_eq!(codec::encode_model_state(&st), reference::encode_model_state(&st));
     }
 
-    /// Legacy v1 full-checkpoint blobs keep decoding, flagged lossy; v2
-    /// blobs with auxiliary state roundtrip it exactly.
+    /// An aux-less full decodes flagged lossy, through both decoders; a
+    /// full with auxiliary state roundtrips it exactly.
     #[test]
     fn full_checkpoint_versions_decode(
         st in arb_state(),
@@ -185,14 +152,13 @@ proptest! {
         ratio in 0.001f64..1.0,
     ) {
         let rng_words = [rng_seed, rng_seed ^ 0xABCD, rng_seed.rotate_left(17), !rng_seed];
-        let v1 = reference::encode_model_state(&st);
-        let fc = codec::decode_full_checkpoint(&v1).unwrap();
+        let bare = codec::encode_model_state(&st);
+        let fc = codec::decode_full_checkpoint(&bare).unwrap();
         prop_assert_eq!(&fc.state, &st);
-        prop_assert!(fc.lossy, "v1 must be flagged lossy");
+        prop_assert!(fc.lossy, "an aux-less full must be flagged lossy");
         prop_assert!(fc.aux.is_empty());
-        prop_assert_eq!(fc.version, codec::VERSION);
-        prop_assert_eq!(&codec::decode_model_state(&v1).unwrap(), &st);
-        prop_assert_eq!(&reference::decode_model_state(&v1).unwrap(), &st);
+        prop_assert_eq!(&codec::decode_model_state(&bare).unwrap(), &st);
+        prop_assert_eq!(&reference::decode_full_checkpoint(&bare).unwrap(), &fc);
 
         let aux = lowdiff_compress::AuxState {
             residual: Some(st.params.iter().map(|p| p * 0.5).collect()),
@@ -211,46 +177,6 @@ proptest! {
         prop_assert_eq!(fc2.state, st);
         prop_assert_eq!(fc2.aux, aux);
         prop_assert!(!fc2.lossy);
-    }
-
-    /// Adversarial v1 sparse payloads (duplicate, unsorted, or out-of-range
-    /// indices) must fail decoding cleanly — never construct a `SparseGrad`
-    /// that would make sharded (`+=`) and dense (overwrite) recovery paths
-    /// disagree, and never panic.
-    #[test]
-    fn v1_sparse_index_payloads_validated(
-        dense_len in 1u64..100,
-        indices in prop::collection::vec(0u32..120, 0..12),
-    ) {
-        // Hand-roll a v1 diff batch with one sparse entry carrying the raw
-        // (possibly invalid) index list.
-        let mut body = Vec::new();
-        body.extend_from_slice(b"LDDB");
-        body.extend_from_slice(&1u16.to_le_bytes()); // version 1
-        body.extend_from_slice(&1u32.to_le_bytes()); // count
-        body.extend_from_slice(&5u64.to_le_bytes()); // iteration
-        body.push(0); // sparse tag
-        body.extend_from_slice(&dense_len.to_le_bytes());
-        body.extend_from_slice(&(indices.len() as u32).to_le_bytes());
-        for &i in &indices {
-            body.extend_from_slice(&i.to_le_bytes());
-        }
-        for &i in &indices {
-            body.extend_from_slice(&(i as f32).to_le_bytes());
-        }
-        let crc = lowdiff_util::crc::crc32(&body);
-        body.extend_from_slice(&crc.to_le_bytes());
-
-        let valid = indices.windows(2).all(|w| w[0] < w[1])
-            && indices.last().is_none_or(|&l| u64::from(l) < dense_len);
-        match codec::decode_diff_batch(&body) {
-            Ok(entries) => {
-                prop_assert!(valid, "invalid indices decoded successfully");
-                let s = entries[0].grad.as_sparse().unwrap();
-                prop_assert!(s.indices.windows(2).all(|w| w[0] < w[1]));
-            }
-            Err(_) => prop_assert!(!valid, "valid indices failed to decode"),
-        }
     }
 
     /// v3 round-trip at every bit width equals the quantize∘dequantize
@@ -294,8 +220,8 @@ proptest! {
         prop_assert_eq!(got, &expect);
     }
 
-    /// Mixed-version chains: the same entries encoded as v1, v2 and v3 all
-    /// decode; v1/v2 exactly, v3 with identical structure (indices,
+    /// Mixed-version chains: the same entries encoded as v2 and v3 both
+    /// decode; v2 exactly, v3 with identical structure (indices,
     /// iteration, representation) and quantized values.
     #[test]
     fn mixed_version_chain_recovers(
@@ -307,13 +233,11 @@ proptest! {
             .enumerate()
             .map(|(i, grad)| DiffEntry { iteration: start + i as u64, grad })
             .collect();
-        let v1 = reference::encode_diff_batch(&entries);
         let v2 = codec::encode_diff_batch(&entries);
         let q = codec::ValueCodec::Quantized(codec::QuantizedValues {
             bits: 8, max_err: 0.0, adaptive: false, floor_bits: 8,
         });
         let v3 = encode_with(&entries, &q);
-        prop_assert_eq!(codec::decode_diff_batch(&v1).unwrap(), entries.clone());
         prop_assert_eq!(codec::decode_diff_batch(&v2).unwrap(), entries.clone());
         let d3 = codec::decode_diff_batch(&v3).unwrap();
         prop_assert_eq!(d3.len(), entries.len());
@@ -325,7 +249,7 @@ proptest! {
                     prop_assert_eq!(&x.indices, &y.indices);
                 }
                 (CompressedGrad::Quant(x), CompressedGrad::Quant(y)) => {
-                    // Tag-1 records are lossless in every version.
+                    // Tag-1 records are lossless in both versions.
                     prop_assert_eq!(x, y);
                 }
                 (CompressedGrad::Dense(_), CompressedGrad::Dense(_)) => {}
@@ -382,32 +306,6 @@ proptest! {
     }
 }
 
-/// 1% density over 100k elements: gaps ≈ 100 fit one varint byte, so the
-/// v2 delta encoding is well under the v1 raw-index layout.
-#[test]
-fn v2_sparse_smaller_than_v1() {
-    let mut rng = DetRng::new(77);
-    let n = 100_000usize;
-    let indices: Vec<u32> = (0..n as u32)
-        .filter(|_| rng.next_u64().is_multiple_of(100))
-        .collect();
-    let values: Vec<f32> = indices.iter().map(|&i| i as f32 * 0.5).collect();
-    let entries = vec![DiffEntry {
-        iteration: 42,
-        grad: CompressedGrad::Sparse(SparseGrad::new(n, indices, values)),
-    }];
-    let v2 = codec::encode_diff_batch(&entries);
-    let v1 = reference::encode_diff_batch(&entries);
-    assert_eq!(codec::decode_diff_batch(&v2).unwrap(), entries);
-    assert_eq!(codec::decode_diff_batch(&v1).unwrap(), entries);
-    assert!(
-        (v2.len() as f64) < 0.7 * v1.len() as f64,
-        "v2 ({}) should be well under v1 ({})",
-        v2.len(),
-        v1.len()
-    );
-}
-
 /// The stitch as it was before the gather: clone every shard state, zero
 /// Ψ-sized globals and scatter each shard into them.
 fn stitch_by_scatter(psi: usize, parts: &[(ShardSpec, FullCheckpoint)]) -> FullCheckpoint {
@@ -435,7 +333,6 @@ fn stitch_by_scatter(psi: usize, parts: &[(ShardSpec, FullCheckpoint)]) -> FullC
             ..first.aux
         },
         lossy: parts.iter().any(|(_, fc)| fc.lossy),
-        version: first.version,
     }
 }
 
@@ -447,7 +344,6 @@ fn full_bits(fc: &FullCheckpoint) -> Vec<u64> {
             .collect::<Vec<_>>()
     };
     let mut out = vec![fc.state.iteration, fc.state.opt.t, u64::from(fc.lossy)];
-    out.push(u64::from(fc.version));
     out.extend(bits(&fc.state.params));
     out.extend(bits(&fc.state.opt.m));
     out.extend(bits(&fc.state.opt.v));
@@ -506,7 +402,6 @@ proptest! {
                     state: spec.project_state(&full),
                     aux: spec.project_aux(&aux.view()),
                     lossy: false,
-                    version: codec::FULL_VERSION_V2,
                 };
                 (spec, fc)
             })

@@ -3,8 +3,7 @@
 //! trailer). The values were recorded from the encoders as they stood
 //! before the codec consolidation, so any refactor of the codec layer that
 //! changes a single byte of LDFC, LDDB, LDSM or LDGM output fails here.
-//! The v1 entries pin the testkit fabricators, which must keep producing
-//! the legacy layouts the decoders still accept.
+//! Every entry is a format the writers produce: LDFC v2, LDDB v2 and v3.
 
 mod corpus;
 
@@ -18,10 +17,8 @@ const PINS: &[(&str, usize, u32)] = &[
     ("Full/rng", 343, 0xFD644608),
     ("Full/quant", 319, 0xC2755F71),
     ("Full/all", 453, 0xC4240A0C),
-    ("Full/v1", 310, 0x42CAB647),
     ("Diff/v2", 398, 0x4336B5DD),
     ("Diff/v2-empty", 14, 0xD7F9D41F),
-    ("Diff/v1", 465, 0x9C29F3AD),
     ("Diff/v3-4", 649, 0x2BB7D773),
     ("Diff/v3-8", 799, 0xD2698C17),
     ("Diff/v3-16", 1099, 0x411D9FB3),

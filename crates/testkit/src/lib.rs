@@ -4,14 +4,12 @@
 //! here ships in a production crate: test suites and benchmarks depend on
 //! it, production crates never do.
 //!
-//! * [`reference`](mod@reference) — the pre-bulk, per-element checkpoint codec and the
-//!   byte-at-a-time CRC32. They are the oracles the bulk codec and the
-//!   slicing-by-8 CRC are proven byte-identical against, the baselines
-//!   `bench_hotpath` times, and the only writers of the legacy v1 blob
-//!   layouts that backward-compatibility tests fabricate; the two-pass
-//!   full-checkpoint decoder the one-pass decoder must agree with on every
-//!   input; and the scalar `A · Bᵀ` the blocked `matmul_nt` kernel is
-//!   proven bit-identical to.
+//! * [`reference`](mod@reference) — the pre-bulk, per-element full-checkpoint
+//!   encoder and the byte-at-a-time CRC32: the oracles the bulk encoder
+//!   and the slicing-by-8 CRC are proven byte-identical against, and the
+//!   baselines `bench_hotpath` times; the two-pass full-checkpoint decoder
+//!   the one-pass decoder must agree with on every input; and the scalar
+//!   `A · Bᵀ` the blocked `matmul_nt` kernel is proven bit-identical to.
 //! * [`shard`](mod@shard) — the eager projection of a model state and its
 //!   aux state onto a [`lowdiff_storage::ShardSpec`]: the oracle a shard
 //!   full's gathered capture is checked against.

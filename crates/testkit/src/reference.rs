@@ -1,11 +1,10 @@
-//! The pre-bulk, per-element codec, retained verbatim in behavior:
-//! element-at-a-time `to_le_bytes` loops, a full payload copy at seal
-//! time, and a full input copy before decoding — exactly the costs the
-//! bulk codec in `lowdiff_storage::codec` removed. It writes the legacy v1
-//! layouts (no aux trailer, raw `u32` sparse indices), which makes it the
-//! fabricator of v1 blobs for backward-compatibility tests; property tests
-//! assert the bulk encoder's region bytes equal its output, and
-//! `bench_hotpath` times the gap.
+//! [`encode_model_state`] is the pre-bulk, per-element full-checkpoint
+//! encoder, retained verbatim in behavior: element-at-a-time
+//! `to_le_bytes` loops and a full payload copy at seal time — exactly the
+//! costs the bulk codec in `lowdiff_storage::codec` removed. It writes the
+//! v2 layout with aux flags 0; property tests assert the bulk encoder's
+//! blob equals its output byte for byte, and `bench_hotpath` times the
+//! gap.
 //!
 //! [`decode_full_checkpoint`] is the two-pass full-checkpoint decoder
 //! (whole-body CRC, then parse) whose verdict the one-pass decoder must
@@ -18,24 +17,15 @@
 //! register-blocked `lowdiff_tensor::ops::matmul_nt` is proven bit-identical
 //! to.
 
-use lowdiff_compress::{AuxState, CompressedGrad, CompressorCfg, CompressorKind, QuantPolicyState};
+use lowdiff_compress::{AuxState, CompressorCfg, CompressorKind, QuantPolicyState};
 use lowdiff_optim::{AdamState, ModelState};
-use lowdiff_storage::codec::{
-    CodecError, DiffEntry, FullCheckpoint, FULL_VERSION_V2, MAGIC_DIFF, MAGIC_FULL, VERSION,
-};
+use lowdiff_storage::codec::{CodecError, FullCheckpoint, FULL_VERSION_V2, MAGIC_FULL};
 use lowdiff_tensor::Tensor;
 use lowdiff_util::crc::crc32;
 use rayon::prelude::*;
 use std::sync::OnceLock;
 
 fn put_f32s(buf: &mut Vec<u8>, xs: &[f32]) {
-    buf.reserve(xs.len() * 4);
-    for &x in xs {
-        buf.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
-fn put_u32s(buf: &mut Vec<u8>, xs: &[u32]) {
     buf.reserve(xs.len() * 4);
     for &x in xs {
         buf.extend_from_slice(&x.to_le_bytes());
@@ -49,114 +39,19 @@ fn seal_copy(buf: &mut Vec<u8>) -> Vec<u8> {
     buf.clone()
 }
 
-/// Per-element serialization of a full checkpoint (v1 layout).
+/// Per-element serialization of a full checkpoint (v2, aux flags 0).
 pub fn encode_model_state(state: &ModelState) -> Vec<u8> {
     let psi = state.params.len();
-    let mut buf = Vec::with_capacity(34 + psi * 12);
+    let mut buf = Vec::with_capacity(35 + psi * 12);
     buf.extend_from_slice(MAGIC_FULL);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&FULL_VERSION_V2.to_le_bytes());
     buf.extend_from_slice(&state.iteration.to_le_bytes());
     buf.extend_from_slice(&(psi as u64).to_le_bytes());
     buf.extend_from_slice(&state.opt.t.to_le_bytes());
     put_f32s(&mut buf, &state.params);
     put_f32s(&mut buf, &state.opt.m);
     put_f32s(&mut buf, &state.opt.v);
-    seal_copy(&mut buf)
-}
-
-/// Split `n` bytes off the front of `rest`.
-fn take<'a>(rest: &mut &'a [u8], n: usize) -> Result<&'a [u8], CodecError> {
-    if rest.len() < n {
-        return Err(CodecError::Corrupt("truncated"));
-    }
-    let (head, tail) = rest.split_at(n);
-    *rest = tail;
-    Ok(head)
-}
-
-fn take_u64(rest: &mut &[u8]) -> Result<u64, CodecError> {
-    Ok(u64::from_le_bytes(take(rest, 8)?.try_into().unwrap()))
-}
-
-/// Per-element deserialization of a v1 full checkpoint, with the old
-/// upfront input copy.
-pub fn decode_model_state(data: &[u8]) -> Result<ModelState, CodecError> {
-    // The pre-bulk decoder copied the input into an owned buffer first.
-    let owned = data.to_vec();
-    let body_len = owned
-        .len()
-        .checked_sub(4)
-        .ok_or(CodecError::Corrupt("too short for crc"))?;
-    let (body, tail) = owned.split_at(body_len);
-    if crc32(body) != u32::from_le_bytes(tail.try_into().unwrap()) {
-        return Err(CodecError::CrcMismatch);
-    }
-    let mut rest = body;
-    if take(&mut rest, 4)? != MAGIC_FULL {
-        return Err(CodecError::BadMagic);
-    }
-    let version = u16::from_le_bytes(take(&mut rest, 2)?.try_into().unwrap());
-    if version != VERSION {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
-    let iteration = take_u64(&mut rest)?;
-    let psi = take_u64(&mut rest)? as usize;
-    let adam_t = take_u64(&mut rest)?;
-    if psi > rest.len() / 12 {
-        return Err(CodecError::Corrupt("truncated"));
-    }
-    let mut read_f32s = || -> Result<Vec<f32>, CodecError> {
-        let mut out = Vec::with_capacity(psi);
-        for _ in 0..psi {
-            out.push(f32::from_le_bytes(take(&mut rest, 4)?.try_into().unwrap()));
-        }
-        Ok(out)
-    };
-    let params = read_f32s()?;
-    let m = read_f32s()?;
-    let v = read_f32s()?;
-    if !rest.is_empty() {
-        return Err(CodecError::Corrupt("trailing bytes"));
-    }
-    Ok(ModelState {
-        iteration,
-        params,
-        opt: AdamState { m, v, t: adam_t },
-    })
-}
-
-/// Per-element serialization of a differential batch (v1 layout).
-pub fn encode_diff_batch(entries: &[DiffEntry]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64);
-    buf.extend_from_slice(MAGIC_DIFF);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for e in entries {
-        buf.extend_from_slice(&e.iteration.to_le_bytes());
-        match &e.grad {
-            CompressedGrad::Sparse(s) => {
-                buf.push(0);
-                buf.extend_from_slice(&(s.dense_len as u64).to_le_bytes());
-                buf.extend_from_slice(&(s.nnz() as u32).to_le_bytes());
-                put_u32s(&mut buf, &s.indices);
-                put_f32s(&mut buf, &s.values);
-            }
-            CompressedGrad::Quant(q) => {
-                buf.push(1);
-                buf.extend_from_slice(&(q.dense_len as u64).to_le_bytes());
-                buf.push(q.bits);
-                buf.extend_from_slice(&q.scale.to_le_bytes());
-                buf.extend_from_slice(&q.zero.to_le_bytes());
-                buf.extend_from_slice(&(q.codes.len() as u32).to_le_bytes());
-                buf.extend_from_slice(&q.codes);
-            }
-            CompressedGrad::Dense(d) => {
-                buf.push(2);
-                buf.extend_from_slice(&(d.len() as u64).to_le_bytes());
-                put_f32s(&mut buf, d);
-            }
-        }
-    }
+    buf.push(0); // no aux section
     seal_copy(&mut buf)
 }
 
@@ -221,7 +116,7 @@ const AUX_FLAG_QUANT_POLICY: u8 = 1 << 3;
 const AUX_FLAGS_KNOWN: u8 =
     AUX_FLAG_RESIDUAL | AUX_FLAG_COMPRESSOR | AUX_FLAG_RNG | AUX_FLAG_QUANT_POLICY;
 
-/// The two-pass LDFC decoder (v1 and v2) that the one-pass
+/// The two-pass LDFC decoder that the one-pass
 /// `lowdiff_storage::codec::decode_full_checkpoint` replaced: one CRC pass
 /// over the whole body, then a parse that bulk-copies each Ψ-sized region
 /// into a fresh `Vec`. Its verdict for every input — the value on `Ok`,
@@ -230,7 +125,7 @@ const AUX_FLAGS_KNOWN: u8 =
 pub fn decode_full_checkpoint(data: &[u8]) -> Result<FullCheckpoint, CodecError> {
     let mut cur = Reader::open(data, MAGIC_FULL)?;
     let version = cur.get_u16("truncated header")?;
-    if version != VERSION && version != FULL_VERSION_V2 {
+    if version != FULL_VERSION_V2 {
         return Err(CodecError::UnsupportedVersion(version));
     }
     let iteration = cur.get_u64("truncated header")?;
@@ -240,45 +135,43 @@ pub fn decode_full_checkpoint(data: &[u8]) -> Result<FullCheckpoint, CodecError>
     let m = cur.get_f32s(psi, "truncated f32 array")?;
     let v = cur.get_f32s(psi, "truncated f32 array")?;
     let mut aux = AuxState::default();
-    if version >= FULL_VERSION_V2 {
-        let flags = cur.get_u8("missing aux flags")?;
-        if flags & !AUX_FLAGS_KNOWN != 0 {
-            return Err(CodecError::Corrupt("unknown aux flags"));
+    let flags = cur.get_u8("missing aux flags")?;
+    if flags & !AUX_FLAGS_KNOWN != 0 {
+        return Err(CodecError::Corrupt("unknown aux flags"));
+    }
+    if flags & AUX_FLAG_COMPRESSOR != 0 {
+        let kind = CompressorKind::from_u8(cur.get_u8("truncated compressor cfg")?)
+            .ok_or(CodecError::Corrupt("unknown compressor kind"))?;
+        let ratio = f64::from_le_bytes(cur.get("truncated compressor cfg")?);
+        let bits = cur.get_u8("truncated compressor cfg")?;
+        aux.compressor = Some(CompressorCfg { kind, ratio, bits });
+    }
+    if flags & AUX_FLAG_RNG != 0 {
+        let mut rng = [0u64; 4];
+        for w in &mut rng {
+            *w = cur.get_u64("truncated rng cursor")?;
         }
-        if flags & AUX_FLAG_COMPRESSOR != 0 {
-            let kind = CompressorKind::from_u8(cur.get_u8("truncated compressor cfg")?)
-                .ok_or(CodecError::Corrupt("unknown compressor kind"))?;
-            let ratio = f64::from_le_bytes(cur.get("truncated compressor cfg")?);
-            let bits = cur.get_u8("truncated compressor cfg")?;
-            aux.compressor = Some(CompressorCfg { kind, ratio, bits });
+        aux.rng = Some(rng);
+    }
+    if flags & AUX_FLAG_RESIDUAL != 0 {
+        aux.residual = Some(cur.get_f32s(psi, "truncated f32 array")?);
+    }
+    if flags & AUX_FLAG_QUANT_POLICY != 0 {
+        let bits = cur.get_u8("truncated quant policy")?;
+        let streak = cur.get_u8("truncated quant policy")?;
+        let adaptive = cur.get_u8("truncated quant policy")? != 0;
+        let floor_bits = cur.get_u8("truncated quant policy")?;
+        let max_err = f32::from_le_bytes(cur.get("truncated quant policy")?);
+        if !matches!(bits, 4 | 8 | 16) || !matches!(floor_bits, 4 | 8 | 16) {
+            return Err(CodecError::Corrupt("invalid quant policy width"));
         }
-        if flags & AUX_FLAG_RNG != 0 {
-            let mut rng = [0u64; 4];
-            for w in &mut rng {
-                *w = cur.get_u64("truncated rng cursor")?;
-            }
-            aux.rng = Some(rng);
-        }
-        if flags & AUX_FLAG_RESIDUAL != 0 {
-            aux.residual = Some(cur.get_f32s(psi, "truncated f32 array")?);
-        }
-        if flags & AUX_FLAG_QUANT_POLICY != 0 {
-            let bits = cur.get_u8("truncated quant policy")?;
-            let streak = cur.get_u8("truncated quant policy")?;
-            let adaptive = cur.get_u8("truncated quant policy")? != 0;
-            let floor_bits = cur.get_u8("truncated quant policy")?;
-            let max_err = f32::from_le_bytes(cur.get("truncated quant policy")?);
-            if !matches!(bits, 4 | 8 | 16) || !matches!(floor_bits, 4 | 8 | 16) {
-                return Err(CodecError::Corrupt("invalid quant policy width"));
-            }
-            aux.quant = Some(QuantPolicyState {
-                bits,
-                streak,
-                adaptive,
-                max_err,
-                floor_bits,
-            });
-        }
+        aux.quant = Some(QuantPolicyState {
+            bits,
+            streak,
+            adaptive,
+            max_err,
+            floor_bits,
+        });
     }
     if !cur.data.is_empty() {
         return Err(CodecError::Corrupt("trailing bytes"));
@@ -292,7 +185,6 @@ pub fn decode_full_checkpoint(data: &[u8]) -> Result<FullCheckpoint, CodecError>
         },
         aux,
         lossy,
-        version,
     })
 }
 
@@ -319,7 +211,12 @@ impl<'a> Reader<'a> {
     }
 
     fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], CodecError> {
-        take(&mut self.data, n).map_err(|_| CodecError::Corrupt(what))
+        if self.data.len() < n {
+            return Err(CodecError::Corrupt(what));
+        }
+        let (head, tail) = self.data.split_at(n);
+        self.data = tail;
+        Ok(head)
     }
 
     fn get<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], CodecError> {

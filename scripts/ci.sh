@@ -42,14 +42,20 @@
 #                            and to 4 threads: the one-pass full decoder
 #                            spreads its pieces and the shard stitch its
 #                            gathers over the pool, so every decode
-#                            verdict must equal the two-pass oracle's and
-#                            every stitched bit the scatter oracle's at
-#                            any pool width (that proptest also seals each
-#                            shard's gathered frame against the blob of
-#                            its eager projection)
+#                            verdict must equal the two-pass oracle's
+#                            (testkit's, which reads LDFC v2 only, as the
+#                            codec does) and every stitched bit the
+#                            scatter oracle's at any pool width (that
+#                            proptest also seals each shard's gathered
+#                            frame against the blob of its eager
+#                            projection)
 # 3g. storage decoders (release) — the hostile-blob regressions and the
-#                            decoder mutation suite again in release,
-#                            where unchecked length arithmetic would wrap
+#                            decoder mutation suite again in release, over
+#                            the corpus of the formats the writers produce
+#                            (LDFC v2, LDDB v2/v3, LDSM, LDGM; every other
+#                            LDFC/LDDB version must fail with
+#                            UnsupportedVersion), where unchecked length
+#                            arithmetic would wrap
 #                            silently instead of panicking as in debug;
 #                            the util suite in release too, so the CRC32
 #                            equivalence tests run the carry-less-multiply

@@ -26,7 +26,10 @@ use lowdiff_model::builders::mlp;
 use lowdiff_model::data::Regression;
 use lowdiff_model::loss::mse;
 use lowdiff_optim::{Adam, ModelState};
-use lowdiff_storage::codec::{encode_diff_batch, encode_full_checkpoint, DiffEntry};
+use lowdiff_storage::codec::{
+    decode_diff_batch, encode_diff_batch, encode_diff_batch_into, encode_full_checkpoint,
+    inspect_diff_batch, DiffEntry, QuantizedValues, ValueCodec, DIFF_VERSION_V3,
+};
 use lowdiff_storage::{stripe, CheckpointStore, MemoryBackend, StripeCfg};
 use lowdiff_util::units::Secs;
 use lowdiff_util::DetRng;
@@ -443,12 +446,14 @@ fn check_peer_mirror(
     }
 }
 
-// ------------------------------------------------- mixed v1/v2 diff chains
+// ------------------------------------------------- mixed v2/v3 diff chains
 
-/// Recovery over a differential chain whose batches mix the legacy raw-index
-/// v1 format and the varint-delta v2 format must land bit-identically on the
+/// Recovery over a differential chain whose batches mix the f32 v2 format
+/// and the chunk-quantized v3 format must land bit-identically on the
 /// state the dense replay produces: the per-blob version byte is a decode
-/// detail, invisible to Algorithm 1.
+/// detail, invisible to Algorithm 1. The v3 batches carry a tiny positive
+/// error bound, so every chunk is either f32 passthrough or constant (scale
+/// 0) and decodes exactly — asserted per batch before it is stored.
 fn check_mixed_version_chain(seed: u64, psi: usize, iters: u64, batch: usize) {
     let (init, grads) = trace(seed, psi, iters);
     let adam = Adam::default();
@@ -467,15 +472,27 @@ fn check_mixed_version_chain(seed: u64, psi: usize, iters: u64, batch: usize) {
         // The dense path: what an uninterrupted run would hold.
         state.apply_gradient(&adam, &cg.to_dense());
     }
+    let exact_v3 = ValueCodec::Quantized(QuantizedValues {
+        bits: 4,
+        max_err: f32::MIN_POSITIVE,
+        adaptive: false,
+        floor_bits: 4,
+    });
     for (k, chunk) in entries.chunks(batch.max(1)).enumerate() {
         if k % 2 == 0 {
-            // Legacy writer: raw little-endian u32 index lists (v1).
-            let bytes = lowdiff_testkit::reference::encode_diff_batch(chunk);
+            let mut bytes = Vec::new();
+            let refs = chunk.iter().map(|e| (e.iteration, &e.grad));
+            encode_diff_batch_into(refs, &exact_v3, &mut bytes);
+            assert_eq!(inspect_diff_batch(&bytes).unwrap().version, DIFF_VERSION_V3);
+            assert_eq!(
+                decode_diff_batch(&bytes).unwrap(),
+                chunk,
+                "v3 batch not exact"
+            );
             let key =
                 CheckpointStore::diff_key(chunk[0].iteration, chunk.last().unwrap().iteration);
             store.backend().put(&key, &bytes).unwrap();
         } else {
-            // Current writer: varint-delta v2.
             store.save_diff_batch(chunk).unwrap();
         }
     }
@@ -987,8 +1004,8 @@ proptest! {
         check_peer_mirror(seed, psi, iters, full_every, batch_size, ranks, 1 + k_raw % (ranks - 1));
     }
 
-    /// Chains mixing v1 and v2 diff blobs recover exactly (satellite: the
-    /// upgrade story — old blobs and new blobs interleave in one store).
+    /// Chains mixing v2 and v3 diff blobs recover exactly (a run that
+    /// switches value codecs leaves both in one store).
     #[test]
     fn mixed_version_chains_recover_exactly(
         seed in 0u64..1000,
