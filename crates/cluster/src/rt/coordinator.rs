@@ -10,7 +10,10 @@
 //!   are rejected: a late rank could not hold a consistent shard history.
 //! * **Heartbeats** — a monitor thread marks ranks dead after
 //!   `heartbeat_timeout` of silence (or on connection close). Death never
-//!   panics anything; it *degrades* the current barrier.
+//!   panics anything; it *degrades* the current barrier. Each
+//!   registration is a new incarnation of its rank, and a closing
+//!   connection marks its rank dead only while it still holds the current
+//!   one: a stale connection cannot kill the worker that reclaimed it.
 //! * **Epoch barriers** — workers enter a numbered barrier at each epoch
 //!   end, without waiting for that epoch's shard checkpoint to be durable:
 //!   its seal follows once it has landed, typically within two
@@ -30,6 +33,8 @@
 //!
 //! All socket I/O is `io::Result`-propagated; a broken connection ends
 //! its handler thread and marks the rank dead — no unwraps on the wire.
+//! The accept thread blocks in `accept()`; shutdown wakes it with one
+//! loopback connect to its own port.
 
 use super::hashring::HashRing;
 use lowdiff_comm::wire::{read_msg, write_msg, MemberStatus, Msg};
@@ -37,7 +42,7 @@ use lowdiff_storage::shard::{GlobalManifest, ShardSeal};
 use lowdiff_storage::CheckpointStore;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -79,6 +84,8 @@ impl Default for CoordConfig {
 
 struct Member {
     name: String,
+    /// Which registration of this rank holds it (`CoordState::incarnations`).
+    incarnation: u64,
     alive: bool,
     last_seen: Instant,
     sealed: Option<u64>,
@@ -99,11 +106,15 @@ struct CoordState {
     seals: BTreeMap<u64, BTreeMap<u32, (u64, u32)>>,
     /// Newest globally sealed iteration.
     last_global: Option<u64>,
+    /// Registrations so far: the next one's incarnation number.
+    incarnations: u64,
     shutdown: bool,
 }
 
 struct Shared {
     cfg: CoordConfig,
+    /// Where the accept thread listens (connected to once, to wake it).
+    addr: SocketAddr,
     /// chunks per rank, indexed by rank.
     chunks: Vec<Vec<u32>>,
     state: Mutex<CoordState>,
@@ -126,7 +137,6 @@ impl Coordinator {
         assert!(cfg.world_size >= 1, "world_size must be at least 1");
         assert!(cfg.num_chunks >= cfg.world_size, "need >= 1 chunk per rank");
         let listener = TcpListener::bind(listen)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let ranks: Vec<u32> = (0..cfg.world_size).collect();
@@ -143,6 +153,7 @@ impl Coordinator {
             }),
             cv: Condvar::new(),
             cfg,
+            addr,
             chunks,
         });
 
@@ -169,11 +180,7 @@ impl Coordinator {
 
     /// Ask the service to stop and wait for its threads.
     pub fn shutdown(mut self) {
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            st.shutdown = true;
-            self.shared.cv.notify_all();
-        }
+        stop(&self.shared);
         self.join_threads();
     }
 
@@ -193,21 +200,36 @@ impl Coordinator {
     }
 }
 
+/// Stop the service: wake barrier waiters and the monitor, then the
+/// accept thread, blocked in `accept()`, with one connect to its port.
+fn stop(shared: &Shared) {
+    shared.state.lock().unwrap().shutdown = true;
+    shared.cv.notify_all();
+    let mut wake = shared.addr;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect(wake);
+}
+
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     loop {
+        let accepted = listener.accept();
         if shared.state.lock().unwrap().shutdown {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => {
                 let shared = Arc::clone(&shared);
                 thread::spawn(move || {
                     let _ = serve_conn(stream, shared);
                 });
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(20));
-            }
+            // A failing accept (EMFILE, ...) fails again at once: back off
+            // so it cannot spin.
             Err(_) => thread::sleep(Duration::from_millis(20)),
         }
     }
@@ -237,12 +259,15 @@ fn monitor_loop(shared: Arc<Shared>) {
     }
 }
 
+/// The rank a connection registered, and as which incarnation.
+type Registration = Option<(u32, u64)>;
+
 /// One connection = one worker channel. Strict request/response; any I/O
 /// error (or clean close) ends the loop and marks the connection's
-/// registered rank dead.
+/// registered rank dead, unless a later registration has reclaimed it.
 fn serve_conn(mut stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
     stream.set_nodelay(true)?;
-    let mut registered: Option<u32> = None;
+    let mut registered: Registration = None;
     let result = loop {
         let msg = match read_msg(&mut stream) {
             Ok(Some(m)) => m,
@@ -258,10 +283,12 @@ fn serve_conn(mut stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
             break Ok(());
         }
     };
-    if let Some(rank) = registered {
+    if let Some((rank, incarnation)) = registered {
         let mut st = shared.state.lock().unwrap();
         if let Some(m) = st.members.get_mut(rank as usize).and_then(Option::as_mut) {
-            m.alive = false;
+            if m.incarnation == incarnation {
+                m.alive = false;
+            }
         }
         shared.cv.notify_all();
     }
@@ -275,7 +302,7 @@ fn touch(st: &mut CoordState, rank: u32) {
     }
 }
 
-fn handle(shared: &Shared, registered: &mut Option<u32>, msg: Msg) -> Msg {
+fn handle(shared: &Shared, registered: &mut Registration, msg: Msg) -> Msg {
     match msg {
         Msg::Register {
             name,
@@ -296,9 +323,7 @@ fn handle(shared: &Shared, registered: &mut Option<u32>, msg: Msg) -> Msg {
         } => seal(shared, rank, iteration, len, crc),
         Msg::Status => status(shared),
         Msg::Shutdown => {
-            let mut st = shared.state.lock().unwrap();
-            st.shutdown = true;
-            shared.cv.notify_all();
+            stop(shared);
             Msg::Ok
         }
         other => Msg::Reject {
@@ -309,7 +334,7 @@ fn handle(shared: &Shared, registered: &mut Option<u32>, msg: Msg) -> Msg {
 
 fn register(
     shared: &Shared,
-    registered: &mut Option<u32>,
+    registered: &mut Registration,
     name: String,
     rank_hint: Option<u32>,
     psi: u64,
@@ -360,8 +385,11 @@ fn register(
         },
     };
     st.psi = Some(psi);
+    let incarnation = st.incarnations;
+    st.incarnations += 1;
     st.members[rank as usize] = Some(Member {
         name,
+        incarnation,
         alive: true,
         last_seen: Instant::now(),
         sealed: st.members[rank as usize].as_ref().and_then(|m| m.sealed),
@@ -371,7 +399,7 @@ fn register(
     // live barrier can be in flight here on a sane cluster).
     st.entered.clear();
     st.failed.clear();
-    *registered = Some(rank);
+    *registered = Some((rank, incarnation));
     shared.cv.notify_all();
     Msg::Welcome {
         rank,

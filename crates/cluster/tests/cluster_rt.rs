@@ -203,6 +203,40 @@ fn late_joiner_rejected_mid_run_but_dead_rank_is_reclaimable() {
     coord.shutdown();
 }
 
+/// Whether the coordinator's status, asked over `c`, shows `rank` alive.
+fn alive(c: &mut CoordClient, rank: u32) -> bool {
+    match c.rpc(&Msg::Status).unwrap() {
+        Msg::StatusReport { members, .. } => members.iter().any(|m| m.rank == rank && m.alive),
+        other => panic!("expected StatusReport, got {other:?}"),
+    }
+}
+
+/// A silent worker's rank, once reclaimed by hint, stays with its new
+/// holder when the silent worker's connection finally closes.
+#[test]
+fn a_stale_connection_closing_leaves_the_reclaimed_rank_alive() {
+    let mut c = cfg(1);
+    c.heartbeat_timeout = Duration::from_millis(600);
+    let coord = Coordinator::start("127.0.0.1:0", c).unwrap();
+    let (mut a, w) = register(&coord, "a", None, 10);
+    assert_eq!(rank_of(&w), 0);
+    // A goes silent; the monitor declares rank 0 dead.
+    let deadline = Instant::now() + T;
+    while alive(&mut a, 0) {
+        assert!(Instant::now() < deadline, "rank 0 never declared dead");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let (mut b, w) = register(&coord, "b", Some(0), 10);
+    assert_eq!(rank_of(&w), 0);
+    drop(a);
+    std::thread::sleep(Duration::from_millis(100)); // A's EOF is handled
+    assert!(
+        alive(&mut b, 0),
+        "the stale connection's close killed the rank's new holder"
+    );
+    coord.shutdown();
+}
+
 /// A global checkpoint becomes visible exactly when the *last* rank's
 /// shard seal lands — the manifest-seal invariant at cluster level.
 #[test]

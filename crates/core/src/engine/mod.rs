@@ -7,7 +7,9 @@
 //! SNAPSHOT: capture the state     │
 //!   into a framed ticket /        │
 //!   clone the gradient handle     │
-//!   → submit(Job) ──bounded queue──▶ policy.process(job, ctx)
+//!   → submit(Job) ─┐              │
+//!   flush()  ──────┼─ one bounded ─▶ handle(msg): process / flush /
+//!   control(ctl) ──┘   FIFO       │   control, in submission order
 //!                                 │   ├─ ENCODE: codec + CRC
 //!                                 │   └─ PERSIST: fan-out over the tier
 //!                                 │      stack behind the one shared
@@ -15,6 +17,11 @@
 //!                                 │      forced re-anchors handled here,
 //!                                 │      once, for everyone
 //! ```
+//!
+//! Jobs, flushes and retunes reach the policy through one queue and one
+//! handler, so each takes effect exactly after everything submitted
+//! before it: a flush covers every earlier job, and a
+//! [`PolicyCtl::SetBatchSize`] lands between the diffs around it.
 //!
 //! Every write goes through a [`TierStack`] of the closed [`Tier`] enum
 //! (durable store, CPU-memory store, peer replicas); the front tier
@@ -31,12 +38,12 @@
 //! Two modes:
 //!
 //! * [`CheckpointEngine::spawn`] — a dedicated worker thread behind a
-//!   bounded job queue (LowDiff and the sharded adapter over it,
+//!   bounded FIFO (LowDiff and the sharded adapter over it,
 //!   LowDiff+, and the periodic-full CheckFreq and Gemini schedules).
 //!   The queue capacity *is* the pipeline depth: CheckFreq's depth-1
 //!   snapshot/persist overlap is `queue_capacity = 1`.
-//! * [`CheckpointEngine::inline`] — no thread; jobs are processed on the
-//!   training thread (the periodic-full `torch.save` schedule and Naïve
+//! * [`CheckpointEngine::inline`] — no thread; the same handler runs on
+//!   the training thread (the periodic-full `torch.save` schedule and Naïve
 //!   DC — schemes whose point is that the write sits on the critical
 //!   path).
 //!
@@ -66,9 +73,7 @@ pub use policy::{CheckpointPolicy, Job, PolicyCtl};
 pub use tier::{peer_recovery_stores, PeerReplicaBackend, PeerTier, Tier, TierStack};
 
 use crate::strategy::StrategyStats;
-use crossbeam::channel::{
-    bounded, unbounded, Receiver, Select, Sender, TryRecvError, TrySendError,
-};
+use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use lowdiff_compress::AuxView;
 use lowdiff_optim::ModelState;
 use lowdiff_storage::{CheckpointStore, RetryPolicy, StripeCfg};
@@ -87,7 +92,7 @@ pub const HEALTH_KEY: &str = "meta-engine-health.json";
 /// Engine construction parameters.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Bounded job-queue capacity (the pipeline depth before the training
+    /// Bounded queue capacity (the pipeline depth before the training
     /// thread blocks on submit). Ignored by [`CheckpointEngine::inline`].
     pub queue_capacity: usize,
     /// The one retry/backoff policy every persist goes through.
@@ -127,16 +132,43 @@ pub struct Submitted {
     pub delivered: bool,
 }
 
-enum WorkerMsg {
+/// One message to the policy. The checkpointing thread takes them from
+/// one FIFO, so each is handled after everything submitted before it.
+enum Msg {
+    Job(Job),
+    /// Make everything before it durable, then acknowledge.
     Flush(Sender<()>),
     Ctl(PolicyCtl),
+}
+
+/// The one handler of both engine modes.
+fn handle(policy: &mut dyn CheckpointPolicy, msg: Msg, cx: &mut EngineCtx<'_>) {
+    match msg {
+        Msg::Job(job) => policy.process(job, cx),
+        Msg::Flush(ack) => {
+            policy.flush(cx);
+            let _ = ack.send(());
+        }
+        Msg::Ctl(ctl) => policy.control(ctl, cx),
+    }
+}
+
+/// Where the policy runs.
+enum Mode {
+    /// On a dedicated checkpointing thread fed by one bounded FIFO.
+    Spawned {
+        tx: Sender<Msg>,
+        worker: Option<std::thread::JoinHandle<()>>,
+    },
+    /// On the training thread, inside each call.
+    Inline(Box<dyn CheckpointPolicy>),
 }
 
 /// What the training-side engine handle and its checkpointing thread
 /// share: the stats ledger (the training thread's stall total included),
 /// the stage metrics, the re-anchor flag, the encode buffers, the ticket
-/// pool and the fulls' outcomes. [`Self::ctx`] is the one place an
-/// [`EngineCtx`] is built.
+/// pool and the fulls' outcomes. An [`EngineCtx`] borrows it with the
+/// [`EngineConfig`].
 struct EngineShared {
     stats: Mutex<StrategyStats>,
     /// The training thread's stall total, as the bits of its `f64`
@@ -199,20 +231,6 @@ impl EngineShared {
         })
     }
 
-    fn ctx<'a>(&'a self, cfg: &'a EngineConfig) -> EngineCtx<'a> {
-        EngineCtx {
-            retry: &cfg.retry,
-            stripe: &cfg.stripe,
-            shared: &self.stats,
-            force_full: &self.force_full,
-            metrics: &self.metrics,
-            buffers: &self.buffers,
-            cow: &self.cow,
-            crash: cfg.crash.as_deref(),
-            engine: self,
-        }
-    }
-
     fn stall(&self) -> Secs {
         Secs(f64::from_bits(self.stall.load(Ordering::Relaxed)))
     }
@@ -262,17 +280,12 @@ pub struct CheckpointEngine {
     /// The index ranges every full gathers from the submitted state:
     /// `None` is the whole space, `Some` a cluster rank's shard.
     gather: Option<Vec<Range<usize>>>,
-    // Async mode:
-    job_tx: Option<Sender<Job>>,
-    ctl_tx: Option<Sender<WorkerMsg>>,
-    worker: Option<std::thread::JoinHandle<()>>,
-    // Sync mode:
-    policy: Option<Box<dyn CheckpointPolicy>>,
+    mode: Mode,
 }
 
 impl CheckpointEngine {
     /// Asynchronous engine: spawn a dedicated checkpointing thread behind
-    /// a bounded job queue of `cfg.queue_capacity`.
+    /// one bounded FIFO of `cfg.queue_capacity` messages.
     pub fn spawn(
         store: Arc<CheckpointStore>,
         policy: impl CheckpointPolicy,
@@ -289,13 +302,12 @@ impl CheckpointEngine {
         let shared =
             EngineShared::with_health(cow::CowTickets::new(cfg.queue_capacity + 2, true), health);
         shared.metrics.set_capacity(cfg.queue_capacity as u64);
-        let (job_tx, job_rx) = bounded(cfg.queue_capacity);
-        let (ctl_tx, ctl_rx) = unbounded();
+        let (tx, rx) = bounded(cfg.queue_capacity);
         let worker = {
             let (cfg, shared) = (cfg.clone(), Arc::clone(&shared));
             std::thread::Builder::new()
                 .name(format!("ckpt-engine-{name}"))
-                .spawn(move || worker_loop(Box::new(policy), job_rx, ctl_rx, cfg, shared))
+                .spawn(move || worker_loop(Box::new(policy), rx, cfg, shared))
                 .expect("spawn checkpointing thread")
         };
         Self {
@@ -305,10 +317,10 @@ impl CheckpointEngine {
             shared,
             backpressure: 0,
             gather: None,
-            job_tx: Some(job_tx),
-            ctl_tx: Some(ctl_tx),
-            worker: Some(worker),
-            policy: None,
+            mode: Mode::Spawned {
+                tx,
+                worker: Some(worker),
+            },
         }
     }
 
@@ -328,10 +340,7 @@ impl CheckpointEngine {
             shared: EngineShared::new(cow::CowTickets::new(1, false)),
             backpressure: 0,
             gather: None,
-            job_tx: None,
-            ctl_tx: None,
-            worker: None,
-            policy: Some(Box::new(policy)),
+            mode: Mode::Inline(Box::new(policy)),
         }
     }
 
@@ -366,9 +375,10 @@ impl CheckpointEngine {
 
     /// Ask the policy's training-side gate (synchronous engines).
     pub fn wants_capture(&self, iteration: u64) -> bool {
-        self.policy
-            .as_ref()
-            .is_none_or(|p| p.wants_capture(iteration))
+        match &self.mode {
+            Mode::Spawned { .. } => true,
+            Mode::Inline(policy) => policy.wants_capture(iteration),
+        }
     }
 
     /// Has an armed crash injector fired? A crashed engine is a dead
@@ -454,42 +464,17 @@ impl CheckpointEngine {
                 };
             }
         }
-        let delivered = if let Some(tx) = &self.job_tx {
-            // The snapshot stage ends when the job is ready to enqueue:
-            // waiting out a full queue below is backpressure (counted, and
-            // still part of the returned stall), not snapshot work —
-            // folding it in would mask the capture-cost signal this stage
-            // exists to expose.
-            self.shared
-                .metrics
-                .snapshot
-                .record(since.elapsed().saturating_sub(waited));
-            match tx.try_send(job) {
-                Ok(()) => true,
-                Err(TrySendError::Full(job)) => {
-                    // The pipeline is full: the training thread blocks
-                    // until the worker drains a slot (CheckFreq's stall
-                    // mechanism; LowDiff's backpressure, counted).
-                    self.backpressure += 1;
-                    tx.send(job).is_ok()
-                }
-                Err(TrySendError::Disconnected(_)) => false,
-            }
-        } else if let Some(policy) = &mut self.policy {
-            self.shared.metrics.snapshot.record(since.elapsed());
-            policy.process(job, &mut self.shared.ctx(&self.cfg));
-            let stall = Secs(since.elapsed().as_secs_f64());
-            self.shared.add_stall(stall);
-            return Submitted {
-                stall,
-                delivered: true,
-            };
-        } else {
-            false
-        };
-        if let Some(tx) = &self.job_tx {
-            self.shared.metrics.note_depth(tx.len() as u64);
-        }
+        // The snapshot stage ends when the job is ready to enqueue:
+        // waiting out a full queue below is backpressure (counted, and
+        // still part of the returned stall), not snapshot work — folding
+        // it in would mask the capture-cost signal this stage exists to
+        // expose. Inline, the whole persist is part of the stall.
+        self.shared
+            .metrics
+            .snapshot
+            .record(since.elapsed().saturating_sub(waited));
+        let delivered = self.send(Msg::Job(job));
+        self.shared.metrics.note_depth(self.queue_len());
         if !delivered {
             return self.undelivered(since);
         }
@@ -498,6 +483,41 @@ impl CheckpointEngine {
         Submitted {
             stall,
             delivered: true,
+        }
+    }
+
+    /// Hand `msg` to the policy: behind the FIFO on the checkpointing
+    /// thread, or handled here on an inline engine. False when the
+    /// checkpointing thread is gone.
+    fn send(&mut self, msg: Msg) -> bool {
+        match &mut self.mode {
+            Mode::Spawned { tx, .. } => match tx.try_send(msg) {
+                Ok(()) => true,
+                Err(TrySendError::Full(msg)) => {
+                    // The pipeline is full: the training thread blocks
+                    // until the worker drains a slot (CheckFreq's stall
+                    // mechanism; LowDiff's backpressure, counted).
+                    self.backpressure += 1;
+                    tx.send(msg).is_ok()
+                }
+                Err(TrySendError::Disconnected(_)) => false,
+            },
+            Mode::Inline(policy) => {
+                let mut cx = EngineCtx {
+                    cfg: &self.cfg,
+                    engine: &self.shared,
+                };
+                handle(policy.as_mut(), msg, &mut cx);
+                true
+            }
+        }
+    }
+
+    /// Messages waiting for the checkpointing thread (none inline).
+    fn queue_len(&self) -> u64 {
+        match &self.mode {
+            Mode::Spawned { tx, .. } => tx.len() as u64,
+            Mode::Inline(_) => 0,
         }
     }
 
@@ -511,22 +531,18 @@ impl CheckpointEngine {
         stall
     }
 
-    /// Block until all submitted work is durable (drains the queue, then
-    /// flushes the policy's partial batches). A crashed engine does not
-    /// flush: the dead process's buffered work is lost by definition.
+    /// Block until all submitted work is durable: the flush queues behind
+    /// every earlier job, then flushes the policy's partial batches. A
+    /// crashed engine does not flush: the dead process's buffered work is
+    /// lost by definition.
     pub fn flush(&mut self) -> Secs {
         if self.crash_dead() {
             return Secs::ZERO;
         }
         let t0 = Instant::now();
-        if let Some(tx) = &self.ctl_tx {
-            let (ack_tx, ack_rx) = unbounded();
-            let delivered = tx.send(WorkerMsg::Flush(ack_tx)).is_ok();
-            if !delivered || ack_rx.recv().is_err() {
-                self.shared.stats.lock().degraded = true;
-            }
-        } else if let Some(policy) = &mut self.policy {
-            policy.flush(&mut self.shared.ctx(&self.cfg));
+        let (ack_tx, ack_rx) = bounded(1);
+        if !self.send(Msg::Flush(ack_tx)) || ack_rx.recv().is_err() {
+            self.shared.stats.lock().degraded = true;
         }
         self.export_health();
         let stall = Secs(t0.elapsed().as_secs_f64());
@@ -534,14 +550,11 @@ impl CheckpointEngine {
         stall
     }
 
-    /// Deliver a runtime reconfiguration to the policy.
+    /// Deliver a runtime reconfiguration to the policy, ordered after
+    /// every job submitted before it and before every job after it.
     pub fn control(&mut self, ctl: PolicyCtl) {
-        if let Some(tx) = &self.ctl_tx {
-            if tx.send(WorkerMsg::Ctl(ctl)).is_err() {
-                self.shared.stats.lock().degraded = true;
-            }
-        } else if let Some(policy) = &mut self.policy {
-            policy.control(ctl, &mut self.shared.ctx(&self.cfg));
+        if !self.send(Msg::Ctl(ctl)) {
+            self.shared.stats.lock().degraded = true;
         }
     }
 
@@ -578,7 +591,8 @@ impl CheckpointEngine {
         self.shared.cow.built()
     }
 
-    /// Times the training thread hit a full pipeline on submit.
+    /// Times the training thread found the pipeline full and blocked for
+    /// a slot (a submit, flush or retune).
     pub fn backpressure_events(&self) -> u64 {
         self.backpressure
     }
@@ -586,9 +600,7 @@ impl CheckpointEngine {
     /// Current stats snapshot, engine counters included.
     pub fn stats(&self) -> StrategyStats {
         let mut s = self.shared.stats();
-        if let Some(tx) = &self.job_tx {
-            s.engine.queue_depth = tx.len() as u64;
-        }
+        s.engine.queue_depth = self.queue_len();
         s
     }
 
@@ -656,24 +668,24 @@ fn put_health(store: &CheckpointStore, name: &str, s: &StrategyStats) {
 
 impl Drop for CheckpointEngine {
     fn drop(&mut self) {
-        // Close both channels so the worker drains its queues and exits
-        // (its shutdown path flushes the policy), then join it.
-        self.job_tx.take();
-        self.ctl_tx.take();
-        if let Some(w) = self.worker.take() {
-            let _ = w.join();
+        if let Mode::Spawned { tx, worker } = &mut self.mode {
+            // Swap in a closed sender: the worker drains the FIFO, flushes
+            // the policy and exits. Then join it.
+            *tx = bounded(1).0;
+            if let Some(w) = worker.take() {
+                let _ = w.join();
+            }
         }
         self.export_health();
     }
 }
 
-/// The checkpointing thread: a blocking two-way `Select` over the job
-/// queue and the control channel — no polling. Jobs flow strictly FIFO, so
-/// a full submitted before a diff is persisted before it.
+/// The checkpointing thread: a blocking `recv` loop over the one FIFO, each
+/// message handled in submission order. Once the queue is closed and
+/// drained, the policy is flushed.
 fn worker_loop(
     mut policy: Box<dyn CheckpointPolicy>,
-    job_rx: Receiver<Job>,
-    ctl_rx: Receiver<WorkerMsg>,
+    rx: Receiver<Msg>,
     cfg: EngineConfig,
     shared: Arc<EngineShared>,
 ) {
@@ -686,57 +698,14 @@ fn worker_loop(
         }
     }
     let _exit = WorkerExit(&shared.cow);
-    let mut cx = shared.ctx(&cfg);
-    let mut job_open = true;
-    let mut ctl_open = true;
-    while job_open || ctl_open {
-        shared.metrics.note_depth(job_rx.len() as u64);
-        // Block until a job or a control message is ready (or a side
-        // disconnects). Readiness means try-receive won't block; an empty
-        // grab just re-enters the select.
-        let mut sel = Select::new();
-        let job_idx = if job_open {
-            sel.recv(&job_rx)
-        } else {
-            usize::MAX
-        };
-        let ctl_idx = if ctl_open {
-            sel.recv(&ctl_rx)
-        } else {
-            usize::MAX
-        };
-        let ready = sel.ready();
-        drop(sel);
-
-        if ready == job_idx {
-            match job_rx.try_recv() {
-                Ok(job) => policy.process(job, &mut cx),
-                Err(TryRecvError::Empty) => {} // raced; re-select
-                Err(TryRecvError::Disconnected) => job_open = false,
-            }
-            continue;
-        }
-        if ready != ctl_idx {
-            continue;
-        }
-        match ctl_rx.try_recv() {
-            Ok(WorkerMsg::Flush(ack)) => {
-                // Drain queued jobs first so the flush covers everything
-                // submitted before it, then flush the policy's buffers.
-                while let Ok(job) = job_rx.try_recv() {
-                    policy.process(job, &mut cx);
-                }
-                policy.flush(&mut cx);
-                let _ = ack.send(());
-            }
-            Ok(WorkerMsg::Ctl(c)) => policy.control(c, &mut cx),
-            Err(TryRecvError::Empty) => {}
-            Err(TryRecvError::Disconnected) => ctl_open = false,
-        }
-    }
-    // Shutdown: both channels closed. Drain what's left, then flush.
-    while let Ok(job) = job_rx.try_recv() {
-        policy.process(job, &mut cx);
+    let mut cx = EngineCtx {
+        cfg: &cfg,
+        engine: &shared,
+    };
+    loop {
+        shared.metrics.note_depth(rx.len() as u64);
+        let Ok(msg) = rx.recv() else { break };
+        handle(policy.as_mut(), msg, &mut cx);
     }
     policy.flush(&mut cx);
     shared.metrics.note_depth(0);
@@ -745,6 +714,7 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbeam::channel::unbounded;
     use lowdiff_storage::MemoryBackend;
 
     const DEPTH: usize = cow::CowTickets::MAX_DEPTH;
@@ -847,6 +817,82 @@ mod tests {
         eng.flush();
         assert_eq!(eng.shared.cow.built(), DEPTH);
         assert!(!eng.stats().degraded);
+    }
+
+    /// An in-memory backend whose first put waits for a token on `gate`.
+    struct GatedFirstPut {
+        inner: MemoryBackend,
+        gate: Mutex<Option<Receiver<()>>>,
+    }
+
+    impl lowdiff_storage::StorageBackend for GatedFirstPut {
+        fn put(&self, key: &str, data: &[u8]) -> std::io::Result<()> {
+            let gate = self.gate.lock().take();
+            if let Some(gate) = gate {
+                let _ = gate.recv();
+            }
+            self.inner.put(key, data)
+        }
+        fn get(&self, key: &str) -> std::io::Result<Vec<u8>> {
+            self.inner.get(key)
+        }
+        fn list(&self) -> std::io::Result<Vec<String>> {
+            self.inner.list()
+        }
+        fn delete(&self, key: &str) -> std::io::Result<()> {
+            self.inner.delete(key)
+        }
+        fn bytes_written(&self) -> u64 {
+            self.inner.bytes_written()
+        }
+    }
+
+    /// A batch-size retune takes effect exactly where it was submitted:
+    /// after the diffs before it and before the diffs after it, even when
+    /// all of them are already queued behind a slow anchor.
+    #[test]
+    fn lowdiff_retune_lands_between_the_diffs_around_it() {
+        use crate::lowdiff::{LowDiffConfig, LowDiffStrategy};
+        use crate::strategy::CheckpointStrategy;
+        use lowdiff_compress::{Compressor, TopK};
+
+        let (open, gate) = unbounded();
+        let store = Arc::new(CheckpointStore::new(Arc::new(GatedFirstPut {
+            inner: MemoryBackend::new(),
+            gate: Mutex::new(Some(gate)),
+        })));
+        let cfg = LowDiffConfig {
+            full_every: 1,
+            batch_size: 2,
+            ..LowDiffConfig::default()
+        };
+        let mut strat = LowDiffStrategy::new(Arc::clone(&store), cfg);
+        let mut state = ModelState::new(vec![0.5; 32]);
+        state.iteration = 1;
+        // The anchor full's put holds the checkpointing thread.
+        strat.after_update(&state, &AuxView::NONE);
+        let grad = Arc::new(TopK::new(0.25).compress(&[1.0; 32]));
+        for t in 1..=3 {
+            strat.on_synced_gradient(t, &grad, &AuxView::NONE);
+        }
+        strat.set_batch_size(3);
+        for t in 4..=6 {
+            strat.on_synced_gradient(t, &grad, &AuxView::NONE);
+        }
+        open.send(()).expect("the anchor waits on the gate");
+        strat.flush();
+        let keys: Vec<(u64, u64)> = store
+            .diff_keys()
+            .unwrap()
+            .iter()
+            .map(|k| (k.start, k.end))
+            .collect();
+        assert_eq!(
+            keys,
+            vec![(1, 2), (3, 3), (4, 6)],
+            "the retune must complete 3-3 at BS=2 and batch 4-6 at BS=3"
+        );
+        assert!(!strat.stats().degraded);
     }
 
     /// A worker that dies on its first job: the fulls queued behind it keep

@@ -31,20 +31,18 @@
 //! behind it is best-effort (failures are accounted but never fail the
 //! call).
 
-use super::cow::{CowTicket, CowTickets};
-use super::crash::{CrashInjector, CrashPoint};
-use super::metrics::EngineMetrics;
+use super::cow::CowTicket;
+use super::crash::CrashPoint;
 use super::tier::{SinkReport, Tier, TierStack};
+use super::{EngineConfig, EngineShared};
 use crate::batched::BatchedWriter;
 use crate::strategy::StrategyStats;
 use lowdiff_compress::AuxView;
 use lowdiff_optim::ModelState;
-use lowdiff_storage::{with_retry, CheckpointStore, RetryPolicy, StripeCfg};
-use lowdiff_util::BufferPool;
+use lowdiff_storage::{with_retry, CheckpointStore, StripeCfg};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 /// Per-write options for [`EngineCtx::persist_capture`].
@@ -180,40 +178,33 @@ impl Obj<'_> {
     }
 }
 
-/// The engine-owned context a [`super::CheckpointPolicy`] runs against.
-/// Built only by the engine's shared bundle.
+/// The engine-owned context a [`super::CheckpointPolicy`] runs against:
+/// the engine's configuration and the bundle it shares with the training
+/// side. Built only by the engine.
 pub struct EngineCtx<'a> {
-    pub(super) retry: &'a RetryPolicy,
-    pub(super) stripe: &'a StripeCfg,
-    pub(super) shared: &'a Mutex<StrategyStats>,
-    pub(super) force_full: &'a AtomicBool,
-    pub(super) metrics: &'a EngineMetrics,
-    pub(super) buffers: &'a BufferPool<u8>,
-    pub(super) cow: &'a Arc<CowTickets>,
-    pub(super) crash: Option<&'a CrashInjector>,
-    /// The whole shared bundle, where each full's outcome is recorded.
-    pub(super) engine: &'a super::EngineShared,
+    pub(super) cfg: &'a EngineConfig,
+    pub(super) engine: &'a EngineShared,
 }
 
 impl EngineCtx<'_> {
     /// Mutate the shared stats under the lock.
     pub fn with_stats<R>(&self, f: impl FnOnce(&mut StrategyStats) -> R) -> R {
-        f(&mut self.shared.lock())
+        f(&mut self.engine.stats.lock())
     }
 
     /// The simulated process is dead: every persist becomes a no-op.
     fn crash_dead(&self) -> bool {
-        self.crash.is_some_and(|c| c.crashed())
+        self.cfg.crash.as_ref().is_some_and(|c| c.crashed())
     }
 
     /// Check-and-fire the armed crash point, if any.
     fn crash_hit(&self, point: CrashPoint) -> bool {
-        self.crash.is_some_and(|c| c.hit(point))
+        self.cfg.crash.as_ref().is_some_and(|c| c.hit(point))
     }
 
     /// Ask the training side to schedule an early full checkpoint.
     pub fn request_reanchor(&self) {
-        self.force_full.store(true, Ordering::SeqCst);
+        self.engine.force_full.store(true, Ordering::SeqCst);
     }
 
     /// Write `obj` to every tier of the stack, front to back, and account
@@ -230,7 +221,7 @@ impl EngineCtx<'_> {
             let (rep, retries) = self.tier_write(tier, obj, bytes)?;
             let ok = rep.acks > 0;
             {
-                let mut s = self.shared.lock();
+                let mut s = self.engine.stats.lock();
                 s.io_retries += retries;
                 let ts = s.tier_mut(tier.name());
                 ts.acks += rep.acks;
@@ -268,7 +259,7 @@ impl EngineCtx<'_> {
     /// timing: the tier's ledger entry plus the storage retries it burned,
     /// or `None` when the process died mid-write.
     fn tier_write(&self, tier: &Tier, obj: Obj<'_>, bytes: &[u8]) -> Option<(SinkReport, u64)> {
-        let stripes = obj.stripes(self.stripe, bytes.len());
+        let stripes = obj.stripes(&self.cfg.stripe, bytes.len());
         if self.crash_hit(CrashPoint::MidPersist) {
             match tier {
                 Tier::Durable { store, .. } | Tier::Memory { store, .. } => {
@@ -296,7 +287,7 @@ impl EngineCtx<'_> {
             // unit — so it never reaches `CrashPoint::MidStripe`.
             Tier::Peer(peer) => (peer.put(&obj.key(), bytes), 0),
         };
-        self.metrics.persist.record(t1.elapsed());
+        self.engine.metrics.persist.record(t1.elapsed());
         if rep.acks > 0 && self.crash_hit(CrashPoint::PostPersistPreAck) {
             // Durable, but the process dies before acknowledging it: no
             // accounting, no GC, no re-anchor.
@@ -320,17 +311,17 @@ impl EngineCtx<'_> {
     ) -> Option<(bool, u64)> {
         let key = obj.key();
         if stripes < 2 {
-            let r = with_retry(self.retry, || store.backend().put(&key, bytes));
+            let r = with_retry(&self.cfg.retry, || store.backend().put(&key, bytes));
             return Some((r.result.is_ok(), r.retries as u64));
         }
-        let data = store.put_striped(&key, bytes, stripes, self.retry);
+        let data = store.put_striped(&key, bytes, stripes, &self.cfg.retry);
         let Ok(manifest) = data.result else {
             return Some((false, data.retries));
         };
         if self.crash_hit(CrashPoint::MidStripe) {
             return None;
         }
-        let r = with_retry(self.retry, || store.seal_striped(&key, &manifest));
+        let r = with_retry(&self.cfg.retry, || store.seal_striped(&key, &manifest));
         Some((r.result.is_ok(), data.retries + r.retries as u64))
     }
 
@@ -344,9 +335,10 @@ impl EngineCtx<'_> {
         let t0 = Instant::now();
         let whole = 0..state.params.len();
         let (ticket, _) = self
+            .engine
             .cow
             .capture(state, aux, std::slice::from_ref(&whole), false);
-        self.metrics.encode.record(t0.elapsed());
+        self.engine.metrics.encode.record(t0.elapsed());
         ticket
     }
 
@@ -370,7 +362,7 @@ impl EngineCtx<'_> {
         } else {
             let t0 = Instant::now();
             let state_crc = ticket.seal();
-            self.metrics.encode.record(t0.elapsed());
+            self.engine.metrics.encode.record(t0.elapsed());
             let landed = self.fan_out(tiers, Obj::Full(ticket.iteration()), ticket.bytes());
             if landed == Some(false) && opts.reanchor_on_failure {
                 self.request_reanchor();
@@ -381,7 +373,7 @@ impl EngineCtx<'_> {
             }
         };
         self.engine
-            .record_full(ticket.iteration(), outcome, self.crash);
+            .record_full(ticket.iteration(), outcome, self.cfg.crash.as_deref());
         outcome != FullOutcome::Failed
     }
 
@@ -396,12 +388,12 @@ impl EngineCtx<'_> {
             return false;
         }
         let t0 = Instant::now();
-        let Some(enc) = writer.encode_batch_with(self.buffers.get()) else {
+        let Some(enc) = writer.encode_batch_with(self.engine.buffers.get()) else {
             return true;
         };
-        self.metrics.encode.record(t0.elapsed());
+        self.engine.metrics.encode.record(t0.elapsed());
         let landed = self.fan_out(tiers, Obj::Diff(enc.start, enc.end), &enc.bytes);
-        self.buffers.put(enc.bytes);
+        self.engine.buffers.put(enc.bytes);
         match landed {
             // Durable-but-unacknowledged (or torn) writes leave the batch
             // buffered (no `complete_write`), which on resume shows up as
@@ -420,7 +412,7 @@ impl EngineCtx<'_> {
                 // so later diffs become useful again. Training was never
                 // blocked.
                 {
-                    let mut s = self.shared.lock();
+                    let mut s = self.engine.stats.lock();
                     s.dropped_diffs += writer.discard_batch();
                     s.dropped_batches += 1;
                 }
@@ -444,11 +436,11 @@ impl EngineCtx<'_> {
             Ok(fulls) if fulls.len() as u64 > keep => {
                 let cutoff = fulls[fulls.len() - keep as usize];
                 if store.gc_before(cutoff).is_err() {
-                    self.shared.lock().io_errors += 1;
+                    self.engine.stats.lock().io_errors += 1;
                 }
             }
             Ok(_) => {}
-            Err(_) => self.shared.lock().io_errors += 1,
+            Err(_) => self.engine.stats.lock().io_errors += 1,
         }
     }
 }
@@ -456,12 +448,15 @@ impl EngineCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::cow::CowTickets;
+    use crate::engine::crash::CrashInjector;
     use crate::engine::tier::{PeerReplicaBackend, PeerTier};
-    use crate::engine::{EngineConfig, EngineShared};
     use lowdiff_comm::ReplicaNet;
     use lowdiff_compress::{CompressedGrad, SparseGrad};
     use lowdiff_storage::codec::ValueCodec;
+    use lowdiff_storage::RetryPolicy;
     use lowdiff_storage::{MemoryBackend, StorageBackend};
+    use std::sync::Arc;
 
     /// Run `f` against a fresh EngineCtx built from `retry`, `stripe` and
     /// `crash`, and return the stats it accumulated.
@@ -478,7 +473,10 @@ mod tests {
             ..EngineConfig::default()
         };
         let shared = EngineShared::new(CowTickets::new(1, false));
-        f(&mut shared.ctx(&cfg));
+        f(&mut EngineCtx {
+            cfg: &cfg,
+            engine: &shared,
+        });
         let stats = shared.stats.lock().clone();
         stats
     }
@@ -809,7 +807,7 @@ mod tests {
             for (name, mut call) in calls {
                 let before = PERSIST_POINTS.map(|(p, _)| crash.reached(p));
                 let samples = |cx: &EngineCtx<'_>| {
-                    let m = cx.metrics.counters();
+                    let m = cx.engine.metrics.counters();
                     (m.encode.count, m.persist.count)
                 };
                 let (enc0, put0) = samples(cx);
@@ -822,7 +820,7 @@ mod tests {
                     .collect();
                 lines.push(format!(
                     "{name}: ok={ok} reanchor={} enc={} put={} reached={}",
-                    cx.force_full.swap(false, Ordering::SeqCst),
+                    cx.engine.force_full.swap(false, Ordering::SeqCst),
                     enc1 - enc0,
                     put1 - put0,
                     reached.join(" "),

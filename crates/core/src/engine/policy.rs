@@ -33,7 +33,8 @@ pub enum Job {
     },
 }
 
-/// Runtime reconfiguration delivered to the policy on the worker thread.
+/// Runtime reconfiguration delivered to the policy on the worker thread,
+/// in order with the jobs submitted around it.
 pub enum PolicyCtl {
     /// Flush the in-flight batch and continue with a new batching size
     /// (the Eq.-(5) optimizer's runtime retuning).

@@ -506,9 +506,9 @@ mod tests {
         strat.flush();
         let before = st.diff_keys().unwrap().len();
         assert_eq!(before, 3);
-        // Retune to BS=3 via the public control path; the follow-up flush
-        // (FIFO on the control channel) guarantees the new size is in
-        // effect before more diffs arrive.
+        // Retune to BS=3 via the public control path. The retune queues
+        // behind the jobs before it on the engine's one FIFO, so the new
+        // size is in effect for every diff submitted after it.
         strat.set_batch_size(3);
         strat.flush();
         for _ in 0..6 {

@@ -5,9 +5,10 @@
 //!   senders or all receivers are dropped;
 //! - `bounded(cap)` blocks senders at capacity (`bounded(0)` is not
 //!   supported — the workspace never creates rendezvous channels);
-//! - receiving drains remaining messages even after disconnect;
-//! - `Select`/`ready()` blocks until some registered receiver has a
-//!   message or is disconnected.
+//! - receiving drains remaining messages even after disconnect.
+//!
+//! There is no `Select`: every consumer in the workspace blocks on one
+//! channel.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -93,42 +94,15 @@ pub enum RecvTimeoutError {
     Disconnected,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReadyTimeoutError;
-
 // ---------------------------------------------------------------------------
 // Channel core
 // ---------------------------------------------------------------------------
-
-/// Wake handle shared between a `Select` and the channels it watches.
-/// Any state change that could make a receiver ready bumps the generation.
-struct SelectWaker {
-    state: Mutex<u64>,
-    cond: Condvar,
-}
-
-impl SelectWaker {
-    fn new() -> Arc<Self> {
-        Arc::new(Self {
-            state: Mutex::new(0),
-            cond: Condvar::new(),
-        })
-    }
-
-    fn wake(&self) {
-        let mut g = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        *g = g.wrapping_add(1);
-        self.cond.notify_all();
-    }
-}
 
 struct Inner<T> {
     queue: VecDeque<T>,
     cap: Option<usize>,
     senders: usize,
     receivers: usize,
-    /// Select wakers currently parked on this channel.
-    observers: Vec<Arc<SelectWaker>>,
 }
 
 struct Shared<T> {
@@ -140,14 +114,6 @@ struct Shared<T> {
 impl<T> Shared<T> {
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner<T>> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Wake blocked receivers and any selects parked on this channel.
-    fn notify_readable(&self, inner: &mut Inner<T>) {
-        self.not_empty.notify_all();
-        for obs in &inner.observers {
-            obs.wake();
-        }
     }
 }
 
@@ -164,7 +130,6 @@ fn new_channel<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
             cap,
             senders: 1,
             receivers: 1,
-            observers: Vec::new(),
         }),
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
@@ -205,7 +170,7 @@ impl<T> Sender<T> {
             let full = inner.cap.is_some_and(|c| inner.queue.len() >= c);
             if !full {
                 inner.queue.push_back(msg);
-                self.shared.notify_readable(&mut inner);
+                self.shared.not_empty.notify_all();
                 return Ok(());
             }
             inner = self
@@ -225,7 +190,7 @@ impl<T> Sender<T> {
             return Err(TrySendError::Full(msg));
         }
         inner.queue.push_back(msg);
-        self.shared.notify_readable(&mut inner);
+        self.shared.not_empty.notify_all();
         Ok(())
     }
 
@@ -252,8 +217,8 @@ impl<T> Drop for Sender<T> {
         let mut inner = self.shared.lock();
         inner.senders -= 1;
         if inner.senders == 0 {
-            // Disconnect: wake everyone so blocked receivers/selects observe it.
-            self.shared.notify_readable(&mut inner);
+            // Disconnect: wake everyone so blocked receivers observe it.
+            self.shared.not_empty.notify_all();
             self.shared.not_full.notify_all();
         }
     }
@@ -327,23 +292,6 @@ impl<T> Receiver<T> {
     pub fn iter(&self) -> Iter<'_, T> {
         Iter { rx: self }
     }
-
-    fn register(&self, waker: &Arc<SelectWaker>) {
-        self.shared.lock().observers.push(Arc::clone(waker));
-    }
-
-    fn deregister(&self, waker: &Arc<SelectWaker>) {
-        self.shared
-            .lock()
-            .observers
-            .retain(|o| !Arc::ptr_eq(o, waker));
-    }
-
-    /// Ready means: a recv would not block (message available or disconnected).
-    fn is_ready(&self) -> bool {
-        let inner = self.shared.lock();
-        !inner.queue.is_empty() || inner.senders == 0
-    }
 }
 
 impl<T> Clone for Receiver<T> {
@@ -381,156 +329,6 @@ impl<'a, T> IntoIterator for &'a Receiver<T> {
     type IntoIter = Iter<'a, T>;
     fn into_iter(self) -> Iter<'a, T> {
         self.iter()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Select
-// ---------------------------------------------------------------------------
-
-trait Watched {
-    fn ready(&self) -> bool;
-    fn attach(&self, waker: &Arc<SelectWaker>);
-    fn detach(&self, waker: &Arc<SelectWaker>);
-}
-
-impl<T> Watched for Receiver<T> {
-    fn ready(&self) -> bool {
-        self.is_ready()
-    }
-    fn attach(&self, waker: &Arc<SelectWaker>) {
-        self.register(waker);
-    }
-    fn detach(&self, waker: &Arc<SelectWaker>) {
-        self.deregister(waker);
-    }
-}
-
-/// Blocking readiness selection over a set of receivers.
-///
-/// Usage mirrors crossbeam's manual-select API:
-/// ```
-/// # use crossbeam::channel::{unbounded, Select};
-/// let (tx, rx) = unbounded::<u32>();
-/// tx.send(7).unwrap();
-/// let mut sel = Select::new();
-/// let idx = sel.recv(&rx);
-/// let ready = sel.ready(); // blocks until some handle is ready
-/// assert_eq!(ready, idx);
-/// assert_eq!(rx.try_recv(), Ok(7));
-/// ```
-///
-/// `ready()` returns the index of a handle whose `recv` would not block;
-/// the caller then does a non-blocking `try_recv` on it (a competing
-/// receiver may have stolen the message — retry on `Empty`).
-pub struct Select<'a> {
-    handles: Vec<&'a dyn Watched>,
-    waker: Arc<SelectWaker>,
-    /// Rotates the scan start so one busy channel cannot starve the rest.
-    next_start: usize,
-}
-
-impl<'a> Select<'a> {
-    #[allow(clippy::new_without_default)]
-    pub fn new() -> Self {
-        Self {
-            handles: Vec::new(),
-            waker: SelectWaker::new(),
-            next_start: 0,
-        }
-    }
-
-    /// Register a receive operation; returns the operation index.
-    pub fn recv<T>(&mut self, rx: &'a Receiver<T>) -> usize {
-        rx.attach(&self.waker);
-        self.handles.push(rx);
-        self.handles.len() - 1
-    }
-
-    fn poll(&mut self) -> Option<usize> {
-        let n = self.handles.len();
-        for off in 0..n {
-            let i = (self.next_start + off) % n;
-            if self.handles[i].ready() {
-                self.next_start = (i + 1) % n;
-                return Some(i);
-            }
-        }
-        None
-    }
-
-    /// Block until some registered operation is ready; returns its index.
-    pub fn ready(&mut self) -> usize {
-        assert!(!self.handles.is_empty(), "select with no operations");
-        loop {
-            let gen = *self
-                .waker
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if let Some(i) = self.poll() {
-                return i;
-            }
-            // Sleep until the generation moves past the snapshot taken
-            // *before* the poll — a wake between poll and wait is not lost.
-            let mut g = self
-                .waker
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            while *g == gen {
-                g = self
-                    .waker
-                    .cond
-                    .wait(g)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
-    }
-
-    /// Like [`Select::ready`] with a timeout.
-    pub fn ready_timeout(&mut self, timeout: Duration) -> Result<usize, ReadyTimeoutError> {
-        assert!(!self.handles.is_empty(), "select with no operations");
-        let deadline = Instant::now() + timeout;
-        loop {
-            let gen = *self
-                .waker
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if let Some(i) = self.poll() {
-                return Ok(i);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(ReadyTimeoutError);
-            }
-            let mut g = self
-                .waker
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            while *g == gen {
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(ReadyTimeoutError);
-                }
-                let (guard, _) = self
-                    .waker
-                    .cond
-                    .wait_timeout(g, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                g = guard;
-            }
-        }
-    }
-}
-
-impl Drop for Select<'_> {
-    fn drop(&mut self) {
-        for h in &self.handles {
-            h.detach(&self.waker);
-        }
     }
 }
 
@@ -613,55 +411,5 @@ mod tests {
         drop(tx);
         let v: Vec<i32> = rx.iter().collect();
         assert_eq!(v, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn select_wakes_on_late_send() {
-        let (tx_a, rx_a) = unbounded::<u8>();
-        let (_tx_b, rx_b) = unbounded::<u8>();
-        let h = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(20));
-            tx_a.send(42).unwrap();
-        });
-        let mut sel = Select::new();
-        let ia = sel.recv(&rx_a);
-        let _ib = sel.recv(&rx_b);
-        let ready = sel.ready();
-        assert_eq!(ready, ia);
-        assert_eq!(rx_a.try_recv(), Ok(42));
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn select_reports_disconnect_as_ready() {
-        let (tx, rx) = unbounded::<u8>();
-        let mut sel = Select::new();
-        let idx = sel.recv(&rx);
-        drop(tx);
-        assert_eq!(sel.ready(), idx);
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-    }
-
-    #[test]
-    fn select_ready_timeout() {
-        let (_tx, rx) = unbounded::<u8>();
-        let mut sel = Select::new();
-        sel.recv(&rx);
-        assert_eq!(
-            sel.ready_timeout(Duration::from_millis(10)),
-            Err(ReadyTimeoutError)
-        );
-    }
-
-    #[test]
-    fn select_deregisters_on_drop() {
-        let (tx, rx) = unbounded::<u8>();
-        {
-            let mut sel = Select::new();
-            sel.recv(&rx);
-            tx.send(1).unwrap();
-            assert_eq!(sel.ready(), 0);
-        }
-        assert_eq!(rx.shared.lock().observers.len(), 0);
     }
 }

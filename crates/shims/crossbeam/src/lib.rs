@@ -2,8 +2,7 @@
 //!
 //! The build environment has no registry access, so the workspace carries
 //! the channel API subset it uses: mpmc `bounded`/`unbounded` channels with
-//! blocking/timeout/try operations, plus a [`channel::Select`] good enough
-//! for "block until one of these receivers is ready". Built on
-//! `std::sync::{Mutex, Condvar}`; correctness over raw throughput.
+//! blocking/timeout/try operations. Built on `std::sync::{Mutex, Condvar}`;
+//! correctness over raw throughput.
 
 pub mod channel;

@@ -26,7 +26,8 @@
 #                            oracle, and every resume entry point each
 #                            other, at any pool width
 # 3d. engine @1/@4 threads — the engine tests of the core crate (the
-#                            persist pin included), the baselines' tests
+#                            persist pin and the FIFO-retune test
+#                            included), the baselines' tests
 #                            and the engine equivalence suite with the
 #                            pool pinned to 1 and to 4 threads: striped
 #                            fan-out runs on the pool and every baseline
@@ -115,10 +116,23 @@
 #                            including its bit-exact resume checks; any
 #                            failed check is a non-zero exit
 #
-# Fails fast: the first failing step fails the gate.
+# Fails fast: the first failing step fails the gate. Every step that
+# picks tests by name runs through `named`, which also fails it when the
+# filter matched no test at all, so a renamed test cannot drop out of the
+# gate silently.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Run a name-filtered `cargo test` command; fail unless its "N passed"
+# counts, summed over every test target, are above zero.
+named() {
+  "$@" 2>&1 | tee target/ci-named.log
+  if [ "$(grep -o '[0-9]* passed' target/ci-named.log | awk '{n += $1} END {print n + 0}')" -eq 0 ]; then
+    echo "no test matched the filter of: $*" >&2
+    exit 1
+  fi
+}
 
 echo "== fmt =="
 cargo fmt --all --check
@@ -147,12 +161,12 @@ LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff-compress
 LOWDIFF_NUM_THREADS=4 cargo test -q -p lowdiff-compress
 
 echo "== recovery @1/@4 threads =="
-LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff recovery
-LOWDIFF_NUM_THREADS=4 cargo test -q -p lowdiff recovery
+named env LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff recovery
+named env LOWDIFF_NUM_THREADS=4 cargo test -q -p lowdiff recovery
 
 echo "== engine @1/@4 threads =="
 for n in 1 4; do
-  LOWDIFF_NUM_THREADS=$n cargo test -q -p lowdiff engine
+  named env LOWDIFF_NUM_THREADS=$n cargo test -q -p lowdiff engine
   LOWDIFF_NUM_THREADS=$n cargo test -q -p lowdiff-baselines
   LOWDIFF_NUM_THREADS=$n cargo test -q --test engine_equivalence
 done
@@ -171,16 +185,16 @@ cargo test --release -q -p lowdiff-storage --test decoder_mutations
 cargo test --release -q -p lowdiff-util
 
 echo "== sharded @1 thread =="
-LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff shard::
+named env LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff shard::
 LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff --test sharded_strategy
-LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff-storage seal_returns_the_crc_of_the_state_span
+named env LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff-storage seal_returns_the_crc_of_the_state_span
 LOWDIFF_NUM_THREADS=1 cargo test -q --test sharded_cluster
-LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff unflushed_run_returns_before_the_anchor_lands
-LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff failed_full_is_not_answered_by_the_reanchor_after_it
-LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff landed_full_refreshes_the_health_blob_without_a_flush
-LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff every_landed_full_refreshes_a_cheap_health_blob
-LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff slow_health_refresh_is_budgeted
-LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff failing_health_puts_leave_the_run_healthy
+named env LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff unflushed_run_returns_before_the_anchor_lands
+named env LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff failed_full_is_not_answered_by_the_reanchor_after_it
+named env LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff landed_full_refreshes_the_health_blob_without_a_flush
+named env LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff every_landed_full_refreshes_a_cheap_health_blob
+named env LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff slow_health_refresh_is_budgeted
+named env LOWDIFF_NUM_THREADS=1 cargo test -q -p lowdiff failing_health_puts_leave_the_run_healthy
 LOWDIFF_NUM_THREADS=1 timeout 600 cargo test -q -p lowdiff-cluster
 
 echo "== crash-torture smoke =="
@@ -188,7 +202,7 @@ echo "== crash-torture smoke =="
 # every strategy through a torn write, LowDiff through every crash point,
 # and whole-rank loss (live state + durable store destroyed together)
 # recovered bit-exactly from peer replicas alone.
-cargo test -q --test crash_torture smoke_
+named cargo test -q --test crash_torture smoke_
 
 echo "== peer-replication smoke =="
 # Peer-tier e2e (tests/peer_replication.rs): multi-rank WorkerGroup run
